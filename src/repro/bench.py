@@ -346,7 +346,7 @@ def engine_parity(
     """Replay every cell under all exact engines; returns mismatch descriptions.
 
     Each cell runs telemetry-enabled under every engine in
-    ``EXACT_ENGINES`` (legacy, fast, vectorized); the full result
+    ``EXACT_ENGINES`` (legacy, vectorized); the full result
     payload (summary, counters, energy) must compare equal to legacy's
     and the rendered telemetry reports must match byte for byte.  Empty
     return = the engines are bit-identical on this workload.  The
@@ -610,8 +610,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--engine-parity",
         action="store_true",
-        help="run every cell under all exact replay engines "
-        f"({', '.join(EXACT_ENGINES)}) and fail unless results and "
+        help="run every cell under both exact replay engines "
+        f"({' and '.join(EXACT_ENGINES)}) and fail unless results and "
         "telemetry reports are identical",
     )
     parser.add_argument(
@@ -845,8 +845,8 @@ def main(argv=None) -> int:
     if kernel_refs:
         # Chunk-kernel strategy stats for the serial pass (all
         # repetitions), from the process-global runtime registry: how
-        # many references each tier resolved (L1 run-vector, L2
-        # fast-d-group, scalar walk) and where the kernel wall went.
+        # many references each tier resolved (L1 run-vector, scalar
+        # walk) and where the kernel wall went.
         wall = kernel_delta.get("vectorized.wall_s", 0.0)
         probe = kernel_delta.get("vectorized.probe_wall_s", 0.0)
         apply_ = kernel_delta.get("vectorized.l1_apply_wall_s", 0.0)
@@ -855,20 +855,9 @@ def main(argv=None) -> int:
             "min_run": MIN_RUN,
             "refs": int(kernel_refs),
             "refs_vector": int(kernel_delta.get("vectorized.refs_vector", 0)),
-            "l2_refs_vector": int(
-                kernel_delta.get("vectorized.l2_refs_vector", 0)
-            ),
-            "l2_runs_applied": int(
-                kernel_delta.get("vectorized.l2_runs_applied", 0)
-            ),
             "refs_scalar": int(kernel_delta.get("vectorized.refs_scalar", 0)),
             "vector_fraction": round(
-                (
-                    kernel_delta.get("vectorized.refs_vector", 0)
-                    + kernel_delta.get("vectorized.l2_refs_vector", 0)
-                )
-                / kernel_refs,
-                4,
+                kernel_delta.get("vectorized.refs_vector", 0) / kernel_refs, 4
             ),
             "fallbacks": int(kernel_delta.get("vectorized.fallbacks", 0)),
             "wall_s": round(wall, 3),
@@ -989,7 +978,7 @@ def main(argv=None) -> int:
         else:
             print(
                 f"engine parity: ok ({cells} cells x "
-                f"{len(EXACT_ENGINES)} engines)"
+                f"{' and '.join(EXACT_ENGINES)})"
             )
     if accuracy is not None:
         errors = accuracy["worst_errors"]
@@ -1070,7 +1059,7 @@ def main(argv=None) -> int:
         )
         return 1
     if parity_failures:
-        print("ERROR: replay engines diverge — fast-path bug")
+        print("ERROR: replay engines diverge — vectorized kernel bug")
         return 1
     if accuracy is not None and not accuracy["within_tolerance"]:
         print("ERROR: approx engine drifted past documented tolerances")

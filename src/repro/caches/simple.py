@@ -12,7 +12,7 @@ block address (-1 = invalid), ``_dirty`` the dirty bits, and
 LRU (the victim is the valid way with the smallest stamp — exactly the
 least recently inserted-or-touched block, bit-identical to the
 dict-ordered LRU this class used to keep).  The flat layout is what
-the fast replay engine (:mod:`repro.sim.fastpath`) indexes directly;
+the vectorized replay kernel (:mod:`repro.sim.vectorized`) indexes directly;
 the methods below are the thin view the rest of the simulator, the
 fault injector, and telemetry keep using.
 """

@@ -12,7 +12,7 @@ and identical across worker processes.
 Replay is a single scalar loop shared by every exact engine: the
 per-core clocks are independent (each core advances only on its own
 references), which is exactly the precondition the fused single-core
-kernels do not handle, so legacy/fast/vectorized all route here and
+kernel does not handle, so legacy and vectorized both route here and
 trivially agree.  ``approx`` has no multi-core model and is rejected.
 
 Accounting: the RunResult's headline numbers aggregate the chip

@@ -152,7 +152,7 @@ class CoreModel:
     ) -> None:
         """Write back state accumulated by a batched replay engine.
 
-        The fast kernel (:mod:`repro.sim.fastpath`) inlines
+        The vectorized kernel (:mod:`repro.sim.vectorized`) inlines
         :meth:`advance_instructions` and :meth:`note_memory_result`
         into its fused loop, accumulating the hot scalars in locals
         with the exact same sequence of float operations; this installs

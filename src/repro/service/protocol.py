@@ -6,7 +6,7 @@ Everything crossing the socket is JSON.  Configurations travel as
 (curl included) can submit work and the server never unpickles
 untrusted bytes::
 
-    {"kind": "nurapid", "options": {"n_dgroups": 8}, "engine": "fast"}
+    {"kind": "nurapid", "options": {"n_dgroups": 8}, "engine": "vectorized"}
 
 A grid request is the cross product of config specs and benchmarks,
 with the same per-run knobs :func:`repro.sim.driver.run_suite` takes;

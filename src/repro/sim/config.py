@@ -46,16 +46,15 @@ KB = 1024
 MB = 1024 * 1024
 
 #: Replay engines.  "legacy" is the original per-object loop kept as
-#: the parity reference; "fast" the array-backed fused kernel
-#: (:mod:`repro.sim.fastpath`); "vectorized" adds the numpy chunked
-#: hit-run pre-pass (:mod:`repro.sim.vectorized`).  Those three are
-#: bit-identical.  "approx" (:mod:`repro.sim.approx`) is the opt-in
+#: the parity reference; "vectorized" the fused kernel with a numpy
+#: chunked hit-run pre-pass (:mod:`repro.sim.vectorized`).  Those two
+#: are bit-identical.  "approx" (:mod:`repro.sim.approx`) is the opt-in
 #: analytical fast-forward tier: same result schema, tolerance-gated
 #: accuracy instead of bit identity.
-ENGINES = ("legacy", "fast", "vectorized", "approx")
+ENGINES = ("legacy", "vectorized", "approx")
 
 #: Engines held to byte-identical results by the parity gate.
-EXACT_ENGINES = ("legacy", "fast", "vectorized")
+EXACT_ENGINES = ("legacy", "vectorized")
 
 
 def resolve_engine(engine: Optional[str] = None) -> str:
@@ -106,9 +105,9 @@ class SystemConfig:
     #: Optional runtime fault campaign applied to the cache under study
     #: (the first level below the L1s).  None disables all fault hooks.
     faults: Optional[FaultPlan] = None
-    #: Replay engine: "legacy" | "fast" | "vectorized" | "approx" |
-    #: None (= $REPRO_ENGINE, else "vectorized").  The first three are
-    #: bit-identical (see repro.sim.fastpath / repro.sim.vectorized);
+    #: Replay engine: "legacy" | "vectorized" | "approx" | None
+    #: (= $REPRO_ENGINE, else "vectorized").  The first two are
+    #: bit-identical (see repro.sim.vectorized);
     #: "approx" trades bit identity for an analytical fast-forward
     #: with tolerance-gated accuracy (see repro.sim.approx).
     engine: Optional[str] = None

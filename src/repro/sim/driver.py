@@ -17,7 +17,7 @@ from typing import Dict, Iterable, List, Optional
 from repro.common.errors import ConfigurationError
 from repro.cpu.core import CoreModel
 from repro.cpu.wattch import ProcessorEnergyModel
-from repro.sim import fastpath, vectorized
+from repro.sim import vectorized
 from repro.sim.config import SystemConfig, build_system, resolve_engine
 from repro.sim.results import RunResult, SuiteResult
 from repro.telemetry import (
@@ -26,6 +26,7 @@ from repro.telemetry import (
     Telemetry,
     TelemetryConfig,
     occupancy_bounds,
+    runtime_registry,
 )
 from repro.workloads.spec2k import BenchmarkProfile, get_benchmark
 from repro.workloads.trace import Trace
@@ -94,20 +95,21 @@ def _replay(
 ) -> None:
     """The hot loop: advance the core and walk the hierarchy.
 
-    ``engine="fast"`` dispatches to the fused array-backed kernel
-    (:mod:`repro.sim.fastpath`); ``engine="vectorized"`` to the numpy
-    chunked kernel (:mod:`repro.sim.vectorized`).  Both are
-    bit-identical to this loop.  ``collect`` receives every
-    per-reference AccessResult (parity tests only — it slows every
-    engine down).
+    Two engines are exact.  ``engine="vectorized"`` runs the chunked
+    numpy kernel (:mod:`repro.sim.vectorized`), bit-identical to this
+    loop, whenever it can: per-reference observation (``collect``), an
+    L1 fault injector, a non-2-way L1, and L1 constants that differ
+    from the core's all come straight here instead, counted under
+    ``vectorized.fallbacks``.  ``engine="legacy"`` always takes this
+    loop, the parity oracle.  ``collect`` receives every per-reference
+    AccessResult (parity tests only — it slows the loop down).
     """
     if engine == "vectorized":
-        vectorized.replay(system, core, trace, collect=collect)
-        return
-    if engine == "fast":
-        fastpath.replay(system, core, trace, collect=collect)
-        return
-    if engine == "approx":
+        if collect is None and vectorized.supports(system, core):
+            vectorized.replay(system, core, trace)
+            return
+        runtime_registry().add("vectorized.fallbacks")
+    elif engine == "approx":
         raise ConfigurationError(
             "approx is an analytical engine with no per-reference replay "
             "loop; run_benchmark dispatches it before replay"

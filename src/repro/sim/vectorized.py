@@ -1,89 +1,73 @@
 """Vectorized chunked replay kernel (``engine="vectorized"``).
 
-Builds on the fused scalar kernel (:mod:`repro.sim.fastpath`) with a
-numpy pre-pass over the columnar trace (:meth:`Trace.decoded_batch`):
+The legacy hot loop (:func:`repro.sim.driver._replay`) pays Python call
+overhead five times per reference even though most references are
+pipelined L1 hits whose whole architectural effect is a handful of int
+and float updates.  This kernel fuses the per-reference chain into one
+loop over the columnar trace (:meth:`Trace.decoded_batch`) and resolves
+long L1-hit stretches in numpy passes.  It has two tiers:
 
-1. The trace is swept in windows of :data:`WINDOW` references.  For
-   each window the 2-way L1 probe is evaluated wholesale against a
-   numpy mirror of the flat tag array (two gathers + two compares),
-   yielding a predicted hit mask.
-2. Runs of at least :data:`MIN_RUN` consecutive predicted hits are
-   re-verified against the *current* tags (fills since the window
-   prediction may have evicted a predicted frame) and, when still
-   valid, resolved in one numpy pass: the cycle and branch-penalty
-   accumulations are strict left folds (``np.add.accumulate``), which
-   replay the exact float-op sequence of the scalar loop; instruction
-   and read/write counts come from precomputed prefix sums (integer,
-   exact); dirty bits are set by one fancy assignment into a writable
-   view of the L1's dirty bytearray; LRU stamps are committed in
-   reference order so recency is untouched.
-3. **L2 tier** — when the level under the L1 is a NuRAPID cache with
-   no fault injector or telemetry attached, the same window pre-pass
-   probes the residual predicted-L1-miss references against NuRAPID's
-   packed int tag state (one gather over the per-set tag dicts, then a
-   numpy decode of the resident/d-group bits), flagging references
-   that are *provable fastest-d-group read hits*.  Flagged references
-   re-verify against the live tags in the scalar loop (fills,
-   promotions, and writebacks inside the window can move the block)
-   and, when still a d-group-0 hit, resolve through an inlined copy of
-   the dg0 read-hit path — exact per-reference stat/recency updates,
-   the same inline port arithmetic, energy charges batched (exact: the
-   energy book pre-registers its keys, so order is fixed) — without
-   the method call, ``AccessResult`` boxing, or dead fault/telemetry
-   branches.  Promotion candidates (hits outside d-group 0), misses,
-   demotion chains, faults, contention wrappers, and incompressible
-   placement all stay on the generic ``access``/``fill`` walk.
-4. Everything else — short runs, predicted misses, invalidated runs —
-   drops into a scalar loop with fastpath semantics, further leaned
-   down by per-reference ``gap/ipc`` and branch-penalty terms
-   precomputed vectorized (elementwise float64 ops are bit-identical
-   to the scalar expressions) and by inlining the 2-way L1 fill
-   (inside this kernel a missed block can never already be resident
-   when it fills, so the duplicate-present probe is skipped).
+1. **L1-vector.**  The trace is swept in windows of :data:`WINDOW`
+   references.  For each window the 2-way L1 probe is evaluated
+   wholesale against a numpy mirror of the flat tag array (two gathers
+   + two compares), yielding a predicted hit mask.  Runs of at least
+   :data:`MIN_RUN` consecutive predicted hits are re-verified against
+   the *current* tags (fills since the window prediction may have
+   evicted a predicted frame) and, when still valid, resolved in one
+   numpy pass: the cycle and branch-penalty accumulations are strict
+   left folds (``np.add.accumulate``), which replay the exact float-op
+   sequence of the scalar loop; instruction and read/write counts come
+   from precomputed prefix sums (integer, exact); dirty bits are set by
+   one fancy assignment into a writable view of the L1's dirty
+   bytearray; LRU stamps are committed in reference order so recency
+   is untouched.
+2. **Scalar.**  Everything else — short runs, predicted misses,
+   invalidated runs — goes through one fused scalar body: the L1 probe
+   indexes the flat tag array of
+   :class:`~repro.caches.simple.SetAssociativeCache` directly,
+   ``advance_instructions`` and ``note_memory_result`` are inlined op by
+   op (per-reference ``gap/ipc`` and branch-penalty terms precomputed
+   vectorized; elementwise float64 ops are bit-identical to the scalar
+   expressions), and only L1 misses walk the lower levels through their
+   own ``access``/``fill`` methods.
 
 Bit-identity contract
 ---------------------
 
-Identical to :mod:`repro.sim.fastpath`: the same float-op sequence,
-the same lower-level ``access``/``fill`` calls at the same ``now``
-values, integer counters batched and flushed in ``finally`` so a
-mid-replay :class:`~repro.faults.models.UncorrectableDataError`
-leaves legacy-identical state.  ``python -m repro.bench
---engine-parity`` holds every exact engine to byte-identical summaries
-and telemetry reports.
+The kernel replays the exact float-op sequence of the legacy loop,
+drives the lower levels through the same ``access``/``fill`` calls at
+the same ``now`` values, and batches integer counters, flushed in
+``finally`` so a mid-replay
+:class:`~repro.faults.models.UncorrectableDataError` leaves
+legacy-identical state.  ``python -m repro.bench --engine-parity``
+holds it to byte-identical summaries and telemetry reports.
 
-When the kernel cannot take the system (L1 fault injector, non-2-way
-L1, mismatched core constants) it defers to :func:`fastpath.replay`,
-which applies its own fallback chain; per-reference observation
-(``collect``) and an attached L1 telemetry client also defer, since
-both demand a Python-level callback per reference.  Results are
-bit-identical either way.
+Telemetry-armed runs stay on the kernel: the L1 client's ``on_access``
+is replayed in reference order (applied vector runs included) when the
+kernel returns, which is exact because that client only feeds its own
+counters and histograms; L1 fills go through ``l1.fill`` so placement,
+eviction and writeback events keep their order among the lower levels'
+events; and the inlined MSHR allocate records the occupancy histogram.
 
-Kernel statistics (windows swept, refs resolved per tier, scalar
-refs, invalidated runs, stale L2 flags, wall-clock per stage) land in
-the process-global runtime registry (:mod:`repro.telemetry.runtime`)
-under ``vectorized.*`` — they describe execution strategy, not the
-simulated machine, so they stay out of run payloads.
+Systems the kernel cannot take (see :func:`supports`) never reach it:
+:func:`repro.sim.driver._replay` sends them to the legacy loop.
+
+Kernel statistics (windows swept, refs resolved per tier, invalidated
+runs, wall-clock per stage) land in the process-global runtime
+registry (:mod:`repro.telemetry.runtime`) under ``vectorized.*`` — they
+describe execution strategy, not the simulated machine, so they stay
+out of run payloads.
 """
 
 from __future__ import annotations
 
 from itertools import islice
 from time import perf_counter
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from repro.caches.mshr import MSHREntry
-from repro.common.types import AccessResult
-from repro.nurapid.cache import (
-    NuRAPIDCache,
-    _PACK_DGROUP_MASK,
-    _PACK_DGROUP_SHIFT,
-    _PACK_FRAME_MASK,
-)
-from repro.nurapid.compression import CompressedNuRAPIDCache
-from repro.sim import fastpath
 from repro.telemetry.runtime import runtime_registry
 
 #: Prediction window: references per numpy probe pre-pass.
@@ -93,24 +77,29 @@ WINDOW = 4096
 MIN_RUN = 48
 
 
-def replay(system, core, trace, collect: Optional[List[AccessResult]] = None) -> None:
-    """Replay ``trace``, resolving long L1-hit runs in numpy passes."""
+def supports(system, core) -> bool:
+    """Whether the kernel can replay on ``system`` bit-identically.
+
+    It needs a 2-way L1 without a fault injector whose latency and
+    block size match the core's L1 constants.
+    """
     l1 = system.l1d
     params = core.params
-    if (
-        collect is not None
-        or l1.telemetry is not None
-        or l1.fault_injector is not None
-        or getattr(l1, "_assoc", None) != 2
-        or l1.spec.latency_cycles != params.l1_hit_cycles
-        or l1.spec.block_bytes != params.l1_block_bytes
-        or core.mshrs.occupancy_hist is not None
-        or core.exposure > 1.0
-    ):
-        runtime_registry().add("vectorized.fallbacks")
-        fastpath.replay(system, core, trace, collect=collect)
-        return
+    return (
+        l1.fault_injector is None
+        and getattr(l1, "_assoc", None) == 2
+        and l1.spec.latency_cycles == params.l1_hit_cycles
+        and l1.spec.block_bytes == params.l1_block_bytes
+    )
 
+
+def replay(system, core, trace) -> None:
+    """Replay ``trace``, resolving long L1-hit runs in numpy passes.
+
+    Callers check :func:`supports` first.
+    """
+    l1 = system.l1d
+    params = core.params
     hierarchy = system.hierarchy
     memory = system.memory
     lower = hierarchy.lower
@@ -130,8 +119,13 @@ def replay(system, core, trace, collect: Optional[List[AccessResult]] = None) ->
     l1_lat = l1.spec.latency_cycles
     l1_name = l1.name
     l1_energy = l1.energy
+    # Armed telemetry: trace positions of the L1 misses (for the
+    # on_access replay) and fills through l1.fill (for its events).
+    l1_telem = l1.telemetry
+    l1_fill = l1.fill
+    l1_missed = set()
 
-    # Core scalars, accumulated locally exactly as fastpath does.
+    # Core scalars, accumulated locally in the legacy float-op order.
     ipc = core.core_ipc
     bf = core.branch_fraction
     mr = core.mispredict_rate
@@ -142,10 +136,11 @@ def replay(system, core, trace, collect: Optional[List[AccessResult]] = None) ->
     # min_fill and the three counters are kernel-local and flushed in
     # finally.  allocate's precondition checks (not full, no duplicate,
     # fill_at >= now) are guaranteed by the kernel's own control flow
-    # and the exposure <= 1 fallback guard above.
+    # and CoreModel's exposure-in-[0, 1] validation.
     mshr = core.mshrs
     mshr_entries = mshr._entries
     mshr_cap = mshr.capacity
+    occ_hist = mshr.occupancy_hist
     min_fill = mshr._min_fill
     INF = float("inf")
     n_primary = n_merged = n_full = 0
@@ -178,7 +173,7 @@ def replay(system, core, trace, collect: Optional[List[AccessResult]] = None) ->
     baddrs_np = decoded.np_block_addrs
     writes_np = decoded.np_writes
 
-    # Miss-path plumbing (same as fastpath).
+    # Miss-path plumbing.
     stats = hierarchy.stats
     hist = hierarchy.miss_latency_hist
     first = lower[0]
@@ -186,46 +181,11 @@ def replay(system, core, trace, collect: Optional[List[AccessResult]] = None) ->
     lvl_names = [level.name for level in lower]
     n_lower = len(lower)
 
-    # L2 tier eligibility: a bare (or compressed) NuRAPID directly
-    # under the L1, with every per-access hook dead.  The compressed
-    # variant inherits ``access`` unchanged — compressibility only
-    # steers placement and promotion, never a d-group-0 read hit — so
-    # its dg0 constants (decompression-padded latency) flow through
-    # the same instance fields.  Contention wrappers, fault injectors,
-    # and telemetry clients put per-access logic back on the hit path
-    # and disqualify the tier; those runs use the generic walk.
-    l2fast = (
-        n_lower == 1
-        and type(first) in (NuRAPIDCache, CompressedNuRAPIDCache)
-        and first.fault_injector is None
-        and first.telemetry is None
-    )
-    if l2fast:
-        l2_tags = first._tags
-        l2_lru = first._data_lru
-        l2_rt = first._rtouch[0]
-        l2_nr = first._n_regions
-        l2_sc = first._scounts
-        l2_ec = first._ecounts
-        l2_dh = first.dgroup_hits.counts
-        l2_port = first.port
-        l2_tagc = first._tag_cycles
-        l2_occ = first._data_occ[0]
-        l2_dc = first._data_cycles[0]
-        l2_ideal = first._ideal_uniform
-        l2_ideal_lat = first._ideal_lat
-        l2_bmask = first._block_mask
-        l2_shift = first._set_shift
-        l2_smask = first._set_mask
-        l2_name = first.name
-        l2_k_tag = first._k_tag
-        l2_k_read = first._k_dg_read[0]
-
     # Batched integer counters (exact; flushed in finally).  gi is the
     # count of processed references; refs, instructions, reads/writes
     # and hits all derive from it at flush time via the prefix sums
-    # (fastpath increments each of those before the lower-level access
-    # that can raise, so the interrupted-ref accounting matches).
+    # (the legacy loop counts each of those before the lower-level
+    # access that can raise, so the interrupted-ref accounting matches).
     gi = 0
     n_misses = 0
     n_fills = 0
@@ -240,10 +200,6 @@ def replay(system, core, trace, collect: Optional[List[AccessResult]] = None) ->
     n_runs = 0
     n_runs_invalid = 0
     n_windows = 0
-    n_l2_fast = 0
-    n_l2_runs = 0
-    n_l2_stale = 0
-    l2_prev = -2  # global index of the last L2-fast ref (run detection)
     probe_wall = 0.0
     apply_wall = 0.0
     wall_start = perf_counter()
@@ -271,39 +227,6 @@ def replay(system, core, trace, collect: Optional[List[AccessResult]] = None) ->
             ba_w = baddrs_np[pos:wend]
             pred = tags_np[fr_w] == ba_w
             np.logical_or(pred, tags_np[fr_w + 1] == ba_w, out=pred)
-
-            # L2 pre-pass: probe the predicted L1 misses against the
-            # packed NuRAPID tag ints and flag provable d-group-0 hits
-            # (resident with dgroup bits clear).  Flags are advisory —
-            # the scalar loop re-verifies against the live tags — so
-            # staleness from in-window L2 mutation is safe.
-            l2f: tuple = ()
-            if l2fast:
-                miss_i = np.flatnonzero(~pred)
-                if miss_i.size:
-                    ba_m = ba_w[miss_i] & l2_bmask
-                    si_m = (ba_m >> l2_shift) & l2_smask
-                    pk = np.fromiter(
-                        (
-                            t.get(b, -1)
-                            for t, b in zip(
-                                map(l2_tags.__getitem__, si_m.tolist()),
-                                ba_m.tolist(),
-                            )
-                        ),
-                        dtype=np.int64,
-                        count=int(miss_i.size),
-                    )
-                    good = miss_i[
-                        (
-                            (pk >= 0)
-                            & ((pk >> _PACK_DGROUP_SHIFT) & _PACK_DGROUP_MASK == 0)
-                        ).nonzero()[0]
-                    ]
-                    if good.size:
-                        flags = np.zeros(wend - pos, dtype=bool)
-                        flags[good] = True
-                        l2f = flags.tolist()
             probe_wall += perf_counter() - t_probe
 
             runs: List[Tuple[int, int]] = []
@@ -320,12 +243,9 @@ def replay(system, core, trace, collect: Optional[List[AccessResult]] = None) ->
             cursor = pos
             for rs, re in runs:
                 # --- scalar span [cursor, rs) -----------------------
-                # Body kept textually in sync with the invalidated-run
-                # copy below (grep: SCALAR-BODY).
                 for address, baddr, fr, is_write, t, p in islice(
                     master, rs - cursor
                 ):
-                    # SCALAR-BODY (copy 1)
                     gi += 1
                     cycle += t
                     bp += p
@@ -344,80 +264,32 @@ def replay(system, core, trace, collect: Optional[List[AccessResult]] = None) ->
                             dirty[f1] = 1
                         continue
 
-                    # L1 miss: hierarchy walk, inlined as in fastpath.
+                    # L1 miss: CacheHierarchy._access, inlined.
                     n_misses += 1
+                    if l1_telem is not None:
+                        l1_missed.add(gi - 1)
                     total_latency = l1_lat
                     level_name = "memory"
-                    missed: Optional[List[int]] = None
-                    supplied = False
-                    if l2f and l2f[gi - 1 - pos]:
-                        # Window-flagged provable dg0 hit: re-verify
-                        # against the live packed tags (in-window fills
-                        # and promotions can move the block), then run
-                        # NuRAPID's dg0 read-hit path inlined — same
-                        # stat insertion order, recency touches, and
-                        # port float-op sequence; the tag-probe and
-                        # dg0-read energy charges are batched in the
-                        # finally block (the energy book pre-registers
-                        # its keys, so batching is order-exact).
-                        baddr2 = baddr & l2_bmask
-                        idx2 = (baddr2 >> l2_shift) & l2_smask
-                        packed2 = l2_tags[idx2].get(baddr2, -1)
-                        if packed2 >= 0 and not (
-                            (packed2 >> _PACK_DGROUP_SHIFT) & _PACK_DGROUP_MASK
-                        ):
-                            n_l2_fast += 1
-                            if gi - 2 != l2_prev:
-                                n_l2_runs += 1
-                            l2_prev = gi - 1
-                            l2_sc["accesses"] = l2_sc.get("accesses", 0) + 1
-                            l2_sc["hits"] = l2_sc.get("hits", 0) + 1
-                            l2_dh[0] = l2_dh.get(0, 0) + 1
-                            l2_sc["dgroup_accesses"] = (
-                                l2_sc.get("dgroup_accesses", 0) + 1
-                            )
-                            l2_lru[idx2].touch(baddr2)
-                            l2_rt[idx2 % l2_nr](packed2 & _PACK_FRAME_MASK)
-                            if l2_ideal:
-                                lat2 = l2_ideal_lat
-                            else:
-                                now2 = cycle + total_latency
-                                t0 = now2 + l2_tagc
-                                bu = l2_port.busy_until
-                                start = t0 if t0 >= bu else bu
-                                l2_port.busy_until = start + l2_occ
-                                l2_port.total_busy += l2_occ
-                                l2_port.total_wait += start - t0
-                                l2_port.grants += 1
-                                lat2 = (start - now2) + l2_dc
-                            total_latency += lat2
-                            lvl_acc[0] += 1
-                            lvl_hits[0] += 1
-                            level_name = l2_name
-                            supplied = True
+                    missed = None
+                    i = 0
+                    for level in lower:
+                        r = level.access(
+                            address, is_write=False, now=cycle + total_latency
+                        )
+                        total_latency += r.latency
+                        lvl_acc[i] += 1
+                        if r.hit:
+                            level_name = r.level or lvl_names[i]
+                            lvl_hits[i] += 1
+                            break
+                        if missed is None:
+                            missed = [i]
                         else:
-                            n_l2_stale += 1
-                    if not supplied:
-                        i = 0
-                        for level in lower:
-                            r = level.access(
-                                address, is_write=False, now=cycle + total_latency
-                            )
-                            total_latency += r.latency
-                            lvl_acc[i] += 1
-                            if r.hit:
-                                level_name = r.level or lvl_names[i]
-                                lvl_hits[i] += 1
-                                supplied = True
-                                break
-                            if missed is None:
-                                missed = [i]
-                            else:
-                                missed.append(i)
-                            i += 1
-                        if not supplied:
-                            n_mem_reads += 1
-                            total_latency += mem_lat
+                            missed.append(i)
+                        i += 1
+                    else:
+                        n_mem_reads += 1
+                        total_latency += mem_lat
 
                     fill_time = cycle + total_latency
                     if missed is not None:
@@ -429,28 +301,39 @@ def replay(system, core, trace, collect: Optional[List[AccessResult]] = None) ->
                                 n_mem_writes += dirty_out
                                 lvl_wb[j] += dirty_out
 
-                    # Inline 2-way L1 fill (the probe above just
-                    # missed and nothing since touched the L1, so the
-                    # block cannot already be resident).  Same victim
-                    # choice as SetAssociativeCache.fill: first free
-                    # way, else the strictly-smallest stamp with the
-                    # first way winning ties.
-                    n_fills += 1
-                    vaddr = -1
                     vdirty = 0
-                    if tags[fr] < 0:
-                        free = fr
-                    elif tags[f1] < 0:
-                        free = f1
+                    if l1_telem is None:
+                        # Inline 2-way L1 fill (the probe above just
+                        # missed and nothing since touched the L1, so
+                        # the block cannot already be resident).  Same
+                        # victim choice as SetAssociativeCache.fill:
+                        # first free way, else the strictly-smallest
+                        # stamp with the first way winning ties.
+                        n_fills += 1
+                        if tags[fr] < 0:
+                            free = fr
+                        elif tags[f1] < 0:
+                            free = f1
+                        else:
+                            free = f1 if stamps[f1] < stamps[fr] else fr
+                            vaddr = tags[free]
+                            vdirty = dirty[free]
+                        tags[free] = baddr
+                        dirty[free] = 1 if is_write else 0
+                        stamps[free] = clock
+                        clock += 1
                     else:
-                        free = f1 if stamps[f1] < stamps[fr] else fr
-                        vaddr = tags[free]
-                        vdirty = dirty[free]
-                    tags[free] = baddr
+                        # l1.fill emits the eviction/writeback/placement
+                        # events and keeps its own energy and writeback
+                        # books.
+                        l1._clock = clock
+                        victim = l1_fill(address, dirty=is_write)
+                        clock = l1._clock
+                        free = fr if tags[fr] == baddr else f1
+                        if victim is not None and victim.dirty:
+                            vaddr = victim.block_addr
+                            vdirty = 1
                     tags_np[free] = baddr
-                    dirty[free] = 1 if is_write else 0
-                    stamps[free] = clock
-                    clock += 1
                     if vdirty:
                         # _writeback_from_l1, inlined.
                         n_l1_wb += 1
@@ -509,7 +392,8 @@ def replay(system, core, trace, collect: Optional[List[AccessResult]] = None) ->
                         if fill_at < min_fill:
                             min_fill = fill_at
                         n_primary += 1
-                    # end SCALAR-BODY (copy 1)
+                        if occ_hist is not None:
+                            occ_hist.record(len(mshr_entries))
                 cursor = rs
                 if re == rs:
                     continue
@@ -522,182 +406,8 @@ def replay(system, core, trace, collect: Optional[List[AccessResult]] = None) ->
                 ok = hit0 | (tags_np[fr_r + 1] == ba_r)
                 if not bool(ok.all()):
                     # A fill since prediction evicted a predicted
-                    # frame; replay the run through the scalar loop.
+                    # frame; the run joins the next scalar span.
                     n_runs_invalid += 1
-                    for address, baddr, fr, is_write, t, p in islice(
-                        master, run_n
-                    ):
-                        # SCALAR-BODY (copy 2 — keep in sync)
-                        gi += 1
-                        cycle += t
-                        bp += p
-                        cycle += p
-                        if tags[fr] == baddr:
-                            stamps[fr] = clock
-                            clock += 1
-                            if is_write:
-                                dirty[fr] = 1
-                            continue
-                        f1 = fr + 1
-                        if tags[f1] == baddr:
-                            stamps[f1] = clock
-                            clock += 1
-                            if is_write:
-                                dirty[f1] = 1
-                            continue
-
-                        n_misses += 1
-                        total_latency = l1_lat
-                        level_name = "memory"
-                        missed = None
-                        supplied = False
-                        if l2f and l2f[gi - 1 - pos]:
-                            baddr2 = baddr & l2_bmask
-                            idx2 = (baddr2 >> l2_shift) & l2_smask
-                            packed2 = l2_tags[idx2].get(baddr2, -1)
-                            if packed2 >= 0 and not (
-                                (packed2 >> _PACK_DGROUP_SHIFT)
-                                & _PACK_DGROUP_MASK
-                            ):
-                                n_l2_fast += 1
-                                if gi - 2 != l2_prev:
-                                    n_l2_runs += 1
-                                l2_prev = gi - 1
-                                l2_sc["accesses"] = l2_sc.get("accesses", 0) + 1
-                                l2_sc["hits"] = l2_sc.get("hits", 0) + 1
-                                l2_dh[0] = l2_dh.get(0, 0) + 1
-                                l2_sc["dgroup_accesses"] = (
-                                    l2_sc.get("dgroup_accesses", 0) + 1
-                                )
-                                l2_lru[idx2].touch(baddr2)
-                                l2_rt[idx2 % l2_nr](packed2 & _PACK_FRAME_MASK)
-                                if l2_ideal:
-                                    lat2 = l2_ideal_lat
-                                else:
-                                    now2 = cycle + total_latency
-                                    t0 = now2 + l2_tagc
-                                    bu = l2_port.busy_until
-                                    start = t0 if t0 >= bu else bu
-                                    l2_port.busy_until = start + l2_occ
-                                    l2_port.total_busy += l2_occ
-                                    l2_port.total_wait += start - t0
-                                    l2_port.grants += 1
-                                    lat2 = (start - now2) + l2_dc
-                                total_latency += lat2
-                                lvl_acc[0] += 1
-                                lvl_hits[0] += 1
-                                level_name = l2_name
-                                supplied = True
-                            else:
-                                n_l2_stale += 1
-                        if not supplied:
-                            i = 0
-                            for level in lower:
-                                r = level.access(
-                                    address,
-                                    is_write=False,
-                                    now=cycle + total_latency,
-                                )
-                                total_latency += r.latency
-                                lvl_acc[i] += 1
-                                if r.hit:
-                                    level_name = r.level or lvl_names[i]
-                                    lvl_hits[i] += 1
-                                    supplied = True
-                                    break
-                                if missed is None:
-                                    missed = [i]
-                                else:
-                                    missed.append(i)
-                                i += 1
-                            if not supplied:
-                                n_mem_reads += 1
-                                total_latency += mem_lat
-
-                        fill_time = cycle + total_latency
-                        if missed is not None:
-                            for j in reversed(missed):
-                                dirty_out = lower[j].fill(
-                                    address, now=fill_time, dirty=False
-                                )
-                                if dirty_out:
-                                    n_mem_writes += dirty_out
-                                    lvl_wb[j] += dirty_out
-
-                        n_fills += 1
-                        vaddr = -1
-                        vdirty = 0
-                        if tags[fr] < 0:
-                            free = fr
-                        elif tags[f1] < 0:
-                            free = f1
-                        else:
-                            free = f1 if stamps[f1] < stamps[fr] else fr
-                            vaddr = tags[free]
-                            vdirty = dirty[free]
-                        tags[free] = baddr
-                        tags_np[free] = baddr
-                        dirty[free] = 1 if is_write else 0
-                        stamps[free] = clock
-                        clock += 1
-                        if vdirty:
-                            n_l1_wb += 1
-                            rw = first.access(vaddr, is_write=True, now=fill_time)
-                            lvl_acc[0] += 1
-                            if rw.hit:
-                                lvl_hits[0] += 1
-                            else:
-                                n_mem_writes += 1
-                                n_l1_wb_mem += 1
-                        if hist is not None:
-                            hist.record(total_latency)
-
-                        beyond_l1 = total_latency - l1_lat
-                        if beyond_l1 <= 0:
-                            continue
-                        if mshr_entries:
-                            if cycle >= min_fill:
-                                for a in [
-                                    a
-                                    for a, e in mshr_entries.items()
-                                    if e.fill_at <= cycle
-                                ]:
-                                    del mshr_entries[a]
-                                min_fill = INF
-                                for e in mshr_entries.values():
-                                    if e.fill_at < min_fill:
-                                        min_fill = e.fill_at
-                            if len(mshr_entries) >= mshr_cap:
-                                mshr_stall += min_fill - cycle
-                                cycle = min_fill
-                                for a in [
-                                    a
-                                    for a, e in mshr_entries.items()
-                                    if e.fill_at <= cycle
-                                ]:
-                                    del mshr_entries[a]
-                                min_fill = INF
-                                for e in mshr_entries.values():
-                                    if e.fill_at < min_fill:
-                                        min_fill = e.fill_at
-                                n_full += 1
-                        exp = exposure
-                        if level_name == "memory":
-                            exp *= mlp_discount
-                        exposed = beyond_l1 * exp
-                        stall += exposed
-                        cycle += exposed
-                        fill_at = cycle + beyond_l1 * (1.0 - exposure)
-                        if baddr in mshr_entries:
-                            mshr_entries[baddr].merged += 1
-                            n_merged += 1
-                        else:
-                            mshr_entries[baddr] = MSHREntry(baddr, cycle, fill_at)
-                            if fill_at < min_fill:
-                                min_fill = fill_at
-                            n_primary += 1
-                        # end SCALAR-BODY (copy 2)
-                    cursor = re
                     continue
 
                 # Verified: every reference in the run hits, and hits
@@ -733,8 +443,8 @@ def replay(system, core, trace, collect: Optional[List[AccessResult]] = None) ->
                 cursor = re
             pos = wend
     finally:
-        # Commit batched state.  Runs on an UncorrectableDataError
-        # from a lower level too, leaving legacy-identical counters.
+        # Commit batched state.  Runs on an UncorrectableDataError from
+        # a lower level too, leaving legacy-identical counters.
         n_refs = gi
         if gi:
             instructions += int(cum_gaps[gi - 1])
@@ -746,7 +456,16 @@ def replay(system, core, trace, collect: Optional[List[AccessResult]] = None) ->
         l1._clock = clock
         l1.hits += n_hits
         l1.misses += n_misses
-        l1.writebacks += n_l1_wb
+        if l1_telem is None:
+            l1.writebacks += n_l1_wb
+        else:
+            # The L1 client's per-access hook, in reference order.  It
+            # feeds only the client's own counters and histograms, so
+            # replaying it after the loop is exact.
+            on_access = l1_telem.on_access
+            l1_lat_f = float(l1_lat)
+            for k, baddr in enumerate(islice(decoded.block_addrs, n_refs)):
+                on_access(baddr, k not in l1_missed, None, l1_lat_f)
         if n_reads:
             l1_energy.charge(f"{l1_name}.read", n_reads)
         if n_writes or n_fills:
@@ -782,24 +501,14 @@ def replay(system, core, trace, collect: Optional[List[AccessResult]] = None) ->
         mshr.primary_misses += n_primary
         mshr.merged_misses += n_merged
         mshr.full_stalls += n_full
-        # Batched L2 energy for the inlined dg0 hits: one tag probe and
-        # one dg0 read per fast hit.  Exact — integer adds into keys
-        # the energy book created at registration time.
-        if n_l2_fast:
-            l2_ec[l2_k_tag] += n_l2_fast
-            l2_ec[l2_k_read] += n_l2_fast
         reg = runtime_registry()
         reg.add("vectorized.windows", n_windows)
         reg.add("vectorized.refs", n_refs)
         reg.add("vectorized.refs_vector", n_vector)
-        reg.add("vectorized.refs_scalar", n_refs - n_vector - n_l2_fast)
+        reg.add("vectorized.refs_scalar", n_refs - n_vector)
         reg.add("vectorized.runs_applied", n_runs)
         if n_runs_invalid:
             reg.add("vectorized.runs_invalidated", n_runs_invalid)
-        reg.add("vectorized.l2_refs_vector", n_l2_fast)
-        reg.add("vectorized.l2_runs_applied", n_l2_runs)
-        if n_l2_stale:
-            reg.add("vectorized.l2_flags_stale", n_l2_stale)
         reg.add("vectorized.wall_s", perf_counter() - wall_start)
         reg.add("vectorized.probe_wall_s", probe_wall)
         reg.add("vectorized.l1_apply_wall_s", apply_wall)

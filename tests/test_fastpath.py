@@ -1,11 +1,12 @@
-"""Engine parity: the fast replay kernel against the legacy loop.
+"""Engine parity: the vectorized replay kernel against the legacy loop.
 
-The fast engine (:mod:`repro.sim.fastpath`) promises bit-identity, not
-statistical agreement: for every shipped configuration it must produce
-the same per-reference AccessResult sequence, the same result summary,
-the same telemetry report bytes, and the same fault-injection outcomes
-as the legacy loop.  These tests hold it to that across the config
-matrix and multiple seeds, including checkpointed parallel sweeps.
+The vectorized engine (:mod:`repro.sim.vectorized`) promises
+bit-identity, not statistical agreement: for every shipped
+configuration it must produce the same result summary, the same
+telemetry report and event-trace bytes, and the same fault-injection
+outcomes as the legacy loop.  These tests hold it to that across the
+config matrix and multiple seeds, randomized traces, and checkpointed
+parallel sweeps, and pin which systems the kernel takes.
 """
 
 import random
@@ -13,11 +14,12 @@ from dataclasses import replace
 
 import pytest
 
+from repro.cmp.config import CmpConfig, CompressionConfig
 from repro.common.errors import ConfigurationError, UncorrectableDataError
 from repro.cpu.core import CoreModel
 from repro.faults.models import FaultPlan, HardFaultEvent
 from repro.nurapid.config import DistanceReplacementKind, PromotionPolicy
-from repro.sim import fastpath
+from repro.sim import vectorized
 from repro.sim.config import (
     EXACT_ENGINES,
     SystemConfig,
@@ -31,7 +33,11 @@ from repro.sim.config import (
 from repro.sim.driver import _replay, make_system, run_benchmark
 from repro.sim.results import run_result_to_dict
 from repro.sim.sweep import Sweep, SweepAxis
-from repro.telemetry import TelemetryConfig
+from repro.telemetry import (
+    TelemetryConfig,
+    reset_runtime_registry,
+    runtime_counters,
+)
 from repro.telemetry.report import merge_payloads, render_report
 from repro.workloads.spec2k import get_benchmark
 from repro.workloads.tracegen import TraceGenerator, generate_trace
@@ -90,13 +96,18 @@ class TestEngineSelection:
 
     def test_explicit_beats_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_ENGINE", "legacy")
-        assert resolve_engine("fast") == "fast"
+        assert resolve_engine("vectorized") == "vectorized"
 
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ConfigurationError):
-            resolve_engine("turbo")
-        with pytest.raises(ConfigurationError):
-            SystemConfig(name="x", l2_kind="base", engine="turbo")
+    def test_unknown_engine_rejected(self, monkeypatch):
+        # "fast" names the deleted fused scalar engine.
+        for name in ("turbo", "fast"):
+            with pytest.raises(ConfigurationError, match="legacy, vectorized"):
+                resolve_engine(name)
+            with pytest.raises(ConfigurationError, match="legacy, vectorized"):
+                SystemConfig(name="x", l2_kind="base", engine=name)
+            monkeypatch.setenv("REPRO_ENGINE", name)
+            with pytest.raises(ConfigurationError, match="legacy, vectorized"):
+                resolve_engine(None)
 
     def test_config_engine_field(self):
         config = replace(snuca_config(), engine="legacy")
@@ -126,9 +137,8 @@ class TestResultParity:
             )
             telem = payload.pop("telemetry")
             reports[engine] = render_report(merge_payloads([("cell", telem)]))
-        assert reports["legacy"] == reports["fast"]
         assert reports["legacy"] == reports["vectorized"]
-        assert reports["fast"].startswith("== telemetry report ==")
+        assert reports["vectorized"].startswith("== telemetry report ==")
 
 
 class TestAccessResultSequence:
@@ -154,7 +164,6 @@ class TestAccessResultSequence:
             _replay(system, core, trace, engine=engine, collect=collected)
             sequences[engine] = collected
         assert len(sequences["legacy"]) == len(trace)
-        assert sequences["legacy"] == sequences["fast"]
         assert sequences["legacy"] == sequences["vectorized"]
 
 
@@ -180,7 +189,6 @@ class TestFaultParity:
                 outcomes[engine] = ("ok", run_dict(config, "galgel", seed, engine))
             except UncorrectableDataError as exc:
                 outcomes[engine] = ("due", str(exc))
-        assert outcomes["legacy"] == outcomes["fast"]
         assert outcomes["legacy"] == outcomes["vectorized"]
 
     def test_uncorrectable_raises_in_both_engines(self):
@@ -201,21 +209,21 @@ class TestFaultParity:
             with pytest.raises(UncorrectableDataError) as info:
                 run_dict(config, "twolf", 3, engine)
             errors[engine] = str(info.value)
-        assert errors["legacy"] == errors["fast"]
         assert errors["legacy"] == errors["vectorized"]
 
 
 class TestFallback:
     def test_l1_fault_injector_falls_back(self, monkeypatch):
-        """An armed L1 must reroute to the generic loop, same results."""
+        """An armed L1 must reroute to the legacy loop, same results."""
         calls = []
-        real_generic = fastpath.replay_generic
+        real_replay = vectorized.replay
 
-        def counting(system, core, trace, collect=None):
-            calls.append("generic")
-            return real_generic(system, core, trace, collect)
+        def counting(system, core, trace):
+            calls.append("kernel")
+            return real_replay(system, core, trace)
 
-        monkeypatch.setattr(fastpath, "replay_generic", counting)
+        monkeypatch.setattr(vectorized, "replay", counting)
+        reset_runtime_registry()
         config = base_config()
         trace = trace_for("twolf", 0)
         profile = get_benchmark("twolf")
@@ -231,13 +239,15 @@ class TestFallback:
                 branch_fraction=profile.branch_fraction,
                 mispredict_rate=profile.mispredict_rate,
             )
-            fastpath.replay(system, core, trace)
+            _replay(system, core, trace, engine="vectorized")
             return core.cycle, core.instructions, system.l1d.hits
 
         armed = run(arm=True)
-        assert calls == ["generic"]
+        assert calls == []
+        assert runtime_counters().get("vectorized.fallbacks", 0) == 1
         fused = run(arm=False)
-        assert calls == ["generic"]  # the clean system took the fused loop
+        assert calls == ["kernel"]  # the clean system took the kernel
+        assert runtime_counters().get("vectorized.fallbacks", 0) == 1
         # A zero-rate plan is behaviourally inert: both paths agree.
         assert armed == fused
 
@@ -263,10 +273,14 @@ class TestSweepParity:
     ):
         path = str(tmp_path / "ckpt.json")
         legacy = self.sweep_results("legacy", monkeypatch)
-        fast = self.sweep_results(
-            "fast", monkeypatch, jobs=2, checkpoint_path=path, checkpoint_every=1
+        kernel = self.sweep_results(
+            "vectorized",
+            monkeypatch,
+            jobs=2,
+            checkpoint_path=path,
+            checkpoint_every=1,
         )
-        assert legacy == fast
+        assert legacy == kernel
         # Resume from the completed checkpoint: cells load, nothing
         # re-runs, results still match.
         def boom(*a, **kw):
@@ -274,48 +288,109 @@ class TestSweepParity:
 
         monkeypatch.setattr("repro.sim.sweep.run_benchmark", boom)
         resumed = self.sweep_results(
-            "fast", monkeypatch, jobs=2, checkpoint_path=path
+            "vectorized", monkeypatch, jobs=2, checkpoint_path=path
         )
         assert resumed == legacy
 
 
-class TestRandomizedVectorizedParity:
-    """Property-style: the vectorized probe equals the scalar loop.
 
-    Randomized traces (seeded, so reproducible) exercise the L1
-    hit/miss/dirty/LRU state machine under varying set-conflict
-    pressure, with and without lower-level prewarm; every sample must
-    replay bit-identically under the scalar fast engine and the
-    chunked vectorized kernel.
+
+def compressed_config(**kw):
+    return replace(
+        nurapid_config(**kw),
+        cmp=CmpConfig(cores=1, compression=CompressionConfig()),
+    )
+
+
+def _l1_cases():
+    """L1 hit/miss/dirty/LRU state under varying set-conflict pressure."""
+    rng = random.Random(0xC0FFEE)
+    names = ["twolf", "art", "mcf", "mesa", "galgel"]
+    for _ in range(8):
+        yield {
+            "benchmark": rng.choice(names),
+            "seed": rng.randrange(1 << 16),
+            "conflict": rng.choice([1, 2, 4, 8, 16]),
+            "prewarm": rng.random() < 0.5,
+            "refs": rng.choice([1500, 3000, 5000]),
+            "config": rng.choice([base_config, nurapid_config, snuca_config])(),
+        }
+
+
+def _nurapid_cases():
+    """NuRAPID variants, fault injection, and compression.
+
+    Fault injection and compression are mutually exclusive by config
+    validation.
+    """
+    rng = random.Random(0x12C0DE)
+    names = ["twolf", "art", "mcf", "galgel", "wupwise"]
+    variants = [
+        lambda: nurapid_config(),
+        lambda: nurapid_config(
+            n_dgroups=2,
+            promotion=PromotionPolicy.DEMOTION_ONLY,
+            distance_replacement=DistanceReplacementKind.LRU,
+        ),
+        lambda: nurapid_config(promotion_hysteresis=4),
+        compressed_config,
+    ]
+    for _ in range(10):
+        config = rng.choice(variants)()
+        if config.cmp is None and rng.random() < 0.3:
+            config = replace(
+                config,
+                faults=FaultPlan(
+                    transient_per_access=1e-4,
+                    seed=rng.randrange(1 << 8),
+                ),
+            )
+        yield {
+            "benchmark": rng.choice(names),
+            "seed": rng.randrange(1 << 16),
+            "conflict": rng.choice([1, 2, 4, 8]),
+            "prewarm": rng.random() < 0.7,
+            "refs": rng.choice([2000, 4000, 6000]),
+            "config": config,
+        }
+
+
+def _telemetry_cases():
+    """Telemetry-armed runs: report bytes must match too."""
+    for config in (nurapid_config(), compressed_config()):
+        yield {
+            "benchmark": "galgel",
+            "seed": 1,
+            "conflict": 1,
+            "prewarm": True,
+            "refs": 6000,
+            "config": config,
+            "telemetry": TelemetryConfig(),
+        }
+
+
+RANDOM_CASES = [*_l1_cases(), *_nurapid_cases(), *_telemetry_cases()]
+
+
+class TestRandomizedVectorizedParity:
+    """Property-style: the vectorized kernel equals the legacy loop.
+
+    Seeded, reproducible cases exercise the L1 state machine, the
+    NuRAPID lower levels under fault injection and compression, and
+    telemetry-armed runs, with and without lower-level prewarm; every
+    case must replay bit-identically under both exact engines.
     """
 
-    CASE_COUNT = 8
-
-    def _cases(self):
-        rng = random.Random(0xC0FFEE)
-        names = ["twolf", "art", "mcf", "mesa", "galgel"]
-        for index in range(self.CASE_COUNT):
-            yield {
-                "benchmark": rng.choice(names),
-                "seed": rng.randrange(1 << 16),
-                "conflict": rng.choice([1, 2, 4, 8, 16]),
-                "prewarm": rng.random() < 0.5,
-                "refs": rng.choice([1500, 3000, 5000]),
-                "config": rng.choice(
-                    [base_config, nurapid_config, snuca_config]
-                )(),
-            }
-
-    @pytest.mark.parametrize("case_index", range(CASE_COUNT))
+    @pytest.mark.parametrize("case_index", range(len(RANDOM_CASES)))
     def test_random_trace_parity(self, case_index):
-        case = list(self._cases())[case_index]
-        profile = get_benchmark(case["benchmark"])
-        generator = TraceGenerator(
-            profile, seed=case["seed"], warm_set_conflict=case["conflict"]
-        )
-        trace = generator.generate(case["refs"])
+        case = RANDOM_CASES[case_index]
+        trace = TraceGenerator(
+            get_benchmark(case["benchmark"]),
+            seed=case["seed"],
+            warm_set_conflict=case["conflict"],
+        ).generate(case["refs"])
         payloads = {}
-        for engine in ("fast", "vectorized"):
+        for engine in EXACT_ENGINES:
             result = run_benchmark(
                 replace(case["config"], engine=engine),
                 case["benchmark"],
@@ -324,6 +399,37 @@ class TestRandomizedVectorizedParity:
                 warmup_fraction=WARMUP,
                 trace=trace,
                 prewarm=case["prewarm"],
+                telemetry=case.get("telemetry"),
             )
             payloads[engine] = run_result_to_dict(result)
-        assert payloads["fast"] == payloads["vectorized"], case
+            telem = payloads[engine].pop("telemetry", None)
+            if telem is not None:
+                report = render_report(merge_payloads([("cell", telem)]))
+                assert report.startswith("== telemetry report ==")
+                payloads[engine]["report"] = report
+        assert payloads["legacy"] == payloads["vectorized"], case
+
+
+class TestTelemetryOnKernel:
+    def test_events_armed_nurapid_stays_on_kernel(self, tmp_path):
+        """Arming telemetry with events keeps the run on the kernel."""
+        trace = trace_for("gcc", 0)
+        outputs = {}
+        for engine in EXACT_ENGINES:
+            reset_runtime_registry()
+            telemetry = TelemetryConfig(
+                events=True, trace_dir=str(tmp_path / engine), trace_limit=None
+            )
+            payload = run_dict(nurapid_config(), "gcc", 0, engine, telemetry)
+            telem = payload.pop("telemetry")
+            with open(telem["trace"].pop("path"), "rb") as handle:
+                events = handle.read()
+            report = render_report(merge_payloads([("cell", telem)]))
+            outputs[engine] = (payload, report, events)
+        counters = runtime_counters()
+        assert counters.get("vectorized.fallbacks", 0) == 0
+        assert counters.get("vectorized.refs_vector", 0) > 0
+        assert outputs["legacy"][0] == outputs["vectorized"][0]
+        assert outputs["legacy"][1] == outputs["vectorized"][1]
+        assert outputs["legacy"][2] == outputs["vectorized"][2]
+        assert b'"kind": "placement"' in outputs["vectorized"][2]

@@ -191,7 +191,7 @@ class TestProtocol:
             benchmarks=["bzip2"],
             client="alice",
             n_references=REFS,
-            engine="fast",
+            engine="vectorized",
             tag="t1",
         )
         again = GridRequest.from_payload(request.to_payload())
@@ -211,12 +211,12 @@ class TestProtocol:
                      config_spec("s-nuca")],
             benchmarks=["bzip2"],
         )
-        engines = [c.engine for c in request.resolved_configs("fast")]
+        engines = [c.engine for c in request.resolved_configs("vectorized")]
         # Spec engine wins, then the server default; never None.
-        assert engines == ["legacy", "fast"]
+        assert engines == ["legacy", "vectorized"]
         request2 = dataclasses.replace(request, engine="vectorized")
         assert [
-            c.engine for c in request2.resolved_configs("fast")
+            c.engine for c in request2.resolved_configs("legacy")
         ] == ["vectorized", "vectorized"]
 
     def test_cells_in_run_suite_order(self):
