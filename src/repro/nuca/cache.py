@@ -12,12 +12,19 @@ idealizations the paper grants D-NUCA (§4).  Searches therefore queue
 only at banks, but *every* searched bank is occupied by its probe,
 which is exactly the artificial bandwidth demand §2.3 argues NuRAPID
 removes.
+
+State layout: every way of every set is one *slot*,
+``slot = set * associativity + position``, and position ``p`` sits in
+chain level ``p // ways_per_bank``.  Per-slot state lives in flat
+arrays (block address, dirty bit, last touch), and one dict maps each
+resident block address to its slot — a block maps to exactly one set.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Tuple
+
+import numpy as np
 
 from repro.common.errors import ConfigurationError, SimulationError
 
@@ -29,17 +36,22 @@ from repro.caches.block import block_address, set_index
 from repro.caches.port import PortScheduler
 from repro.floorplan.dgroups import DNUCAGeometry, build_dnuca_geometry
 from repro.nuca.config import DNUCAConfig, SearchPolicy
-from repro.nuca.smart_search import SmartSearchArray
+from repro.nuca.smart_search import EMPTY, SmartSearchArray
 from repro.tech.energy import EnergyBook
 
 
-@dataclass
-class _Slot:
-    """One way of one set."""
+class _Bank(NamedTuple):
+    """One bank's hot-path constants, resolved once at construction."""
 
-    block_addr: int
-    dirty: bool
-    last_touch: int
+    port: PortScheduler
+    occupancy: int
+    latency: int
+    probe_key: str
+    probe_nj: float
+    read_key: str
+    read_nj: float
+    write_key: str
+    move_key: str
 
 
 class DNUCACache:
@@ -62,23 +74,48 @@ class DNUCACache:
             chain_length=config.chain_length,
             ss_partial_bits=config.ss_partial_bits,
         )
-        if self.geometry.chain_length != config.chain_length:
-            raise ConfigurationError("geometry and config disagree on chain length")
-        if self.geometry.sets != config.n_sets:
-            raise ConfigurationError("geometry and config disagree on sets")
+        for field, want in (
+            ("chain_length", config.chain_length),
+            ("sets", config.n_sets),
+            ("block_bytes", config.block_bytes),
+            ("associativity", config.associativity),
+            ("ways_per_bank", config.ways_per_bank),
+            ("ss_partial_bits", config.ss_partial_bits),
+        ):
+            got = getattr(self.geometry, field)
+            if got != want:
+                raise ConfigurationError(
+                    f"geometry and config disagree on {field}: "
+                    f"geometry has {got}, config has {want}"
+                )
 
         self.n_sets = config.n_sets
+        self.associativity = config.associativity
         self.ways_per_bank = config.ways_per_bank
-        #: per set: position -> slot; position p is level p // ways_per_bank.
-        self._slots: List[List[Optional[_Slot]]] = [
-            [None] * config.associativity for _ in range(self.n_sets)
-        ]
-        self._where: List[Dict[int, int]] = [dict() for _ in range(self.n_sets)]
+        # Both helpers reject non-power-of-two sizes; the access path
+        # uses their shift/mask form.
+        block_address(0, config.block_bytes)
+        set_index(0, config.block_bytes, self.n_sets)
+        self._block_mask = ~(config.block_bytes - 1)
+        self._set_shift = config.block_bytes.bit_length() - 1
+        self._set_mask = self.n_sets - 1
+
+        n_slots = self.n_sets * self.associativity
+        #: slot -> resident block address (EMPTY for a free way).
+        self._baddr: List[int] = [EMPTY] * n_slots
+        self._dirty = bytearray(n_slots)
+        self._touch: List[int] = [0] * n_slots
+        #: resident block address -> slot.
+        self._where: Dict[int, int] = {}
         self._clock = 0
         self._ports = [PortScheduler(f"{self.name}.bank{i}") for i in range(self.geometry.n_banks)]
 
         self.smart_search = SmartSearchArray(
-            self.n_sets, config.chain_length, config.ss_partial_bits, config.block_bytes
+            self.n_sets,
+            config.associativity,
+            config.chain_length,
+            config.ss_partial_bits,
+            config.block_bytes,
         )
         self.energy = energy if energy is not None else EnergyBook()
         self._register_energy()
@@ -87,6 +124,7 @@ class DNUCACache:
         self.dgroup_hits = Distribution()
         #: Optional telemetry client (None is the null sink).
         self.telemetry: Optional["CacheTelemetry"] = None
+        self._init_hot_caches()
 
     def _register_energy(self) -> None:
         self.energy.register(f"{self.name}.ss_probe", self.geometry.ss_energy_nj)
@@ -97,111 +135,162 @@ class DNUCACache:
             self.energy.register(f"{base}.write", bank.write_energy_nj)
             self.energy.register(f"{base}.move", bank.swap_energy_nj)
 
+    def _init_hot_caches(self) -> None:
+        """Resolve every chain's banks to hot-path tuples.
+
+        Everything cached is a value the per-probe lookups (chain
+        bank, f-string energy key, ``EnergyBook.charge``) would
+        compute identically, so energies, latencies, counter totals
+        and key insertion order match the uncached path bit for bit.
+        """
+        geo = self.geometry
+        cost = self.energy.cost
+        banks = []
+        for bank in geo.banks:
+            base = f"{self.name}.bank{bank.index}"
+            banks.append(
+                _Bank(
+                    port=self._ports[bank.index],
+                    occupancy=bank.occupancy_cycles,
+                    latency=bank.latency_cycles,
+                    probe_key=f"{base}.probe",
+                    probe_nj=cost(f"{base}.probe"),
+                    read_key=f"{base}.read",
+                    read_nj=cost(f"{base}.read"),
+                    write_key=f"{base}.write",
+                    move_key=f"{base}.move",
+                )
+            )
+        #: chain -> its banks, nearest (level 0) first.
+        self._chains: List[Tuple[_Bank, ...]] = [
+            tuple(
+                banks[geo.chain_bank(chain, level).index]
+                for level in range(self.config.chain_length)
+            )
+            for chain in range(geo.n_chains)
+        ]
+        self._n_chains = geo.n_chains
+        self._all_levels = list(range(self.config.chain_length))
+        self._insert_level = (
+            self.config.chain_length - 1 if self.config.tail_insertion else 0
+        )
+        self._ss_key = f"{self.name}.ss_probe"
+        self._ss_nj = cost(self._ss_key)
+        self._ss_latency = float(geo.ss_latency_cycles)
+        #: Direct views into the stats/energy dicts.  Counter.reset()
+        #: and EnergyBook.reset_counts() mutate in place, so these stay
+        #: valid across reset_stats().
+        self._scounts = self.stats._counts
+        self._ecounts = self.energy._count
+
     # --- geometry helpers ---
 
     def _set_of(self, address: int) -> int:
-        return set_index(address, self.block_bytes, self.n_sets)
-
-    def _chain_of(self, index: int) -> int:
-        return index % self.geometry.n_chains
+        # == set_index(address, block_bytes, n_sets), validated above.
+        return (address >> self._set_shift) & self._set_mask
 
     def _bank_of(self, index: int, level: int):
-        return self.geometry.chain_bank(self._chain_of(index), level)
-
-    def _level_of_position(self, position: int) -> int:
-        return position // self.ways_per_bank
+        return self.geometry.chain_bank(index % self._n_chains, level)
 
     # --- lookups ---
 
     def contains(self, address: int) -> bool:
-        baddr = block_address(address, self.block_bytes)
-        return baddr in self._where[self._set_of(address)]
+        return (address & self._block_mask) in self._where
 
     def level_of(self, address: int) -> Optional[int]:
-        baddr = block_address(address, self.block_bytes)
-        pos = self._where[self._set_of(address)].get(baddr)
-        return None if pos is None else self._level_of_position(pos)
+        slot = self._where.get(address & self._block_mask)
+        if slot is None:
+            return None
+        return slot % self.associativity // self.ways_per_bank
 
     # --- the access path ---
 
     def access(self, address: int, is_write: bool = False, now: float = 0.0) -> AccessResult:
-        baddr = block_address(address, self.block_bytes)
-        index = self._set_of(address)
-        self.stats.add("accesses")
+        baddr = address & self._block_mask
+        index = (address >> self._set_shift) & self._set_mask
+        sc = self._scounts
+        sc["accesses"] = sc.get("accesses", 0) + 1
         self._clock += 1
 
         policy = self.config.policy
         energy = 0.0
         if policy is not SearchPolicy.INCREMENTAL:
-            energy += self.energy.charge(f"{self.name}.ss_probe")
+            energy += self._ss_nj
+            self._ecounts[self._ss_key] += 1
             candidates = self.smart_search.candidate_levels(index, baddr)
         else:
-            candidates = list(range(self.config.chain_length))
+            candidates = self._all_levels
 
-        pos = self._where[index].get(baddr)
-        actual_level = None if pos is None else self._level_of_position(pos)
+        slot = self._where.get(baddr)
+        actual_level = (
+            None if slot is None else slot % self.associativity // self.ways_per_bank
+        )
+        chain = self._chains[index % self._n_chains]
 
         if policy is SearchPolicy.SS_PERFORMANCE:
-            result = self._access_multicast(
-                index, baddr, actual_level, candidates, now, energy
-            )
+            result = self._access_multicast(chain, actual_level, candidates, now, energy)
         else:
             result = self._access_sequential(
-                index, baddr, actual_level, candidates, now, energy, policy
+                chain, actual_level, candidates, now, energy, policy
             )
 
         if result.hit:
-            assert pos is not None and actual_level is not None
-            self.stats.add("hits")
+            assert slot is not None and actual_level is not None
+            sc["hits"] = sc.get("hits", 0) + 1
             self.dgroup_hits.add(actual_level)
-            slot = self._slots[index][pos]
-            assert slot is not None
-            slot.last_touch = self._clock
+            self._touch[slot] = self._clock
             if is_write:
-                slot.dirty = True
+                self._dirty[slot] = 1
             if self.telemetry is not None:
                 self.telemetry.on_access(baddr, True, actual_level, result.latency)
             if actual_level > 0 and self.config.promote_on_hit:
-                self._promote(index, pos, now + result.latency)
+                self._promote(index, slot, now + result.latency)
         else:
-            self.stats.add("misses")
+            sc["misses"] = sc.get("misses", 0) + 1
             if self.telemetry is not None:
                 self.telemetry.on_access(baddr, False, None, result.latency)
         return result
 
     def _access_multicast(
         self,
-        index: int,
-        baddr: int,
+        chain: Tuple[_Bank, ...],
         actual_level: Optional[int],
         candidates: List[int],
         now: float,
         energy: float,
     ) -> AccessResult:
         """ss-performance: search every bank; ss-array detects misses early."""
+        sc = self._scounts
+        ec = self._ecounts
         if actual_level is None and not candidates:
             # Early miss: no partial match, no bank is touched for data,
             # but the multicast has already gone out in this policy.
-            self.stats.add("early_misses")
-            latency = float(self.geometry.ss_latency_cycles)
-            for level in range(self.config.chain_length):
-                self._probe_bank(index, level, now)
+            sc["early_misses"] = sc.get("early_misses", 0) + 1
+            for bank in chain:
+                bank.port.request(now, bank.occupancy)
+                ec[bank.probe_key] += 1
+                sc["bank_probes"] = sc.get("bank_probes", 0) + 1
             return AccessResult(
-                hit=False, latency=latency, level=self.name, energy_nj=energy
+                hit=False, latency=self._ss_latency, level=self.name, energy_nj=energy
             )
 
         worst = 0.0
-        for level in range(self.config.chain_length):
-            bank = self._bank_of(index, level)
-            start, _ = self._ports[bank.index].request(now, bank.occupancy_cycles)
+        hit_response = 0.0
+        for level, bank in enumerate(chain):
+            port, occupancy, latency, probe_key, probe_nj, read_key, read_nj, _, _ = bank
+            start = port.request(now, occupancy)[0]
+            response = (start - now) + latency
             if level == actual_level:
-                energy += self.energy.charge(f"{self.name}.bank{bank.index}.read")
-                self.stats.add("dgroup_accesses")
-                hit_response = (start - now) + bank.latency_cycles
+                energy += read_nj
+                ec[read_key] += 1
+                sc["dgroup_accesses"] = sc.get("dgroup_accesses", 0) + 1
+                hit_response = response
             else:
-                energy += self.energy.charge(f"{self.name}.bank{bank.index}.probe")
-                self.stats.add("bank_probes")
-            worst = max(worst, (start - now) + bank.latency_cycles)
+                energy += probe_nj
+                ec[probe_key] += 1
+                sc["bank_probes"] = sc.get("bank_probes", 0) + 1
+            if response > worst:  # == max(worst, response)
+                worst = response
 
         if actual_level is not None:
             return AccessResult(
@@ -214,13 +303,12 @@ class DNUCACache:
         # Partial match that wasn't the block: the miss is known only
         # when the slowest probe returns.
         self.smart_search.note_false_hit()
-        self.stats.add("false_hits")
+        sc["false_hits"] = sc.get("false_hits", 0) + 1
         return AccessResult(hit=False, latency=worst, level=self.name, energy_nj=energy)
 
     def _access_sequential(
         self,
-        index: int,
-        baddr: int,
+        chain: Tuple[_Bank, ...],
         actual_level: Optional[int],
         candidates: List[int],
         now: float,
@@ -228,14 +316,19 @@ class DNUCACache:
         policy: SearchPolicy,
     ) -> AccessResult:
         """ss-energy / incremental: probe candidate banks nearest first."""
-        elapsed = float(self.geometry.ss_latency_cycles) if policy is SearchPolicy.SS_ENERGY else 0.0
+        sc = self._scounts
+        ec = self._ecounts
+        ss_energy = policy is SearchPolicy.SS_ENERGY
+        elapsed = self._ss_latency if ss_energy else 0.0
         for level in candidates:
-            bank = self._bank_of(index, level)
-            start, _ = self._ports[bank.index].request(now + elapsed, bank.occupancy_cycles)
-            response = (start - (now + elapsed)) + bank.latency_cycles
+            port, occupancy, latency, probe_key, probe_nj, read_key, read_nj, _, _ = chain[level]
+            arrival = now + elapsed
+            start = port.request(arrival, occupancy)[0]
+            response = (start - arrival) + latency
             if level == actual_level:
-                energy += self.energy.charge(f"{self.name}.bank{bank.index}.read")
-                self.stats.add("dgroup_accesses")
+                energy += read_nj
+                ec[read_key] += 1
+                sc["dgroup_accesses"] = sc.get("dgroup_accesses", 0) + 1
                 return AccessResult(
                     hit=True,
                     latency=elapsed + response,
@@ -243,127 +336,122 @@ class DNUCACache:
                     dgroup=actual_level,
                     energy_nj=energy,
                 )
-            energy += self.energy.charge(f"{self.name}.bank{bank.index}.probe")
-            self.stats.add("bank_probes")
-            if policy is SearchPolicy.SS_ENERGY:
+            energy += probe_nj
+            ec[probe_key] += 1
+            sc["bank_probes"] = sc.get("bank_probes", 0) + 1
+            if ss_energy:
                 self.smart_search.note_false_hit()
-                self.stats.add("false_hits")
+                sc["false_hits"] = sc.get("false_hits", 0) + 1
             elapsed += response
         return AccessResult(hit=False, latency=elapsed, level=self.name, energy_nj=energy)
 
-    def _probe_bank(self, index: int, level: int, now: float) -> None:
-        """Occupy and charge a bank for a (fruitless) multicast probe."""
-        bank = self._bank_of(index, level)
-        self._ports[bank.index].request(now, bank.occupancy_cycles)
-        self.energy.charge(f"{self.name}.bank{bank.index}.probe")
-        self.stats.add("bank_probes")
-
     # --- bubble promotion ---
 
-    def _positions_of_level(self, level: int) -> range:
-        start = level * self.ways_per_bank
-        return range(start, start + self.ways_per_bank)
+    def _victim_slot(self, first: int) -> int:
+        """Free way of the level whose first slot is ``first`` if any,
+        else its LRU way (the first way wins ties)."""
+        end = first + self.ways_per_bank
+        ways = self._baddr[first:end]
+        if EMPTY in ways:
+            return first + ways.index(EMPTY)
+        touches = self._touch[first:end]
+        return first + touches.index(min(touches))
 
-    def _victim_position(self, index: int, level: int) -> int:
-        """Free way of the level if any, else its LRU way."""
-        slots = self._slots[index]
-        best = None
-        best_key = None
-        for position in self._positions_of_level(level):
-            slot = slots[position]
-            key = (slot is not None, slot.last_touch if slot else 0)
-            if best_key is None or key < best_key:
-                best, best_key = position, key
-        assert best is not None
-        return best
-
-    def _promote(self, index: int, position: int, now: float) -> None:
+    def _promote(self, index: int, slot: int, now: float) -> None:
         """Swap one level closer to the core (generational promotion)."""
-        level = self._level_of_position(position)
+        wpb = self.ways_per_bank
+        level = slot % self.associativity // wpb
         target = level - 1
-        peer = self._victim_position(index, target)
-        slots = self._slots[index]
-        moving = slots[position]
-        assert moving is not None
-        displaced = slots[peer]
+        peer = self._victim_slot(index * self.associativity + target * wpb)
+        baddrs = self._baddr
+        moving = baddrs[slot]
+        displaced = baddrs[peer]
 
-        slots[peer], slots[position] = moving, displaced
-        self._where[index][moving.block_addr] = peer
-        self.smart_search.move(index, moving.block_addr, target)
-        if displaced is not None:
-            self._where[index][displaced.block_addr] = position
-            self.smart_search.move(index, displaced.block_addr, level)
+        # The block's dirty bit and recency travel with it.
+        baddrs[peer], baddrs[slot] = moving, displaced
+        dirty = self._dirty
+        dirty[peer], dirty[slot] = dirty[slot], dirty[peer]
+        touch = self._touch
+        touch[peer], touch[slot] = touch[slot], touch[peer]
+        self._where[moving] = peer
+        if displaced != EMPTY:
+            self._where[displaced] = slot
+        self.smart_search.move(slot, peer)
 
-        self.stats.add("promotions")
+        sc = self._scounts
+        sc["promotions"] = sc.get("promotions", 0) + 1
         if self.telemetry is not None:
             self.telemetry.event(
-                "promotion", addr=moving.block_addr, src=level, dst=target, cycle=now
+                "promotion", addr=moving, src=level, dst=target, cycle=now
             )
-        self._charge_move(index, level, target, now)
-        if displaced is not None:
-            self.stats.add("demotions")
+        chain = self._chains[index % self._n_chains]
+        self._charge_move(chain[level], chain[target], now)
+        if displaced != EMPTY:
+            sc["demotions"] = sc.get("demotions", 0) + 1
             if self.telemetry is not None:
                 self.telemetry.event(
                     "demotion",
-                    addr=displaced.block_addr,
+                    addr=displaced,
                     src=target,
                     dst=level,
                     cycle=now,
                 )
-            self._charge_move(index, target, level, now)
+            self._charge_move(chain[target], chain[level], now)
 
-    def _charge_move(self, index: int, src_level: int, dst_level: int, now: float) -> None:
-        src = self._bank_of(index, src_level)
-        dst = self._bank_of(index, dst_level)
+    def _charge_move(self, src: _Bank, dst: _Bank, now: float) -> None:
         # One block move: read at the source, write at the destination,
         # one network hop in between (charged in the bank's move op).
-        self.energy.charge(f"{self.name}.bank{src.index}.move")
-        self.stats.add("dgroup_accesses", 2)
-        self.stats.add("moves")
-        self._ports[src.index].request(now, src.occupancy_cycles)
-        self._ports[dst.index].request(now, dst.occupancy_cycles)
+        self._ecounts[src.move_key] += 1
+        sc = self._scounts
+        sc["dgroup_accesses"] = sc.get("dgroup_accesses", 0) + 2
+        sc["moves"] = sc.get("moves", 0) + 1
+        src.port.request(now, src.occupancy)
+        dst.port.request(now, dst.occupancy)
 
     # --- fills (tail insertion + slowest-way eviction) ---
 
     def fill(self, address: int, now: float = 0.0, dirty: bool = False) -> int:
-        baddr = block_address(address, self.block_bytes)
-        index = self._set_of(address)
-        if baddr in self._where[index]:
+        baddr = address & self._block_mask
+        if baddr in self._where:
             return 0
-        self.stats.add("fills")
+        index = (address >> self._set_shift) & self._set_mask
+        sc = self._scounts
+        sc["fills"] = sc.get("fills", 0) + 1
         self._clock += 1
-        insert_level = self.config.chain_length - 1 if self.config.tail_insertion else 0
+        insert_level = self._insert_level
+        bank = self._chains[index % self._n_chains][insert_level]
 
         writebacks = 0
-        position = self._victim_position(index, insert_level)
-        slots = self._slots[index]
-        old = slots[position]
-        if old is not None:
+        slot = self._victim_slot(
+            index * self.associativity + insert_level * self.ways_per_bank
+        )
+        old = self._baddr[slot]
+        if old != EMPTY:
             # Evict the slowest (or fastest, under head insertion) way.
-            del self._where[index][old.block_addr]
-            self.smart_search.remove(index, old.block_addr)
-            self.stats.add("evictions")
+            del self._where[old]
+            self.smart_search.remove(slot)
+            sc["evictions"] = sc.get("evictions", 0) + 1
             if self.telemetry is not None:
                 self.telemetry.event(
-                    "eviction", addr=old.block_addr, dgroup=insert_level, cycle=now
+                    "eviction", addr=old, dgroup=insert_level, cycle=now
                 )
-            if old.dirty:
+            if self._dirty[slot]:
                 writebacks = 1
-                self.stats.add("writebacks")
-                bank = self._bank_of(index, insert_level)
-                self.energy.charge(f"{self.name}.bank{bank.index}.read")
-                self.stats.add("dgroup_accesses")
+                sc["writebacks"] = sc.get("writebacks", 0) + 1
+                self._ecounts[bank.read_key] += 1
+                sc["dgroup_accesses"] = sc.get("dgroup_accesses", 0) + 1
                 if self.telemetry is not None:
                     self.telemetry.event(
-                        "writeback", addr=old.block_addr, dgroup=insert_level, cycle=now
+                        "writeback", addr=old, dgroup=insert_level, cycle=now
                     )
 
-        slots[position] = _Slot(block_addr=baddr, dirty=dirty, last_touch=self._clock)
-        self._where[index][baddr] = position
-        self.smart_search.insert(index, baddr, insert_level)
-        bank = self._bank_of(index, insert_level)
-        self.energy.charge(f"{self.name}.bank{bank.index}.write")
-        self.stats.add("dgroup_accesses")
+        self._baddr[slot] = baddr
+        self._dirty[slot] = 1 if dirty else 0
+        self._touch[slot] = self._clock
+        self._where[baddr] = slot
+        self.smart_search.insert(slot, baddr)
+        self._ecounts[bank.write_key] += 1
+        sc["dgroup_accesses"] = sc.get("dgroup_accesses", 0) + 1
         if self.telemetry is not None:
             self.telemetry.event(
                 "placement", addr=baddr, dgroup=insert_level, cycle=now
@@ -380,23 +468,23 @@ class DNUCACache:
         Mirrors :meth:`repro.nurapid.cache.NuRAPIDCache.prewarm`: short
         traces cannot populate 8 MB, and a half-empty D-NUCA would see
         neither tail evictions nor promotion swaps.  Dummies never
-        alias workload addresses and cost no writebacks.
+        alias workload addresses and cost no writebacks.  Slot
+        ``(set, position)`` receives block
+        ``PREWARM_BASE + (position * n_sets + set) * block_bytes``,
+        clean, with last touch 0.
         """
         if self.resident_blocks():
             raise SimulationError("prewarm on a non-empty cache")
-        for index in range(self.n_sets):
-            for position in range(self.config.associativity):
-                baddr = (
-                    self.PREWARM_BASE
-                    + (position * self.n_sets + index) * self.block_bytes
-                )
-                self._slots[index][position] = _Slot(
-                    block_addr=baddr, dirty=False, last_touch=0
-                )
-                self._where[index][baddr] = position
-                self.smart_search.insert(
-                    index, baddr, self._level_of_position(position)
-                )
+        n_sets, bb = self.n_sets, self.block_bytes
+        sets = np.arange(n_sets, dtype=np.int64)[:, None]
+        positions = np.arange(self.associativity, dtype=np.int64)[None, :]
+        # Set-major, position-minor: exactly slot order.
+        blocks = (self.PREWARM_BASE + (positions * n_sets + sets) * bb).ravel()
+        self._baddr[:] = blocks.tolist()
+        self._dirty[:] = bytes(len(self._dirty))
+        self._touch[:] = [0] * len(self._touch)
+        self._where.update(zip(self._baddr, range(len(self._baddr))))
+        self.smart_search.fill_all(blocks)
 
     # --- introspection ---
 
@@ -413,7 +501,7 @@ class DNUCACache:
         return self.stats.get("misses") / total
 
     def resident_blocks(self) -> int:
-        return sum(len(w) for w in self._where)
+        return len(self._where)
 
     def reset_stats(self) -> None:
         """Zero counters after warmup; contents and bank timelines kept."""
@@ -428,24 +516,27 @@ class DNUCACache:
             port.grants = 0
 
     def check_invariants(self) -> None:
-        for index in range(self.n_sets):
-            where = self._where[index]
-            slots = self._slots[index]
-            occupied = {
-                pos: slot.block_addr
-                for pos, slot in enumerate(slots)
-                if slot is not None
-            }
-            if len(where) != len(occupied):
-                raise SimulationError(f"set {index} slot/map count mismatch")
-            for baddr, pos in where.items():
-                if occupied.get(pos) != baddr:
-                    raise SimulationError(f"set {index} position {pos} mismatch")
-                if self._set_of(baddr) != index:
-                    raise SimulationError(f"block {baddr:#x} in wrong set")
-                level = self._level_of_position(pos)
-                ss_levels = self.smart_search._entries[index]
-                if ss_levels.get(baddr) != level:
-                    raise SimulationError(
-                        f"ss-array stale for block {baddr:#x} (set {index})"
-                    )
+        """The where-map, the ss-array and the resident count all agree
+        with the per-slot block addresses."""
+        ss = self.smart_search
+        occupied = 0
+        for slot, baddr in enumerate(self._baddr):
+            partial = ss.partial_at(slot)
+            if baddr == EMPTY:
+                if partial != EMPTY:
+                    raise SimulationError(f"ss-array holds a tag for empty slot {slot}")
+                continue
+            occupied += 1
+            if self._where.get(baddr) != slot:
+                raise SimulationError(
+                    f"slot {slot} holds block {baddr:#x} but the map says "
+                    f"{self._where.get(baddr)}"
+                )
+            if self._set_of(baddr) != slot // self.associativity:
+                raise SimulationError(f"block {baddr:#x} in wrong set")
+            if partial != ss.partial_tag(baddr):
+                raise SimulationError(f"ss-array stale for block {baddr:#x} (slot {slot})")
+        if occupied != len(self._where):
+            raise SimulationError(
+                f"{len(self._where)} mapped blocks but {occupied} occupied slots"
+            )

@@ -1,10 +1,13 @@
 """D-NUCA: search policies, bubble promotion, tail insertion, ss-array."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import ConfigurationError
+from repro.floorplan.dgroups import build_dnuca_geometry
 from repro.nuca.cache import DNUCACache
 from repro.nuca.config import DNUCAConfig, SearchPolicy
 from repro.nuca.smart_search import SmartSearchArray
@@ -183,38 +186,63 @@ class TestSearchPolicies:
         assert fast < slow
 
 
+def ss_slot(set_index, level, position=0, assoc=16, ways_per_bank=2):
+    """Flat slot of way ``position`` of ``level`` in ``set_index``."""
+    return set_index * assoc + level * ways_per_bank + position
+
+
 class TestSmartSearchArray:
+    def _array(self):
+        return SmartSearchArray(256, 16, 8, 7, 128)
+
     def test_candidates_track_residency(self):
-        ss = SmartSearchArray(256, 8, 7, 128)
-        ss.insert(3, addr(3, 1), 5)
+        ss = self._array()
+        ss.insert(ss_slot(3, 5), addr(3, 1))
         assert ss.candidate_levels(3, addr(3, 1)) == [5]
-        ss.move(3, addr(3, 1), 2)
+        ss.move(ss_slot(3, 5), ss_slot(3, 2, position=1))
         assert ss.candidate_levels(3, addr(3, 1)) == [2]
-        ss.remove(3, addr(3, 1))
+        # A swap: the block at level 4 and the one at level 2 trade places.
+        ss.insert(ss_slot(3, 4), addr(3, 2))
+        ss.move(ss_slot(3, 4), ss_slot(3, 2, position=1))
+        assert ss.candidate_levels(3, addr(3, 1)) == [4]
+        assert ss.candidate_levels(3, addr(3, 2)) == [2]
+        ss.remove(ss_slot(3, 4))
         assert ss.candidate_levels(3, addr(3, 1)) == []
+        # Other sets never see this set's partial tags.
+        ss.insert(ss_slot(4, 6), addr(4, 2))
+        assert ss.candidate_levels(3, addr(3, 2)) == [2]
 
     def test_partial_tags_can_alias(self):
-        ss = SmartSearchArray(256, 8, 7, 128)
+        ss = self._array()
         a = addr(3, 1)
         b = addr(3, 1 + 128)  # tags differ by exactly 2^7: same partial
         assert ss.partial_tag(a) == ss.partial_tag(b)
-        ss.insert(3, a, 4)
+        ss.insert(ss_slot(3, 4), a)
         assert ss.candidate_levels(3, b) == [4]  # a false candidate
+        # Two matching ways of one level report the level once.
+        ss.insert(ss_slot(3, 4, position=1), b)
+        ss.insert(ss_slot(3, 7), addr(3, 1 + 256))
+        assert ss.candidate_levels(3, a) == [4, 7]
 
     def test_distinct_partials_do_not_match(self):
-        ss = SmartSearchArray(256, 8, 7, 128)
+        ss = self._array()
         a, b = addr(3, 1), addr(3, 2)
-        ss.insert(3, a, 4)
+        ss.insert(ss_slot(3, 4), a)
         assert ss.candidate_levels(3, b) == []
 
     def test_mirror_errors(self):
         from repro.common.errors import SimulationError
 
-        ss = SmartSearchArray(256, 8, 7, 128)
+        ss = self._array()
         with pytest.raises(SimulationError):
-            ss.remove(0, 0x123)
+            ss.remove(0)
         with pytest.raises(SimulationError):
-            ss.move(0, 0x123, 1)
+            ss.move(0, 2)
+        ss.insert(0, addr(0, 1))
+        with pytest.raises(SimulationError):
+            ss.insert(0, addr(0, 2))
+        with pytest.raises(SimulationError):
+            ss.remove(256 * 16)
 
 
 class TestInvariantsAndConfig:
@@ -245,6 +273,46 @@ class TestInvariantsAndConfig:
             DNUCAConfig(capacity_bytes=512 * KB + 1)
         with pytest.raises(ConfigurationError):
             DNUCAConfig(ss_partial_bits=0)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("chain_length", 4),
+            ("sets", 128),
+            ("block_bytes", 64),
+            ("associativity", 8),
+            ("ways_per_bank", 1),
+            ("ss_partial_bits", 9),
+        ],
+    )
+    def test_geometry_mismatch_names_the_field(self, field, value):
+        config = DNUCAConfig(capacity_bytes=512 * KB, bank_bytes=64 * KB, name="g")
+        geometry = build_dnuca_geometry(capacity_bytes=512 * KB, bank_bytes=64 * KB)
+        DNUCACache(config, geometry=geometry)  # the matching geometry is accepted
+        with pytest.raises(ConfigurationError, match=f"disagree on {field}:"):
+            DNUCACache(config, geometry=replace(geometry, **{field: value}))
+
+    def test_check_invariants_detects_each_corruption(self):
+        from repro.common.errors import SimulationError
+
+        def cache_with_block():
+            c = tiny()
+            c.fill(0x10000)
+            c.check_invariants()
+            return c, c._where[0x10000]
+
+        c, slot = cache_with_block()
+        c._where[0x10000] = slot + 1  # map disagrees with the slot
+        with pytest.raises(SimulationError, match="map says"):
+            c.check_invariants()
+        c, slot = cache_with_block()
+        c.smart_search._partial[slot] ^= 1  # stale partial tag
+        with pytest.raises(SimulationError, match="ss-array stale"):
+            c.check_invariants()
+        c, slot = cache_with_block()
+        c._where[0x20000] = slot  # a mapped block no slot holds
+        with pytest.raises(SimulationError, match="occupied slots"):
+            c.check_invariants()
 
     def test_reset_stats_keeps_contents(self):
         c = tiny()

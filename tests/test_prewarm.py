@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.common import prewarm_cache
 from repro.common.errors import SimulationError
 from repro.caches.setassoc_nonuniform import SetAssociativePlacementCache
 from repro.caches.simple import SetAssociativeCache
@@ -89,6 +90,37 @@ class TestDNUCAPrewarm:
         c.prewarm()
         assert c.resident_blocks() == 512 * KB // 128
         c.check_invariants()
+
+    def test_prewarmed_layout(self):
+        c = self._cache()
+        c.prewarm()
+        cfg = c.config
+        for index in range(c.n_sets):
+            for position in range(cfg.associativity):
+                slot = index * cfg.associativity + position
+                baddr = c.PREWARM_BASE + (position * c.n_sets + index) * cfg.block_bytes
+                assert c._baddr[slot] == baddr
+                assert c._dirty[slot] == 0
+                assert c._touch[slot] == 0
+                assert c.level_of(baddr) == position // cfg.ways_per_bank
+
+    def test_first_fill_evicts_first_tail_way(self):
+        """All tail dummies tie on last touch: the first way loses."""
+        c = self._cache()
+        c.prewarm()
+        tail_first = (c.config.chain_length - 1) * c.config.ways_per_bank
+        victim = c.PREWARM_BASE + (tail_first * c.n_sets + 0) * c.block_bytes
+        assert c.contains(victim)
+        c.fill(0)
+        assert not c.contains(victim)
+        assert c.contains(victim + c.n_sets * c.block_bytes)
+
+    def test_not_in_prototype_registry(self, monkeypatch):
+        """D-NUCA prewarm is fast by construction, not by reuse."""
+        monkeypatch.setenv("REPRO_PREWARM_CACHE", "1")
+        before = list(prewarm_cache._snapshots)
+        self._cache().prewarm()
+        assert list(prewarm_cache._snapshots) == before
 
     def test_fill_after_prewarm_evicts_tail(self):
         c = self._cache()
