@@ -54,7 +54,6 @@ from repro.sim.config import (
 from repro.sim.driver import run_benchmark
 from repro.sim.parallel import CellTask, run_cells
 from repro.sim.results import RunResult, run_result_to_dict
-from repro.sim.vectorized import MIN_RUN, WINDOW
 from repro.telemetry import TelemetryConfig
 from repro.telemetry.report import merge_payloads, render_report
 from repro.telemetry.runtime import runtime_registry
@@ -843,16 +842,15 @@ def main(argv=None) -> int:
     }
     kernel_refs = kernel_delta.get("vectorized.refs", 0)
     if kernel_refs:
-        # Chunk-kernel strategy stats for the serial pass (all
-        # repetitions), from the process-global runtime registry: how
-        # many references each tier resolved (L1 run-vector, scalar
-        # walk) and where the kernel wall went.
+        # Kernel strategy stats for the serial pass (all repetitions),
+        # from the process-global runtime registry: how many references
+        # the exact L1 solve resolved as hits, how many misses the
+        # scalar loop walked, and where the kernel wall went (the
+        # memoised solve, the final L1 state commit, the miss walk).
         wall = kernel_delta.get("vectorized.wall_s", 0.0)
-        probe = kernel_delta.get("vectorized.probe_wall_s", 0.0)
-        apply_ = kernel_delta.get("vectorized.l1_apply_wall_s", 0.0)
+        solve = kernel_delta.get("vectorized.probe_wall_s", 0.0)
+        commit = kernel_delta.get("vectorized.l1_apply_wall_s", 0.0)
         entry["kernel"] = {
-            "window": WINDOW,
-            "min_run": MIN_RUN,
             "refs": int(kernel_refs),
             "refs_vector": int(kernel_delta.get("vectorized.refs_vector", 0)),
             "refs_scalar": int(kernel_delta.get("vectorized.refs_scalar", 0)),
@@ -861,10 +859,10 @@ def main(argv=None) -> int:
             ),
             "fallbacks": int(kernel_delta.get("vectorized.fallbacks", 0)),
             "wall_s": round(wall, 3),
-            "probe_wall_share": round(probe / wall, 4) if wall else 0.0,
-            "apply_wall_share": round(apply_ / wall, 4) if wall else 0.0,
+            "solve_wall_share": round(solve / wall, 4) if wall else 0.0,
+            "commit_wall_share": round(commit / wall, 4) if wall else 0.0,
             "scalar_wall_share": round(
-                max(0.0, wall - probe - apply_) / wall, 4
+                max(0.0, wall - solve - commit) / wall, 4
             )
             if wall
             else 0.0,

@@ -13,12 +13,13 @@ The model
 ---------
 
 * **The L1 is exact, including writebacks.**  The 2-way LRU L1 is
-  evaluated with a "collapsed recency" pass: stable-sort references by
-  set, collapse consecutive same-block runs, and a block hits iff it
-  matches one of its set's previous two distinct blocks.  For true LRU
-  with demand fills this reproduces the simulator's hit/miss sequence
-  bit-for-bit (prewarmed dummies never alias real addresses, so
-  cold-start behaves identically).  Victims are equally determined —
+  evaluated by the exact solve the vectorized kernel also uses
+  (:mod:`repro.sim.l1solve`), a "collapsed recency" pass: stable-sort
+  references by set, collapse consecutive same-block runs, and a block
+  hits iff it matches one of its set's previous two distinct blocks.
+  For true LRU with demand fills this reproduces the simulator's
+  hit/miss sequence bit-for-bit (prewarmed dummies never alias real
+  addresses, so cold-start behaves identically).  Victims are equally determined —
   the set's other resident block — so dirty evictions (any write since
   the victim's fill) and therefore the L1 writeback stream into the L2
   are exact too.
@@ -61,7 +62,7 @@ rejected with :class:`~repro.common.errors.ConfigurationError`.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -75,6 +76,7 @@ from repro.floorplan.dgroups import (
 )
 from repro.nuca.cache import DNUCACache
 from repro.nurapid.config import PromotionPolicy
+from repro.sim import l1solve
 from repro.sim.results import RunResult
 from repro.telemetry import runtime_registry
 from repro.workloads.spec2k import BenchmarkProfile
@@ -130,68 +132,6 @@ def _dnuca_geometry(capacity, block, assoc, bank_bytes, chain, ss_bits):
 
 
 # --- model primitives ---
-
-
-def _l1_pass(
-    set_idx: np.ndarray, blocks: np.ndarray, writes: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exact 2-way-LRU L1: per-access hits plus dirty-eviction events.
-
-    Returns ``(hit, wb_pos, wb_block)``: the per-access hit mask in
-    trace order, and for every dirty eviction the trace position of
-    the miss that caused it and the victim's block address.
-
-    In collapsed-recency space the cache state is fully determined:
-    at rep ``t`` the set holds ``{c[t-1], c[t-2]}``, so a miss evicts
-    ``c[t-2]``; the victim is dirty iff any access in its reps since
-    its own last miss (its fill) was a write.
-    """
-    n = len(blocks)
-    order = np.argsort(set_idx, kind="stable")
-    s = set_idx[order]
-    b = blocks[order]
-    w = writes[order]
-    new = np.empty(n, dtype=bool)
-    new[0] = True
-    np.logical_or(b[1:] != b[:-1], s[1:] != s[:-1], out=new[1:])
-    rep = np.flatnonzero(new)
-    cb = b[rep]
-    cs = s[rep]
-    m = len(rep)
-    # Any write within each collapsed run.
-    cw = np.add.reduceat(w.astype(np.int64), rep) > 0
-    hit_rep = np.zeros(m, dtype=bool)
-    same2 = np.zeros(m, dtype=bool)
-    if m > 2:
-        same2[2:] = cs[2:] == cs[:-2]
-        hit_rep[2:] = same2[2:] & (cb[2:] == cb[:-2])
-    # Scatter the mask back to trace order (non-rep accesses are hits).
-    hits_sorted = np.ones(n, dtype=bool)
-    hits_sorted[rep] = hit_rep
-    hit = np.empty(n, dtype=bool)
-    hit[order] = hits_sorted
-
-    # Dirty state per rep: any write since the block's last miss.
-    ordb = np.argsort(cb, kind="stable")
-    miss_b = ~hit_rep[ordb]
-    idx = np.arange(m)
-    # Every block's first rep is a miss, so the accumulate resets
-    # naturally at block boundaries.
-    last_miss = np.maximum.accumulate(np.where(miss_b, idx, -1))
-    cum = np.cumsum(cw[ordb].astype(np.int64))
-    since_fill = cum - cum[last_miss] + cw[ordb][last_miss]
-    dirty_sorted = since_fill > 0
-    dirty_rep = np.empty(m, dtype=bool)
-    dirty_rep[ordb] = dirty_sorted
-
-    # Evictions: a miss rep whose set already held two blocks.
-    evict = np.flatnonzero(~hit_rep & same2)
-    victim = evict - 2
-    dirty_evict = dirty_rep[victim]
-    wb_t = evict[dirty_evict]
-    wb_pos = order[rep[wb_t]]
-    wb_block = cb[wb_t - 2]
-    return hit, wb_pos, wb_block
 
 
 def _recency_hits(set_idx: np.ndarray, blocks: np.ndarray, window: int) -> np.ndarray:
@@ -385,21 +325,21 @@ def estimate(
     l1_sets = l1.capacity_bytes // l1.block_bytes // l1.associativity
     shift1 = l1.block_bytes.bit_length() - 1
     b1 = addresses & ~np.int64(l1.block_bytes - 1)
-    # uint16 set indices take numpy's radix-sort path (the stable
-    # argsort over the full trace dominates the engine's runtime).
-    s1 = ((addresses >> shift1) & np.int64(l1_sets - 1)).astype(np.uint16)
-    l1_hit, wb_pos, wb_block = _l1_pass(s1, b1, writes)
+    s1 = (addresses >> shift1) & np.int64(l1_sets - 1)
+    l1_solved = l1solve.solve(s1, b1, writes, l1_sets)
+    pos_d = l1_solved.miss_pos
+    wb_pos = pos_d[l1_solved.victim_dirty]
+    wb_block = l1_solved.victim[l1_solved.victim_dirty]
 
     instructions = int(gaps[m0:].sum())
     n_writes = int(writes[m0:].sum())
     n_reads = n_refs - n_writes
-    l1_hits = int(l1_hit[m0:].sum())
-    l1_misses = n_refs - l1_hits
+    l1_misses = int((pos_d >= m0).sum())
+    l1_hits = n_refs - l1_misses
     l1_fills = l1_misses
     n_l1_wb = int((wb_pos >= m0).sum())
 
     # --- the L2 stream: demand misses + writebacks, program order ---
-    pos_d = np.flatnonzero(~l1_hit)
     kind = config.l2_kind
     exposure = profile.exposure
     mlp = core.memory_mlp_discount

@@ -11,8 +11,8 @@ generate each benchmark's stream once.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, Iterator, Tuple
 
 import numpy as np
 
@@ -20,55 +20,26 @@ from repro.common.errors import ConfigurationError
 
 
 @dataclass(frozen=True)
-class DecodedTrace:
-    """A trace pre-decoded into plain Python lists for the hot loop.
-
-    ``records()`` boxes every numpy scalar on the fly; the fast replay
-    engine instead decodes the whole trace once (``.tolist()`` is a
-    single C-level pass) and pre-computes the L1 block addresses and
-    set indices vectorized over the full columns, so the per-reference
-    loop does zero numpy scalar boxing and zero repeated shift/mask
-    work.
-    """
-
-    gaps: List[int]
-    addresses: List[int]
-    writes: List[bool]
-    #: Block addresses for the requested (block_bytes, n_sets) geometry.
-    block_addrs: List[int]
-    #: Set indices for the same geometry.
-    set_indices: List[int]
-
-    def __len__(self) -> int:
-        return len(self.gaps)
-
-
-@dataclass(frozen=True)
 class BatchDecodedTrace:
     """A trace decoded for the vectorized replay kernel.
 
-    Carries the same plain-list columns as :class:`DecodedTrace` (the
-    scalar tail loop wants unboxed Python ints) *plus* the numpy
-    columns the chunked pre-pass slices wholesale.  Produced once per
-    (block_bytes, n_sets) geometry by :meth:`Trace.decoded_batch` and
-    cached on the trace, so warmup and measured replays of the same
-    split share the decode work.
+    Numpy columns for one (block_bytes, n_sets) geometry, produced once
+    by :meth:`Trace.decoded_batch` and cached on the trace, so every
+    replay of the same slice shares the decode.  ``l1_solves`` memoises
+    the exact L1 solve of the slice (:mod:`repro.sim.l1solve`) per
+    initial L1 state; the geometry is the batch's own.
     """
 
-    gaps: List[int]
-    addresses: List[int]
-    writes: List[bool]
-    block_addrs: List[int]
-    set_indices: List[int]
-    #: First frame of each reference's set (``2 * set_index`` for the
-    #: 2-way L1), as plain ints for the scalar tail loop.
-    frames: List[int]
-    #: Numpy views for the chunk kernel: int64 gaps/block addresses,
-    #: int64 doubled set indices, and the write flags as a bool array.
-    np_gaps: np.ndarray
-    np_block_addrs: np.ndarray
-    np_frames: np.ndarray
-    np_writes: np.ndarray
+    #: int64 gaps, addresses, block addresses and set indices.
+    gaps: np.ndarray
+    addresses: np.ndarray
+    block_addrs: np.ndarray
+    sets: np.ndarray
+    #: Write flags as a bool array.
+    writes: np.ndarray
+    l1_solves: Dict[bytes, object] = field(
+        default_factory=dict, compare=False, repr=False
+    )
 
     def __len__(self) -> int:
         return len(self.gaps)
@@ -109,15 +80,21 @@ class Trace:
         writes = self.writes.tolist()
         return zip(gaps, addresses, writes)
 
-    def decoded(self, block_bytes: int, n_sets: int) -> DecodedTrace:
-        """One-shot decode for the fast replay engine.
+    def decoded_batch(self, block_bytes: int, n_sets: int) -> BatchDecodedTrace:
+        """Decode for the vectorized kernel, cached per geometry.
 
-        Converts the columns to Python lists and pre-computes the
-        block address and set index of every reference for a cache
-        with ``block_bytes`` blocks over ``n_sets`` sets (vectorized;
-        bit-identical to calling :func:`~repro.caches.block.block_address`
-        and :func:`~repro.caches.block.set_index` per record).
+        Pre-computes the block address and set index of every
+        reference for a cache with ``block_bytes`` blocks over
+        ``n_sets`` sets (vectorized; bit-identical to
+        :func:`~repro.caches.block.block_address` and
+        :func:`~repro.caches.block.set_index` per record).  The result
+        is memoized on the trace (keyed by geometry), so every replay
+        of this trace object shares the decode and the L1 solve memo.
         """
+        key = (block_bytes, n_sets)
+        cache = getattr(self, "_batch_cache", None)
+        if cache is not None and key in cache:
+            return cache[key]
         if block_bytes <= 0 or block_bytes & (block_bytes - 1):
             raise ConfigurationError(
                 f"block size must be a positive power of two, got {block_bytes}"
@@ -132,45 +109,13 @@ class Trace:
                 "(generate or load references before replaying)"
             )
         addresses = np.asarray(self.addresses, dtype=np.int64)
-        baddrs = addresses & ~np.int64(block_bytes - 1)
         shift = block_bytes.bit_length() - 1
-        indices = (addresses >> shift) & np.int64(n_sets - 1)
-        return DecodedTrace(
-            gaps=self.gaps.tolist(),
-            addresses=self.addresses.tolist(),
-            writes=self.writes.tolist(),
-            block_addrs=baddrs.tolist(),
-            set_indices=indices.tolist(),
-        )
-
-    def decoded_batch(self, block_bytes: int, n_sets: int) -> BatchDecodedTrace:
-        """Decode for the vectorized kernel, cached per geometry.
-
-        Same validation and list columns as :meth:`decoded`, plus the
-        numpy columns the chunked pre-pass consumes.  The result is
-        memoized on the trace (keyed by geometry) because the driver
-        replays the same trace object once for warmup and once
-        measured.
-        """
-        key = (block_bytes, n_sets)
-        cache = getattr(self, "_batch_cache", None)
-        if cache is not None and key in cache:
-            return cache[key]
-        plain = self.decoded(block_bytes, n_sets)
-        baddrs = np.asarray(plain.block_addrs, dtype=np.int64)
-        frames = np.asarray(plain.set_indices, dtype=np.int64)
-        frames = frames + frames
         batch = BatchDecodedTrace(
-            gaps=plain.gaps,
-            addresses=plain.addresses,
-            writes=plain.writes,
-            block_addrs=plain.block_addrs,
-            set_indices=plain.set_indices,
-            frames=frames.tolist(),
-            np_gaps=np.asarray(self.gaps, dtype=np.int64),
-            np_block_addrs=baddrs,
-            np_frames=frames,
-            np_writes=np.asarray(self.writes, dtype=bool),
+            gaps=np.asarray(self.gaps, dtype=np.int64),
+            addresses=addresses,
+            block_addrs=addresses & ~np.int64(block_bytes - 1),
+            sets=(addresses >> shift) & np.int64(n_sets - 1),
+            writes=np.asarray(self.writes, dtype=bool),
         )
         if cache is None:
             cache = {}

@@ -10,6 +10,7 @@ parallel sweeps, and pin which systems the kernel takes.
 """
 
 import random
+import traceback
 from dataclasses import replace
 
 import pytest
@@ -18,6 +19,7 @@ from repro.cmp.config import CmpConfig, CompressionConfig
 from repro.common.errors import ConfigurationError, UncorrectableDataError
 from repro.cpu.core import CoreModel
 from repro.faults.models import FaultPlan, HardFaultEvent
+from repro.nurapid.cache import _PACK_DIRTY
 from repro.nurapid.config import DistanceReplacementKind, PromotionPolicy
 from repro.sim import vectorized
 from repro.sim.config import (
@@ -210,6 +212,98 @@ class TestFaultParity:
                 run_dict(config, "twolf", 3, engine)
             errors[engine] = str(info.value)
         assert errors["legacy"] == errors["vectorized"]
+
+
+    @staticmethod
+    def _dirty_l2_hits(trace):
+        """1-based L2 access counts in the measured slice at which a
+        fault-free legacy replay hits a dirty L2 line, split into L1
+        writebacks and demand reads."""
+        config = replace(nurapid_config(), engine="legacy")
+        system = make_system(config)
+        l2 = system.l2
+        log = []
+        real_access = l2.access
+
+        def access(address, is_write=False, now=0.0):
+            index = (address >> l2._set_shift) & l2._set_mask
+            packed = l2._tags[index].get(address & l2._block_mask)
+            log.append((is_write, packed is not None and bool(packed & _PACK_DIRTY)))
+            return real_access(address, is_write=is_write, now=now)
+
+        l2.access = access
+        warm, measured = trace.split(WARMUP)
+        core = _core_for(config, "mcf")
+        _replay(system, core, warm, engine="legacy")
+        n_warm = len(log)
+        _replay(system, core, measured, engine="legacy")
+        hits = {"writeback": [], "demand": []}
+        for k, (is_write, dirty) in enumerate(log[n_warm:], n_warm + 1):
+            if dirty:
+                hits["writeback" if is_write else "demand"].append(k)
+        return hits
+
+    @pytest.mark.parametrize("kind", ["demand", "writeback"])
+    def test_state_identical_after_uncorrectable(self, kind):
+        """A mid-replay DUE leaves the same machine state in both
+        engines, whether the lower access of an L1 miss raised (the
+        miss's fill never happened) or its L1 writeback did (the fill
+        did).  Upsets are forced only where the L2 line is dirty, so
+        an undetectable-width strike there is a DUE."""
+        trace = generate_trace(get_benchmark("mcf"), 12_000, seed=3)
+        strikes = self._dirty_l2_hits(trace)[kind]
+        assert strikes, kind
+        config = nurapid_config(
+            faults=FaultPlan(
+                transient_at_accesses=tuple(strikes),
+                max_upset_bits=4,
+                words_per_block=2,
+                interleave_subarrays=1,
+                seed=1,
+            )
+        )
+        warm, measured = trace.split(WARMUP)
+        states = {}
+        for engine in EXACT_ENGINES:
+            system = make_system(replace(config, engine=engine))
+            core = _core_for(config, "mcf")
+            _replay(system, core, warm, engine=engine)
+            with pytest.raises(UncorrectableDataError) as info:
+                _replay(system, core, measured, engine=engine)
+            frames = {f.name for f in traceback.extract_tb(info.value.__traceback__)}
+            l1 = system.l1d
+            states[engine] = (
+                str(info.value),
+                list(l1._tags),
+                bytes(l1._dirty),
+                list(l1._stamps),
+                l1._clock,
+                (l1.hits, l1.misses, l1.writebacks),
+                (
+                    core.cycle,
+                    core.instructions,
+                    core.branch_penalty_cycles,
+                    core.stall_cycles,
+                    core.mshr_stall_cycles,
+                    core.memory_accesses,
+                ),
+                system.hierarchy.stats.as_dict(),
+                (system.memory.reads, system.memory.writes),
+            )
+            if engine == "legacy":
+                assert ("_writeback_from_l1" in frames) == (kind == "writeback")
+        assert states["legacy"] == states["vectorized"]
+
+
+def _core_for(config, benchmark):
+    profile = get_benchmark(benchmark)
+    return CoreModel(
+        params=config.core,
+        core_ipc=profile.core_ipc,
+        exposure=profile.exposure,
+        branch_fraction=profile.branch_fraction,
+        mispredict_rate=profile.mispredict_rate,
+    )
 
 
 class TestFallback:

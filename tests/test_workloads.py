@@ -212,7 +212,7 @@ class TestTraceGenerator:
 
 
 class TestDecodedValidation:
-    """Trace.decoded / decoded_batch reject geometry they cannot mask."""
+    """Trace.decoded_batch rejects geometry it cannot mask."""
 
     def _trace(self, n=16):
         p = get_benchmark("art")
@@ -221,19 +221,19 @@ class TestDecodedValidation:
     def test_non_power_of_two_block_bytes(self):
         t = self._trace()
         with pytest.raises(ConfigurationError, match="power of two"):
-            t.decoded(block_bytes=48, n_sets=64)
+            t.decoded_batch(block_bytes=48, n_sets=64)
 
     def test_non_power_of_two_sets(self):
         t = self._trace()
         with pytest.raises(ConfigurationError, match="power of two"):
-            t.decoded(block_bytes=32, n_sets=12)
+            t.decoded_batch(block_bytes=32, n_sets=12)
 
     def test_non_positive_geometry(self):
         t = self._trace()
         with pytest.raises(ConfigurationError):
-            t.decoded(block_bytes=0, n_sets=64)
+            t.decoded_batch(block_bytes=0, n_sets=64)
         with pytest.raises(ConfigurationError):
-            t.decoded(block_bytes=32, n_sets=-8)
+            t.decoded_batch(block_bytes=32, n_sets=-8)
 
     def test_empty_trace(self):
         empty = Trace(
@@ -243,7 +243,7 @@ class TestDecodedValidation:
             writes=np.zeros(0, dtype=bool),
         )
         with pytest.raises(ConfigurationError, match="empty"):
-            empty.decoded(block_bytes=32, n_sets=64)
+            empty.decoded_batch(block_bytes=32, n_sets=64)
 
     def test_batch_shares_validation(self):
         t = self._trace()
@@ -260,7 +260,7 @@ class TestDecodedValidation:
 
     def test_valid_geometry_decodes(self):
         t = self._trace()
-        d = t.decoded(block_bytes=32, n_sets=64)
-        assert len(d.block_addrs) == len(t)
-        assert all(b % 32 == 0 for b in d.block_addrs)
-        assert all(0 <= s < 64 for s in d.set_indices)
+        d = t.decoded_batch(block_bytes=32, n_sets=64)
+        assert len(d.block_addrs) == len(d) == len(t)
+        assert all(b % 32 == 0 for b in d.block_addrs.tolist())
+        assert all(0 <= s < 64 for s in d.sets.tolist())
