@@ -10,17 +10,13 @@ prewarm of a given key snapshots the filled containers here, and later
 prewarms of the same key restore a fresh copy instead of re-running
 the fill.  Both directions copy, so prototypes never alias live cache
 state; restore is bit-identical to a re-run by construction (the
-snapshot is the re-run's exact output).
-
-``REPRO_PREWARM_CACHE=0`` (or ``off``/``no``/``false``) disables the
-registry, forcing every prewarm to run the full fill — the escape
-hatch for debugging and for the parity tests that prove restore and
-re-run agree.
+snapshot is the re-run's exact output).  ``tests/test_prewarm.py``
+checks that a restored cache equals a freshly filled one, container
+for container, and stays equal under one access/fill stream.
 """
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 from typing import Optional
 
@@ -31,23 +27,13 @@ MAX_PROTOTYPES = 8
 _snapshots: "OrderedDict[str, object]" = OrderedDict()
 
 
-def enabled() -> bool:
-    """Whether prototype reuse is on (default) — $REPRO_PREWARM_CACHE gate."""
-    flag = os.environ.get("REPRO_PREWARM_CACHE", "1").strip().lower()
-    return flag not in {"0", "off", "no", "false"}
-
-
 def get(key: str) -> Optional[object]:
     """The stored prototype for ``key``, or None."""
-    if not enabled():
-        return None
     return _snapshots.get(key)
 
 
 def put(key: str, snapshot: object) -> None:
     """Store ``snapshot`` under ``key`` (evicting the oldest past the cap)."""
-    if not enabled():
-        return
     _snapshots[key] = snapshot
     while len(_snapshots) > MAX_PROTOTYPES:
         _snapshots.popitem(last=False)

@@ -16,8 +16,10 @@ import os
 import sys
 import time
 
+from repro.common.errors import ConfigurationError
 from repro.experiments import experiment_names, run_experiment, scale_by_name
 from repro.experiments.common import (
+    default_jobs,
     set_default_jobs,
     set_default_supervisor,
     set_default_telemetry,
@@ -98,8 +100,13 @@ def main(argv=None) -> int:
         parser.error(f"unknown experiments: {', '.join(unknown)}")
 
     scale = scale_by_name(args.scale)
-    if args.jobs is not None:
-        set_default_jobs(args.jobs)
+    try:
+        if args.jobs is not None:
+            set_default_jobs(args.jobs)
+        else:
+            default_jobs()  # a bad $REPRO_JOBS fails here, before any work
+    except ConfigurationError as exc:
+        parser.error(str(exc))
     if args.telemetry is not None:
         set_default_telemetry(telemetry_from_env(args.telemetry))
     if args.cell_timeout is not None and not args.supervise:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.common.errors import ConfigurationError
-from repro.sim.config import SystemConfig
+from repro.sim.config import SystemConfig, env_jobs
 from repro.sim.driver import run_benchmark
 from repro.sim.results import RunResult, run_result_from_dict
 from repro.telemetry import TelemetryConfig, telemetry_from_env
@@ -122,18 +122,7 @@ def default_jobs() -> int:
     """The effective worker count: ``set_default_jobs``, ``REPRO_JOBS``, or 1."""
     if _DEFAULT_JOBS is not None:
         return _DEFAULT_JOBS
-    env = os.environ.get("REPRO_JOBS")
-    if env:
-        try:
-            jobs = int(env)
-        except ValueError:
-            raise ConfigurationError(
-                f"REPRO_JOBS must be an integer, got {env!r}"
-            ) from None
-        if jobs < 1:
-            raise ConfigurationError(f"REPRO_JOBS must be >= 1, got {jobs}")
-        return jobs
-    return 1
+    return env_jobs()
 
 
 def shared_trace(benchmark: str, scale: Scale) -> Trace:

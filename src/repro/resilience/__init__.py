@@ -14,7 +14,8 @@ Entry points:
 * :func:`run_cells_supervised` / :class:`SupervisorConfig` — drop-in
   supervised replacement for :func:`repro.sim.parallel.run_cells`;
   reached from ``Sweep(supervisor=...)``, ``run_matrix``'s default
-  supervisor, and ``python -m repro.bench --supervised``.
+  supervisor, and ``python -m repro.bench --supervised`` (result parity
+  and a 10% bound on the no-fault supervision tax).
 * :mod:`repro.resilience.checkpoint` — checkpoint format v2 (checksum,
   record seals, v1 migration shim, structural salvage).
 * :class:`FileLock` — cross-process locking for shared cache and

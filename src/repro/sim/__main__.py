@@ -26,15 +26,16 @@ Examples::
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
+from repro.common.errors import ConfigurationError
 from repro.nuca.config import SearchPolicy
 from repro.nurapid.config import DistanceReplacementKind, PromotionPolicy
 from repro.sim.config import (
     ENGINES,
     base_config,
     dnuca_config,
+    env_jobs,
     nurapid_config,
     sa_nuca_config,
 )
@@ -89,13 +90,6 @@ def _config_for(args) -> list:
     raise AssertionError(args.system)
 
 
-def _default_jobs() -> int:
-    try:
-        return max(1, int(os.environ.get("REPRO_JOBS", "1")))
-    except ValueError:
-        return 1
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.sim",
@@ -139,7 +133,10 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    jobs = args.jobs if args.jobs is not None else _default_jobs()
+    try:
+        jobs = args.jobs if args.jobs is not None else env_jobs()
+    except ConfigurationError as exc:
+        parser.error(str(exc))
     if jobs < 1:
         parser.error(f"--jobs must be >= 1, got {jobs}")
     telemetry = telemetry_from_env(args.telemetry)

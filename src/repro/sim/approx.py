@@ -7,7 +7,8 @@ same geometry (latency/energy) models the exact simulators consume.
 One run costs a handful of numpy passes over the trace columns —
 orders of magnitude cheaper than even the vectorized kernel — at the
 price of bit identity: results match the exact engines only within the
-documented tolerances that ``repro.bench --approx-accuracy`` gates.
+documented tolerances (``repro.bench.APPROX_TOLERANCES``) that
+``python -m repro.bench --approx-accuracy`` checks.
 
 The model
 ---------

@@ -68,6 +68,26 @@ def resolve_engine(engine: Optional[str] = None) -> str:
     return engine
 
 
+def env_jobs() -> int:
+    """The worker count in $REPRO_JOBS, else 1.
+
+    Anything but a positive integer is a :class:`ConfigurationError`
+    naming the variable, so a typo never silently runs serially.
+    """
+    env = os.environ.get("REPRO_JOBS")
+    if not env:
+        return 1
+    try:
+        jobs = int(env)
+    except ValueError:
+        raise ConfigurationError(
+            f"REPRO_JOBS must be an integer, got {env!r}"
+        ) from None
+    if jobs < 1:
+        raise ConfigurationError(f"REPRO_JOBS must be >= 1, got {jobs}")
+    return jobs
+
+
 def _fingerprint_default(value: object) -> object:
     if isinstance(value, enum.Enum):
         return value.value

@@ -43,8 +43,9 @@ the same ``now`` values, and batches integer counters, flushed in
 legacy-identical state: the L1 is re-solved up to the committed
 prefix, refs ``[0, m)`` when a lower ``access`` raised on the miss at
 ``m`` and ``[0, m]`` when its writeback did.  ``python -m repro.bench
---engine-parity`` holds it to byte-identical summaries and telemetry
-reports.
+--engine-parity`` and ``tests/test_fastpath.py`` hold it to
+byte-identical summaries and telemetry reports; perfbench measures
+its speed.
 
 Telemetry-armed runs stay on the kernel: each L1 fill emits
 ``eviction``, ``writeback`` (when dirty) and ``placement`` from the

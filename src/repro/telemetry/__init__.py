@@ -13,16 +13,16 @@ This package is the unified instrumentation layer:
 * :mod:`~repro.telemetry.trace` — sampled, bounded JSONL event streams
   (placement / demotion / promotion / writeback / fault-retire) with a
   ring-buffer mode and atomic flush;
-* :mod:`~repro.telemetry.profile` — wall-clock phase timers so
-  ``repro.bench`` can attribute *simulator* time;
+* :mod:`~repro.telemetry.profile` — wall-clock phase timers that
+  attribute *simulator* time to its phases;
 * :mod:`~repro.telemetry.report` — the merged per-d-group
   latency/energy/occupancy report (``python -m repro.telemetry``).
 
 Telemetry is **opt-in**: pass a :class:`TelemetryConfig` to
 ``run_benchmark`` / ``run_suite`` / ``Sweep`` / ``run_matrix``.  With
 the default ``None``, the only residue on the hot path is a handful of
-``is not None`` guards — the null sink — whose overhead the perf
-baseline (``python -m repro.bench --max-regression``) polices.
+``is not None`` guards — the null sink — whose overhead the perf gate
+(``scripts/perf_gate.py``, perfbench with telemetry off) polices.
 """
 
 from __future__ import annotations

@@ -2,8 +2,9 @@
 
 Answers "where does *simulator* time go" (not simulated cycles): the
 driver brackets its phases — trace generation, system build, warmup
-replay, measured replay — and ``repro.bench`` renders the attribution
-next to its timings.  Phases nest; a phase's ``own`` time excludes its
+replay, measured replay — and the telemetry report renders the
+attribution when asked (``python -m repro.telemetry report
+--profile``).  Phases nest; a phase's ``own`` time excludes its
 children so the tree sums cleanly.
 
 Profiling is wall-clock and therefore **non-deterministic**: its

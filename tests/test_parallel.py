@@ -445,3 +445,23 @@ class TestRunMatrix:
         with pytest.raises(ConfigurationError):
             default_jobs()
         monkeypatch.delenv("REPRO_JOBS", raising=False)
+
+    @pytest.mark.parametrize("value", ["abc", "0"])
+    @pytest.mark.parametrize(
+        "cli, argv",
+        [
+            ("repro.sim.__main__", ["nurapid", "twolf", "--refs", "1000"]),
+            ("repro.experiments.__main__", ["table4", "--scale", "smoke"]),
+        ],
+    )
+    def test_clis_reject_bad_repro_jobs(self, monkeypatch, capsys, cli, argv, value):
+        import importlib
+
+        from repro.experiments.common import set_default_jobs
+
+        set_default_jobs(None)
+        monkeypatch.setenv("REPRO_JOBS", value)
+        with pytest.raises(SystemExit) as exit_info:
+            importlib.import_module(cli).main(argv)
+        assert exit_info.value.code == 2
+        assert "REPRO_JOBS" in capsys.readouterr().err

@@ -1,5 +1,7 @@
 """Prewarm: the steady-state initial condition for all cache models."""
 
+import random
+
 import pytest
 
 from repro.common import prewarm_cache
@@ -8,8 +10,11 @@ from repro.caches.setassoc_nonuniform import SetAssociativePlacementCache
 from repro.caches.simple import SetAssociativeCache
 from repro.floorplan.dgroups import build_nurapid_geometry, build_uniform_cache_spec
 from repro.nuca.cache import DNUCACache
+from repro.cmp.config import CompressionConfig
 from repro.nuca.config import DNUCAConfig
+from repro.nuca.snuca import SNUCACache
 from repro.nurapid.cache import NuRAPIDCache
+from repro.nurapid.compression import CompressedNuRAPIDCache
 from repro.nurapid.config import NuRAPIDConfig
 
 KB = 1024
@@ -79,6 +84,81 @@ class TestNuRAPIDPrewarm:
             c.prewarm()
 
 
+def _ordered(state):
+    """Containers with their order made visible to ``==``."""
+    if isinstance(state, dict):
+        return [(k, _ordered(v)) for k, v in state.items()]
+    if isinstance(state, (list, tuple)):
+        return [_ordered(v) for v in state]
+    return state
+
+
+def _containers(cache):
+    """Everything a prewarm writes, in comparable form."""
+    if isinstance(cache, SNUCACache):
+        return _ordered([cache._sets, [p.state_copy() for p in cache._lru]])
+    return _ordered([
+        cache._tags,
+        [(s._resident, s._free) for s in cache._stores],
+        [[p.state_copy() for p in row] for row in cache._replacer._policies],
+        [p.state_copy() for p in cache._data_lru],
+    ])
+
+
+def _nurapid(n_dgroups):
+    return NuRAPIDCache(
+        NuRAPIDConfig(
+            capacity_bytes=256 * KB, associativity=8, n_dgroups=n_dgroups,
+            name=f"proto{n_dgroups}",
+        )
+    )
+
+
+def _compressed():
+    return CompressedNuRAPIDCache(
+        NuRAPIDConfig(capacity_bytes=256 * KB, associativity=8, n_dgroups=4),
+        CompressionConfig(ratio=2, compressible_share=0.5),
+    )
+
+
+def _snuca():
+    return SNUCACache(capacity_bytes=512 * KB, block_bytes=128, associativity=16)
+
+
+class TestPrototypeRestore:
+    """A prewarm restored from the prototype registry equals a fresh fill."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: _nurapid(4), lambda: _nurapid(8), _compressed, _snuca],
+        ids=["nurapid-4dg", "nurapid-8dg", "compressed", "snuca"],
+    )
+    def test_restore_equals_fresh_fill(self, build):
+        prewarm_cache.clear()
+        fresh, restored = build(), build()
+        fresh.prewarm()
+        assert len(prewarm_cache._snapshots) == 1
+        restored.prewarm()
+        assert _containers(restored) == _containers(fresh)
+
+        rng = random.Random(7)
+        span = 4 * fresh.block_bytes * 4096
+        for step in range(20_000):
+            address = rng.randrange(span) & ~(fresh.block_bytes - 1)
+            is_write = rng.random() < 0.3
+            outcomes = []
+            for cache in (fresh, restored):
+                result = cache.access(address, is_write, now=float(step))
+                writebacks = None
+                if not result.hit:
+                    writebacks = cache.fill(address, now=float(step), dirty=is_write)
+                outcomes.append((result.hit, result.latency, result.dgroup, writebacks))
+            assert outcomes[0] == outcomes[1], step
+        assert restored.stats.as_dict() == fresh.stats.as_dict()
+        assert _containers(restored) == _containers(fresh)
+        restored.check_invariants()
+
+
 class TestDNUCAPrewarm:
     def _cache(self):
         return DNUCACache(
@@ -115,9 +195,8 @@ class TestDNUCAPrewarm:
         assert not c.contains(victim)
         assert c.contains(victim + c.n_sets * c.block_bytes)
 
-    def test_not_in_prototype_registry(self, monkeypatch):
+    def test_not_in_prototype_registry(self):
         """D-NUCA prewarm is fast by construction, not by reuse."""
-        monkeypatch.setenv("REPRO_PREWARM_CACHE", "1")
         before = list(prewarm_cache._snapshots)
         self._cache().prewarm()
         assert list(prewarm_cache._snapshots) == before
