@@ -51,8 +51,7 @@ from repro.sim.results import RunResult, run_result_to_dict
 from repro.telemetry import TelemetryConfig
 from repro.telemetry.report import merge_payloads, render_report
 from repro.workloads.trace import Trace
-from repro.workloads.tracegen import TraceCache, default_trace_cache_dir
-from repro.workloads.transport import ensure_decoded
+from repro.workloads.tracegen import TraceCache, trace_entries
 
 DEFAULT_REFS = 120_000
 BENCHMARKS = ["galgel", "twolf"]
@@ -135,7 +134,7 @@ def _pooled(runner, trace_paths: Dict[str, str], refs: int) -> Results:
         CellTask(
             index=i, config=config, benchmark=benchmark, n_references=refs,
             seed=SEED, warmup_fraction=WARMUP, trace_path=trace_paths[benchmark],
-            mmap_path=ensure_decoded(trace_paths[benchmark]), isolate_errors=False,
+            isolate_errors=False,
         )
         for i, (config, benchmark) in enumerate(cells)
     ]
@@ -441,16 +440,10 @@ def main(argv=None) -> int:
     if refs < 1:
         parser.error("--refs must be >= 1")
 
-    cache_dir = default_trace_cache_dir()
-    scratch = None if cache_dir else tempfile.mkdtemp(prefix="repro-bench-traces-")
     mismatches: List[str] = []
-    try:
-        cache = TraceCache(cache_dir or scratch)
-        traces, paths = {}, {}
-        for benchmark in BENCHMARKS:
-            traces[benchmark], paths[benchmark] = cache.fetch(
-                benchmark, refs, seed=SEED
-            )
+    with trace_entries(BENCHMARKS, refs, seed=SEED) as paths:
+        cache = TraceCache(os.path.dirname(paths[BENCHMARKS[0]]))
+        traces = {b: Trace.load(paths[b], b, refs) for b in BENCHMARKS}
         cells = len(standard_configs()) * len(BENCHMARKS)
         print(f"standard workload: {cells} cells x {refs} refs")
         if args.engine_parity:
@@ -480,9 +473,6 @@ def main(argv=None) -> int:
                 "telemetry leaves results unchanged",
                 telemetry_parity(serial, traces, refs),
             )
-    finally:
-        if scratch is not None:
-            shutil.rmtree(scratch, ignore_errors=True)
     return 1 if mismatches else 0
 
 

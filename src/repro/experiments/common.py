@@ -28,8 +28,12 @@ from repro.sim.results import RunResult, run_result_from_dict
 from repro.telemetry import TelemetryConfig, telemetry_from_env
 from repro.workloads.spec2k import get_benchmark
 from repro.workloads.trace import Trace
-from repro.workloads.tracegen import TraceCache, default_trace_cache_dir, generate_trace
-from repro.workloads.transport import ensure_decoded
+from repro.workloads.tracegen import (
+    TraceCache,
+    default_trace_cache_dir,
+    generate_trace,
+    trace_entries,
+)
 
 
 @dataclass(frozen=True)
@@ -129,10 +133,11 @@ def shared_trace(benchmark: str, scale: Scale) -> Trace:
     """The benchmark's trace at this scale, generated at most once.
 
     Set ``REPRO_TRACE_CACHE=/some/dir`` to also persist traces to disk
-    (as ``.npz`` via :class:`~repro.workloads.tracegen.TraceCache`), so
-    repeated full-scale experiment runs — and parallel workers — skip
-    generation entirely; a corrupted cache file is regenerated in
-    place.
+    (as checksummed ``.npy`` entries of a
+    :class:`~repro.workloads.tracegen.TraceCache`, loaded as read-only
+    memory maps), so repeated full-scale experiment runs — and parallel
+    workers — skip generation entirely; a corrupted entry is
+    regenerated in place.
     """
     key = (benchmark, scale.n_references, scale.seed)
     if key not in _TRACE_CACHE:
@@ -222,27 +227,15 @@ def run_matrix(
     if pending and (supervisor is not None or (jobs > 1 and len(pending) > 1)):
         from repro.sim.parallel import CellTask, run_cells
 
-        cache_dir = default_trace_cache_dir()
-        disk_cache = TraceCache(cache_dir) if cache_dir else None
-        tasks = []
-        for index, (config, benchmark) in enumerate(pending):
-            # With a disk cache workers load the trace by path; without
-            # one, ship the in-memory trace inline (pickled once per
-            # cell) so behavior needs no configuration.
-            trace_path = None
-            trace = None
-            if config.cmp is not None and config.cmp.cores > 1:
-                # CMP cells interleave their own per-core traces in the
-                # worker; shipping a single-stream trace would be
-                # rejected by run_benchmark.
-                pass
-            elif disk_cache is not None:
-                trace_path = disk_cache.ensure(
-                    benchmark, scale.n_references, seed=scale.seed
-                )
-            else:
-                trace = shared_trace(benchmark, scale)
-            tasks.append(
+        def is_cmp(config: SystemConfig) -> bool:
+            return config.cmp is not None and config.cmp.cores > 1
+
+        # Workers map each benchmark's trace-cache entry by path (in
+        # REPRO_TRACE_CACHE, else a scratch directory).  CMP cells
+        # interleave their own per-core traces in the worker.
+        shared = [b for config, b in pending if not is_cmp(config)]
+        with trace_entries(shared, scale.n_references, scale.seed) as trace_paths:
+            tasks = [
                 CellTask(
                     index=index,
                     config=config,
@@ -250,19 +243,18 @@ def run_matrix(
                     n_references=scale.n_references,
                     seed=scale.seed,
                     warmup_fraction=scale.warmup_fraction,
-                    trace=trace,
-                    trace_path=trace_path,
-                    mmap_path=ensure_decoded(trace_path),
+                    trace_path=None if is_cmp(config) else trace_paths[benchmark],
                     isolate_errors=False,
                     telemetry=default_telemetry(),
                 )
-            )
-        if supervisor is not None:
-            from repro.resilience.supervisor import run_cells_supervised
+                for index, (config, benchmark) in enumerate(pending)
+            ]
+            if supervisor is not None:
+                from repro.resilience.supervisor import run_cells_supervised
 
-            payloads = run_cells_supervised(tasks, jobs, config=supervisor)
-        else:
-            payloads = run_cells(tasks, jobs)
+                payloads = run_cells_supervised(tasks, jobs, config=supervisor)
+            else:
+                payloads = run_cells(tasks, jobs)
         for payload in payloads:
             config, benchmark = pending[payload["index"]]
             _RUN_CACHE[_run_key(config, benchmark, scale)] = run_result_from_dict(

@@ -3,9 +3,9 @@
 Two flavors:
 
 * **file sidecars** — a ``<file>.sha256`` next to a binary artifact
-  (trace-cache ``.npz`` entries) holding the hex digest of the file's
-  bytes.  A torn, truncated, or bit-rotted file is detected on load
-  without trying to parse it.
+  (trace-cache ``.npy`` entries, result-store entries) holding the hex
+  digest of the file's bytes.  A torn, truncated, or bit-rotted file
+  is detected on load without trying to parse or map it.
 * **record seals** — a ``"crc"`` field embedded in each checkpoint cell
   record, covering the record's canonical JSON.  The checkpoint salvage
   path uses these to authenticate individual cells out of a corrupted
@@ -63,9 +63,9 @@ def read_sidecar(path: str) -> Optional[str]:
 def verify_sidecar(path: str) -> Optional[bool]:
     """True/False when a sidecar exists and (mis)matches; None without one.
 
-    A missing sidecar is *not* a failure: artifacts written before
-    checksums existed stay readable, they just don't get integrity
-    protection until rewritten.
+    A missing sidecar is not a verdict; the caller decides.  The result
+    store still reads such an entry, while the trace cache regenerates
+    it.
     """
     recorded = read_sidecar(path)
     if recorded is None:

@@ -59,7 +59,6 @@ from repro.telemetry.registry import StatRegistry
 from repro.telemetry.runtime import runtime_registry
 from repro.workloads.spec2k import get_benchmark
 from repro.workloads.tracegen import TraceCache
-from repro.workloads.transport import ensure_decoded
 
 MAX_BODY_BYTES = 8 * 1024 * 1024
 MAX_HEADER_BYTES = 64 * 1024
@@ -173,6 +172,20 @@ def _supervised_cell(task: CellTask, timeout_s: Optional[float]):
 
     config = SupervisorConfig(cell_timeout_s=timeout_s)
     return run_cells_supervised([task], 1, config=config)[0]
+
+
+def ensure_decoded(
+    traces: TraceCache, request: GridRequest, benchmark: str
+) -> str:
+    """Admit one benchmark: ensure its trace-cache entry, return its path.
+
+    Runs off the event loop, one executor hop per benchmark; workers
+    map the entry by path.  ``perfbench/tracing.py`` times trace I/O
+    through this name.
+    """
+    return traces.ensure(
+        benchmark, request.n_references, request.seed, request.warm_set_conflict
+    )
 
 
 class SimulationServer:
@@ -361,17 +374,9 @@ class SimulationServer:
         assert self._loop is not None
         for benchmark in sorted(set(request.benchmarks)):
             get_benchmark(benchmark)  # unknown names fail pre-admission
-            path = await self._loop.run_in_executor(
-                None,
-                self.traces.ensure,
-                benchmark,
-                request.n_references,
-                request.seed,
-                request.warm_set_conflict,
+            await self._loop.run_in_executor(
+                None, ensure_decoded, self.traces, request, benchmark
             )
-            # Lay the zero-copy decoded segment down once at admission
-            # (still off the event loop); workers mmap it per cell.
-            await self._loop.run_in_executor(None, ensure_decoded, path)
 
     def _cell_task(
         self,
@@ -395,7 +400,6 @@ class SimulationServer:
             seed=request.seed,
             warmup_fraction=request.warmup_fraction,
             trace_path=trace_path,
-            mmap_path=ensure_decoded(trace_path),
             warm_set_conflict=request.warm_set_conflict,
             prewarm=request.prewarm,
             telemetry=telemetry,

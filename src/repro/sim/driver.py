@@ -30,7 +30,7 @@ from repro.telemetry import (
 )
 from repro.workloads.spec2k import BenchmarkProfile, get_benchmark
 from repro.workloads.trace import Trace
-from repro.workloads.tracegen import generate_trace
+from repro.workloads.tracegen import generate_trace, trace_entries
 
 DEFAULT_REFERENCES = 600_000
 DEFAULT_WARMUP_FRACTION = 0.25
@@ -474,9 +474,6 @@ def run_suite(
 
     # Imported here, not at module top: repro.sim.parallel imports this
     # module for its workers.
-    import shutil
-    import tempfile
-
     from repro.sim.parallel import (
         CellTask,
         cell_fingerprint,
@@ -484,46 +481,33 @@ def run_suite(
         run_cells,
     )
     from repro.sim.results import run_result_from_dict
-    from repro.workloads.tracegen import TraceCache, default_trace_cache_dir
-    from repro.workloads.transport import ensure_decoded
 
-    cache_dir = trace_cache_dir or default_trace_cache_dir()
-    scratch: Optional[str] = None
-    tasks = []
-    try:
-        cache: Optional[TraceCache] = None
-        is_cmp = config.cmp is not None and config.cmp.cores > 1
-        for index, name in enumerate(benchmarks):
-            trace = traces.get(name) if traces else None
-            trace_path = None
-            if trace is None and not is_cmp:
-                if cache is None:
-                    if cache_dir is None:
-                        scratch = tempfile.mkdtemp(prefix="repro-trace-cache-")
-                        cache_dir = scratch
-                    cache = TraceCache(cache_dir)
-                trace_path = cache.ensure(
-                    name, n_references, seed=seed,
-                    warm_set_conflict=warm_set_conflict,
-                )
-            tasks.append(
-                CellTask(
-                    index=index,
-                    config=config,
-                    benchmark=name,
-                    n_references=n_references,
-                    seed=seed,
-                    warmup_fraction=warmup_fraction,
-                    trace=trace,
-                    trace_path=trace_path,
-                    mmap_path=ensure_decoded(trace_path),
-                    warm_set_conflict=warm_set_conflict,
-                    prewarm=prewarm,
-                    energy_model=energy_model,
-                    isolate_errors=False,
-                    telemetry=telemetry,
-                )
+    is_cmp = config.cmp is not None and config.cmp.cores > 1
+    inline = traces or {}
+    shared = [] if is_cmp else [
+        name for name in benchmarks if inline.get(name) is None
+    ]
+    with trace_entries(
+        shared, n_references, seed, warm_set_conflict, directory=trace_cache_dir
+    ) as trace_paths:
+        tasks = [
+            CellTask(
+                index=index,
+                config=config,
+                benchmark=name,
+                n_references=n_references,
+                seed=seed,
+                warmup_fraction=warmup_fraction,
+                trace=inline.get(name),
+                trace_path=trace_paths.get(name),
+                warm_set_conflict=warm_set_conflict,
+                prewarm=prewarm,
+                energy_model=energy_model,
+                isolate_errors=False,
+                telemetry=telemetry,
             )
+            for index, name in enumerate(benchmarks)
+        ]
         pending = tasks
         keys: Dict[int, str] = {}
         if result_store is not None:
@@ -550,7 +534,4 @@ def run_suite(
             runs[benchmarks[index]] = run_result_from_dict(
                 payload["result"]
             )
-    finally:
-        if scratch is not None:
-            shutil.rmtree(scratch, ignore_errors=True)
     return SuiteResult(config_name=config.name, runs=runs)

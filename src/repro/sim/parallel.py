@@ -17,16 +17,14 @@ Two deliberate design points:
   the parent, never the sweep's ``build()`` closure, so the engine
   works under every multiprocessing start method (``fork``,
   ``spawn``, ``forkserver``).
-* **Traces travel by path, not by value.**  Workers load the shared
-  base trace from an on-disk :class:`~repro.workloads.tracegen.TraceCache`
-  file instead of receiving tens of megabytes of pickled numpy arrays
-  per cell.  When the parent has laid down a decoded segment
-  (``mmap_path``, see :mod:`repro.workloads.transport`) the worker
-  memory-maps it zero-copy and memoizes the resulting trace — one
-  decode per worker process, however many cells it runs — and falls
-  back to :meth:`~repro.workloads.trace.Trace.load` on the ``.npz``
-  otherwise.  Retry attempts regenerate their reseeded traces in the
-  worker, which is exactly what the serial path does.
+* **Traces travel by path, not by value.**  A cell's ``trace_path``
+  names a :class:`~repro.workloads.tracegen.TraceCache` entry, which
+  the worker memory-maps read-only and memoizes
+  (:mod:`repro.workloads.transport`) instead of receiving tens of
+  megabytes of pickled numpy arrays per cell: one decode per worker
+  process, however many cells it runs.  A missing or damaged entry,
+  and every retry attempt, regenerates the trace in the worker, which
+  is exactly what the serial path does.
 
 Failure semantics mirror the serial sweep: with
 ``isolate_errors=True`` a :class:`~repro.common.errors.ReproError`
@@ -76,10 +74,11 @@ class CellTask:
 
     ``index`` is caller-chosen and echoed back in the result payload so
     completion order (which is nondeterministic) can be mapped back to
-    grid position.  ``trace_path`` points at a cached ``.npz`` for the
-    first attempt; when it is None and no inline ``trace`` is given the
-    worker generates the trace itself from ``(benchmark, seed,
-    n_references, warm_set_conflict)``.
+    grid position.  The first attempt replays the inline ``trace`` if
+    one is given, else the trace-cache entry at ``trace_path``; when
+    neither is available the worker generates the trace itself from
+    ``(benchmark, seed, n_references, warm_set_conflict)``.  The entry
+    is the same trace, so ``trace_path`` never changes results.
     """
 
     index: int
@@ -111,12 +110,6 @@ class CellTask:
     #: Telemetry collection for the run; the payload rides back inside
     #: the RunResult dict, so parallel runs lose nothing vs serial.
     telemetry: Optional[TelemetryConfig] = None
-    #: Decoded-trace segment for zero-copy transport (see
-    #: :mod:`repro.workloads.transport`).  Purely an optimization over
-    #: ``trace_path``: workers mmap it when valid and fall back to
-    #: ``Trace.load`` otherwise, so it never changes results — which is
-    #: also why it does not participate in :func:`cell_fingerprint`.
-    mmap_path: Optional[str] = None
 
 
 #: Version of the :func:`cell_fingerprint` key layout.  Bump whenever
@@ -132,8 +125,7 @@ def cell_fingerprint(task: CellTask) -> Optional[str]:
     config fingerprint, the resolved engine, the trace parameters
     ``(benchmark, n_references, seed, warm_set_conflict)`` — the trace
     itself is a deterministic function of those, which is why
-    ``trace_path`` and ``mmap_path`` do not participate — plus warmup
-    split, prewarm,
+    ``trace_path`` does not participate — plus warmup split, prewarm,
     and the telemetry fingerprint.  Retry/budget knobs
     (``max_retries``, ``reseed_step``, ``budget_s``) are deliberately
     excluded: memoization stores only first-attempt successes (see
@@ -178,7 +170,7 @@ def memoizable_payload(payload: Dict[str, object]) -> bool:
 
 
 def _attempt_trace(task: CellTask, attempt: int) -> Optional[Trace]:
-    """The cell's trace for one attempt (shared base, or reseeded)."""
+    """The cell's trace for one attempt: inline, mapped, or generated."""
     cmp = getattr(task.config, "cmp", None)
     if cmp is not None and cmp.cores > 1:
         # CMP runs interleave per-core streams inside run_benchmark; a
@@ -187,14 +179,12 @@ def _attempt_trace(task: CellTask, attempt: int) -> Optional[Trace]:
     if attempt == 0:
         if task.trace is not None:
             return task.trace
-        if task.mmap_path is not None:
+        if task.trace_path is not None:
             trace = load_mmap_trace(
-                task.mmap_path, task.benchmark, task.n_references
+                task.trace_path, task.benchmark, task.n_references
             )
             if trace is not None:
                 return trace
-        if task.trace_path is not None:
-            return Trace.load(task.trace_path)
     return generate_trace(
         get_benchmark(task.benchmark),
         task.n_references,

@@ -64,8 +64,6 @@ import hashlib
 import itertools
 import json
 import os
-import shutil
-import tempfile
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -88,8 +86,7 @@ from repro.sim.results import RunResult, run_result_from_dict, run_result_to_dic
 from repro.telemetry import TelemetryConfig
 from repro.workloads.spec2k import get_benchmark
 from repro.workloads.trace import Trace
-from repro.workloads.tracegen import TraceCache, default_trace_cache_dir, generate_trace
-from repro.workloads.transport import ensure_decoded
+from repro.workloads.tracegen import generate_trace, trace_entries
 
 #: Salt for :meth:`Sweep.signature`.  Deliberately pinned at 1 even
 #: though the checkpoint *file* layout is now v2
@@ -592,52 +589,10 @@ class Sweep:
         jobs: int,
         state: Dict[str, int],
     ) -> None:
-        cache_dir = self.trace_cache_dir or default_trace_cache_dir()
-        scratch: Optional[str] = None
-        if cache_dir is None:
-            scratch = tempfile.mkdtemp(prefix="repro-trace-cache-")
-            cache_dir = scratch
-        cache = TraceCache(cache_dir)
-        # Each benchmark's shared base trace is generated (or found)
-        # once in the parent; workers mmap-load the .npz instead of
-        # regenerating per cell.
-        paths = {
-            benchmark: cache.ensure(benchmark, self.n_references, seed=self.seed)
-            for benchmark in sorted({b for _, b in pending})
-        }
-        mmap_paths = {
-            benchmark: ensure_decoded(path)
-            for benchmark, path in paths.items()
-        }
-        tasks = [
-            CellTask(
-                index=position,
-                config=points[index].config,
-                benchmark=benchmark,
-                n_references=self.n_references,
-                seed=self.seed,
-                warmup_fraction=self.warmup_fraction,
-                # CMP cells interleave per-core traces in the worker
-                # (_attempt_trace returns None for them anyway).
-                trace_path=(
-                    None
-                    if points[index].config.cmp is not None
-                    and points[index].config.cmp.cores > 1
-                    else paths[benchmark]
-                ),
-                mmap_path=(
-                    None
-                    if points[index].config.cmp is not None
-                    and points[index].config.cmp.cores > 1
-                    else mmap_paths[benchmark]
-                ),
-                max_retries=self.max_retries,
-                reseed_step=self.reseed_step,
-                budget_s=self.point_budget_s,
-                telemetry=self.telemetry,
-            )
-            for position, (index, benchmark) in enumerate(pending)
-        ]
+        def is_cmp(index: int) -> bool:
+            cmp = points[index].config.cmp
+            return cmp is not None and cmp.cores > 1
+
         flush_every = self._flush_every()
 
         def record(payload: Dict[str, object]) -> None:
@@ -651,7 +606,29 @@ class Sweep:
                 self._save_checkpoint(signature, cells)
                 state["dirty"] = 0
 
-        try:
+        # Each benchmark's shared base trace is ensured once in the
+        # parent as a trace-cache entry, and workers map it by path.
+        # CMP cells interleave per-core traces in the worker.
+        shared = {benchmark for index, benchmark in pending if not is_cmp(index)}
+        with trace_entries(
+            shared, self.n_references, self.seed, directory=self.trace_cache_dir
+        ) as trace_paths:
+            tasks = [
+                CellTask(
+                    index=position,
+                    config=points[index].config,
+                    benchmark=benchmark,
+                    n_references=self.n_references,
+                    seed=self.seed,
+                    warmup_fraction=self.warmup_fraction,
+                    trace_path=None if is_cmp(index) else trace_paths[benchmark],
+                    max_retries=self.max_retries,
+                    reseed_step=self.reseed_step,
+                    budget_s=self.point_budget_s,
+                    telemetry=self.telemetry,
+                )
+                for position, (index, benchmark) in enumerate(pending)
+            ]
             if self.supervisor is not None:
                 from repro.resilience.supervisor import run_cells_supervised
 
@@ -660,9 +637,6 @@ class Sweep:
                 )
             else:
                 run_cells(tasks, jobs, callback=record)
-        finally:
-            if scratch is not None:
-                shutil.rmtree(scratch, ignore_errors=True)
 
 
 def tabulate(points: Sequence[SweepPoint], metric: Callable[[SweepPoint], float]) -> str:

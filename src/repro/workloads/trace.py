@@ -4,8 +4,9 @@ A trace is a sequence of records ``(gap, address, is_write)``: the
 number of instructions retired since the previous record (including
 the memory instruction itself) and the reference it ends with.  Traces
 are stored columnar in numpy arrays — tens of millions of records fit
-comfortably — and can be cached to ``.npz`` files so experiment suites
-generate each benchmark's stream once.
+comfortably — and can be saved as one uncompressed ``.npy`` file of
+aligned records that loads as a read-only memory map, so experiment
+suites and worker processes generate each benchmark's stream once.
 """
 
 from __future__ import annotations
@@ -17,6 +18,12 @@ from typing import Dict, Iterator, Tuple
 import numpy as np
 
 from repro.common.errors import ConfigurationError
+
+#: One on-disk record per reference; ``align=True`` pads the bool flag
+#: so the int64 columns stay 8-byte aligned inside the map.
+RECORD_DTYPE = np.dtype(
+    [("gap", "<i8"), ("addr", "<i8"), ("write", "?")], align=True
+)
 
 
 @dataclass(frozen=True)
@@ -166,22 +173,41 @@ class Trace:
     # --- persistence ---
 
     def save(self, path: str) -> None:
-        np.savez_compressed(
-            path,
-            benchmark=np.array(self.benchmark),
-            gaps=self.gaps,
-            addresses=self.addresses,
-            writes=self.writes,
-        )
+        """Write the records to ``path`` as one :data:`RECORD_DTYPE` ``.npy``."""
+        # zeros, not empty: the pad bytes are part of the file's checksum.
+        records = np.zeros(len(self), dtype=RECORD_DTYPE)
+        records["gap"] = self.gaps
+        records["addr"] = self.addresses
+        records["write"] = self.writes
+        with open(path, "wb") as handle:
+            np.save(handle, records)
 
     @classmethod
-    def load(cls, path: str) -> "Trace":
+    def load(cls, path: str, benchmark: str, n_references: int) -> "Trace":
+        """Memory-map a saved trace read-only; its columns are views.
+
+        Raises :class:`ConfigurationError` when the file is missing,
+        is not a ``.npy``, or does not hold ``n_references`` records
+        of :data:`RECORD_DTYPE`.
+        """
         if not os.path.exists(path):
             raise ConfigurationError(f"no trace file at {path}")
-        with np.load(path, allow_pickle=False) as data:
-            return cls(
-                benchmark=str(data["benchmark"]),
-                gaps=data["gaps"],
-                addresses=data["addresses"],
-                writes=data["writes"],
+        try:
+            records = np.lib.format.open_memmap(path, mode="r")
+        except (OSError, ValueError) as exc:
+            raise ConfigurationError(f"unreadable trace file {path}: {exc}") from None
+        if (
+            records.dtype != RECORD_DTYPE
+            or records.ndim != 1
+            or len(records) != n_references
+        ):
+            raise ConfigurationError(
+                f"trace file {path} holds {records.shape} {records.dtype} records, "
+                f"expected ({n_references},) {RECORD_DTYPE}"
             )
+        return cls(
+            benchmark=benchmark,
+            gaps=records["gap"],
+            addresses=records["addr"],
+            writes=records["write"],
+        )

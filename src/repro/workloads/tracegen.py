@@ -22,17 +22,20 @@ to create the hot sets §2.1 argues coupled placement handles badly.
 from __future__ import annotations
 
 import os
+import shutil
+import tempfile
 import warnings
-import zipfile
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Dict, Iterable, Iterator, Optional, Tuple
 
 import numpy as np
 
-from repro.common.errors import ConfigurationError, ReproError
+from repro.common.errors import ConfigurationError
 from repro.common.rng import derive_seed
 from repro.resilience.integrity import (
     remove_sidecar,
+    sidecar_path,
     verify_sidecar,
     write_sidecar,
 )
@@ -245,49 +248,33 @@ def generate_trace(
     ).generate(n_references)
 
 
-#: Errors a half-written or corrupted ``.npz`` can surface as when
-#: loaded; anything else (e.g. a directory permission problem that
-#: would also break the rewrite) still propagates.
-_CACHE_LOAD_ERRORS = (
-    ReproError,
-    OSError,
-    ValueError,
-    KeyError,
-    EOFError,
-    zipfile.BadZipFile,
-)
-
-
 def default_trace_cache_dir() -> Optional[str]:
     """The ambient cache directory: ``REPRO_TRACE_CACHE``, or None."""
     return os.environ.get("REPRO_TRACE_CACHE") or None
 
 
 class TraceCache:
-    """On-disk ``.npz`` trace store keyed by generation parameters.
+    """On-disk trace store keyed by generation parameters.
 
     A trace is fully determined by ``(benchmark, n_references, seed,
     warm_set_conflict)``, so those four values are the file name and
-    the cache needs no invalidation logic.  Writes are atomic (unique
-    temp file + ``os.replace``), which makes the directory safe to
-    share between concurrent sweep processes: the worst race is two
-    processes generating the same trace and one rename winning.
+    the cache needs no invalidation logic.  An entry is the trace's
+    :meth:`~repro.workloads.trace.Trace.save` ``.npy`` plus a
+    ``<name>.npy.sha256`` sidecar; a hit verifies the sidecar, then
+    memory-maps the file read-only, which is how pool workers share one
+    copy of each trace through the page cache.
 
-    A corrupted or stale file (killed mid-write before PRs used atomic
-    renames, disk damage, a benchmark profile edit that changed the
-    record count) is detected on load and regenerated in place —
-    loudly: a :class:`RuntimeWarning` and the runtime telemetry counter
-    ``trace_cache.corrupt_recovered`` record that disk state was thrown
-    away, so silent data loss is visible.  ``hits`` / ``misses`` count
-    how often the disk copy was usable.
-
-    Integrity is checked before content: every write leaves a
-    ``<name>.npz.sha256`` sidecar, and a sidecar mismatch condemns the
-    entry without paying for an ``.npz`` parse.  Entries predating the
-    sidecars (no sidecar file) fall back to the load-and-validate path.
-    Generation for a given key is serialized across processes with a
-    :class:`FileLock`, so N workers cold-starting on a shared cache
-    directory generate each trace once instead of N times.
+    Writes go to a unique temp file, then ``os.replace``, then the
+    sidecar, all under a per-entry :class:`FileLock`: N processes
+    cold-starting on a shared directory generate each trace once, and
+    a reader never trusts a file its sidecar does not vouch for.  An
+    entry without a sidecar (a write cut short before its sidecar) is
+    regenerated quietly.  A checksum mismatch or a file that does not
+    match its key (disk damage, a benchmark-profile edit that changed
+    the record count) is regenerated loudly: a :class:`RuntimeWarning`
+    and the runtime counter ``trace_cache.corrupt_recovered`` record
+    that disk state was thrown away.  ``hits`` / ``misses`` count how
+    often the disk copy was usable.
     """
 
     def __init__(self, directory: str) -> None:
@@ -306,7 +293,7 @@ class TraceCache:
     ) -> str:
         return os.path.join(
             self.directory,
-            f"{benchmark}-r{n_references}-s{seed}-c{warm_set_conflict}.npz",
+            f"{benchmark}-r{n_references}-s{seed}-c{warm_set_conflict}.npy",
         )
 
     def _load_valid(
@@ -314,25 +301,18 @@ class TraceCache:
     ) -> Optional[Trace]:
         if not os.path.exists(path):
             return None
-        # Sidecar first: a checksum mismatch condemns the file without
-        # parsing it.  A missing sidecar (pre-sidecar entry) is not a
-        # verdict — fall through to the load-and-validate path.
-        if verify_sidecar(path) is False:
-            if report:
+        # Sidecar first: only a file it vouches for is mapped.
+        verdict = verify_sidecar(path)
+        if verdict is not True:
+            if verdict is False and report:
                 self._report_unusable(path, "failed its checksum")
             return None
         try:
-            trace = Trace.load(path)
-        except _CACHE_LOAD_ERRORS as exc:
+            return Trace.load(path, benchmark, n_references)
+        except ConfigurationError as exc:
             if report:
-                self._report_unusable(path, f"was unreadable ({exc})")
+                self._report_unusable(path, f"does not match its key ({exc})")
             return None
-        if trace.benchmark != benchmark or len(trace) != n_references:
-            # Stale: key scheme and content disagree.
-            if report:
-                self._report_unusable(path, "does not match its key")
-            return None
-        return trace
 
     @staticmethod
     def _report_unusable(path: str, reason: str) -> None:
@@ -351,7 +331,7 @@ class TraceCache:
         seed: int = 0,
         warm_set_conflict: int = 1,
     ) -> Tuple[Trace, str]:
-        """The trace and its on-disk path, generating at most once."""
+        """The mapped trace and its entry path, generating at most once."""
         if n_references <= 0:
             raise ConfigurationError("n_references must be positive")
         path = self.path_for(benchmark, n_references, seed, warm_set_conflict)
@@ -368,24 +348,23 @@ class TraceCache:
             if trace is not None:
                 self.hits += 1
                 return trace, path
-            trace = generate_trace(
+            generated = generate_trace(
                 get_benchmark(benchmark),
                 n_references,
                 seed=seed,
                 warm_set_conflict=warm_set_conflict,
             )
-            # np.savez appends ".npz" to suffix-less paths, so the temp
-            # name must already carry it for the rename to find the file.
-            tmp = f"{path}.{os.getpid()}.tmp.npz"
+            tmp = f"{path}.{os.getpid()}.tmp"
             try:
-                trace.save(tmp)
+                generated.save(tmp)
                 os.replace(tmp, path)
                 write_sidecar(path)
             finally:
                 if os.path.exists(tmp):
                     os.remove(tmp)
+        runtime_registry().add("transport.segment_builds")
         self.misses += 1
-        return trace, path
+        return Trace.load(path, benchmark, n_references), path
 
     def get(
         self,
@@ -394,6 +373,7 @@ class TraceCache:
         seed: int = 0,
         warm_set_conflict: int = 1,
     ) -> Trace:
+        """The trace, memory-mapped read-only from its entry."""
         return self.fetch(benchmark, n_references, seed, warm_set_conflict)[0]
 
     def ensure(
@@ -403,16 +383,18 @@ class TraceCache:
         seed: int = 0,
         warm_set_conflict: int = 1,
     ) -> str:
-        """Guarantee the trace exists on disk; return its path."""
+        """Guarantee a verified entry exists on disk; return its path."""
         return self.fetch(benchmark, n_references, seed, warm_set_conflict)[1]
 
     def prune(self, max_bytes: int) -> int:
-        """Evict least-recently-touched traces past a size budget.
+        """Evict least-recently-written entries past a size budget.
 
-        Returns the number of files removed.  Traces are evicted
-        oldest-``mtime`` first until the directory fits ``max_bytes``;
-        loading a trace does not bump its mtime, so this is a cheap
-        FIFO-by-write policy rather than strict LRU.
+        Returns the number of entries removed.  An entry's size counts
+        its sidecar, and each entry leaves together with its sidecar.
+        Entries are evicted oldest-``mtime`` first until the directory's
+        entries fit ``max_bytes``; loading a trace does not bump its
+        mtime, so this is a cheap FIFO-by-write policy rather than
+        strict LRU.
         """
         if max_bytes < 0:
             raise ConfigurationError("max_bytes must be non-negative")
@@ -420,14 +402,19 @@ class TraceCache:
             return 0
         entries = []
         for name in os.listdir(self.directory):
-            if not name.endswith(".npz"):
+            if not name.endswith(".npy"):
                 continue
             path = os.path.join(self.directory, name)
             try:
                 stat = os.stat(path)
             except OSError:
                 continue
-            entries.append((stat.st_mtime, stat.st_size, path))
+            size = stat.st_size
+            try:
+                size += os.path.getsize(sidecar_path(path))
+            except OSError:
+                pass
+            entries.append((stat.st_mtime, size, path))
         entries.sort()
         total = sum(size for _, size, _ in entries)
         removed = 0
@@ -442,3 +429,35 @@ class TraceCache:
             total -= size
             removed += 1
         return removed
+
+
+@contextmanager
+def trace_entries(
+    benchmarks: Iterable[str],
+    n_references: int,
+    seed: int = 0,
+    warm_set_conflict: int = 1,
+    directory: Optional[str] = None,
+) -> Iterator[Dict[str, str]]:
+    """``{benchmark: entry path}`` for a pooled run's shared traces.
+
+    Ensures each benchmark's entry once in ``directory``, else in
+    ``REPRO_TRACE_CACHE``, else in a scratch directory that is removed
+    on exit.  Workers reach their trace through the path
+    (:mod:`repro.workloads.transport`).
+    """
+    directory = directory or default_trace_cache_dir()
+    scratch = None
+    if directory is None:
+        scratch = directory = tempfile.mkdtemp(prefix="repro-trace-cache-")
+    try:
+        cache = TraceCache(directory)
+        yield {
+            benchmark: cache.ensure(
+                benchmark, n_references, seed, warm_set_conflict
+            )
+            for benchmark in sorted(set(benchmarks))
+        }
+    finally:
+        if scratch is not None:
+            shutil.rmtree(scratch, ignore_errors=True)

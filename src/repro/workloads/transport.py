@@ -1,129 +1,40 @@
-"""Zero-copy decoded-trace transport for worker processes.
+"""Worker-side memo of memory-mapped trace-cache entries.
 
-A :class:`~repro.workloads.tracegen.TraceCache` entry is a compressed
-``.npz``: every worker that loads one pays a zlib inflate plus three
-array copies per cell, even when ten cells in the same process replay
-the same trace.  This module removes both costs:
+A :class:`~repro.workloads.tracegen.TraceCache` entry is one
+uncompressed ``.npy`` of aligned records with a ``.sha256`` sidecar
+(see :meth:`~repro.workloads.trace.Trace.save`).  A pool worker
+reaches its trace through :func:`load_mmap_trace`: the first call per
+process verifies the sidecar and maps the file read-only
+(``transport.trace_loads``), so the columns are views shared between
+every worker on the host through the page cache.  Later calls return
+the same :class:`Trace` object (``transport.trace_reuses``), and its
+``decoded_batch``/``split`` caches survive across cells: a worker
+decodes each trace at most once, however many cells it executes.
 
-* **Parent side** — :func:`ensure_decoded` lays the trace's columns
-  down once as a single *uncompressed* structured ``.npy`` segment next
-  to the ``.npz`` (fields ``gap``/``addr``/``write``, aligned), written
-  atomically under the same :class:`~repro.resilience.locks.FileLock`
-  discipline as the cache itself and protected by a ``.sha256``
-  sidecar.  The segment is content-derived from the ``.npz`` (traces
-  are pure functions of their cache key), so it needs no invalidation.
-* **Worker side** — :func:`load_mmap_trace` memory-maps the segment
-  (``np.load(mmap_mode="r")``) and builds a :class:`Trace` whose
-  columns are views into the map: no inflate, no copies, and the pages
-  are shared read-only between every worker on the host through the
-  page cache.  The constructed ``Trace`` is memoized per process, so
-  its ``decoded_batch``/``split`` caches survive across cells — a
-  worker decodes each trace at most once no matter how many cells it
-  executes (the ``transport.trace_reuses`` counter proves it).
-
-Everything here is an optimization layer over the existing
-path-shipping protocol: any problem (missing segment, checksum
-mismatch, shape drift) returns ``None`` and the caller falls back to
-``Trace.load`` on the ``.npz``, bit-identically.
+A missing, corrupt or mismatched entry counts ``transport.mmap_unusable``
+and returns ``None``; the worker then regenerates the trace from the
+cell's own parameters, bit-identically, because a trace is a pure
+function of its cache key.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Dict, Optional, Set
+from typing import Dict, Optional
 
-import numpy as np
-
-from repro.resilience.integrity import verify_sidecar, write_sidecar
-from repro.resilience.locks import FileLock
+from repro.common.errors import ConfigurationError
+from repro.resilience.integrity import verify_sidecar
 from repro.telemetry.runtime import runtime_registry
 from repro.workloads.trace import Trace
 
-#: Suffix of the decoded segment sitting next to its ``.npz``.
-DECODED_SUFFIX = ".decoded.npy"
-
-#: One record per reference; ``align=True`` pads the bool flag so the
-#: int64 columns stay 8-byte aligned inside the map.
-DECODED_DTYPE = np.dtype(
-    [("gap", "<i8"), ("addr", "<i8"), ("write", "?")], align=True
-)
-
-#: Segments this process already built or validated (parent side), so
-#: repeated task construction does not re-hash the file per cell.
-_ENSURED: Set[str] = set()
-
-#: Traces this process already materialized from a segment (worker
-#: side); the cached object carries its decode caches with it.
+#: Traces this process already mapped, by entry path; the cached
+#: object carries its decode caches with it.
 _LOADED: Dict[str, Trace] = {}
-
-
-def decoded_path(trace_path: str) -> str:
-    """The segment path for a cached trace ``.npz``."""
-    base = trace_path[:-4] if trace_path.endswith(".npz") else trace_path
-    return base + DECODED_SUFFIX
-
-
-def ensure_decoded(trace_path: Optional[str]) -> Optional[str]:
-    """Build (or find) the decoded segment for ``trace_path``.
-
-    Called in the parent when constructing cell tasks.  Returns the
-    segment path, or ``None`` when there is nothing to transport (no
-    trace path, or the ``.npz`` is missing/unreadable — the worker
-    fallback will surface that properly).  Concurrent parents building
-    the same segment serialize on a file lock and the losers reuse the
-    winner's file.
-    """
-    if trace_path is None:
-        return None
-    path = decoded_path(trace_path)
-    if path in _ENSURED:
-        return path
-    reg = runtime_registry()
-    if os.path.exists(path) and verify_sidecar(path) is True:
-        _ENSURED.add(path)
-        reg.add("transport.segment_reuses")
-        return path
-    if not os.path.exists(trace_path):
-        return None
-    with FileLock(path + ".lock"):
-        # Another process may have finished the build while we waited.
-        if os.path.exists(path) and verify_sidecar(path) is True:
-            _ENSURED.add(path)
-            reg.add("transport.segment_reuses")
-            return path
-        try:
-            trace = Trace.load(trace_path)
-        except Exception:
-            return None
-        records = np.zeros(len(trace), dtype=DECODED_DTYPE)
-        records["gap"] = trace.gaps
-        records["addr"] = trace.addresses
-        records["write"] = trace.writes
-        tmp = f"{path}.{os.getpid()}.tmp.npy"
-        try:
-            np.save(tmp, records)
-            os.replace(tmp, path)
-            write_sidecar(path)
-        finally:
-            if os.path.exists(tmp):
-                os.remove(tmp)
-    _ENSURED.add(path)
-    reg.add("transport.segment_builds")
-    return path
 
 
 def load_mmap_trace(
     path: str, benchmark: str, n_references: int
 ) -> Optional[Trace]:
-    """The memoized mmap-backed :class:`Trace` for a segment, or None.
-
-    Called in the worker.  The first call per process maps the file
-    and constructs the ``Trace`` (``transport.trace_loads``); later
-    calls return the same object (``transport.trace_reuses``), sharing
-    its decode caches across cells.  A missing, corrupt, or mismatched
-    segment counts ``transport.mmap_unusable`` and returns ``None`` so
-    the caller can fall back to the ``.npz``.
-    """
+    """The memoized mapped :class:`Trace` for a cache entry, or None."""
     reg = runtime_registry()
     cached = _LOADED.get(path)
     if cached is not None:
@@ -132,33 +43,19 @@ def load_mmap_trace(
             return None
         reg.add("transport.trace_reuses")
         return cached
-    if not os.path.exists(path) or verify_sidecar(path) is False:
+    if verify_sidecar(path) is not True:
         reg.add("transport.mmap_unusable")
         return None
     try:
-        records = np.load(path, mmap_mode="r", allow_pickle=False)
-    except Exception:
+        trace = Trace.load(path, benchmark, n_references)
+    except ConfigurationError:
         reg.add("transport.mmap_unusable")
         return None
-    if (
-        records.dtype != DECODED_DTYPE
-        or records.ndim != 1
-        or len(records) != n_references
-    ):
-        reg.add("transport.mmap_unusable")
-        return None
-    trace = Trace(
-        benchmark=benchmark,
-        gaps=records["gap"],
-        addresses=records["addr"],
-        writes=records["write"],
-    )
     _LOADED[path] = trace
     reg.add("transport.trace_loads")
     return trace
 
 
 def reset_for_tests() -> None:
-    """Drop the process memos (tests that rewrite segments need this)."""
-    _ENSURED.clear()
+    """Drop the process memo (tests that rewrite entries need this)."""
     _LOADED.clear()

@@ -255,7 +255,7 @@ class TestTraceDiskCache:
         monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path))
         clear_caches()
         first = shared_trace("wupwise", SMOKE)
-        assert list(tmp_path.glob("*.npz"))
+        assert list(tmp_path.glob("*.npy"))
         clear_caches()
         second = shared_trace("wupwise", SMOKE)
         assert np.array_equal(first.addresses, second.addresses)
@@ -264,7 +264,7 @@ class TestTraceDiskCache:
         monkeypatch.delenv("REPRO_TRACE_CACHE", raising=False)
         clear_caches()
         shared_trace("wupwise", SMOKE)
-        assert not list(tmp_path.glob("*.npz"))
+        assert not list(tmp_path.glob("*.npy"))
 
 
 class TestLayoutAndExtensionAblations:

@@ -8,6 +8,7 @@ worker pool stays within unit-test time.
 """
 
 import json
+import os
 import pickle
 
 import pytest
@@ -250,7 +251,7 @@ class TestTraceCache:
         other = TraceCache(str(tmp_path))
         other.get("twolf", 2_000, seed=3)
         assert (other.hits, other.misses) == (1, 0)
-        assert path.endswith("twolf-r2000-s3-c1.npz")
+        assert path.endswith("twolf-r2000-s3-c1.npy")
 
     def test_distinct_keys_do_not_collide(self, tmp_path):
         cache = TraceCache(str(tmp_path))
@@ -265,7 +266,7 @@ class TestTraceCache:
         cache = TraceCache(str(tmp_path))
         path = cache.ensure("twolf", 2_000, seed=3)
         with open(path, "wb") as handle:
-            handle.write(b"this is not an npz archive")
+            handle.write(b"this is not a trace entry")
 
         recovered = cache.get("twolf", 2_000, seed=3)
         assert cache.misses == 2  # the corrupted copy did not count as a hit
@@ -278,11 +279,17 @@ class TestTraceCache:
 
     def test_stale_content_rejected(self, tmp_path):
         # A file whose content disagrees with its key (e.g. after a
-        # benchmark-profile edit changed generation) is regenerated.
+        # benchmark-profile edit changed generation) is regenerated,
+        # even when its sidecar vouches for its bytes.
+        from repro.resilience.integrity import write_sidecar
+
         cache = TraceCache(str(tmp_path))
         wrong = generate_trace(get_benchmark("twolf"), 1_000, seed=3)
-        wrong.save(cache.path_for("twolf", 2_000, seed=3))
-        fixed = cache.get("twolf", 2_000, seed=3)
+        path = cache.path_for("twolf", 2_000, seed=3)
+        wrong.save(path)
+        write_sidecar(path)
+        with pytest.warns(RuntimeWarning, match="does not match its key"):
+            fixed = cache.get("twolf", 2_000, seed=3)
         assert cache.misses == 1
         assert len(fixed) == 2_000
 
@@ -295,12 +302,31 @@ class TestTraceCache:
         for age, path in zip((300, 200, 100), paths):
             stamp = time.time() - age
             os.utime(path, (stamp, stamp))
-        sizes = [os.path.getsize(p) for p in paths]
+        sizes = [entry_bytes(p) for p in paths]
         removed = cache.prune(max_bytes=sizes[1] + sizes[2])
         assert removed == 1
         assert not os.path.exists(paths[0])
         assert os.path.exists(paths[1]) and os.path.exists(paths[2])
         assert cache.prune(max_bytes=0) == 2
+
+    def test_prune_removes_sidecars_within_budget(self, tmp_path):
+        cache = TraceCache(str(tmp_path))
+        paths = [cache.ensure("twolf", 1_000, seed=s) for s in (1, 2, 3)]
+        budget = entry_bytes(paths[0]) + entry_bytes(paths[1]) // 2
+        assert cache.prune(max_bytes=budget) == 2
+        names = os.listdir(tmp_path)
+        kept = [n for n in names if n.endswith((".npy", ".npy.sha256"))]
+        assert sum(os.path.getsize(tmp_path / n) for n in kept) <= budget
+        for name in names:
+            if name.endswith(".sha256"):
+                assert name[: -len(".sha256")] in names, f"orphan {name}"
+        assert cache.prune(max_bytes=0) == 1
+        assert not [n for n in os.listdir(tmp_path) if not n.endswith(".lock")]
+
+
+def entry_bytes(path):
+    """An entry's on-disk size: the ``.npy`` plus its sidecar."""
+    return os.path.getsize(path) + os.path.getsize(path + ".sha256")
 
 
 def run_trace_dict(trace):

@@ -548,13 +548,15 @@ class TestTraceCacheIntegrity:
         # The repaired entry carries a fresh, matching sidecar.
         assert verify_sidecar(path) is True
 
-    def test_legacy_entry_without_sidecar_still_loads(self, tmp_path):
-        cache = TraceCache(str(tmp_path))
-        path = cache.ensure("twolf", 2_000, seed=3)
+    def test_entry_without_sidecar_is_regenerated(self, tmp_path):
         import os
 
+        cache = TraceCache(str(tmp_path))
+        path = cache.ensure("twolf", 2_000, seed=3)
         os.remove(path + ".sha256")
         other = TraceCache(str(tmp_path))
         other.get("twolf", 2_000, seed=3)
-        assert (other.hits, other.misses) == (1, 0)
+        assert (other.hits, other.misses) == (0, 1)
+        # A write cut short before its sidecar is not corruption.
         assert "trace_cache.corrupt_recovered" not in runtime_counters()
+        assert verify_sidecar(path) is True

@@ -237,13 +237,25 @@ class TestCellFingerprint:
         base.update(overrides)
         return CellTask(**base)
 
+    def test_store_key_pinned(self, monkeypatch):
+        # Existing result-store entries stay reachable only while the
+        # key of a given cell never changes.
+        monkeypatch.delenv("REPRO_ENGINE", raising=False)
+        task = CellTask(
+            index=0, config=nurapid_config(), benchmark="twolf",
+            n_references=2000, seed=3, warmup_fraction=0.3,
+        )
+        assert cell_fingerprint(task) == (
+            "3fe606cfaa22cf626c25fe5b75ab54c226873c4c7d5b3b6738fbbec00b4e610e"
+        )
+
     def test_execution_knobs_excluded(self):
         # Retry/budget knobs cannot influence a first-attempt success,
         # so they must not fragment the content address.
         a = cell_fingerprint(self.probe())
         b = cell_fingerprint(self.probe(max_retries=3, budget_s=10.0,
                                         reseed_step=7, isolate_errors=False,
-                                        trace_path="/some/where.npz"))
+                                        trace_path="/some/where.npy"))
         assert a == b
 
     def test_semantic_knobs_included(self):

@@ -1,12 +1,14 @@
-"""Zero-copy decoded-trace transport: parity, reuse, and recovery.
+"""Trace transport to workers: parity, reuse, and recovery.
 
-The transport layer (:mod:`repro.workloads.transport`) is pure
-optimization: a worker that mmaps the decoded segment must produce the
-exact payload bytes of one that inflates the ``.npz``, the parent must
-build each segment exactly once (including across worker SIGKILLs),
-and a worker process must decode each trace at most once no matter how
-many cells it executes — all proven here through the ``transport.*``
-runtime counters.
+A pool cell reaches its trace through one path: the parent ensures the
+benchmark's trace-cache entry (one checksummed ``.npy``), and the
+worker memory-maps it (:mod:`repro.workloads.transport`).  A worker
+that maps the entry must produce the exact payload bytes of one that
+generates the trace itself, the parent must write each entry exactly
+once (including across worker SIGKILLs), a worker process must decode
+each trace at most once no matter how many cells it executes, and a
+corrupted or deleted entry must make the worker regenerate the trace
+— all proven here through the ``transport.*`` runtime counters.
 """
 
 import json
@@ -35,15 +37,19 @@ def _fresh_transport_state():
 
 
 @pytest.fixture
-def trace_paths(tmp_path):
-    cache = TraceCache(str(tmp_path / "traces"))
+def cache(tmp_path):
+    return TraceCache(str(tmp_path / "traces"))
+
+
+@pytest.fixture
+def trace_paths(cache):
     return {
         benchmark: cache.ensure(benchmark, REFS, seed=7)
         for benchmark in ("twolf", "wupwise")
     }
 
 
-def make_tasks(trace_paths, with_mmap=True):
+def make_tasks(trace_paths):
     cells = [
         (config, benchmark)
         for config in (nurapid_config(), snuca_config())
@@ -57,58 +63,58 @@ def make_tasks(trace_paths, with_mmap=True):
             n_references=REFS,
             seed=7,
             warmup_fraction=0.3,
-            trace_path=trace_paths[benchmark],
-            mmap_path=(
-                transport.ensure_decoded(trace_paths[benchmark])
-                if with_mmap
-                else None
-            ),
+            trace_path=None if trace_paths is None else trace_paths[benchmark],
         )
         for i, (config, benchmark) in enumerate(cells)
     ]
 
 
+def payload_bytes(payloads):
+    return json.dumps(payloads, sort_keys=True)
+
+
 class TestSegmentLifecycle:
-    def test_build_once_then_reuse(self, trace_paths):
-        path = transport.ensure_decoded(trace_paths["twolf"])
-        assert path == transport.decoded_path(trace_paths["twolf"])
+    def test_build_once_then_reuse(self, cache, trace_paths):
+        path = trace_paths["twolf"]
+        assert path.endswith("twolf-r3000-s7-c1.npy")
         assert os.path.exists(path) and os.path.exists(path + ".sha256")
-        assert runtime_counters()["transport.segment_builds"] == 1
-        # Same process: memoized, no re-hash, no rebuild.
-        assert transport.ensure_decoded(trace_paths["twolf"]) == path
-        assert runtime_counters()["transport.segment_builds"] == 1
-        # Fresh process (simulated): the file is found and verified.
+        assert runtime_counters()["transport.segment_builds"] == 2
+        # Same cache: found and verified, not rewritten.
+        assert cache.ensure("twolf", REFS, seed=7) == path
+        assert runtime_counters()["transport.segment_builds"] == 2
+        # Fresh process (simulated): the entry is found on disk.
         transport.reset_for_tests()
-        assert transport.ensure_decoded(trace_paths["twolf"]) == path
-        counters = runtime_counters()
-        assert counters["transport.segment_builds"] == 1
-        assert counters["transport.segment_reuses"] == 1
+        other = TraceCache(cache.directory)
+        assert other.ensure("twolf", REFS, seed=7) == path
+        assert (other.hits, other.misses) == (1, 0)
+        assert runtime_counters()["transport.segment_builds"] == 2
 
     def test_missing_trace_yields_none(self, tmp_path):
-        assert transport.ensure_decoded(None) is None
-        assert transport.ensure_decoded(str(tmp_path / "absent.npz")) is None
+        absent = str(tmp_path / "absent.npy")
+        assert transport.load_mmap_trace(absent, "twolf", REFS) is None
+        assert runtime_counters()["transport.mmap_unusable"] == 1
 
     def test_corrupt_segment_falls_back(self, trace_paths):
-        path = transport.ensure_decoded(trace_paths["twolf"])
+        path = trace_paths["twolf"]
         with open(path, "r+b") as handle:
             handle.seek(200)
             handle.write(b"\xff\xff\xff\xff")
-        transport.reset_for_tests()
         assert transport.load_mmap_trace(path, "twolf", REFS) is None
         assert runtime_counters()["transport.mmap_unusable"] == 1
 
     def test_wrong_shape_falls_back(self, trace_paths):
-        path = transport.ensure_decoded(trace_paths["twolf"])
+        path = trace_paths["twolf"]
         assert transport.load_mmap_trace(path, "twolf", REFS + 1) is None
         assert runtime_counters()["transport.mmap_unusable"] == 1
 
 
 class TestWorkerReuse:
     def test_one_decode_per_process(self, trace_paths):
-        path = transport.ensure_decoded(trace_paths["twolf"])
+        path = trace_paths["twolf"]
         first = transport.load_mmap_trace(path, "twolf", REFS)
         second = transport.load_mmap_trace(path, "twolf", REFS)
         assert first is second
+        assert not first.gaps.flags.writeable
         counters = runtime_counters()
         assert counters["transport.trace_loads"] == 1
         assert counters["transport.trace_reuses"] == 1
@@ -127,20 +133,43 @@ class TestWorkerReuse:
 
 
 class TestResultParity:
-    def test_mmap_matches_npz_bytes(self, trace_paths):
-        mmap_payloads = [execute_cell(t) for t in make_tasks(trace_paths)]
-        npz_payloads = [
-            execute_cell(t) for t in make_tasks(trace_paths, with_mmap=False)
-        ]
-        assert json.dumps(mmap_payloads, sort_keys=True) == json.dumps(
-            npz_payloads, sort_keys=True
-        )
+    def test_mapped_entry_matches_worker_generated(self, trace_paths):
+        mapped = [execute_cell(t) for t in make_tasks(trace_paths)]
+        generated = [execute_cell(t) for t in make_tasks(None)]
+        assert runtime_counters()["transport.trace_loads"] == 2
+        assert payload_bytes(mapped) == payload_bytes(generated)
 
     def test_jobs2_identical_to_serial(self, trace_paths):
         tasks = make_tasks(trace_paths)
         serial = run_cells(tasks, jobs=1)
         parallel = run_cells(tasks, jobs=2)
         assert parallel == serial
+
+
+class TestWorkerFallback:
+    """A worker whose entry is unusable regenerates the trace."""
+
+    def clean_and_task(self, trace_paths):
+        task = make_tasks(trace_paths)[0]
+        clean = payload_bytes(execute_cell(task))
+        reset_runtime_registry()
+        transport.reset_for_tests()
+        return clean, task
+
+    def test_corrupted_entry_regenerates(self, trace_paths):
+        clean, task = self.clean_and_task(trace_paths)
+        with open(task.trace_path, "r+b") as handle:
+            handle.seek(0)
+            handle.write(b"PK\x03\x04 not a trace entry")
+        assert payload_bytes(execute_cell(task)) == clean
+        assert runtime_counters()["transport.mmap_unusable"] == 1
+
+    def test_deleted_entry_regenerates(self, cache, trace_paths):
+        clean, task = self.clean_and_task(trace_paths)
+        assert cache.prune(0) == 2  # e.g. a concurrent prune
+        assert not os.path.exists(task.trace_path)
+        assert payload_bytes(execute_cell(task)) == clean
+        assert runtime_counters()["transport.mmap_unusable"] == 1
 
 
 class TestKillRecovery:
@@ -153,8 +182,8 @@ class TestKillRecovery:
 
     def test_sigkill_restart_rebuilds_nothing(self, trace_paths, chaos_dir):
         # A killed worker is respawned and its cell retried; the retry
-        # mmaps the same parent-built segment.  Results stay identical
-        # and the parent never rebuilds a segment.
+        # maps the same parent-written entry.  Results stay identical
+        # and the parent never rewrites an entry.
         tasks = make_tasks(trace_paths)
         expected = run_cells(tasks, jobs=1)
         builds_after_setup = runtime_counters()["transport.segment_builds"]

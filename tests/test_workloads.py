@@ -1,5 +1,7 @@
 """Workloads: suite integrity, trace containers, the generator."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from repro.workloads.spec2k import (
     low_load_names,
     suite_names,
 )
-from repro.workloads.trace import Trace
+from repro.workloads.trace import RECORD_DTYPE, Trace
 from repro.workloads.tracegen import (
     BULK_BASE,
     HOT_BASE,
@@ -109,17 +111,38 @@ class TestTrace:
             )
 
     def test_save_load_roundtrip(self, tmp_path):
-        t = self._trace(10)
-        path = str(tmp_path / "trace.npz")
+        base = self._trace(10)
+        t = Trace(base.benchmark, base.gaps, base.addresses, np.arange(10) % 3 == 0)
+        path = str(tmp_path / "trace.npy")
         t.save(path)
-        loaded = Trace.load(path)
+        assert os.listdir(tmp_path) == ["trace.npy"]
+        loaded = Trace.load(path, t.benchmark, len(t))
         assert loaded.benchmark == t.benchmark
         assert np.array_equal(loaded.addresses, t.addresses)
         assert np.array_equal(loaded.gaps, t.gaps)
+        assert np.array_equal(loaded.writes, t.writes)
+        assert not loaded.addresses.flags.writeable  # a read-only map
 
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(ConfigurationError):
-            Trace.load(str(tmp_path / "nope.npz"))
+            Trace.load(str(tmp_path / "nope.npy"), "x", 10)
+
+    def test_load_rejects_wrong_layout(self, tmp_path):
+        t = self._trace(10)
+        path = str(tmp_path / "trace.npy")
+        t.save(path)
+        with pytest.raises(ConfigurationError, match="expected"):
+            Trace.load(path, t.benchmark, 11)
+        np.save(path, np.zeros(10, dtype=np.int64))  # wrong dtype
+        with pytest.raises(ConfigurationError, match="expected"):
+            Trace.load(path, t.benchmark, 10)
+        np.save(path, np.zeros((10, 1), dtype=RECORD_DTYPE))  # wrong shape
+        with pytest.raises(ConfigurationError, match="expected"):
+            Trace.load(path, t.benchmark, 10)
+        with open(path, "wb") as handle:
+            handle.write(b"not a .npy at all")
+        with pytest.raises(ConfigurationError, match="unreadable"):
+            Trace.load(path, t.benchmark, 10)
 
 
 class TestTraceGenerator:
