@@ -3,8 +3,8 @@
 A compact version of the paper's §5.2–5.3 exploration on a single
 benchmark: how the number of d-groups and the promotion policy trade
 fast-group hits against swap traffic.  The ten runs are independent,
-so the grid goes through the process-pool cell executor — pass a jobs
-count to spread them over cores (results are identical for any value).
+so the grid goes through the cell executor — pass a jobs count to
+spread them over worker processes (results are identical for any value).
 
 Run:  python examples/design_space.py [benchmark] [jobs]
 """
@@ -16,37 +16,36 @@ from repro.nurapid.config import PromotionPolicy
 from repro.sim import base_config, nurapid_config
 from repro.sim.parallel import CellTask, run_cells
 from repro.sim.results import run_result_from_dict
-from repro.workloads import generate_trace, get_benchmark
+from repro.workloads.tracegen import trace_entries
 
 
 def main() -> None:
     benchmark = sys.argv[1] if len(sys.argv) > 1 else "galgel"
     jobs = int(sys.argv[2]) if len(sys.argv) > 2 else 1
-    profile = get_benchmark(benchmark)
-    trace = generate_trace(profile, 300_000, seed=1)
-
     grid = [base_config()] + [
         nurapid_config(n_dgroups=n, promotion=policy)
         for n in (2, 4, 8)
         for policy in PromotionPolicy
     ]
-    tasks = [
-        CellTask(
-            index=i,
-            config=config,
-            benchmark=benchmark,
-            n_references=300_000,
-            seed=1,
-            warmup_fraction=0.4,
-            trace=trace,
-            isolate_errors=False,
-        )
-        for i, config in enumerate(grid)
-    ]
-    results = [
-        run_result_from_dict(payload["result"])
-        for payload in run_cells(tasks, jobs)
-    ]
+    # Every cell replays the benchmark's one trace-cache entry.
+    with trace_entries([benchmark], 300_000, seed=1) as trace_paths:
+        tasks = [
+            CellTask(
+                index=i,
+                config=config,
+                benchmark=benchmark,
+                n_references=300_000,
+                seed=1,
+                warmup_fraction=0.4,
+                trace_path=trace_paths[benchmark],
+                isolate_errors=False,
+            )
+            for i, config in enumerate(grid)
+        ]
+        results = [
+            run_result_from_dict(payload["result"])
+            for payload in run_cells(tasks, jobs)
+        ]
     base, rest = results[0], results[1:]
 
     print("Physical design (from the mini-Cacti + floorplan models):")

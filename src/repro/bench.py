@@ -2,13 +2,12 @@
 
 The standard workload is one NuRAPID and one S-NUCA configuration over
 galgel and twolf.  Every invocation replays it serially and checks
-that the :mod:`repro.sim.parallel` process pool returns the same
-results; each flag adds one more check::
+that :func:`repro.sim.parallel.run_cells` on the supervised worker pool
+returns the same results; each flag adds one more check::
 
     python -m repro.bench                       # serial == pool
     python -m repro.bench --engine-parity       # legacy == vectorized, bytes
     python -m repro.bench --approx-accuracy     # approx within APPROX_TOLERANCES
-    python -m repro.bench --refs 60000 --supervised
     python -m repro.bench --service             # 2 clients, served == serial
     python -m repro.bench --cmp                 # CmpConfig(cores=1) == no cmp
     python -m repro.bench --telemetry           # armed results == unarmed
@@ -28,13 +27,11 @@ import shutil
 import sys
 import tempfile
 import time
-from functools import partial
 from typing import Dict, List, Optional
 
 from dataclasses import replace as config_replace
 
 from repro.nurapid.config import DistanceReplacementKind, PromotionPolicy
-from repro.resilience.supervisor import SupervisorConfig, run_cells_supervised
 from repro.sim.config import (
     EXACT_ENGINES,
     SystemConfig,
@@ -57,9 +54,6 @@ DEFAULT_REFS = 120_000
 BENCHMARKS = ["galgel", "twolf"]
 SEED = 1
 WARMUP = 0.4
-#: ``--supervised`` fails if the supervised pass takes more than this
-#: fraction longer than the plain pool on the same workload.
-MAX_SUPERVISED_OVERHEAD = 0.10
 
 #: Workload for the ``--cmp`` check.
 CMP_BENCHMARK = "twolf"
@@ -107,7 +101,7 @@ def accuracy_matrix_configs() -> List[SystemConfig]:
 
 
 def pool_jobs() -> int:
-    """Workers for the pooled, supervised and served passes."""
+    """Workers for the pooled and served passes."""
     return min(4, os.cpu_count() or 1)
 
 
@@ -156,29 +150,6 @@ def _differences(expected: Results, actual: Results, what: str) -> List[str]:
 def pool_parity(serial: Results, trace_paths, refs: int) -> List[str]:
     """The ``run_cells`` pool must return the serial results."""
     return _differences(serial, _pooled(run_cells, trace_paths, refs), "pool results")
-
-
-def supervised_check(serial: Results, trace_paths, refs: int) -> List[str]:
-    """The supervisor must return the serial results, at a bounded tax.
-
-    No faults are injected, so the wall-clock difference from the plain
-    pool is the pure supervision tax: worker pipes, deadline
-    bookkeeping and result plumbing.
-    """
-    started = time.perf_counter()
-    _pooled(run_cells, trace_paths, refs)
-    pool_s = time.perf_counter() - started
-    started = time.perf_counter()
-    supervised = _pooled(
-        partial(run_cells_supervised, config=SupervisorConfig()), trace_paths, refs
-    )
-    supervised_s = time.perf_counter() - started
-    mismatches = _differences(serial, supervised, "supervised results")
-    overhead = supervised_s / pool_s - 1.0
-    print(f"supervised {supervised_s:.3f}s vs pool {pool_s:.3f}s: {overhead:+.1%}")
-    if overhead > MAX_SUPERVISED_OVERHEAD:
-        mismatches.append(f"overhead {overhead:+.1%} > {MAX_SUPERVISED_OVERHEAD:.0%}")
-    return mismatches
 
 
 def service_parity(serial: Results, refs: int) -> List[str]:
@@ -426,8 +397,6 @@ def main(argv=None) -> int:
         f"{' and '.join(EXACT_ENGINES)}",
         "--approx-accuracy": "engine=approx within APPROX_TOLERANCES of the "
         f"exact tier (7 configs x 3 seeds, {APPROX_BENCHMARK})",
-        "--supervised": "supervised results == serial, and supervised wall "
-        f"<= {1 + MAX_SUPERVISED_OVERHEAD:.2f} x pool wall",
         "--service": "two concurrent job-server clients each get the serial "
         "payloads, byte for byte",
         "--cmp": f"CmpConfig(cores=1) byte-identical to no cmp block ({CMP_BENCHMARK})",
@@ -460,10 +429,6 @@ def main(argv=None) -> int:
         mismatches += _report(
             f"serial == pool (jobs={pool_jobs()})", pool_parity(serial, paths, refs)
         )
-        if args.supervised:
-            mismatches += _report(
-                "serial == supervised", supervised_check(serial, paths, refs)
-            )
         if args.service:
             mismatches += _report("serial == service", service_parity(serial, refs))
         if args.cmp:

@@ -60,19 +60,13 @@ def main(argv=None) -> int:
         help="also render distribution figures as ASCII stacked bars",
     )
     parser.add_argument(
-        "--supervise",
-        action="store_true",
-        help="run grid cells through the supervised execution layer "
-        "(worker deadlines, crash retry, degradation to serial); "
-        "results are identical to unsupervised runs",
-    )
-    parser.add_argument(
         "--cell-timeout",
         type=float,
         default=None,
         metavar="SECONDS",
-        help="with --supervise, kill and retry any cell exceeding this "
-        "wall-clock budget (default: no per-cell deadline)",
+        help="run grid cells on the supervised worker pool (also at "
+        "--jobs 1) and kill and retry any cell attempt exceeding this "
+        "wall-clock deadline (default: no per-cell deadline)",
     )
     parser.add_argument(
         "--telemetry",
@@ -109,9 +103,9 @@ def main(argv=None) -> int:
         parser.error(str(exc))
     if args.telemetry is not None:
         set_default_telemetry(telemetry_from_env(args.telemetry))
-    if args.cell_timeout is not None and not args.supervise:
-        parser.error("--cell-timeout requires --supervise")
-    if args.supervise:
+    if args.cell_timeout is not None:
+        if not args.cell_timeout > 0:
+            parser.error(f"--cell-timeout must be positive, got {args.cell_timeout}")
         from repro.resilience.supervisor import SupervisorConfig
 
         set_default_supervisor(

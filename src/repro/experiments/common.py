@@ -6,11 +6,11 @@ them once.  Every experiment returns an :class:`ExperimentReport` that
 renders to the same aligned-text table the paper's figure/table would.
 
 Experiments declare their ``configs x benchmarks`` grids through
-:func:`run_matrix`, which farms uncached cells out to worker processes
-(:mod:`repro.sim.parallel`) when a jobs count above one is in effect —
-set process-wide by the CLI's ``--jobs`` flag via
-:func:`set_default_jobs`, or by ``REPRO_JOBS`` in the environment.
-Parallel cells are seeded identically to serial ones, so the cached
+:func:`run_matrix`, which farms uncached cells out to the supervised
+worker pool (:func:`repro.sim.parallel.run_cells`) when a jobs count
+above one is in effect — set process-wide by the CLI's ``--jobs`` flag
+via :func:`set_default_jobs`, or by ``REPRO_JOBS`` in the environment.
+Pooled cells are seeded identically to serial ones, so the cached
 results are bit-identical either way.
 """
 
@@ -104,21 +104,19 @@ def default_telemetry() -> Optional[TelemetryConfig]:
 
 
 def set_default_supervisor(supervisor) -> None:
-    """Set the process-wide supervised-execution config (None: off).
+    """Set the process-wide supervisor config (None: the default).
 
-    The CLI's ``--supervise`` / ``--cell-timeout`` flags land here with
-    a :class:`repro.resilience.SupervisorConfig`.  When set,
-    :func:`run_matrix` routes uncached cells through
-    :func:`repro.resilience.run_cells_supervised` — even at ``jobs=1``,
-    since the point of supervision (deadlines, crash recovery) applies
-    to single-worker runs too.
+    The CLI's ``--cell-timeout`` flag lands here with a
+    :class:`repro.resilience.SupervisorConfig`; :func:`run_matrix` then
+    pools uncached cells under it even at ``jobs=1``, so the deadline
+    stays enforceable.
     """
     global _DEFAULT_SUPERVISOR
     _DEFAULT_SUPERVISOR = supervisor
 
 
 def default_supervisor():
-    """The effective supervision config, or None when unsupervised."""
+    """The process-wide supervisor config, or None for the default."""
     return _DEFAULT_SUPERVISOR
 
 
@@ -207,12 +205,10 @@ def run_matrix(
     :func:`cached_run` calls for the same cells are hits.  Any run
     error raises, exactly like the serial path.
 
-    When a process-wide supervisor is set
-    (:func:`set_default_supervisor`, via the CLI's ``--supervise``),
-    uncached cells always go through
-    :func:`repro.resilience.run_cells_supervised` — also at ``jobs=1``
-    — gaining wall-clock deadlines and crash recovery; results stay
-    bit-identical to the unsupervised paths.
+    With a process-wide supervisor config
+    (:func:`set_default_supervisor`, via the CLI's ``--cell-timeout``),
+    uncached cells always run pooled under it, also at ``jobs=1``;
+    results stay bit-identical to the serial path.
     """
     jobs = default_jobs() if jobs is None else jobs
     if jobs < 1:
@@ -249,12 +245,7 @@ def run_matrix(
                 )
                 for index, (config, benchmark) in enumerate(pending)
             ]
-            if supervisor is not None:
-                from repro.resilience.supervisor import run_cells_supervised
-
-                payloads = run_cells_supervised(tasks, jobs, config=supervisor)
-            else:
-                payloads = run_cells(tasks, jobs)
+            payloads = run_cells(tasks, jobs, supervisor=supervisor)
         for payload in payloads:
             config, benchmark = pending[payload["index"]]
             _RUN_CACHE[_run_key(config, benchmark, scale)] = run_result_from_dict(

@@ -1,21 +1,22 @@
 """repro.resilience — the supervised execution layer.
 
-The process-pool engine (:mod:`repro.sim.parallel`) made grids fast;
-this package makes them survivable, which is the posture a long-lived
-sweep service needs: every cell execution is *bounded* (wall-clock
-deadlines with SIGKILL enforcement), *recoverable* (crash/hang retry
-with deterministic backoff, pool rebuilds, graceful degradation to
-serial), and *verifiable* (checksummed checkpoints and trace-cache
-entries, per-record seals, salvage instead of refusal, and runtime
-counters for everything the supervisor did).
+Every pooled cell runs on this package's supervised worker pool, which
+is the posture a long-lived sweep service needs: every cell execution
+is *bounded* (wall-clock deadlines with SIGKILL enforcement),
+*recoverable* (crash/hang retry with deterministic backoff, worker
+respawns, graceful degradation to serial), and *verifiable*
+(checksummed checkpoints and trace-cache entries, per-record seals,
+salvage instead of refusal, and runtime counters for everything the
+supervisor did).
 
 Entry points:
 
-* :func:`run_cells_supervised` / :class:`SupervisorConfig` — drop-in
-  supervised replacement for :func:`repro.sim.parallel.run_cells`;
-  reached from ``Sweep(supervisor=...)``, ``run_matrix``'s default
-  supervisor, and ``python -m repro.bench --supervised`` (result parity
-  and a 10% bound on the no-fault supervision tax).
+* :func:`run_cells_supervised` / :class:`SupervisorConfig` — the
+  pooled path of :func:`repro.sim.parallel.run_cells`, which is how
+  ``Sweep``, ``run_matrix``, ``run_suite`` and the CLIs reach it;
+  ``Sweep(supervisor=...)`` and ``run_matrix``'s default supervisor
+  tune it.  :class:`WorkerPool` is the pool itself, whose worker slots
+  live across calls (the job server holds one per worker task).
 * :mod:`repro.resilience.checkpoint` — checkpoint format v2 (checksum,
   record seals, v1 migration shim, structural salvage).
 * :class:`FileLock` — cross-process locking for shared cache and
@@ -49,7 +50,12 @@ from repro.resilience.locks import FileLock, LockTimeout
 # integrity/locking primitives.  Loading the supervisor lazily (PEP
 # 562) keeps that a DAG at import time while preserving
 # ``from repro.resilience import run_cells_supervised``.
-_SUPERVISOR_EXPORTS = ("SupervisorConfig", "backoff_s", "run_cells_supervised")
+_SUPERVISOR_EXPORTS = (
+    "SupervisorConfig",
+    "WorkerPool",
+    "backoff_s",
+    "run_cells_supervised",
+)
 
 
 def __getattr__(name):
@@ -65,6 +71,7 @@ __all__ = [
     "FileLock",
     "LockTimeout",
     "SupervisorConfig",
+    "WorkerPool",
     "backoff_s",
     "cells_checksum",
     "read_checkpoint",

@@ -1,18 +1,20 @@
 """Supervised cell execution: bounded, recoverable, verifiable.
 
-:func:`repro.sim.parallel.run_cells` is fast and bit-identical to
-serial execution, but it trusts its workers: a hung worker stalls
-``as_completed`` forever, and a worker killed by the OS (OOM, chaos)
-breaks the whole pool.  This module is the supervision layer the
-simulation-as-a-service roadmap item schedules onto — the same
-:class:`~repro.sim.parallel.CellTask` payloads and result dictionaries,
-wrapped in a parent-side supervisor that makes every cell:
+The one multi-process cell executor: a :class:`WorkerPool` of
+long-lived workers, each behind a duplex pipe, that run the same
+:class:`~repro.sim.parallel.CellTask` payloads as the serial loop of
+:func:`~repro.sim.parallel.run_cells` and return the same result
+dictionaries.  ``run_cells`` reaches it through
+:func:`run_cells_supervised`; the job server holds one single-slot pool
+per worker task.  Workers run the ``execute_cell`` named when the pool
+opens: forked ones inherit the function, spawned ones receive it by
+reference as their target argument.  The supervisor makes every cell:
 
 * **bounded** — each attempt gets a wall-clock deadline (the cell's
   ``budget_s``, overridden by :attr:`SupervisorConfig.cell_timeout_s`);
   a worker past its deadline is SIGKILLed and the slot respawned.
-  This is the *true* per-attempt budget the serial path cannot provide
-  (in-process code can't be preempted; see ``CellTask.budget_s``).
+  In-process code cannot be preempted, so this is the only place a
+  budget is a true per-attempt deadline (see ``CellTask.budget_s``).
 * **recoverable** — a killed or crashed worker's cell is resubmitted
   unchanged (``execute_cell`` is deterministic, so the recovered run is
   bit-identical to an uninterrupted one), after an exponential backoff
@@ -29,9 +31,10 @@ Cells that keep killing their worker are **quarantined**: recorded as
 failed outcomes (``error_type`` ``WorkerTimeoutError`` /
 ``WorkerCrashError``) for isolated (sweep-style) cells, raised in the
 parent for non-isolated (suite-style) ones.  Exceptions *returned* by a
-worker follow :func:`~repro.sim.parallel.run_cells` semantics exactly:
-isolated :class:`~repro.common.errors.ReproError` becomes a failed
-payload inside the worker; anything else re-raises in the parent.
+worker follow the in-process semantics of
+:func:`~repro.sim.parallel.execute_cell`: an isolated
+:class:`~repro.common.errors.ReproError` becomes a failed payload
+inside the worker; anything else re-raises in the parent.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ from repro.common.errors import (
 )
 from repro.common.rng import derive_seed
 from repro.resilience import chaos
-from repro.sim.parallel import CellTask, execute_cell
+from repro.sim.parallel import CellTask
 from repro.telemetry.registry import StatRegistry
 from repro.telemetry.runtime import runtime_registry
 
@@ -65,7 +68,7 @@ class SupervisorConfig:
 
     ``cell_timeout_s`` is the wall-clock deadline per dispatched
     attempt; ``None`` defers to each task's own ``budget_s`` (and a
-    task with neither runs unbounded, exactly like the plain pool).
+    task with neither runs unbounded).
     A cell whose worker is killed (deadline or crash) more than
     ``max_worker_kills`` times is quarantined.  ``max_pool_breaks``
     worker *crashes* (not deadline kills — those are the supervisor's
@@ -74,7 +77,8 @@ class SupervisorConfig:
     ``min(backoff_base_s * 2**(k-1), backoff_cap_s)`` plus a
     deterministic jitter of up to ``backoff_jitter`` times that value,
     derived from the task's seed and index so reruns back off
-    identically.
+    identically.  ``mp_context`` names the start method of the worker
+    processes (default: the platform's).
     """
 
     cell_timeout_s: Optional[float] = None
@@ -122,31 +126,30 @@ def _attempt_timeout(task: CellTask, config: SupervisorConfig) -> Optional[float
     return task.budget_s
 
 
-def _worker_main(conn) -> None:
-    """Long-lived worker loop: recv task, execute, send result.
+def _worker_main(conn, execute: Callable[[CellTask], Dict[str, object]]) -> None:
+    """Long-lived worker loop: recv task, ``execute`` it, send result.
 
     Protocol messages back to the parent: ``("ok", payload)`` for a
     completed cell (including isolated-failure payloads), ``("raise",
-    exc)`` for exceptions that must propagate in the parent.  A ``None``
-    task is the shutdown sentinel.
+    exc)`` for exceptions that must propagate in the parent.  The
+    worker exits when the parent closes the pipe (or kills it).
     """
     while True:
         try:
             task = conn.recv()
         except (EOFError, OSError, KeyboardInterrupt):
             return
-        if task is None:
-            conn.close()
-            return
         try:
             chaos.probe(task.index)
-            message = ("ok", execute_cell(task))
+            message = ("ok", execute(task))
         except KeyboardInterrupt:
             return
         except BaseException as exc:  # noqa: BLE001 - shipped to parent
             message = ("raise", exc)
         try:
             conn.send(message)
+        except OSError:  # the parent is gone (e.g. a kill -9'd server)
+            return
         except Exception:
             if message[0] == "raise":
                 conn.send(
@@ -180,6 +183,253 @@ class _Slot:
             pass
 
 
+class WorkerPool:
+    """Up to ``jobs`` supervised worker slots that live across calls.
+
+    Slots spawn on first use and stay up between :meth:`run` calls, so
+    a long-lived owner (the job server) pays process start-up once;
+    :meth:`close` shuts them down.  ``execute`` is the function workers
+    run (default: ``repro.sim.parallel.execute_cell`` as named when the
+    pool opens).  One :meth:`run` at a time per pool.
+    """
+
+    def __init__(
+        self,
+        jobs: int,
+        config: Optional[SupervisorConfig] = None,
+        registry: Optional[StatRegistry] = None,
+        execute: Optional[Callable[[CellTask], Dict[str, object]]] = None,
+    ) -> None:
+        if jobs < 1:
+            raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
+        if execute is None:
+            from repro.sim import parallel
+
+            execute = parallel.execute_cell
+        self.jobs = jobs
+        self.config = config or SupervisorConfig()
+        self.registry = registry if registry is not None else runtime_registry()
+        self.execute = execute
+        self._ctx = multiprocessing.get_context(self.config.mp_context)
+        self._slots: List[_Slot] = []
+        self._closed = False
+
+    def __enter__(self) -> "WorkerPool":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Stop every worker; a :meth:`run` in progress then raises."""
+        self._closed = True
+        slots, self._slots = self._slots, []
+        for slot in slots:
+            slot.kill()
+
+    def _spawn(self) -> _Slot:
+        if self._closed:
+            raise SimulationError("worker pool is closed")
+        parent_conn, child_conn = self._ctx.Pipe(duplex=True)
+        proc = self._ctx.Process(
+            target=_worker_main, args=(child_conn, self.execute), daemon=True
+        )
+        proc.start()
+        child_conn.close()
+        return _Slot(proc, parent_conn)
+
+    def run(
+        self,
+        tasks: Sequence[CellTask],
+        callback: Optional[Callable[[Dict[str, object]], None]] = None,
+    ) -> List[Dict[str, object]]:
+        """Execute ``tasks`` on the pool; payloads in submission order.
+
+        ``callback`` fires in the caller as each cell completes (in
+        completion order).  Supervision follows the module docstring.
+        """
+        config = self.config
+        registry = self.registry
+        tasks = list(tasks)
+        if not tasks:
+            return []
+
+        payloads: List[Optional[Dict[str, object]]] = [None] * len(tasks)
+        ready: deque = deque(range(len(tasks)))
+        delayed: List = []  # heap of (ready_at, position)
+        kills: Dict[int, int] = {}
+        outstanding = len(tasks)
+        pool_breaks = 0
+        degraded = False
+        slots = self._slots
+
+        def record(position: int, payload: Dict[str, object]) -> None:
+            nonlocal outstanding
+            payloads[position] = payload
+            outstanding -= 1
+            if callback is not None:
+                callback(payload)
+
+        def respawn(slot: _Slot) -> None:
+            if not degraded:
+                slots[slots.index(slot)] = self._spawn()
+                registry.add("supervisor.pool_rebuilds")
+
+        def strike(slot: _Slot, cause: str) -> None:
+            """Handle one dead-or-killed worker: retry or quarantine."""
+            nonlocal pool_breaks, degraded
+            position = slot.position
+            slot.position = None
+            slot.deadline = None
+            slot.kill()
+            registry.add(f"supervisor.{'timeouts' if cause == 'timeout' else 'crashes'}")
+            if cause == "crash":
+                pool_breaks += 1
+            if position is not None:
+                task = tasks[position]
+                count = kills.get(position, 0) + 1
+                kills[position] = count
+                if count > config.max_worker_kills:
+                    registry.add("supervisor.quarantined")
+                    timeout = _attempt_timeout(task, config)
+                    if cause == "timeout":
+                        error: Exception = WorkerTimeoutError(
+                            task.index, timeout or 0.0, count
+                        )
+                    else:
+                        error = WorkerCrashError(task.index, count)
+                    if not task.isolate_errors:
+                        raise error
+                    record(
+                        position,
+                        {
+                            "index": task.index,
+                            "outcome": {
+                                "status": "failed",
+                                "attempts": count,
+                                "error": str(error),
+                                "error_type": type(error).__name__,
+                            },
+                            "result": None,
+                        },
+                    )
+                else:
+                    registry.add("supervisor.retries")
+                    heapq.heappush(
+                        delayed,
+                        (time.monotonic() + backoff_s(config, task, count), position),
+                    )
+            if pool_breaks >= config.max_pool_breaks and not degraded:
+                degraded = True
+                registry.add("supervisor.degraded")
+                warnings.warn(
+                    f"worker pool broke {pool_breaks} times; degrading to "
+                    "in-process serial execution (deadlines no longer enforced)",
+                    RuntimeWarning,
+                    stacklevel=4,
+                )
+
+        try:
+            while len(slots) < min(self.jobs, len(tasks)):
+                slots.append(self._spawn())
+            while outstanding:
+                if self._closed:
+                    raise SimulationError("worker pool closed mid-run")
+                now = time.monotonic()
+                while delayed and delayed[0][0] <= now:
+                    ready.append(heapq.heappop(delayed)[1])
+
+                if degraded:
+                    # Reclaim in-flight cells, then drain everything
+                    # in-process, in submission order, with the serial
+                    # semantics (no deadline enforcement possible).
+                    for slot in slots:
+                        if slot.position is not None:
+                            ready.append(slot.position)
+                        slot.kill()
+                    slots.clear()
+                    remaining = sorted(
+                        set(ready) | {position for _, position in delayed}
+                    )
+                    ready.clear()
+                    delayed.clear()
+                    for position in remaining:
+                        record(position, self.execute(tasks[position]))
+                    break
+
+                # Dispatch ready cells onto idle workers.
+                for slot in list(slots):
+                    if slot.position is None and ready:
+                        position = ready.popleft()
+                        try:
+                            slot.conn.send(tasks[position])
+                        except (OSError, ValueError):
+                            # Worker died while idle; respawn and retry
+                            # the dispatch next iteration.
+                            ready.appendleft(position)
+                            strike(slot, "crash")
+                            respawn(slot)
+                            continue
+                        slot.position = position
+                        timeout = _attempt_timeout(tasks[position], config)
+                        slot.deadline = (
+                            None if timeout is None else time.monotonic() + timeout
+                        )
+                if degraded:
+                    continue
+
+                busy = [slot for slot in slots if slot.position is not None]
+                if not busy:
+                    if delayed:
+                        time.sleep(max(0.0, delayed[0][0] - time.monotonic()))
+                    continue
+
+                horizons = [s.deadline for s in busy if s.deadline is not None]
+                if delayed:
+                    horizons.append(delayed[0][0])
+                wait_timeout = (
+                    None
+                    if not horizons
+                    else max(0.0, min(horizons) - time.monotonic()) + 0.005
+                )
+                ready_conns = mp_connection.wait(
+                    [slot.conn for slot in busy], timeout=wait_timeout
+                )
+                for conn in ready_conns:
+                    slot = next(s for s in slots if s.conn is conn)
+                    try:
+                        kind, value = conn.recv()
+                    except (EOFError, OSError):
+                        strike(slot, "crash")
+                        respawn(slot)
+                        continue
+                    if kind == "ok":
+                        position = slot.position
+                        slot.position = None
+                        slot.deadline = None
+                        kills.pop(position, None)
+                        record(position, value)  # type: ignore[arg-type]
+                    else:
+                        raise value
+                now = time.monotonic()
+                for slot in list(slots):
+                    if (
+                        slot.position is not None
+                        and slot.deadline is not None
+                        and now >= slot.deadline
+                    ):
+                        strike(slot, "timeout")
+                        respawn(slot)
+        finally:
+            # Only idle, live workers carry over to the next run: a slot
+            # still holding a cell was interrupted mid-attempt.
+            for slot in list(slots):
+                if self._closed or slot.position is not None or not slot.proc.is_alive():
+                    slot.kill()
+                    slots.remove(slot)
+        return payloads  # type: ignore[return-value]
+
+
 def run_cells_supervised(
     tasks: Sequence[CellTask],
     jobs: int,
@@ -187,206 +437,14 @@ def run_cells_supervised(
     callback: Optional[Callable[[Dict[str, object]], None]] = None,
     registry: Optional[StatRegistry] = None,
 ) -> List[Dict[str, object]]:
-    """Drop-in supervised :func:`~repro.sim.parallel.run_cells`.
+    """Run ``tasks`` on a :class:`WorkerPool` opened for this call.
 
-    Same signature contract — payloads in submission order, ``callback``
-    fired in completion order — plus the supervision semantics described
-    in the module docstring.  ``jobs=1`` still runs the cell in a (single)
-    worker process so deadlines stay enforceable; only repeated pool
-    breaks degrade to true in-process execution.
+    The pooled path of :func:`~repro.sim.parallel.run_cells`: payloads
+    in submission order, ``callback`` fired in completion order, plus
+    the supervision semantics described in the module docstring.
+    ``jobs=1`` still runs the cells in a (single) worker process so
+    deadlines stay enforceable; only repeated pool breaks degrade to
+    true in-process execution.
     """
-    config = config or SupervisorConfig()
-    registry = registry if registry is not None else runtime_registry()
-    if jobs < 1:
-        raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
-    tasks = list(tasks)
-    if not tasks:
-        return []
-
-    payloads: List[Optional[Dict[str, object]]] = [None] * len(tasks)
-    ready: deque = deque(range(len(tasks)))
-    delayed: List = []  # heap of (ready_at, position)
-    kills: Dict[int, int] = {}
-    outstanding = len(tasks)
-    pool_breaks = 0
-    degraded = False
-    slots: List[_Slot] = []
-    ctx = (
-        multiprocessing.get_context(config.mp_context)
-        if config.mp_context
-        else multiprocessing.get_context()
-    )
-
-    def spawn() -> _Slot:
-        parent_conn, child_conn = ctx.Pipe(duplex=True)
-        proc = ctx.Process(target=_worker_main, args=(child_conn,), daemon=True)
-        proc.start()
-        child_conn.close()
-        return _Slot(proc, parent_conn)
-
-    def record(position: int, payload: Dict[str, object]) -> None:
-        nonlocal outstanding
-        payloads[position] = payload
-        outstanding -= 1
-        if callback is not None:
-            callback(payload)
-
-    def strike(slot: _Slot, cause: str) -> None:
-        """Handle one dead-or-killed worker: retry, quarantine, respawn."""
-        nonlocal pool_breaks, degraded
-        position = slot.position
-        slot.position = None
-        slot.deadline = None
-        slot.kill()
-        registry.add(f"supervisor.{'timeouts' if cause == 'timeout' else 'crashes'}")
-        if cause == "crash":
-            pool_breaks += 1
-        if position is not None:
-            task = tasks[position]
-            count = kills.get(position, 0) + 1
-            kills[position] = count
-            if count > config.max_worker_kills:
-                registry.add("supervisor.quarantined")
-                timeout = _attempt_timeout(task, config)
-                if cause == "timeout":
-                    error: Exception = WorkerTimeoutError(
-                        task.index, timeout or 0.0, count
-                    )
-                else:
-                    error = WorkerCrashError(task.index, count)
-                if not task.isolate_errors:
-                    raise error
-                record(
-                    position,
-                    {
-                        "index": task.index,
-                        "outcome": {
-                            "status": "failed",
-                            "attempts": count,
-                            "error": str(error),
-                            "error_type": type(error).__name__,
-                        },
-                        "result": None,
-                    },
-                )
-            else:
-                registry.add("supervisor.retries")
-                heapq.heappush(
-                    delayed,
-                    (time.monotonic() + backoff_s(config, task, count), position),
-                )
-        if pool_breaks >= config.max_pool_breaks and not degraded:
-            degraded = True
-            registry.add("supervisor.degraded")
-            warnings.warn(
-                f"worker pool broke {pool_breaks} times; degrading to "
-                "in-process serial execution (deadlines no longer enforced)",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-
-    def reap_expired(now: float) -> None:
-        for slot in slots:
-            if (
-                slot.position is not None
-                and slot.deadline is not None
-                and now >= slot.deadline
-            ):
-                strike(slot, "timeout")
-                if not degraded:
-                    slots[slots.index(slot)] = spawn()
-                    registry.add("supervisor.pool_rebuilds")
-
-    try:
-        slots = [spawn() for _ in range(min(jobs, len(tasks)))]
-        while outstanding:
-            now = time.monotonic()
-            while delayed and delayed[0][0] <= now:
-                ready.append(heapq.heappop(delayed)[1])
-
-            if degraded:
-                # Reclaim in-flight cells, then drain everything
-                # in-process, in submission order, with run_cells'
-                # serial semantics (no deadline enforcement possible).
-                for slot in slots:
-                    if slot.position is not None:
-                        ready.append(slot.position)
-                    slot.kill()
-                slots = []
-                remaining = sorted(
-                    set(ready) | {position for _, position in delayed}
-                )
-                ready.clear()
-                delayed.clear()
-                for position in remaining:
-                    record(position, execute_cell(tasks[position]))
-                break
-
-            # Dispatch ready cells onto idle workers.
-            for index, slot in enumerate(slots):
-                if slot.position is None and ready:
-                    position = ready.popleft()
-                    try:
-                        slot.conn.send(tasks[position])
-                    except (OSError, ValueError):
-                        # Worker died while idle; respawn and retry the
-                        # dispatch next iteration.
-                        ready.appendleft(position)
-                        strike(slot, "crash")
-                        if not degraded:
-                            slots[index] = spawn()
-                            registry.add("supervisor.pool_rebuilds")
-                        continue
-                    slot.position = position
-                    timeout = _attempt_timeout(tasks[position], config)
-                    slot.deadline = (
-                        None if timeout is None else time.monotonic() + timeout
-                    )
-            if degraded:
-                continue
-
-            busy = [slot for slot in slots if slot.position is not None]
-            if not busy:
-                if delayed:
-                    time.sleep(max(0.0, delayed[0][0] - time.monotonic()))
-                continue
-
-            horizons = [s.deadline for s in busy if s.deadline is not None]
-            if delayed:
-                horizons.append(delayed[0][0])
-            wait_timeout = (
-                None
-                if not horizons
-                else max(0.0, min(horizons) - time.monotonic()) + 0.005
-            )
-            ready_conns = mp_connection.wait(
-                [slot.conn for slot in busy], timeout=wait_timeout
-            )
-            for conn in ready_conns:
-                slot = next(s for s in slots if s.conn is conn)
-                try:
-                    kind, value = conn.recv()
-                except (EOFError, OSError):
-                    strike(slot, "crash")
-                    if not degraded:
-                        slots[slots.index(slot)] = spawn()
-                        registry.add("supervisor.pool_rebuilds")
-                    continue
-                if kind == "ok":
-                    position = slot.position
-                    slot.position = None
-                    slot.deadline = None
-                    kills.pop(position, None)
-                    record(position, value)  # type: ignore[arg-type]
-                else:
-                    raise value
-            reap_expired(time.monotonic())
-    finally:
-        for slot in slots:
-            if slot.position is None and slot.proc.is_alive():
-                try:
-                    slot.conn.send(None)
-                except (OSError, ValueError):
-                    pass
-            slot.kill()
-    return payloads  # type: ignore[return-value]
+    with WorkerPool(jobs, config, registry) as pool:
+        return pool.run(tasks, callback)

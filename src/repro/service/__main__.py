@@ -48,7 +48,6 @@ def _serve(args: argparse.Namespace) -> int:
         max_entries=args.max_entries,
         trace_cache_dir=args.trace_cache,
         default_engine=args.engine,
-        supervised=args.supervised,
         cell_timeout_s=args.cell_timeout,
     )
 
@@ -60,7 +59,10 @@ def _serve(args: argparse.Namespace) -> int:
             f"(store: {config.store_dir}, jobs: {config.jobs})",
             flush=True,
         )
-        await server.serve_forever()
+        try:
+            await server.serve_forever()
+        finally:
+            await server.stop()
 
     try:
         asyncio.run(main())
@@ -119,10 +121,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                        help="trace cache directory (default: <store>/traces)")
     serve.add_argument("--engine", choices=ENGINES, default=None,
                        help="engine for requests that name none")
-    serve.add_argument("--supervised", action="store_true",
-                       help="run cells under the supervised executor")
     serve.add_argument("--cell-timeout", type=float, default=None,
-                       help="per-cell deadline in seconds (supervised only)")
+                       help="per-attempt cell deadline in seconds; a worker "
+                       "past it is killed and the cell retried")
     serve.set_defaults(handler=_serve)
 
     submit = commands.add_parser("submit", help="submit a grid")
@@ -151,6 +152,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     stats.set_defaults(handler=_stats)
 
     args = parser.parse_args(argv)
+    if args.command == "serve" and args.cell_timeout is not None:
+        if not args.cell_timeout > 0:
+            serve.error(f"--cell-timeout must be positive, got {args.cell_timeout}")
     if args.command == "submit" and args.estimate_only:
         args.estimate = True
     return args.handler(args)

@@ -1,6 +1,7 @@
 """The asyncio job server: HTTP/1.1 + JSON over stdlib streams.
 
-Architecture (one event loop, ``jobs`` worker tasks, one process pool):
+Architecture (one event loop, ``jobs`` worker tasks, ``jobs`` worker
+processes):
 
 * **admission** (``POST /v1/jobs``) — parse and validate the grid,
   resolve engines, ensure each benchmark's shared trace exists in the
@@ -13,11 +14,13 @@ Architecture (one event loop, ``jobs`` worker tasks, one process pool):
   the submitting client's quota.  Quota exhaustion rejects the whole
   grid with HTTP 429 before admitting anything.
 * **execution** — each worker task awaits the scheduler (deficit
-  round robin across clients), runs the cell through the *existing*
-  executor — :func:`repro.sim.parallel.execute_cell` in a process
-  pool, or :func:`repro.resilience.run_cells_supervised` when the
-  server runs supervised — publishes first-attempt successes to the
-  store, and resolves every subscribed job cell.
+  round robin across clients) and runs the cell on a supervised worker
+  slot — a single-slot :class:`~repro.resilience.supervisor.WorkerPool`
+  of one spawned process that lives across cells and runs
+  :func:`repro.sim.parallel.execute_cell` under ``cell_timeout_s``.  A
+  worker that crashes or overruns is respawned and its cell retried,
+  as in every pooled run.  The task then publishes first-attempt
+  successes to the store and resolves every subscribed job cell.
 * **observation** — ``GET /v1/jobs/<id>`` returns job status with
   terminal cell payloads; ``GET /v1/jobs/<id>/events`` streams NDJSON
   progress (replaying history first, so late subscribers see the full
@@ -36,15 +39,14 @@ from __future__ import annotations
 
 import asyncio
 import json
-import multiprocessing
 import threading
 import uuid
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.common.errors import ConfigurationError, ReproError
+from repro.resilience.supervisor import SupervisorConfig, WorkerPool
 from repro.service.protocol import GridRequest, encode_event
 from repro.service.scheduler import FairShareScheduler, QuotaExceeded
 from repro.service.store import ResultStore
@@ -83,15 +85,16 @@ class ServerConfig:
     trace_cache_dir: Optional[str] = None
     #: Engine pinned onto requests that do not name one themselves.
     default_engine: Optional[str] = None
-    #: Route cells through the supervised executor (worker deadlines,
-    #: crash recovery) instead of the plain process pool.
-    supervised: bool = False
-    #: Per-attempt deadline under supervision (None: unbounded).
+    #: Per-attempt wall-clock deadline for a cell (None: unbounded).
     cell_timeout_s: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.jobs < 1:
             raise ConfigurationError(f"jobs must be >= 1, got {self.jobs}")
+        if self.cell_timeout_s is not None and not self.cell_timeout_s > 0:
+            raise ConfigurationError(
+                f"cell_timeout_s must be positive, got {self.cell_timeout_s}"
+            )
 
 
 @dataclass
@@ -163,17 +166,6 @@ class _Job:
         }
 
 
-def _supervised_cell(task: CellTask, timeout_s: Optional[float]):
-    """Run one cell under the supervised executor (in a thread)."""
-    from repro.resilience.supervisor import (
-        SupervisorConfig,
-        run_cells_supervised,
-    )
-
-    config = SupervisorConfig(cell_timeout_s=timeout_s)
-    return run_cells_supervised([task], 1, config=config)[0]
-
-
 def ensure_decoded(
     traces: TraceCache, request: GridRequest, benchmark: str
 ) -> str:
@@ -214,7 +206,11 @@ class SimulationServer:
         self.jobs: Dict[str, _Job] = {}
         #: key -> subscribed (job, cell_index) pairs for in-flight cells.
         self._inflight: Dict[str, List[Tuple[_Job, int]]] = {}
-        self._pool: Optional[Executor] = None
+        #: One single-slot worker pool per worker task; ``_idle`` holds
+        #: the ones not running a cell, ``_threads`` hosts their waits.
+        self._pools: List[WorkerPool] = []
+        self._idle: Optional[asyncio.Queue] = None
+        self._threads: Optional[ThreadPoolExecutor] = None
         self._workers: List[asyncio.Task] = []
         self._server: Optional[asyncio.base_events.Server] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
@@ -227,26 +223,26 @@ class SimulationServer:
         assert self._server is not None, "server not started"
         return self._server.sockets[0].getsockname()[1]
 
-    def _make_pool(self) -> Executor:
-        if self.config.supervised:
-            # Each supervised cell spawns and babysits its own worker
-            # process; the threads here only host the supervisors.
-            return ThreadPoolExecutor(
-                max_workers=self.config.jobs,
-                thread_name_prefix="repro-service-supervise",
-            )
+    async def start(self) -> None:
+        self._loop = asyncio.get_running_loop()
         # Spawned (not forked) workers: forking a threaded asyncio
         # parent is unsafe, and spawn keeps the listening socket out of
         # the children, so a kill -9'd server frees its port instantly
-        # instead of leaving it held by orphaned workers.
-        return ProcessPoolExecutor(
-            max_workers=self.config.jobs,
-            mp_context=multiprocessing.get_context("spawn"),
+        # instead of leaving it held by orphaned workers.  Workers run
+        # the execute_cell this module names now.
+        supervisor = SupervisorConfig(
+            cell_timeout_s=self.config.cell_timeout_s, mp_context="spawn"
         )
-
-    async def start(self) -> None:
-        self._loop = asyncio.get_running_loop()
-        self._pool = self._make_pool()
+        self._pools = [
+            WorkerPool(1, supervisor, self.registry, execute=execute_cell)
+            for _ in range(self.config.jobs)
+        ]
+        self._idle = asyncio.Queue()
+        for pool in self._pools:
+            self._idle.put_nowait(pool)
+        self._threads = ThreadPoolExecutor(
+            max_workers=self.config.jobs, thread_name_prefix="repro-service-cell"
+        )
         self._workers = [
             asyncio.create_task(self._worker_loop(), name=f"service-worker-{i}")
             for i in range(self.config.jobs)
@@ -267,8 +263,10 @@ class SimulationServer:
                 await worker
             except (asyncio.CancelledError, Exception):
                 pass
-        if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
+        for pool in self._pools:
+            pool.close()
+        if self._threads is not None:
+            self._threads.shutdown(wait=False, cancel_futures=True)
 
     async def serve_forever(self) -> None:
         assert self._server is not None, "call start() first"
@@ -303,41 +301,28 @@ class SimulationServer:
             await self._resolve(key, stored, "computed")
 
     async def _run_task(self, task: CellTask) -> Dict[str, object]:
-        """Execute one cell on the pool; never raises into the loop."""
-        assert self._loop is not None and self._pool is not None
+        """Execute one cell on an idle worker slot; never raises into the loop."""
+        assert self._loop is not None and self._idle is not None
+        pool = await self._idle.get()
         try:
-            if self.config.supervised:
-                return await self._loop.run_in_executor(
-                    self._pool,
-                    _supervised_cell,
-                    task,
-                    self.config.cell_timeout_s,
-                )
-            return await self._loop.run_in_executor(
-                self._pool, execute_cell, task
+            payloads = await self._loop.run_in_executor(
+                self._threads, pool.run, [task]
             )
-        except BrokenProcessPool:
-            # A worker died hard (OOM-kill, segfault).  Rebuild the
-            # pool so subsequent cells still run, and fail this cell.
-            self.registry.add("service.pool_rebuilds")
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = self._make_pool()
-            error = "worker process died (pool rebuilt)"
-            error_type = "WorkerCrash"
+            return payloads[0]
         except Exception as exc:  # simulator bug: surface, don't crash
             self.registry.add("service.executor_errors")
-            error = str(exc)
-            error_type = type(exc).__name__
-        return {
-            "index": task.index,
-            "outcome": {
-                "status": "failed",
-                "attempts": 1,
-                "error": error,
-                "error_type": error_type,
-            },
-            "result": None,
-        }
+            return {
+                "index": task.index,
+                "outcome": {
+                    "status": "failed",
+                    "attempts": 1,
+                    "error": str(exc),
+                    "error_type": type(exc).__name__,
+                },
+                "result": None,
+            }
+        finally:
+            self._idle.put_nowait(pool)
 
     async def _notify_subscribers(self, key: str, status: str) -> None:
         for job, index in self._inflight.get(key, ()):
@@ -409,7 +394,7 @@ class SimulationServer:
         self, request: GridRequest
     ) -> List[Dict[str, object]]:
         """Analytical answers for every cell, memoized like any other."""
-        assert self._loop is not None and self._pool is not None
+        assert self._loop is not None
         import dataclasses as _dc
 
         estimates: List[Dict[str, object]] = []

@@ -39,12 +39,11 @@ from repro.sim.config import (
     nurapid_config,
     sa_nuca_config,
 )
-from repro.sim.driver import run_benchmark
-from repro.sim.results import RunResult
+from repro.sim.parallel import CellTask, run_cells
+from repro.sim.results import RunResult, run_result_from_dict
 from repro.telemetry import telemetry_from_env
 from repro.workloads.spec2k import suite_names
-from repro.workloads.tracegen import generate_trace
-from repro.workloads.spec2k import get_benchmark
+from repro.workloads.tracegen import trace_entries
 
 
 def _print_result(result: RunResult) -> None:
@@ -152,12 +151,9 @@ def main(argv=None) -> int:
             dataclasses.replace(config, engine=args.engine)
             for config in configs
         ]
-    trace = generate_trace(get_benchmark(args.benchmark), args.refs, seed=args.seed)
-    results = []
-    if jobs > 1 and len(configs) > 1:
-        from repro.sim.parallel import CellTask, run_cells
-        from repro.sim.results import run_result_from_dict
-
+    # Every system replays the benchmark's one trace-cache entry, which
+    # pooled workers map by path.
+    with trace_entries([args.benchmark], args.refs, args.seed) as trace_paths:
         tasks = [
             CellTask(
                 index=index,
@@ -166,22 +162,16 @@ def main(argv=None) -> int:
                 n_references=args.refs,
                 seed=args.seed,
                 warmup_fraction=args.warmup,
-                trace=trace,
+                trace_path=trace_paths[args.benchmark],
                 isolate_errors=False,
                 telemetry=telemetry,
             )
             for index, config in enumerate(configs)
         ]
-        for payload in run_cells(tasks, jobs):
-            results.append(run_result_from_dict(payload["result"]))
-    else:
-        for config in configs:
-            results.append(
-                run_benchmark(
-                    config, args.benchmark, trace=trace,
-                    warmup_fraction=args.warmup, telemetry=telemetry,
-                )
-            )
+        results = [
+            run_result_from_dict(payload["result"])
+            for payload in run_cells(tasks, jobs)
+        ]
     for result in results:
         _print_result(result)
         print()

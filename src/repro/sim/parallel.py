@@ -1,14 +1,14 @@
-"""Process-pool execution of independent simulation cells.
+"""Cell execution: the serial reference loop and the one pooled path.
 
 Every figure, table, and sweep in this reproduction is a grid of
 ``(config, benchmark)`` cells, and per-cell seeding makes each cell a
 pure function of its parameters — there is no shared mutable state
-between cells.  That makes the grid embarrassingly parallel: this
-module farms cells out to worker processes and returns their
-measurements through the existing :func:`run_result_to_dict` /
-``RunOutcome`` dictionary round-trip (the same serialization the sweep
-checkpoint format uses), so a parallel run is bit-identical to a
-serial one.
+between cells.  :func:`run_cells` runs a grid in this process (the
+serial reference) or on the supervised worker pool
+(:mod:`repro.resilience.supervisor`), and returns the measurements
+through the :func:`run_result_to_dict` / ``RunOutcome`` dictionary
+round-trip (the same serialization the sweep checkpoint format uses),
+so a pooled run is bit-identical to a serial one.
 
 Two deliberate design points:
 
@@ -39,9 +39,8 @@ import dataclasses
 import hashlib
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
 from repro.common.errors import ConfigurationError, ReproError
 from repro.cpu.wattch import ProcessorEnergyModel
@@ -53,6 +52,9 @@ from repro.workloads.spec2k import get_benchmark
 from repro.workloads.trace import Trace
 from repro.workloads.tracegen import generate_trace
 from repro.workloads.transport import load_mmap_trace
+
+if TYPE_CHECKING:  # the runtime import is deferred to break a cycle
+    from repro.resilience.supervisor import SupervisorConfig
 
 
 def reseed_config(config: SystemConfig, bump: int) -> SystemConfig:
@@ -91,14 +93,11 @@ class CellTask:
     trace: Optional[Trace] = None
     max_retries: int = 0
     reseed_step: int = 1000
-    #: Wall-clock budget for the cell's retry loop.  On the in-process
-    #: paths (execute_cell / run_cells) this is ADVISORY: it is only
-    #: checked *between* reseeded retry attempts, so a single attempt
-    #: that hangs or overruns is never interrupted — Python cannot
-    #: safely preempt a compute loop from within.  Under the supervised
-    #: pool (repro.resilience.run_cells_supervised) the same value
-    #: doubles as the default per-attempt deadline, enforced for real:
-    #: the worker is SIGKILLed and the cell retried/quarantined.
+    #: Wall-clock budget for the cell.  Whenever cells run pooled it is
+    #: the per-attempt deadline (unless ``cell_timeout_s`` overrides
+    #: it): the worker is SIGKILLed and the cell retried/quarantined.
+    #: In-process it is ADVISORY: checked only *between* reseeded retry
+    #: attempts — Python cannot safely preempt a compute loop.
     budget_s: Optional[float] = None
     warm_set_conflict: int = 1
     prewarm: bool = True
@@ -259,43 +258,31 @@ def run_cells(
     tasks: Sequence[CellTask],
     jobs: int,
     callback: Optional[Callable[[Dict[str, object]], None]] = None,
+    supervisor: Optional["SupervisorConfig"] = None,
 ) -> List[Dict[str, object]]:
-    """Execute cells on ``jobs`` workers; payloads in submission order.
+    """Execute cells; payloads in submission order.
 
     ``callback`` fires in the parent as each cell completes (in
     completion order) — the sweep uses it for interval checkpoint
-    flushes.  With ``jobs=1`` the cells run in-process with no pool, so
-    the degenerate case has zero multiprocessing overhead and identical
-    behavior.  A worker exception that is not an isolated
-    :class:`ReproError` cancels the not-yet-started cells and re-raises
-    here.
+    flushes.  With ``jobs=1`` (or one cell) and no ``supervisor`` the
+    cells run in-process, in order: the serial reference.  Otherwise
+    they run on the supervised worker pool under ``supervisor``
+    (default: ``SupervisorConfig()``).  A worker exception that is not
+    an isolated :class:`ReproError` re-raises here.
     """
     if jobs < 1:
         raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
     tasks = list(tasks)
-    if not tasks:
-        return []
-    payloads: List[Optional[Dict[str, object]]] = [None] * len(tasks)
-    if jobs == 1 or len(tasks) == 1:
-        for position, task in enumerate(tasks):
+    if supervisor is None and (jobs == 1 or len(tasks) <= 1):
+        payloads = []
+        for task in tasks:
             payload = execute_cell(task)
-            payloads[position] = payload
+            payloads.append(payload)
             if callback is not None:
                 callback(payload)
-        return payloads  # type: ignore[return-value]
-    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-        positions = {}
-        for position, task in enumerate(tasks):
-            future = pool.submit(execute_cell, task)
-            positions[future] = position
-        try:
-            for future in as_completed(positions):
-                payload = future.result()
-                payloads[positions[future]] = payload
-                if callback is not None:
-                    callback(payload)
-        except BaseException:
-            for future in positions:
-                future.cancel()
-            raise
-    return payloads  # type: ignore[return-value]
+        return payloads
+    from repro.resilience.supervisor import SupervisorConfig, run_cells_supervised
+
+    return run_cells_supervised(
+        tasks, jobs, config=supervisor or SupervisorConfig(), callback=callback
+    )

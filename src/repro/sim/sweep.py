@@ -18,13 +18,12 @@ hardens the grid instead of letting one point abort it:
   fault-plan seed by ``reseed_step`` so the retry explores a different
   deterministic universe rather than replaying the same crash.
 * **budget** — an optional wall-clock allowance per point.  On the
-  in-process paths (serial, and ``execute_cell`` inside plain workers)
-  the budget is *advisory*: Python code cannot preempt a running
-  attempt, so it is only checked **between** attempts and benchmarks —
-  one slow attempt can blow far past its allowance before the check
-  fires.  Under a :class:`~repro.resilience.SupervisorConfig` the
-  budget becomes a true wall-clock deadline: the supervisor SIGKILLs a
-  worker whose attempt exceeds it.
+  serial path the budget is *advisory*: Python code cannot preempt a
+  running attempt, so it is only checked **between** attempts and
+  benchmarks — one slow attempt can blow far past its allowance before
+  the check fires.  When cells run pooled it becomes a true per-attempt
+  wall-clock deadline: the supervisor SIGKILLs a worker whose attempt
+  exceeds it.
 * **checkpointing** — with ``checkpoint_path`` set, completed cells
   are persisted to an atomic, checksummed JSON checkpoint (format v2;
   v1 files from older runs are still read, and rewritten as v2 on the
@@ -40,22 +39,24 @@ hardens the grid instead of letting one point abort it:
   flushes every completed cell on the way out, so only a hard
   ``kill -9`` can lose up to one flush interval of finished work.
 * **parallelism** — ``jobs=N`` runs cells on N worker processes via
-  :mod:`repro.sim.parallel`, sharing each benchmark's base trace
-  through an on-disk :class:`~repro.workloads.tracegen.TraceCache`.
+  :func:`repro.sim.parallel.run_cells`, sharing each benchmark's base
+  trace through an on-disk :class:`~repro.workloads.tracegen.TraceCache`.
   Cells are seeded identically to the serial path, so ``jobs=1`` and
   ``jobs=N`` produce bit-identical results and interchangeable
   checkpoints (a serial run can resume a parallel one and vice
-  versa).  The per-point wall-clock budget degrades to a per-cell
-  budget under parallelism, since a point's cells no longer run
+  versa).  The per-point wall-clock budget becomes a per-cell
+  deadline under parallelism, since a point's cells no longer run
   back-to-back on one core.
-* **supervision** — pass ``supervisor=SupervisorConfig(...)`` to run
-  cells under :func:`repro.resilience.run_cells_supervised`: hung
-  workers are killed at their deadline, crashed workers respawned and
-  their cells resubmitted (bit-identically), repeat offenders
-  quarantined as failed outcomes, and a repeatedly breaking pool
-  degrades to in-process serial execution instead of aborting the
-  grid.  Supervision state never touches result payloads, so a
-  supervised grid is byte-identical to an unsupervised one.
+* **supervision** — pooled cells always run under the supervisor
+  (:mod:`repro.resilience.supervisor`): hung workers are killed at
+  their deadline, crashed workers respawned and their cells resubmitted
+  (bit-identically), repeat offenders quarantined as failed outcomes,
+  and a repeatedly breaking pool degrades to in-process serial
+  execution instead of aborting the grid.  Pass
+  ``supervisor=SupervisorConfig(...)`` to tune it (deadlines, retry
+  limits), which also sends a ``jobs=1`` sweep to a worker process.
+  Supervision state never touches result payloads, so a pooled grid
+  is byte-identical to a serial one.
 """
 
 from __future__ import annotations
@@ -199,10 +200,9 @@ class Sweep:
     load from (default: ``$REPRO_TRACE_CACHE``, else a private temp
     directory deleted after the run).  ``checkpoint_every`` flushes the
     checkpoint after that many newly completed cells (default: one
-    flush per point).  ``supervisor`` routes cell execution through
-    :func:`repro.resilience.run_cells_supervised` (worker deadlines,
-    crash recovery, quarantine) — even with ``jobs=1``, where the
-    single cell runs in a supervised worker process so its deadline
+    flush per point).  ``supervisor`` configures the supervised pool
+    (worker deadlines, crash recovery, quarantine) and runs cells on it
+    even with ``jobs=1``, in a single worker process, so a deadline
     stays enforceable.  ``result_store`` (a
     :class:`repro.service.store.ResultStore`) memoizes cells by content
     address across sweeps and callers: pending cells found in the store
@@ -629,14 +629,7 @@ class Sweep:
                 )
                 for position, (index, benchmark) in enumerate(pending)
             ]
-            if self.supervisor is not None:
-                from repro.resilience.supervisor import run_cells_supervised
-
-                run_cells_supervised(
-                    tasks, jobs, config=self.supervisor, callback=record
-                )
-            else:
-                run_cells(tasks, jobs, callback=record)
+            run_cells(tasks, jobs, callback=record, supervisor=self.supervisor)
 
 
 def tabulate(points: Sequence[SweepPoint], metric: Callable[[SweepPoint], float]) -> str:

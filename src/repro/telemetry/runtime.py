@@ -32,8 +32,8 @@ Counters used by the simulation service (:mod:`repro.service`):
 * ``service.cells_enqueued`` / ``service.cells_completed`` /
   ``service.cells_failed`` — cells that actually simulated, by outcome
 * ``service.estimates`` — analytical (``approx``) answers served inline
-* ``service.pool_rebuilds`` / ``service.executor_errors`` — worker-pool
-  deaths and surfaced simulator errors
+* ``service.executor_errors`` — simulator errors surfaced as failed
+  cells (worker deaths count under ``supervisor.*``)
 * ``result_store.hits`` / ``result_store.misses`` /
   ``result_store.writes`` / ``result_store.evicted`` — content-addressed
   result-store traffic
