@@ -26,7 +26,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.telemetry import CacheTelemetry
 from repro.common.stats import Counter, Distribution
 from repro.common.types import AccessResult
-from repro.caches.block import block_address, set_index
+from repro.caches.block import block_address, prewarm_blocks, set_index
 from repro.caches.port import PortScheduler
 from repro.floorplan.dgroups import NuRAPIDGeometry, build_nurapid_geometry
 from repro.tech.energy import EnergyBook
@@ -316,23 +316,14 @@ class SetAssociativePlacementCache:
 
     # --- prewarm ---
 
-    PREWARM_BASE = 1 << 45
-
     def prewarm(self) -> None:
         """Fill every way with a clean dummy block (steady-state start)."""
-        for index in range(self.n_sets):
-            base = index * self.associativity
-            for way in range(self.associativity):
-                if self._addrs[base + way] >= 0:
-                    continue
-                baddr = (
-                    self.PREWARM_BASE
-                    + (way * self.n_sets + index) * self.block_bytes
-                )
-                self._addrs[base + way] = baddr
-                self._dirty[base + way] = 0
-                self._touch[base + way] = 0
-                self._where[index][baddr] = way
+        if any(self._where):
+            raise SimulationError("prewarm on a non-empty cache")
+        blocks = prewarm_blocks(self.n_sets, self.associativity, self.block_bytes)
+        self._addrs = blocks.ravel().tolist()
+        ways = range(self.associativity)
+        self._where = [dict(zip(row, ways)) for row in blocks.tolist()]
 
     # --- introspection ---
 

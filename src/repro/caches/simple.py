@@ -21,9 +21,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, Optional
 
-from repro.common.errors import ConfigurationError
+from repro.common.errors import ConfigurationError, SimulationError
 from repro.common.types import AccessResult
-from repro.caches.block import CacheBlock, block_address, set_index
+from repro.caches.block import CacheBlock, block_address, prewarm_blocks, set_index
 from repro.faults.models import TransientOutcome
 from repro.floorplan.dgroups import UniformCacheSpec
 from repro.tech.energy import EnergyBook
@@ -258,30 +258,20 @@ class SetAssociativeCache:
 
     # --- prewarm ---
 
-    PREWARM_BASE = 1 << 45
-
     def prewarm(self) -> None:
-        """Fill every way with a clean dummy block (steady-state start)."""
-        tags = self._tags
-        stamps = self._stamps
-        assoc = self._assoc
+        """Fill every way with a clean dummy block (steady-state start).
+
+        Frames take the dummies set-major, way-minor, each stamped as
+        if inserted in that order (way 0 of a set is its LRU block).
+        """
+        n_frames = len(self._tags)
+        if self._tags.count(-1) != n_frames:
+            raise SimulationError("prewarm on a non-empty cache")
+        blocks = prewarm_blocks(self.n_sets, self._assoc, self.spec.block_bytes)
+        self._tags = blocks.ravel().tolist()
         clock = self._clock
-        block_bytes = self.spec.block_bytes
-        n_sets = self.n_sets
-        base_addr = self.PREWARM_BASE
-        for index in range(n_sets):
-            base = index * assoc
-            for way in range(assoc):
-                baddr = base_addr + (way * n_sets + index) * block_bytes
-                if self._find(index, baddr) >= 0:
-                    continue
-                for frame in range(base, base + assoc):
-                    if tags[frame] < 0:
-                        tags[frame] = baddr
-                        stamps[frame] = clock
-                        clock += 1
-                        break
-        self._clock = clock
+        self._stamps = list(range(clock, clock + n_frames))
+        self._clock = clock + n_frames
 
     # --- introspection ---
 

@@ -25,15 +25,21 @@ fairness and throughput figures read.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from itertools import chain
+from typing import Dict, Iterable, List, Optional
 
+from repro.caches.block import PREWARM_BASE
 from repro.caches.hierarchy import CacheHierarchy
 from repro.caches.memory import MainMemory
+from repro.caches.setassoc_nonuniform import SetAssociativePlacementCache
 from repro.caches.simple import SetAssociativeCache
+from repro.cmp.contention import ContendedLLC
 from repro.common.errors import ConfigurationError
 from repro.common.rng import derive_seed
 from repro.cpu.core import CoreModel
 from repro.cpu.wattch import ProcessorEnergyModel
+from repro.nuca.cache import DNUCACache
+from repro.nuca.snuca import SNUCACache
 from repro.sim.config import (
     SystemConfig,
     _l1_spec,
@@ -168,22 +174,30 @@ def _replay_cmp(systems: List[System], cores: List[CoreModel], trace: CmpTrace) 
         notes[owner](address, result)
 
 
-def _shared_occupancy_by_core(target, n_cores: int) -> Optional[List[int]]:
+def _resident_block_addrs(target) -> Iterable[int]:
+    """Every block address a shared LLC holds (free frames read -1)."""
+    if isinstance(target, ContendedLLC):
+        target = target._inner
+    if isinstance(target, SetAssociativeCache):
+        return target._tags
+    if isinstance(target, SetAssociativePlacementCache):
+        return target._addrs
+    if isinstance(target, DNUCACache):
+        return target._where
+    if isinstance(target, SNUCACache):
+        return chain.from_iterable(target._sets)
+    return chain.from_iterable(target._tags)  # NuRAPID: per-set tag dicts
+
+
+def _shared_occupancy_by_core(target, n_cores: int) -> List[int]:
     """Census of shared-LLC blocks per owning core (address bits)."""
-    tag_sets = getattr(target, "_tags", None)
-    if tag_sets is None:
-        tag_sets = getattr(target, "_sets", None)
-    if tag_sets is None:
-        return None
     counts = [0] * n_cores
-    base = target.PREWARM_BASE if hasattr(target, "PREWARM_BASE") else None
-    for tag_set in tag_sets:
-        for baddr in tag_set:
-            if base is not None and baddr >= base:
-                continue  # prewarm dummies belong to no core
-            core = (baddr >> CORE_ADDR_SHIFT) & (MAX_CORES - 1)
-            if core < n_cores:
-                counts[core] += 1
+    for baddr in _resident_block_addrs(target):
+        if not 0 <= baddr < PREWARM_BASE:
+            continue  # free frames and prewarm dummies belong to no core
+        core = (baddr >> CORE_ADDR_SHIFT) & (MAX_CORES - 1)
+        if core < n_cores:
+            counts[core] += 1
     return counts
 
 
@@ -361,10 +375,8 @@ def run_cmp(
         )
         extra[f"c{i}.stall_cycles"] = float(core.stall_cycles)
     target = getattr(chip.l2, "cache", chip.l2)
-    occupancy = _shared_occupancy_by_core(target, n_cores)
-    if occupancy is not None:
-        for i, blocks in enumerate(occupancy):
-            extra[f"c{i}.l2_blocks"] = float(blocks)
+    for i, blocks in enumerate(_shared_occupancy_by_core(target, n_cores)):
+        extra[f"c{i}.l2_blocks"] = float(blocks)
     bank_ports = getattr(chip.l2, "bank_ports", None)
     if bank_ports:
         extra["bankq.banks"] = float(len(bank_ports))

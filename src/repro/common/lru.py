@@ -67,20 +67,20 @@ class EvictionPolicy(abc.ABC):
         for key in keys:
             self.insert(key)
 
+    @abc.abstractmethod
     def state_copy(self) -> object:
         """Snapshot the tracked-key state (not any RNG) as plain containers.
 
         ``other.load_state(snapshot)`` restores a policy of the same
         class to exactly this tracking state; both directions copy, so
-        snapshots never alias live policy containers.  Used by the
-        prewarm prototype cache to clone steady-state setup instead of
-        re-running it.
+        snapshots never alias live policy containers.  The NuRAPID
+        prewarm prototype registry clones steady-state setup this way
+        instead of re-running it.
         """
-        raise SimulationError(f"{type(self).__name__} does not support state_copy")
 
+    @abc.abstractmethod
     def load_state(self, state: object) -> None:
         """Install a :meth:`state_copy` snapshot (copying it)."""
-        raise SimulationError(f"{type(self).__name__} does not support load_state")
 
 
 class LRUPolicy(EvictionPolicy):
@@ -170,11 +170,10 @@ class RandomPolicy(EvictionPolicy):
     def insert_many(self, keys: Iterable[Hashable]) -> None:
         keys = list(keys)
         index = self._index
-        base = len(self._keys)
-        for pos, key in enumerate(keys):
-            if key in index:
-                raise SimulationError("duplicate key in RandomPolicy.insert_many")
-            index[key] = base + pos
+        before = len(index)
+        index.update(zip(keys, range(before, before + len(keys))))
+        if len(index) != before + len(keys):
+            raise SimulationError("duplicate key in RandomPolicy.insert_many")
         self._keys.extend(keys)
 
     def touch(self, key: Hashable) -> None:
@@ -248,11 +247,10 @@ class ApproxLRUPolicy(EvictionPolicy):
     def insert_many(self, keys: Iterable[Hashable]) -> None:
         keys = list(keys)
         index = self._index
-        base = len(self._keys)
-        for pos, key in enumerate(keys):
-            if key in index:
-                raise SimulationError("duplicate key in ApproxLRUPolicy.insert_many")
-            index[key] = base + pos
+        before = len(index)
+        index.update(zip(keys, range(before, before + len(keys))))
+        if len(index) != before + len(keys):
+            raise SimulationError("duplicate key in ApproxLRUPolicy.insert_many")
         self._keys.extend(keys)
         self._refbit.update(dict.fromkeys(keys, True))
 

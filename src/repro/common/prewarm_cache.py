@@ -1,10 +1,17 @@
-"""Process-wide prewarm prototype registry.
+"""Process-wide prewarm prototype registry for NuRAPID.
 
-Prewarming a large cache model builds the same steady-state containers
-(tag dicts, frame stores, policy recency) every time a cache of the
-same shape is constructed — profiling shows it is ~40% of a NuRAPID
-cell's setup, repeated for every benchmark x config x repetition.  The
-fill itself draws no RNG and charges no stats or energy, so its result
+Every cache model fills its steady state from the one dummy-block
+layout, :func:`repro.caches.block.prewarm_blocks`, in whole-array
+passes.  NuRAPID is this registry's only user, because its fill also
+builds frame stores and a distance-replacement policy per d-group: on
+a 2-vCPU x86 VM under Python 3.11, a direct fill of the 8 MB cache
+takes 35-46 ms, while restoring a stored copy of the same containers
+takes 5.5-7 ms.  A ``replay-l1`` perfbench op builds NuRAPID twice in
+about 0.2 s, so the restore is worth keeping.  The other models need
+no stored copy: D-NUCA, the only other one a benchmark workload
+builds per op, fills 8 MB in about 10 ms.
+
+The fill draws no RNG and charges no stats or energy, so its result
 is a pure function of the cache's construction parameters: the first
 prewarm of a given key snapshots the filled containers here, and later
 prewarms of the same key restore a fresh copy instead of re-running

@@ -24,15 +24,13 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Tuple
 
-import numpy as np
-
 from repro.common.errors import ConfigurationError, SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.telemetry import CacheTelemetry
 from repro.common.stats import Counter, Distribution
 from repro.common.types import AccessResult
-from repro.caches.block import block_address, set_index
+from repro.caches.block import block_address, prewarm_blocks, set_index
 from repro.caches.port import PortScheduler
 from repro.floorplan.dgroups import DNUCAGeometry, build_dnuca_geometry
 from repro.nuca.config import DNUCAConfig, SearchPolicy
@@ -460,8 +458,6 @@ class DNUCACache:
 
     # --- prewarm (models the paper's 5B-instruction fast-forward) ---
 
-    PREWARM_BASE = 1 << 45
-
     def prewarm(self) -> None:
         """Fill every way of every bank with a clean dummy block.
 
@@ -469,17 +465,16 @@ class DNUCACache:
         traces cannot populate 8 MB, and a half-empty D-NUCA would see
         neither tail evictions nor promotion swaps.  Dummies never
         alias workload addresses and cost no writebacks.  Slot
-        ``(set, position)`` receives block
-        ``PREWARM_BASE + (position * n_sets + set) * block_bytes``,
-        clean, with last touch 0.
+        ``(set, position)`` receives the
+        :func:`~repro.caches.block.prewarm_blocks` dummy of that set
+        and way, clean, with last touch 0.
         """
         if self.resident_blocks():
             raise SimulationError("prewarm on a non-empty cache")
-        n_sets, bb = self.n_sets, self.block_bytes
-        sets = np.arange(n_sets, dtype=np.int64)[:, None]
-        positions = np.arange(self.associativity, dtype=np.int64)[None, :]
         # Set-major, position-minor: exactly slot order.
-        blocks = (self.PREWARM_BASE + (positions * n_sets + sets) * bb).ravel()
+        blocks = prewarm_blocks(
+            self.n_sets, self.associativity, self.block_bytes
+        ).ravel()
         self._baddr[:] = blocks.tolist()
         self._dirty[:] = bytes(len(self._dirty))
         self._touch[:] = [0] * len(self._touch)

@@ -18,13 +18,10 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-import numpy as np
-
-from repro.common import prewarm_cache
-from repro.common.errors import ConfigurationError
+from repro.common.errors import ConfigurationError, SimulationError
 from repro.common.stats import Counter, Distribution
 from repro.common.types import AccessResult
-from repro.caches.block import block_address, set_index
+from repro.caches.block import block_address, prewarm_blocks, set_index
 from repro.caches.port import PortScheduler
 from repro.common.lru import LRUPolicy
 from repro.floorplan.dgroups import DNUCAGeometry, build_dnuca_geometry
@@ -193,60 +190,16 @@ class SNUCACache:
 
     # --- protocol extras ---
 
-    PREWARM_BASE = 1 << 45
-
     def prewarm(self) -> None:
         """Fill every way with clean dummies (steady-state start)."""
-        n_sets = self.n_sets
-        bb = self.block_bytes
-        base = self.PREWARM_BASE
-        assoc = self.associativity
-        # The fill is a pure function of the geometry-free shape (sets,
-        # ways, block size): reuse a process-wide prototype when this
-        # cache is empty (see repro.common.prewarm_cache).
-        key = None
-        if not any(self._sets):
-            key = f"{type(self).__qualname__}|{n_sets}|{assoc}|{bb}"
-            proto = prewarm_cache.get(key)
-            if proto is not None:
-                sets, lru = proto
-                self._sets = [dict(s) for s in sets]
-                for policy, state in zip(self._lru, lru):
-                    policy.load_state(state)
-                return
-        # base + (way*n_sets + index)*bb for every (set, way), one C pass.
-        rows = (
-            base
-            + (
-                np.arange(n_sets, dtype=np.int64)[:, None]
-                + np.arange(assoc, dtype=np.int64)[None, :] * n_sets
-            )
-            * bb
+        if any(self._sets):
+            raise SimulationError("prewarm on a non-empty cache")
+        rows = prewarm_blocks(
+            self.n_sets, self.associativity, self.block_bytes
         ).tolist()
-        for index in range(n_sets):
-            resident = self._sets[index]
-            if not resident:
-                # Bulk path for the common fresh-cache case: same
-                # addresses in the same way-ascending order.
-                baddrs = rows[index]
-                self._sets[index] = dict.fromkeys(baddrs, False)
-                self._lru[index].insert_many(baddrs)
-                continue
-            fresh = []
-            for way in range(assoc):
-                baddr = base + (way * n_sets + index) * bb
-                if baddr not in resident:
-                    resident[baddr] = False
-                    fresh.append(baddr)
-            self._lru[index].insert_many(fresh)
-        if key is not None:
-            prewarm_cache.put(
-                key,
-                (
-                    [dict(s) for s in self._sets],
-                    [p.state_copy() for p in self._lru],
-                ),
-            )
+        self._sets = [dict.fromkeys(row, False) for row in rows]
+        for policy, row in zip(self._lru, rows):
+            policy.insert_many(row)
 
     def reset_stats(self) -> None:
         self.stats.reset()

@@ -23,7 +23,6 @@ how the paper's reduced-bandwidth argument is evaluated (§5.4).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -39,7 +38,7 @@ from repro.common.lru import LRUPolicy
 from repro.common.rng import DeterministicRNG
 from repro.common.stats import Counter, Distribution
 from repro.common.types import AccessResult
-from repro.caches.block import block_address, set_index
+from repro.caches.block import block_address, prewarm_blocks, set_index
 from repro.caches.port import PortScheduler
 from repro.faults.models import TransientOutcome
 from repro.floorplan.dgroups import NuRAPIDGeometry, build_nurapid_geometry
@@ -740,10 +739,6 @@ class NuRAPIDCache:
 
     # --- prewarm (models the paper's 5B-instruction fast-forward) ---
 
-    #: Reserved address region for prewarm dummy blocks; far above any
-    #: workload region so dummies never alias real traffic.
-    PREWARM_BASE = 1 << 45
-
     def prewarm(self) -> None:
         """Fill every frame with a clean dummy block.
 
@@ -771,59 +766,33 @@ class NuRAPIDCache:
             if proto is not None:
                 self._prewarm_restore(proto)
                 return
-        n_dgroups = self.config.n_dgroups
-        ways_by_group = self._prewarm_ways()
-        sets = self.config.n_sets
         n_regions = self.config.n_regions
-        bb = self.block_bytes
-        base = self.PREWARM_BASE
-
-        # Bulk equivalent of the block-at-a-time loop (for index, for
-        # way: allocate + insert + tag + LRU-insert).  Frames come off
-        # each region's free-list tail, so the per-(group, region)
-        # allocation order below — set index ascending, way ascending —
-        # reproduces the exact same frame assignment and policy order;
-        # allocate_run/insert_many are one-call equivalents.
-        way_base = 0
-        for group in range(n_dgroups):
-            ways_per_group = ways_by_group[group]
-            ways = np.arange(way_base, way_base + ways_per_group)
-            way_base += ways_per_group
-            group_bits = group << _PACK_DGROUP_SHIFT
+        ways_by_group = self._prewarm_ways()
+        blocks = prewarm_blocks(
+            self.config.n_sets, sum(ways_by_group), self.block_bytes
+        )
+        packed = np.empty_like(blocks)
+        # D-group g holds the next ways_by_group[g] ways of every set.
+        # Each (group, region) run is set-ascending, way-ascending, so
+        # its frames come off the region's free-list tail in the order
+        # a block-at-a-time fill would take them.
+        way_lo = 0
+        for group, ways in enumerate(ways_by_group):
+            columns = slice(way_lo, way_lo + ways)
+            way_lo += ways
             for region in range(n_regions):
-                indices = range(region, sets, n_regions)
-                # base + (way*sets + index)*bb, index-major way-minor,
-                # materialized in one C pass.
-                blocks = (
-                    base
-                    + (
-                        np.arange(region, sets, n_regions, dtype=np.int64)[:, None]
-                        + ways[None, :] * sets
-                    )
-                    * bb
-                ).ravel().tolist()
-                frames = self._stores[group].allocate_run(blocks, region)
+                run = blocks[region::n_regions, columns]
+                frames = self._stores[group].allocate_run(
+                    run.ravel().tolist(), region
+                )
                 self._replacer.insert_many(group, region, frames)
-                packed = [f | group_bits for f in frames]
-                it_b = iter(blocks)
-                it_p = iter(packed)
-                for index in indices:
-                    self._tags[index].update(
-                        zip(islice(it_b, ways_per_group), islice(it_p, ways_per_group))
-                    )
-        # Per-set data LRU: dummies way-ascending, as the original
-        # per-way loop inserted them.
-        rows = (
-            base
-            + (
-                np.arange(sets, dtype=np.int64)[:, None]
-                + np.arange(way_base, dtype=np.int64)[None, :] * sets
-            )
-            * bb
-        ).tolist()
-        data_lru = self._data_lru
-        for index, row in enumerate(rows):
-            data_lru[index].insert_many(row)
+                packed[region::n_regions, columns] = np.reshape(
+                    frames, run.shape
+                ) | (group << _PACK_DGROUP_SHIFT)
+        rows = blocks.tolist()
+        self._tags = [dict(zip(b, p)) for b, p in zip(rows, packed.tolist())]
+        for policy, row in zip(self._data_lru, rows):
+            policy.insert_many(row)
         if key is not None:
             prewarm_cache.put(key, self._prewarm_snapshot())
 

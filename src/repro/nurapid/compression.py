@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
+from repro.caches.block import PREWARM_BASE
 from repro.cmp.config import CompressionConfig
 from repro.common.errors import ConfigurationError, SimulationError
 from repro.nurapid.cache import (
@@ -116,7 +117,7 @@ class CompressedNuRAPIDCache(NuRAPIDCache):
 
     def is_compressible(self, baddr: int) -> bool:
         """Deterministic per-line draw against the workload share."""
-        if baddr >= self.PREWARM_BASE:
+        if baddr >= PREWARM_BASE:
             return True  # prewarm dummies always fit the compressed frames
         if self._core_thresholds is not None:
             threshold = self._core_thresholds[

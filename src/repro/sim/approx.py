@@ -68,6 +68,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.common.errors import ConfigurationError
+from repro.caches.block import PREWARM_BASE
 from repro.caches.memory import MainMemory
 from repro.cpu.wattch import ProcessorEnergyModel
 from repro.floorplan.dgroups import (
@@ -75,7 +76,6 @@ from repro.floorplan.dgroups import (
     build_nurapid_geometry,
     build_uniform_cache_spec,
 )
-from repro.nuca.cache import DNUCACache
 from repro.nurapid.config import PromotionPolicy
 from repro.sim import l1solve
 from repro.sim.results import RunResult
@@ -637,7 +637,7 @@ def estimate(
             # contribute one partial tag per way to every set (the
             # dummy at way ``p`` of set ``i`` has tag ``T0 + p`` after
             # the exact division by n_sets).
-            t0 = DNUCACache.PREWARM_BASE // block2 // sets2
+            t0 = PREWARM_BASE // block2 // sets2
             dummy_ptags = np.unique(
                 np.array([(t0 + p) & pmask for p in range(assoc2)], dtype=np.int64)
             )

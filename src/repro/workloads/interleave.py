@@ -30,9 +30,11 @@ from repro.common.errors import ConfigurationError
 from repro.workloads.trace import Trace
 
 #: Bit position of the per-core address-space offset.  The workload
-#: generators emit byte addresses well below 2**38, and the NuRAPID
-#: prewarm dummy region starts at 2**45, so 16 cores fit between the
-#: two without any stream aliasing another core's (or the dummies).
+#: generators emit byte addresses well below 2**38, and the prewarm
+#: dummy region every cache model shares
+#: (:data:`repro.caches.block.PREWARM_BASE`) starts at 2**45, so 16
+#: cores fit between the two without any stream aliasing another
+#: core's (or the dummies).
 CORE_ADDR_SHIFT = 38
 
 #: Most cores one LLC can be shared by (core id must fit in address

@@ -28,7 +28,9 @@ from repro.sim.config import (
     EXACT_ENGINES,
     SystemConfig,
     base_config,
+    dnuca_config,
     nurapid_config,
+    sa_nuca_config,
     snuca_config,
 )
 from repro.sim.driver import run_benchmark
@@ -356,3 +358,32 @@ class TestConfigValidation:
         )
         assert result.stats["cmp.cores"] == 2.0
         assert result.stats["bankq.banks"] > 0
+
+
+# --- the shared-LLC occupancy census ---
+
+#: Per-core resident blocks after ``twolf``, 4000 references, seed 1.
+#: Prewarm dummies and free frames count for no core.
+CENSUS = {
+    "base": (base_config, (283.0, 296.0)),
+    "dnuca": (dnuca_config, (283.0, 295.0)),
+    "nurapid": (nurapid_config, (283.0, 296.0)),
+    "snuca": (snuca_config, (283.0, 296.0)),
+    "sa-nuca": (sa_nuca_config, (283.0, 296.0)),
+}
+
+
+@pytest.mark.parametrize(
+    "kind,contention",
+    [(kind, False) for kind in sorted(CENSUS)]
+    + [(kind, True) for kind in sorted(CENSUS) if kind != "base"],
+)
+def test_occupancy_census_every_organization(kind, contention):
+    build, expected = CENSUS[kind]
+    cmp = CmpConfig(
+        cores=2, contention=ContentionConfig() if contention else None
+    )
+    result = run_benchmark(
+        replace(build(), cmp=cmp), "twolf", n_references=4000, seed=1
+    )
+    assert (result.stats["c0.l2_blocks"], result.stats["c1.l2_blocks"]) == expected

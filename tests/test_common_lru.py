@@ -200,3 +200,22 @@ class TestMakePolicy:
     def test_unknown_rejected(self):
         with pytest.raises(ValueError):
             make_policy("clairvoyant")
+
+
+@pytest.mark.parametrize("kind", ["lru", "random", "approx-lru"])
+class TestInsertMany:
+    def test_equals_insert_per_key(self, kind, rng):
+        bulk, single = make_policy(kind, rng), make_policy(kind, rng)
+        bulk.insert("a")
+        single.insert("a")
+        bulk.insert_many("bcd")
+        for key in "bcd":
+            single.insert(key)
+        assert bulk.state_copy() == single.state_copy()
+
+    @pytest.mark.parametrize("keys", ["bcb", "bca"])
+    def test_duplicate_rejected(self, kind, rng, keys):
+        p = make_policy(kind, rng)
+        p.insert("a")
+        with pytest.raises(SimulationError):
+            p.insert_many(keys)

@@ -1,9 +1,11 @@
 """Prewarm: the steady-state initial condition for all cache models."""
 
+import hashlib
 import random
 
 import pytest
 
+from repro.caches.block import PREWARM_BASE
 from repro.common import prewarm_cache
 from repro.common.errors import SimulationError
 from repro.caches.setassoc_nonuniform import SetAssociativePlacementCache
@@ -15,7 +17,8 @@ from repro.nuca.config import DNUCAConfig
 from repro.nuca.snuca import SNUCACache
 from repro.nurapid.cache import NuRAPIDCache
 from repro.nurapid.compression import CompressedNuRAPIDCache
-from repro.nurapid.config import NuRAPIDConfig
+from repro.nurapid.config import DistanceReplacementKind, NuRAPIDConfig
+from repro.sim.config import base_config, build_lower_level
 
 KB = 1024
 
@@ -42,8 +45,46 @@ class TestNuRAPIDPrewarm:
         c.prewarm()
         # Every set has one dummy way in each d-group (assoc 4 / 4 groups).
         for way in range(4):
-            addr = c.PREWARM_BASE + (way * c.config.n_sets + 0) * 64
+            addr = PREWARM_BASE + (way * c.config.n_sets + 0) * 64
             assert c.dgroup_of(addr) == way
+
+    @pytest.mark.parametrize("restricted_frames", [None, 64])
+    def test_prewarmed_layout(self, restricted_frames):
+        c = NuRAPIDCache(
+            NuRAPIDConfig(
+                capacity_bytes=64 * KB, block_bytes=64, associativity=4,
+                n_dgroups=2, restricted_frames=restricted_frames, name="pwl",
+            )
+        )
+        c.prewarm()
+        cfg = c.config
+        n_regions = cfg.n_regions
+        ways_per_group = cfg.associativity // cfg.n_dgroups
+        per_region = cfg.frames_per_dgroup // n_regions
+        for index in range(cfg.n_sets):
+            region = index % n_regions
+            row = [
+                PREWARM_BASE + (way * cfg.n_sets + index) * cfg.block_bytes
+                for way in range(cfg.associativity)
+            ]
+            assert list(c._tags[index]) == row
+            assert list(c._data_lru[index].lru_to_mru()) == row
+            for way, baddr in enumerate(row):
+                entry = c.lookup(baddr)
+                group = way // ways_per_group
+                # Each (group, region) takes frames off its free-list
+                # tail, set-ascending then way-ascending.
+                rank = (index // n_regions) * ways_per_group + way % ways_per_group
+                frame = (region + 1) * per_region - 1 - rank
+                assert (entry.dgroup, entry.frame) == (group, frame)
+                assert not entry.dirty and entry.pending_hits == 0
+                assert c._stores[group].occupant(frame) == baddr
+        for group in range(cfg.n_dgroups):
+            for region in range(n_regions):
+                tracked, _, _ = c._replacer._policies[group][region].state_copy()
+                top = (region + 1) * per_region - 1
+                assert tracked == list(range(top, top - per_region, -1))
+        c.check_invariants()
 
     def test_fill_after_prewarm_triggers_demotion_chain(self):
         c = self._cache()
@@ -73,6 +114,13 @@ class TestNuRAPIDPrewarm:
         with pytest.raises(SimulationError):
             c.prewarm()
 
+    def test_prewarm_with_retired_frame_rejected(self):
+        """Prewarm fills every frame, so a retired one leaves a run short."""
+        c = self._cache()
+        c._stores[2].retire(5)
+        with pytest.raises(SimulationError, match="allocate_run"):
+            c.prewarm()
+
     def test_prewarm_requires_divisible_assoc(self):
         c = NuRAPIDCache(
             NuRAPIDConfig(
@@ -84,25 +132,29 @@ class TestNuRAPIDPrewarm:
             c.prewarm()
 
 
-def _ordered(state):
-    """Containers with their order made visible to ``==``."""
-    if isinstance(state, dict):
-        return [(k, _ordered(v)) for k, v in state.items()]
-    if isinstance(state, (list, tuple)):
-        return [_ordered(v) for v in state]
-    return state
-
-
-def _containers(cache):
-    """Everything a prewarm writes, in comparable form."""
+def _state(cache):
+    """Every container a prewarm writes, in order (``repr`` keeps it)."""
+    if isinstance(cache, SetAssociativeCache):
+        return [cache._tags, cache._dirty, cache._stamps, cache._clock]
+    if isinstance(cache, SetAssociativePlacementCache):
+        return [cache._addrs, cache._dirty, cache._touch, cache._where, cache._clock]
     if isinstance(cache, SNUCACache):
-        return _ordered([cache._sets, [p.state_copy() for p in cache._lru]])
-    return _ordered([
+        return [cache._sets, [p.state_copy() for p in cache._lru]]
+    if isinstance(cache, DNUCACache):
+        return [
+            cache._baddr, cache._dirty, cache._touch, cache._where,
+            cache.smart_search._partial, cache._clock,
+        ]
+    return [
         cache._tags,
-        [(s._resident, s._free) for s in cache._stores],
+        [(s._resident, s._free, sorted(s._retired)) for s in cache._stores],
         [[p.state_copy() for p in row] for row in cache._replacer._policies],
         [p.state_copy() for p in cache._data_lru],
-    ])
+    ]
+
+
+def _digest(cache):
+    return hashlib.sha256(repr(_state(cache)).encode()).hexdigest()
 
 
 def _nurapid(n_dgroups):
@@ -130,8 +182,8 @@ class TestPrototypeRestore:
 
     @pytest.mark.parametrize(
         "build",
-        [lambda: _nurapid(4), lambda: _nurapid(8), _compressed, _snuca],
-        ids=["nurapid-4dg", "nurapid-8dg", "compressed", "snuca"],
+        [lambda: _nurapid(4), lambda: _nurapid(8), _compressed],
+        ids=["nurapid-4dg", "nurapid-8dg", "compressed"],
     )
     def test_restore_equals_fresh_fill(self, build):
         prewarm_cache.clear()
@@ -139,7 +191,7 @@ class TestPrototypeRestore:
         fresh.prewarm()
         assert len(prewarm_cache._snapshots) == 1
         restored.prewarm()
-        assert _containers(restored) == _containers(fresh)
+        assert _digest(restored) == _digest(fresh)
 
         rng = random.Random(7)
         span = 4 * fresh.block_bytes * 4096
@@ -155,7 +207,7 @@ class TestPrototypeRestore:
                 outcomes.append((result.hit, result.latency, result.dgroup, writebacks))
             assert outcomes[0] == outcomes[1], step
         assert restored.stats.as_dict() == fresh.stats.as_dict()
-        assert _containers(restored) == _containers(fresh)
+        assert _digest(restored) == _digest(fresh)
         restored.check_invariants()
 
 
@@ -178,7 +230,7 @@ class TestDNUCAPrewarm:
         for index in range(c.n_sets):
             for position in range(cfg.associativity):
                 slot = index * cfg.associativity + position
-                baddr = c.PREWARM_BASE + (position * c.n_sets + index) * cfg.block_bytes
+                baddr = PREWARM_BASE + (position * c.n_sets + index) * cfg.block_bytes
                 assert c._baddr[slot] == baddr
                 assert c._dirty[slot] == 0
                 assert c._touch[slot] == 0
@@ -189,7 +241,7 @@ class TestDNUCAPrewarm:
         c = self._cache()
         c.prewarm()
         tail_first = (c.config.chain_length - 1) * c.config.ways_per_bank
-        victim = c.PREWARM_BASE + (tail_first * c.n_sets + 0) * c.block_bytes
+        victim = PREWARM_BASE + (tail_first * c.n_sets + 0) * c.block_bytes
         assert c.contains(victim)
         c.fill(0)
         assert not c.contains(victim)
@@ -222,24 +274,183 @@ class TestUniformPrewarm:
         c.prewarm()
         assert c.occupancy() == 8 * KB // 64
 
-    def test_prewarm_is_idempotent(self):
+    def test_prewarmed_layout(self):
         spec = build_uniform_cache_spec("u", 8 * KB, 64, 2, latency_cycles=5)
         c = SetAssociativeCache(spec)
         c.prewarm()
-        c.prewarm()  # skips resident dummies
-        assert c.occupancy() == 8 * KB // 64
+        for index in range(c.n_sets):
+            for way in range(2):
+                frame = index * 2 + way
+                assert c._tags[frame] == PREWARM_BASE + (way * c.n_sets + index) * 64
+                assert c._dirty[frame] == 0
+                # Stamped in fill order from the initial clock of 1, so
+                # way 0 is every set's LRU block.
+                assert c._stamps[frame] == 1 + frame
+        assert c._clock == 1 + 2 * c.n_sets
+
+    def test_prewarm_twice_rejected(self):
+        spec = build_uniform_cache_spec("u", 8 * KB, 64, 2, latency_cycles=5)
+        c = SetAssociativeCache(spec)
+        c.prewarm()
+        with pytest.raises(SimulationError):
+            c.prewarm()
 
 
 class TestSAPlacementPrewarm:
-    def test_fills_all_ways(self):
-        c = SetAssociativePlacementCache(
+    def _cache(self):
+        return SetAssociativePlacementCache(
             capacity_bytes=64 * KB, block_bytes=64, associativity=4, n_dgroups=4,
             geometry=build_nurapid_geometry(
                 n_dgroups=4, capacity_bytes=64 * KB, block_bytes=64, associativity=4
             ),
             name="pwsa",
         )
+
+    def test_fills_all_ways(self):
+        c = self._cache()
         c.prewarm()
         c.check_invariants()
         # Every way of set 0 is occupied.
         assert len(c._where[0]) == 4
+
+    def test_prewarmed_layout(self):
+        c = self._cache()
+        c.prewarm()
+        for index in range(c.n_sets):
+            row = [
+                PREWARM_BASE + (way * c.n_sets + index) * 64
+                for way in range(c.associativity)
+            ]
+            assert list(c._where[index].items()) == [
+                (baddr, way) for way, baddr in enumerate(row)
+            ]
+            for way, baddr in enumerate(row):
+                frame = index * c.associativity + way
+                assert c._addrs[frame] == baddr
+                assert c._dirty[frame] == 0
+                assert c._touch[frame] == 0
+                assert c.dgroup_of(baddr) == way // c.ways_per_dgroup
+        assert c._clock == 0
+
+    def test_prewarm_twice_rejected(self):
+        c = self._cache()
+        c.prewarm()
+        with pytest.raises(SimulationError):
+            c.prewarm()
+
+
+class TestSNUCAPrewarm:
+    def test_prewarmed_layout(self):
+        c = _snuca()
+        c.prewarm()
+        for index in range(c.n_sets):
+            row = [
+                PREWARM_BASE + (way * c.n_sets + index) * c.block_bytes
+                for way in range(c.associativity)
+            ]
+            assert list(c._sets[index].items()) == [(baddr, False) for baddr in row]
+            assert list(c._lru[index].lru_to_mru()) == row
+        c.check_invariants()
+
+    def test_prewarm_twice_rejected(self):
+        c = _snuca()
+        c.prewarm()
+        with pytest.raises(SimulationError):
+            c.prewarm()
+
+    def test_not_in_prototype_registry(self):
+        """S-NUCA prewarm is fast by construction, not by reuse."""
+        before = list(prewarm_cache._snapshots)
+        _snuca().prewarm()
+        assert list(prewarm_cache._snapshots) == before
+
+
+def _base_level(index):
+    prewarm_cache.clear()
+    return build_lower_level(base_config())[index].cache
+
+
+def _full_nurapid(n_dgroups, kind, restricted_frames=None):
+    return NuRAPIDCache(
+        NuRAPIDConfig(
+            n_dgroups=n_dgroups,
+            distance_replacement=kind,
+            restricted_frames=restricted_frames,
+        )
+    )
+
+
+SHAPES = {
+    "base-l2": lambda: _base_level(0),
+    "base-l3": lambda: _base_level(1),
+    "sa-placement": SetAssociativePlacementCache,
+    "snuca": SNUCACache,
+    "nurapid-4dg-random": lambda: _full_nurapid(4, DistanceReplacementKind.RANDOM),
+    "nurapid-4dg-lru": lambda: _full_nurapid(4, DistanceReplacementKind.LRU),
+    "nurapid-4dg-approx-lru": (
+        lambda: _full_nurapid(4, DistanceReplacementKind.APPROX_LRU)
+    ),
+    "nurapid-8dg-random": lambda: _full_nurapid(8, DistanceReplacementKind.RANDOM),
+    "nurapid-8dg-lru": lambda: _full_nurapid(8, DistanceReplacementKind.LRU),
+    "nurapid-8dg-approx-lru": (
+        lambda: _full_nurapid(8, DistanceReplacementKind.APPROX_LRU)
+    ),
+    "nurapid-4dg-restricted": (
+        lambda: _full_nurapid(4, DistanceReplacementKind.RANDOM, 4096)
+    ),
+    "compressed": lambda: CompressedNuRAPIDCache(NuRAPIDConfig(), CompressionConfig()),
+    "dnuca": lambda: DNUCACache(DNUCAConfig()),
+}
+
+#: sha256 of ``repr(_state(cache))`` after a cold prewarm of each
+#: full-size shape.  Both replay engines share prewarm, so engine
+#: parity cannot see a change to it; these digests pin it instead.
+GOLDEN_DIGESTS = {
+    "base-l2": (
+        "aab4cad673820f701dd852bc3bffce55ebfd3c52c5dcdf068f8853c3b513beca"
+    ),
+    "base-l3": (
+        "91edc3bdd1396066eb12aed03b0a62c9181e48ead8cb44ae7f276a9c1605e3f5"
+    ),
+    "sa-placement": (
+        "bef5cc5a26c9e770784e993961053b31a42ee56af2c1d296d567ef2d1da4cfd1"
+    ),
+    "snuca": (
+        "1b501215e87d25fe8b1eae37cf438f244d223b431f9f118dfda8b236002a3406"
+    ),
+    "nurapid-4dg-random": (
+        "0fdb7e48634dcf12872c44b0565e3ca999eb3630c78fb15e021c2fac6a56c138"
+    ),
+    "nurapid-4dg-lru": (
+        "5f3565012b552766381acdd63de69d8f9ae108c727f778c120312dec2e76d0bd"
+    ),
+    "nurapid-4dg-approx-lru": (
+        "c5ccf60ffd9e76d84009e5f7db03134fa6647f65e6e5bd1dfd524f5b5e950a7b"
+    ),
+    "nurapid-8dg-random": (
+        "7d547f4436ab286b014706c256df03a48b235317e2df1677721842c8ae65cef8"
+    ),
+    "nurapid-8dg-lru": (
+        "41f3cff776efa11314e43bfb1847b5a5e358fc0e18df73c2b74c7117ce6d94b8"
+    ),
+    "nurapid-8dg-approx-lru": (
+        "554ef258f5c75fd61b59f06e50956682b0f96e2603df4a304ddeb68636b1d49c"
+    ),
+    "nurapid-4dg-restricted": (
+        "146115071d93293c3d75d0de6d1ebcde989a4e555e445fbbb8d64c1d1e053aab"
+    ),
+    "compressed": (
+        "61095a265e05529bd2e0baf2901bab0be0311f8208318871adc1c2a26dfb1b0b"
+    ),
+    "dnuca": (
+        "58b3936eae797460a177693e7d439edea68d85626096059108756599a2f3d854"
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_golden_prewarm_state(shape):
+    prewarm_cache.clear()
+    cache = SHAPES[shape]()
+    cache.prewarm()
+    assert _digest(cache) == GOLDEN_DIGESTS[shape]
