@@ -1,17 +1,17 @@
 """Shared infrastructure for the experiment suite.
 
-Experiments share traces and run results through in-process caches so
-that e.g. Figures 5–9, which all need the base system's runs, pay for
-them once.  Every experiment returns an :class:`ExperimentReport` that
+Experiments share run results through an in-process cache so that
+e.g. Figures 5–9, which all need the base system's runs, pay for them
+once.  Every experiment returns an :class:`ExperimentReport` that
 renders to the same aligned-text table the paper's figure/table would.
 
 Experiments declare their ``configs x benchmarks`` grids through
-:func:`run_matrix`, which farms uncached cells out to the supervised
-worker pool (:func:`repro.sim.parallel.run_cells`) when a jobs count
-above one is in effect — set process-wide by the CLI's ``--jobs`` flag
-via :func:`set_default_jobs`, or by ``REPRO_JOBS`` in the environment.
-Pooled cells are seeded identically to serial ones, so the cached
-results are bit-identical either way.
+:func:`run_matrix`, which hands uncached cells to
+:func:`repro.sim.parallel.run_cells`: in this process at one job, on
+the supervised worker pool above one — set process-wide by the CLI's
+``--jobs`` flag via :func:`set_default_jobs`, or by ``REPRO_JOBS`` in
+the environment.  Pooled cells are seeded identically to in-process
+ones, so the cached results are bit-identical either way.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.common.errors import ConfigurationError
 from repro.sim.config import SystemConfig, env_jobs
-from repro.sim.driver import run_benchmark
 from repro.sim.results import RunResult, run_result_from_dict
 from repro.telemetry import TelemetryConfig, telemetry_from_env
 from repro.workloads.spec2k import get_benchmark
@@ -152,27 +151,13 @@ def shared_trace(benchmark: str, scale: Scale) -> Trace:
 
 
 def cached_run(config: SystemConfig, benchmark: str, scale: Scale) -> RunResult:
-    """Run (benchmark, config) at a scale, memoized on the config name.
+    """Run (benchmark, config) at a scale: a one-cell :func:`run_matrix`.
 
     Config names encode every policy knob (see
     :mod:`repro.sim.config`), so the name is a safe cache key within
     one process.
     """
-    key = _run_key(config, benchmark, scale)
-    if key not in _RUN_CACHE:
-        # CMP configs interleave per-core streams inside run_benchmark,
-        # so no shared single-stream trace applies.
-        is_cmp = config.cmp is not None and config.cmp.cores > 1
-        _RUN_CACHE[key] = run_benchmark(
-            config,
-            benchmark,
-            n_references=scale.n_references,
-            trace=None if is_cmp else shared_trace(benchmark, scale),
-            warmup_fraction=scale.warmup_fraction,
-            seed=scale.seed,
-            telemetry=default_telemetry(),
-        )
-    return _RUN_CACHE[key]
+    return run_matrix([config], [benchmark], scale)[config.name][benchmark]
 
 
 def _run_key(config: SystemConfig, benchmark: str, scale: Scale) -> _RunKey:
@@ -199,37 +184,34 @@ def run_matrix(
 ) -> Dict[str, Dict[str, RunResult]]:
     """results[config.name][benchmark] for a config x benchmark grid.
 
-    With an effective ``jobs`` count above one (argument, else
-    :func:`default_jobs`), the grid's uncached cells run on worker
-    processes and land in the shared run cache, so subsequent
-    :func:`cached_run` calls for the same cells are hits.  Any run
-    error raises, exactly like the serial path.
-
-    With a process-wide supervisor config
+    The grid's uncached cells go to :func:`repro.sim.parallel.run_cells`
+    with the effective ``jobs`` count (argument, else
+    :func:`default_jobs`) and the process-wide supervisor config
     (:func:`set_default_supervisor`, via the CLI's ``--cell-timeout``),
-    uncached cells always run pooled under it, also at ``jobs=1``;
-    results stay bit-identical to the serial path.
+    and land in the shared run cache.  One job and no supervisor runs
+    them in this process; anything else pools them, bit-identically.
+    Any run error raises.
     """
     jobs = default_jobs() if jobs is None else jobs
     if jobs < 1:
         raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
-    pending = [
-        (config, benchmark)
-        for config in configs
-        for benchmark in benchmarks
-        if _run_key(config, benchmark, scale) not in _RUN_CACHE
-    ]
-    supervisor = default_supervisor()
-    if pending and (supervisor is not None or (jobs > 1 and len(pending) > 1)):
+    pending: Dict[_RunKey, Tuple[SystemConfig, str]] = {}
+    for config in configs:
+        for benchmark in benchmarks:
+            key = _run_key(config, benchmark, scale)
+            if key not in _RUN_CACHE:
+                pending.setdefault(key, (config, benchmark))
+    if pending:
+        # Imported per call, so instrumentation that wraps
+        # repro.sim.parallel.run_cells sees every grid.
         from repro.sim.parallel import CellTask, run_cells
 
-        def is_cmp(config: SystemConfig) -> bool:
-            return config.cmp is not None and config.cmp.cores > 1
-
-        # Workers map each benchmark's trace-cache entry by path (in
+        keys = list(pending)
+        telemetry = default_telemetry()
+        # Cells map each benchmark's trace-cache entry by path (in
         # REPRO_TRACE_CACHE, else a scratch directory).  CMP cells
-        # interleave their own per-core traces in the worker.
-        shared = [b for config, b in pending if not is_cmp(config)]
+        # interleave their own per-core traces.
+        shared = [b for config, b in pending.values() if not config.multi_core]
         with trace_entries(shared, scale.n_references, scale.seed) as trace_paths:
             tasks = [
                 CellTask(
@@ -239,20 +221,18 @@ def run_matrix(
                     n_references=scale.n_references,
                     seed=scale.seed,
                     warmup_fraction=scale.warmup_fraction,
-                    trace_path=None if is_cmp(config) else trace_paths[benchmark],
+                    trace_path=trace_paths.get(benchmark),
                     isolate_errors=False,
-                    telemetry=default_telemetry(),
+                    telemetry=telemetry,
                 )
-                for index, (config, benchmark) in enumerate(pending)
+                for index, (config, benchmark) in enumerate(pending.values())
             ]
-            payloads = run_cells(tasks, jobs, supervisor=supervisor)
-        for payload in payloads:
-            config, benchmark = pending[payload["index"]]
-            _RUN_CACHE[_run_key(config, benchmark, scale)] = run_result_from_dict(
-                payload["result"]
-            )
+            for payload in run_cells(tasks, jobs, supervisor=default_supervisor()):
+                _RUN_CACHE[keys[payload["index"]]] = run_result_from_dict(
+                    payload["result"]
+                )
     return {
-        config.name: {b: cached_run(config, b, scale) for b in benchmarks}
+        config.name: {b: _RUN_CACHE[_run_key(config, b, scale)] for b in benchmarks}
         for config in configs
     }
 

@@ -18,7 +18,7 @@ Entry points:
   tune it.  :class:`WorkerPool` is the pool itself, whose worker slots
   live across calls (the job server holds one per worker task).
 * :mod:`repro.resilience.checkpoint` — checkpoint format v2 (checksum,
-  record seals, v1 migration shim, structural salvage).
+  record seals, structural salvage).
 * :class:`FileLock` — cross-process locking for shared cache and
   checkpoint directories.
 * :mod:`repro.resilience.chaos` — filesystem-driven worker kill/hang

@@ -1,11 +1,9 @@
-"""Sweep checkpoint format v2: checksums, salvage, v1 migration.
+"""Sweep checkpoint format v2: checksums and salvage.
 
-Format v1 (PR 1) was ``{"signature": ..., "cells": ...}`` — atomic to
-write, but carrying no way to *detect* corruption (a torn copy, disk
-damage, a truncated download of a CI artifact) and no way to recover
-from it short of deleting the file and re-running the whole grid.
-
-Format v2 wraps the same cells in integrity metadata::
+A checkpoint wraps the completed cells in integrity metadata, so a
+torn copy, disk damage or a truncated download of a CI artifact is
+detected and recovered from instead of forcing a re-run of the whole
+grid::
 
     {
       "format": 2,
@@ -27,11 +25,9 @@ Three layers of defense, used in order on load:
    (truncation), a tolerant sequential parser recovers every complete,
    seal-verified record before the damage.
 
-v1 files (and the v1-shaped files tests hand-write) stay readable: no
-``format``/``checksum`` keys means the migration shim accepts the cells
-as-is (counting ``checkpoint.v1_migrated``) and the next flush rewrites
-the file as v2.  The sweep *signature* hash is untouched by all of
-this, so a v1 checkpoint resumes under v2 with zero re-runs.
+A file without ``format``/``checksum`` keys (the retired v1 layout)
+fails the checksum, so only sealed records survive: its unsealed cells
+are rejected with a warning and re-run, and the next flush writes v2.
 
 Writes are serialized with a cross-process :class:`FileLock` and
 *merge* with same-signature cells already on disk, so two sweeps
@@ -64,7 +60,6 @@ CHECKPOINT_FILE_FORMAT = 2
 Cells = Dict[str, Dict[str, dict]]
 
 _SIGNATURE_RE = re.compile(r'"signature"\s*:\s*"([0-9a-f]{64})"')
-_FORMAT_RE = re.compile(r'"format"\s*:\s*(\d+)')
 
 
 def cells_checksum(cells: Cells) -> str:
@@ -116,7 +111,7 @@ def _verified_cells(
 def read_checkpoint(
     path: str, signature: str, registry: Optional[StatRegistry] = None
 ) -> Cells:
-    """Completed cells from ``path``, verified and migrated as needed.
+    """Completed cells from ``path``, verified (and salvaged) as needed.
 
     Raises :class:`ConfigurationError` only when the file provably
     belongs to a different sweep, or is so mangled that not even its
@@ -149,9 +144,6 @@ def read_checkpoint(
         cells = payload.get("cells", {})
         if not isinstance(cells, dict):
             raise ConfigurationError(f"malformed sweep checkpoint {path!r}")
-        if "format" not in payload and "checksum" not in payload:
-            registry.add("checkpoint.v1_migrated")
-            return _verified_cells(cells, registry, require_seal=False)
         if payload.get("checksum") == cells_checksum(cells):
             return _verified_cells(cells, registry, require_seal=False)
         # Valid JSON whose body no longer matches its checksum: trust
@@ -170,10 +162,8 @@ def read_checkpoint(
         )
     if found.group(1) != signature:
         raise _signature_mismatch(path)
-    fmt = _FORMAT_RE.search(text)
-    require_seal = bool(fmt) and int(fmt.group(1)) >= 2
     salvaged = _verified_cells(
-        _salvage_cells_text(text), registry, require_seal=require_seal
+        _salvage_cells_text(text), registry, require_seal=True
     )
     _count_salvage(path, salvaged, registry)
     return salvaged

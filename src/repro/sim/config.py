@@ -183,6 +183,11 @@ class SystemConfig:
                         "pick an exact engine for cores > 1"
                     )
 
+    @property
+    def multi_core(self) -> bool:
+        """True when runs interleave per-core traces (``cmp.cores > 1``)."""
+        return self.cmp is not None and self.cmp.cores > 1
+
 
 # --- factory helpers for the paper's configurations ---
 

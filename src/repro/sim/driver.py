@@ -11,7 +11,7 @@ accesses for the high-load applications; experiments scale
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Iterable, List, Optional
 
 from repro.common.errors import ConfigurationError
@@ -291,7 +291,7 @@ def run_benchmark(
         raise ConfigurationError(
             f"warmup_fraction must be in [0, 1), got {warmup_fraction}"
         )
-    if config.cmp is not None and config.cmp.cores > 1:
+    if config.multi_core:
         # Multi-core runs interleave their own per-core traces and
         # replay through per-core hierarchies over the shared LLC.
         # cores=1 deliberately falls through to the unchanged
@@ -434,12 +434,13 @@ def run_suite(
 
     All per-run knobs (``energy_model``, ``warm_set_conflict``,
     ``prewarm``) are forwarded to every :func:`run_benchmark` call.
-    ``jobs=N`` runs the benchmarks on N worker processes through
-    :mod:`repro.sim.parallel` with identical seeding, so parallel
-    suite results are bit-identical to serial ones; a failing run
-    raises in the parent either way.  ``trace_cache_dir`` names the
-    on-disk trace store workers load from (default:
-    ``$REPRO_TRACE_CACHE``, else a temp directory for the call).
+    Every benchmark is one cell of :func:`repro.sim.parallel.run_cells`:
+    ``jobs=1`` runs them in this process, ``jobs=N`` on N worker
+    processes with identical seeding, so the results are bit-identical
+    either way; a failing run raises in the caller.  ``trace_cache_dir``
+    names the on-disk trace store the cells map their traces from
+    (default: ``$REPRO_TRACE_CACHE``, else a temp directory for the
+    call).
 
     ``result_store`` (a :class:`repro.service.store.ResultStore`)
     memoizes completed cells by content address: cells already in the
@@ -453,25 +454,6 @@ def run_suite(
     """
     if jobs < 1:
         raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
-    benchmarks = list(benchmarks)
-    runs: Dict[str, RunResult] = {}
-    if result_store is None and (jobs == 1 or len(benchmarks) <= 1):
-        for name in benchmarks:
-            trace = traces.get(name) if traces else None
-            runs[name] = run_benchmark(
-                config,
-                name,
-                n_references=n_references,
-                seed=seed,
-                warmup_fraction=warmup_fraction,
-                trace=trace,
-                energy_model=energy_model,
-                warm_set_conflict=warm_set_conflict,
-                prewarm=prewarm,
-                telemetry=telemetry,
-            )
-        return SuiteResult(config_name=config.name, runs=runs)
-
     # Imported here, not at module top: repro.sim.parallel imports this
     # module for its workers.
     from repro.sim.parallel import (
@@ -482,56 +464,51 @@ def run_suite(
     )
     from repro.sim.results import run_result_from_dict
 
-    is_cmp = config.cmp is not None and config.cmp.cores > 1
+    benchmarks = list(benchmarks)
     inline = traces or {}
-    shared = [] if is_cmp else [
-        name for name in benchmarks if inline.get(name) is None
+    results: Dict[int, RunResult] = {}
+    keys: Dict[int, str] = {}
+    pending: List[CellTask] = []
+    for index, name in enumerate(benchmarks):
+        task = CellTask(
+            index=index,
+            config=config,
+            benchmark=name,
+            n_references=n_references,
+            seed=seed,
+            warmup_fraction=warmup_fraction,
+            trace=inline.get(name),
+            warm_set_conflict=warm_set_conflict,
+            prewarm=prewarm,
+            energy_model=energy_model,
+            isolate_errors=False,
+            telemetry=telemetry,
+        )
+        key = None if result_store is None else cell_fingerprint(task)
+        stored = None if key is None else result_store.get(key)
+        if stored is not None:
+            results[index] = run_result_from_dict(stored["result"])
+            continue
+        if key is not None:
+            keys[index] = key
+        pending.append(task)
+    shared = [] if config.multi_core else [
+        task.benchmark for task in pending if task.trace is None
     ]
     with trace_entries(
         shared, n_references, seed, warm_set_conflict, directory=trace_cache_dir
     ) as trace_paths:
         tasks = [
-            CellTask(
-                index=index,
-                config=config,
-                benchmark=name,
-                n_references=n_references,
-                seed=seed,
-                warmup_fraction=warmup_fraction,
-                trace=inline.get(name),
-                trace_path=trace_paths.get(name),
-                warm_set_conflict=warm_set_conflict,
-                prewarm=prewarm,
-                energy_model=energy_model,
-                isolate_errors=False,
-                telemetry=telemetry,
-            )
-            for index, name in enumerate(benchmarks)
+            replace(task, trace_path=trace_paths.get(task.benchmark))
+            for task in pending
         ]
-        pending = tasks
-        keys: Dict[int, str] = {}
-        if result_store is not None:
-            pending = []
-            for task in tasks:
-                key = cell_fingerprint(task)
-                if key is not None:
-                    cached = result_store.get(key)
-                    if cached is not None:
-                        runs[benchmarks[task.index]] = run_result_from_dict(
-                            cached["result"]
-                        )
-                        continue
-                    keys[task.index] = key
-                pending.append(task)
-        for payload in run_cells(pending, jobs):
+        for payload in run_cells(tasks, jobs):
             index = payload["index"]
-            key = keys.get(index)
-            if key is not None:
+            if index in keys:
                 stored = dict(payload)
                 stored.pop("index", None)
                 if memoizable_payload(stored):
-                    result_store.put(key, stored)
-            runs[benchmarks[index]] = run_result_from_dict(
-                payload["result"]
-            )
+                    result_store.put(keys[index], stored)
+            results[index] = run_result_from_dict(payload["result"])
+    runs = {name: results[index] for index, name in enumerate(benchmarks)}
     return SuiteResult(config_name=config.name, runs=runs)

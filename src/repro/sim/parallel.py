@@ -23,10 +23,10 @@ Two deliberate design points:
   (:mod:`repro.workloads.transport`) instead of receiving tens of
   megabytes of pickled numpy arrays per cell: one decode per worker
   process, however many cells it runs.  A missing or damaged entry,
-  and every retry attempt, regenerates the trace in the worker, which
-  is exactly what the serial path does.
+  and every retry attempt, regenerates the trace from the cell's own
+  parameters, bit-identically.
 
-Failure semantics mirror the serial sweep: with
+Failure semantics are the same in process and pooled: with
 ``isolate_errors=True`` a :class:`~repro.common.errors.ReproError`
 becomes a failed outcome payload (after the configured reseeded
 retries), while any other exception type is a simulator bug and
@@ -170,20 +170,16 @@ def memoizable_payload(payload: Dict[str, object]) -> bool:
 
 def _attempt_trace(task: CellTask, attempt: int) -> Optional[Trace]:
     """The cell's trace for one attempt: inline, mapped, or generated."""
-    cmp = getattr(task.config, "cmp", None)
-    if cmp is not None and cmp.cores > 1:
-        # CMP runs interleave per-core streams inside run_benchmark; a
-        # pre-generated single-stream trace would be rejected there.
+    if attempt == 0 and task.trace is not None:
+        # The caller's own trace, which run_benchmark rejects for CMP.
+        return task.trace
+    if task.config.multi_core:
+        # CMP runs interleave per-core streams inside run_benchmark.
         return None
-    if attempt == 0:
-        if task.trace is not None:
-            return task.trace
-        if task.trace_path is not None:
-            trace = load_mmap_trace(
-                task.trace_path, task.benchmark, task.n_references
-            )
-            if trace is not None:
-                return trace
+    if attempt == 0 and task.trace_path is not None:
+        trace = load_mmap_trace(task.trace_path, task.benchmark, task.n_references)
+        if trace is not None:
+            return trace
     return generate_trace(
         get_benchmark(task.benchmark),
         task.n_references,
@@ -237,18 +233,15 @@ def execute_cell(task: CellTask) -> Dict[str, object]:
             if not task.isolate_errors:
                 raise
             last_error = exc
-    if attempts == 0:
-        message, error_type = "point budget exhausted before attempt", "Budget"
-    else:
-        assert last_error is not None
-        message, error_type = str(last_error), type(last_error).__name__
+    # Attempt 0 always runs, so a failed cell has a last error.
+    assert last_error is not None
     return {
         "index": task.index,
         "outcome": {
             "status": "failed",
             "attempts": attempts,
-            "error": message,
-            "error_type": error_type,
+            "error": str(last_error),
+            "error_type": type(last_error).__name__,
         },
         "result": None,
     }

@@ -17,18 +17,17 @@ hardens the grid instead of letting one point abort it:
   ``max_retries`` times, each attempt bumping the trace seed and the
   fault-plan seed by ``reseed_step`` so the retry explores a different
   deterministic universe rather than replaying the same crash.
-* **budget** — an optional wall-clock allowance per point.  On the
-  serial path the budget is *advisory*: Python code cannot preempt a
-  running attempt, so it is only checked **between** attempts and
-  benchmarks — one slow attempt can blow far past its allowance before
-  the check fires.  When cells run pooled it becomes a true per-attempt
-  wall-clock deadline: the supervisor SIGKILLs a worker whose attempt
-  exceeds it.
+* **budget** — an optional wall-clock allowance per cell
+  (``CellTask.budget_s``).  In this process the budget is *advisory*:
+  Python code cannot preempt a running attempt, so it is only checked
+  **between** retry attempts — one slow attempt can blow far past its
+  allowance before the check fires, but it is never retried.  When
+  cells run pooled it is also a true wall-clock deadline: the
+  supervisor SIGKILLs a worker whose cell exceeds it.
 * **checkpointing** — with ``checkpoint_path`` set, completed cells
-  are persisted to an atomic, checksummed JSON checkpoint (format v2;
-  v1 files from older runs are still read, and rewritten as v2 on the
-  next flush — see :mod:`repro.resilience.checkpoint`, which also
-  salvages partially corrupted files instead of refusing to resume).
+  are persisted to an atomic, checksummed JSON checkpoint (format v2
+  — see :mod:`repro.resilience.checkpoint`, which also salvages
+  partially corrupted files instead of refusing to resume).
   Re-invoking ``run()`` after a crash (or kill) replays completed
   cells from the file and re-runs only the incomplete ones, with seeds
   untouched, so the resumed grid is identical to an uninterrupted run.
@@ -38,15 +37,14 @@ hardens the grid instead of letting one point abort it:
   itself: any Python-level exception — including Ctrl-C — still
   flushes every completed cell on the way out, so only a hard
   ``kill -9`` can lose up to one flush interval of finished work.
-* **parallelism** — ``jobs=N`` runs cells on N worker processes via
-  :func:`repro.sim.parallel.run_cells`, sharing each benchmark's base
-  trace through an on-disk :class:`~repro.workloads.tracegen.TraceCache`.
-  Cells are seeded identically to the serial path, so ``jobs=1`` and
-  ``jobs=N`` produce bit-identical results and interchangeable
-  checkpoints (a serial run can resume a parallel one and vice
-  versa).  The per-point wall-clock budget becomes a per-cell
-  deadline under parallelism, since a point's cells no longer run
-  back-to-back on one core.
+* **parallelism** — every cell runs through
+  :func:`repro.sim.parallel.run_cells` and maps its benchmark's shared
+  base trace from one on-disk
+  :class:`~repro.workloads.tracegen.TraceCache` entry.  ``jobs=1``
+  runs the cells in this process, ``jobs=N`` on N worker processes;
+  cells are seeded identically either way, so both produce
+  bit-identical results and interchangeable checkpoints (a serial run
+  can resume a parallel one and vice versa).
 * **supervision** — pooled cells always run under the supervisor
   (:mod:`repro.resilience.supervisor`): hung workers are killed at
   their deadline, crashed workers respawned and their cells resubmitted
@@ -65,9 +63,8 @@ import hashlib
 import itertools
 import json
 import os
-import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.common.errors import ConfigurationError, ReproError
@@ -76,25 +73,23 @@ from repro.resilience.checkpoint import read_checkpoint, write_checkpoint
 if TYPE_CHECKING:  # the runtime import is deferred to break a cycle
     from repro.resilience.supervisor import SupervisorConfig
 from repro.sim.config import SystemConfig
-from repro.sim.driver import run_benchmark
 from repro.sim.parallel import (
     CellTask,
     cell_fingerprint,
-    reseed_config,
+    memoizable_payload,
     run_cells,
 )
-from repro.sim.results import RunResult, run_result_from_dict, run_result_to_dict
+from repro.sim.results import RunResult, run_result_from_dict
 from repro.telemetry import TelemetryConfig
 from repro.workloads.spec2k import get_benchmark
-from repro.workloads.trace import Trace
-from repro.workloads.tracegen import generate_trace, trace_entries
+from repro.workloads.tracegen import trace_entries
 
 #: Salt for :meth:`Sweep.signature`.  Deliberately pinned at 1 even
-#: though the checkpoint *file* layout is now v2
+#: though the checkpoint *file* layout is v2
 #: (:data:`repro.resilience.checkpoint.CHECKPOINT_FILE_FORMAT`): the
 #: signature identifies the grid's *results*, which the file format
-#: does not change, and keeping it stable is what lets v1 checkpoints
-#: resume under v2 without re-running anything.
+#: does not change, and bumping it would orphan every checkpoint
+#: written so far.
 CHECKPOINT_FORMAT = 1
 
 
@@ -182,25 +177,20 @@ class SweepPoint:
         return sum(self.runs[b].ipc / base.runs[b].ipc for b in shared) / len(shared)
 
 
-# Re-exported for callers that used the private name before the logic
-# moved to repro.sim.parallel (workers need it importable there).
-_reseed_config = reseed_config
-
-
 class Sweep:
     """Cross-product sweep runner with shared traces.
 
     ``max_retries`` is the number of *additional* attempts after a
     failed one (total attempts per cell = 1 + max_retries); each
     attempt ``k`` bumps the trace and fault seeds by
-    ``k * reseed_step``.  ``point_budget_s`` caps wall-clock per point.
-    ``checkpoint_path`` enables crash-tolerant resume (see module
-    docstring).  ``jobs`` runs cells on that many worker processes;
-    ``trace_cache_dir`` names the on-disk trace store parallel workers
-    load from (default: ``$REPRO_TRACE_CACHE``, else a private temp
-    directory deleted after the run).  ``checkpoint_every`` flushes the
-    checkpoint after that many newly completed cells (default: one
-    flush per point).  ``supervisor`` configures the supervised pool
+    ``k * reseed_step``.  ``point_budget_s`` is each cell's wall-clock
+    budget (see module docstring).  ``checkpoint_path`` enables
+    crash-tolerant resume.  ``jobs`` runs cells on that many worker
+    processes; ``trace_cache_dir`` names the on-disk trace store cells
+    map their base traces from (default: ``$REPRO_TRACE_CACHE``, else a
+    private temp directory deleted after the run).
+    ``checkpoint_every`` flushes the checkpoint after that many newly
+    completed cells (default: one flush per point).  ``supervisor`` configures the supervised pool
     (worker deadlines, crash recovery, quarantine) and runs cells on it
     even with ``jobs=1``, in a single worker process, so a deadline
     stays enforceable.  ``result_store`` (a
@@ -281,36 +271,6 @@ class Sweep:
         self.telemetry = telemetry
         self.supervisor = supervisor
         self.result_store = result_store
-        self._traces: Dict[str, Trace] = {}
-
-    def _store_key(self, config: SystemConfig, benchmark: str) -> Optional[str]:
-        """The cell's content address (same key every execution path uses)."""
-        if self.result_store is None:
-            return None
-        probe = CellTask(
-            index=0,
-            config=config,
-            benchmark=benchmark,
-            n_references=self.n_references,
-            seed=self.seed,
-            warmup_fraction=self.warmup_fraction,
-            telemetry=self.telemetry,
-        )
-        return cell_fingerprint(probe)
-
-    def _trace(self, benchmark: str, attempt: int = 0) -> Trace:
-        """The shared base trace, or a fresh reseeded one for retries."""
-        if attempt:
-            return generate_trace(
-                get_benchmark(benchmark),
-                self.n_references,
-                seed=self.seed + attempt * self.reseed_step,
-            )
-        if benchmark not in self._traces:
-            self._traces[benchmark] = generate_trace(
-                get_benchmark(benchmark), self.n_references, seed=self.seed
-            )
-        return self._traces[benchmark]
 
     def points(self) -> List[SweepPoint]:
         """The un-run cross product (for inspection or custom driving)."""
@@ -361,10 +321,10 @@ class Sweep:
     def _load_checkpoint(self, signature: str) -> Dict[str, Dict[str, dict]]:
         """Completed cells from a prior run, keyed by point then bench.
 
-        Handled by :func:`repro.resilience.read_checkpoint`: v2 files
-        are checksum-verified, v1 files migrate transparently, and
-        corrupted files are salvaged cell-by-cell (with a warning and
-        runtime counters) instead of refusing the resume.  Only a
+        Handled by :func:`repro.resilience.read_checkpoint`: files are
+        checksum-verified, and corrupted ones are salvaged cell-by-cell
+        (with a warning and runtime counters) instead of refusing the
+        resume.  Only a
         signature mismatch — or a file mangled beyond recovering even
         its signature — still raises.
         """
@@ -396,46 +356,27 @@ class Sweep:
             return self.checkpoint_every
         return len(self.benchmarks)
 
-    def _run_cell(
-        self, point: SweepPoint, benchmark: str, deadline: Optional[float]
-    ) -> Tuple[Optional[RunResult], RunOutcome]:
-        """One (point, benchmark) cell: attempt, retry-with-reseed."""
-        last_error: Optional[ReproError] = None
-        attempts = 0
-        for attempt in range(self.max_retries + 1):
-            if (
-                attempt
-                and deadline is not None
-                and time.monotonic() >= deadline
-            ):
-                break
-            attempts += 1
-            is_cmp = (
-                point.config.cmp is not None and point.config.cmp.cores > 1
-            )
-            try:
-                result = run_benchmark(
-                    _reseed_config(point.config, attempt * self.reseed_step),
-                    benchmark,
-                    n_references=self.n_references,
-                    trace=None if is_cmp else self._trace(benchmark, attempt),
-                    warmup_fraction=self.warmup_fraction,
-                    seed=self.seed + attempt * self.reseed_step,
-                    telemetry=self.telemetry,
-                )
-                return result, RunOutcome(status="ok", attempts=attempts)
-            except ReproError as exc:
-                # Modeled failures (faults, configuration of this point)
-                # stay inside the cell; simulator bugs propagate.
-                last_error = exc
-        if attempts == 0:
-            message, error_type = "point budget exhausted before attempt", "Budget"
-        else:
-            assert last_error is not None
-            message, error_type = str(last_error), type(last_error).__name__
-        return None, RunOutcome(
-            status="failed", attempts=attempts, error=message, error_type=error_type
-        )
+    def _record_cell(
+        self,
+        cells: Dict[str, Dict[str, dict]],
+        point: SweepPoint,
+        benchmark: str,
+        record: Dict[str, object],
+        key: Optional[str] = None,
+    ) -> None:
+        """Fill one cell and its checkpoint entry from a cell record.
+
+        A fresh first-attempt success is published to the result store
+        under ``key`` for every later caller; a retried success ran
+        under reseeded parameters and is not this content address's
+        answer.
+        """
+        point.outcomes[benchmark] = RunOutcome.from_dict(record["outcome"])  # type: ignore[arg-type]
+        if record.get("result") is not None:
+            point.runs[benchmark] = run_result_from_dict(record["result"])  # type: ignore[arg-type]
+        cells[point.key][benchmark] = record
+        if key is not None and memoizable_payload(record):
+            self.result_store.put(key, record)
 
     def run(
         self, resume: bool = True, jobs: Optional[int] = None
@@ -459,177 +400,87 @@ class Sweep:
         for index, point in enumerate(points):
             saved = cells.setdefault(point.key, {})
             for benchmark in self.benchmarks:
-                cached = saved.get(benchmark)
-                if cached is None:
+                record = saved.get(benchmark)
+                if record is None:
                     pending.append((index, benchmark))
-                    continue
-                point.outcomes[benchmark] = RunOutcome.from_dict(
-                    cached["outcome"]
-                )
-                if cached.get("result") is not None:
-                    point.runs[benchmark] = run_result_from_dict(
-                        cached["result"]
-                    )
-        if pending and self.result_store is not None:
+                else:
+                    self._record_cell(cells, point, benchmark, record)
+        tasks = [
+            CellTask(
+                index=position,
+                config=points[index].config,
+                benchmark=benchmark,
+                n_references=self.n_references,
+                seed=self.seed,
+                warmup_fraction=self.warmup_fraction,
+                max_retries=self.max_retries,
+                reseed_step=self.reseed_step,
+                budget_s=self.point_budget_s,
+                telemetry=self.telemetry,
+            )
+            for position, (index, benchmark) in enumerate(pending)
+        ]
+        keys: Dict[int, str] = {}
+        if tasks and self.result_store is not None:
             # Second chance before simulating: cells memoized by any
             # earlier caller (a service run, another sweep, run_suite)
             # restore from the store and fold into the checkpoint.
-            still_pending: List[Tuple[int, str]] = []
-            restored = 0
-            for index, benchmark in pending:
-                key = self._store_key(points[index].config, benchmark)
+            unstored = []
+            for task in tasks:
+                key = cell_fingerprint(task)
                 stored = None if key is None else self.result_store.get(key)
                 if stored is None:
-                    still_pending.append((index, benchmark))
+                    if key is not None:
+                        keys[task.index] = key
+                    unstored.append(task)
                     continue
-                point = points[index]
-                point.outcomes[benchmark] = RunOutcome.from_dict(
-                    stored["outcome"]
-                )
-                if stored.get("result") is not None:
-                    point.runs[benchmark] = run_result_from_dict(
-                        stored["result"]
-                    )
-                cells[point.key][benchmark] = {
+                index, benchmark = pending[task.index]
+                record = {
                     "outcome": dict(stored["outcome"]),
                     "result": stored.get("result"),
                 }
-                restored += 1
-            pending = still_pending
-            if restored and self.checkpoint_path is not None:
+                self._record_cell(cells, points[index], benchmark, record)
+            if len(unstored) < len(tasks) and self.checkpoint_path is not None:
                 self._save_checkpoint(signature, cells)
-        if not pending:
+            tasks = unstored
+        if not tasks:
             return points
-        # The flush state lives here — not in the runner methods — so a
-        # KeyboardInterrupt (or any exception) anywhere below still
-        # persists every completed cell on the way out.
-        state = {"dirty": 0}
+
+        flush_every = self._flush_every()
+        dirty = 0
+
+        def on_done(payload: Dict[str, object]) -> None:
+            nonlocal dirty
+            position = payload["index"]
+            index, benchmark = pending[position]  # type: ignore[index]
+            record = {"outcome": payload["outcome"], "result": payload["result"]}
+            self._record_cell(
+                cells, points[index], benchmark, record, keys.get(position)  # type: ignore[arg-type]
+            )
+            dirty += 1
+            if dirty >= flush_every:
+                self._save_checkpoint(signature, cells)
+                dirty = 0
+
+        # The flush state lives here, so a KeyboardInterrupt (or any
+        # exception) anywhere below still persists every completed cell
+        # on the way out.  Each benchmark's shared base trace is one
+        # trace-cache entry that cells map by path; CMP cells
+        # interleave their own per-core traces.
+        shared = {task.benchmark for task in tasks if not task.config.multi_core}
         try:
-            if jobs == 1 and self.supervisor is None:
-                self._run_serial(points, signature, cells, pending, state)
-            else:
-                self._run_parallel(points, signature, cells, pending, jobs, state)
+            with trace_entries(
+                shared, self.n_references, self.seed, directory=self.trace_cache_dir
+            ) as trace_paths:
+                tasks = [
+                    replace(task, trace_path=trace_paths.get(task.benchmark))
+                    for task in tasks
+                ]
+                run_cells(tasks, jobs, callback=on_done, supervisor=self.supervisor)
         finally:
-            if state["dirty"]:
+            if dirty:
                 self._save_checkpoint(signature, cells)
         return points
-
-    def _record_cell(
-        self,
-        points: List[SweepPoint],
-        cells: Dict[str, Dict[str, dict]],
-        index: int,
-        benchmark: str,
-        result: Optional[RunResult],
-        outcome: RunOutcome,
-    ) -> None:
-        point = points[index]
-        point.outcomes[benchmark] = outcome
-        if result is not None:
-            point.runs[benchmark] = result
-        record = {
-            "outcome": outcome.to_dict(),
-            "result": None if result is None else run_result_to_dict(result),
-        }
-        cells[point.key][benchmark] = record
-        # Publish first-attempt successes for every later caller; a
-        # retried success ran under reseeded parameters and is not this
-        # content address's answer.
-        if self.result_store is not None and outcome.ok and outcome.attempts == 1:
-            key = self._store_key(point.config, benchmark)
-            if key is not None:
-                self.result_store.put(key, record)
-
-    def _run_serial(
-        self,
-        points: List[SweepPoint],
-        signature: str,
-        cells: Dict[str, Dict[str, dict]],
-        pending: List[Tuple[int, str]],
-        state: Dict[str, int],
-    ) -> None:
-        flush_every = self._flush_every()
-        deadline: Optional[float] = None
-        current: Optional[int] = None
-        for index, benchmark in pending:
-            if index != current:
-                current = index
-                # The budget clock starts at the point's first
-                # non-cached cell, so resumed points get a full
-                # allowance for their remaining work.
-                deadline = (
-                    time.monotonic() + self.point_budget_s
-                    if self.point_budget_s is not None
-                    else None
-                )
-            if deadline is not None and time.monotonic() >= deadline:
-                result: Optional[RunResult] = None
-                outcome = RunOutcome(
-                    status="failed",
-                    attempts=0,
-                    error="point budget exhausted",
-                    error_type="Budget",
-                )
-            else:
-                result, outcome = self._run_cell(
-                    points[index], benchmark, deadline
-                )
-            self._record_cell(points, cells, index, benchmark, result, outcome)
-            state["dirty"] += 1
-            if state["dirty"] >= flush_every:
-                self._save_checkpoint(signature, cells)
-                state["dirty"] = 0
-
-    def _run_parallel(
-        self,
-        points: List[SweepPoint],
-        signature: str,
-        cells: Dict[str, Dict[str, dict]],
-        pending: List[Tuple[int, str]],
-        jobs: int,
-        state: Dict[str, int],
-    ) -> None:
-        def is_cmp(index: int) -> bool:
-            cmp = points[index].config.cmp
-            return cmp is not None and cmp.cores > 1
-
-        flush_every = self._flush_every()
-
-        def record(payload: Dict[str, object]) -> None:
-            index, benchmark = pending[payload["index"]]  # type: ignore[index]
-            outcome = RunOutcome.from_dict(payload["outcome"])  # type: ignore[arg-type]
-            raw = payload.get("result")
-            result = None if raw is None else run_result_from_dict(raw)  # type: ignore[arg-type]
-            self._record_cell(points, cells, index, benchmark, result, outcome)
-            state["dirty"] += 1
-            if state["dirty"] >= flush_every:
-                self._save_checkpoint(signature, cells)
-                state["dirty"] = 0
-
-        # Each benchmark's shared base trace is ensured once in the
-        # parent as a trace-cache entry, and workers map it by path.
-        # CMP cells interleave per-core traces in the worker.
-        shared = {benchmark for index, benchmark in pending if not is_cmp(index)}
-        with trace_entries(
-            shared, self.n_references, self.seed, directory=self.trace_cache_dir
-        ) as trace_paths:
-            tasks = [
-                CellTask(
-                    index=position,
-                    config=points[index].config,
-                    benchmark=benchmark,
-                    n_references=self.n_references,
-                    seed=self.seed,
-                    warmup_fraction=self.warmup_fraction,
-                    trace_path=None if is_cmp(index) else trace_paths[benchmark],
-                    max_retries=self.max_retries,
-                    reseed_step=self.reseed_step,
-                    budget_s=self.point_budget_s,
-                    telemetry=self.telemetry,
-                )
-                for position, (index, benchmark) in enumerate(pending)
-            ]
-            run_cells(tasks, jobs, callback=record, supervisor=self.supervisor)
 
 
 def tabulate(points: Sequence[SweepPoint], metric: Callable[[SweepPoint], float]) -> str:

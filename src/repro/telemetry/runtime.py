@@ -16,7 +16,6 @@ Counters used by the resilience layer:
 * ``supervisor.quarantined`` — cells failed after repeated kills
 * ``supervisor.pool_rebuilds`` — worker slots respawned
 * ``supervisor.degraded`` — fall-backs to in-process serial execution
-* ``checkpoint.v1_migrated`` — legacy checkpoints read through the shim
 * ``checkpoint.salvaged`` / ``checkpoint.salvaged_cells`` — corrupted
   checkpoints partially recovered, and how many cells survived
 * ``checkpoint.record_rejected`` — cells dropped by a per-record checksum

@@ -41,6 +41,7 @@ from repro.resilience.integrity import (
 )
 from repro.resilience.locks import FileLock
 from repro.telemetry.runtime import runtime_registry
+from repro.workloads import transport
 from repro.workloads.spec2k import BenchmarkProfile, get_benchmark
 from repro.workloads.trace import Trace
 
@@ -439,25 +440,27 @@ def trace_entries(
     warm_set_conflict: int = 1,
     directory: Optional[str] = None,
 ) -> Iterator[Dict[str, str]]:
-    """``{benchmark: entry path}`` for a pooled run's shared traces.
+    """``{benchmark: entry path}`` for a grid's shared traces.
 
     Ensures each benchmark's entry once in ``directory``, else in
     ``REPRO_TRACE_CACHE``, else in a scratch directory that is removed
-    on exit.  Workers reach their trace through the path
+    on exit, together with this process's memoized mappings of its
+    entries.  Cells reach their trace through the path
     (:mod:`repro.workloads.transport`).
     """
     directory = directory or default_trace_cache_dir()
     scratch = None
     if directory is None:
         scratch = directory = tempfile.mkdtemp(prefix="repro-trace-cache-")
+    paths: Dict[str, str] = {}
     try:
         cache = TraceCache(directory)
-        yield {
-            benchmark: cache.ensure(
+        for benchmark in sorted(set(benchmarks)):
+            paths[benchmark] = cache.ensure(
                 benchmark, n_references, seed, warm_set_conflict
             )
-            for benchmark in sorted(set(benchmarks))
-        }
+        yield paths
     finally:
         if scratch is not None:
             shutil.rmtree(scratch, ignore_errors=True)
+            transport.forget(paths.values())

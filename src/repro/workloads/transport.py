@@ -19,7 +19,7 @@ function of its cache key.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Iterable, Optional
 
 from repro.common.errors import ConfigurationError
 from repro.resilience.integrity import verify_sidecar
@@ -54,6 +54,12 @@ def load_mmap_trace(
     _LOADED[path] = trace
     reg.add("transport.trace_loads")
     return trace
+
+
+def forget(paths: Iterable[str]) -> None:
+    """Drop the memoized traces of deleted entries, unmapping their files."""
+    for path in paths:
+        _LOADED.pop(path, None)
 
 
 def reset_for_tests() -> None:

@@ -380,7 +380,7 @@ class TestSweepParity:
         def boom(*a, **kw):
             raise AssertionError("resume re-ran a checkpointed cell")
 
-        monkeypatch.setattr("repro.sim.sweep.run_benchmark", boom)
+        monkeypatch.setattr("repro.sim.parallel.run_benchmark", boom)
         resumed = self.sweep_results(
             "vectorized", monkeypatch, jobs=2, checkpoint_path=path
         )

@@ -51,6 +51,21 @@ def make_sweep(**kw):
     return Sweep(**defaults)
 
 
+def count_executed_cells(monkeypatch):
+    """The tasks of every cell ``execute_cell`` runs in this process."""
+    import repro.sim.parallel as parallel
+
+    calls = []
+    original = parallel.execute_cell
+
+    def counting(task):
+        calls.append(task)
+        return original(task)
+
+    monkeypatch.setattr(parallel, "execute_cell", counting)
+    return calls
+
+
 def point_dicts(points):
     """Exact-comparable form of a sweep's results."""
     return [
@@ -75,7 +90,7 @@ class TestSweepParallel:
         sweep = make_sweep(trace_cache_dir=str(tmp_path / "traces"))
         assert point_dicts(sweep.run(jobs=2)) == point_dicts(make_sweep().run())
 
-    def test_parallel_writes_resumable_checkpoint(self, tmp_path):
+    def test_parallel_writes_resumable_checkpoint(self, tmp_path, monkeypatch):
         path = str(tmp_path / "ckpt.json")
         first = make_sweep(
             checkpoint_path=path,
@@ -85,10 +100,8 @@ class TestSweepParallel:
         assert json.load(open(path))["cells"]
 
         # A later serial run restores the parallel run's cells verbatim.
-        calls = []
-        resumed_sweep = make_sweep(checkpoint_path=path)
-        resumed_sweep._run_cell = lambda *a, **kw: calls.append(a)  # noqa: E731
-        resumed = resumed_sweep.run()
+        calls = count_executed_cells(monkeypatch)
+        resumed = make_sweep(checkpoint_path=path).run()
         assert not calls
         assert point_dicts(resumed) == point_dicts(first)
 
@@ -139,16 +152,18 @@ class TestSweepParallel:
             len(cells) == 2 for cells in json.load(open(path))["cells"].values()
         )
 
-    def test_v1_checkpoint_resumes_and_upgrades_to_v2(self, tmp_path):
-        """A format-v1 file ({"signature", "cells"}, no checksums)
-        resumes under v2 without re-running its cells, and the next
-        flush rewrites it as a checksummed, record-sealed v2 file."""
+    def test_unsealed_checkpoint_reruns_and_is_rewritten_as_v2(
+        self, tmp_path, monkeypatch
+    ):
+        """A file in the retired v1 layout ({"signature", "cells"}, no
+        checksum or record seals) resumes nothing: its cells are
+        rejected with a warning and re-run, and the next flush rewrites
+        it as a checksummed, record-sealed v2 file."""
         path = str(tmp_path / "ckpt.json")
         uninterrupted = make_sweep(checkpoint_path=path).run()
 
         # Downgrade the file to v1: strip the envelope and the
-        # per-record seals, and drop one cell so the resume must both
-        # migrate and re-run.
+        # per-record seals, and drop one cell.
         payload = json.load(open(path))
         cells = {
             key: {
@@ -162,18 +177,11 @@ class TestSweepParallel:
         with open(path, "w") as handle:
             json.dump({"signature": payload["signature"], "cells": cells}, handle)
 
-        calls = []
-        sweep = make_sweep(checkpoint_path=path)
-        original = sweep._run_cell
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
-
-        sweep._run_cell = counting
-        resumed = sweep.run()
+        calls = count_executed_cells(monkeypatch)
+        with pytest.warns(RuntimeWarning, match="salvaged 0"):
+            resumed = make_sweep(checkpoint_path=path).run()
         assert point_dicts(resumed) == point_dicts(uninterrupted)
-        assert len(calls) == 1  # only the dropped cell re-ran
+        assert len(calls) == 8  # every cell re-ran
 
         upgraded = json.load(open(path))
         assert upgraded["format"] == 2
@@ -409,6 +417,8 @@ class TestRunSuite:
         import repro.sim.driver as driver
         from repro.cpu.wattch import ProcessorEnergyModel
 
+        import repro.sim.parallel as parallel
+
         captured = []
         real = driver.run_benchmark
 
@@ -416,7 +426,7 @@ class TestRunSuite:
             captured.append((benchmark, kw))
             return real(config, benchmark, n_references=1_000, warmup_fraction=0.4)
 
-        monkeypatch.setattr(driver, "run_benchmark", fake_run_benchmark)
+        monkeypatch.setattr(parallel, "run_benchmark", fake_run_benchmark)
         model = ProcessorEnergyModel(core_nj_per_instruction=99.0)
         driver.run_suite(
             snuca_config(),

@@ -345,9 +345,9 @@ class TestSupervisedSweep:
         path = str(tmp_path / "ckpt.json")
         sweep = self.make_sweep(checkpoint_path=path, checkpoint_every=100)
         calls = {"n": 0}
-        import repro.sim.sweep as sweep_mod
+        import repro.sim.parallel as parallel_mod
 
-        original = sweep_mod.run_benchmark
+        original = parallel_mod.run_benchmark
 
         def interrupt_after_one(*args, **kwargs):
             if calls["n"] >= 1:
@@ -355,7 +355,7 @@ class TestSupervisedSweep:
             calls["n"] += 1
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(sweep_mod, "run_benchmark", interrupt_after_one)
+        monkeypatch.setattr(parallel_mod, "run_benchmark", interrupt_after_one)
         with pytest.raises(KeyboardInterrupt):
             sweep.run(resume=False)
         # checkpoint_every=100 means no interval flush happened; the
@@ -426,13 +426,21 @@ class TestCheckpointIntegrity:
     def test_missing_file_is_empty(self, tmp_path):
         assert read_checkpoint(str(tmp_path / "nope.json"), self.SIGNATURE) == {}
 
-    def test_v1_file_migrates(self, tmp_path):
+    def test_v1_layout_cells_rejected_for_rerun(self, tmp_path):
+        # The retired v1 layout ({"signature", "cells"}, no checksum or
+        # record seals) fails the checksum, so none of its cells is
+        # trusted: the read warns and the sweep re-runs them.
         path = str(tmp_path / "ckpt.json")
         cells = self.cells()
         with open(path, "w") as handle:
             json.dump({"signature": self.SIGNATURE, "cells": cells}, handle)
-        assert read_checkpoint(path, self.SIGNATURE) == cells
-        assert runtime_counters()["checkpoint.v1_migrated"] == 1
+        with pytest.warns(RuntimeWarning, match="salvaged 0"):
+            salvaged = read_checkpoint(path, self.SIGNATURE)
+        assert salvaged == {key: {} for key in cells}
+        counters = runtime_counters()
+        assert counters["checkpoint.checksum_mismatch"] == 1
+        assert counters["checkpoint.record_rejected"] == len(cells)
+        assert "checkpoint.v1_migrated" not in counters
 
     def test_foreign_signature_rejected(self, tmp_path):
         path = str(tmp_path / "ckpt.json")

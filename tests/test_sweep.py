@@ -10,6 +10,7 @@ from repro.nurapid.config import PromotionPolicy
 from repro.sim.config import nurapid_config
 from repro.sim.results import RunResult
 from repro.sim.sweep import RunOutcome, Sweep, SweepAxis, SweepPoint, tabulate
+from repro.telemetry import reset_runtime_registry, runtime_counters
 
 
 def build(n_dgroups, promotion):
@@ -79,9 +80,10 @@ class TestSweepExecution:
         assert rel > 0
 
     def test_traces_shared_across_points(self):
-        sweep = make_sweep()
-        sweep.run()
-        assert len(sweep._traces) == 1  # one benchmark, generated once
+        reset_runtime_registry()
+        make_sweep().run()
+        # one benchmark, mapped once
+        assert runtime_counters()["transport.trace_loads"] == 1
 
     def test_tabulate(self):
         points = make_sweep().run()
@@ -154,7 +156,7 @@ class TestSweepHardening:
                 raise UncorrectableDataError("L2", 0x40, 7)
             return fake_result(config, benchmark)
 
-        monkeypatch.setattr("repro.sim.sweep.run_benchmark", doomed)
+        monkeypatch.setattr("repro.sim.parallel.run_benchmark", doomed)
         points = fast_sweep(max_retries=1).run()
         ok = [p for p in points if p.coordinates["n_dgroups"] == 2][0]
         bad = [p for p in points if p.coordinates["n_dgroups"] == 4][0]
@@ -177,7 +179,7 @@ class TestSweepHardening:
                 raise UncorrectableDataError("L2", 0, 1)
             return fake_result(config, benchmark)
 
-        monkeypatch.setattr("repro.sim.sweep.run_benchmark", flaky)
+        monkeypatch.setattr("repro.sim.parallel.run_benchmark", flaky)
         sweep = fast_sweep(
             axes=[SweepAxis("rate", (1e-3,))],
             build=lambda rate: nurapid_config(
@@ -194,32 +196,38 @@ class TestSweepHardening:
         def broken(config, benchmark, **kw):
             raise ValueError("a genuine bug")
 
-        monkeypatch.setattr("repro.sim.sweep.run_benchmark", broken)
+        monkeypatch.setattr("repro.sim.parallel.run_benchmark", broken)
         with pytest.raises(ValueError):
             fast_sweep().run()
 
-    def test_point_budget_fails_remaining_cells(self, monkeypatch):
-        def slow(config, benchmark, **kw):
+    def test_point_budget_stops_retries_per_cell(self, monkeypatch):
+        def slow_doomed(config, benchmark, **kw):
             time.sleep(0.05)
-            return fake_result(config, benchmark)
+            raise UncorrectableDataError("L2", 0, 1)
 
-        monkeypatch.setattr("repro.sim.sweep.run_benchmark", slow)
-        points = fast_sweep(
-            axes=[SweepAxis("n_dgroups", (2,))],
-            benchmarks=["wupwise", "art"],
-            point_budget_s=0.01,
-        ).run()
-        outcomes = points[0].outcomes
-        assert outcomes["wupwise"].ok  # first cell always gets one attempt
-        assert not outcomes["art"].ok
-        assert outcomes["art"].error_type == "Budget"
-        assert outcomes["art"].attempts == 0
+        monkeypatch.setattr("repro.sim.parallel.run_benchmark", slow_doomed)
+
+        def outcomes(budget):
+            return fast_sweep(
+                axes=[SweepAxis("n_dgroups", (2,))],
+                benchmarks=["wupwise", "art"],
+                max_retries=2,
+                point_budget_s=budget,
+            ).run()[0].outcomes
+
+        # Every cell gets its own budget and its first attempt; an
+        # attempt that outlasts the budget is not retried.
+        for outcome in outcomes(0.01).values():
+            assert outcome.attempts == 1
+            assert outcome.error_type == "UncorrectableDataError"
+        for outcome in outcomes(None).values():
+            assert outcome.attempts == 3
 
     def test_tabulate_renders_failed_points(self, monkeypatch):
         def doomed(config, benchmark, **kw):
             raise UncorrectableDataError("L2", 0, 1)
 
-        monkeypatch.setattr("repro.sim.sweep.run_benchmark", doomed)
+        monkeypatch.setattr("repro.sim.parallel.run_benchmark", doomed)
         points = fast_sweep(max_retries=0).run()
         text = tabulate(points, lambda p: p.mean_ipc())
         assert text.count("failed") == 2
@@ -233,7 +241,7 @@ class TestSweepCheckpointing:
             calls.append(config.name)
             return fake_result(config, benchmark)
 
-        monkeypatch.setattr("repro.sim.sweep.run_benchmark", counting)
+        monkeypatch.setattr("repro.sim.parallel.run_benchmark", counting)
         path = str(tmp_path / "ckpt.json")
         first = fast_sweep(checkpoint_path=path).run()
         assert len(calls) == 2
@@ -257,12 +265,12 @@ class TestSweepCheckpointing:
                 raise KeyboardInterrupt  # simulated mid-grid kill
             return fake_result(config, benchmark)
 
-        monkeypatch.setattr("repro.sim.sweep.run_benchmark", dies_on_second)
+        monkeypatch.setattr("repro.sim.parallel.run_benchmark", dies_on_second)
         with pytest.raises(KeyboardInterrupt):
             fast_sweep(checkpoint_path=path).run()
         assert len(calls) == 2
 
-        monkeypatch.setattr("repro.sim.sweep.run_benchmark", fake_result)
+        monkeypatch.setattr("repro.sim.parallel.run_benchmark", fake_result)
         resumed = fast_sweep(checkpoint_path=path).run()
         uninterrupted = fast_sweep().run()
         assert len(calls) == 2  # the first cell came from the checkpoint
@@ -274,21 +282,21 @@ class TestSweepCheckpointing:
         def doomed(config, benchmark, **kw):
             raise UncorrectableDataError("L2", 0, 1)
 
-        monkeypatch.setattr("repro.sim.sweep.run_benchmark", doomed)
+        monkeypatch.setattr("repro.sim.parallel.run_benchmark", doomed)
         path = str(tmp_path / "ckpt.json")
         fast_sweep(checkpoint_path=path, max_retries=0).run()
 
         def never_called(config, benchmark, **kw):
             raise AssertionError("resume must not re-run recorded failures")
 
-        monkeypatch.setattr("repro.sim.sweep.run_benchmark", never_called)
+        monkeypatch.setattr("repro.sim.parallel.run_benchmark", never_called)
         points = fast_sweep(checkpoint_path=path, max_retries=0).run()
         for point in points:
             assert point.failed_benchmarks() == ["wupwise"]
             assert point.outcomes["wupwise"].error_type == "UncorrectableDataError"
 
     def test_foreign_checkpoint_rejected(self, tmp_path, monkeypatch):
-        monkeypatch.setattr("repro.sim.sweep.run_benchmark", fake_result)
+        monkeypatch.setattr("repro.sim.parallel.run_benchmark", fake_result)
         path = str(tmp_path / "ckpt.json")
         fast_sweep(checkpoint_path=path).run()
         other = fast_sweep(checkpoint_path=path, seed=99)
@@ -302,7 +310,7 @@ class TestSweepCheckpointing:
             fast_sweep(checkpoint_path=str(path)).run()
 
     def test_checkpoint_is_valid_json_with_signature(self, tmp_path, monkeypatch):
-        monkeypatch.setattr("repro.sim.sweep.run_benchmark", fake_result)
+        monkeypatch.setattr("repro.sim.parallel.run_benchmark", fake_result)
         path = tmp_path / "ckpt.json"
         sweep = fast_sweep(checkpoint_path=str(path))
         sweep.run()

@@ -541,17 +541,17 @@ class TestSweepTelemetry:
         first = self.sweep(TelemetryConfig(), checkpoint_path=path).run()
         assert all(p.runs["wupwise"].telemetry is not None for p in first)
 
-        import repro.sim.sweep as sweep_mod
+        import repro.sim.parallel as parallel_mod
 
         def never_called(config, benchmark, **kw):  # pragma: no cover
             raise AssertionError("resume must restore cells, not re-run")
 
-        original = sweep_mod.run_benchmark
-        sweep_mod.run_benchmark = never_called
+        original = parallel_mod.run_benchmark
+        parallel_mod.run_benchmark = never_called
         try:
             second = self.sweep(TelemetryConfig(), checkpoint_path=path).run()
         finally:
-            sweep_mod.run_benchmark = original
+            parallel_mod.run_benchmark = original
         for a, b in zip(first, second):
             assert a.runs["wupwise"].telemetry == b.runs["wupwise"].telemetry
 
