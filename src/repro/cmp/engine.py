@@ -186,7 +186,7 @@ def _resident_block_addrs(target) -> Iterable[int]:
         return target._where
     if isinstance(target, SNUCACache):
         return chain.from_iterable(target._sets)
-    return chain.from_iterable(target._tags)  # NuRAPID: per-set tag dicts
+    return target._slot_baddr  # NuRAPID: one block address per tag slot
 
 
 def _shared_occupancy_by_core(target, n_cores: int) -> List[int]:

@@ -2,20 +2,13 @@
 
 This package deliberately has no dependencies on the cache, CPU, or
 technology models: it provides the vocabulary types (memory accesses,
-access results), deterministic randomness, generic eviction-policy
-machinery (true LRU, approximate LRU, random), and statistics
-containers that the rest of :mod:`repro` builds on.
+access results), deterministic randomness, a true-LRU set policy, and
+statistics containers that the rest of :mod:`repro` builds on.
 """
 
 from repro.common.errors import ConfigurationError, SimulationError
 from repro.common.types import Access, AccessResult, AccessType
-from repro.common.lru import (
-    ApproxLRUPolicy,
-    EvictionPolicy,
-    LRUPolicy,
-    RandomPolicy,
-    make_policy,
-)
+from repro.common.lru import LRUPolicy
 from repro.common.rng import DeterministicRNG
 from repro.common.stats import Counter, Distribution, RatioStat
 
@@ -23,15 +16,11 @@ __all__ = [
     "Access",
     "AccessResult",
     "AccessType",
-    "ApproxLRUPolicy",
     "ConfigurationError",
     "Counter",
     "DeterministicRNG",
     "Distribution",
-    "EvictionPolicy",
     "LRUPolicy",
-    "RandomPolicy",
     "RatioStat",
     "SimulationError",
-    "make_policy",
 ]

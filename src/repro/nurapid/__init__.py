@@ -5,7 +5,7 @@ The cache keeps a conventional set-associative, centralized tag array
 (probed first: sequential tag-data access) whose entries carry a
 *forward pointer* into the data side; the data side is a handful of
 large d-groups whose frames carry *reverse pointers* back to the tag
-entry.  Placement of data among d-groups is thereby decoupled from set
+slot (set, way).  Placement of data among d-groups is thereby decoupled from set
 associativity:
 
 * new blocks are placed directly in the fastest d-group (§2.1),
@@ -23,14 +23,10 @@ from repro.nurapid.config import (
     NuRAPIDConfig,
     PromotionPolicy,
 )
-from repro.nurapid.pointers import FrameStore
-from repro.nurapid.replacement import DistanceReplacer
 from repro.nurapid.cache import NuRAPIDCache
 
 __all__ = [
     "DistanceReplacementKind",
-    "DistanceReplacer",
-    "FrameStore",
     "NuRAPIDCache",
     "NuRAPIDConfig",
     "PromotionPolicy",

@@ -15,6 +15,14 @@ Placement, distance replacement, and promotion follow §2.1–2.4:
   access, swap leg, fill — serializes on a single
   :class:`~repro.caches.port.PortScheduler` (§2.3).
 
+State layout: flat arrays, as in the hardware.  The tag array is one
+slot per (set, way) holding the block address, the packed tag entry
+(forward pointer, dirty bit, pending promotion hits) and a data-LRU
+stamp.  Each d-group is one frame array whose entries are reverse
+pointers — slot indices — so demotion chains, promotion swaps and
+evictions never look a block up by address.  Each placement region of
+a d-group keeps its free frames as an index list.
+
 Timing contract: ``access``/``fill`` take the arrival cycle ``now``;
 returned latencies include queueing behind earlier operations, which is
 how the paper's reduced-bandwidth argument is evaluated (§5.4).
@@ -22,8 +30,9 @@ how the paper's reduced-bandwidth argument is evaluated (§5.4).
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 import numpy as np
 
@@ -33,18 +42,18 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cost
     from repro.faults.injector import FaultInjector
     from repro.faults.models import FaultPlan, HardFaultEvent
     from repro.telemetry import CacheTelemetry
-from repro.common import prewarm_cache
-from repro.common.lru import LRUPolicy
 from repro.common.rng import DeterministicRNG
 from repro.common.stats import Counter, Distribution
 from repro.common.types import AccessResult
-from repro.caches.block import block_address, prewarm_blocks, set_index
+from repro.caches.block import block_address, prewarm_blocks
 from repro.caches.port import PortScheduler
 from repro.faults.models import TransientOutcome
 from repro.floorplan.dgroups import NuRAPIDGeometry, build_nurapid_geometry
-from repro.nurapid.config import NuRAPIDConfig, PromotionPolicy
-from repro.nurapid.pointers import FrameStore
-from repro.nurapid.replacement import DistanceReplacer
+from repro.nurapid.config import (
+    DistanceReplacementKind,
+    NuRAPIDConfig,
+    PromotionPolicy,
+)
 from repro.tech.energy import EnergyBook
 
 
@@ -53,7 +62,7 @@ class TagEntry:
     """One tag-array entry: identity, state, and the forward pointer.
 
     Internally the tag array packs this state into a single int per
-    block (see the ``_PACK_*`` layout below); :meth:`NuRAPIDCache.lookup`
+    slot (see the ``_PACK_*`` layout below); :meth:`NuRAPIDCache.lookup`
     materializes a ``TagEntry`` snapshot for introspection and tests.
     """
 
@@ -68,7 +77,7 @@ class TagEntry:
 
 # Packed tag-entry layout: frame in the low bits, then d-group, the
 # dirty bit, and pending promotion hits on top.  Keeping the whole
-# entry in one int means the hot access path does a single dict load
+# entry in one int means the hot access path does a single list load
 # and a couple of shifts instead of walking an object graph.
 _PACK_FRAME_BITS = 24
 _PACK_FRAME_MASK = (1 << _PACK_FRAME_BITS) - 1
@@ -79,15 +88,20 @@ _PACK_PENDING_SHIFT = 29
 #: Everything except the pending-hits counter.
 _PACK_BELOW_PENDING = (1 << _PACK_PENDING_SHIFT) - 1
 
+#: Block address of a slot holding no block.
+EMPTY = -1
+#: Reverse pointer of a free frame.
+FREE = -1
+#: Reverse pointer of a frame retired by a hard fault.
+RETIRED = -2
 
-@dataclass
-class _PrewarmSnapshot:
-    """Post-prewarm container state (see :mod:`repro.common.prewarm_cache`)."""
 
-    tags: List[Dict[int, int]]
-    lru: List[object]
-    stores: List[Tuple[List[Optional[int]], List[List[int]]]]
-    replacer: List[List[object]]
+def _int_array(values: np.ndarray) -> array:
+    """``values`` as a flat int64 ``array``: one buffer copy, where
+    ``tolist`` would build an int object per element."""
+    flat = array("q")
+    flat.frombytes(np.ascontiguousarray(values, dtype=np.int64).tobytes())
+    return flat
 
 
 class NuRAPIDCache:
@@ -125,17 +139,32 @@ class NuRAPIDCache:
         self._block_mask = ~(config.block_bytes - 1)
         self._set_shift = config.block_bytes.bit_length() - 1
         self._set_mask = self._n_sets - 1
-        #: Per-set tag array: block address -> packed entry int.
-        self._tags: List[Dict[int, int]] = [dict() for _ in range(config.n_sets)]
-        self._data_lru: List[LRUPolicy] = [LRUPolicy() for _ in range(config.n_sets)]
-        self._stores = [
-            FrameStore(config.frames_per_dgroup, config.n_regions)
-            for _ in range(config.n_dgroups)
+        self._n_regions = n_regions = config.n_regions
+
+        #: Tag ways per set (the slot stride) and frames per d-group.
+        #: Variant caches with more data frames than the configured
+        #: associativity (compressed d-groups) widen both.
+        self._assoc_limit, self._group_frames = self._frame_layout()
+        self._region_frames = [n // n_regions for n in self._group_frames]
+        n_slots = self._n_sets * self._assoc_limit
+        #: slot -> resident block address (EMPTY for a free way).
+        self._slot_baddr: List[int] = [EMPTY] * n_slots
+        #: slot -> packed tag entry (forward pointer and state).
+        self._slot_entry = array("q", bytes(8 * n_slots))
+        #: slot -> data-LRU stamp; the set's victim is its smallest.
+        self._slot_stamp: List[int] = [0] * n_slots
+        self._clock = 0
+        #: Per d-group: frame -> resident slot (the reverse pointer),
+        #: FREE or RETIRED.
+        self._frame_slot = [array("q", [FREE]) * n for n in self._group_frames]
+        #: Per (d-group, region): free frames, allocated from the tail.
+        #: Every list slices one shared run of frame numbers.
+        frame_numbers = list(range(max(self._group_frames)))
+        self._free: List[List[List[int]]] = [
+            [frame_numbers[r * per : (r + 1) * per] for r in range(n_regions)]
+            for per in self._region_frames
         ]
-        rng = DeterministicRNG(config.seed, f"{config.name}/distance")
-        self._replacer = DistanceReplacer(
-            config.n_dgroups, config.n_regions, config.distance_replacement, rng
-        )
+        self._init_distance_replacement()
         self.port = PortScheduler(f"{config.name}.port")
 
         self.energy = energy if energy is not None else EnergyBook()
@@ -152,6 +181,43 @@ class NuRAPIDCache:
         #: Optional telemetry client (see :mod:`repro.telemetry`).
         #: None is the null sink: every hook below is a dead branch.
         self.telemetry: Optional["CacheTelemetry"] = None
+
+    def _frame_layout(self) -> Tuple[int, List[int]]:
+        """(tag ways per set, frames per d-group) — hook for variants."""
+        config = self.config
+        return config.associativity, [config.frames_per_dgroup] * config.n_dgroups
+
+    def _init_distance_replacement(self) -> None:
+        """Victim-selection state per (d-group, region), §2.2.
+
+        ``random`` and ``approx-lru`` keep each region's occupied
+        frames in a list (``_dkeys``) with each frame's position in a
+        per-d-group array (``_dpos``), so removal is a swap with the
+        last entry.  ``random`` draws a list index from its own
+        deterministic stream; ``approx-lru`` sweeps a clock hand over
+        the list, clearing per-frame reference bits (``_dref``).
+        ``lru`` keeps an insertion-ordered dict per region, least
+        recently used first.
+        """
+        config = self.config
+        kind = config.distance_replacement
+        self._lru_dr = kind is DistanceReplacementKind.LRU
+        self._approx_dr = kind is DistanceReplacementKind.APPROX_LRU
+        groups = range(config.n_dgroups)
+        regions = range(self._n_regions)
+        if self._lru_dr:
+            self._dlru = [[{} for _ in regions] for _ in groups]
+            return
+        self._dkeys: List[List[List[int]]] = [[[] for _ in regions] for _ in groups]
+        self._dpos = [[0] * n for n in self._group_frames]
+        if self._approx_dr:
+            self._dref = [bytearray(n) for n in self._group_frames]
+            self._dhand = [[0] * self._n_regions for _ in groups]
+        else:
+            rng = DeterministicRNG(config.seed, f"{config.name}/distance")
+            self._draw = [
+                [rng.spawn(f"dg{g}/r{r}").randint for r in regions] for g in groups
+            ]
 
     def _init_hot_caches(self) -> None:
         """Precompute hot-path constants (pure re-expressions of state).
@@ -191,18 +257,10 @@ class NuRAPIDCache:
             [geo.swap_occupancy(i, j) if i != j else 0.0 for j in groups]
             for i in groups
         ]
-        self._n_regions = self.config.n_regions
-        self._rtouch = [
-            [policy.touch for policy in row] for row in self._replacer._policies
-        ]
         self._ideal_uniform = self.config.ideal_uniform
         self._promo_on = self.config.promotion is not PromotionPolicy.DEMOTION_ONLY
         self._promo_next = self.config.promotion is PromotionPolicy.NEXT_FASTEST
         self._hysteresis = self.config.promotion_hysteresis
-        #: Tag-side residency limit per set.  Equals the configured
-        #: associativity here; variant caches with more data frames
-        #: than tag ways per set (compressed d-groups) raise it.
-        self._assoc_limit = self.config.associativity
 
     # --- fault injection (opt-in) ---
 
@@ -239,22 +297,98 @@ class NuRAPIDCache:
         # non-negative addresses traces carry.
         return (address >> self._set_shift) & self._set_mask
 
-    def _region_of(self, address: int) -> int:
-        # Regions are selected by set-index bits so that each region's
-        # resident blocks can never exceed its frames (restricted
-        # placement stays deadlock-free; see tests).
-        return self._set_of(address) % self.config.n_regions
+    def _slot_of(self, address: int) -> Optional[int]:
+        """Slot holding ``address``'s block, or None."""
+        baddr = block_address(address, self.block_bytes)
+        base = self._set_of(address) * self._assoc_limit
+        ways = self._slot_baddr[base : base + self._assoc_limit]
+        return base + ways.index(baddr) if baddr in ways else None
+
+    # --- distance replacement (per d-group and region) ---
+
+    def _track(self, group: int, region: int, frame: int) -> None:
+        """Start tracking a newly occupied frame (most recently used)."""
+        if self._lru_dr:
+            self._dlru[group][region][frame] = None
+            return
+        keys = self._dkeys[group][region]
+        self._dpos[group][frame] = len(keys)
+        keys.append(frame)
+        if self._approx_dr:
+            self._dref[group][frame] = 1
+
+    def _untrack(self, group: int, region: int, frame: int) -> None:
+        """Stop tracking a frame whose occupant left the d-group."""
+        if self._lru_dr:
+            del self._dlru[group][region][frame]
+            return
+        keys = self._dkeys[group][region]
+        pos = self._dpos[group]
+        at = pos[frame]
+        last = keys.pop()
+        if last != frame:
+            keys[at] = last
+            pos[last] = at
+        if self._approx_dr and self._dhand[group][region] >= len(keys):
+            self._dhand[group][region] = 0
+
+    def _release_frame(self, group: int, region: int, frame: int) -> None:
+        """Free a frame whose occupant left it: back on the region's
+        free-list tail, and out of distance replacement."""
+        self._frame_slot[group][frame] = FREE
+        self._free[group][region].append(frame)
+        self._untrack(group, region, frame)
+
+    def _touch_frame(self, group: int, region: int, frame: int) -> None:
+        """Record a hit on a frame's occupant (random keeps no recency)."""
+        if self._approx_dr:
+            self._dref[group][frame] = 1
+        elif self._lru_dr:
+            order = self._dlru[group][region]
+            del order[frame]
+            order[frame] = None
+
+    def _victim(self, group: int, region: int) -> int:
+        """The frame whose occupant distance replacement moves out.
+
+        The frame stays tracked; callers move occupants and then
+        untrack/track to reflect the moves.
+        """
+        if self._lru_dr:
+            return next(iter(self._dlru[group][region]))
+        keys = self._dkeys[group][region]
+        if not self._approx_dr:
+            return keys[self._draw[group][region](0, len(keys) - 1)]
+        # Clock sweep: at most two revolutions — the first may clear
+        # every reference bit, the second must then find a clear one.
+        ref = self._dref[group]
+        n = len(keys)
+        hand = self._dhand[group][region]
+        for _ in range(2 * n):
+            frame = keys[hand]
+            if not ref[frame]:
+                break
+            ref[frame] = 0
+            hand = (hand + 1) % n
+        self._dhand[group][region] = hand
+        return keys[hand]
+
+    def _tracked(self, group: int, region: int) -> int:
+        """Occupied frames distance replacement can choose from."""
+        if self._lru_dr:
+            return len(self._dlru[group][region])
+        return len(self._dkeys[group][region])
 
     # --- lookups ---
 
     def lookup(self, address: int) -> Optional[TagEntry]:
         """Tag-entry snapshot for ``address`` if resident (no side effects)."""
-        baddr = block_address(address, self.block_bytes)
-        packed = self._tags[self._set_of(address)].get(baddr)
-        if packed is None:
+        slot = self._slot_of(address)
+        if slot is None:
             return None
+        packed = self._slot_entry[slot]
         return TagEntry(
-            block_addr=baddr,
+            block_addr=self._slot_baddr[slot],
             dirty=bool(packed & _PACK_DIRTY),
             dgroup=(packed >> _PACK_DGROUP_SHIFT) & _PACK_DGROUP_MASK,
             frame=packed & _PACK_FRAME_MASK,
@@ -262,16 +396,13 @@ class NuRAPIDCache:
         )
 
     def contains(self, address: int) -> bool:
-        baddr = block_address(address, self.block_bytes)
-        return baddr in self._tags[self._set_of(address)]
+        return self._slot_of(address) is not None
 
     def dgroup_of(self, address: int) -> Optional[int]:
-        packed = self._tags[self._set_of(address)].get(
-            block_address(address, self.block_bytes)
-        )
-        if packed is None:
+        slot = self._slot_of(address)
+        if slot is None:
             return None
-        return (packed >> _PACK_DGROUP_SHIFT) & _PACK_DGROUP_MASK
+        return (self._slot_entry[slot] >> _PACK_DGROUP_SHIFT) & _PACK_DGROUP_MASK
 
     # --- the access path ---
 
@@ -282,15 +413,15 @@ class NuRAPIDCache:
                 self._apply_hard_fault(event)
         baddr = address & self._block_mask
         index = (address >> self._set_shift) & self._set_mask
-        tag_set = self._tags[index]
-        packed = tag_set.get(baddr)
+        base = index * self._assoc_limit
+        ways = self._slot_baddr[base : base + self._assoc_limit]
         sc = self._scounts
         sc["accesses"] = sc.get("accesses", 0) + 1
         ec = self._ecounts
         ec[self._k_tag] += 1
         energy = self._tag_cost
 
-        if packed is None:
+        if baddr not in ways:
             # Sequential tag-data access: the (pipelined) tag probe
             # alone determines a miss; the data port is never touched.
             if self.fault_injector is not None:
@@ -305,6 +436,8 @@ class NuRAPIDCache:
                 energy_nj=energy,
             )
 
+        slot = base + ways.index(baddr)
+        packed = self._slot_entry[slot]
         group = (packed >> _PACK_DGROUP_SHIFT) & _PACK_DGROUP_MASK
         if self.fault_injector is not None:
             # May raise UncorrectableDataError for a dirty-line DUE;
@@ -343,10 +476,12 @@ class NuRAPIDCache:
         sc["dgroup_accesses"] = sc.get("dgroup_accesses", 0) + 1
         if is_write:
             packed |= _PACK_DIRTY
-            tag_set[baddr] = packed
+            self._slot_entry[slot] = packed
 
-        self._data_lru[index].touch(baddr)
-        self._rtouch[group][index % self._n_regions](packed & _PACK_FRAME_MASK)
+        self._clock += 1
+        self._slot_stamp[slot] = self._clock
+        if self._approx_dr or self._lru_dr:
+            self._touch_frame(group, index % self._n_regions, packed & _PACK_FRAME_MASK)
 
         if self._ideal_uniform:
             latency: float = self._ideal_lat
@@ -376,14 +511,12 @@ class NuRAPIDCache:
         if group > 0 and self._promo_on:
             pending = (packed >> _PACK_PENDING_SHIFT) + 1
             if pending >= self._hysteresis:
-                packed &= _PACK_DIRTY | _PACK_FRAME_MASK | (
-                    _PACK_DGROUP_MASK << _PACK_DGROUP_SHIFT
-                )
-                tag_set[baddr] = packed
+                packed &= _PACK_BELOW_PENDING
+                self._slot_entry[slot] = packed
                 target = group - 1 if self._promo_next else 0
-                self._promote(index, baddr, packed, target, done)
+                self._promote(slot, packed, target, done)
             else:
-                tag_set[baddr] = (
+                self._slot_entry[slot] = (
                     (packed & _PACK_BELOW_PENDING) | (pending << _PACK_PENDING_SHIFT)
                 )
 
@@ -395,19 +528,10 @@ class NuRAPIDCache:
             energy_nj=energy,
         )
 
-    def _occupy(self, now: float, cycles: float) -> float:
-        """Claim the single port; returns observed latency incl. waiting."""
-        if self.config.ideal_uniform:
-            return cycles
-        start, finish = self.port.request(now, cycles)
-        return finish - now
-
     # --- promotion (swap with a distance-replacement victim) ---
 
-    def _promote(
-        self, index: int, baddr: int, packed: int, target: int, now: float
-    ) -> None:
-        """Move ``baddr`` to ``target``, swapping with a victim if full.
+    def _promote(self, slot: int, packed: int, target: int, now: float) -> None:
+        """Move the block in ``slot`` to ``target``, swapping if full.
 
         ``packed`` is the block's current tag entry (pending hits
         already cleared by the caller and stored back).
@@ -415,11 +539,12 @@ class NuRAPIDCache:
         source = (packed >> _PACK_DGROUP_SHIFT) & _PACK_DGROUP_MASK
         if target >= source:
             raise SimulationError(f"promotion must move inward ({source}->{target})")
-        region = self._region_of(baddr)
+        region = slot // self._assoc_limit % self._n_regions
+        target_free = self._free[target][region]
         if (
             self.fault_injector is not None
-            and not self._stores[target].has_free(region)
-            and self._replacer.tracked(target, region) == 0
+            and not target_free
+            and not self._tracked(target, region)
         ):
             # The target group's region has been fully retired by hard
             # faults: nothing to swap with, so the block stays put.
@@ -428,52 +553,55 @@ class NuRAPIDCache:
         self.stats.add("promotions")
         if self.telemetry is not None:
             self.telemetry.event(
-                "promotion", addr=baddr, src=source, dst=target, cycle=now
+                "promotion",
+                addr=self._slot_baddr[slot],
+                src=source,
+                dst=target,
+                cycle=now,
             )
 
+        frame_slot = self._frame_slot
+        entries = self._slot_entry
         old_frame = packed & _PACK_FRAME_MASK
         dirty_bit = packed & _PACK_DIRTY
-        if self._stores[target].has_free(region):
+        if target_free:
             # Room in the faster group: a one-way move, no demotion.
-            self._stores[source].release(old_frame)
-            self._replacer.remove(source, region, old_frame)
-            new_frame = self._stores[target].allocate(baddr, region)
-            self._replacer.insert(target, region, new_frame)
-            self._tags[index][baddr] = (
-                new_frame | (target << _PACK_DGROUP_SHIFT) | dirty_bit
-            )
+            self._release_frame(source, region, old_frame)
+            new_frame = target_free.pop()
+            frame_slot[target][new_frame] = slot
+            self._track(target, region, new_frame)
+            entries[slot] = new_frame | (target << _PACK_DGROUP_SHIFT) | dirty_bit
             self._charge_move(source, target, now)
             return
 
-        victim_frame = self._replacer.select_victim(target, region)
-        victim_addr = self._stores[target].occupant(victim_frame)
-        if victim_addr is None:
-            raise SimulationError("distance victim frame is unexpectedly free")
-        victim_set = self._tags[self._set_of(victim_addr)]
+        victim_frame = self._victim(target, region)
+        victim_slot = frame_slot[target][victim_frame]
 
         # Swap occupants; both frames stay occupied.  The demoted
         # victim keeps its dirty bit but restarts promotion hysteresis.
-        self._stores[target].replace(victim_frame, baddr)
-        self._stores[source].replace(old_frame, victim_addr)
-        victim_set[victim_addr] = (
+        frame_slot[target][victim_frame] = slot
+        frame_slot[source][old_frame] = victim_slot
+        entries[victim_slot] = (
             old_frame
             | (source << _PACK_DGROUP_SHIFT)
-            | (victim_set[victim_addr] & _PACK_DIRTY)
+            | (entries[victim_slot] & _PACK_DIRTY)
         )
-        self._tags[index][baddr] = (
-            victim_frame | (target << _PACK_DGROUP_SHIFT) | dirty_bit
-        )
+        entries[slot] = victim_frame | (target << _PACK_DGROUP_SHIFT) | dirty_bit
 
         # Recency: the promoted block is MRU in its new group; the
         # demoted victim enters the slower group as a fresh arrival.
-        self._replacer.touch(target, region, victim_frame)
-        self._replacer.remove(source, region, old_frame)
-        self._replacer.insert(source, region, old_frame)
+        self._touch_frame(target, region, victim_frame)
+        self._untrack(source, region, old_frame)
+        self._track(source, region, old_frame)
 
         self.stats.add("demotions")
         if self.telemetry is not None:
             self.telemetry.event(
-                "demotion", addr=victim_addr, src=target, dst=source, cycle=now
+                "demotion",
+                addr=self._slot_baddr[victim_slot],
+                src=target,
+                dst=source,
+                cycle=now,
             )
         self._charge_move(source, target, now)
         self._charge_move(target, source, now)
@@ -505,21 +633,34 @@ class NuRAPIDCache:
         """
         baddr = address & self._block_mask
         index = (address >> self._set_shift) & self._set_mask
-        resident = self._tags[index]
-        if baddr in resident:
+        base = index * self._assoc_limit
+        baddrs = self._slot_baddr
+        ways = baddrs[base : base + self._assoc_limit]
+        if baddr in ways:
             return 0
         region = index % self._n_regions
         sc = self._scounts
         sc["fills"] = sc.get("fills", 0) + 1
+        entries = self._slot_entry
 
         writebacks = 0
-        set_evicted = len(resident) >= self._assoc_limit
-        if set_evicted:
-            victim_addr = self._data_lru[index].pop_victim()
-            victim = resident.pop(victim_addr)
+        if EMPTY in ways:
+            slot = base + ways.index(EMPTY)
+            if self.fault_injector is not None and not self._region_has_free(region):
+                # Hard-fault retirement left fewer usable frames than
+                # the tag side admits: the region is full even though
+                # this set is not, so make room by evicting a distance
+                # victim.
+                writebacks += self._evict_for_space(region)
+        else:
+            # The set is full: evict its least recently used block
+            # (the first way wins ties).
+            stamps = self._slot_stamp[base : base + self._assoc_limit]
+            slot = base + stamps.index(min(stamps))
+            victim_addr = baddrs[slot]
+            victim = entries[slot]
             victim_group = (victim >> _PACK_DGROUP_SHIFT) & _PACK_DGROUP_MASK
-            self._stores[victim_group].release(victim & _PACK_FRAME_MASK)
-            self._replacer.remove(victim_group, region, victim & _PACK_FRAME_MASK)
+            self._release_frame(victim_group, region, victim & _PACK_FRAME_MASK)
             sc["evictions"] = sc.get("evictions", 0) + 1
             if self.telemetry is not None:
                 self.telemetry.event(
@@ -536,43 +677,43 @@ class NuRAPIDCache:
                     self.telemetry.event(
                         "writeback", addr=victim_addr, dgroup=victim_group, cycle=now
                     )
-        elif self.fault_injector is not None and not self._region_has_free(region):
-            # Hard-fault retirement left fewer usable frames than the
-            # tag side admits: the region is full even though this set
-            # is not, so make room by evicting a distance victim.
-            writebacks += self._evict_for_space(region)
 
-        # Demotion chain: push occupants outward until a free frame.
         group = start = self._fill_start_group(baddr)
         if start:
             # A chain entering mid-way cannot reach free frames in the
             # faster groups it skips, so a variant may need to clear
             # space in the reachable tail first (no-op in the base).
             writebacks += self._ensure_chain_space(region, start)
-        incoming = baddr
-        incoming_packed: Optional[int] = None  # created below for baddr
-        while not self._stores[group].has_free(region):
-            if (
-                self.fault_injector is not None
-                and self._replacer.tracked(group, region) == 0
-            ):
+        baddrs[slot] = baddr
+        self._clock += 1
+        self._slot_stamp[slot] = self._clock
+
+        # Demotion chain: push occupants outward until a free frame.
+        # Each block keeps its dirty bit but restarts promotion
+        # hysteresis; the new block enters clean.
+        frame_slot = self._frame_slot
+        n_dgroups = self.config.n_dgroups
+        incoming = slot
+        keep = 0
+        while not self._free[group][region]:
+            if self.fault_injector is not None and not self._tracked(group, region):
                 # Region fully retired in this d-group: nothing to
                 # demote, the incoming block skips to the next group.
                 group += 1
-                if group >= self.config.n_dgroups:
+                if group >= n_dgroups:
                     raise SimulationError(
                         f"region {region} has no usable frames in any d-group"
                     )
                 continue
-            frame = self._replacer.select_victim(group, region)
-            demoted_addr = self._stores[group].replace(frame, incoming)
-            self._replacer.remove(group, region, frame)
-            self._replacer.insert(group, region, frame)
-            self._settle(incoming, incoming_packed, group, frame)
-            demoted_packed = self._tags[self._set_of(demoted_addr)][demoted_addr]
-            incoming, incoming_packed = demoted_addr, demoted_packed
+            frame = self._victim(group, region)
+            demoted = frame_slot[group][frame]
+            frame_slot[group][frame] = incoming
+            self._untrack(group, region, frame)
+            self._track(group, region, frame)
+            entries[incoming] = frame | (group << _PACK_DGROUP_SHIFT) | keep
+            incoming, keep = demoted, entries[demoted] & _PACK_DIRTY
             group += 1
-            if group >= self.config.n_dgroups:
+            if group >= n_dgroups:
                 raise SimulationError(
                     "demotion chain ran off the slowest d-group; "
                     "free-frame accounting is corrupt"
@@ -580,28 +721,30 @@ class NuRAPIDCache:
             sc["demotions"] = sc.get("demotions", 0) + 1
             if self.telemetry is not None:
                 self.telemetry.event(
-                    "demotion", addr=incoming, src=group - 1, dst=group, cycle=now
+                    "demotion",
+                    addr=baddrs[incoming],
+                    src=group - 1,
+                    dst=group,
+                    cycle=now,
                 )
             self._charge_move(group - 1, group, now, occupy=False)
-        frame = self._stores[group].allocate(incoming, region)
-        self._replacer.insert(group, region, frame)
-        self._settle(incoming, incoming_packed, group, frame)
+        frame = self._free[group][region].pop()
+        frame_slot[group][frame] = incoming
+        self._track(group, region, frame)
+        entries[incoming] = frame | (group << _PACK_DGROUP_SHIFT) | keep
 
         # The new block's own fill write into its entry d-group (fill
         # buffer; no demand-port occupancy).
         self._ecounts[self._k_dg_write[start]] += 1
         sc["dgroup_accesses"] = sc.get("dgroup_accesses", 0) + 1
 
-        packed = self._tags[index].get(baddr)
-        if packed is None:
-            raise SimulationError("fill finished without installing the block")
         if dirty:
-            self._tags[index][baddr] = packed | _PACK_DIRTY
+            entries[slot] |= _PACK_DIRTY
         if self.telemetry is not None:
             self.telemetry.event(
                 "placement",
                 addr=baddr,
-                dgroup=(packed >> _PACK_DGROUP_SHIFT) & _PACK_DGROUP_MASK,
+                dgroup=(entries[slot] >> _PACK_DGROUP_SHIFT) & _PACK_DGROUP_MASK,
                 cycle=now,
             )
         return writebacks
@@ -615,33 +758,10 @@ class NuRAPIDCache:
         """
         return 0
 
-    def _settle(
-        self,
-        block_addr: int,
-        packed: Optional[int],
-        dgroup: int,
-        frame: int,
-    ) -> None:
-        """Point a block's tag entry at its (possibly new) frame.
-
-        ``packed`` is None exactly for the incoming block on its first
-        placement, in which case the tag entry is created here (clean,
-        no pending hits).  A relocated block keeps its dirty bit but
-        restarts promotion hysteresis.
-        """
-        index = self._set_of(block_addr)
-        if packed is None:
-            self._tags[index][block_addr] = frame | (dgroup << _PACK_DGROUP_SHIFT)
-            self._data_lru[index].insert(block_addr)
-        else:
-            self._tags[index][block_addr] = (
-                frame | (dgroup << _PACK_DGROUP_SHIFT) | (packed & _PACK_DIRTY)
-            )
-
     # --- fault handling: invalidation, capacity eviction, retirement ---
 
     def _region_has_free(self, region: int) -> bool:
-        return any(store.has_free(region) for store in self._stores)
+        return any(free[region] for free in self._free)
 
     def _invalidate_frame(self, dgroup: int, frame: int) -> int:
         """Drop the block resident in ``frame`` without writeback.
@@ -649,15 +769,13 @@ class NuRAPIDCache:
         Returns the dropped block's packed tag entry (so callers can
         check its dirty bit).
         """
-        store = self._stores[dgroup]
-        addr = store.occupant(frame)
-        if addr is None:
+        slot = self._frame_slot[dgroup][frame]
+        if slot < 0:
             raise SimulationError(f"invalidate of free frame {frame} in dg{dgroup}")
-        index = self._set_of(addr)
-        packed = self._tags[index].pop(addr)
-        self._data_lru[index].remove(addr)
-        store.release(frame)
-        self._replacer.remove(dgroup, self._region_of(addr), frame)
+        packed = self._slot_entry[slot]
+        self._slot_baddr[slot] = EMPTY
+        self._slot_entry[slot] = 0
+        self._release_frame(dgroup, frame // self._region_frames[dgroup], frame)
         return packed
 
     def _ensure_chain_space(self, region: int, start: int) -> int:
@@ -671,6 +789,27 @@ class NuRAPIDCache:
         """
         return 0
 
+    def _evict_distance_victim(self, region: int, first: int, stat: str) -> int:
+        """Evict a distance victim of ``region`` from the slowest
+        d-group at or after ``first`` still holding one; returns
+        writebacks (0/1).  ``stat`` names the eviction's cause."""
+        for group in range(self.config.n_dgroups - 1, first - 1, -1):
+            if not self._tracked(group, region):
+                continue
+            frame = self._victim(group, region)
+            packed = self._invalidate_frame(group, frame)
+            self.stats.add("evictions")
+            self.stats.add(stat)
+            if packed & _PACK_DIRTY:
+                self.stats.add("writebacks")
+                self.energy.charge(f"{self.name}.dg{group}.read")
+                self.stats.add("dgroup_accesses")
+                return 1
+            return 0
+        raise SimulationError(
+            f"region {region} has no evictable frame in d-groups {first} and up"
+        )
+
     def _evict_for_space(self, region: int) -> int:
         """Evict a distance victim of ``region``; returns writebacks.
 
@@ -680,23 +819,7 @@ class NuRAPIDCache:
         The victim comes from the slowest d-group still holding one,
         matching where demotion pressure accumulates.
         """
-        for group in range(self.config.n_dgroups - 1, -1, -1):
-            if (
-                not self._stores[group].occupied_count
-                or self._replacer.tracked(group, region) == 0
-            ):
-                continue
-            frame = self._replacer.select_victim(group, region)
-            packed = self._invalidate_frame(group, frame)
-            self.stats.add("evictions")
-            self.stats.add("fault_capacity_evictions")
-            if packed & _PACK_DIRTY:
-                self.stats.add("writebacks")
-                self.energy.charge(f"{self.name}.dg{group}.read")
-                self.stats.add("dgroup_accesses")
-                return 1
-            return 0
-        raise SimulationError(f"region {region} has no usable frames left")
+        return self._evict_distance_victim(region, 0, "fault_capacity_evictions")
 
     def _apply_hard_fault(self, event: "HardFaultEvent") -> None:
         """A subarray died mid-run: remap to a spare or degrade."""
@@ -716,26 +839,28 @@ class NuRAPIDCache:
         placement, demotion, and promotion transparently operate on a
         smaller d-group from here on.
         """
-        store = self._stores[dgroup]
+        frames = self._frame_slot[dgroup]
+        n_frames = len(frames)
         n_subarrays = self.fault_injector.plan.data_subarrays_per_dgroup
-        frames_per_subarray = max(1, store.n_frames // n_subarrays)
-        start = min(subarray * frames_per_subarray, store.n_frames)
-        for frame in range(start, min(start + frames_per_subarray, store.n_frames)):
-            if store.is_retired(frame):
+        frames_per_subarray = max(1, n_frames // n_subarrays)
+        start = min(subarray * frames_per_subarray, n_frames)
+        for frame in range(start, min(start + frames_per_subarray, n_frames)):
+            if frames[frame] == RETIRED:
                 continue
-            if store.occupant(frame) is not None:
+            if frames[frame] != FREE:
                 packed = self._invalidate_frame(dgroup, frame)
                 self.stats.add("fault_lines_lost")
                 if packed & _PACK_DIRTY:
                     self.stats.add("fault_dirty_lines_lost")
-            store.retire(frame)
+            self._free[dgroup][frame // self._region_frames[dgroup]].remove(frame)
+            frames[frame] = RETIRED
             self.stats.add("fault_frames_retired")
         if self.telemetry is not None:
             self.telemetry.event("fault_retire", dgroup=dgroup, subarray=subarray)
 
     def retired_frames(self) -> List[int]:
         """Retired frames per d-group, fastest first."""
-        return [store.retired_count() for store in self._stores]
+        return [frames.count(RETIRED) for frames in self._frame_slot]
 
     # --- prewarm (models the paper's 5B-instruction fast-forward) ---
 
@@ -749,89 +874,65 @@ class NuRAPIDCache:
         cache in the fully-occupied steady state: ``assoc / n_dgroups``
         dummy ways of every set in each d-group.  Dummies are clean, so
         their eviction costs no writebacks.  Call before any traffic.
+
+        The result equals filling the dummies one at a time, set by
+        set: d-group ``g`` holds the next ``ways[g]`` ways of every
+        set, and within each (d-group, region) the dummies take frames
+        off the free-list tail set-ascending, way-ascending, and enter
+        distance replacement in that order.  It is built in a few
+        whole-array passes instead.
         """
-        if self.resident_blocks():
-            raise SimulationError("prewarm on a non-empty cache")
-        # Prewarm is a pure function of the cache's construction
-        # parameters (no RNG draws, no stats/energy charges), so the
-        # first fill of a given shape is snapshotted process-wide and
-        # later fills of the same shape restore the snapshot instead.
-        # Hard-fault retirement happens at access time, after prewarm,
-        # so a retired frame here means a test drove the store directly
-        # — fall through to the real fill without caching.
-        pristine = not any(store._retired for store in self._stores)
-        key = self._prewarm_cache_key() if pristine else None
-        if key is not None:
-            proto = prewarm_cache.get(key)
-            if proto is not None:
-                self._prewarm_restore(proto)
-                return
-        n_regions = self.config.n_regions
+        # A never-filled cache has every frame on its free list, in
+        # order, unless a hard fault retired some.
+        free = sum(len(run) for runs in self._free for run in runs)
+        if self._clock or free != sum(self._group_frames):
+            if self._clock or self.resident_blocks():
+                raise SimulationError("prewarm on a non-empty cache")
+            raise SimulationError("prewarm needs every frame in service, none retired")
+        n_sets = self._n_sets
+        assoc = self._assoc_limit
+        n_regions = self._n_regions
         ways_by_group = self._prewarm_ways()
-        blocks = prewarm_blocks(
-            self.config.n_sets, sum(ways_by_group), self.block_bytes
-        )
-        packed = np.empty_like(blocks)
-        # D-group g holds the next ways_by_group[g] ways of every set.
-        # Each (group, region) run is set-ascending, way-ascending, so
-        # its frames come off the region's free-list tail in the order
-        # a block-at-a-time fill would take them.
-        way_lo = 0
+        if sum(ways_by_group) != assoc or any(
+            n_frames != n_sets * ways
+            for n_frames, ways in zip(self._group_frames, ways_by_group)
+        ):
+            raise SimulationError("prewarm ways do not fill the frames exactly")
+
+        # Per-way columns of the layout: d-group, first way of that
+        # d-group, its ways per set and its frames per region.
+        groups = np.repeat(np.arange(len(ways_by_group)), ways_by_group)
+        way_lo = np.repeat(np.cumsum([0] + ways_by_group[:-1]), ways_by_group)
+        group_ways = np.repeat(ways_by_group, ways_by_group)
+        per_region = np.repeat(self._region_frames, ways_by_group)
+        sets = np.arange(n_sets)[:, None]
+        # A dummy's rank in its (d-group, region) run, and the frame
+        # that rank takes off the region's free-list tail.
+        rank = sets // n_regions * group_ways + (np.arange(assoc) - way_lo)
+        frames = (sets % n_regions + 1) * per_region - 1 - rank
+        self._slot_baddr = prewarm_blocks(n_sets, assoc, self.block_bytes).ravel().tolist()
+        self._slot_entry = _int_array(frames | (groups << _PACK_DGROUP_SHIFT))
+        slots = np.arange(n_sets * assoc).reshape(n_sets, assoc)
+        lo = 0
         for group, ways in enumerate(ways_by_group):
-            columns = slice(way_lo, way_lo + ways)
-            way_lo += ways
-            for region in range(n_regions):
-                run = blocks[region::n_regions, columns]
-                frames = self._stores[group].allocate_run(
-                    run.ravel().tolist(), region
-                )
-                self._replacer.insert_many(group, region, frames)
-                packed[region::n_regions, columns] = np.reshape(
-                    frames, run.shape
-                ) | (group << _PACK_DGROUP_SHIFT)
-        rows = blocks.tolist()
-        self._tags = [dict(zip(b, p)) for b, p in zip(rows, packed.tolist())]
-        for policy, row in zip(self._data_lru, rows):
-            policy.insert_many(row)
-        if key is not None:
-            prewarm_cache.put(key, self._prewarm_snapshot())
-
-    def _prewarm_cache_key(self) -> str:
-        """Registry key: everything the prewarm result depends on.
-
-        The dataclass repr covers every config field; variants with
-        extra shape state (compressed d-groups) extend the key.
-        """
-        return f"{type(self).__qualname__}|{self.config!r}"
-
-    def _prewarm_snapshot(self) -> "_PrewarmSnapshot":
-        return _PrewarmSnapshot(
-            tags=[dict(t) for t in self._tags],
-            lru=[p.state_copy() for p in self._data_lru],
-            stores=[
-                (list(s._resident), [list(f) for f in s._free])
-                for s in self._stores
-            ],
-            replacer=[
-                [p.state_copy() for p in row] for row in self._replacer._policies
-            ],
-        )
-
-    def _prewarm_restore(self, proto: "_PrewarmSnapshot") -> None:
-        """Install a prototype (copying — prototypes never alias).
-
-        Policy objects are mutated in place rather than replaced: the
-        hot-path ``_rtouch`` table caches their bound methods.
-        """
-        self._tags = [dict(t) for t in proto.tags]
-        for policy, state in zip(self._data_lru, proto.lru):
-            policy.load_state(state)
-        for store, (resident, free) in zip(self._stores, proto.stores):
-            store._resident = list(resident)
-            store._free = [list(f) for f in free]
-        for row, saved in zip(self._replacer._policies, proto.replacer):
-            for policy, state in zip(row, saved):
-                policy.load_state(state)
+            columns = slice(lo, lo + ways)
+            lo += ways
+            reverse = np.empty(n_sets * ways, dtype=np.int64)
+            reverse[frames[:, columns]] = slots[:, columns]
+            self._frame_slot[group] = _int_array(reverse)
+            # Every frame is taken, and each region's dummies entered
+            # distance replacement from the top frame down.  The
+            # untouched free lists hold exactly those frame numbers.
+            free = self._free[group]
+            runs = [run[::-1] for run in free]
+            self._free[group] = [[] for _ in free]
+            if self._lru_dr:
+                self._dlru[group] = [dict.fromkeys(run) for run in runs]
+                continue
+            self._dkeys[group] = runs
+            self._dpos[group] = runs[0] * n_regions
+            if self._approx_dr:
+                self._dref[group] = bytearray(b"\x01") * len(reverse)
 
     def _prewarm_ways(self) -> List[int]:
         """Dummy ways to fill per d-group (hook for variant caches).
@@ -862,51 +963,72 @@ class NuRAPIDCache:
         return self.stats.get("misses") / total
 
     def resident_blocks(self) -> int:
-        return sum(len(s) for s in self._tags)
+        return len(self._slot_baddr) - self._slot_baddr.count(EMPTY)
 
     def check_invariants(self) -> None:
-        """Cross-check tags, frames, pointers, and policies.
+        """Cross-check slots, frames, free lists, and replacement state.
 
         O(capacity); intended for tests, not the hot loop.
         """
+        assoc = self._assoc_limit
         resident = 0
-        for index, tag_set in enumerate(self._tags):
-            if len(tag_set) > self._assoc_limit:
-                raise SimulationError(f"set {index} over associativity")
-            if len(self._data_lru[index]) != len(tag_set):
-                raise SimulationError(f"set {index} LRU/tag size mismatch")
-            for baddr, packed in tag_set.items():
-                resident += 1
-                if self._set_of(baddr) != index:
-                    raise SimulationError(f"block {baddr:#x} in wrong set")
-                dgroup = (packed >> _PACK_DGROUP_SHIFT) & _PACK_DGROUP_MASK
-                frame = packed & _PACK_FRAME_MASK
-                occupant = self._stores[dgroup].occupant(frame)
-                if occupant != baddr:
+        for slot, baddr in enumerate(self._slot_baddr):
+            if baddr == EMPTY:
+                continue
+            resident += 1
+            index = slot // assoc
+            if self._set_of(baddr) != index:
+                raise SimulationError(f"block {baddr:#x} in wrong set")
+            base = index * assoc
+            if self._slot_baddr[base : base + assoc].count(baddr) != 1:
+                raise SimulationError(f"block {baddr:#x} resident twice")
+            packed = self._slot_entry[slot]
+            dgroup = (packed >> _PACK_DGROUP_SHIFT) & _PACK_DGROUP_MASK
+            frame = packed & _PACK_FRAME_MASK
+            if self._frame_slot[dgroup][frame] != slot:
+                raise SimulationError(
+                    f"forward pointer of {baddr:#x} disagrees with frame"
+                )
+            if frame // self._region_frames[dgroup] != index % self._n_regions:
+                raise SimulationError(f"block {baddr:#x} outside its region")
+        occupied = 0
+        for group, frames in enumerate(self._frame_slot):
+            per = self._region_frames[group]
+            for region, free in enumerate(self._free[group]):
+                for frame in free:
+                    if frame // per != region:
+                        raise SimulationError(f"frame {frame} on wrong region free list")
+                    if frames[frame] != FREE:
+                        raise SimulationError(f"frame {frame} residency/free-list mismatch")
+                run = frames[region * per : (region + 1) * per]
+                in_use = [f + region * per for f, s in enumerate(run) if s >= 0]
+                occupied += len(in_use)
+                if len(free) != run.count(FREE) or len(set(free)) != len(free):
                     raise SimulationError(
-                        f"forward pointer of {baddr:#x} disagrees with frame"
+                        f"d-group {group} region {region} free list disagrees "
+                        "with its frames"
                     )
-                region = self._region_of(baddr)
-                if self._stores[dgroup].region_of_frame(frame) != region:
-                    raise SimulationError(f"block {baddr:#x} outside its region")
-        for store in self._stores:
-            store.check_invariants()
-        occupied = sum(store.occupied_count for store in self._stores)
+                if self._lru_dr:
+                    tracked = list(self._dlru[group][region])
+                else:
+                    tracked = self._dkeys[group][region]
+                    if any(self._dpos[group][f] != p for p, f in enumerate(tracked)):
+                        raise SimulationError(
+                            f"replacement positions stale in d-group {group} "
+                            f"region {region}"
+                        )
+                if sorted(tracked) != in_use:
+                    raise SimulationError(
+                        f"replacer tracking {len(tracked)} frames in d-group "
+                        f"{group} region {region}, expected {len(in_use)}"
+                    )
+            for frame, slot in enumerate(frames):
+                if slot >= 0 and self._slot_baddr[slot] == EMPTY:
+                    raise SimulationError(f"frame {frame} points at an empty slot")
         if occupied != resident:
             raise SimulationError(
                 f"{occupied} occupied frames but {resident} resident blocks"
             )
-        for group in range(self.config.n_dgroups):
-            for region in range(self.config.n_regions):
-                tracked = self._replacer.tracked(group, region)
-                free = self._stores[group].free_count(region)
-                retired = self._stores[group].retired_count(region)
-                per_region = self._stores[group].frames_per_region
-                if tracked != per_region - free - retired:
-                    raise SimulationError(
-                        f"replacer tracking {tracked} frames in d-group {group} "
-                        f"region {region}, expected {per_region - free - retired}"
-                    )
 
     def reset_stats(self) -> None:
         """Zero counters after warmup; contents, recency, and the port
@@ -920,4 +1042,7 @@ class NuRAPIDCache:
 
     def dgroup_occupancy(self) -> List[Tuple[int, int]]:
         """(occupied, total) frames per d-group, fastest first."""
-        return [(s.occupied_count, s.n_frames) for s in self._stores]
+        return [
+            (len(frames) - frames.count(FREE) - frames.count(RETIRED), len(frames))
+            for frames in self._frame_slot
+        ]

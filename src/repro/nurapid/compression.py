@@ -15,27 +15,27 @@ runs stay bit-reproducible and engine-independent:
   first uncompressed d-group;
 * reads served by a compressed group pay ``decompression_cycles``.
 
-The variant only overrides placement hooks (`_fill_start_group`,
-`_promote`, `_prewarm_ways`) and construction, so every replay engine
-drives it through the unchanged access/fill protocol.
+The variant only overrides its frame layout (`_frame_layout`), the
+placement hooks (`_fill_start_group`, `_promote`, `_ensure_chain_space`,
+`_prewarm_ways`) and construction, so every replay engine drives it
+through the unchanged access/fill protocol.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from repro.caches.block import PREWARM_BASE
 from repro.cmp.config import CompressionConfig
 from repro.common.errors import ConfigurationError, SimulationError
 from repro.nurapid.cache import (
+    EMPTY,
     NuRAPIDCache,
     _PACK_DGROUP_MASK,
     _PACK_DGROUP_SHIFT,
-    _PACK_DIRTY,
     _PACK_FRAME_MASK,
 )
 from repro.nurapid.config import NuRAPIDConfig
-from repro.nurapid.pointers import FrameStore
 from repro.workloads.interleave import CORE_ADDR_SHIFT, MAX_CORES
 
 #: Fixed 64-bit multiplicative hash (golden-ratio constant) mapping a
@@ -68,22 +68,11 @@ class CompressedNuRAPIDCache(NuRAPIDCache):
             raise ConfigurationError(
                 "compressed NuRAPID requires associativity divisible by d-groups"
             )
-        super().__init__(config, geometry=geometry, energy=energy)
+        # The base constructor sizes the slot and frame arrays from
+        # _frame_layout, which reads these.
         self.compression = compression
-        ratio = compression.ratio
-        k = compression.compressed_dgroups
-        self._compressed_groups = k
-        expanded = config.frames_per_dgroup * ratio
-        if expanded > _PACK_FRAME_MASK:
-            raise ConfigurationError(
-                f"compressed d-group of {expanded} frames overflows packed tags"
-            )
-        for group in range(k):
-            self._stores[group] = FrameStore(expanded, config.n_regions)
-        ways_per_group = config.associativity // config.n_dgroups
-        self._assoc_limit = (
-            config.associativity + k * ways_per_group * (ratio - 1)
-        )
+        self._compressed_groups = k = compression.compressed_dgroups
+        super().__init__(config, geometry=geometry, energy=energy)
         for group in range(k):
             self._data_cycles[group] = (
                 self._data_cycles[group] + compression.decompression_cycles
@@ -95,6 +84,20 @@ class CompressedNuRAPIDCache(NuRAPIDCache):
         self._core_thresholds: Optional[List[int]] = None
         if compression.core_shares is not None:
             self.set_core_shares(compression.core_shares)
+
+    def _frame_layout(self) -> Tuple[int, List[int]]:
+        config = self.config
+        ratio = self.compression.ratio
+        k = self._compressed_groups
+        expanded = config.frames_per_dgroup * ratio
+        if expanded > _PACK_FRAME_MASK:
+            raise ConfigurationError(
+                f"compressed d-group of {expanded} frames overflows packed tags"
+            )
+        ways_per_group = config.associativity // config.n_dgroups
+        frames = [config.frames_per_dgroup] * config.n_dgroups
+        frames[:k] = [expanded] * k
+        return config.associativity + k * ways_per_group * (ratio - 1), frames
 
     def set_core_shares(self, shares: Sequence[float]) -> None:
         """Per-core compressible shares for CMP runs.
@@ -137,10 +140,10 @@ class CompressedNuRAPIDCache(NuRAPIDCache):
         sc["incompressible_fills"] = sc.get("incompressible_fills", 0) + 1
         return self._compressed_groups
 
-    def _promote(
-        self, index: int, baddr: int, packed: int, target: int, now: float
-    ) -> None:
-        if target < self._compressed_groups and not self.is_compressible(baddr):
+    def _promote(self, slot: int, packed: int, target: int, now: float) -> None:
+        if target < self._compressed_groups and not self.is_compressible(
+            self._slot_baddr[slot]
+        ):
             target = self._compressed_groups
             source = (packed >> _PACK_DGROUP_SHIFT) & _PACK_DGROUP_MASK
             if target >= source:
@@ -151,7 +154,7 @@ class CompressedNuRAPIDCache(NuRAPIDCache):
                     sc.get("compression_promotions_blocked", 0) + 1
                 )
                 return
-        super()._promote(index, baddr, packed, target, now)
+        super()._promote(slot, packed, target, now)
 
     def _ensure_chain_space(self, region: int, start: int) -> int:
         """Evict when the uncompressed tail of the region is full.
@@ -163,34 +166,12 @@ class CompressedNuRAPIDCache(NuRAPIDCache):
         Evict a distance victim from the slowest group holding one —
         the incompressible share of the region is simply over capacity.
         """
-        n_dgroups = self.config.n_dgroups
-        for group in range(start, n_dgroups):
-            if self._stores[group].has_free(region):
+        for group in range(start, self.config.n_dgroups):
+            if self._free[group][region]:
                 return 0
-        for group in range(n_dgroups - 1, start - 1, -1):
-            if (
-                not self._stores[group].occupied_count
-                or self._replacer.tracked(group, region) == 0
-            ):
-                continue
-            frame = self._replacer.select_victim(group, region)
-            packed = self._invalidate_frame(group, frame)
-            self.stats.add("evictions")
-            self.stats.add("compression_capacity_evictions")
-            if packed & _PACK_DIRTY:
-                self.stats.add("writebacks")
-                self.energy.charge(f"{self.name}.dg{group}.read")
-                self.stats.add("dgroup_accesses")
-                return 1
-            return 0
-        raise SimulationError(
-            f"region {region} has no evictable frame in the uncompressed tail"
+        return self._evict_distance_victim(
+            region, start, "compression_capacity_evictions"
         )
-
-    def _prewarm_cache_key(self) -> str:
-        # Compressed d-groups change the store shapes and way counts,
-        # so the prototype key must carry the compression config too.
-        return f"{super()._prewarm_cache_key()}|{self.compression!r}"
 
     def _prewarm_ways(self) -> List[int]:
         ratio = self.compression.ratio
@@ -205,13 +186,12 @@ class CompressedNuRAPIDCache(NuRAPIDCache):
 
     def check_invariants(self) -> None:
         super().check_invariants()
-        for tag_set in self._tags:
-            for baddr, packed in tag_set.items():
-                dgroup = (packed >> _PACK_DGROUP_SHIFT) & _PACK_DGROUP_MASK
-                if dgroup < self._compressed_groups and not self.is_compressible(
-                    baddr
-                ):
-                    raise SimulationError(
-                        f"incompressible block {baddr:#x} resident in "
-                        f"compressed d-group {dgroup}"
-                    )
+        for baddr, packed in zip(self._slot_baddr, self._slot_entry):
+            if baddr == EMPTY:
+                continue
+            dgroup = (packed >> _PACK_DGROUP_SHIFT) & _PACK_DGROUP_MASK
+            if dgroup < self._compressed_groups and not self.is_compressible(baddr):
+                raise SimulationError(
+                    f"incompressible block {baddr:#x} resident in "
+                    f"compressed d-group {dgroup}"
+                )

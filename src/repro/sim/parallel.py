@@ -40,7 +40,7 @@ import hashlib
 import json
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.errors import ConfigurationError, ReproError
 from repro.cpu.wattch import ProcessorEnergyModel
@@ -200,7 +200,11 @@ def execute_cell(task: CellTask) -> Dict[str, object]:
     deadline = (
         None if task.budget_s is None else time.monotonic() + task.budget_s
     )
-    last_error: Optional[ReproError] = None
+    #: (message, type name) of the last failed attempt.  Keeping the
+    #: exception itself would tie its traceback to this frame in a
+    #: cycle that pins every replay frame (and its mapped trace) until
+    #: the next garbage collection.
+    last_error: Optional[Tuple[str, str]] = None
     attempts = 0
     for attempt in range(task.max_retries + 1):
         if attempt and deadline is not None and time.monotonic() >= deadline:
@@ -232,7 +236,7 @@ def execute_cell(task: CellTask) -> Dict[str, object]:
         except ReproError as exc:
             if not task.isolate_errors:
                 raise
-            last_error = exc
+            last_error = (str(exc), type(exc).__name__)
     # Attempt 0 always runs, so a failed cell has a last error.
     assert last_error is not None
     return {
@@ -240,8 +244,8 @@ def execute_cell(task: CellTask) -> Dict[str, object]:
         "outcome": {
             "status": "failed",
             "attempts": attempts,
-            "error": str(last_error),
-            "error_type": type(last_error).__name__,
+            "error": last_error[0],
+            "error_type": last_error[1],
         },
         "result": None,
     }

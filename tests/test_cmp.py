@@ -247,8 +247,8 @@ class TestCompression:
     def test_assoc_limit_and_frames_grow(self):
         cache = _compressed(ratio=2)
         base_frames = cache.config.frames_per_dgroup
-        assert cache._stores[0].n_frames == 2 * base_frames
-        assert cache._stores[1].n_frames == base_frames
+        totals = [total for _, total in cache.dgroup_occupancy()]
+        assert totals == [2 * base_frames] + [base_frames] * 3
         ways_per_group = cache.config.associativity // cache.config.n_dgroups
         assert cache._assoc_limit == cache.config.associativity + ways_per_group
 
@@ -256,8 +256,8 @@ class TestCompression:
         cache = _compressed()
         cache.prewarm()
         cache.check_invariants()
-        store = cache._stores[0]
-        assert store.occupied_count == store.n_frames
+        occupied, total = cache.dgroup_occupancy()[0]
+        assert occupied == total
 
     def test_incompressible_lines_stay_out_of_compressed_groups(self):
         cache = _compressed(share=0.5)

@@ -19,7 +19,6 @@ from repro.cmp.config import CmpConfig, CompressionConfig
 from repro.common.errors import ConfigurationError, UncorrectableDataError
 from repro.cpu.core import CoreModel
 from repro.faults.models import FaultPlan, HardFaultEvent
-from repro.nurapid.cache import _PACK_DIRTY
 from repro.nurapid.config import DistanceReplacementKind, PromotionPolicy
 from repro.sim import vectorized
 from repro.sim.config import (
@@ -226,9 +225,8 @@ class TestFaultParity:
         real_access = l2.access
 
         def access(address, is_write=False, now=0.0):
-            index = (address >> l2._set_shift) & l2._set_mask
-            packed = l2._tags[index].get(address & l2._block_mask)
-            log.append((is_write, packed is not None and bool(packed & _PACK_DIRTY)))
+            entry = l2.lookup(address)
+            log.append((is_write, entry is not None and entry.dirty))
             return real_access(address, is_write=is_write, now=now)
 
         l2.access = access

@@ -1,59 +1,124 @@
-"""Coverage for smaller corners: replacer, results table, hierarchy
-writeback edge cases, cacti organization geometry."""
+"""Coverage for smaller corners: distance replacer, results table,
+hierarchy writeback edge cases, cacti organization geometry."""
 
 import pytest
 
-from repro.common.errors import ConfigurationError, SimulationError
+from repro.common.errors import ConfigurationError
 from repro.common.rng import DeterministicRNG
-from repro.nurapid.config import DistanceReplacementKind
-from repro.nurapid.replacement import DistanceReplacer
+from repro.nurapid.cache import NuRAPIDCache
+from repro.nurapid.config import DistanceReplacementKind, NuRAPIDConfig
 from repro.sim.results import format_fraction_table
 from repro.tech.cacti import MiniCacti
 
 KB = 1024
 
 
+def tiny(**overrides):
+    defaults = dict(
+        capacity_bytes=64 * KB, block_bytes=64, associativity=4, n_dgroups=4,
+        seed=7, name="tiny",
+    )
+    defaults.update(overrides)
+    return NuRAPIDCache(NuRAPIDConfig(**defaults))
+
+
+def addr(set_index, tag):
+    return (tag * 256 + set_index) * 64
+
+
+def fill_dgroup0(c):
+    """One block per set until d-group 0 is full; returns the blocks in
+    fill order (block ``k`` takes frame ``255 - k``)."""
+    blocks = [addr(i, 0) for i in range(c.config.frames_per_dgroup)]
+    for block in blocks:
+        c.fill(block)
+    return blocks
+
+
 class TestDistanceReplacer:
-    def _replacer(self, kind=DistanceReplacementKind.LRU):
-        return DistanceReplacer(2, 2, kind, DeterministicRNG(1, "dr"))
-
-    def test_tracks_per_dgroup_and_region(self):
-        r = self._replacer()
-        r.insert(0, 0, 5)
-        r.insert(0, 1, 6)
-        r.insert(1, 0, 7)
-        assert r.tracked(0, 0) == 1
-        assert r.tracked(0, 1) == 1
-        assert r.tracked(1, 0) == 1
-        assert r.tracked(1, 1) == 0
-
-    def test_lru_victim_order(self):
-        r = self._replacer()
-        r.insert(0, 0, 10)
-        r.insert(0, 0, 11)
-        r.touch(0, 0, 10)
-        assert r.select_victim(0, 0) == 11
-
-    def test_selection_does_not_remove(self):
-        r = self._replacer()
-        r.insert(0, 0, 10)
-        assert r.select_victim(0, 0) == 10
-        assert r.tracked(0, 0) == 1
+    """Victim order within a d-group, per replacement kind, on a tiny
+    64 KB, 4-way, 4-d-group cache (256 sets, 256 frames per d-group)."""
 
     def test_random_kind_selects_members(self):
-        r = self._replacer(DistanceReplacementKind.RANDOM)
-        for f in range(6):
-            r.insert(0, 0, f)
-        assert r.select_victim(0, 0) in range(6)
+        """Random draws from a swap-remove list of the region's frames."""
+        c = tiny()
+        blocks = fill_dgroup0(c)
+        # Reference: frames in tracking order, removed by swapping in
+        # the last entry, drawn with the region's own stream.
+        keys = [255 - k for k in range(256)]
+        occupant = {255 - k: block for k, block in enumerate(blocks)}
+        draw = DeterministicRNG(7, "tiny/distance").spawn("dg0/r0").randint
+        for tag in range(1, 41):
+            incoming = addr(tag, 1)
+            frame = keys[draw(0, len(keys) - 1)]
+            c.fill(incoming)
+            assert c.dgroup_of(occupant[frame]) == 1
+            assert c.lookup(incoming).frame == frame
+            occupant[frame] = incoming
+            at, last = keys.index(frame), keys.pop()
+            if last != frame:
+                keys[at] = last
+            keys.append(frame)
+        c.check_invariants()
+
+    def test_approx_lru_clock_gives_touched_blocks_a_second_chance(self):
+        c = tiny(distance_replacement=DistanceReplacementKind.APPROX_LRU)
+        blocks = fill_dgroup0(c)
+        # Every reference bit is set: the first sweep clears them all
+        # and wraps to the first frame tracked (block 0's).
+        c.fill(addr(0, 1))
+        assert c.dgroup_of(blocks[0]) == 1
+        # Swap-remove moved the last-tracked frame (block 255's) under
+        # the hand; its bit is clear, so it goes next.
+        c.fill(addr(1, 1))
+        assert c.dgroup_of(blocks[255]) == 1
+        # The hand now sits on the first fill's frame (bit set again),
+        # then block 1's frame: a hit sets its bit, so it is spared.
+        c.access(blocks[1])
+        c.fill(addr(2, 1))
+        assert c.dgroup_of(blocks[1]) == 0
+        assert c.dgroup_of(blocks[2]) == 1
+        c.check_invariants()
+
+    def test_selection_does_not_remove(self):
+        """A distance victim moves outward; nothing leaves the cache."""
+        c = tiny()
+        blocks = fill_dgroup0(c)
+        c.fill(addr(0, 1))
+        assert c.resident_blocks() == len(blocks) + 1
+        assert all(c.contains(block) for block in blocks)
+        assert [occupied for occupied, _ in c.dgroup_occupancy()] == [256, 1, 0, 0]
+
+    def test_tracks_per_dgroup_and_region(self):
+        """A full region demotes its own blocks; other regions keep
+        taking free frames."""
+        c = tiny(restricted_frames=64)  # 4 regions of 64 frames
+        region0 = [addr(index, 0) for index in range(0, 256, 4)]
+        for block in region0:
+            c.fill(block)
+        c.fill(addr(0, 1))  # region 0 is full in d-group 0
+        c.fill(addr(1, 0))  # region 1 is not
+        demoted = [block for block in region0 if c.dgroup_of(block) == 1]
+        assert len(demoted) == 1
+        assert c.lookup(demoted[0]).frame // 64 == 0
+        assert c.lookup(addr(1, 0)).frame == 127
+        c.check_invariants()
 
     def test_bounds_checked(self):
-        r = self._replacer()
+        """A packed tag entry names one of at most 15 d-groups."""
         with pytest.raises(ConfigurationError):
-            r.insert(5, 0, 1)
+            tiny(n_dgroups=0)
         with pytest.raises(ConfigurationError):
-            r.insert(0, 5, 1)
-        with pytest.raises(SimulationError):
-            r.remove(0, 0, 99)
+            tiny(capacity_bytes=16 * 4 * 64, n_dgroups=16)
+
+    def test_lru_victim_order(self):
+        c = tiny(distance_replacement=DistanceReplacementKind.LRU)
+        blocks = fill_dgroup0(c)
+        c.access(blocks[0])
+        c.fill(addr(0, 1))
+        assert c.dgroup_of(blocks[0]) == 0
+        assert c.dgroup_of(blocks[1]) == 1
+        c.check_invariants()
 
 
 class TestResultsFormatting:

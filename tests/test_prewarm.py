@@ -6,7 +6,6 @@ import random
 import pytest
 
 from repro.caches.block import PREWARM_BASE
-from repro.common import prewarm_cache
 from repro.common.errors import SimulationError
 from repro.caches.setassoc_nonuniform import SetAssociativePlacementCache
 from repro.caches.simple import SetAssociativeCache
@@ -15,10 +14,12 @@ from repro.nuca.cache import DNUCACache
 from repro.cmp.config import CompressionConfig
 from repro.nuca.config import DNUCAConfig
 from repro.nuca.snuca import SNUCACache
-from repro.nurapid.cache import NuRAPIDCache
+from repro.faults.models import FaultPlan, HardFaultEvent
+from repro.nurapid.cache import EMPTY, RETIRED, NuRAPIDCache
 from repro.nurapid.compression import CompressedNuRAPIDCache
 from repro.nurapid.config import DistanceReplacementKind, NuRAPIDConfig
-from repro.sim.config import base_config, build_lower_level
+from repro.sim.config import base_config, build_lower_level, nurapid_config
+from repro.sim.driver import make_system
 
 KB = 1024
 
@@ -57,6 +58,7 @@ class TestNuRAPIDPrewarm:
             )
         )
         c.prewarm()
+        state = _state(c)
         cfg = c.config
         n_regions = cfg.n_regions
         ways_per_group = cfg.associativity // cfg.n_dgroups
@@ -67,8 +69,8 @@ class TestNuRAPIDPrewarm:
                 PREWARM_BASE + (way * cfg.n_sets + index) * cfg.block_bytes
                 for way in range(cfg.associativity)
             ]
-            assert list(c._tags[index]) == row
-            assert list(c._data_lru[index].lru_to_mru()) == row
+            assert list(state[0][index]) == row
+            assert list(state[3][index]) == row
             for way, baddr in enumerate(row):
                 entry = c.lookup(baddr)
                 group = way // ways_per_group
@@ -76,12 +78,14 @@ class TestNuRAPIDPrewarm:
                 # tail, set-ascending then way-ascending.
                 rank = (index // n_regions) * ways_per_group + way % ways_per_group
                 frame = (region + 1) * per_region - 1 - rank
-                assert (entry.dgroup, entry.frame) == (group, frame)
+                assert (entry.block_addr, entry.dgroup, entry.frame) == (
+                    baddr, group, frame
+                )
                 assert not entry.dirty and entry.pending_hits == 0
-                assert c._stores[group].occupant(frame) == baddr
+                assert state[1][group][0][frame] == baddr
         for group in range(cfg.n_dgroups):
             for region in range(n_regions):
-                tracked, _, _ = c._replacer._policies[group][region].state_copy()
+                tracked, _, _ = state[2][group][region]
                 top = (region + 1) * per_region - 1
                 assert tracked == list(range(top, top - per_region, -1))
         c.check_invariants()
@@ -115,10 +119,18 @@ class TestNuRAPIDPrewarm:
             c.prewarm()
 
     def test_prewarm_with_retired_frame_rejected(self):
-        """Prewarm fills every frame, so a retired one leaves a run short."""
+        """Prewarm fills every frame, so a retired one cannot take part."""
         c = self._cache()
-        c._stores[2].retire(5)
-        with pytest.raises(SimulationError, match="allocate_run"):
+        c.attach_faults(
+            FaultPlan(
+                hard_faults=(HardFaultEvent(at_access=1, dgroup=2, subarray=0),),
+                spare_subarrays_per_dgroup=0,
+            )
+        )
+        c.access(0)
+        c.access(0)  # the hard fault is due from the second access on
+        assert c.retired_frames()[2] > 0
+        with pytest.raises(SimulationError, match="retired"):
             c.prewarm()
 
     def test_prewarm_requires_divisible_assoc(self):
@@ -139,76 +151,116 @@ def _state(cache):
     if isinstance(cache, SetAssociativePlacementCache):
         return [cache._addrs, cache._dirty, cache._touch, cache._where, cache._clock]
     if isinstance(cache, SNUCACache):
-        return [cache._sets, [p.state_copy() for p in cache._lru]]
+        return [cache._sets, [dict.fromkeys(p.lru_to_mru()) for p in cache._lru]]
     if isinstance(cache, DNUCACache):
         return [
             cache._baddr, cache._dirty, cache._touch, cache._where,
             cache.smart_search._partial, cache._clock,
         ]
-    return [
-        cache._tags,
-        [(s._resident, s._free, sorted(s._retired)) for s in cache._stores],
-        [[p.state_copy() for p in row] for row in cache._replacer._policies],
-        [p.state_copy() for p in cache._data_lru],
+    return _nurapid_state(cache)
+
+
+def _nurapid_state(cache):
+    """NuRAPID's flat arrays, projected onto the ordered containers the
+    golden digests were first taken over: per-set tag dicts in way
+    order, per-d-group (occupants, free lists, retired frames), each
+    distance-replacement region's tracked order, and per-set data-LRU
+    order (ascending stamp, first way first)."""
+    assoc = cache._assoc_limit
+    baddrs, entries, stamps = (
+        cache._slot_baddr, cache._slot_entry, cache._slot_stamp
+    )
+    tags, data_lru = [], []
+    for base in range(0, len(baddrs), assoc):
+        ways = [s for s in range(base, base + assoc) if baddrs[s] != EMPTY]
+        tags.append({baddrs[s]: entries[s] for s in ways})
+        recency = sorted(ways, key=lambda s: (stamps[s], s))
+        data_lru.append(dict.fromkeys(baddrs[s] for s in recency))
+    stores = [
+        (
+            [None if s < 0 else baddrs[s] for s in frames],
+            cache._free[group],
+            [f for f, s in enumerate(frames) if s == RETIRED],
+        )
+        for group, frames in enumerate(cache._frame_slot)
     ]
+    policies = []
+    for group in range(cache.config.n_dgroups):
+        row = []
+        for region in range(cache._n_regions):
+            if cache._lru_dr:
+                row.append(dict(cache._dlru[group][region]))
+                continue
+            keys = cache._dkeys[group][region]
+            index = {k: p for p, k in enumerate(keys)}
+            if cache._approx_dr:
+                ref = {k: bool(cache._dref[group][k]) for k in keys}
+                row.append((keys, index, ref, cache._dhand[group][region]))
+            else:
+                # None: the random policy's peeked victim, which every
+                # operation cleared before it returned.
+                row.append((keys, index, None))
+        policies.append(row)
+    return [tags, stores, policies, data_lru]
 
 
 def _digest(cache):
     return hashlib.sha256(repr(_state(cache)).encode()).hexdigest()
 
 
-def _nurapid(n_dgroups):
-    return NuRAPIDCache(
-        NuRAPIDConfig(
-            capacity_bytes=256 * KB, associativity=8, n_dgroups=n_dgroups,
-            name=f"proto{n_dgroups}",
-        )
-    )
-
-
-def _compressed():
-    return CompressedNuRAPIDCache(
-        NuRAPIDConfig(capacity_bytes=256 * KB, associativity=8, n_dgroups=4),
-        CompressionConfig(ratio=2, compressible_share=0.5),
-    )
-
-
 def _snuca():
     return SNUCACache(capacity_bytes=512 * KB, block_bytes=128, associativity=16)
 
 
-class TestPrototypeRestore:
-    """A prewarm restored from the prototype registry equals a fresh fill."""
+def _mutable_ids(root):
+    """ids of every mutable object reachable from ``root``'s attributes.
 
-    @pytest.mark.parametrize(
-        "build",
-        [lambda: _nurapid(4), lambda: _nurapid(8), _compressed],
-        ids=["nurapid-4dg", "nurapid-8dg", "compressed"],
-    )
-    def test_restore_equals_fresh_fill(self, build):
-        prewarm_cache.clear()
-        fresh, restored = build(), build()
-        fresh.prewarm()
-        assert len(prewarm_cache._snapshots) == 1
-        restored.prewarm()
-        assert _digest(restored) == _digest(fresh)
+    Frozen dataclasses (configs, geometry) and the other immutable
+    values are skipped: sharing those between caches is harmless.
+    """
+    seen, stack, found = set(), list(vars(root).values()), set()
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (int, float, str, bytes, type(None))):
+            continue
+        seen.add(id(obj))
+        params = getattr(obj, "__dataclass_params__", None)
+        if params is not None and params.frozen:
+            continue
+        if isinstance(obj, tuple):
+            stack.extend(obj)
+            continue
+        found.add(id(obj))
+        if isinstance(obj, dict):
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, set)):
+            stack.extend(obj)
+        elif hasattr(obj, "__self__"):  # a bound method: its instance
+            stack.append(obj.__self__)
+        elif hasattr(obj, "__dict__"):
+            stack.extend(vars(obj).values())
+    return found
+
+
+class TestFreshState:
+    """Every build is a cold build: two caches never share state."""
+
+    def test_builds_share_no_mutable_container(self):
+        config = nurapid_config()
+        used, spare = make_system(config).l2, make_system(config).l2
+        assert not _mutable_ids(used) & _mutable_ids(spare)
 
         rng = random.Random(7)
-        span = 4 * fresh.block_bytes * 4096
+        # Four blocks per set: fills reach past d-group 0's dummies.
+        span = 4 * used.block_bytes * used.config.n_sets
         for step in range(20_000):
-            address = rng.randrange(span) & ~(fresh.block_bytes - 1)
+            address = rng.randrange(span) & ~(used.block_bytes - 1)
             is_write = rng.random() < 0.3
-            outcomes = []
-            for cache in (fresh, restored):
-                result = cache.access(address, is_write, now=float(step))
-                writebacks = None
-                if not result.hit:
-                    writebacks = cache.fill(address, now=float(step), dirty=is_write)
-                outcomes.append((result.hit, result.latency, result.dgroup, writebacks))
-            assert outcomes[0] == outcomes[1], step
-        assert restored.stats.as_dict() == fresh.stats.as_dict()
-        assert _digest(restored) == _digest(fresh)
-        restored.check_invariants()
+            if not used.access(address, is_write, now=float(step)).hit:
+                used.fill(address, now=float(step), dirty=is_write)
+        used.check_invariants()
+        assert used.stats.get("promotions") and used.stats.get("demotions")
+        assert _digest(spare) == GOLDEN_DIGESTS["nurapid-4dg-random"]
 
 
 class TestDNUCAPrewarm:
@@ -246,12 +298,6 @@ class TestDNUCAPrewarm:
         c.fill(0)
         assert not c.contains(victim)
         assert c.contains(victim + c.n_sets * c.block_bytes)
-
-    def test_not_in_prototype_registry(self):
-        """D-NUCA prewarm is fast by construction, not by reuse."""
-        before = list(prewarm_cache._snapshots)
-        self._cache().prewarm()
-        assert list(prewarm_cache._snapshots) == before
 
     def test_fill_after_prewarm_evicts_tail(self):
         c = self._cache()
@@ -358,15 +404,8 @@ class TestSNUCAPrewarm:
         with pytest.raises(SimulationError):
             c.prewarm()
 
-    def test_not_in_prototype_registry(self):
-        """S-NUCA prewarm is fast by construction, not by reuse."""
-        before = list(prewarm_cache._snapshots)
-        _snuca().prewarm()
-        assert list(prewarm_cache._snapshots) == before
-
 
 def _base_level(index):
-    prewarm_cache.clear()
     return build_lower_level(base_config())[index].cache
 
 
@@ -450,7 +489,6 @@ GOLDEN_DIGESTS = {
 
 @pytest.mark.parametrize("shape", sorted(SHAPES))
 def test_golden_prewarm_state(shape):
-    prewarm_cache.clear()
     cache = SHAPES[shape]()
     cache.prewarm()
     assert _digest(cache) == GOLDEN_DIGESTS[shape]
