@@ -14,7 +14,7 @@
 
 from repro.caches.block import CacheBlock
 from repro.caches.prefetch import PrefetchingHierarchyAdapter, StreamPrefetcher
-from repro.caches.port import PortScheduler
+from repro.caches.port import PortArray
 from repro.caches.mshr import MSHRFile
 from repro.caches.memory import MainMemory
 from repro.caches.simple import SetAssociativeCache
@@ -28,7 +28,7 @@ __all__ = [
     "CacheHierarchy",
     "MSHRFile",
     "MainMemory",
-    "PortScheduler",
+    "PortArray",
     "SetAssociativeCache",
     "SetAssociativePlacementCache",
 ]

@@ -10,6 +10,18 @@ main memory.  Every lower level implements the same small protocol:
   the number of dirty blocks it pushed out (writeback traffic).
 * ``block_bytes`` — its block size.
 
+Both calls are two steps (DESIGN.md, "Lower-level outcome and
+timing"), which the vectorized kernel also calls directly:
+
+* ``access_outcome(address, is_write)`` and ``fill_outcome(address,
+  dirty)`` take no time.  They make every state, RNG, fault and counter
+  change and return a compact outcome tuple: element 0 is the hit flag
+  of an access, or the dirty writebacks of a fill, whose element 1 is
+  None when its timing step has nothing to do.
+* ``access_timing(outcome, now) -> latency`` and ``fill_timing(outcome,
+  now)`` claim the port or bank occupancy and emit the telemetry the
+  outcome carries, stamped with ``now``.
+
 The hierarchy accumulates the miss path's latency, issues fills bottom
 up, and routes L1 dirty evictions into the first lower level.
 """
@@ -41,6 +53,18 @@ class LowerLevel(Protocol):
     def fill(self, address: int, now: float = 0.0, dirty: bool = False) -> int:
         ...
 
+    def access_outcome(self, address: int, is_write: bool = False) -> tuple:
+        ...
+
+    def access_timing(self, outcome: tuple, now: float) -> float:
+        ...
+
+    def fill_outcome(self, address: int, dirty: bool = False) -> tuple:
+        ...
+
+    def fill_timing(self, outcome: tuple, now: float) -> None:
+        ...
+
 
 class UniformLowerLevel:
     """Adapter giving :class:`SetAssociativeCache` the lower-level protocol."""
@@ -49,14 +73,33 @@ class UniformLowerLevel:
         self.cache = cache
         self.name = cache.name
         self.block_bytes = cache.spec.block_bytes
+        self.access_outcome = cache.access_outcome
+        self.access_timing = cache.access_timing
 
     def access(self, address: int, is_write: bool = False, now: float = 0.0) -> AccessResult:
         return self.cache.access(address, is_write=is_write, now=now)
 
     def fill(self, address: int, now: float = 0.0, dirty: bool = False) -> int:
-        del now
-        victim = self.cache.fill(address, dirty=dirty)
-        return 1 if victim is not None and victim.dirty else 0
+        outcome = self.fill_outcome(address, dirty)
+        self.fill_timing(outcome, now)
+        return outcome[0]
+
+    def fill_outcome(self, address: int, dirty: bool = False):
+        """``(dirty writebacks, the cache's fill outcome)``; the latter
+        only when telemetry will want its events, else None."""
+        outcome = self.cache.fill_outcome(address, dirty)
+        if outcome is None:
+            return _RESIDENT
+        return (outcome[0], outcome if self.cache.telemetry is not None else None)
+
+    def fill_timing(self, outcome, now: float) -> None:
+        """A uniform fill takes no port time; only its events remain."""
+        if outcome[1] is not None:
+            self.cache.fill_events(outcome[1])
+
+
+#: Fill outcome of a block the level already holds: nothing happens.
+_RESIDENT = (0, None)
 
 
 class CacheHierarchy:

@@ -18,7 +18,7 @@ promotion by swapping with the LRU way of the adjacent faster group.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.common.errors import ConfigurationError, SimulationError
 
@@ -27,7 +27,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 from repro.common.stats import Counter, Distribution
 from repro.common.types import AccessResult
 from repro.caches.block import block_address, prewarm_blocks, set_index
-from repro.caches.port import PortScheduler
+from repro.caches.port import PortArray, check_timestamp, checked_occupancy
 from repro.floorplan.dgroups import NuRAPIDGeometry, build_nurapid_geometry
 from repro.tech.energy import EnergyBook
 
@@ -76,7 +76,19 @@ class SetAssociativePlacementCache:
         self._touch: List[int] = [0] * n_frames
         self._where: List[Dict[int, int]] = [dict() for _ in range(self.n_sets)]
         self._clock = 0
-        self.port = PortScheduler(f"{name}.port")
+        #: The single data port's busy-time state.
+        self.ports = PortArray(f"{name}.port", 1)
+        groups = range(n_dgroups)
+        self._data_occ = checked_occupancy(
+            self.ports.name, (self.geometry.data_occupancy(g) for g in groups)
+        )
+        self._swap_occ = [
+            checked_occupancy(
+                self.ports.name,
+                (self.geometry.swap_occupancy(i, j) if i != j else 0.0 for j in groups),
+            )
+            for i in groups
+        ]
 
         self.energy = energy if energy is not None else EnergyBook()
         geo = self.geometry
@@ -126,27 +138,37 @@ class SetAssociativePlacementCache:
     # --- access path ---
 
     def access(self, address: int, is_write: bool = False, now: float = 0.0) -> AccessResult:
+        check_timestamp(self.name, now)
+        outcome = self.access_outcome(address, is_write)
+        hit, group = outcome[0], outcome[1]
+        energy = self.energy.cost(f"{self.name}.tag_probe")
+        if hit:
+            op = "write" if is_write else "read"
+            energy += self.energy.cost(f"{self.name}.dg{group}.{op}")
+        return AccessResult(
+            hit=hit,
+            latency=self.access_timing(outcome, now),
+            level=self.name,
+            dgroup=group if hit else None,
+            energy_nj=energy,
+        )
+
+    def access_outcome(self, address: int, is_write: bool = False):
+        """The access's outcome step: ``(hit, d-group or -1, block
+        address, promotion swap-leg occupancies, deferred events)``."""
         baddr = block_address(address, self.block_bytes)
         index = self._set_of(address)
         self.stats.add("accesses")
         self._clock += 1
-        energy = self.energy.charge(f"{self.name}.tag_probe")
+        self.energy.charge(f"{self.name}.tag_probe")
+        events = [] if self.telemetry is not None else None
 
         way = self._where[index].get(baddr)
         if way is None:
             # Sequential tag-data access: the pipelined tag probe alone
             # determines the miss.
             self.stats.add("misses")
-            if self.telemetry is not None:
-                self.telemetry.on_access(
-                    baddr, False, None, float(self.geometry.miss_latency())
-                )
-            return AccessResult(
-                hit=False,
-                latency=float(self.geometry.miss_latency()),
-                level=self.name,
-                energy_nj=energy,
-            )
+            return (False, -1, baddr, (), events)
 
         group = self.dgroup_of_way(way)
         self.stats.add("hits")
@@ -156,23 +178,34 @@ class SetAssociativePlacementCache:
         if is_write:
             self._dirty[frame] = 1
         op = "write" if is_write else "read"
-        energy += self.energy.charge(f"{self.name}.dg{group}.{op}")
+        self.energy.charge(f"{self.name}.dg{group}.{op}")
         self.stats.add("dgroup_accesses")
-
-        start, _ = self.port.request(
-            now + self.geometry.tag_cycles, self.geometry.data_occupancy(group)
-        )
-        latency = (start - now) + self.geometry.dgroups[group].data_cycles
-
-        if self.telemetry is not None:
-            self.telemetry.on_access(baddr, True, group, latency)
-
+        legs = ()
         if group > 0 and self.promote:
-            self._promote(index, way, group, now + latency)
+            legs = self._promote(index, way, group, events)
+        return (True, group, baddr, legs, events)
 
-        return AccessResult(
-            hit=True, latency=latency, level=self.name, dgroup=group, energy_nj=energy
-        )
+    def access_timing(self, outcome, now: float) -> float:
+        """The access's timing step: a hit claims the data port after
+        the tag probe, and its promotion legs claim it from the hit's
+        completion."""
+        hit, group, baddr, legs, events = outcome
+        telemetry = self.telemetry
+        if not hit:
+            latency = float(self.geometry.miss_latency())
+            if telemetry is not None:
+                telemetry.on_access(baddr, False, None, latency)
+            return latency
+        claim = self.ports.claim
+        start = claim(0, now + self.geometry.tag_cycles, self._data_occ[group])
+        latency = (start - now) + self.geometry.dgroups[group].data_cycles
+        done = now + latency
+        for occ in legs:
+            claim(0, done, occ)
+        if telemetry is not None:
+            telemetry.on_access(baddr, True, group, latency)
+            telemetry.emit_deferred(events, done)
+        return latency
 
     def _lru_way(self, index: int, group: int, occupied_only: bool = False) -> Optional[int]:
         """LRU way of ``group`` in ``set``; optionally only occupied ways."""
@@ -189,32 +222,41 @@ class SetAssociativePlacementCache:
                 best, best_touch = way, touch
         return best
 
-    def _promote(self, index: int, way: int, group: int, now: float) -> None:
-        """Next-fastest promotion: swap with the adjacent group's LRU way."""
+    def _promote(self, index: int, way: int, group: int, events) -> Tuple[float, ...]:
+        """Next-fastest promotion: swap with the adjacent group's LRU way.
+
+        Returns the port occupancy of each block move, in order.
+        """
         target = group - 1
         peer = self._lru_way(index, target)
         if peer is None:
             raise SimulationError("d-group has no ways in this set")
         self.stats.add("promotions")
-        if self.telemetry is not None:
-            self.telemetry.event(
-                "promotion",
-                addr=self._addrs[index * self.associativity + way],
-                src=group,
-                dst=target,
-                cycle=now,
+        if events is not None:
+            events.append(
+                (
+                    "promotion",
+                    {
+                        "addr": self._addrs[index * self.associativity + way],
+                        "src": group,
+                        "dst": target,
+                    },
+                    True,
+                )
             )
         self._swap_ways(index, way, peer)
-        self._charge_move(group, target, now)
+        self._charge_move(group, target)
         demoted = self._addrs[index * self.associativity + way]
-        if demoted >= 0:
-            # A real two-way swap (the peer way was occupied).
-            self.stats.add("demotions")
-            if self.telemetry is not None:
-                self.telemetry.event(
-                    "demotion", addr=demoted, src=target, dst=group, cycle=now
-                )
-            self._charge_move(target, group, now)
+        if demoted < 0:
+            return (self._swap_occ[group][target],)
+        # A real two-way swap (the peer way was occupied).
+        self.stats.add("demotions")
+        if events is not None:
+            events.append(
+                ("demotion", {"addr": demoted, "src": target, "dst": group}, True)
+            )
+        self._charge_move(target, group)
+        return (self._swap_occ[group][target], self._swap_occ[target][group])
 
     def _swap_ways(self, index: int, a: int, b: int) -> None:
         addrs, dirty, touch = self._addrs, self._dirty, self._touch
@@ -229,20 +271,35 @@ class SetAssociativePlacementCache:
         if addrs[fb] >= 0:
             where[addrs[fb]] = b
 
-    def _charge_move(self, src: int, dst: int, now: float, occupy: bool = True) -> None:
+    def _charge_move(self, src: int, dst: int) -> None:
+        """Energy and counters for one block move (the caller decides
+        whether it occupies the port)."""
         self.energy.charge(f"{self.name}.move.{src}->{dst}")
         self.stats.add("dgroup_accesses", 2)
         self.stats.add("moves")
-        if occupy:
-            self.port.request(now, self.geometry.swap_occupancy(src, dst))
 
     # --- fills: place fastest, bubble-demote within the set ---
 
     def fill(self, address: int, now: float = 0.0, dirty: bool = False) -> int:
+        check_timestamp(self.name, now)
+        outcome = self.fill_outcome(address, dirty)
+        self.fill_timing(outcome, now)
+        return outcome[0]
+
+    def fill_timing(self, outcome, now: float) -> None:
+        """A fill takes no port time (demotions ride the fill buffers);
+        only its deferred events remain, stamped with the fill time."""
+        if outcome[1]:
+            self.telemetry.emit_deferred(outcome[1], now)
+
+    def fill_outcome(self, address: int, dirty: bool = False):
+        """The fill's outcome step: ``(dirty writebacks, deferred
+        events)``; events are None unless telemetry is armed."""
         baddr = block_address(address, self.block_bytes)
         index = self._set_of(address)
         if baddr in self._where[index]:
-            return 0
+            return (0, None)
+        events = [] if self.telemetry is not None else None
         self.stats.add("fills")
         self._clock += 1
         writebacks = 0
@@ -258,12 +315,13 @@ class SetAssociativePlacementCache:
             assert victim_addr >= 0
             del self._where[index][victim_addr]
             self.stats.add("evictions")
-            if self.telemetry is not None:
-                self.telemetry.event(
-                    "eviction",
-                    addr=victim_addr,
-                    dgroup=self.dgroup_of_way(victim_way),
-                    cycle=now,
+            if events is not None:
+                events.append(
+                    (
+                        "eviction",
+                        {"addr": victim_addr, "dgroup": self.dgroup_of_way(victim_way)},
+                        True,
+                    )
                 )
             if self._dirty[frame]:
                 writebacks = 1
@@ -271,9 +329,9 @@ class SetAssociativePlacementCache:
                 group = self.dgroup_of_way(victim_way)
                 self.energy.charge(f"{self.name}.dg{group}.read")
                 self.stats.add("dgroup_accesses")
-                if self.telemetry is not None:
-                    self.telemetry.event(
-                        "writeback", addr=victim_addr, dgroup=group, cycle=now
+                if events is not None:
+                    events.append(
+                        ("writeback", {"addr": victim_addr, "dgroup": group}, True)
                     )
             self._addrs[frame] = -1
             self._dirty[frame] = 0
@@ -296,11 +354,15 @@ class SetAssociativePlacementCache:
             self._where[index][carry_addr] = way
             if group > 0:
                 self.stats.add("demotions")
-                if self.telemetry is not None:
-                    self.telemetry.event(
-                        "demotion", addr=carry_addr, src=group - 1, dst=group, cycle=now
+                if events is not None:
+                    events.append(
+                        (
+                            "demotion",
+                            {"addr": carry_addr, "src": group - 1, "dst": group},
+                            True,
+                        )
                     )
-                self._charge_move(group - 1, group, now, occupy=False)
+                self._charge_move(group - 1, group)
             if displaced[0] < 0:
                 break
             carry_addr, carry_dirty, carry_touch = displaced
@@ -310,9 +372,9 @@ class SetAssociativePlacementCache:
 
         self.energy.charge(f"{self.name}.dg0.write")
         self.stats.add("dgroup_accesses")
-        if self.telemetry is not None:
-            self.telemetry.event("placement", addr=baddr, dgroup=0, cycle=now)
-        return writebacks
+        if events is not None:
+            events.append(("placement", {"addr": baddr, "dgroup": 0}, True))
+        return (writebacks, events)
 
     # --- prewarm ---
 
@@ -339,9 +401,12 @@ class SetAssociativePlacementCache:
         self.stats.reset()
         self.dgroup_hits = Distribution()
         self.energy.reset_counts()
-        self.port.total_busy = 0.0
-        self.port.total_wait = 0.0
-        self.port.grants = 0
+        self.ports.reset_totals()
+
+    @property
+    def port(self):
+        """The data port's busy-time state now (telemetry reads it)."""
+        return self.ports[0]
 
     def check_invariants(self) -> None:
         for index in range(self.n_sets):

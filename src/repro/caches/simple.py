@@ -134,16 +134,27 @@ class SetAssociativeCache:
         L1s are pipelined and the base L2/L3 are not the bandwidth
         bottleneck under study.
         """
-        del now
+        outcome = self.access_outcome(address, is_write)
+        return AccessResult(
+            hit=outcome[0],
+            latency=self.access_timing(outcome, now),
+            level=self.name,
+            energy_nj=self._write_cost if is_write else self._read_cost,
+        )
+
+    def access_outcome(self, address: int, is_write: bool = False):
+        """The access's outcome step: ``(hit, block address)``.
+
+        Makes every state, fault and counter change of the access; a
+        clean line a DUE drops for refetch is a miss.
+        """
         baddr = address & self._block_mask
         index = (address >> self._set_shift) & self._set_mask
         frame = self._find(index, baddr)
         if is_write:
             self._ecounts[self._k_write] += 1
-            energy = self._write_cost
         else:
             self._ecounts[self._k_read] += 1
-            energy = self._read_cost
         if frame >= 0:
             if self.fault_injector is not None:
                 # May raise UncorrectableDataError for a dirty-line DUE.
@@ -157,44 +168,25 @@ class SetAssociativeCache:
                     self._dirty[frame] = 0
                     self.fault_refetches += 1
                     self.misses += 1
-                    if self.telemetry is not None:
-                        self.telemetry.on_access(
-                            baddr, False, None, float(self.spec.latency_cycles)
-                        )
-                    return AccessResult(
-                        hit=False,
-                        latency=self.spec.latency_cycles,
-                        level=self.name,
-                        energy_nj=energy,
-                    )
+                    return (False, baddr)
             self.hits += 1
             self._stamps[frame] = self._clock
             self._clock += 1
             if is_write:
                 self._dirty[frame] = 1
-            if self.telemetry is not None:
-                self.telemetry.on_access(
-                    baddr, True, None, float(self.spec.latency_cycles)
-                )
-            return AccessResult(
-                hit=True,
-                latency=self.spec.latency_cycles,
-                level=self.name,
-                energy_nj=energy,
-            )
+            return (True, baddr)
         if self.fault_injector is not None:
             self.fault_injector.on_access(False, False, address)
         self.misses += 1
+        return (False, baddr)
+
+    def access_timing(self, outcome, now: float):
+        """The access's timing step: the uniform latency."""
         if self.telemetry is not None:
             self.telemetry.on_access(
-                baddr, False, None, float(self.spec.latency_cycles)
+                outcome[1], outcome[0], None, float(self.spec.latency_cycles)
             )
-        return AccessResult(
-            hit=False,
-            latency=self.spec.latency_cycles,
-            level=self.name,
-            energy_nj=energy,
-        )
+        return self.spec.latency_cycles
 
     # --- fills and evictions ---
 
@@ -204,6 +196,20 @@ class SetAssociativeCache:
         Fill energy is charged as a write access.  The evicted block is
         returned so the hierarchy can route a dirty writeback to the
         next level.
+        """
+        outcome = self.fill_outcome(address, dirty)
+        if outcome is None:
+            return None
+        self.fill_events(outcome)
+        victim = outcome[1]
+        if victim < 0:
+            return None
+        return CacheBlock(block_addr=victim, dirty=bool(outcome[0]))
+
+    def fill_outcome(self, address: int, dirty: bool = False):
+        """The fill's outcome step: ``(dirty writebacks, victim block
+        address or -1, block address)``, or None when the block is
+        already resident.
         """
         baddr = address & self._block_mask
         index = (address >> self._set_shift) & self._set_mask
@@ -225,25 +231,31 @@ class SetAssociativeCache:
             elif victim < 0 or stamps[frame] < victim_stamp:
                 victim = frame
                 victim_stamp = stamps[frame]
-        victim_block: Optional[CacheBlock] = None
+        victim_addr = -1
+        writebacks = 0
         if free < 0:
-            victim_block = CacheBlock(
-                block_addr=tags[victim], dirty=bool(self._dirty[victim])
-            )
-            if self.telemetry is not None:
-                self.telemetry.event("eviction", addr=victim_block.block_addr)
-            if victim_block.dirty:
+            victim_addr = tags[victim]
+            if self._dirty[victim]:
+                writebacks = 1
                 self.writebacks += 1
-                if self.telemetry is not None:
-                    self.telemetry.event("writeback", addr=victim_block.block_addr)
             free = victim
         tags[free] = baddr
         self._dirty[free] = 1 if dirty else 0
         stamps[free] = self._clock
         self._clock += 1
-        if self.telemetry is not None:
-            self.telemetry.event("placement", addr=baddr)
-        return victim_block
+        return (writebacks, victim_addr, baddr)
+
+    def fill_events(self, outcome) -> None:
+        """A fill outcome's telemetry events, in their fixed order."""
+        telemetry = self.telemetry
+        if telemetry is None:
+            return
+        writebacks, victim, baddr = outcome
+        if victim >= 0:
+            telemetry.event("eviction", addr=victim)
+            if writebacks:
+                telemetry.event("writeback", addr=victim)
+        telemetry.event("placement", addr=baddr)
 
     def invalidate(self, address: int) -> Optional[CacheBlock]:
         """Remove a block (if present) without writing it back."""

@@ -12,6 +12,11 @@ Queueing adds *wait* only — an unloaded bank returns exactly the
 wrapped cache's latency, so a one-core contended run differs from the
 uncontended model only when its own fills collide with its own hits.
 
+Like the wrapped cache, each access and fill is an outcome step (the
+wrapped cache's, plus the home bank) and a timing step that claims
+the bank after the wrapped cache's own timing (DESIGN.md, "Lower-level
+outcome and timing").
+
 Everything else forwards to the wrapped cache.  The wrapper
 deliberately does **not** answer ``.cache``: the driver unwraps levels
 exposing that attribute as uniform-cache adapters, and this wrapper
@@ -20,9 +25,7 @@ must stay in the stats path as the cache under study.
 
 from __future__ import annotations
 
-from typing import List, Optional
-
-from repro.caches.port import PortScheduler
+from repro.caches.port import PortArray, check_timestamp, checked_occupancy
 from repro.cmp.config import ContentionConfig
 from repro.common.types import AccessResult
 
@@ -34,13 +37,13 @@ class ContendedLLC:
         self._inner = inner
         self.contention = contention
         block = inner.block_bytes
-        self._service = block / contention.bytes_per_cycle
+        #: Per-bank busy-time state.
+        self.bank_ports = PortArray(f"{inner.name}.bank", contention.n_banks)
+        self._service = checked_occupancy(
+            self.bank_ports.name, (block / contention.bytes_per_cycle,)
+        )[0]
         self._n_banks = contention.n_banks
         self._block_shift = max(block.bit_length() - 1, 0)
-        self.bank_ports: List[PortScheduler] = [
-            PortScheduler(f"{inner.name}.bank{i}")
-            for i in range(contention.n_banks)
-        ]
         #: Optional queue-depth histogram, attached by the telemetry
         #: session; records the depth each access observes on arrival.
         self.queue_depth_hist = None
@@ -72,27 +75,54 @@ class ContendedLLC:
 
     # --- the LowerLevel protocol, with bank queueing ---
 
-    def _bank_of(self, address: int) -> PortScheduler:
-        return self.bank_ports[(int(address) >> self._block_shift) % self._n_banks]
+    def _bank_of(self, address: int) -> int:
+        return (int(address) >> self._block_shift) % self._n_banks
+
+    def _queue_for_hit(self, bank: int, now: float) -> float:
+        """A hit's line transfer: the depth it observes, then its wait."""
+        if self.queue_depth_hist is not None:
+            self.queue_depth_hist.record(
+                self.bank_ports.pending_depth(bank, now, self._service)
+            )
+        return self.bank_ports.claim(bank, now, self._service) - now
 
     def access(
         self, address: int, is_write: bool = False, now: float = 0.0
     ) -> AccessResult:
+        check_timestamp(self.name, now)
         result = self._inner.access(address, is_write, now)
         if result.hit:
-            port = self._bank_of(address)
-            if self.queue_depth_hist is not None:
-                self.queue_depth_hist.record(port.pending_depth(now, self._service))
-            start, _ = port.request(now, self._service)
-            result.latency += start - now
+            result.latency += self._queue_for_hit(self._bank_of(address), now)
         return result
+
+    def access_outcome(self, address: int, is_write: bool = False):
+        """``(hit, wrapped outcome, home bank)``."""
+        inner = self._inner.access_outcome(address, is_write)
+        return (inner[0], inner, self._bank_of(address))
+
+    def access_timing(self, outcome, now: float) -> float:
+        hit, inner, bank = outcome
+        latency = self._inner.access_timing(inner, now)
+        if hit:
+            latency += self._queue_for_hit(bank, now)
+        return latency
 
     def fill(self, address: int, now: float = 0.0, dirty: bool = False) -> int:
         # The refill's line write occupies its bank (stealing demand
         # bandwidth) but rides the fill buffers: the wrapped cache
         # installs at the caller's fill time either way.
-        self._bank_of(address).request(now, self._service)
+        check_timestamp(self.name, now)
+        self.bank_ports.claim(self._bank_of(address), now, self._service)
         return self._inner.fill(address, now, dirty)
+
+    def fill_outcome(self, address: int, dirty: bool = False):
+        """``(dirty writebacks, wrapped outcome, home bank)``."""
+        inner = self._inner.fill_outcome(address, dirty)
+        return (inner[0], inner, self._bank_of(address))
+
+    def fill_timing(self, outcome, now: float) -> None:
+        self.bank_ports.claim(outcome[2], now, self._service)
+        self._inner.fill_timing(outcome[1], now)
 
     def prewarm(self) -> None:
         self._inner.prewarm()
@@ -102,18 +132,15 @@ class ContendedLLC:
         causal across the warmup boundary (same contract as the
         wrapped cache's port)."""
         self._inner.reset_stats()
-        for port in self.bank_ports:
-            port.total_busy = 0.0
-            port.total_wait = 0.0
-            port.grants = 0
+        self.bank_ports.reset_totals()
 
     # --- contention accounting ---
 
     def bank_wait_cycles(self) -> float:
-        return sum(port.total_wait for port in self.bank_ports)
+        return sum(self.bank_ports.total_wait)
 
     def bank_busy_cycles(self) -> float:
-        return sum(port.total_busy for port in self.bank_ports)
+        return sum(self.bank_ports.total_busy)
 
     def bank_grants(self) -> int:
-        return sum(port.grants for port in self.bank_ports)
+        return sum(self.bank_ports.grants)

@@ -183,7 +183,7 @@ def _resident_block_addrs(target) -> Iterable[int]:
     if isinstance(target, SetAssociativePlacementCache):
         return target._addrs
     if isinstance(target, DNUCACache):
-        return target._where
+        return target._baddr
     if isinstance(target, SNUCACache):
         return chain.from_iterable(target._sets)
     return target._slot_baddr  # NuRAPID: one block address per tag slot
@@ -377,12 +377,12 @@ def run_cmp(
     target = getattr(chip.l2, "cache", chip.l2)
     for i, blocks in enumerate(_shared_occupancy_by_core(target, n_cores)):
         extra[f"c{i}.l2_blocks"] = float(blocks)
-    bank_ports = getattr(chip.l2, "bank_ports", None)
-    if bank_ports:
-        extra["bankq.banks"] = float(len(bank_ports))
-        extra["bankq.busy_cycles"] = float(sum(p.total_busy for p in bank_ports))
-        extra["bankq.wait_cycles"] = float(sum(p.total_wait for p in bank_ports))
-        extra["bankq.grants"] = float(sum(p.grants for p in bank_ports))
+    banks = getattr(chip.l2, "bank_ports", None)
+    if banks:
+        extra["bankq.banks"] = float(len(banks))
+        extra["bankq.busy_cycles"] = float(sum(banks.total_busy))
+        extra["bankq.wait_cycles"] = float(sum(banks.total_wait))
+        extra["bankq.grants"] = float(sum(banks.grants))
 
     telemetry_payload: Optional[Dict[str, object]] = None
     if session is not None:

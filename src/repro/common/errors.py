@@ -103,6 +103,17 @@ class UncorrectableDataError(FaultError):
         self.level = level
         self.address = address
         self.access_index = access_index
+        #: ``(telemetry client, events)`` the interrupted outcome step
+        #: had deferred to its timing step, or None.
+        self.deferred = None
+
+    def emit_deferred(self) -> None:
+        """Offer the interrupted access's deferred telemetry events
+        (they carry no cycle), once."""
+        if self.deferred is not None:
+            telemetry, events = self.deferred
+            self.deferred = None
+            telemetry.emit_deferred(events, None)
 
     def __reduce__(self):
         # Default exception pickling replays __init__ with ``args``

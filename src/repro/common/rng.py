@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Sequence, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -49,6 +49,12 @@ class DeterministicRNG:
     def randint(self, lo: int, hi: int) -> int:
         """Uniform integer in ``[lo, hi]`` inclusive."""
         return self._rng.randint(lo, hi)
+
+    def index_sampler(self) -> Callable[[int], int]:
+        """A function ``f(n)`` drawing the value ``randint(0, n - 1)``
+        would, from this stream, without the wrapper layers (for hot
+        victim selection)."""
+        return self._rng.randrange
 
     def random(self) -> float:
         """Uniform float in ``[0, 1)``."""

@@ -12,12 +12,18 @@ produce the numbers the paper's Tables 2 and 4 report:
   the smart-search array model.
 * :func:`build_uniform_cache_spec` — conventional caches (the base
   L2/L3 hierarchy and the L1s).
+
+All three are pure functions of hashable arguments returning frozen
+dataclasses of tuples, so each is memoised: every system built for the
+same design point shares one characterization instead of rerunning the
+mini-Cacti organization search.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import List, Optional, Tuple
 
 from repro.common.errors import ConfigurationError
@@ -154,6 +160,7 @@ class NuRAPIDGeometry:
             raise ConfigurationError(f"d-group {dgroup} out of range")
 
 
+@lru_cache(maxsize=256)
 def build_nurapid_geometry(
     n_dgroups: int = 4,
     capacity_bytes: int = 8 * 1024 * 1024,
@@ -321,6 +328,7 @@ class DNUCAGeometry:
         return column
 
 
+@lru_cache(maxsize=256)
 def build_dnuca_geometry(
     capacity_bytes: int = 8 * 1024 * 1024,
     block_bytes: int = 128,
@@ -444,6 +452,7 @@ class UniformCacheSpec:
     tag_energy_nj: float
 
 
+@lru_cache(maxsize=256)
 def build_uniform_cache_spec(
     name: str,
     capacity_bytes: int,

@@ -16,13 +16,18 @@ removes.
 State layout: every way of every set is one *slot*,
 ``slot = set * associativity + position``, and position ``p`` sits in
 chain level ``p // ways_per_bank``.  Per-slot state lives in flat
-arrays (block address, dirty bit, last touch), and one dict maps each
-resident block address to its slot — a block maps to exactly one set.
+arrays (block address, dirty bit, last touch); a lookup scans its
+set's ways, as the hardware's tag match does, so there is no
+address-to-slot map.
+
+Each ``access``/``fill`` is an outcome step that never sees ``now``
+followed by a timing step that claims the banks' busy time (DESIGN.md,
+"Lower-level outcome and timing").
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Tuple
+from typing import TYPE_CHECKING, List, NamedTuple, Optional, Tuple
 
 from repro.common.errors import ConfigurationError, SimulationError
 
@@ -31,7 +36,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 from repro.common.stats import Counter, Distribution
 from repro.common.types import AccessResult
 from repro.caches.block import block_address, prewarm_blocks, set_index
-from repro.caches.port import PortScheduler
+from repro.caches.port import PortArray, check_timestamp, checked_occupancy
 from repro.floorplan.dgroups import DNUCAGeometry, build_dnuca_geometry
 from repro.nuca.config import DNUCAConfig, SearchPolicy
 from repro.nuca.smart_search import EMPTY, SmartSearchArray
@@ -41,7 +46,7 @@ from repro.tech.energy import EnergyBook
 class _Bank(NamedTuple):
     """One bank's hot-path constants, resolved once at construction."""
 
-    port: PortScheduler
+    index: int
     occupancy: int
     latency: int
     probe_key: str
@@ -50,6 +55,10 @@ class _Bank(NamedTuple):
     read_nj: float
     write_key: str
     move_key: str
+
+
+#: Fill outcome of a block already resident: nothing happens.
+_RESIDENT = (0, None)
 
 
 class DNUCACache:
@@ -103,10 +112,9 @@ class DNUCACache:
         self._baddr: List[int] = [EMPTY] * n_slots
         self._dirty = bytearray(n_slots)
         self._touch: List[int] = [0] * n_slots
-        #: resident block address -> slot.
-        self._where: Dict[int, int] = {}
         self._clock = 0
-        self._ports = [PortScheduler(f"{self.name}.bank{i}") for i in range(self.geometry.n_banks)]
+        #: Per-bank busy-time state.
+        self.bank_ports = PortArray(f"{self.name}.bank", self.geometry.n_banks)
 
         self.smart_search = SmartSearchArray(
             self.n_sets,
@@ -143,13 +151,17 @@ class DNUCACache:
         """
         geo = self.geometry
         cost = self.energy.cost
+        occupancy = checked_occupancy(
+            self.bank_ports.name, (bank.occupancy_cycles for bank in geo.banks)
+        )
+        self._bank_occ = occupancy
         banks = []
         for bank in geo.banks:
             base = f"{self.name}.bank{bank.index}"
             banks.append(
                 _Bank(
-                    port=self._ports[bank.index],
-                    occupancy=bank.occupancy_cycles,
+                    index=bank.index,
+                    occupancy=occupancy[bank.index],
                     latency=bank.latency_cycles,
                     probe_key=f"{base}.probe",
                     probe_nj=cost(f"{base}.probe"),
@@ -167,8 +179,30 @@ class DNUCACache:
             )
             for chain in range(geo.n_chains)
         ]
+        #: chain -> (bank index, occupancy, latency) per level, for the
+        #: timing step.  A float latency adds exactly like the int.
+        self._chain_timing = [
+            tuple((bank.index, bank.occupancy, float(bank.latency)) for bank in chain)
+            for chain in self._chains
+        ]
+        #: chain -> the energy ops a multicast search counts, indexed by
+        #: hit level + 1: every bank probed, the hit level's read
+        #: instead of its probe.
+        self._multicast_ops = [
+            [tuple(bank.probe_key for bank in chain)]
+            + [
+                tuple(
+                    bank.read_key if at == level else bank.probe_key
+                    for at, bank in enumerate(chain)
+                )
+                for level in range(len(chain))
+            ]
+            for chain in self._chains
+        ]
         self._n_chains = geo.n_chains
         self._all_levels = list(range(self.config.chain_length))
+        self._multicast = self.config.policy is SearchPolicy.SS_PERFORMANCE
+        self._ss_energy = self.config.policy is SearchPolicy.SS_ENERGY
         self._insert_level = (
             self.config.chain_length - 1 if self.config.tail_insertion else 0
         )
@@ -192,11 +226,18 @@ class DNUCACache:
 
     # --- lookups ---
 
+    def _slot_of(self, address: int) -> Optional[int]:
+        """Slot holding ``address``'s block (a scan of its set), or None."""
+        baddr = address & self._block_mask
+        base = ((address >> self._set_shift) & self._set_mask) * self.associativity
+        ways = self._baddr[base : base + self.associativity]
+        return base + ways.index(baddr) if baddr in ways else None
+
     def contains(self, address: int) -> bool:
-        return (address & self._block_mask) in self._where
+        return self._slot_of(address) is not None
 
     def level_of(self, address: int) -> Optional[int]:
-        slot = self._where.get(address & self._block_mask)
+        slot = self._slot_of(address)
         if slot is None:
             return None
         return slot % self.associativity // self.ways_per_bank
@@ -204,144 +245,194 @@ class DNUCACache:
     # --- the access path ---
 
     def access(self, address: int, is_write: bool = False, now: float = 0.0) -> AccessResult:
+        check_timestamp(self.name, now)
+        outcome = self.access_outcome(address, is_write)
+        hit, level = outcome[0], outcome[2]
+        return AccessResult(
+            hit=hit,
+            latency=self.access_timing(outcome, now),
+            level=self.name,
+            dgroup=level if hit else None,
+            energy_nj=self._access_energy(outcome),
+        )
+
+    def access_outcome(self, address: int, is_write: bool = False):
+        """The access's outcome step: ``(hit, chain, level, block
+        address, promotion legs, deferred events, probed levels)``.
+
+        ``level`` is the hit's chain level, -1 for a miss the banks
+        report and -2 for an early miss the ss-array detects.  The
+        promotion legs are the banks a promotion's block moves occupy
+        once the hit completes.  Sequential searches carry the levels
+        they probe, nearest first; multicast carries None.  Deferred
+        events are None unless telemetry is armed.
+        """
         baddr = address & self._block_mask
         index = (address >> self._set_shift) & self._set_mask
         sc = self._scounts
+        ec = self._ecounts
         sc["accesses"] = sc.get("accesses", 0) + 1
         self._clock += 1
 
-        policy = self.config.policy
-        energy = 0.0
-        if policy is not SearchPolicy.INCREMENTAL:
-            energy += self._ss_nj
-            self._ecounts[self._ss_key] += 1
-            candidates = self.smart_search.candidate_levels(index, baddr)
+        base = index * self.associativity
+        ways = self._baddr[base : base + self.associativity]
+        if baddr in ways:
+            slot = base + ways.index(baddr)
+            level = slot % self.associativity // self.ways_per_bank
         else:
-            candidates = self._all_levels
+            slot = None
+            level = -1
+        c = index % self._n_chains
+        chain = self._chains[c]
 
-        slot = self._where.get(baddr)
-        actual_level = (
-            None if slot is None else slot % self.associativity // self.ways_per_bank
-        )
-        chain = self._chains[index % self._n_chains]
-
-        if policy is SearchPolicy.SS_PERFORMANCE:
-            result = self._access_multicast(chain, actual_level, candidates, now, energy)
+        if self._multicast:
+            # ss-performance: every bank of the chain is searched; the
+            # ss-array detects a miss early (no partial-tag match, so
+            # never for a resident block) but the multicast has
+            # already gone out.
+            ec[self._ss_key] += 1
+            ss = self.smart_search
+            probes = None
+            if slot is None and not ss.matches(index, baddr):
+                level = -2
+                sc["early_misses"] = sc.get("early_misses", 0) + 1
+                for key in self._multicast_ops[c][0]:
+                    ec[key] += 1
+                sc["bank_probes"] = sc.get("bank_probes", 0) + len(chain)
+            else:
+                if slot is not None:
+                    ss.lookups += 1  # the lookup matches its own tag
+                for key in self._multicast_ops[c][level + 1]:
+                    ec[key] += 1
+                # Counters in the order the probes first touch them.
+                probed = len(chain) - 1
+                if level > 0:
+                    sc["bank_probes"] = sc.get("bank_probes", 0) + probed
+                if level >= 0:
+                    sc["dgroup_accesses"] = sc.get("dgroup_accesses", 0) + 1
+                if level == 0 and probed:
+                    sc["bank_probes"] = sc.get("bank_probes", 0) + probed
+                if level == -1:
+                    # Partial match that wasn't the block: the miss is
+                    # known only when the slowest probe returns.
+                    sc["bank_probes"] = sc.get("bank_probes", 0) + len(chain)
+                    ss.note_false_hit()
+                    sc["false_hits"] = sc.get("false_hits", 0) + 1
         else:
-            result = self._access_sequential(
-                chain, actual_level, candidates, now, energy, policy
-            )
-
-        if result.hit:
-            assert slot is not None and actual_level is not None
-            sc["hits"] = sc.get("hits", 0) + 1
-            self.dgroup_hits.add(actual_level)
-            self._touch[slot] = self._clock
-            if is_write:
-                self._dirty[slot] = 1
-            if self.telemetry is not None:
-                self.telemetry.on_access(baddr, True, actual_level, result.latency)
-            if actual_level > 0 and self.config.promote_on_hit:
-                self._promote(index, slot, now + result.latency)
-        else:
-            sc["misses"] = sc.get("misses", 0) + 1
-            if self.telemetry is not None:
-                self.telemetry.on_access(baddr, False, None, result.latency)
-        return result
-
-    def _access_multicast(
-        self,
-        chain: Tuple[_Bank, ...],
-        actual_level: Optional[int],
-        candidates: List[int],
-        now: float,
-        energy: float,
-    ) -> AccessResult:
-        """ss-performance: search every bank; ss-array detects misses early."""
-        sc = self._scounts
-        ec = self._ecounts
-        if actual_level is None and not candidates:
-            # Early miss: no partial match, no bank is touched for data,
-            # but the multicast has already gone out in this policy.
-            sc["early_misses"] = sc.get("early_misses", 0) + 1
-            for bank in chain:
-                bank.port.request(now, bank.occupancy)
+            # ss-energy / incremental: probe candidate banks nearest
+            # first, up to the block's level.
+            ss_energy = self._ss_energy
+            if ss_energy:
+                ec[self._ss_key] += 1
+                candidates = self.smart_search.candidate_levels(index, baddr)
+            else:
+                candidates = self._all_levels
+            probes = candidates
+            for at in candidates:
+                bank = chain[at]
+                if at == level:
+                    ec[bank.read_key] += 1
+                    sc["dgroup_accesses"] = sc.get("dgroup_accesses", 0) + 1
+                    break
                 ec[bank.probe_key] += 1
                 sc["bank_probes"] = sc.get("bank_probes", 0) + 1
-            return AccessResult(
-                hit=False, latency=self._ss_latency, level=self.name, energy_nj=energy
-            )
-
-        worst = 0.0
-        hit_response = 0.0
-        for level, bank in enumerate(chain):
-            port, occupancy, latency, probe_key, probe_nj, read_key, read_nj, _, _ = bank
-            start = port.request(now, occupancy)[0]
-            response = (start - now) + latency
-            if level == actual_level:
-                energy += read_nj
-                ec[read_key] += 1
-                sc["dgroup_accesses"] = sc.get("dgroup_accesses", 0) + 1
-                hit_response = response
+                if ss_energy:
+                    self.smart_search.note_false_hit()
+                    sc["false_hits"] = sc.get("false_hits", 0) + 1
             else:
-                energy += probe_nj
-                ec[probe_key] += 1
-                sc["bank_probes"] = sc.get("bank_probes", 0) + 1
-            if response > worst:  # == max(worst, response)
-                worst = response
+                level = -1
 
-        if actual_level is not None:
-            return AccessResult(
-                hit=True,
-                latency=hit_response,
-                level=self.name,
-                dgroup=actual_level,
-                energy_nj=energy,
-            )
-        # Partial match that wasn't the block: the miss is known only
-        # when the slowest probe returns.
-        self.smart_search.note_false_hit()
-        sc["false_hits"] = sc.get("false_hits", 0) + 1
-        return AccessResult(hit=False, latency=worst, level=self.name, energy_nj=energy)
+        if level < 0:
+            sc["misses"] = sc.get("misses", 0) + 1
+            return (False, c, level, baddr, (), None, probes)
+        sc["hits"] = sc.get("hits", 0) + 1
+        dh = self.dgroup_hits.counts
+        dh[level] = dh.get(level, 0) + 1
+        self._touch[slot] = self._clock
+        if is_write:
+            self._dirty[slot] = 1
+        events = [] if self.telemetry is not None else None
+        legs = ()
+        if level > 0 and self.config.promote_on_hit:
+            legs = self._promote(index, slot, events)
+        return (True, c, level, baddr, legs, events, probes)
 
-    def _access_sequential(
-        self,
-        chain: Tuple[_Bank, ...],
-        actual_level: Optional[int],
-        candidates: List[int],
-        now: float,
-        energy: float,
-        policy: SearchPolicy,
-    ) -> AccessResult:
-        """ss-energy / incremental: probe candidate banks nearest first."""
-        sc = self._scounts
-        ec = self._ecounts
-        ss_energy = policy is SearchPolicy.SS_ENERGY
-        elapsed = self._ss_latency if ss_energy else 0.0
-        for level in candidates:
-            port, occupancy, latency, probe_key, probe_nj, read_key, read_nj, _, _ = chain[level]
-            arrival = now + elapsed
-            start = port.request(arrival, occupancy)[0]
-            response = (start - arrival) + latency
-            if level == actual_level:
-                energy += read_nj
-                ec[read_key] += 1
-                sc["dgroup_accesses"] = sc.get("dgroup_accesses", 0) + 1
-                return AccessResult(
-                    hit=True,
-                    latency=elapsed + response,
-                    level=self.name,
-                    dgroup=actual_level,
-                    energy_nj=energy,
-                )
-            energy += probe_nj
-            ec[probe_key] += 1
-            sc["bank_probes"] = sc.get("bank_probes", 0) + 1
-            if ss_energy:
-                self.smart_search.note_false_hit()
-                sc["false_hits"] = sc.get("false_hits", 0) + 1
-            elapsed += response
-        return AccessResult(hit=False, latency=elapsed, level=self.name, energy_nj=energy)
+    def access_timing(self, outcome, now: float) -> float:
+        """The access's timing step: bank occupancy and latency.
+
+        Every bank an access searches is occupied by its probe from
+        the probe's arrival; a promotion's block moves then occupy the
+        source and destination banks from the hit's completion.
+        """
+        hit, c, level, baddr, legs, events, probes = outcome
+        ports = self.bank_ports
+        busy = ports.busy_until
+        total_busy = ports.total_busy
+        total_wait = ports.total_wait
+        grants = ports.grants
+        chain = self._chain_timing[c]
+        if probes is None:
+            # Banks of a chain are distinct, so each probe's response
+            # can be read off before any of them is claimed.
+            if level >= 0:
+                b, occ, lat = chain[level]
+                start = busy[b]
+                latency = lat if now >= start else (start - now) + lat
+            elif level == -2:
+                latency = self._ss_latency
+            else:
+                # A false hit: the miss is known when the slowest probe
+                # returns.
+                latency = 0.0
+                for b, occ, lat in chain:
+                    start = busy[b]
+                    response = lat if now >= start else (start - now) + lat
+                    if response > latency:  # == max(latency, response)
+                        latency = response
+            for b, occ, lat in chain:
+                start = busy[b]
+                total_busy[b] += occ
+                grants[b] += 1
+                if now >= start:
+                    # An idle bank: no wait, and adding 0.0 to the
+                    # wait total would leave it unchanged.
+                    busy[b] = now + occ
+                else:
+                    busy[b] = start + occ
+                    total_wait[b] += start - now
+        else:
+            latency = self._ss_latency if self._ss_energy else 0.0
+            for at in probes:
+                b, occ, lat = chain[at]
+                arrival = now + latency
+                latency += (ports.claim(b, arrival, occ) - arrival) + lat
+                if at == level:
+                    break
+        telemetry = self.telemetry
+        if telemetry is not None:
+            telemetry.on_access(baddr, hit, level if hit else None, latency)
+        if legs:
+            done = now + latency
+            for b in legs:
+                ports.claim(b, done, self._bank_occ[b])
+        if events:
+            telemetry.emit_deferred(events, now + latency)
+        return latency
+
+    def _access_energy(self, outcome) -> float:
+        """The dynamic energy of an access outcome, summed in search order."""
+        level, probes = outcome[2], outcome[6]
+        chain = self._chains[outcome[1]]
+        energy = 0.0
+        if self.config.policy is not SearchPolicy.INCREMENTAL:
+            energy += self._ss_nj
+        if level == -2:
+            return energy
+        for at in range(len(chain)) if probes is None else probes:
+            energy += chain[at].read_nj if at == level else chain[at].probe_nj
+            if probes is not None and at == level:
+                break
+        return energy
 
     # --- bubble promotion ---
 
@@ -355,8 +446,12 @@ class DNUCACache:
         touches = self._touch[first:end]
         return first + touches.index(min(touches))
 
-    def _promote(self, index: int, slot: int, now: float) -> None:
-        """Swap one level closer to the core (generational promotion)."""
+    def _promote(self, index: int, slot: int, events) -> Tuple[int, ...]:
+        """Swap one level closer to the core (generational promotion).
+
+        Returns the banks the block moves occupy, in request order: a
+        move reads its source bank and writes its destination bank.
+        """
         wpb = self.ways_per_bank
         level = slot % self.associativity // wpb
         target = level - 1
@@ -371,48 +466,57 @@ class DNUCACache:
         dirty[peer], dirty[slot] = dirty[slot], dirty[peer]
         touch = self._touch
         touch[peer], touch[slot] = touch[slot], touch[peer]
-        self._where[moving] = peer
-        if displaced != EMPTY:
-            self._where[displaced] = slot
         self.smart_search.move(slot, peer)
 
         sc = self._scounts
         sc["promotions"] = sc.get("promotions", 0) + 1
-        if self.telemetry is not None:
-            self.telemetry.event(
-                "promotion", addr=moving, src=level, dst=target, cycle=now
-            )
+        if events is not None:
+            events.append(("promotion", {"addr": moving, "src": level, "dst": target}, True))
         chain = self._chains[index % self._n_chains]
-        self._charge_move(chain[level], chain[target], now)
-        if displaced != EMPTY:
-            sc["demotions"] = sc.get("demotions", 0) + 1
-            if self.telemetry is not None:
-                self.telemetry.event(
-                    "demotion",
-                    addr=displaced,
-                    src=target,
-                    dst=level,
-                    cycle=now,
-                )
-            self._charge_move(chain[target], chain[level], now)
+        src, dst = chain[level], chain[target]
+        self._charge_move(src)
+        if displaced == EMPTY:
+            return (src.index, dst.index)
+        sc["demotions"] = sc.get("demotions", 0) + 1
+        if events is not None:
+            events.append(
+                ("demotion", {"addr": displaced, "src": target, "dst": level}, True)
+            )
+        self._charge_move(dst)
+        return (src.index, dst.index, dst.index, src.index)
 
-    def _charge_move(self, src: _Bank, dst: _Bank, now: float) -> None:
+    def _charge_move(self, src: _Bank) -> None:
         # One block move: read at the source, write at the destination,
         # one network hop in between (charged in the bank's move op).
         self._ecounts[src.move_key] += 1
         sc = self._scounts
         sc["dgroup_accesses"] = sc.get("dgroup_accesses", 0) + 2
         sc["moves"] = sc.get("moves", 0) + 1
-        src.port.request(now, src.occupancy)
-        dst.port.request(now, dst.occupancy)
 
     # --- fills (tail insertion + slowest-way eviction) ---
 
     def fill(self, address: int, now: float = 0.0, dirty: bool = False) -> int:
+        check_timestamp(self.name, now)
+        outcome = self.fill_outcome(address, dirty)
+        self.fill_timing(outcome, now)
+        return outcome[0]
+
+    def fill_timing(self, outcome, now: float) -> None:
+        """A fill takes no bank time (the idealized network and fill
+        buffers absorb it); only its deferred events remain, stamped
+        with the fill time."""
+        if outcome[1]:
+            self.telemetry.emit_deferred(outcome[1], now)
+
+    def fill_outcome(self, address: int, dirty: bool = False):
+        """The fill's outcome step: ``(dirty writebacks, deferred
+        events)``; events are None unless telemetry is armed."""
         baddr = address & self._block_mask
-        if baddr in self._where:
-            return 0
         index = (address >> self._set_shift) & self._set_mask
+        base = index * self.associativity
+        if baddr in self._baddr[base : base + self.associativity]:
+            return _RESIDENT
+        events = [] if self.telemetry is not None else None
         sc = self._scounts
         sc["fills"] = sc.get("fills", 0) + 1
         self._clock += 1
@@ -420,41 +524,33 @@ class DNUCACache:
         bank = self._chains[index % self._n_chains][insert_level]
 
         writebacks = 0
-        slot = self._victim_slot(
-            index * self.associativity + insert_level * self.ways_per_bank
-        )
+        slot = self._victim_slot(base + insert_level * self.ways_per_bank)
         old = self._baddr[slot]
         if old != EMPTY:
             # Evict the slowest (or fastest, under head insertion) way.
-            del self._where[old]
             self.smart_search.remove(slot)
             sc["evictions"] = sc.get("evictions", 0) + 1
-            if self.telemetry is not None:
-                self.telemetry.event(
-                    "eviction", addr=old, dgroup=insert_level, cycle=now
-                )
+            if events is not None:
+                events.append(("eviction", {"addr": old, "dgroup": insert_level}, True))
             if self._dirty[slot]:
                 writebacks = 1
                 sc["writebacks"] = sc.get("writebacks", 0) + 1
                 self._ecounts[bank.read_key] += 1
                 sc["dgroup_accesses"] = sc.get("dgroup_accesses", 0) + 1
-                if self.telemetry is not None:
-                    self.telemetry.event(
-                        "writeback", addr=old, dgroup=insert_level, cycle=now
+                if events is not None:
+                    events.append(
+                        ("writeback", {"addr": old, "dgroup": insert_level}, True)
                     )
 
         self._baddr[slot] = baddr
         self._dirty[slot] = 1 if dirty else 0
         self._touch[slot] = self._clock
-        self._where[baddr] = slot
         self.smart_search.insert(slot, baddr)
         self._ecounts[bank.write_key] += 1
         sc["dgroup_accesses"] = sc.get("dgroup_accesses", 0) + 1
-        if self.telemetry is not None:
-            self.telemetry.event(
-                "placement", addr=baddr, dgroup=insert_level, cycle=now
-            )
-        return writebacks
+        if events is not None:
+            events.append(("placement", {"addr": baddr, "dgroup": insert_level}, True))
+        return (writebacks, events)
 
     # --- prewarm (models the paper's 5B-instruction fast-forward) ---
 
@@ -478,15 +574,9 @@ class DNUCACache:
         self._baddr[:] = blocks.tolist()
         self._dirty[:] = bytes(len(self._dirty))
         self._touch[:] = [0] * len(self._touch)
-        self._where.update(zip(self._baddr, range(len(self._baddr))))
         self.smart_search.fill_all(blocks)
 
     # --- introspection ---
-
-    @property
-    def bank_ports(self):
-        """The per-bank schedulers (telemetry reads queue pressure here)."""
-        return self._ports
 
     @property
     def miss_rate(self) -> float:
@@ -496,7 +586,7 @@ class DNUCACache:
         return self.stats.get("misses") / total
 
     def resident_blocks(self) -> int:
-        return len(self._where)
+        return len(self._baddr) - self._baddr.count(EMPTY)
 
     def reset_stats(self) -> None:
         """Zero counters after warmup; contents and bank timelines kept."""
@@ -505,33 +595,28 @@ class DNUCACache:
         self.energy.reset_counts()
         self.smart_search.lookups = 0
         self.smart_search.false_hits = 0
-        for port in self._ports:
-            port.total_busy = 0.0
-            port.total_wait = 0.0
-            port.grants = 0
+        self.bank_ports.reset_totals()
 
     def check_invariants(self) -> None:
-        """The where-map, the ss-array and the resident count all agree
-        with the per-slot block addresses."""
+        """Every resident block sits once in its own set, and the
+        ss-array mirrors the per-slot block addresses."""
         ss = self.smart_search
-        occupied = 0
+        assoc = self.associativity
         for slot, baddr in enumerate(self._baddr):
             partial = ss.partial_at(slot)
             if baddr == EMPTY:
                 if partial != EMPTY:
                     raise SimulationError(f"ss-array holds a tag for empty slot {slot}")
                 continue
-            occupied += 1
-            if self._where.get(baddr) != slot:
-                raise SimulationError(
-                    f"slot {slot} holds block {baddr:#x} but the map says "
-                    f"{self._where.get(baddr)}"
-                )
-            if self._set_of(baddr) != slot // self.associativity:
+            index = slot // assoc
+            if self._set_of(baddr) != index:
                 raise SimulationError(f"block {baddr:#x} in wrong set")
+            if self._baddr[index * assoc : (index + 1) * assoc].count(baddr) != 1:
+                raise SimulationError(f"block {baddr:#x} resident twice in set {index}")
+            if self._slot_of(baddr) != slot:
+                raise SimulationError(
+                    f"set scan finds block {baddr:#x} at {self._slot_of(baddr)}, "
+                    f"not slot {slot}"
+                )
             if partial != ss.partial_tag(baddr):
                 raise SimulationError(f"ss-array stale for block {baddr:#x} (slot {slot})")
-        if occupied != len(self._where):
-            raise SimulationError(
-                f"{len(self._where)} mapped blocks but {occupied} occupied slots"
-            )

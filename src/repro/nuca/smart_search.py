@@ -127,6 +127,17 @@ class SmartSearchArray:
                     levels.append(level)
         return levels
 
+    def matches(self, index: int, block_addr: int) -> bool:
+        """Whether any way of set ``index`` holds ``block_addr``'s
+        partial tag: :meth:`candidate_levels` when only emptiness
+        matters (counted as one lookup)."""
+        if not 0 <= index < self.n_sets:
+            raise SimulationError(f"set {index} out of range")
+        self.lookups += 1
+        want = (block_addr // self.block_bytes // self.n_sets) & self._mask
+        base = index * self.associativity
+        return want in self._partial[base : base + self.associativity]
+
     def note_false_hit(self) -> None:
         self.false_hits += 1
 

@@ -22,10 +22,15 @@ from repro.common.errors import ConfigurationError, SimulationError
 from repro.common.stats import Counter, Distribution
 from repro.common.types import AccessResult
 from repro.caches.block import block_address, prewarm_blocks, set_index
-from repro.caches.port import PortScheduler
+from repro.caches.port import PortArray, check_timestamp, checked_occupancy
 from repro.common.lru import LRUPolicy
 from repro.floorplan.dgroups import DNUCAGeometry, build_dnuca_geometry
 from repro.tech.energy import EnergyBook
+
+
+#: Fill outcomes: no writeback, one dirty writeback (nothing to time).
+_NO_WRITEBACK = (0, None)
+_ONE_WRITEBACK = (1, None)
 
 
 class SNUCACache:
@@ -61,9 +66,8 @@ class SNUCACache:
         # itself, so no per-line object is needed.
         self._sets: List[Dict[int, bool]] = [dict() for _ in range(self.n_sets)]
         self._lru: List[LRUPolicy] = [LRUPolicy() for _ in range(self.n_sets)]
-        self._ports = [
-            PortScheduler(f"{name}.bank{i}") for i in range(self.geometry.n_banks)
-        ]
+        #: Per-bank busy-time state.
+        self.bank_ports = PortArray(f"{name}.bank", self.geometry.n_banks)
         self.energy = energy if energy is not None else EnergyBook()
         for bank in self.geometry.banks:
             base = f"{name}.bank{bank.index}"
@@ -91,9 +95,10 @@ class SNUCACache:
         self._read_cost = [self.energy.cost(k) for k in self._k_read]
         self._write_cost = [self.energy.cost(k) for k in self._k_write]
         self._bank_lat = [b.latency_cycles for b in banks]
-        self._bank_occ = [b.occupancy_cycles for b in banks]
+        self._bank_occ = checked_occupancy(
+            self.bank_ports.name, (b.occupancy_cycles for b in banks)
+        )
         self._bank_row = [b.row for b in banks]
-        self._port_of = [self._ports[b.index] for b in banks]
         self._scounts = self.stats._counts
         self._ecounts = self.energy._count
 
@@ -113,35 +118,36 @@ class SNUCACache:
     # --- access path: one bank, no search ---
 
     def access(self, address: int, is_write: bool = False, now: float = 0.0) -> AccessResult:
+        check_timestamp(self.name, now)
+        outcome = self.access_outcome(address, is_write)
+        hit, bi = outcome
+        if not hit:
+            energy = self._probe_cost[bi]
+        elif is_write:
+            energy = self._write_cost[bi]
+        else:
+            energy = self._read_cost[bi]
+        return AccessResult(
+            hit=hit,
+            latency=self.access_timing(outcome, now),
+            level=self.name,
+            # Report the bank's latency tier (row) where d-groups would be.
+            dgroup=self._bank_row[bi] if hit else None,
+            energy_nj=energy,
+        )
+
+    def access_outcome(self, address: int, is_write: bool = False):
+        """The access's outcome step: ``(hit, bank)``."""
         baddr = address & self._block_mask
         index = (address >> self._set_shift) & self._set_mask
         bi = index % self._n_banks
         sc = self._scounts
         sc["accesses"] = sc.get("accesses", 0) + 1
-        # PortScheduler.request, inlined (occupancy is a non-negative
-        # per-bank constant and now is the driver's non-negative clock,
-        # so the scheduler's guard checks cannot fire).
-        port = self._port_of[bi]
-        occ = self._bank_occ[bi]
-        bu = port.busy_until
-        start = now if now >= bu else bu
-        port.busy_until = start + occ
-        port.total_busy += occ
-        wait = start - now
-        port.total_wait += wait
-        port.grants += 1
-
         resident = self._sets[index]
-        hit = baddr in resident
-        if not hit:
+        if baddr not in resident:
             sc["misses"] = sc.get("misses", 0) + 1
             self._ecounts[self._k_probe[bi]] += 1
-            return AccessResult(
-                hit=False,
-                latency=wait + self._bank_lat[bi],
-                level=self.name,
-                energy_nj=self._probe_cost[bi],
-            )
+            return (False, bi)
         sc["hits"] = sc.get("hits", 0) + 1
         # Report the bank's latency tier (row) where d-groups would be.
         row = self._bank_row[bi]
@@ -152,34 +158,41 @@ class SNUCACache:
         if is_write:
             resident[baddr] = True
             self._ecounts[self._k_write[bi]] += 1
-            energy = self._write_cost[bi]
         else:
             self._ecounts[self._k_read[bi]] += 1
-            energy = self._read_cost[bi]
-        return AccessResult(
-            hit=True,
-            latency=wait + self._bank_lat[bi],
-            level=self.name,
-            dgroup=row,
-            energy_nj=energy,
-        )
+        return (True, bi)
+
+    def access_timing(self, outcome, now: float) -> float:
+        """The access's timing step: hit or miss, the one bank is
+        occupied, and the latency is its wait plus its latency."""
+        bi = outcome[1]
+        start = self.bank_ports.claim(bi, now, self._bank_occ[bi])
+        return (start - now) + self._bank_lat[bi]
 
     def fill(self, address: int, now: float = 0.0, dirty: bool = False) -> int:
+        check_timestamp(self.name, now)
+        return self.fill_outcome(address, dirty)[0]
+
+    def fill_timing(self, outcome, now: float) -> None:
+        """A fill takes no bank time and emits nothing."""
+
+    def fill_outcome(self, address: int, dirty: bool = False):
+        """The fill's outcome step: ``(dirty writebacks, None)``."""
         baddr = address & self._block_mask
         index = (address >> self._set_shift) & self._set_mask
         resident = self._sets[index]
         if baddr in resident:
-            return 0
+            return _NO_WRITEBACK
         sc = self._scounts
         sc["fills"] = sc.get("fills", 0) + 1
         bi = index % self._n_banks
-        writebacks = 0
+        writebacks = _NO_WRITEBACK
         if len(resident) >= self.associativity:
             victim_addr = self._lru[index].pop_victim()
             victim_dirty = resident.pop(victim_addr)
             sc["evictions"] = sc.get("evictions", 0) + 1
             if victim_dirty:
-                writebacks = 1
+                writebacks = _ONE_WRITEBACK
                 sc["writebacks"] = sc.get("writebacks", 0) + 1
                 self._ecounts[self._k_read[bi]] += 1
         resident[baddr] = dirty
@@ -205,15 +218,7 @@ class SNUCACache:
         self.stats.reset()
         self.dgroup_hits = Distribution()
         self.energy.reset_counts()
-        for port in self._ports:
-            port.total_busy = 0.0
-            port.total_wait = 0.0
-            port.grants = 0
-
-    @property
-    def bank_ports(self):
-        """The per-bank schedulers (telemetry reads queue pressure here)."""
-        return self._ports
+        self.bank_ports.reset_totals()
 
     @property
     def miss_rate(self) -> float:

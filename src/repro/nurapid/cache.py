@@ -13,7 +13,7 @@ Placement, distance replacement, and promotion follow §2.1–2.4:
   with a distance-replacement victim of the faster group,
 * the whole cache is one-ported and non-banked: every operation —
   access, swap leg, fill — serializes on a single
-  :class:`~repro.caches.port.PortScheduler` (§2.3).
+  :class:`~repro.caches.port.PortArray` port (§2.3).
 
 State layout: flat arrays, as in the hardware.  The tag array is one
 slot per (set, way) holding the block address, the packed tag entry
@@ -25,7 +25,9 @@ a d-group keeps its free frames as an index list.
 
 Timing contract: ``access``/``fill`` take the arrival cycle ``now``;
 returned latencies include queueing behind earlier operations, which is
-how the paper's reduced-bandwidth argument is evaluated (§5.4).
+how the paper's reduced-bandwidth argument is evaluated (§5.4).  Each
+is an outcome step that never sees ``now`` followed by a timing step
+that claims the port (DESIGN.md, "Lower-level outcome and timing").
 """
 
 from __future__ import annotations
@@ -36,7 +38,11 @@ from typing import TYPE_CHECKING, List, Optional, Tuple
 
 import numpy as np
 
-from repro.common.errors import ConfigurationError, SimulationError
+from repro.common.errors import (
+    ConfigurationError,
+    SimulationError,
+    UncorrectableDataError,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cost
     from repro.faults.injector import FaultInjector
@@ -46,7 +52,7 @@ from repro.common.rng import DeterministicRNG
 from repro.common.stats import Counter, Distribution
 from repro.common.types import AccessResult
 from repro.caches.block import block_address, prewarm_blocks
-from repro.caches.port import PortScheduler
+from repro.caches.port import PortArray, check_timestamp, checked_occupancy
 from repro.faults.models import TransientOutcome
 from repro.floorplan.dgroups import NuRAPIDGeometry, build_nurapid_geometry
 from repro.nurapid.config import (
@@ -94,6 +100,8 @@ EMPTY = -1
 FREE = -1
 #: Reverse pointer of a frame retired by a hard fault.
 RETIRED = -2
+#: Fill outcome of a block already resident: nothing happens.
+_RESIDENT = (0, None)
 
 
 def _int_array(values: np.ndarray) -> array:
@@ -165,7 +173,8 @@ class NuRAPIDCache:
             for per in self._region_frames
         ]
         self._init_distance_replacement()
-        self.port = PortScheduler(f"{config.name}.port")
+        #: The single data port's busy-time state.
+        self.ports = PortArray(f"{config.name}.port", 1)
 
         self.energy = energy if energy is not None else EnergyBook()
         self._register_energy()
@@ -216,7 +225,8 @@ class NuRAPIDCache:
         else:
             rng = DeterministicRNG(config.seed, f"{config.name}/distance")
             self._draw = [
-                [rng.spawn(f"dg{g}/r{r}").randint for r in regions] for g in groups
+                [rng.spawn(f"dg{g}/r{r}").index_sampler() for r in regions]
+                for g in groups
             ]
 
     def _init_hot_caches(self) -> None:
@@ -251,12 +261,18 @@ class NuRAPIDCache:
         self._hit_lat_f = [float(geo.hit_latency(g)) for g in groups]
         self._ideal_lat = geo.hit_latency(0)
         self._tag_cycles = geo.tag_cycles
-        self._data_occ = [geo.data_occupancy(g) for g in groups]
+        self._data_occ = checked_occupancy(
+            self.ports.name, (geo.data_occupancy(g) for g in groups)
+        )
         self._data_cycles = [geo.dgroups[g].data_cycles for g in groups]
         self._swap_occ = [
-            [geo.swap_occupancy(i, j) if i != j else 0.0 for j in groups]
+            checked_occupancy(
+                self.ports.name,
+                (geo.swap_occupancy(i, j) if i != j else 0.0 for j in groups),
+            )
             for i in groups
         ]
+
         self._ideal_uniform = self.config.ideal_uniform
         self._promo_on = self.config.promotion is not PromotionPolicy.DEMOTION_ONLY
         self._promo_next = self.config.promotion is PromotionPolicy.NEXT_FASTEST
@@ -332,6 +348,29 @@ class NuRAPIDCache:
         if self._approx_dr and self._dhand[group][region] >= len(keys):
             self._dhand[group][region] = 0
 
+    def _retrack(self, group: int, region: int, frame: int) -> None:
+        """A frame's occupant was replaced: :meth:`_untrack` then
+        :meth:`_track` it, fused (the frame moves to the list's end)."""
+        if self._lru_dr:
+            order = self._dlru[group][region]
+            del order[frame]
+            order[frame] = None
+            return
+        keys = self._dkeys[group][region]
+        pos = self._dpos[group]
+        last = len(keys) - 1
+        at = pos[frame]
+        if at != last:
+            moved = keys[last]
+            keys[at] = moved
+            pos[moved] = at
+            keys[last] = frame
+            pos[frame] = last
+        if self._approx_dr:
+            if self._dhand[group][region] >= last:
+                self._dhand[group][region] = 0
+            self._dref[group][frame] = 1
+
     def _release_frame(self, group: int, region: int, frame: int) -> None:
         """Free a frame whose occupant left it: back on the region's
         free-list tail, and out of distance replacement."""
@@ -358,7 +397,7 @@ class NuRAPIDCache:
             return next(iter(self._dlru[group][region]))
         keys = self._dkeys[group][region]
         if not self._approx_dr:
-            return keys[self._draw[group][region](0, len(keys) - 1)]
+            return keys[self._draw[group][region](len(keys))]
         # Clock sweep: at most two revolutions — the first may clear
         # every reference bit, the second must then find a clear one.
         ref = self._dref[group]
@@ -408,9 +447,42 @@ class NuRAPIDCache:
 
     def access(self, address: int, is_write: bool = False, now: float = 0.0) -> AccessResult:
         """Sequential tag-data access with optional promotion."""
+        check_timestamp(self.name, now)
+        try:
+            outcome = self.access_outcome(address, is_write)
+        except UncorrectableDataError as exc:
+            exc.emit_deferred()
+            raise
+        hit, group = outcome[0], outcome[1]
+        energy = self._tag_cost
+        if group >= 0:
+            if hit and is_write:
+                energy += self._dg_write_cost[group]
+            else:
+                energy += self._dg_read_cost[group]
+        return AccessResult(
+            hit=hit,
+            latency=self.access_timing(outcome, now),
+            level=self.name,
+            dgroup=group if hit else None,
+            energy_nj=energy,
+        )
+
+    def access_outcome(self, address: int, is_write: bool = False):
+        """The access's outcome step: ``(hit, d-group, block address,
+        swap-leg occupancies, deferred events)``.
+
+        A miss has d-group -1; a clean line a DUE drops for refetch is
+        a miss with the d-group whose read detected the error.  A hit's
+        swap legs are the port occupancies its promotion claims once
+        the hit completes (empty when it does not move, or under
+        ideal-uniform timing).  Deferred events are None unless
+        telemetry is armed.
+        """
+        events = [] if self.telemetry is not None else None
         if self.fault_injector is not None:
             for event in self.fault_injector.take_due_hard_faults():
-                self._apply_hard_fault(event)
+                self._apply_hard_fault(event, events)
         baddr = address & self._block_mask
         index = (address >> self._set_shift) & self._set_mask
         base = index * self._assoc_limit
@@ -419,7 +491,6 @@ class NuRAPIDCache:
         sc["accesses"] = sc.get("accesses", 0) + 1
         ec = self._ecounts
         ec[self._k_tag] += 1
-        energy = self._tag_cost
 
         if baddr not in ways:
             # Sequential tag-data access: the (pipelined) tag probe
@@ -427,14 +498,7 @@ class NuRAPIDCache:
             if self.fault_injector is not None:
                 self.fault_injector.on_access(False, False, address)
             sc["misses"] = sc.get("misses", 0) + 1
-            if self.telemetry is not None:
-                self.telemetry.on_access(baddr, False, None, self._miss_lat_f)
-            return AccessResult(
-                hit=False,
-                latency=self._miss_lat_f,
-                level=self.name,
-                energy_nj=energy,
-            )
+            return (False, -1, baddr, (), events)
 
         slot = base + ways.index(baddr)
         packed = self._slot_entry[slot]
@@ -443,36 +507,30 @@ class NuRAPIDCache:
             # May raise UncorrectableDataError for a dirty-line DUE;
             # the dirty bit is the pre-write state, which is what the
             # read-modify-write of the ECC word actually sees.
-            outcome = self.fault_injector.on_access(
-                True, bool(packed & _PACK_DIRTY), address
-            )
+            try:
+                outcome = self.fault_injector.on_access(
+                    True, bool(packed & _PACK_DIRTY), address
+                )
+            except UncorrectableDataError as exc:
+                if events:
+                    exc.deferred = (self.telemetry, events)
+                raise
             if outcome is TransientOutcome.REFETCH:
                 # The d-group read that detected the error is paid; the
                 # clean line is dropped and refetched from below.
-                energy += self.energy.charge(self._k_dg_read[group])
+                self.energy.charge(self._k_dg_read[group])
                 self.stats.add("dgroup_accesses")
                 self.stats.add("fault_refetches")
                 self.stats.add("misses")
                 self._invalidate_frame(group, packed & _PACK_FRAME_MASK)
-                if self.telemetry is not None:
-                    self.telemetry.on_access(
-                        baddr, False, None, self._hit_lat_f[group]
-                    )
-                return AccessResult(
-                    hit=False,
-                    latency=self._hit_lat_f[group],
-                    level=self.name,
-                    energy_nj=energy,
-                )
+                return (False, group, baddr, (), events)
         sc["hits"] = sc.get("hits", 0) + 1
         dh = self.dgroup_hits.counts
         dh[group] = dh.get(group, 0) + 1
         if is_write:
             ec[self._k_dg_write[group]] += 1
-            energy += self._dg_write_cost[group]
         else:
             ec[self._k_dg_read[group]] += 1
-            energy += self._dg_read_cost[group]
         sc["dgroup_accesses"] = sc.get("dgroup_accesses", 0) + 1
         if is_write:
             packed |= _PACK_DIRTY
@@ -483,58 +541,61 @@ class NuRAPIDCache:
         if self._approx_dr or self._lru_dr:
             self._touch_frame(group, index % self._n_regions, packed & _PACK_FRAME_MASK)
 
-        if self._ideal_uniform:
-            latency: float = self._ideal_lat
-            done = now + latency
-        else:
-            # The tag array is pipelined; the data side's single port is
-            # claimed after the tag probe, for the array-access time
-            # only.  Data reaches the core a wire-trip after the array
-            # starts, so latency = queueing + tag + data path.
-            # PortScheduler.request, inlined (non-negative constant
-            # occupancy, non-decreasing non-negative clock).
-            port = self.port
-            t0 = now + self._tag_cycles
-            occ = self._data_occ[group]
-            bu = port.busy_until
-            start = t0 if t0 >= bu else bu
-            port.busy_until = start + occ
-            port.total_busy += occ
-            port.total_wait += start - t0
-            port.grants += 1
-            latency = (start - now) + self._data_cycles[group]
-            done = now + latency
-
-        if self.telemetry is not None:
-            self.telemetry.on_access(baddr, True, group, latency)
-
+        legs = ()
         if group > 0 and self._promo_on:
             pending = (packed >> _PACK_PENDING_SHIFT) + 1
             if pending >= self._hysteresis:
                 packed &= _PACK_BELOW_PENDING
                 self._slot_entry[slot] = packed
                 target = group - 1 if self._promo_next else 0
-                self._promote(slot, packed, target, done)
+                legs = self._promote(slot, packed, target, events)
             else:
                 self._slot_entry[slot] = (
                     (packed & _PACK_BELOW_PENDING) | (pending << _PACK_PENDING_SHIFT)
                 )
+        return (True, group, baddr, legs, events)
 
-        return AccessResult(
-            hit=True,
-            latency=latency,
-            level=self.name,
-            dgroup=group,
-            energy_nj=energy,
-        )
+    def access_timing(self, outcome, now: float) -> float:
+        """The access's timing step: port occupancy and latency.
+
+        The tag array is pipelined; the data side's single port is
+        claimed after the tag probe, for the array-access time only.
+        Data reaches the core a wire-trip after the array starts, so a
+        hit's latency = queueing + tag + data path.  Its promotion
+        swap legs then occupy the port from the hit's completion.
+        """
+        hit, group, baddr, legs, events = outcome
+        telemetry = self.telemetry
+        if not hit:
+            latency = self._miss_lat_f if group < 0 else self._hit_lat_f[group]
+            if telemetry is not None:
+                telemetry.on_access(baddr, False, None, latency)
+                telemetry.emit_deferred(events, now)
+            return latency
+        claim = self.ports.claim
+        if self._ideal_uniform:
+            latency = self._ideal_lat
+        else:
+            start = claim(0, now + self._tag_cycles, self._data_occ[group])
+            latency = (start - now) + self._data_cycles[group]
+        done = now + latency
+        for occ in legs:
+            claim(0, done, occ)
+        if telemetry is not None:
+            telemetry.on_access(baddr, True, group, latency)
+            telemetry.emit_deferred(events, done)
+        return latency
 
     # --- promotion (swap with a distance-replacement victim) ---
 
-    def _promote(self, slot: int, packed: int, target: int, now: float) -> None:
+    def _promote(self, slot: int, packed: int, target: int, events) -> Tuple[float, ...]:
         """Move the block in ``slot`` to ``target``, swapping if full.
 
         ``packed`` is the block's current tag entry (pending hits
-        already cleared by the caller and stored back).
+        already cleared by the caller and stored back).  Returns the
+        port occupancy of each block move, in order: promotion swaps
+        run at hit time and, per §2.3, must complete before a later
+        access is served.
         """
         source = (packed >> _PACK_DGROUP_SHIFT) & _PACK_DGROUP_MASK
         if target >= source:
@@ -549,15 +610,11 @@ class NuRAPIDCache:
             # The target group's region has been fully retired by hard
             # faults: nothing to swap with, so the block stays put.
             self.stats.add("fault_promotions_blocked")
-            return
+            return ()
         self.stats.add("promotions")
-        if self.telemetry is not None:
-            self.telemetry.event(
-                "promotion",
-                addr=self._slot_baddr[slot],
-                src=source,
-                dst=target,
-                cycle=now,
+        if events is not None:
+            events.append(
+                ("promotion", {"addr": self._slot_baddr[slot], "src": source, "dst": target}, True)
             )
 
         frame_slot = self._frame_slot
@@ -571,8 +628,10 @@ class NuRAPIDCache:
             frame_slot[target][new_frame] = slot
             self._track(target, region, new_frame)
             entries[slot] = new_frame | (target << _PACK_DGROUP_SHIFT) | dirty_bit
-            self._charge_move(source, target, now)
-            return
+            self._charge_move(source, target)
+            if self._ideal_uniform:
+                return ()
+            return (self._swap_occ[source][target],)
 
         victim_frame = self._victim(target, region)
         victim_slot = frame_slot[target][victim_frame]
@@ -591,35 +650,35 @@ class NuRAPIDCache:
         # Recency: the promoted block is MRU in its new group; the
         # demoted victim enters the slower group as a fresh arrival.
         self._touch_frame(target, region, victim_frame)
-        self._untrack(source, region, old_frame)
-        self._track(source, region, old_frame)
+        self._retrack(source, region, old_frame)
 
         self.stats.add("demotions")
-        if self.telemetry is not None:
-            self.telemetry.event(
-                "demotion",
-                addr=self._slot_baddr[victim_slot],
-                src=target,
-                dst=source,
-                cycle=now,
+        if events is not None:
+            events.append(
+                (
+                    "demotion",
+                    {"addr": self._slot_baddr[victim_slot], "src": target, "dst": source},
+                    True,
+                )
             )
-        self._charge_move(source, target, now)
-        self._charge_move(target, source, now)
+        self._charge_move(source, target)
+        self._charge_move(target, source)
+        if self._ideal_uniform:
+            return ()
+        return (self._swap_occ[source][target], self._swap_occ[target][source])
 
-    def _charge_move(self, src: int, dst: int, now: float, occupy: bool = True) -> None:
-        """Energy (and optionally port occupancy) for one block move.
+    def _charge_move(self, src: int, dst: int) -> None:
+        """Energy and counters for one block move.
 
-        Promotion swaps run at hit time and, per §2.3, must complete
-        before a later access is served — they occupy the port.
-        Fill-time demotion chains ride the fill buffers and drain
-        during idle array cycles, so they charge energy only.
+        Whether the move also occupies the port is the caller's
+        business: promotion swaps do (see :meth:`_promote`); fill-time
+        demotion chains ride the fill buffers and drain during idle
+        array cycles, so they charge energy only.
         """
         self._ecounts[self._k_move[src][dst]] += 1
         sc = self._scounts
         sc["dgroup_accesses"] = sc.get("dgroup_accesses", 0) + 2
         sc["moves"] = sc.get("moves", 0) + 1
-        if occupy and not self.config.ideal_uniform:
-            self.port.request(now, self._swap_occ[src][dst])
 
     # --- fills (placement + distance replacement, §2.2) ---
 
@@ -631,13 +690,28 @@ class NuRAPIDCache:
         enters d-group 0, pushing a demotion chain outward until a free
         frame absorbs it.
         """
+        check_timestamp(self.name, now)
+        outcome = self.fill_outcome(address, dirty)
+        self.fill_timing(outcome, now)
+        return outcome[0]
+
+    def fill_timing(self, outcome, now: float) -> None:
+        """A fill takes no port time (it rides the fill buffers); only
+        its deferred events remain, stamped with the fill time."""
+        if outcome[1]:
+            self.telemetry.emit_deferred(outcome[1], now)
+
+    def fill_outcome(self, address: int, dirty: bool = False):
+        """The fill's outcome step: ``(dirty writebacks, deferred
+        events)``; events are None unless telemetry is armed."""
         baddr = address & self._block_mask
         index = (address >> self._set_shift) & self._set_mask
         base = index * self._assoc_limit
         baddrs = self._slot_baddr
         ways = baddrs[base : base + self._assoc_limit]
         if baddr in ways:
-            return 0
+            return _RESIDENT
+        events = [] if self.telemetry is not None else None
         region = index % self._n_regions
         sc = self._scounts
         sc["fills"] = sc.get("fills", 0) + 1
@@ -662,9 +736,9 @@ class NuRAPIDCache:
             victim_group = (victim >> _PACK_DGROUP_SHIFT) & _PACK_DGROUP_MASK
             self._release_frame(victim_group, region, victim & _PACK_FRAME_MASK)
             sc["evictions"] = sc.get("evictions", 0) + 1
-            if self.telemetry is not None:
-                self.telemetry.event(
-                    "eviction", addr=victim_addr, dgroup=victim_group, cycle=now
+            if events is not None:
+                events.append(
+                    ("eviction", {"addr": victim_addr, "dgroup": victim_group}, True)
                 )
             if victim & _PACK_DIRTY:
                 writebacks = 1
@@ -673,9 +747,9 @@ class NuRAPIDCache:
                 # it drains through the writeback buffer off the port.
                 self._ecounts[self._k_dg_read[victim_group]] += 1
                 sc["dgroup_accesses"] = sc.get("dgroup_accesses", 0) + 1
-                if self.telemetry is not None:
-                    self.telemetry.event(
-                        "writeback", addr=victim_addr, dgroup=victim_group, cycle=now
+                if events is not None:
+                    events.append(
+                        ("writeback", {"addr": victim_addr, "dgroup": victim_group}, True)
                     )
 
         group = start = self._fill_start_group(baddr)
@@ -693,9 +767,13 @@ class NuRAPIDCache:
         # hysteresis; the new block enters clean.
         frame_slot = self._frame_slot
         n_dgroups = self.config.n_dgroups
+        free = self._free
+        ec = self._ecounts
+        k_move = self._k_move
         incoming = slot
         keep = 0
-        while not self._free[group][region]:
+        demotions = 0
+        while not free[group][region]:
             if self.fault_injector is not None and not self._tracked(group, region):
                 # Region fully retired in this d-group: nothing to
                 # demote, the incoming block skips to the next group.
@@ -708,8 +786,7 @@ class NuRAPIDCache:
             frame = self._victim(group, region)
             demoted = frame_slot[group][frame]
             frame_slot[group][frame] = incoming
-            self._untrack(group, region, frame)
-            self._track(group, region, frame)
+            self._retrack(group, region, frame)
             entries[incoming] = frame | (group << _PACK_DGROUP_SHIFT) | keep
             incoming, keep = demoted, entries[demoted] & _PACK_DIRTY
             group += 1
@@ -718,17 +795,23 @@ class NuRAPIDCache:
                     "demotion chain ran off the slowest d-group; "
                     "free-frame accounting is corrupt"
                 )
-            sc["demotions"] = sc.get("demotions", 0) + 1
-            if self.telemetry is not None:
-                self.telemetry.event(
-                    "demotion",
-                    addr=baddrs[incoming],
-                    src=group - 1,
-                    dst=group,
-                    cycle=now,
+            demotions += 1
+            if events is not None:
+                events.append(
+                    (
+                        "demotion",
+                        {"addr": baddrs[incoming], "src": group - 1, "dst": group},
+                        True,
+                    )
                 )
-            self._charge_move(group - 1, group, now, occupy=False)
-        frame = self._free[group][region].pop()
+            ec[k_move[group - 1][group]] += 1
+        if demotions:
+            # Each demotion is one block move (_charge_move's counts),
+            # batched per chain in their first-insertion order.
+            sc["demotions"] = sc.get("demotions", 0) + demotions
+            sc["dgroup_accesses"] = sc.get("dgroup_accesses", 0) + 2 * demotions
+            sc["moves"] = sc.get("moves", 0) + demotions
+        frame = free[group][region].pop()
         frame_slot[group][frame] = incoming
         self._track(group, region, frame)
         entries[incoming] = frame | (group << _PACK_DGROUP_SHIFT) | keep
@@ -740,14 +823,18 @@ class NuRAPIDCache:
 
         if dirty:
             entries[slot] |= _PACK_DIRTY
-        if self.telemetry is not None:
-            self.telemetry.event(
-                "placement",
-                addr=baddr,
-                dgroup=(entries[slot] >> _PACK_DGROUP_SHIFT) & _PACK_DGROUP_MASK,
-                cycle=now,
+        if events is not None:
+            events.append(
+                (
+                    "placement",
+                    {
+                        "addr": baddr,
+                        "dgroup": (entries[slot] >> _PACK_DGROUP_SHIFT) & _PACK_DGROUP_MASK,
+                    },
+                    True,
+                )
             )
-        return writebacks
+        return (writebacks, events)
 
     def _fill_start_group(self, baddr: int) -> int:
         """D-group a freshly filled block enters (hook for variants).
@@ -821,7 +908,7 @@ class NuRAPIDCache:
         """
         return self._evict_distance_victim(region, 0, "fault_capacity_evictions")
 
-    def _apply_hard_fault(self, event: "HardFaultEvent") -> None:
+    def _apply_hard_fault(self, event: "HardFaultEvent", events) -> None:
         """A subarray died mid-run: remap to a spare or degrade."""
         assert self.fault_injector is not None
         if self.fault_injector.repair_or_retire(event):
@@ -829,9 +916,9 @@ class NuRAPIDCache:
             # lost bits are reconstructed word-by-word through SEC-DED,
             # so contents and capacity are unaffected.
             return
-        self._retire_subarray(event.dgroup, event.subarray)
+        self._retire_subarray(event.dgroup, event.subarray, events)
 
-    def _retire_subarray(self, dgroup: int, subarray: int) -> None:
+    def _retire_subarray(self, dgroup: int, subarray: int, events) -> None:
         """Spares exhausted: retire the subarray's frames for good.
 
         Resident blocks are lost (counted, not raised — the run keeps
@@ -855,8 +942,8 @@ class NuRAPIDCache:
             self._free[dgroup][frame // self._region_frames[dgroup]].remove(frame)
             frames[frame] = RETIRED
             self.stats.add("fault_frames_retired")
-        if self.telemetry is not None:
-            self.telemetry.event("fault_retire", dgroup=dgroup, subarray=subarray)
+        if events is not None:
+            events.append(("fault_retire", {"dgroup": dgroup, "subarray": subarray}, False))
 
     def retired_frames(self) -> List[int]:
         """Retired frames per d-group, fastest first."""
@@ -1036,9 +1123,12 @@ class NuRAPIDCache:
         self.stats.reset()
         self.dgroup_hits = Distribution()
         self.energy.reset_counts()
-        self.port.total_busy = 0.0
-        self.port.total_wait = 0.0
-        self.port.grants = 0
+        self.ports.reset_totals()
+
+    @property
+    def port(self):
+        """The data port's busy-time state now (telemetry reads it)."""
+        return self.ports[0]
 
     def dgroup_occupancy(self) -> List[Tuple[int, int]]:
         """(occupied, total) frames per d-group, fastest first."""

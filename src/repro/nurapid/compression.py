@@ -140,7 +140,7 @@ class CompressedNuRAPIDCache(NuRAPIDCache):
         sc["incompressible_fills"] = sc.get("incompressible_fills", 0) + 1
         return self._compressed_groups
 
-    def _promote(self, slot: int, packed: int, target: int, now: float) -> None:
+    def _promote(self, slot: int, packed: int, target: int, events) -> Tuple[float, ...]:
         if target < self._compressed_groups and not self.is_compressible(
             self._slot_baddr[slot]
         ):
@@ -153,8 +153,8 @@ class CompressedNuRAPIDCache(NuRAPIDCache):
                 sc["compression_promotions_blocked"] = (
                     sc.get("compression_promotions_blocked", 0) + 1
                 )
-                return
-        super()._promote(slot, packed, target, now)
+                return ()
+        return super()._promote(slot, packed, target, events)
 
     def _ensure_chain_space(self, region: int, start: int) -> int:
         """Evict when the uncompressed tail of the region is full.

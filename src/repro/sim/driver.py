@@ -230,20 +230,12 @@ def _capture_lower(session: Telemetry, target) -> None:
         session.capture_gauge(f"{target.name}.port.busy_cycles", port.total_busy)
         session.capture_gauge(f"{target.name}.port.wait_cycles", port.total_wait)
         session.capture_gauge(f"{target.name}.port.grants", port.grants)
-    bank_ports = getattr(target, "bank_ports", None)
-    if bank_ports:
-        session.capture_gauge(f"{target.name}.bankq.banks", len(bank_ports))
-        session.capture_gauge(
-            f"{target.name}.bankq.busy_cycles",
-            sum(p.total_busy for p in bank_ports),
-        )
-        session.capture_gauge(
-            f"{target.name}.bankq.wait_cycles",
-            sum(p.total_wait for p in bank_ports),
-        )
-        session.capture_gauge(
-            f"{target.name}.bankq.grants", sum(p.grants for p in bank_ports)
-        )
+    banks = getattr(target, "bank_ports", None)
+    if banks:
+        session.capture_gauge(f"{target.name}.bankq.banks", len(banks))
+        session.capture_gauge(f"{target.name}.bankq.busy_cycles", sum(banks.total_busy))
+        session.capture_gauge(f"{target.name}.bankq.wait_cycles", sum(banks.total_wait))
+        session.capture_gauge(f"{target.name}.bankq.grants", sum(banks.grants))
 
 
 def _capture_telemetry(system: System, core: CoreModel, session: Telemetry) -> None:

@@ -6,8 +6,10 @@ pipelined L1 hits whose whole architectural effect is a handful of int
 and float updates.  The paper changes only the L2: its L1 is a 2-way
 LRU write-back cache above a non-inclusive hierarchy with no
 back-invalidation, so every L1 hit, miss, victim and dirty writeback
-depends only on the reference stream.  The kernel replays a trace
-slice (:meth:`Trace.decoded_batch`) in two steps:
+depends only on the reference stream.  And a lower level's decisions
+depend only on the order of its operations, never on their times
+(DESIGN.md, "Lower-level outcome and timing").  The kernel replays a
+trace slice (:meth:`Trace.decoded_batch`) in three steps:
 
 1. **Solve.**  :func:`repro.sim.l1solve.solve` computes the L1 exactly
    for the whole slice from the L1's current state: the miss
@@ -19,42 +21,53 @@ slice (:meth:`Trace.decoded_batch`) in two steps:
    an empty L1 and a measured slice from the post-warmup state, so
    each slice is solved once per trace and every later config, op or
    sweep cell reuses it.
-2. **Miss walk.**  One Python loop visits the L1 misses only.  Between
-   misses the per-reference ``t = gap/ipc`` and ``p`` branch-penalty
-   terms (precomputed vectorized; elementwise float64 ops are
-   bit-identical to the scalar expressions) are folded into ``cycle``
-   interleaved, as a strict left fold (``functools.reduce`` over an
-   ``islice``, never ``sum()``, which compensates on Python 3.12).  At
-   a miss the lower levels are walked through their own
-   ``access``/``fill`` methods, the L1 writeback comes from the
-   solver's victim stream, and ``note_memory_result`` and the MSHR
-   allocate are inlined op by op.  ``branch_penalty_cycles`` is folded
-   once, after the loop, and the L1 state is committed once, in
-   ``finally``.
+2. **Outcome pass.**  One loop over the misses runs the lower levels'
+   timing-free outcome steps (``access_outcome``/``fill_outcome``)
+   over the whole lower-level stream the solve fixes -- per miss its
+   accesses down to the supplying level, the fills of the levels it
+   missed (bottom-most first), then the L1's dirty-victim writeback --
+   and records one outcome tuple per operation.  Every state, RNG,
+   fault and counter change happens here.
+3. **Timing fold.**  One loop per miss folds the per-reference
+   ``t = gap/ipc`` and ``p`` branch-penalty terms (precomputed
+   vectorized; elementwise float64 ops are bit-identical to the
+   scalar expressions) into ``cycle`` interleaved, as a strict left
+   fold (``functools.reduce`` over an ``islice``, never ``sum()``,
+   which compensates on Python 3.12).  At a miss it hands each
+   outcome to its level's ``access_timing``/``fill_timing`` at the
+   legacy loop's ``now``, adds memory, and inlines
+   ``note_memory_result`` and the MSHR allocate op by op.  It builds no
+   ``AccessResult``, bumps no dict counter and makes no checked port
+   request.  ``branch_penalty_cycles`` is folded once, after the loop,
+   and the L1 state is committed once, in ``finally``.
 
 Bit-identity contract
 ---------------------
 
 The kernel replays the exact float-op sequence of the legacy loop,
-drives the lower levels through the same ``access``/``fill`` calls at
-the same ``now`` values, and batches integer counters, flushed in
-``finally`` so a mid-replay
-:class:`~repro.faults.models.UncorrectableDataError` leaves
-legacy-identical state: the L1 is re-solved up to the committed
-prefix, refs ``[0, m)`` when a lower ``access`` raised on the miss at
-``m`` and ``[0, m]`` when its writeback did.  ``python -m repro.bench
---engine-parity`` and ``tests/test_fastpath.py`` hold it to
-byte-identical summaries and telemetry reports; perfbench measures
-its speed.
+drives the lower levels through the same outcome and timing steps
+their ``access``/``fill`` run, at the same ``now`` values, and batches
+integer counters, flushed in ``finally``.  A mid-replay
+:class:`~repro.faults.models.UncorrectableDataError` stops the outcome
+pass; the fold then times every operation that completed before it,
+runs out of outcomes exactly there, emits the events the interrupted
+step had deferred and re-raises, which leaves legacy-identical state:
+the L1 is re-solved up to the committed prefix, refs ``[0, m)`` when a
+lower access raised on the miss at ``m`` and ``[0, m]`` when its
+writeback did.  ``python -m repro.bench --engine-parity`` and
+``tests/test_fastpath.py`` hold it to byte-identical summaries,
+telemetry reports and port and bank totals; perfbench measures its
+speed.
 
-Telemetry-armed runs stay on the kernel: each L1 fill emits
-``eviction``, ``writeback`` (when dirty) and ``placement`` from the
-victim stream in the order ``SetAssociativeCache.fill`` uses, so they
-keep their place among the lower levels' events; the L1 client's
-``on_access`` is replayed in reference order from the hit mask when
-the kernel returns, which is exact because that client only feeds its
-own counters and histograms; and the inlined MSHR allocate records the
-occupancy histogram.
+Telemetry-armed runs stay on the kernel: the lower levels' outcome
+steps defer their events to their timing steps, which stamp them with
+the cycle; each L1 fill emits ``eviction``, ``writeback`` (when dirty)
+and ``placement`` from the victim stream in the order
+``SetAssociativeCache.fill`` uses, so they keep their place among the
+lower levels' events; the L1 client's ``on_access`` is replayed in
+reference order from the hit mask when the kernel returns, which is
+exact because that client only feeds its own counters and histograms;
+and the inlined MSHR allocate records the occupancy histogram.
 
 Systems the kernel cannot take (see :func:`supports`) never reach it:
 :func:`repro.sim.driver._replay` sends them to the legacy loop.
@@ -63,10 +76,10 @@ Kernel statistics land in the process-global runtime registry
 (:mod:`repro.telemetry.runtime`) under ``vectorized.*``: ``refs``
 (references replayed), ``refs_vector`` (L1 hits the solve resolved),
 ``refs_scalar`` (misses the loop walked), ``wall_s`` (kernel wall),
-``probe_wall_s`` (the solve, memo lookup included) and
-``l1_apply_wall_s`` (the final L1 state commit).  They describe
-execution strategy, not the simulated machine, so they stay out of run
-payloads.
+``probe_wall_s`` (the solve, memo lookup included),
+``outcome_wall_s`` (the outcome pass) and ``l1_apply_wall_s`` (the
+final L1 state commit).  They describe execution strategy, not the
+simulated machine, so they stay out of run payloads.
 """
 
 from __future__ import annotations
@@ -79,6 +92,8 @@ from time import perf_counter
 import numpy as np
 
 from repro.caches.mshr import MSHREntry
+from repro.caches.port import check_timestamp
+from repro.common.errors import UncorrectableDataError
 from repro.sim import l1solve
 from repro.telemetry.runtime import runtime_registry
 
@@ -138,9 +153,9 @@ def replay(system, core, trace) -> None:
     solve_wall = perf_counter() - t_solve
     clock0 = l1._clock
     miss_pos = solved.miss_pos
+    miss_addrs = decoded.addresses[miss_pos].tolist()
     misses = zip(
         miss_pos.tolist(),
-        decoded.addresses[miss_pos].tolist(),
         decoded.block_addrs[miss_pos].tolist(),
         solved.victim.tolist(),
         solved.victim_dirty.tolist(),
@@ -157,13 +172,17 @@ def replay(system, core, trace) -> None:
     mp = params.mispredict_penalty
     exposure = core.exposure
     mlp_discount = params.memory_mlp_discount
-    # MSHR state, fully inlined: the entries dict is shared in place;
-    # min_fill and the three counters are kernel-local and flushed in
-    # finally.  allocate's precondition checks (not full, no duplicate,
-    # fill_at >= now) are guaranteed by the kernel's own control flow
-    # and CoreModel's exposure-in-[0, 1] validation.
+    # MSHR state, fully inlined: the entries are kernel-local
+    # [issued_at, fill_at, merged] lists in the MSHR file's order,
+    # written back as MSHREntry objects in finally; min_fill and the
+    # three counters are kernel-local too.  allocate's precondition
+    # checks (not full, no duplicate, fill_at >= now) are guaranteed
+    # by the kernel's own control flow and CoreModel's
+    # exposure-in-[0, 1] validation.
     mshr = core.mshrs
-    mshr_entries = mshr._entries
+    mshr_entries = {
+        a: [e.issued_at, e.fill_at, e.merged] for a, e in mshr._entries.items()
+    }
     mshr_cap = mshr.capacity
     occ_hist = mshr.occupancy_hist
     min_fill = mshr._min_fill
@@ -192,10 +211,45 @@ def replay(system, core, trace) -> None:
     # Miss-path plumbing.
     stats = hierarchy.stats
     hist = hierarchy.miss_latency_hist
-    first = lower[0]
     mem_lat = memory.transfer_cycles(lower[-1].block_bytes)
     lvl_names = [level.name for level in lower]
     n_lower = len(lower)
+    access_outcome = [level.access_outcome for level in lower]
+    fill_outcome = [level.fill_outcome for level in lower]
+    access_timing = [level.access_timing for level in lower]
+    fill_timing = [level.fill_timing for level in lower]
+    first_outcome = access_outcome[0]
+    first_timing = access_timing[0]
+    check_timestamp(lvl_names[0], cycle)
+    t_outcomes = perf_counter()
+
+    # Pass 1, outcomes: every lower-level operation of the slice in
+    # legacy order -- per miss its accesses down to the supplier, the
+    # fills bottom-most first, then the L1's dirty-victim writeback --
+    # at no time.  A DUE stops the pass; the fold below then times the
+    # completed operations and re-raises it.
+    outcomes = []
+    record = outcomes.append
+    error = None
+    try:
+        for address, vaddr, vdirty in zip(
+            miss_addrs, solved.victim.tolist(), solved.victim_dirty.tolist()
+        ):
+            missed = 0
+            for outcome_of in access_outcome:
+                o = outcome_of(address, False)
+                record(o)
+                if o[0]:
+                    break
+                missed += 1
+            while missed:
+                missed -= 1
+                record(fill_outcome[missed](address, False))
+            if vdirty:
+                record(first_outcome(vaddr, True))
+    except UncorrectableDataError as exc:
+        error = exc
+    outcome_wall = perf_counter() - t_outcomes
 
     # Batched integer counters (exact; flushed in finally).  gi counts
     # the references whose L1 access happened (the legacy loop makes a
@@ -213,8 +267,13 @@ def replay(system, core, trace) -> None:
     lvl_hits = [0] * n_lower
     lvl_wb = [0] * n_lower
 
+    # Pass 2, the timing fold: per miss, each level's timing step at
+    # the legacy ``now``, memory, the L1's writeback, the MSHR and the
+    # core cycle.  It runs out of outcomes exactly where pass 1
+    # stopped.
+    next_outcome = iter(outcomes).__next__
     try:
-        for pos, address, baddr, vaddr, vdirty in misses:
+        for pos, baddr, vaddr, vdirty in misses:
             # The hits since the last miss, then this reference's own
             # advance: cycle += t; cycle += p per reference.
             cycle = reduce(add, islice(z_terms, 2 * (pos - gi) + 2), cycle)
@@ -225,36 +284,29 @@ def replay(system, core, trace) -> None:
             # CacheHierarchy._access below the L1, inlined.
             total_latency = l1_lat
             level_name = "memory"
-            missed = None
-            i = 0
-            for level in lower:
-                r = level.access(
-                    address, is_write=False, now=cycle + total_latency
-                )
-                total_latency += r.latency
-                lvl_acc[i] += 1
-                if r.hit:
-                    level_name = r.level or lvl_names[i]
-                    lvl_hits[i] += 1
+            missed = 0
+            for timing in access_timing:
+                o = next_outcome()
+                total_latency += timing(o, cycle + total_latency)
+                lvl_acc[missed] += 1
+                if o[0]:
+                    lvl_hits[missed] += 1
+                    level_name = lvl_names[missed]
                     break
-                if missed is None:
-                    missed = [i]
-                else:
-                    missed.append(i)
-                i += 1
+                missed += 1
             else:
                 n_mem_reads += 1
                 total_latency += mem_lat
 
             fill_time = cycle + total_latency
-            if missed is not None:
-                for j in reversed(missed):
-                    dirty_out = lower[j].fill(
-                        address, now=fill_time, dirty=False
-                    )
-                    if dirty_out:
-                        n_mem_writes += dirty_out
-                        lvl_wb[j] += dirty_out
+            while missed:
+                missed -= 1
+                o = next_outcome()
+                if o[1] is not None:
+                    fill_timing[missed](o, fill_time)
+                if o[0]:
+                    n_mem_writes += o[0]
+                    lvl_wb[missed] += o[0]
 
             # The L1 fill, as solved: its state lands in finally.
             l1_done = gi
@@ -268,9 +320,10 @@ def replay(system, core, trace) -> None:
             if vdirty:
                 # _writeback_from_l1, inlined.
                 n_l1_wb += 1
-                rw = first.access(vaddr, is_write=True, now=fill_time)
+                o = next_outcome()
+                first_timing(o, fill_time)
                 lvl_acc[0] += 1
-                if rw.hit:
+                if o[0]:
                     lvl_hits[0] += 1
                 else:
                     n_mem_writes += 1
@@ -285,28 +338,24 @@ def replay(system, core, trace) -> None:
             if mshr_entries:
                 if cycle >= min_fill:
                     for a in [
-                        a
-                        for a, e in mshr_entries.items()
-                        if e.fill_at <= cycle
+                        a for a, e in mshr_entries.items() if e[1] <= cycle
                     ]:
                         del mshr_entries[a]
                     min_fill = INF
                     for e in mshr_entries.values():
-                        if e.fill_at < min_fill:
-                            min_fill = e.fill_at
+                        if e[1] < min_fill:
+                            min_fill = e[1]
                 if len(mshr_entries) >= mshr_cap:
                     mshr_stall += min_fill - cycle
                     cycle = min_fill
                     for a in [
-                        a
-                        for a, e in mshr_entries.items()
-                        if e.fill_at <= cycle
+                        a for a, e in mshr_entries.items() if e[1] <= cycle
                     ]:
                         del mshr_entries[a]
                     min_fill = INF
                     for e in mshr_entries.values():
-                        if e.fill_at < min_fill:
-                            min_fill = e.fill_at
+                        if e[1] < min_fill:
+                            min_fill = e[1]
                     n_full += 1
             exp = exposure
             if level_name == "memory":
@@ -316,10 +365,10 @@ def replay(system, core, trace) -> None:
             cycle += exposed
             fill_at = cycle + beyond_l1 * (1.0 - exposure)
             if baddr in mshr_entries:
-                mshr_entries[baddr].merged += 1
+                mshr_entries[baddr][2] += 1
                 n_merged += 1
             else:
-                mshr_entries[baddr] = MSHREntry(baddr, cycle, fill_at)
+                mshr_entries[baddr] = [cycle, fill_at, 0]
                 if fill_at < min_fill:
                     min_fill = fill_at
                 n_primary += 1
@@ -327,6 +376,12 @@ def replay(system, core, trace) -> None:
                     occ_hist.record(len(mshr_entries))
         cycle = reduce(add, z_terms, cycle)
         gi = l1_done = noted = n_total
+    except StopIteration:
+        # Pass 1 stopped on this miss: every operation before the one
+        # that raised is timed, so the state is the legacy loop's at
+        # its raise.
+        error.emit_deferred()
+        raise error from None
     finally:
         # Commit batched state.  Runs on an UncorrectableDataError from
         # a lower level too, leaving legacy-identical state: the L1 is
@@ -403,6 +458,10 @@ def replay(system, core, trace) -> None:
             stats.add("memory_reads", n_mem_reads)
         memory.reads += n_mem_reads
         memory.writes += n_mem_writes
+        live = mshr._entries
+        live.clear()
+        for a, (issued_at, fill_at, merged) in mshr_entries.items():
+            live[a] = MSHREntry(a, issued_at, fill_at, merged)
         mshr._min_fill = min_fill
         mshr.primary_misses += n_primary
         mshr.merged_misses += n_merged
@@ -413,4 +472,5 @@ def replay(system, core, trace) -> None:
         reg.add("vectorized.refs_scalar", n_misses)
         reg.add("vectorized.wall_s", perf_counter() - wall_start)
         reg.add("vectorized.probe_wall_s", solve_wall)
+        reg.add("vectorized.outcome_wall_s", outcome_wall)
         reg.add("vectorized.l1_apply_wall_s", commit_wall)

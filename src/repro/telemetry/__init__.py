@@ -179,6 +179,19 @@ class CacheTelemetry:
         if self.tracer is not None:
             self.tracer.emit(kind, cache=self.name, **fields)
 
+    def emit_deferred(self, events, cycle: Optional[float]) -> None:
+        """Offer the events a lower level's outcome step deferred.
+
+        ``events`` holds ``(kind, fields, stamped)`` in outcome order;
+        the timing step passes the ``cycle`` the stamped ones happened
+        at, which the outcome step could not know.
+        """
+        for kind, fields, stamped in events:
+            if stamped:
+                self.event(kind, **fields, cycle=cycle)
+            else:
+                self.event(kind, **fields)
+
 
 class Telemetry:
     """One run's collection session: registry + tracer + profiler."""

@@ -8,7 +8,7 @@ from repro.common.errors import ConfigurationError, SimulationError
 from repro.caches.block import CacheBlock, block_address, set_index
 from repro.caches.memory import MainMemory
 from repro.caches.mshr import MSHRFile
-from repro.caches.port import PortScheduler
+from repro.caches.port import PortArray, checked_occupancy
 
 
 class TestBlockMath:
@@ -49,45 +49,59 @@ class TestBlockMath:
 
 
 class TestPortScheduler:
+    """The grant rule of one port of a :class:`PortArray`."""
+
     def test_idle_grant_is_immediate(self):
-        port = PortScheduler()
-        start, finish = port.request(10.0, 5.0)
+        ports = PortArray()
+        start, finish = ports.request(0, 10.0, 5.0)
         assert start == 10.0
         assert finish == 15.0
 
     def test_busy_requests_queue(self):
-        port = PortScheduler()
-        port.request(0.0, 10.0)
-        start, finish = port.request(2.0, 5.0)
+        ports = PortArray()
+        ports.request(0, 0.0, 10.0)
+        start, finish = ports.request(0, 2.0, 5.0)
         assert start == 10.0
         assert finish == 15.0
-        assert port.total_wait == 8.0
+        assert ports.total_wait == [8.0]
+        assert ports[0].total_wait == 8.0
 
     def test_wait_time(self):
-        port = PortScheduler()
-        port.request(0.0, 10.0)
-        assert port.wait_time(4.0) == 6.0
-        assert port.wait_time(11.0) == 0.0
+        ports = PortArray()
+        ports.request(0, 0.0, 10.0)
+        assert ports.wait_time(0, 4.0) == 6.0
+        assert ports.wait_time(0, 11.0) == 0.0
 
     def test_utilization(self):
-        port = PortScheduler()
-        port.request(0.0, 5.0)
-        assert port.utilization(10.0) == 0.5
-        assert port.utilization(0.0) == 0.0
+        ports = PortArray()
+        ports.request(0, 0.0, 5.0)
+        assert ports.utilization(0, 10.0) == 0.5
+        assert ports.utilization(0, 0.0) == 0.0
 
     def test_reset(self):
-        port = PortScheduler()
-        port.request(0.0, 5.0)
-        port.reset()
-        assert port.busy_until == 0.0
-        assert port.grants == 0
+        ports = PortArray("p", 2)
+        ports.request(1, 0.0, 5.0)
+        busy = ports.busy_until
+        ports.reset_totals()
+        assert ports.busy_until == [0.0, 5.0]  # timelines survive
+        assert ports.grants == [0, 0]
+        ports.reset()
+        assert ports.busy_until == [0.0, 0.0]
+        assert ports.busy_until is busy  # reset in place
+        assert ports[1].grants == 0
 
     def test_invalid_requests_rejected(self):
-        port = PortScheduler()
+        ports = PortArray()
         with pytest.raises(SimulationError):
-            port.request(0.0, -1.0)
+            ports.request(0, 0.0, -1.0)
         with pytest.raises(SimulationError):
-            port.request(-1.0, 1.0)
+            ports.request(0, -1.0, 1.0)
+        with pytest.raises(SimulationError):
+            checked_occupancy("bank", [1.0, -0.5])
+        with pytest.raises(SimulationError):
+            PortArray("none", 0)
+        with pytest.raises(IndexError):
+            ports[1]  # noqa: B018
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -97,12 +111,12 @@ class TestPortScheduler:
     )
     def test_grants_never_overlap(self, reqs):
         """Occupancy intervals are disjoint and monotone."""
-        port = PortScheduler()
+        ports = PortArray()
         now = 0.0
         intervals = []
         for jitter, dur in reqs:
             now += jitter  # non-decreasing arrival times
-            intervals.append(port.request(now, dur))
+            intervals.append(ports.request(0, now, dur))
         for (s1, f1), (s2, f2) in zip(intervals, intervals[1:]):
             assert s2 >= f1 - 1e-9
             assert f2 >= s2

@@ -16,7 +16,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.caches.port import PortScheduler
+from repro.caches.port import PortArray
 from repro.cmp.config import CmpConfig, CompressionConfig, ContentionConfig
 from repro.cmp.contention import ContendedLLC
 from repro.cmp.engine import generate_cmp_trace, jain_fairness, run_cmp
@@ -222,12 +222,12 @@ class TestContention:
             wrapped.cache  # noqa: B018
 
     def test_pending_depth(self):
-        port = PortScheduler("p")
-        assert port.pending_depth(0.0, 8.0) == 0
-        port.request(0.0, 8.0)
-        assert port.pending_depth(0.0, 8.0) == 1
-        port.request(0.0, 8.0)
-        assert port.pending_depth(0.0, 8.0) == 2
+        ports = PortArray("p")
+        assert ports.pending_depth(0, 0.0, 8.0) == 0
+        ports.request(0, 0.0, 8.0)
+        assert ports.pending_depth(0, 0.0, 8.0) == 1
+        ports.request(0, 0.0, 8.0)
+        assert ports.pending_depth(0, 0.0, 8.0) == 2
 
 
 # --- compressed NuRAPID ---

@@ -304,6 +304,98 @@ def _core_for(config, benchmark):
     )
 
 
+def _port_arrays(system):
+    """Every lower level's busy-time lists, by level and resource kind
+    (a contended LLC's bank queues and its wrapped cache's own)."""
+    state = {}
+    for level in system.lower:
+        target = getattr(level, "cache", level)
+        for owner in (target, getattr(target, "_inner", None)):
+            for kind in ("ports", "bank_ports"):
+                ports = getattr(owner, kind, None) if owner is not None else None
+                if ports is not None and f"{ports.name}.{kind}" not in state:
+                    state[f"{ports.name}.{kind}"] = (
+                        list(ports.busy_until),
+                        list(ports.total_busy),
+                        list(ports.total_wait),
+                        list(ports.grants),
+                    )
+    return state
+
+
+def _contended_configs():
+    from repro.cmp.config import ContentionConfig
+
+    return [
+        replace(
+            config,
+            name=f"{config.name}-contended",
+            cmp=CmpConfig(cores=1, contention=ContentionConfig(n_banks=2)),
+        )
+        for config in (nurapid_config(), dnuca_config())
+    ]
+
+
+class TestPortTotalsParity:
+    """The kernel's timing fold claims every port and bank exactly as
+    the legacy loop's model calls do."""
+
+    @pytest.mark.parametrize(
+        "config",
+        shipped_configs() + _contended_configs(),
+        ids=lambda c: c.name,
+    )
+    def test_port_totals_identical(self, config):
+        trace = trace_for("mcf", 0)
+        warm, measured = trace.split(WARMUP)
+        state = {}
+        for engine in EXACT_ENGINES:
+            system = make_system(replace(config, engine=engine))
+            _replay(system, _core_for(config, "mcf"), warm, engine=engine)
+            system.reset_stats()
+            _replay(system, _core_for(config, "mcf"), measured, engine=engine)
+            state[engine] = _port_arrays(system)
+        if config.l2_kind != "base":
+            assert state["legacy"], "no port or bank state found"
+            assert any(sum(grants) for *_, grants in state["legacy"].values())
+        assert state["legacy"] == state["vectorized"]
+
+    @pytest.mark.parametrize(
+        "config", [nurapid_config(), dnuca_config()] + _contended_configs()[:1],
+        ids=lambda c: c.name,
+    )
+    def test_kernel_builds_no_access_result(self, config, monkeypatch):
+        """The miss walk folds outcome tuples: no AccessResult and no
+        checked port request per access."""
+        from repro.caches.port import PortArray
+        from repro.common.types import AccessResult
+
+        made = {"results": 0, "requests": 0}
+        result_init = AccessResult.__init__
+        request = PortArray.request
+
+        def counting_init(self, *args, **kwargs):
+            made["results"] += 1
+            result_init(self, *args, **kwargs)
+
+        def counting_request(self, *args, **kwargs):
+            made["requests"] += 1
+            return request(self, *args, **kwargs)
+
+        monkeypatch.setattr(AccessResult, "__init__", counting_init)
+        monkeypatch.setattr(PortArray, "request", counting_request)
+        trace = trace_for("mcf", 0)
+        for engine in EXACT_ENGINES:
+            made.update(results=0, requests=0)
+            system = make_system(replace(config, engine=engine))
+            _replay(system, _core_for(config, "mcf"), trace, engine=engine)
+            if engine == "legacy":
+                assert made["results"] > len(trace)  # the oracle's per-access path
+            else:
+                assert made["results"] == 0
+            assert made["requests"] == 0
+
+
 class TestFallback:
     def test_l1_fault_injector_falls_back(self, monkeypatch):
         """An armed L1 must reroute to the legacy loop, same results."""

@@ -287,3 +287,45 @@ class TestUniformCacheSpec:
         fat = build_uniform_cache_spec("c", 64 * 1024, 32, 2, energy_factor=3.0)
         assert two.read_energy_nj == pytest.approx(2 * one.read_energy_nj)
         assert fat.read_energy_nj == pytest.approx(3 * one.read_energy_nj)
+
+
+class TestMemoisedCharacterisation:
+    """Spec and geometry builders are memoised pure functions."""
+
+    def test_builds_share_specs_and_geometry(self):
+        from repro.sim.config import (
+            base_config,
+            build_system,
+            dnuca_config,
+            nurapid_config,
+        )
+
+        for config in (base_config(), nurapid_config(), dnuca_config()):
+            first, second = build_system(config), build_system(config)
+            assert first[1] is not second[1]  # fresh caches ...
+            assert first[1].spec is second[1].spec  # ... one L1 spec
+            assert first[0].l1i.spec is second[0].l1i.spec
+            for a, b in zip(first[2], second[2]):
+                assert a is not b
+                if hasattr(a, "cache"):
+                    assert a.cache.spec is b.cache.spec
+                else:
+                    assert a.geometry is b.geometry
+
+    def test_tables_byte_unchanged(self):
+        """Table 2 and Table 4 text digests from before memoisation."""
+        import hashlib
+
+        from repro.experiments import run_experiment
+        from repro.experiments.common import SMOKE
+
+        digests = {
+            name: hashlib.sha256(
+                run_experiment(name, SMOKE).to_text().encode()
+            ).hexdigest()
+            for name in ("table2", "table4")
+        }
+        assert digests == {
+            "table2": "df12ed127ee3c8511042178dcb23cd45b277ea1c7ef7e08e8f40f3646d618d09",
+            "table4": "c5321ed9db2b0e96d0c3b7103c39c894e0631d760bb6c1cd0b99a1325027d143",
+        }

@@ -234,6 +234,9 @@ class TestScratchTraceRelease:
         not os.path.exists("/proc/self/maps"), reason="needs /proc/self/maps"
     )
     def test_serial_suites_unmap_scratch_traces(self, tmp_path):
+        # Collect earlier tests' cyclic garbage first, so the baseline
+        # does not depend on when the collector next runs.
+        gc.collect()
         before = _deleted_npy_mappings()
         store = ResultStore(str(tmp_path / "store"))
         for config in _configs():

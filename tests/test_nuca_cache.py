@@ -299,19 +299,22 @@ class TestInvariantsAndConfig:
             c = tiny()
             c.fill(0x10000)
             c.check_invariants()
-            return c, c._where[0x10000]
+            return c, c._slot_of(0x10000)
 
         c, slot = cache_with_block()
-        c._where[0x10000] = slot + 1  # map disagrees with the slot
-        with pytest.raises(SimulationError, match="map says"):
+        base = slot - slot % c.associativity
+        other = base + (slot - base + 1) % c.associativity
+        c._baddr[other] = 0x10000  # the set scan finds a second copy
+        c.smart_search._partial[other] = c.smart_search.partial_tag(0x10000)
+        with pytest.raises(SimulationError, match="resident twice"):
             c.check_invariants()
         c, slot = cache_with_block()
         c.smart_search._partial[slot] ^= 1  # stale partial tag
         with pytest.raises(SimulationError, match="ss-array stale"):
             c.check_invariants()
         c, slot = cache_with_block()
-        c._where[0x20000] = slot  # a mapped block no slot holds
-        with pytest.raises(SimulationError, match="occupied slots"):
+        c._baddr[slot] = 0x10000 + c.block_bytes  # a block in the wrong set
+        with pytest.raises(SimulationError, match="wrong set"):
             c.check_invariants()
 
     def test_reset_stats_keeps_contents(self):

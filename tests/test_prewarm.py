@@ -13,6 +13,7 @@ from repro.floorplan.dgroups import build_nurapid_geometry, build_uniform_cache_
 from repro.nuca.cache import DNUCACache
 from repro.cmp.config import CompressionConfig
 from repro.nuca.config import DNUCAConfig
+from repro.nuca.smart_search import EMPTY as DNUCA_EMPTY
 from repro.nuca.snuca import SNUCACache
 from repro.faults.models import FaultPlan, HardFaultEvent
 from repro.nurapid.cache import EMPTY, RETIRED, NuRAPIDCache
@@ -153,8 +154,11 @@ def _state(cache):
     if isinstance(cache, SNUCACache):
         return [cache._sets, [dict.fromkeys(p.lru_to_mru()) for p in cache._lru]]
     if isinstance(cache, DNUCACache):
+        # The slot scan replaced an address -> slot map filled in slot
+        # order; the digests were first taken with that map.
+        where = {b: s for s, b in enumerate(cache._baddr) if b != DNUCA_EMPTY}
         return [
-            cache._baddr, cache._dirty, cache._touch, cache._where,
+            cache._baddr, cache._dirty, cache._touch, where,
             cache.smart_search._partial, cache._clock,
         ]
     return _nurapid_state(cache)
