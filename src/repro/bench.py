@@ -6,7 +6,7 @@ that :func:`repro.sim.parallel.run_cells` on the supervised worker pool
 returns the same results; each flag adds one more check::
 
     python -m repro.bench                       # serial == pool
-    python -m repro.bench --engine-parity       # legacy == vectorized, bytes
+    python -m repro.bench --engine-parity       # legacy == vectorized, bytes (+ CMP cells)
     python -m repro.bench --approx-accuracy     # approx within APPROX_TOLERANCES
     python -m repro.bench --service             # 2 clients, served == serial
     python -m repro.bench --cmp                 # CmpConfig(cores=1) == no cmp
@@ -27,10 +27,11 @@ import shutil
 import sys
 import tempfile
 import time
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from dataclasses import replace as config_replace
 
+from repro.cmp.scenarios import cmp_nurapid_config, cmp_snuca_config
 from repro.nurapid.config import DistanceReplacementKind, PromotionPolicy
 from repro.sim.config import (
     EXACT_ENGINES,
@@ -81,6 +82,15 @@ Results = Dict[str, dict]
 def standard_configs() -> List[SystemConfig]:
     """The fixed config pair of the standard workload (NuRAPID + S-NUCA)."""
     return [nurapid_config(), snuca_config()]
+
+
+def cmp_cells() -> List[Tuple[SystemConfig, str]]:
+    """The shared-LLC cells ``--engine-parity`` adds: two cores over a
+    contended NuRAPID (one app per core) and over a contended S-NUCA."""
+    return [
+        (cmp_nurapid_config(cores=2), "+".join(BENCHMARKS)),
+        (cmp_snuca_config(cores=2), CMP_BENCHMARK),
+    ]
 
 
 def accuracy_matrix_configs() -> List[SystemConfig]:
@@ -233,8 +243,7 @@ def telemetry_parity(serial: Results, traces, refs: int) -> List[str]:
 
 
 def engine_parity(
-    configs: List[SystemConfig],
-    benchmarks: List[str],
+    cells: List[Tuple[SystemConfig, str]],
     traces: Dict[str, Trace],
     refs: int,
     seed: int,
@@ -242,43 +251,42 @@ def engine_parity(
 ) -> List[str]:
     """Replay every cell under all exact engines; returns mismatch descriptions.
 
-    Each cell runs telemetry-enabled under every engine in
-    ``EXACT_ENGINES`` (legacy, vectorized); the full result
+    Each ``(config, benchmark)`` cell runs telemetry-enabled under every
+    engine in ``EXACT_ENGINES`` (legacy, vectorized); the full result
     payload (summary, counters, energy) must compare equal to legacy's
-    and the rendered telemetry reports must match byte for byte.  Empty
-    return = the engines are bit-identical on this workload.  The
-    ``approx`` engine is deliberately excluded: it is held to the
-    tolerance gate (:func:`approx_accuracy`), not bit-identity.
+    and the rendered telemetry reports must match byte for byte.  A
+    single-core cell replays ``traces[benchmark]``; a CMP cell
+    generates and interleaves its own per-core traces.  Empty return =
+    the engines are bit-identical on these cells.  The ``approx``
+    engine is deliberately excluded: it is held to the tolerance gate
+    (:func:`approx_accuracy`), not bit-identity.
     """
     mismatches: List[str] = []
-    for config in configs:
-        for benchmark in benchmarks:
-            cell = f"{config.name}/{benchmark}"
-            payloads: Dict[str, dict] = {}
-            reports: Dict[str, str] = {}
-            for engine in EXACT_ENGINES:
-                result = run_benchmark(
-                    config_replace(config, engine=engine),
-                    benchmark,
-                    n_references=refs,
-                    trace=traces[benchmark],
-                    warmup_fraction=warmup,
-                    seed=seed,
-                    telemetry=TelemetryConfig(),
+    for config, benchmark in cells:
+        cell = f"{config.name}/{benchmark}"
+        payloads: Dict[str, dict] = {}
+        reports: Dict[str, str] = {}
+        for engine in EXACT_ENGINES:
+            result = run_benchmark(
+                config_replace(config, engine=engine),
+                benchmark,
+                n_references=refs,
+                trace=None if config.multi_core else traces[benchmark],
+                warmup_fraction=warmup,
+                seed=seed,
+                telemetry=TelemetryConfig(),
+            )
+            payload = run_result_to_dict(result)
+            telem = payload.pop("telemetry", None)
+            payloads[engine] = payload
+            reports[engine] = render_report(merge_payloads([(cell, telem)]))
+        for engine in EXACT_ENGINES[1:]:
+            if payloads[engine] != payloads["legacy"]:
+                mismatches.append(f"{cell}: {engine} results differ from legacy")
+            if reports[engine] != reports["legacy"]:
+                mismatches.append(
+                    f"{cell}: {engine} telemetry report differs from legacy"
                 )
-                payload = run_result_to_dict(result)
-                telem = payload.pop("telemetry", None)
-                payloads[engine] = payload
-                reports[engine] = render_report(merge_payloads([(cell, telem)]))
-            for engine in EXACT_ENGINES[1:]:
-                if payloads[engine] != payloads["legacy"]:
-                    mismatches.append(
-                        f"{cell}: {engine} results differ from legacy"
-                    )
-                if reports[engine] != reports["legacy"]:
-                    mismatches.append(
-                        f"{cell}: {engine} telemetry report differs from legacy"
-                    )
     return mismatches
 
 
@@ -394,7 +402,8 @@ def main(argv=None) -> int:
     parser.add_argument("--refs", type=int, default=DEFAULT_REFS)
     flags = {
         "--engine-parity": "results and telemetry reports identical under "
-        f"{' and '.join(EXACT_ENGINES)}",
+        f"{' and '.join(EXACT_ENGINES)}, on the standard workload and "
+        "two 2-core CMP cells",
         "--approx-accuracy": "engine=approx within APPROX_TOLERANCES of the "
         f"exact tier (7 configs x 3 seeds, {APPROX_BENCHMARK})",
         "--service": "two concurrent job-server clients each get the serial "
@@ -416,10 +425,10 @@ def main(argv=None) -> int:
         cells = len(standard_configs()) * len(BENCHMARKS)
         print(f"standard workload: {cells} cells x {refs} refs")
         if args.engine_parity:
-            configs = standard_configs()
+            cells = [(c, b) for c in standard_configs() for b in BENCHMARKS]
             mismatches += _report(
                 "engine parity",
-                engine_parity(configs, BENCHMARKS, traces, refs, SEED, WARMUP),
+                engine_parity(cells + cmp_cells(), traces, refs, SEED, WARMUP),
             )
         if args.approx_accuracy:
             accuracy = approx_accuracy(cache, refs, WARMUP)

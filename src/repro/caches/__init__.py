@@ -13,7 +13,7 @@
 """
 
 from repro.caches.block import CacheBlock
-from repro.caches.prefetch import PrefetchingHierarchyAdapter, StreamPrefetcher
+from repro.caches.prefetch import StreamPrefetcher
 from repro.caches.port import PortArray
 from repro.caches.mshr import MSHRFile
 from repro.caches.memory import MainMemory
@@ -23,7 +23,6 @@ from repro.caches.setassoc_nonuniform import SetAssociativePlacementCache
 
 __all__ = [
     "CacheBlock",
-    "PrefetchingHierarchyAdapter",
     "StreamPrefetcher",
     "CacheHierarchy",
     "MSHRFile",

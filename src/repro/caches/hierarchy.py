@@ -23,7 +23,10 @@ timing"), which the vectorized kernel also calls directly:
   outcome carries, stamped with ``now``.
 
 The hierarchy accumulates the miss path's latency, issues fills bottom
-up, and routes L1 dirty evictions into the first lower level.
+up, and routes L1 dirty evictions into the first lower level.  An
+optional :class:`~repro.caches.prefetch.StreamPrefetcher` sees every
+demand reference and trains on every L1 miss; its fills go into the
+first lower level after the miss's own operations and add no latency.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from typing import TYPE_CHECKING, List, Optional, Protocol, Sequence, runtime_ch
 from repro.common.errors import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.caches.prefetch import StreamPrefetcher
     from repro.telemetry import Histogram
 from repro.common.stats import Counter
 from repro.common.types import Access, AccessResult, AccessType
@@ -46,6 +50,9 @@ class LowerLevel(Protocol):
 
     name: str
     block_bytes: int
+
+    def contains(self, address: int) -> bool:
+        ...
 
     def access(self, address: int, is_write: bool = False, now: float = 0.0) -> AccessResult:
         ...
@@ -73,6 +80,7 @@ class UniformLowerLevel:
         self.cache = cache
         self.name = cache.name
         self.block_bytes = cache.spec.block_bytes
+        self.contains = cache.contains
         self.access_outcome = cache.access_outcome
         self.access_timing = cache.access_timing
 
@@ -121,6 +129,14 @@ class CacheHierarchy:
         self.stats = Counter()
         #: Optional telemetry histogram of end-to-end L1-miss latency.
         self.miss_latency_hist: Optional["Histogram"] = None
+        #: Optional stream prefetcher into the first lower level.
+        self.prefetcher: Optional["StreamPrefetcher"] = None
+
+    def reset_stats(self) -> None:
+        """Zero the hierarchy's and the prefetcher's books after warmup."""
+        self.stats.reset()
+        if self.prefetcher is not None:
+            self.prefetcher.reset_stats()
 
     def access(self, access: Access, now: float = 0.0) -> AccessResult:
         """Present one core reference; returns the end-to-end result.
@@ -139,6 +155,9 @@ class CacheHierarchy:
     def _access(
         self, l1: SetAssociativeCache, address: int, is_write: bool, now: float
     ) -> AccessResult:
+        prefetcher = self.prefetcher
+        if prefetcher is not None:
+            prefetcher.note_demand(address)
         r1 = l1.access(address, is_write=is_write, now=now)
         total = AccessResult(
             hit=r1.hit, latency=r1.latency, level=l1.name, energy_nj=r1.energy_nj
@@ -173,16 +192,31 @@ class CacheHierarchy:
         # and port occupancy are off the load's critical path.
         fill_time = now + total.latency
         for level in reversed(missed):
-            dirty_out = level.fill(address, now=fill_time, dirty=False)
-            for _ in range(dirty_out):
-                self.memory.write(level.block_bytes)
-                self.stats.add(f"{level.name}_writebacks")
+            self._fill(level, address, fill_time)
         victim = l1.fill(address, dirty=is_write)
         if victim is not None and victim.dirty:
             self._writeback_from_l1(victim.block_addr, fill_time)
+        if prefetcher is not None:
+            self._prefetch(prefetcher, address, now)
         if self.miss_latency_hist is not None:
             self.miss_latency_hist.record(total.latency)
         return total
+
+    def _fill(self, level: LowerLevel, address: int, now: float) -> None:
+        """Install ``address`` in ``level``; its dirty victims go to memory."""
+        for _ in range(level.fill(address, now=now, dirty=False)):
+            self.memory.write(level.block_bytes)
+            self.stats.add(f"{level.name}_writebacks")
+
+    def _prefetch(self, prefetcher: "StreamPrefetcher", address: int, now: float) -> None:
+        """Train on an L1 miss at ``address`` and fill the first lower
+        level, at the miss's ``now``, with each predicted block it does
+        not hold."""
+        first = self.lower[0]
+        for target in prefetcher.observe_miss(address):
+            if not first.contains(target):
+                self._fill(first, target, now)
+                prefetcher.note_issued(target)
 
     def _writeback_from_l1(self, block_addr: int, now: float) -> None:
         """Route a dirty L1 eviction into the first lower level."""

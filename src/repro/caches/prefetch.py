@@ -5,7 +5,9 @@ future-work direction of combining NuRAPID with latency-hiding
 techniques invites a concrete experiment: a classic multi-stream
 next-N-line prefetcher that watches the L1-miss stream, detects
 ascending/descending unit-block strides, and issues prefetch fills
-into the L2.
+into the L2.  ``SystemConfig(prefetch=True)`` hangs one on the
+:class:`~repro.caches.hierarchy.CacheHierarchy`, which feeds it every
+demand reference and every L1 miss.
 
 Prefetches are *not* demand accesses: they charge L2 fill energy and
 placement work (a prefetched block enters d-group 0 like any fill —
@@ -17,7 +19,7 @@ experiment report the usual prefetcher metrics next to the IPC effect.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List
 
 from repro.common.errors import ConfigurationError
 from repro.caches.block import block_address
@@ -134,41 +136,22 @@ class StreamPrefetcher:
         if self._outstanding.pop(block, False):
             self.stats.useful += 1
 
+    def note_demands(self, blocks: Iterable[int]) -> None:
+        """:meth:`note_demand` for a stretch of demanded block addresses
+        with no prefetch issued among them: each outstanding block in
+        the stretch is credited once, whatever the order or repeats."""
+        outstanding = self._outstanding
+        if outstanding:
+            credited = outstanding.keys() & blocks
+            for block in credited:
+                del outstanding[block]
+            self.stats.useful += len(credited)
+
     def outstanding(self) -> int:
         return len(self._outstanding)
 
-
-class PrefetchingHierarchyAdapter:
-    """Wraps a hierarchy's data-access path with a stream prefetcher.
-
-    Demand accesses flow through unchanged; on every L1 miss the
-    prefetcher may issue fills into the first lower level.  Prefetch
-    fills charge that cache's energy/placement machinery but add no
-    latency to the triggering access.
-    """
-
-    def __init__(self, hierarchy, prefetcher: Optional[StreamPrefetcher] = None) -> None:
-        self.hierarchy = hierarchy
-        first_lower = hierarchy.lower[0]
-        block = getattr(first_lower, "block_bytes", 128)
-        self.prefetcher = prefetcher if prefetcher is not None else StreamPrefetcher(
-            block_bytes=block
-        )
-        self._lower = first_lower
-
-    def access_data(self, address: int, is_write: bool, now: float = 0.0):
-        self.prefetcher.note_demand(address)
-        result = self.hierarchy.access_data(address, is_write, now)
-        if result.level != self.hierarchy.l1d.name:
-            for target in self.prefetcher.observe_miss(address):
-                if hasattr(self._lower, "contains") and self._lower.contains(target):
-                    continue
-                self._lower.fill(target, now=now, dirty=False)
-                self.prefetcher.note_issued(
-                    block_address(target, self.prefetcher.block_bytes)
-                )
-        return result
-
-    # Delegate everything else (stats, l1d, lower, ...) to the hierarchy.
-    def __getattr__(self, name: str):
-        return getattr(self.hierarchy, name)
+    def reset_stats(self) -> None:
+        """Zero the counters and forget the credits after warmup; the
+        stream table is simulation state and stays."""
+        self.stats = PrefetchStats()
+        self._outstanding.clear()

@@ -9,11 +9,15 @@ main memory.  Per-core traces are generated with derived seeds and
 merged by the deterministic interleaver, so results are seed-stable
 and identical across worker processes.
 
-Replay is a single scalar loop shared by every exact engine: the
-per-core clocks are independent (each core advances only on its own
-references), which is exactly the precondition the fused single-core
-kernel does not handle, so legacy and vectorized both route here and
-trivially agree.  ``approx`` has no multi-core model and is rejected.
+Replay is :func:`repro.sim.driver._replay`, the one loop single-core
+runs take too: each record advances only its issuing core (by its own
+gap, on its own clock) and walks that core's hierarchy, and the shared
+LLC sees the interleaved stream with per-core timestamps, which its
+port and bank schedulers serialize.  Each core's L1 is private, with
+no coherence or back-invalidation, so under ``engine="vectorized"``
+the kernel solves every core's L1 on its own sub-stream and walks the
+merged misses through the shared levels, bit-identical to the
+``legacy`` loop.  ``approx`` has no multi-core model and is rejected.
 
 Accounting: the RunResult's headline numbers aggregate the chip
 (instructions summed, cycles = the slowest core's measured window, L2
@@ -49,6 +53,7 @@ from repro.sim.config import (
 from repro.sim.driver import (
     System,
     _cache_counters,
+    _replay,
     _capture_lower,
     _dgroup_fractions,
     _l2_stats,
@@ -135,8 +140,8 @@ def make_cmp_systems(
             target.prewarm()
     systems = []
     for i in range(cores):
-        l1d = SetAssociativeCache(_l1_spec(f"c{i}.L1d"))
-        l1i = SetAssociativeCache(_l1_spec(f"c{i}.L1i"))
+        l1d = SetAssociativeCache(_l1_spec(f"c{i}.L1d", config.core))
+        l1i = SetAssociativeCache(_l1_spec(f"c{i}.L1i", config.core))
         hierarchy = CacheHierarchy(l1d=l1d, lower=lower, memory=memory, l1i=l1i)
         systems.append(
             System(
@@ -149,29 +154,6 @@ def make_cmp_systems(
             )
         )
     return systems
-
-
-def _replay_cmp(systems: List[System], cores: List[CoreModel], trace: CmpTrace) -> None:
-    """The multi-core hot loop.
-
-    Each record advances only its issuing core (by its own gap, on its
-    own clock) and walks that core's hierarchy; the shared LLC sees
-    the interleaved stream with per-core timestamps, which its port
-    and bank schedulers serialize.
-    """
-    accesses = [system.hierarchy.access_data for system in systems]
-    advances = [core.advance_instructions for core in cores]
-    notes = [core.note_memory_result for core in cores]
-    columns = trace.trace
-    for gap, address, is_write, owner in zip(
-        columns.gaps.tolist(),
-        columns.addresses.tolist(),
-        columns.writes.tolist(),
-        trace.cores.tolist(),
-    ):
-        advances[owner](gap)
-        result = accesses[owner](address, is_write, cores[owner].cycle)
-        notes[owner](address, result)
 
 
 def _resident_block_addrs(target) -> Iterable[int]:
@@ -319,7 +301,7 @@ def run_cmp(
     warm_cores = new_cores()
     if len(warm):
         with profiler.phase("warmup"):
-            _replay_cmp(systems, warm_cores, warm)
+            _replay(systems, warm_cores, warm.trace, warm.cores, engine=engine)
     for system in systems:
         system.reset_stats()
 
@@ -331,7 +313,7 @@ def run_cmp(
     if session is not None:
         _attach_cmp_telemetry(systems, cores, session)
     with profiler.phase("measure"):
-        _replay_cmp(systems, cores, measured)
+        _replay(systems, cores, measured.trace, measured.cores, engine=engine)
 
     per_cycles = [core.cycle - s[0] for core, s in zip(cores, start)]
     per_instr = [core.instructions - s[1] for core, s in zip(cores, start)]

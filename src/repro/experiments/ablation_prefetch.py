@@ -10,71 +10,38 @@ and displace a random victim)?
 
 from __future__ import annotations
 
-from typing import Dict
+from dataclasses import replace
 
-from repro.caches.prefetch import PrefetchingHierarchyAdapter
-from repro.cpu.core import CoreModel
-from repro.experiments.common import ExperimentReport, Scale, shared_trace
+from repro.experiments.common import ExperimentReport, Scale, pct, run_matrix
 from repro.sim.config import SystemConfig, base_config, nurapid_config
-from repro.sim.driver import make_system, _replay
-from repro.workloads.spec2k import get_benchmark
 
 SUBSET = ["swim", "equake", "applu", "twolf"]
 
 
-def _run_with_prefetch(
-    config: SystemConfig, benchmark: str, scale: Scale, enabled: bool
-) -> Dict[str, float]:
-    profile = get_benchmark(benchmark)
-    trace = shared_trace(benchmark, scale)
-    system = make_system(config)
-    if enabled:
-        adapter = PrefetchingHierarchyAdapter(system.hierarchy)
-    else:
-        adapter = system.hierarchy
-
-    def new_core() -> CoreModel:
-        return CoreModel(
-            config.core, profile.core_ipc, profile.exposure,
-            profile.branch_fraction, profile.mispredict_rate,
-        )
-
-    warm, measured = trace.split(scale.warmup_fraction)
-
-    class _Driver:
-        hierarchy = adapter
-
-    warm_core = new_core()
-    if len(warm):
-        _replay(_Driver, warm_core, warm)
-    system.reset_stats()
-    core = new_core()
-    core.cycle = warm_core.cycle
-    c0, i0 = core.cycle, core.instructions
-    _replay(_Driver, core, measured)
-    out = {
-        "ipc": (core.instructions - i0) / (core.cycle - c0),
-    }
-    if enabled:
-        out["accuracy"] = adapter.prefetcher.stats.accuracy
-        out["issued"] = float(adapter.prefetcher.stats.issued)
-    return out
+def with_prefetch(config: SystemConfig) -> SystemConfig:
+    """``config`` with the stream prefetcher on; the name carries ``-pf``."""
+    return replace(config, name=f"{config.name}-pf", prefetch=True)
 
 
 def run(scale: Scale) -> ExperimentReport:
+    base, nurapid = base_config(), nurapid_config()
+    base_pf, nurapid_pf = with_prefetch(base), with_prefetch(nurapid)
+    results = run_matrix([base, base_pf, nurapid, nurapid_pf], SUBSET, scale)
     rows = []
     for benchmark in SUBSET:
-        base_off = _run_with_prefetch(base_config(), benchmark, scale, False)
-        base_on = _run_with_prefetch(base_config(), benchmark, scale, True)
-        nur_off = _run_with_prefetch(nurapid_config(), benchmark, scale, False)
-        nur_on = _run_with_prefetch(nurapid_config(), benchmark, scale, True)
+        nur_on = results[nurapid_pf.name][benchmark]
+        issued = nur_on.stats["prefetch_issued"]
+        useful = nur_on.stats["prefetch_useful"]
         rows.append(
             {
                 "benchmark": benchmark,
-                "base +pf": f"{(base_on['ipc'] / base_off['ipc'] - 1) * 100:+.1f}%",
-                "nurapid +pf": f"{(nur_on['ipc'] / nur_off['ipc'] - 1) * 100:+.1f}%",
-                "pf accuracy": round(nur_on.get("accuracy", 0.0), 2),
-                "pf issued": int(nur_on.get("issued", 0)),
+                "base +pf": pct(
+                    results[base_pf.name][benchmark].ipc
+                    / results[base.name][benchmark].ipc
+                ),
+                "nurapid +pf": pct(nur_on.ipc / results[nurapid.name][benchmark].ipc),
+                "pf accuracy": round(useful / issued if issued else 0.0, 2),
+                "pf issued": int(issued),
             }
         )
     return ExperimentReport(

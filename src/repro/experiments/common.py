@@ -25,14 +25,9 @@ from repro.common.errors import ConfigurationError
 from repro.sim.config import SystemConfig, env_jobs
 from repro.sim.results import RunResult, run_result_from_dict
 from repro.telemetry import TelemetryConfig, telemetry_from_env
-from repro.workloads.spec2k import get_benchmark
-from repro.workloads.trace import Trace
-from repro.workloads.tracegen import (
-    TraceCache,
-    default_trace_cache_dir,
-    generate_trace,
-    trace_entries,
-)
+# generate_trace is not called here; perfbench's tracer wraps it under
+# this module's name.
+from repro.workloads.tracegen import generate_trace, trace_entries  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -50,7 +45,6 @@ QUICK = Scale(name="quick", n_references=500_000, warmup_fraction=0.45)
 SMOKE = Scale(name="smoke", n_references=60_000, warmup_fraction=0.3)
 
 _RunKey = Tuple[str, str, int, float, int, Optional[str]]
-_TRACE_CACHE: Dict[Tuple[str, int, int], Trace] = {}
 _RUN_CACHE: Dict[_RunKey, RunResult] = {}
 _DEFAULT_JOBS: Optional[int] = None
 _DEFAULT_TELEMETRY: Optional[TelemetryConfig] = None
@@ -59,8 +53,7 @@ _DEFAULT_SUPERVISOR = None  # Optional[repro.resilience.SupervisorConfig]
 
 
 def clear_caches() -> None:
-    """Drop cached traces and runs (tests use this for isolation)."""
-    _TRACE_CACHE.clear()
+    """Drop cached runs (tests use this for isolation)."""
     _RUN_CACHE.clear()
 
 
@@ -124,30 +117,6 @@ def default_jobs() -> int:
     if _DEFAULT_JOBS is not None:
         return _DEFAULT_JOBS
     return env_jobs()
-
-
-def shared_trace(benchmark: str, scale: Scale) -> Trace:
-    """The benchmark's trace at this scale, generated at most once.
-
-    Set ``REPRO_TRACE_CACHE=/some/dir`` to also persist traces to disk
-    (as checksummed ``.npy`` entries of a
-    :class:`~repro.workloads.tracegen.TraceCache`, loaded as read-only
-    memory maps), so repeated full-scale experiment runs — and parallel
-    workers — skip generation entirely; a corrupted entry is
-    regenerated in place.
-    """
-    key = (benchmark, scale.n_references, scale.seed)
-    if key not in _TRACE_CACHE:
-        cache_dir = default_trace_cache_dir()
-        if cache_dir:
-            _TRACE_CACHE[key] = TraceCache(cache_dir).get(
-                benchmark, scale.n_references, seed=scale.seed
-            )
-        else:
-            _TRACE_CACHE[key] = generate_trace(
-                get_benchmark(benchmark), scale.n_references, seed=scale.seed
-            )
-    return _TRACE_CACHE[key]
 
 
 def cached_run(config: SystemConfig, benchmark: str, scale: Scale) -> RunResult:

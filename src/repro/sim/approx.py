@@ -78,6 +78,7 @@ from repro.floorplan.dgroups import (
 )
 from repro.nurapid.config import PromotionPolicy
 from repro.sim import l1solve
+from repro.sim.config import _l1_spec
 from repro.sim.results import RunResult
 from repro.telemetry import runtime_registry
 from repro.workloads.spec2k import BenchmarkProfile
@@ -88,19 +89,6 @@ MB = 1024 * 1024
 
 
 # --- cached geometry (pure functions of their arguments) ---
-
-
-@lru_cache(maxsize=None)
-def _l1_spec():
-    return build_uniform_cache_spec(
-        name="L1d",
-        capacity_bytes=64 * KB,
-        block_bytes=32,
-        associativity=2,
-        latency_cycles=3,
-        sequential_tag_data=False,
-        energy_factor=6.4,
-    )
 
 
 @lru_cache(maxsize=None)
@@ -310,7 +298,7 @@ def estimate(
     registry.add("approx.refs", len(trace))
 
     core = config.core
-    l1 = _l1_spec()
+    l1 = _l1_spec("L1d", core)
     mem = MainMemory()
 
     addresses = np.asarray(trace.addresses, dtype=np.int64)

@@ -26,6 +26,7 @@ from typing import Optional
 from repro.common.errors import ConfigurationError
 from repro.caches.hierarchy import CacheHierarchy, UniformLowerLevel
 from repro.caches.memory import MainMemory
+from repro.caches.prefetch import StreamPrefetcher
 from repro.caches.setassoc_nonuniform import SetAssociativePlacementCache
 from repro.caches.simple import SetAssociativeCache
 from repro.cmp.config import CmpConfig
@@ -108,6 +109,10 @@ def config_fingerprint(config: "SystemConfig") -> str:
     (:func:`repro.sim.parallel.cell_fingerprint`).
     """
     payload = dataclasses.asdict(config)
+    if not payload["prefetch"]:
+        # Configs without the prefetcher keep the fingerprints (and so
+        # the stored results) they had before the field existed.
+        del payload["prefetch"]
     encoded = json.dumps(payload, sort_keys=True, default=_fingerprint_default)
     return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
 
@@ -136,6 +141,10 @@ class SystemConfig:
     #: ``CmpConfig(cores=1)`` without contention/compression — keeps
     #: runs bit-identical to the single-core model.
     cmp: Optional[CmpConfig] = None
+    #: A stream prefetcher between the L1 and the cache under study
+    #: (:mod:`repro.caches.prefetch`); its name carries ``-pf``.
+    #: Single-core and exact engines only.
+    prefetch: bool = False
 
     def __post_init__(self) -> None:
         if self.engine is not None and self.engine not in ENGINES:
@@ -182,6 +191,16 @@ class SystemConfig:
                         "the approx engine has no multi-core model; "
                         "pick an exact engine for cores > 1"
                     )
+        if self.prefetch:
+            if self.engine == "approx":
+                raise ConfigurationError(
+                    "prefetch is not modeled by the approx engine; "
+                    "pick an exact engine or drop prefetch"
+                )
+            if self.multi_core:
+                raise ConfigurationError(
+                    "prefetch is single-core only; drop prefetch or cores"
+                )
 
     @property
     def multi_core(self) -> bool:
@@ -261,13 +280,14 @@ def snuca_config(seed: int = 0) -> SystemConfig:
 # --- construction ---
 
 
-def _l1_spec(name: str):
+def _l1_spec(name: str, core: CoreParams):
+    """A 64 KB 2-way L1 with the core's hit latency and block size."""
     return build_uniform_cache_spec(
         name=name,
         capacity_bytes=64 * KB,
-        block_bytes=32,
+        block_bytes=core.l1_block_bytes,
         associativity=2,
-        latency_cycles=3,
+        latency_cycles=core.l1_hit_cycles,
         sequential_tag_data=False,
         energy_factor=6.4,
     )
@@ -344,9 +364,11 @@ def build_system(config: SystemConfig):
     Returns ``(hierarchy, l1d, lower_levels, memory)``; the driver's
     :class:`~repro.sim.driver.System` wraps these with a core model.
     """
-    l1d = SetAssociativeCache(_l1_spec("L1d"))
-    l1i = SetAssociativeCache(_l1_spec("L1i"))
+    l1d = SetAssociativeCache(_l1_spec("L1d", config.core))
+    l1i = SetAssociativeCache(_l1_spec("L1i", config.core))
     lower = build_lower_level(config)
     memory = MainMemory()
     hierarchy = CacheHierarchy(l1d=l1d, lower=lower, memory=memory, l1i=l1i)
+    if config.prefetch:
+        hierarchy.prefetcher = StreamPrefetcher(block_bytes=lower[0].block_bytes)
     return hierarchy, l1d, lower, memory

@@ -12,7 +12,10 @@ accesses for the high-load applications; experiments scale
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable, List, Optional
+from itertools import repeat
+from typing import Dict, Iterable, List, Optional, Sequence
+
+import numpy as np
 
 from repro.common.errors import ConfigurationError
 from repro.cpu.core import CoreModel
@@ -58,7 +61,7 @@ class System:
         for level in self.lower:
             target = getattr(level, "cache", level)  # unwrap UniformLowerLevel
             target.reset_stats()
-        self.hierarchy.stats.reset()
+        self.hierarchy.reset_stats()
         self.memory.reads = 0
         self.memory.writes = 0
 
@@ -87,26 +90,30 @@ def make_system(config: SystemConfig, prewarm: bool = True) -> System:
 
 
 def _replay(
-    system: System,
-    core: CoreModel,
+    systems: Sequence[System],
+    cores: Sequence[CoreModel],
     trace: Trace,
+    owners: Optional[np.ndarray] = None,
     engine: str = "legacy",
     collect: Optional[List] = None,
 ) -> None:
-    """The hot loop: advance the core and walk the hierarchy.
+    """The one replay loop: core ``owners[i]`` issues record ``i`` of
+    ``trace`` on its own clock through ``systems[owners[i]]``.
 
-    Two engines are exact.  ``engine="vectorized"`` runs the chunked
-    numpy kernel (:mod:`repro.sim.vectorized`), bit-identical to this
-    loop, whenever it can: per-reference observation (``collect``), an
-    L1 fault injector, a non-2-way L1, and L1 constants that differ
-    from the core's all come straight here instead, counted under
-    ``vectorized.fallbacks``.  ``engine="legacy"`` always takes this
-    loop, the parity oracle.  ``collect`` receives every per-reference
-    AccessResult (parity tests only — it slows the loop down).
+    ``owners=None`` is a one-core trace.  CMP systems share their lower
+    levels and memory and keep private L1s, hierarchy books and cores.
+    Two engines are exact.  ``engine="vectorized"`` runs the numpy
+    kernel (:mod:`repro.sim.vectorized`), bit-identical to this loop,
+    whenever it can: per-reference observation (``collect``) and an L1
+    fault injector or a non-2-way L1 come straight here instead,
+    counted under ``vectorized.fallbacks``.  ``engine="legacy"`` always
+    takes this loop, the parity oracle.  ``collect`` receives every
+    per-reference AccessResult (parity tests only — it slows the loop
+    down).
     """
     if engine == "vectorized":
-        if collect is None and vectorized.supports(system, core):
-            vectorized.replay(system, core, trace)
+        if collect is None and all(vectorized.supports(s) for s in systems):
+            vectorized.replay(systems, cores, trace, owners)
             return
         runtime_registry().add("vectorized.fallbacks")
     elif engine == "approx":
@@ -114,20 +121,15 @@ def _replay(
             "approx is an analytical engine with no per-reference replay "
             "loop; run_benchmark dispatches it before replay"
         )
-    hierarchy = system.hierarchy
-    advance = core.advance_instructions
-    note = core.note_memory_result
-    access = hierarchy.access_data
-    if collect is None:
-        for gap, address, is_write in trace.records():
-            advance(gap)
-            result = access(address, is_write, core.cycle)
-            note(address, result)
-    else:
-        for gap, address, is_write in trace.records():
-            advance(gap)
-            result = access(address, is_write, core.cycle)
-            note(address, result)
+    access = [system.hierarchy.access_data for system in systems]
+    advance = [core.advance_instructions for core in cores]
+    note = [core.note_memory_result for core in cores]
+    issuers = repeat(0) if owners is None else owners.tolist()
+    for (gap, address, is_write), owner in zip(trace.records(), issuers):
+        advance[owner](gap)
+        result = access[owner](address, is_write, cores[owner].cycle)
+        note[owner](address, result)
+        if collect is not None:
             collect.append(result)
 
 
@@ -318,6 +320,11 @@ def run_benchmark(
                 profile, n_references, seed=seed, warm_set_conflict=warm_set_conflict
             )
     if engine == "approx":
+        if config.prefetch:
+            raise ConfigurationError(
+                "prefetch is not modeled by the approx engine; "
+                "pick an exact engine or drop prefetch"
+            )
         if session is not None:
             raise ConfigurationError(
                 "telemetry requires an exact engine; approx synthesizes "
@@ -347,7 +354,7 @@ def run_benchmark(
     warm_core = new_core()
     if len(warm):
         with profiler.phase("warmup"):
-            _replay(system, warm_core, warm, engine=engine)
+            _replay([system], [warm_core], warm, engine=engine)
     system.reset_stats()
 
     core = new_core()
@@ -358,7 +365,7 @@ def run_benchmark(
     if session is not None:
         _attach_telemetry(system, core, session)
     with profiler.phase("measure"):
-        _replay(system, core, measured, engine=engine)
+        _replay([system], [core], measured, engine=engine)
 
     cycles = core.cycle - start_cycle
     instructions = core.instructions - start_instr
@@ -372,6 +379,10 @@ def run_benchmark(
     extra["stall_cycles"] = core.stall_cycles
     extra["branch_penalty_cycles"] = core.branch_penalty_cycles
     extra["memory_accesses"] = float(core.memory_accesses)
+    prefetcher = system.hierarchy.prefetcher
+    if prefetcher is not None:
+        extra["prefetch_issued"] = float(prefetcher.stats.issued)
+        extra["prefetch_useful"] = float(prefetcher.stats.useful)
     for level in system.lower:
         target = getattr(level, "cache", level)
         injector = getattr(target, "fault_injector", None)

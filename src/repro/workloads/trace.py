@@ -141,6 +141,16 @@ class Trace:
             writes=self.writes[:n],
         )
 
+    def take(self, indices: np.ndarray) -> "Trace":
+        """The records at ``indices``, in that order (a CMP core's own
+        sub-stream of a merged trace)."""
+        return Trace(
+            benchmark=self.benchmark,
+            gaps=self.gaps[indices],
+            addresses=self.addresses[indices],
+            writes=self.writes[indices],
+        )
+
     def split(self, fraction: float) -> Tuple["Trace", "Trace"]:
         """Split into (warmup, measured) at ``fraction`` of the records.
 

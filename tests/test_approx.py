@@ -121,7 +121,7 @@ class TestRejections:
         config = base_config()
         system = make_system(config)
         with pytest.raises(ConfigurationError, match="approx"):
-            _replay(system, None, trace_for(0), engine="approx")
+            _replay([system], [None], trace_for(0), engine="approx")
 
     def test_engine_name_resolves(self):
         assert resolve_engine("approx") == "approx"

@@ -35,7 +35,7 @@ from repro.sim.config import (
 )
 from repro.sim.driver import run_benchmark
 from repro.sim.results import run_result_to_dict
-from repro.telemetry import TelemetryConfig
+from repro.telemetry import TelemetryConfig, reset_runtime_registry, runtime_counters
 from repro.telemetry.report import merge_payloads, render_report
 from repro.workloads.interleave import (
     CORE_ADDR_SHIFT,
@@ -98,6 +98,7 @@ class TestSingleCoreParity:
 
     def test_multi_core_engines_agree(self):
         config = cmp_nurapid_config(cores=2)
+        reset_runtime_registry()
         outputs = {
             engine: json.dumps(
                 _summary(config, "twolf", 1, engine), sort_keys=True
@@ -105,6 +106,10 @@ class TestSingleCoreParity:
             for engine in EXACT_ENGINES
         }
         assert outputs["legacy"] == outputs["vectorized"]
+        # The vectorized run took the kernel, not the legacy loop.
+        counters = runtime_counters()
+        assert counters.get("vectorized.fallbacks", 0) == 0
+        assert counters.get("vectorized.refs", 0) == REFS
 
 
 # --- deterministic interleaving ---

@@ -18,9 +18,9 @@ from repro.experiments.common import (
     clear_caches,
     pct,
     scale_by_name,
-    shared_trace,
 )
 from repro.sim.config import base_config
+from repro.sim.results import run_result_to_dict
 
 TWO_BENCHMARKS = ["art", "wupwise"]
 
@@ -118,11 +118,6 @@ class TestReportRendering:
 
 
 class TestCaching:
-    def test_shared_trace_is_cached(self):
-        t1 = shared_trace("art", SMOKE)
-        t2 = shared_trace("art", SMOKE)
-        assert t1 is t2
-
     def test_cached_run_is_cached(self):
         r1 = cached_run(base_config(), "wupwise", SMOKE)
         r2 = cached_run(base_config(), "wupwise", SMOKE)
@@ -250,21 +245,24 @@ class TestCLI:
 
 class TestTraceDiskCache:
     def test_roundtrip_via_env(self, tmp_path, monkeypatch):
-        import numpy as np
-
         monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path))
+        first = cached_run(base_config(), "wupwise", SMOKE)
+        entries = {p: p.stat().st_mtime_ns for p in tmp_path.glob("*.npy")}
+        assert entries
         clear_caches()
-        first = shared_trace("wupwise", SMOKE)
-        assert list(tmp_path.glob("*.npy"))
-        clear_caches()
-        second = shared_trace("wupwise", SMOKE)
-        assert np.array_equal(first.addresses, second.addresses)
+        second = cached_run(base_config(), "wupwise", SMOKE)
+        # The second run maps the same entry instead of regenerating it.
+        assert {p: p.stat().st_mtime_ns for p in tmp_path.glob("*.npy")} == entries
+        assert run_result_to_dict(first) == run_result_to_dict(second)
 
     def test_no_env_no_files(self, tmp_path, monkeypatch):
+        import tempfile
+
         monkeypatch.delenv("REPRO_TRACE_CACHE", raising=False)
-        clear_caches()
-        shared_trace("wupwise", SMOKE)
-        assert not list(tmp_path.glob("*.npy"))
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        cached_run(base_config(), "wupwise", SMOKE)
+        # The run's scratch trace directory is gone with its entries.
+        assert not list(tmp_path.iterdir())
 
 
 class TestLayoutAndExtensionAblations:

@@ -17,7 +17,7 @@ import pytest
 
 from repro.cmp.config import CmpConfig, CompressionConfig
 from repro.common.errors import ConfigurationError, UncorrectableDataError
-from repro.cpu.core import CoreModel
+from repro.cpu.core import CoreModel, CoreParams
 from repro.faults.models import FaultPlan, HardFaultEvent
 from repro.nurapid.config import DistanceReplacementKind, PromotionPolicy
 from repro.sim import vectorized
@@ -162,7 +162,7 @@ class TestAccessResultSequence:
                 mispredict_rate=profile.mispredict_rate,
             )
             collected = []
-            _replay(system, core, trace, engine=engine, collect=collected)
+            _replay([system], [core], trace, engine=engine, collect=collected)
             sequences[engine] = collected
         assert len(sequences["legacy"]) == len(trace)
         assert sequences["legacy"] == sequences["vectorized"]
@@ -232,9 +232,9 @@ class TestFaultParity:
         l2.access = access
         warm, measured = trace.split(WARMUP)
         core = _core_for(config, "mcf")
-        _replay(system, core, warm, engine="legacy")
+        _replay([system], [core], warm, engine="legacy")
         n_warm = len(log)
-        _replay(system, core, measured, engine="legacy")
+        _replay([system], [core], measured, engine="legacy")
         hits = {"writeback": [], "demand": []}
         for k, (is_write, dirty) in enumerate(log[n_warm:], n_warm + 1):
             if dirty:
@@ -265,9 +265,9 @@ class TestFaultParity:
         for engine in EXACT_ENGINES:
             system = make_system(replace(config, engine=engine))
             core = _core_for(config, "mcf")
-            _replay(system, core, warm, engine=engine)
+            _replay([system], [core], warm, engine=engine)
             with pytest.raises(UncorrectableDataError) as info:
-                _replay(system, core, measured, engine=engine)
+                _replay([system], [core], measured, engine=engine)
             frames = {f.name for f in traceback.extract_tb(info.value.__traceback__)}
             l1 = system.l1d
             states[engine] = (
@@ -351,9 +351,9 @@ class TestPortTotalsParity:
         state = {}
         for engine in EXACT_ENGINES:
             system = make_system(replace(config, engine=engine))
-            _replay(system, _core_for(config, "mcf"), warm, engine=engine)
+            _replay([system], [_core_for(config, "mcf")], warm, engine=engine)
             system.reset_stats()
-            _replay(system, _core_for(config, "mcf"), measured, engine=engine)
+            _replay([system], [_core_for(config, "mcf")], measured, engine=engine)
             state[engine] = _port_arrays(system)
         if config.l2_kind != "base":
             assert state["legacy"], "no port or bank state found"
@@ -388,7 +388,7 @@ class TestPortTotalsParity:
         for engine in EXACT_ENGINES:
             made.update(results=0, requests=0)
             system = make_system(replace(config, engine=engine))
-            _replay(system, _core_for(config, "mcf"), trace, engine=engine)
+            _replay([system], [_core_for(config, "mcf")], trace, engine=engine)
             if engine == "legacy":
                 assert made["results"] > len(trace)  # the oracle's per-access path
             else:
@@ -402,9 +402,9 @@ class TestFallback:
         calls = []
         real_replay = vectorized.replay
 
-        def counting(system, core, trace):
+        def counting(systems, cores, trace, owners):
             calls.append("kernel")
-            return real_replay(system, core, trace)
+            return real_replay(systems, cores, trace, owners)
 
         monkeypatch.setattr(vectorized, "replay", counting)
         reset_runtime_registry()
@@ -423,7 +423,7 @@ class TestFallback:
                 branch_fraction=profile.branch_fraction,
                 mispredict_rate=profile.mispredict_rate,
             )
-            _replay(system, core, trace, engine="vectorized")
+            _replay([system], [core], trace, engine="vectorized")
             return core.cycle, core.instructions, system.l1d.hits
 
         armed = run(arm=True)
@@ -434,6 +434,27 @@ class TestFallback:
         assert runtime_counters().get("vectorized.fallbacks", 0) == 1
         # A zero-rate plan is behaviourally inert: both paths agree.
         assert armed == fused
+
+
+class TestL1Constants:
+    @pytest.mark.parametrize(
+        "params",
+        [CoreParams(l1_hit_cycles=2), CoreParams(l1_block_bytes=64)],
+        ids=["hit2", "block64"],
+    )
+    def test_custom_l1_constants_stay_on_kernel(self, params):
+        """The L1 takes its latency and block size from the core, so a
+        custom CoreParams neither leaves the kernel nor mis-models."""
+        config = replace(nurapid_config(), core=params)
+        system = make_system(config, prewarm=False)
+        assert system.l1d.spec.latency_cycles == params.l1_hit_cycles
+        assert system.l1d.spec.block_bytes == params.l1_block_bytes
+        reset_runtime_registry()
+        payloads = {
+            engine: run_dict(config, "gcc", 0, engine) for engine in EXACT_ENGINES
+        }
+        assert runtime_counters().get("vectorized.fallbacks", 0) == 0
+        assert payloads["legacy"] == payloads["vectorized"]
 
 
 class TestSweepParity:

@@ -115,7 +115,7 @@ class TestConsistency:
                 config.core, profile.core_ipc, profile.exposure,
                 profile.branch_fraction, profile.mispredict_rate,
             )
-            _replay(system, core, galgel_trace.head(40_000))
+            _replay([system], [core], galgel_trace.head(40_000))
             system.l2.check_invariants()
 
     def test_determinism_across_processline(self, galgel_trace):

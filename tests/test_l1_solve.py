@@ -165,8 +165,8 @@ def replay_state(config, trace, engine, warm=None):
     system = make_system(replace(config, engine=engine))
     core = core_for(config, "gcc")
     if warm is not None:
-        _replay(system, core_for(config, "gcc"), warm, engine=engine)
-    _replay(system, core, trace, engine=engine)
+        _replay([system], [core_for(config, "gcc")], warm, engine=engine)
+    _replay([system], [core], trace, engine=engine)
     l1 = system.l1d
     return (
         state_of(l1),

@@ -189,7 +189,7 @@ def _fault_state(engine):
     )
     system = make_system(config)
     with pytest.raises(UncorrectableDataError) as info:
-        _replay(system, core, _trace("mcf"), engine=engine)
+        _replay([system], [core], _trace("mcf"), engine=engine)
     l2, l3 = (level.cache for level in system.lower)
     return _canonical(
         {

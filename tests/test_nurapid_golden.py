@@ -220,7 +220,7 @@ def _fault_state(engine):
     system = make_system(config)
     trace = _trace("mcf")
     with pytest.raises(UncorrectableDataError) as info:
-        _replay(system, core, trace, engine=engine)
+        _replay([system], [core], trace, engine=engine)
     l2 = system.l2
     blocks = sorted({a & ~(l2.block_bytes - 1) for a in trace.addresses.tolist()})
     entries = []
