@@ -358,17 +358,32 @@ def _build_cache_under_study(config: SystemConfig):
     raise ConfigurationError(f"unknown l2_kind {config.l2_kind!r}")
 
 
+def build_hierarchy(
+    config: SystemConfig, lower, memory, prefix: str = ""
+) -> CacheHierarchy:
+    """One core's L1 pair (``{prefix}L1d``/``{prefix}L1i``) and
+    hierarchy over the given lower levels and memory.
+
+    A CMP builds one per core over shared ``lower`` and ``memory``,
+    with ``prefix`` ``"c{i}."`` naming each core's L1s.
+    """
+    l1d = SetAssociativeCache(_l1_spec(f"{prefix}L1d", config.core))
+    l1i = SetAssociativeCache(_l1_spec(f"{prefix}L1i", config.core))
+    hierarchy = CacheHierarchy(l1d=l1d, lower=lower, memory=memory, l1i=l1i)
+    if config.prefetch:
+        hierarchy.prefetcher = StreamPrefetcher(block_bytes=lower[0].block_bytes)
+    return hierarchy
+
+
 def build_system(config: SystemConfig):
     """Assemble L1s + lower levels + memory into a hierarchy.
 
     Returns ``(hierarchy, l1d, lower_levels, memory)``; the driver's
     :class:`~repro.sim.driver.System` wraps these with a core model.
+    A multi-core config builds core 0 (L1s named ``c0.*``).
     """
-    l1d = SetAssociativeCache(_l1_spec("L1d", config.core))
-    l1i = SetAssociativeCache(_l1_spec("L1i", config.core))
     lower = build_lower_level(config)
     memory = MainMemory()
-    hierarchy = CacheHierarchy(l1d=l1d, lower=lower, memory=memory, l1i=l1i)
-    if config.prefetch:
-        hierarchy.prefetcher = StreamPrefetcher(block_bytes=lower[0].block_bytes)
-    return hierarchy, l1d, lower, memory
+    prefix = "c0." if config.multi_core else ""
+    hierarchy = build_hierarchy(config, lower, memory, prefix=prefix)
+    return hierarchy, hierarchy.l1d, lower, memory

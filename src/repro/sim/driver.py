@@ -1,12 +1,15 @@
-"""The trace-driven run loop.
+"""The trace-driven run loop, for one core or many.
 
-One run: build the system, generate (or receive) the benchmark's
-trace, replay a warmup portion to populate the caches, reset all
+One run: generate (or receive) the benchmark's trace, build the
+system, replay a warmup portion to populate the caches, reset all
 statistics, then replay the measured portion through the core timing
-model.  The default of 600k references with 25% warmup keeps a full
-suite sweep to minutes in pure Python while leaving ~100k+ measured L2
-accesses for the high-load applications; experiments scale
-``n_references`` for quick modes.
+model.  A multi-core config (``cmp.cores > 1``) takes the same steps
+with per-core traces interleaved into one stream, one private L1 pair
+and timing model per core, and the lower levels and memory shared;
+every other config is a one-core run.  The default of 600k references
+with 25% warmup keeps a full suite sweep to minutes in pure Python
+while leaving ~100k+ measured L2 accesses for the high-load
+applications; experiments scale ``n_references`` for quick modes.
 """
 
 from __future__ import annotations
@@ -21,7 +24,12 @@ from repro.common.errors import ConfigurationError
 from repro.cpu.core import CoreModel
 from repro.cpu.wattch import ProcessorEnergyModel
 from repro.sim import vectorized
-from repro.sim.config import SystemConfig, build_system, resolve_engine
+from repro.sim.config import (
+    SystemConfig,
+    build_hierarchy,
+    build_system,
+    resolve_engine,
+)
 from repro.sim.results import RunResult, SuiteResult
 from repro.telemetry import (
     LATENCY_BOUNDS,
@@ -31,7 +39,8 @@ from repro.telemetry import (
     occupancy_bounds,
     runtime_registry,
 )
-from repro.workloads.spec2k import BenchmarkProfile, get_benchmark
+from repro.workloads.interleave import parse_cmp_benchmark
+from repro.workloads.spec2k import get_benchmark
 from repro.workloads.trace import Trace
 from repro.workloads.tracegen import generate_trace, trace_entries
 
@@ -55,12 +64,21 @@ class System:
         """The first level below the L1s (the cache under study)."""
         return self.lower[0]
 
+    def lower_caches(self) -> List[object]:
+        """Each distinct cache below the L1s once, in level order, with
+        the ``UniformLowerLevel`` wrapper unwrapped."""
+        caches: List[object] = []
+        for level in self.lower:
+            cache = getattr(level, "cache", level)
+            if all(cache is not seen for seen in caches):
+                caches.append(cache)
+        return caches
+
     def reset_stats(self) -> None:
         for cache in (self.l1d, self.l1i):
             cache.reset_stats()
-        for level in self.lower:
-            target = getattr(level, "cache", level)  # unwrap UniformLowerLevel
-            target.reset_stats()
+        for cache in self.lower_caches():
+            cache.reset_stats()
         self.hierarchy.reset_stats()
         self.memory.reads = 0
         self.memory.writes = 0
@@ -69,17 +87,16 @@ class System:
 def make_system(config: SystemConfig, prewarm: bool = True) -> System:
     """Build a system; by default prewarm the lower levels.
 
+    For a multi-core config this is core 0 (L1s named ``c0.*``); the
+    run adds the other cores over its lower levels and memory.
+
     Prewarming fills every cache frame with clean dummy blocks, the
     trace-driven equivalent of the paper's 5-billion-instruction
     fast-forward: replacement and distance-placement machinery start in
     steady state instead of filling an empty 8 MB array.
     """
     hierarchy, l1d, lower, memory = build_system(config)
-    if prewarm:
-        for level in lower:
-            target = getattr(level, "cache", level)
-            target.prewarm()
-    return System(
+    system = System(
         config=config,
         hierarchy=hierarchy,
         l1d=l1d,
@@ -87,6 +104,24 @@ def make_system(config: SystemConfig, prewarm: bool = True) -> System:
         lower=lower,
         memory=memory,
     )
+    if prewarm:
+        for cache in system.lower_caches():
+            cache.prewarm()
+    return system
+
+
+def _add_cores(first: System, n_cores: int) -> List[System]:
+    """``first`` plus cores 1.. of a CMP: each its own L1 pair and
+    hierarchy books over ``first``'s lower levels and memory."""
+    systems = [first]
+    for i in range(1, n_cores):
+        hierarchy = build_hierarchy(
+            first.config, first.lower, first.memory, prefix=f"c{i}."
+        )
+        systems.append(
+            replace(first, hierarchy=hierarchy, l1d=hierarchy.l1d, l1i=hierarchy.l1i)
+        )
+    return systems
 
 
 def _replay(
@@ -133,73 +168,6 @@ def _replay(
             collect.append(result)
 
 
-def _l2_stats(system: System) -> Dict[str, float]:
-    """Normalize the L2's counters across organizations."""
-    l2 = system.l2
-    inner = getattr(l2, "cache", None)
-    if inner is not None:  # base hierarchy: a UniformLowerLevel wrapper
-        stats: Dict[str, float] = {
-            "accesses": float(inner.accesses),
-            "hits": float(inner.hits),
-            "misses": float(inner.misses),
-            "writebacks": float(inner.writebacks),
-        }
-        return stats
-    return dict(l2.stats.as_dict())
-
-
-def _dgroup_fractions(system: System) -> Dict[int, float]:
-    l2 = system.l2
-    dist = getattr(l2, "dgroup_hits", None)
-    if dist is None:
-        return {}
-    stats = _l2_stats(system)
-    accesses = stats.get("accesses", 0.0)
-    if not accesses:
-        return {}
-    return {k: v / accesses for k, v in dist.items()}
-
-
-def _lower_energy_nj(system: System) -> float:
-    total = 0.0
-    for level in system.lower:
-        target = getattr(level, "cache", level)
-        total += target.energy.total_nj()
-    return total
-
-
-def _attach_telemetry(system: System, core: CoreModel, session: Telemetry) -> None:
-    """Hook the session's clients into a freshly-reset system.
-
-    Attached *after* the warmup reset so histograms and events cover
-    the measured portion only, like every other statistic.
-    """
-    attached = set()
-    for cache in (system.l1d, system.l1i):
-        if id(cache) in attached:
-            continue
-        attached.add(id(cache))
-        cache.telemetry = session.cache_client(cache.name)
-    for level in system.lower:
-        target = getattr(level, "cache", level)
-        if id(target) in attached:
-            continue
-        attached.add(id(target))
-        target.telemetry = session.cache_client(target.name)
-    for level in system.lower:
-        # Contended LLCs record the queue depth each access observes.
-        if "queue_depth_hist" in getattr(level, "__dict__", {}):
-            level.queue_depth_hist = session.histogram(
-                f"{level.name}.bank_queue_depth", occupancy_bounds(16)
-            )
-    system.hierarchy.miss_latency_hist = session.histogram(
-        "hierarchy.l1_miss_latency", LATENCY_BOUNDS
-    )
-    core.mshrs.occupancy_hist = session.histogram(
-        "core.mshr_occupancy", occupancy_bounds(core.params.mshrs)
-    )
-
-
 def _cache_counters(target) -> Dict[str, float]:
     """A cache's flat counters, whichever stats style it keeps."""
     stats = getattr(target, "stats", None)
@@ -213,13 +181,49 @@ def _cache_counters(target) -> Dict[str, float]:
     }
 
 
+def _dgroup_fractions(system: System, accesses: float) -> Dict[int, float]:
+    dist = getattr(system.l2, "dgroup_hits", None)
+    if dist is None or not accesses:
+        return {}
+    return {k: v / accesses for k, v in dist.items()}
+
+
+def _core_tags(systems: Sequence[System]) -> List[str]:
+    """Per-core name prefixes: ``c{i}.`` on a CMP, none on one core."""
+    if len(systems) == 1:
+        return [""]
+    return [f"c{i}." for i in range(len(systems))]
+
+
+def _attach_telemetry(
+    systems: Sequence[System], cores: Sequence[CoreModel], session: Telemetry
+) -> None:
+    """Hook the session's clients into freshly-reset systems.
+
+    Attached *after* the warmup reset so histograms and events cover
+    the measured portion only, like every other statistic.
+    """
+    for tag, system, core in zip(_core_tags(systems), systems, cores):
+        for cache in (system.l1d, system.l1i):
+            cache.telemetry = session.cache_client(cache.name)
+        system.hierarchy.miss_latency_hist = session.histogram(
+            f"{tag}hierarchy.l1_miss_latency", LATENCY_BOUNDS
+        )
+        core.mshrs.occupancy_hist = session.histogram(
+            f"{tag}core.mshr_occupancy", occupancy_bounds(core.params.mshrs)
+        )
+    for cache in systems[0].lower_caches():
+        cache.telemetry = session.cache_client(cache.name)
+        # Contended LLCs record the queue depth each access observes.
+        if "queue_depth_hist" in getattr(cache, "__dict__", {}):
+            cache.queue_depth_hist = session.histogram(
+                f"{cache.name}.bank_queue_depth", occupancy_bounds(16)
+            )
+
+
 def _capture_lower(session: Telemetry, target) -> None:
     """End-of-run gauges for one lower level: counters, energy,
-    occupancy, single-port pressure, and banked-queue aggregates.
-
-    Shared with the CMP engine, which captures the same lower levels
-    once while keeping per-core books separate.
-    """
+    occupancy, single-port pressure, and banked-queue aggregates."""
     session.capture_counters(target.name, _cache_counters(target))
     session.capture_energy(target.name, target.energy)
     occupancy = getattr(target, "dgroup_occupancy", None)
@@ -240,28 +244,72 @@ def _capture_lower(session: Telemetry, target) -> None:
         session.capture_gauge(f"{target.name}.bankq.grants", sum(banks.grants))
 
 
-def _capture_telemetry(system: System, core: CoreModel, session: Telemetry) -> None:
-    """End-of-run gauges: counters, energy, occupancy, port pressure."""
-    captured = set()
-    for cache in (system.l1d, system.l1i):
-        if id(cache) in captured:
-            continue
-        captured.add(id(cache))
-        session.capture_counters(cache.name, _cache_counters(cache))
-        session.capture_energy(cache.name, cache.energy)
-    for level in system.lower:
-        target = getattr(level, "cache", level)
-        if id(target) in captured:
-            continue
-        captured.add(id(target))
-        _capture_lower(session, target)
-    session.capture_counters("hierarchy", system.hierarchy.stats.as_dict())
-    session.capture_gauge("memory.reads", system.memory.reads)
-    session.capture_gauge("memory.writes", system.memory.writes)
-    session.capture_gauge("core.stall_cycles", core.stall_cycles)
-    session.capture_gauge("core.branch_penalty_cycles", core.branch_penalty_cycles)
-    session.capture_gauge("core.mshr_stall_cycles", core.mshr_stall_cycles)
-    session.capture_gauge("core.mshr_full_stalls", core.mshr_full_stalls)
+def _capture_telemetry(
+    systems: Sequence[System], cores: Sequence[CoreModel], session: Telemetry
+) -> None:
+    """End-of-run gauges: counters, energy, occupancy, port pressure.
+
+    One core reports four ``core.*`` gauges; a CMP reports every
+    ``CoreModel.counters()`` entry per core under ``c{i}.core.*``.
+    """
+    for tag, system, core in zip(_core_tags(systems), systems, cores):
+        for cache in (system.l1d, system.l1i):
+            session.capture_counters(cache.name, _cache_counters(cache))
+            session.capture_energy(cache.name, cache.energy)
+        session.capture_counters(f"{tag}hierarchy", system.hierarchy.stats.as_dict())
+        gauges = core.counters() if tag else {
+            "stall_cycles": core.stall_cycles,
+            "branch_penalty_cycles": core.branch_penalty_cycles,
+            "mshr_stall_cycles": core.mshr_stall_cycles,
+            "mshr_full_stalls": core.mshr_full_stalls,
+        }
+        for key, value in gauges.items():
+            session.capture_gauge(f"{tag}core.{key}", value)
+    for cache in systems[0].lower_caches():
+        _capture_lower(session, cache)
+    memory = systems[0].memory
+    session.capture_gauge("memory.reads", memory.reads)
+    session.capture_gauge("memory.writes", memory.writes)
+
+
+def _per_core_stats(
+    systems: Sequence[System],
+    cores: Sequence[CoreModel],
+    instructions: Sequence[int],
+    cycles: Sequence[float],
+) -> Dict[str, float]:
+    """A CMP's ``c{i}.*`` books: IPC, shared-L2 traffic, resident
+    blocks, plus the shared LLC's ``bankq.*`` contention aggregates."""
+    # Imported here: the occupancy census reads every LLC model's
+    # layout and stays out of single-core imports.
+    from repro.cmp.engine import shared_occupancy_by_core
+
+    l2 = systems[0].l2
+    extra: Dict[str, float] = {}
+    for i, (system, core) in enumerate(zip(systems, cores)):
+        hier = system.hierarchy.stats
+        accesses = float(hier.get(f"{l2.name}_accesses"))
+        hits = float(hier.get(f"{l2.name}_hits"))
+        extra[f"c{i}.instructions"] = float(instructions[i])
+        extra[f"c{i}.cycles"] = float(cycles[i])
+        extra[f"c{i}.ipc"] = instructions[i] / cycles[i] if cycles[i] else 0.0
+        extra[f"c{i}.l2_accesses"] = accesses
+        extra[f"c{i}.l2_hits"] = hits
+        extra[f"c{i}.l2_misses"] = accesses - hits
+        extra[f"c{i}.l2_miss_ratio"] = (
+            (accesses - hits) / accesses if accesses else 0.0
+        )
+        extra[f"c{i}.stall_cycles"] = float(core.stall_cycles)
+    census = shared_occupancy_by_core(systems[0].lower_caches()[0], len(systems))
+    for i, blocks in enumerate(census):
+        extra[f"c{i}.l2_blocks"] = float(blocks)
+    banks = getattr(l2, "bank_ports", None)
+    if banks:
+        extra["bankq.banks"] = float(len(banks))
+        extra["bankq.busy_cycles"] = float(sum(banks.total_busy))
+        extra["bankq.wait_cycles"] = float(sum(banks.total_wait))
+        extra["bankq.grants"] = float(sum(banks.grants))
+    return extra
 
 
 def run_benchmark(
@@ -276,7 +324,16 @@ def run_benchmark(
     prewarm: bool = True,
     telemetry: Optional[TelemetryConfig] = None,
 ) -> RunResult:
-    """Run one benchmark on one system and collect measurements."""
+    """Run one benchmark on one system and collect measurements.
+
+    A multi-core config generates and interleaves its own per-core
+    traces (``benchmark`` names one workload for every core or one per
+    core, ``"a+b"``; ``n_references`` is the chip total) and rejects
+    ``trace=``.  Its result aggregates the chip — instructions summed,
+    cycles the slowest core's measured window, core energy summed per
+    core, L2 books from the shared cache — and ``stats`` adds per-core
+    ``c{i}.*`` books and ``bankq.*`` contention aggregates.
+    """
     if n_references <= 0:
         raise ConfigurationError(
             f"n_references must be positive, got {n_references}"
@@ -285,119 +342,142 @@ def run_benchmark(
         raise ConfigurationError(
             f"warmup_fraction must be in [0, 1), got {warmup_fraction}"
         )
-    if config.multi_core:
-        # Multi-core runs interleave their own per-core traces and
-        # replay through per-core hierarchies over the shared LLC.
-        # cores=1 deliberately falls through to the unchanged
-        # single-core path below (the bit-identity contract).
+    engine = resolve_engine(config.engine)
+    telemetry_on = telemetry is not None and telemetry.enabled
+    if engine == "approx":
+        # The config checks an explicit engine; $REPRO_ENGINE lands here.
+        for field, used in (
+            ("prefetch", config.prefetch),
+            ("telemetry", telemetry_on),
+            ("cmp.cores", config.multi_core),
+        ):
+            if used:
+                raise ConfigurationError(
+                    f"{field} is not modeled by the approx engine, which "
+                    "synthesizes aggregates; pick an exact engine"
+                )
+    n_cores = config.cmp.cores if config.multi_core else 1
+    if n_cores > 1:
         if trace is not None:
             raise ConfigurationError(
                 "CMP runs generate and interleave their own per-core "
                 "traces; pass trace=None"
             )
-        from repro.cmp.engine import run_cmp
-
-        return run_cmp(
-            config,
-            benchmark,
-            n_references=n_references,
-            seed=seed,
-            warmup_fraction=warmup_fraction,
-            energy_model=energy_model,
-            warm_set_conflict=warm_set_conflict,
-            prewarm=prewarm,
-            telemetry=telemetry,
-        )
-    engine = resolve_engine(config.engine)
+        profiles = [
+            get_benchmark(name) for name in parse_cmp_benchmark(benchmark, n_cores)
+        ]
+    else:
+        profiles = [get_benchmark(benchmark)]
     session: Optional[Telemetry] = None
-    if telemetry is not None and telemetry.enabled:
+    if telemetry_on:
         session = Telemetry(telemetry, f"{config.name}/{benchmark}/s{seed}")
     profiler = session.profiler if session is not None else NullProfiler()
-    profile: BenchmarkProfile = get_benchmark(benchmark)
     if trace is None:
         with profiler.phase("tracegen"):
-            trace = generate_trace(
-                profile, n_references, seed=seed, warm_set_conflict=warm_set_conflict
-            )
+            if n_cores > 1:
+                from repro.cmp.engine import generate_cmp_trace
+
+                trace = generate_cmp_trace(
+                    config, benchmark, n_references, seed,
+                    warm_set_conflict=warm_set_conflict, profiles=profiles,
+                )
+            else:
+                trace = generate_trace(
+                    profiles[0], n_references, seed=seed,
+                    warm_set_conflict=warm_set_conflict,
+                )
     if engine == "approx":
-        if config.prefetch:
-            raise ConfigurationError(
-                "prefetch is not modeled by the approx engine; "
-                "pick an exact engine or drop prefetch"
-            )
-        if session is not None:
-            raise ConfigurationError(
-                "telemetry requires an exact engine; approx synthesizes "
-                "aggregates and has no per-reference events to record"
-            )
         from repro.sim import approx
 
         return approx.estimate(
-            config, benchmark, profile, trace, warmup_fraction,
+            config, benchmark, profiles[0], trace, warmup_fraction,
             energy_model=energy_model,
         )
     with profiler.phase("build"):
-        system = make_system(config, prewarm=prewarm)
+        systems = _add_cores(make_system(config, prewarm=prewarm), n_cores)
+    compression = config.cmp.compression if config.cmp is not None else None
+    if n_cores > 1 and compression is not None and compression.core_shares is None:
+        # Per-workload compressibility: each core's lines draw against
+        # its own benchmark's share.
+        shares = getattr(systems[0].lower_caches()[0], "set_core_shares", None)
+        if shares is not None:
+            shares(tuple(p.compressibility for p in profiles))
     warm, measured = trace.split(warmup_fraction)
     if not len(measured):
         raise ConfigurationError("no measured references after warmup split")
 
-    def new_core() -> CoreModel:
-        return CoreModel(
-            params=config.core,
-            core_ipc=profile.core_ipc,
-            exposure=profile.exposure,
-            branch_fraction=profile.branch_fraction,
-            mispredict_rate=profile.mispredict_rate,
-        )
+    def stream(part):
+        """The records and owner column of one portion of the trace."""
+        return (part.trace, part.cores) if n_cores > 1 else (part, None)
 
-    warm_core = new_core()
+    def new_cores() -> List[CoreModel]:
+        return [
+            CoreModel(
+                params=config.core,
+                core_ipc=profile.core_ipc,
+                exposure=profile.exposure,
+                branch_fraction=profile.branch_fraction,
+                mispredict_rate=profile.mispredict_rate,
+            )
+            for profile in profiles
+        ]
+
+    warm_cores = new_cores()
     if len(warm):
         with profiler.phase("warmup"):
-            _replay([system], [warm_core], warm, engine=engine)
-    system.reset_stats()
+            _replay(systems, warm_cores, *stream(warm), engine=engine)
+    for system in systems:
+        system.reset_stats()
 
-    core = new_core()
-    # Continue on the warm core's timeline so port busy-times stay causal.
-    core.cycle = warm_core.cycle
-    start_cycle = core.cycle
-    start_instr = core.instructions
+    cores = new_cores()
+    # Continue on the warm timelines so port and bank busy-times stay causal.
+    for core, warm_core in zip(cores, warm_cores):
+        core.cycle = warm_core.cycle
+    start = [(core.cycle, core.instructions) for core in cores]
     if session is not None:
-        _attach_telemetry(system, core, session)
+        _attach_telemetry(systems, cores, session)
     with profiler.phase("measure"):
-        _replay([system], [core], measured, engine=engine)
+        _replay(systems, cores, *stream(measured), engine=engine)
 
-    cycles = core.cycle - start_cycle
-    instructions = core.instructions - start_instr
-    l2_stats = _l2_stats(system)
+    per_cycles = [core.cycle - cycle for core, (cycle, _) in zip(cores, start)]
+    per_instr = [core.instructions - instr for core, (_, instr) in zip(cores, start)]
+    instructions = sum(per_instr)
+    cycles = max(per_cycles)
+    chip = systems[0]
+    lower_caches = chip.lower_caches()
+    l2_stats = _cache_counters(lower_caches[0])
     model = energy_model if energy_model is not None else ProcessorEnergyModel()
-    l1_energy = system.l1d.energy.total_nj() + system.l1i.energy.total_nj()
-    lower_energy = _lower_energy_nj(system)
 
-    extra = dict(l2_stats)
-    extra["mshr_full_stalls"] = float(core.mshr_full_stalls)
-    extra["stall_cycles"] = core.stall_cycles
-    extra["branch_penalty_cycles"] = core.branch_penalty_cycles
-    extra["memory_accesses"] = float(core.memory_accesses)
-    prefetcher = system.hierarchy.prefetcher
+    extra: Dict[str, float] = dict(l2_stats)
+    if n_cores > 1:
+        extra["cmp.cores"] = float(n_cores)
+    extra["mshr_full_stalls"] = float(sum(c.mshr_full_stalls for c in cores))
+    extra["stall_cycles"] = float(sum(c.stall_cycles for c in cores))
+    extra["branch_penalty_cycles"] = float(
+        sum(c.branch_penalty_cycles for c in cores)
+    )
+    extra["memory_accesses"] = float(sum(c.memory_accesses for c in cores))
+    # Prefetch and fault injection are single-core by config validation.
+    prefetcher = chip.hierarchy.prefetcher
     if prefetcher is not None:
         extra["prefetch_issued"] = float(prefetcher.stats.issued)
         extra["prefetch_useful"] = float(prefetcher.stats.useful)
-    for level in system.lower:
-        target = getattr(level, "cache", level)
-        injector = getattr(target, "fault_injector", None)
+    for cache in lower_caches:
+        injector = getattr(cache, "fault_injector", None)
         if injector is not None:
             extra.update({k: float(v) for k, v in injector.summary().items()})
-            retired = getattr(target, "retired_frames", None)
+            retired = getattr(cache, "retired_frames", None)
             if retired is not None:
                 # End-of-run census, immune to the post-warmup counter
                 # reset (retirement during warmup still shrinks the
                 # measured-portion capacity).
                 extra["fault_frames_retired_total"] = float(sum(retired()))
+    if n_cores > 1:
+        extra.update(_per_core_stats(systems, cores, per_instr, per_cycles))
 
     telemetry_payload: Optional[Dict[str, object]] = None
     if session is not None:
-        _capture_telemetry(system, core, session)
+        _capture_telemetry(systems, cores, session)
         trace_path = session.flush_trace()
         telemetry_payload = session.payload(trace_path)
 
@@ -409,10 +489,16 @@ def run_benchmark(
         l2_accesses=int(l2_stats.get("accesses", 0)),
         l2_hits=int(l2_stats.get("hits", 0)),
         l2_misses=int(l2_stats.get("misses", 0)),
-        dgroup_fractions=_dgroup_fractions(system),
-        l1_energy_nj=l1_energy,
-        lower_energy_nj=lower_energy,
-        core_energy_nj=model.core_energy_nj(instructions, cycles),
+        dgroup_fractions=_dgroup_fractions(chip, l2_stats.get("accesses", 0.0)),
+        l1_energy_nj=sum(
+            system.l1d.energy.total_nj() + system.l1i.energy.total_nj()
+            for system in systems
+        ),
+        lower_energy_nj=sum(cache.energy.total_nj() for cache in lower_caches),
+        core_energy_nj=sum(
+            model.core_energy_nj(instr, cyc)
+            for instr, cyc in zip(per_instr, per_cycles)
+        ),
         stats=extra,
         telemetry=telemetry_payload,
     )

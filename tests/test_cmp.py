@@ -11,15 +11,19 @@ model's own guarantees.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import repro
 from repro.caches.port import PortArray
 from repro.cmp.config import CmpConfig, CompressionConfig, ContentionConfig
 from repro.cmp.contention import ContendedLLC
-from repro.cmp.engine import generate_cmp_trace, jain_fairness, run_cmp
+from repro.cmp.engine import generate_cmp_trace, jain_fairness
 from repro.cmp.scenarios import cmp_nurapid_config, cmp_snuca_config, per_core_ipcs
 from repro.common.errors import ConfigurationError
 from repro.nurapid.compression import CompressedNuRAPIDCache
@@ -340,21 +344,16 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             replace(cmp_nurapid_config(cores=2), engine="approx")
 
+    def test_multi_core_rejects_approx_from_the_environment(self, monkeypatch):
+        monkeypatch.setenv("REPRO_ENGINE", "approx")
+        with pytest.raises(ConfigurationError, match="cmp.cores"):
+            run_benchmark(cmp_nurapid_config(cores=2), "twolf", n_references=1000)
+
     def test_multi_core_rejects_inline_trace(self):
         config = cmp_nurapid_config(cores=2)
         trace = generate_trace(get_benchmark("twolf"), 1000, seed=0)
         with pytest.raises(ConfigurationError):
             run_benchmark(config, "twolf", trace=trace)
-
-    def test_run_cmp_rejects_single_core(self):
-        with pytest.raises(ConfigurationError):
-            run_cmp(
-                nurapid_config(),
-                "twolf",
-                n_references=1000,
-                seed=0,
-                warmup_fraction=0.25,
-            )
 
     def test_snuca_scenario_runs(self):
         config = cmp_snuca_config(cores=2)
@@ -363,6 +362,24 @@ class TestConfigValidation:
         )
         assert result.stats["cmp.cores"] == 2.0
         assert result.stats["bankq.banks"] > 0
+
+
+def test_driver_import_leaves_cmp_engine_unloaded():
+    # Single-core runs must not pay for (or depend on) the CMP engine.
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (src, env.get("PYTHONPATH")))
+    )
+    code = (
+        "import sys, repro.sim.driver; "
+        "print('repro.cmp.engine' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "False"
 
 
 # --- the shared-LLC occupancy census ---
