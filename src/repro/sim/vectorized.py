@@ -39,24 +39,32 @@ by one core or interleaved from several in three steps:
 3. **Timing fold.**  One loop walks the merged misses in runs of
    consecutive misses from one core; each run loads that core's
    cycle, term stream, MSHR entries, counters and histograms and saves
-   them back, and a one-core slice is a single run.  Per miss it folds the per-reference
-   ``t = gap/ipc`` and ``p`` branch-penalty terms (precomputed
-   vectorized; elementwise float64 ops are bit-identical to the
-   scalar expressions) into ``cycle`` interleaved, as a strict left
-   fold (``functools.reduce`` over an ``islice``, never ``sum()``,
-   which compensates on Python 3.12).  At a miss it hands each
-   outcome to its level's ``access_timing``/``fill_timing`` at the
-   legacy loop's ``now`` on the issuing core's clock (prefetch fills
-   at the miss's own ``now``), adds memory, and inlines
-   ``note_memory_result`` and the MSHR allocate op by op.  It builds no
-   ``AccessResult``, bumps no dict counter and makes no checked port
-   request.  ``branch_penalty_cycles`` is folded once, after the loop,
-   and the L1 state is committed once, in ``finally``.
+   them back, and a one-core slice is a single run.  Per miss it
+   folds the per-reference ``t = gap/ipc`` and ``p`` branch-penalty
+   terms (precomputed vectorized; elementwise float64 ops are
+   bit-identical to the scalar expressions) of the stretch since the
+   core's last miss into ``cycle`` interleaved, as a strict left fold
+   (:func:`fold_terms`; never ``sum()``, which compensates on Python
+   3.12).  A stretch of more than :data:`FOLD_NUMPY_TERMS` terms --
+   the long runs of L1 hits of a low-load trace -- is one
+   ``np.add.accumulate`` over ``[cycle, terms...]``; a shorter one is
+   ``functools.reduce`` over Python floats, which :func:`short_terms`
+   makes once per slice for the short stretches only.  At a miss it
+   hands each outcome to its level's ``access_timing``/``fill_timing``
+   at the legacy loop's ``now`` on the issuing core's clock (prefetch
+   fills at the miss's own ``now``), adds memory, and inlines
+   ``note_memory_result`` and the MSHR allocate op by op.  It builds
+   no ``AccessResult``, bumps no dict counter and makes no checked
+   port request.  ``branch_penalty_cycles`` is folded once, after the
+   loop, and the L1 state is committed once, in ``finally``.
 
 Bit-identity contract
 ---------------------
 
 The kernel replays the exact float-op sequence of the legacy loop,
+``np.add.accumulate`` included: it adds each element to the running
+sum in order (numpy sums pairwise only in ``add.reduce``), so every
+partial sum rounds as the legacy loop's ``cycle +=`` does.  It
 drives the lower levels through the same outcome and timing steps
 their ``access``/``fill`` run, at the same ``now`` values, and batches
 integer counters, flushed in ``finally``.  A mid-replay
@@ -88,11 +96,11 @@ Kernel statistics land in the process-global runtime registry
 (:mod:`repro.telemetry.runtime`) under ``vectorized.*``: ``refs``
 (references replayed), ``refs_vector`` (L1 hits the solve resolved),
 ``refs_scalar`` (misses the loop walked), ``wall_s`` (kernel wall),
-``probe_wall_s`` (the solves, memo lookups and CMP sub-streams
-included),
-``outcome_wall_s`` (the outcome pass) and ``l1_apply_wall_s`` (the
-final L1 state commit).  They describe execution strategy, not the
-simulated machine, so they stay out of run payloads.
+``probe_wall_s`` (the L1 solves and their memo lookups),
+``outcome_wall_s`` (the outcome pass), ``fold_wall_s`` (the timing
+fold) and ``l1_apply_wall_s`` (the final L1 state commit).  They
+describe execution strategy, not the simulated machine, so they stay
+out of run payloads.
 """
 
 from __future__ import annotations
@@ -112,6 +120,40 @@ from repro.telemetry.runtime import runtime_registry
 
 #: L1 solves memoised per decoded slice (one per initial L1 state).
 SOLVE_MEMO_ENTRIES = 4
+
+#: A stretch of more cycle terms than this folds through numpy; a
+#: shorter one folds over Python floats, where one numpy call costs
+#: more.  Measured on perfbench's replay cells (2-vCPU x86, Python
+#: 3.11): the timing fold is flat from 32 to 64 on gcc/mesa and mcf,
+#: slower on mcf at 16 and on gcc/mesa from 96.
+FOLD_NUMPY_TERMS = 48
+
+
+def short_terms(z, miss_pos):
+    """The terms of ``z`` that :func:`fold_terms` takes from its Python
+    stream: those of every stretch of at most :data:`FOLD_NUMPY_TERMS`
+    terms, in order, where the misses at ``miss_pos`` (sorted
+    reference positions) end the stretches and the last one ends at
+    the end of ``z``."""
+    ends = np.empty(len(miss_pos) + 1, dtype=np.int64)
+    ends[:-1] = 2 * np.asarray(miss_pos, dtype=np.int64) + 2
+    ends[-1] = len(z)
+    lengths = np.diff(ends, prepend=0)
+    return z[np.repeat(lengths <= FOLD_NUMPY_TERMS, lengths)].tolist()
+
+
+def fold_terms(cycle, z, short, a, b):
+    """``cycle + z[a] + ... + z[b-1]``, added left to right: bit for bit
+    ``reduce(add, z[a:b].tolist(), cycle)``.  ``np.add.accumulate`` is
+    a strict left fold too, so a long stretch takes one numpy call; a
+    short one takes its terms, as floats, from the ``short`` iterator
+    over :func:`short_terms`."""
+    if b - a > FOLD_NUMPY_TERMS:
+        acc = np.empty(b - a + 1)
+        acc[0] = cycle
+        acc[1:] = z[a:b]
+        return np.add.accumulate(acc, out=acc).item(b - a)
+    return reduce(add, islice(short, b - a), cycle)
 
 
 def supports(system) -> bool:
@@ -155,7 +197,9 @@ class _CoreFold:
         l1 = self.l1 = system.l1d
         decoded = self.decoded = trace.decoded_batch(l1.spec.block_bytes, l1.n_sets)
         self.n_total = len(decoded)
+        t_solve = perf_counter()
         self.state, solved = _solve(l1, decoded)
+        self.solve_wall = perf_counter() - t_solve
         self.solved = solved
         self.clock0 = l1._clock
         self.miss_pos = solved.miss_pos.tolist()
@@ -167,14 +211,14 @@ class _CoreFold:
         # small ints, exactly representable): t = gap/ipc and
         # p = ((gap*bf)*mr)*mp in the same association order.  The cycle
         # folds them interleaved, [t0, p0, t1, p1, ...], one strict left
-        # fold per stretch between misses.
+        # fold (fold_terms) per stretch between misses.
         g_np = decoded.gaps
         self.p_np = ((g_np * core.branch_fraction) * core.mispredict_rate) * (
             core.params.mispredict_penalty
         )
-        z_np = np.empty(2 * self.n_total, dtype=np.float64)
-        np.divide(g_np, core.core_ipc, out=z_np[0::2])
-        z_np[1::2] = self.p_np
+        z = np.empty(2 * self.n_total, dtype=np.float64)
+        np.divide(g_np, core.core_ipc, out=z[0::2])
+        z[1::2] = self.p_np
 
         # MSHR state, fully inlined: the entries are fold-local
         # [issued_at, fill_at, merged] lists in the MSHR file's order,
@@ -187,7 +231,8 @@ class _CoreFold:
             a: [e.issued_at, e.fill_at, e.merged] for a, e in mshr._entries.items()
         }
         self.refs = (
-            iter(z_np.tolist()),
+            z,
+            iter(short_terms(z, solved.miss_pos)),
             zip(
                 self.miss_pos,
                 decoded.block_addrs[solved.miss_pos].tolist(),
@@ -214,9 +259,10 @@ class _CoreFold:
 
     def finish(self) -> None:
         """Fold the hits after the core's last miss into its cycle."""
+        z, short = self.refs[:2]
         books = self.books
-        cycle = reduce(add, self.refs[0], books[0])
         n = self.n_total
+        cycle = fold_terms(books[0], z, short, 2 * books[1], 2 * n)
         self.books = (cycle, n, n, n) + books[4:]
 
     def commit(self, lvl_names):
@@ -233,7 +279,7 @@ class _CoreFold:
             cycle, gi, l1_done, noted, n_l1_wb, n_l1_wb_mem, n_mem_reads,
             min_fill, n_primary, n_merged, n_full, stall, mshr_stall,
         ) = self.books
-        (_, _, l1_telem, lvl_acc, lvl_hits, lvl_wb, _, mshr_entries, _, _) = (
+        (_, _, _, l1_telem, lvl_acc, lvl_hits, lvl_wb, _, mshr_entries, _, _) = (
             self.refs
         )
         l1 = self.l1
@@ -342,7 +388,6 @@ def replay(systems, cores, trace, owners=None) -> None:
     prefetcher = hierarchy.prefetcher
     n_lower = len(lower)
 
-    t_solve = perf_counter()
     if owners is None:
         folds = [_CoreFold(systems[0], cores[0], trace, None, n_lower)]
     else:
@@ -351,7 +396,6 @@ def replay(systems, cores, trace, owners=None) -> None:
             at = np.flatnonzero(owners == c)
             if len(at):
                 folds.append(_CoreFold(system, core, trace.take(at), at, n_lower))
-    solve_wall = perf_counter() - t_solve
 
     # The misses of every core in trace order, and the runs of
     # consecutive misses from one core that the fold walks.
@@ -458,13 +502,14 @@ def replay(systems, cores, trace, owners=None) -> None:
     # run of one core's misses loads that core's state and saves it
     # back; a one-core slice is a single run.  The fold runs out of
     # outcomes exactly where pass 1 stopped.
+    t_fold = perf_counter()
     n_mem_writes = 0
     next_outcome = iter(outcomes).__next__
     next_issued = None if pf_counts is None else iter(pf_counts).__next__
     try:
         for fold, k in runs:
             (
-                z_terms, misses, l1_telem, lvl_acc, lvl_hits, lvl_wb, hist,
+                z, short, misses, l1_telem, lvl_acc, lvl_hits, lvl_wb, hist,
                 mshr_entries, occ_hist, exposure,
             ) = fold.refs
             (
@@ -476,7 +521,7 @@ def replay(systems, cores, trace, owners=None) -> None:
                     # The hits since the core's last miss, then this
                     # reference's own advance: cycle += t; cycle += p
                     # per reference.
-                    cycle = reduce(add, islice(z_terms, 2 * (pos - gi) + 2), cycle)
+                    cycle = fold_terms(cycle, z, short, 2 * gi, 2 * pos + 2)
                     gi = pos + 1
                     l1_done = noted = pos
 
@@ -596,9 +641,10 @@ def replay(systems, cores, trace, owners=None) -> None:
         error.emit_deferred()
         raise error from None
     finally:
+        fold_wall = perf_counter() - t_fold
         # Commit the batched state, on an UncorrectableDataError too.
         n_refs = n_hits = n_misses = n_mem_reads = 0
-        apply_wall = 0.0
+        apply_wall = solve_wall = 0.0
         for fold in folds:
             refs, hits, misses, reads = fold.commit(lvl_names)
             n_refs += refs
@@ -606,6 +652,7 @@ def replay(systems, cores, trace, owners=None) -> None:
             n_misses += misses
             n_mem_reads += reads
             apply_wall += fold.apply_wall
+            solve_wall += fold.solve_wall
         memory.reads += n_mem_reads
         memory.writes += n_mem_writes
         reg = runtime_registry()
@@ -615,4 +662,5 @@ def replay(systems, cores, trace, owners=None) -> None:
         reg.add("vectorized.wall_s", perf_counter() - wall_start)
         reg.add("vectorized.probe_wall_s", solve_wall)
         reg.add("vectorized.outcome_wall_s", outcome_wall)
+        reg.add("vectorized.fold_wall_s", fold_wall)
         reg.add("vectorized.l1_apply_wall_s", apply_wall)

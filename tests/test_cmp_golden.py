@@ -5,9 +5,10 @@ both exact engines take it: ``legacy`` walks every reference, the
 vectorized kernel solves each core's L1 on its own sub-stream and
 folds the merged misses per core.  These digests pin the cells of
 ``figure_cmp_throughput`` and ``figure_cmp_compression`` at smoke
-scale, a 2-core S-NUCA cell and a telemetry-armed 2-core cell, so
-neither engine can drift from the other or from the model.  Each cell
-digest is the sha256 of the canonical JSON of ``run_result_to_dict``;
+scale, a 2-core S-NUCA cell, a 2-core low-load cell (gcc+mesa, whose
+long runs of L1 hits the kernel folds through numpy) and a
+telemetry-armed 2-core cell, so neither engine can drift from the
+other or from the model.  Each cell digest is the sha256 of the canonical JSON of ``run_result_to_dict``;
 the telemetry cell also pins its report and its event-trace JSONL.
 """
 
@@ -47,6 +48,9 @@ CELLS = {
         "twolf+mcf",
     ),
     "snuca-2": (lambda: cmp_snuca_config(cores=2), "gcc+mcf"),
+    # Two low-load cores: long runs of L1 hits between misses, which
+    # the kernel folds through numpy per core and in finish().
+    "low-load-2": (lambda: cmp_nurapid_config(cores=2), "gcc+mesa"),
 }
 
 CELL_DIGESTS = {
@@ -70,6 +74,9 @@ CELL_DIGESTS = {
     ),
     "snuca-2": (
         "af1c17b9f44365fb2a2eb21b3f8b4f9bfd24b58f75cdeec5f5bff0147af401ba"
+    ),
+    "low-load-2": (
+        "845a1b5b576dcab1ee7574962b03ee8fe8ee19fd8ca0f82c6cf0a79b89f6cfea"
     ),
 }
 

@@ -214,42 +214,64 @@ class TestFaultParity:
 
 
     @staticmethod
-    def _dirty_l2_hits(trace):
+    def _dirty_l2_hits(trace, benchmark="mcf"):
         """1-based L2 access counts in the measured slice at which a
         fault-free legacy replay hits a dirty L2 line, split into L1
-        writebacks and demand reads."""
+        writebacks and demand reads; and the demand reads among them
+        that end a stretch of more than ``FOLD_NUMPY_TERMS`` cycle
+        terms (two per reference) since the slice's previous L1 miss,
+        which the kernel folds through numpy."""
         config = replace(nurapid_config(), engine="legacy")
         system = make_system(config)
         l2 = system.l2
         log = []
+        refs = [0]
         real_access = l2.access
+        real_access_data = system.hierarchy.access_data
 
         def access(address, is_write=False, now=0.0):
             entry = l2.lookup(address)
-            log.append((is_write, entry is not None and entry.dirty))
+            log.append((is_write, entry is not None and entry.dirty, refs[0]))
             return real_access(address, is_write=is_write, now=now)
 
+        def access_data(*args):
+            refs[0] += 1
+            return real_access_data(*args)
+
         l2.access = access
+        system.hierarchy.access_data = access_data
         warm, measured = trace.split(WARMUP)
-        core = _core_for(config, "mcf")
+        core = _core_for(config, benchmark)
         _replay([system], [core], warm, engine="legacy")
         n_warm = len(log)
+        last_miss = refs[0]
         _replay([system], [core], measured, engine="legacy")
-        hits = {"writeback": [], "demand": []}
-        for k, (is_write, dirty) in enumerate(log[n_warm:], n_warm + 1):
+        hits = {"writeback": [], "demand": [], "demand-after-long-stretch": []}
+        for k, (is_write, dirty, ref) in enumerate(log[n_warm:], n_warm + 1):
             if dirty:
                 hits["writeback" if is_write else "demand"].append(k)
+            if not is_write:
+                if dirty and 2 * (ref - last_miss) > vectorized.FOLD_NUMPY_TERMS:
+                    hits["demand-after-long-stretch"].append(k)
+                last_miss = ref
         return hits
 
-    @pytest.mark.parametrize("kind", ["demand", "writeback"])
+    @pytest.mark.parametrize(
+        "kind", ["demand", "writeback", "demand-after-long-stretch"]
+    )
     def test_state_identical_after_uncorrectable(self, kind):
         """A mid-replay DUE leaves the same machine state in both
         engines, whether the lower access of an L1 miss raised (the
         miss's fill never happened) or its L1 writeback did (the fill
         did).  Upsets are forced only where the L2 line is dirty, so
-        an undetectable-width strike there is a DUE."""
-        trace = generate_trace(get_benchmark("mcf"), 12_000, seed=3)
-        strikes = self._dirty_l2_hits(trace)[kind]
+        an undetectable-width strike there is a DUE.  The low-load gcc
+        trace puts the DUE on the first miss after a long run of L1
+        hits, whose cycle terms the kernel folds through numpy."""
+        benchmark, refs = ("mcf", 12_000)
+        if kind == "demand-after-long-stretch":
+            benchmark, refs = ("gcc", 30_000)
+        trace = generate_trace(get_benchmark(benchmark), refs, seed=3)
+        strikes = self._dirty_l2_hits(trace, benchmark)[kind]
         assert strikes, kind
         config = nurapid_config(
             faults=FaultPlan(
@@ -264,7 +286,7 @@ class TestFaultParity:
         states = {}
         for engine in EXACT_ENGINES:
             system = make_system(replace(config, engine=engine))
-            core = _core_for(config, "mcf")
+            core = _core_for(config, benchmark)
             _replay([system], [core], warm, engine=engine)
             with pytest.raises(UncorrectableDataError) as info:
                 _replay([system], [core], measured, engine=engine)
