@@ -7,19 +7,21 @@ rates.  Uncorrectable dirty-line upsets kill individual cells; the
 hardened sweep isolates them, retries with reseeded schedules, and
 records the outcome instead of aborting the grid.
 
-Every completed cell is checkpointed to JSON.  Kill the script
-mid-grid and rerun it: completed cells are restored from the
-checkpoint and only the incomplete ones are re-simulated, with the
-same seeds, so the finished grid is identical either way.
+Every cell that succeeds on its first attempt is stored, as it
+completes, in a content-addressed result store.  Kill the script
+mid-grid and rerun it: stored cells are restored and only the others
+are re-simulated, with the same seeds, so the finished grid is
+identical either way.  Failed and retried cells are never stored;
+they re-run, and reproduce bit for bit.
 
-Run:  python examples/fault_resilience.py [benchmark] [checkpoint.json]
+Run:  python examples/fault_resilience.py [benchmark] [store-dir]
 """
 
-import os
 import sys
 import time
 
 from repro.faults import FaultPlan
+from repro.service.store import ResultStore
 from repro.sim import Sweep, SweepAxis, SystemConfig, base_config, nurapid_config
 
 RATES = (0.0, 3e-4, 1e-3, 3e-3, 1e-2)
@@ -45,7 +47,8 @@ def build(arch: str, rate: float) -> SystemConfig:
 
 def main() -> None:
     benchmark = sys.argv[1] if len(sys.argv) > 1 else "twolf"
-    checkpoint = sys.argv[2] if len(sys.argv) > 2 else "fault_resilience.checkpoint.json"
+    store_dir = sys.argv[2] if len(sys.argv) > 2 else "fault_resilience.store"
+    store = ResultStore(store_dir)
     sweep = Sweep(
         axes=[SweepAxis("arch", ("base", "nurapid")), SweepAxis("rate", RATES)],
         build=build,
@@ -54,15 +57,15 @@ def main() -> None:
         seed=1,
         warmup_fraction=0.4,
         max_retries=2,
-        checkpoint_path=checkpoint,
+        result_store=store,
     )
 
-    resumed = os.path.exists(checkpoint)
+    resumed = store.entries() > 0
     started = time.monotonic()
     points = sweep.run()
     elapsed = time.monotonic() - started
     verb = "resumed from" if resumed else "wrote"
-    print(f"{verb} checkpoint {checkpoint} ({elapsed:.1f}s)\n")
+    print(f"{verb} result store {store_dir} ({elapsed:.1f}s)\n")
 
     grid = {(p.coordinates["arch"], p.coordinates["rate"]): p for p in points}
     header = f"{'upset rate':>12}{'base rel IPC':>14}{'nurapid rel IPC':>17}  notes"
@@ -90,8 +93,8 @@ def main() -> None:
     print("Expected shape: NuRAPID's wide interleaving corrects every strike")
     print("(rel IPC ~1.0 at all rates); the narrow base layout accumulates")
     print("refetch misses and eventually dies of dirty-line data loss.")
-    print(f"Rerun this script to restore all cells from {checkpoint};")
-    print("delete the file to start fresh.")
+    print(f"Rerun this script to restore the stored cells from {store_dir};")
+    print("delete the directory to start fresh.")
 
 
 if __name__ == "__main__":

@@ -2,8 +2,8 @@
 
 Runs the same 4-configs x 2-benchmarks grid twice — serially, then on
 worker processes — shows the results are bit-identical, and
-demonstrates checkpoint resume under parallel execution: kill the grid
-(Ctrl-C) and re-run, and only the unfinished cells execute.
+demonstrates resume from a result store under parallel execution: kill
+the grid (Ctrl-C) and re-run, and only the unfinished cells execute.
 
 Run:  python examples/parallel_sweep.py [jobs] [n_references]
 """
@@ -12,8 +12,10 @@ import os
 import sys
 import tempfile
 import time
+from typing import Optional
 
 from repro.nurapid.config import PromotionPolicy
+from repro.service.store import ResultStore
 from repro.sim import Sweep, SweepAxis
 from repro.sim.config import nurapid_config
 from repro.sim.results import run_result_to_dict
@@ -21,11 +23,11 @@ from repro.sim.sweep import tabulate
 
 
 def make_sweep(
-    workdir: str, jobs: int, n_references: int, checkpoint: bool
+    workdir: str, jobs: int, n_references: int, store: Optional[ResultStore]
 ) -> Sweep:
-    # The serial reference pass runs checkpoint-free; only the parallel
-    # pass persists cells, so killing/re-running resumes the parallel
-    # grid without the serial pass's results leaking into it.
+    # The serial reference pass runs with no store: it simulates every
+    # cell, so "bit-identical" compares two computations rather than a
+    # store hit with itself.
     return Sweep(
         axes=[
             SweepAxis("n_dgroups", (2, 4)),
@@ -44,31 +46,28 @@ def make_sweep(
         # regenerating it per cell; delete the directory to reclaim space
         # or call TraceCache(dir).prune(max_bytes).
         trace_cache_dir=os.path.join(workdir, "traces"),
-        checkpoint_path=(
-            os.path.join(workdir, "sweep-checkpoint.json") if checkpoint else None
-        ),
+        result_store=store,
     )
 
 
 def main() -> None:
     jobs = int(sys.argv[1]) if len(sys.argv) > 1 else (os.cpu_count() or 2)
     n_references = int(sys.argv[2]) if len(sys.argv) > 2 else 40_000
-    # Refs-specific workdir: a leftover checkpoint from a run at a
-    # different scale would (correctly) be refused as a different sweep.
+    # Refs-specific workdir: a store left by a run at another scale
+    # holds only cells of that scale, which this grid would never hit.
     workdir = os.path.join(
         tempfile.gettempdir(), f"repro-parallel-sweep-{n_references}"
     )
-    os.makedirs(workdir, exist_ok=True)
-
-    checkpoint = os.path.join(workdir, "sweep-checkpoint.json")
-    resuming = os.path.exists(checkpoint)
+    store_dir = os.path.join(workdir, "store")
+    store = ResultStore(store_dir)
+    resuming = store.entries() > 0
 
     started = time.perf_counter()
-    parallel_points = make_sweep(workdir, jobs, n_references, True).run()
+    parallel_points = make_sweep(workdir, jobs, n_references, store).run()
     parallel_s = time.perf_counter() - started
 
     started = time.perf_counter()
-    serial_points = make_sweep(workdir, 1, n_references, False).run(resume=False)
+    serial_points = make_sweep(workdir, 1, n_references, None).run()
     serial_s = time.perf_counter() - started
 
     identical = all(
@@ -80,12 +79,12 @@ def main() -> None:
     print(tabulate(parallel_points, lambda p: p.mean_ipc()))
     print()
     if resuming:
-        print(f"resumed from checkpoint {checkpoint}")
+        print(f"resumed from result store {store_dir}")
     print(
         f"serial {serial_s:.1f}s vs jobs={jobs} {parallel_s:.1f}s "
         f"({serial_s / max(parallel_s, 1e-9):.2f}x); bit-identical: {identical}"
     )
-    print(f"checkpoint + trace cache under {workdir} (delete to start fresh)")
+    print(f"result store + trace cache under {workdir} (delete to start fresh)")
 
 
 if __name__ == "__main__":

@@ -36,16 +36,6 @@ class FaultError(ReproError):
     """
 
 
-class IntegrityError(ReproError):
-    """On-disk state failed an integrity check (checksum, schema).
-
-    Raised when a checkpoint or cache artifact is provably corrupted
-    *and* nothing useful can be recovered from it; recoverable
-    corruption is salvaged (with a warning and a telemetry counter)
-    instead of raised.
-    """
-
-
 class SupervisionError(ReproError):
     """The supervised executor gave up on a cell or its worker pool.
 

@@ -4,10 +4,9 @@ Every pooled cell runs on this package's supervised worker pool, which
 is the posture a long-lived sweep service needs: every cell execution
 is *bounded* (wall-clock deadlines with SIGKILL enforcement),
 *recoverable* (crash/hang retry with deterministic backoff, worker
-respawns, graceful degradation to serial), and *verifiable*
-(checksummed checkpoints and trace-cache entries, per-record seals,
-salvage instead of refusal, and runtime counters for everything the
-supervisor did).
+respawns, graceful degradation to serial), and *verifiable* (sha256
+sidecars on trace-cache and result-store entries, recompute instead of
+refusal, and runtime counters for everything the supervisor did).
 
 Entry points:
 
@@ -17,10 +16,9 @@ Entry points:
   ``Sweep(supervisor=...)`` and ``run_matrix``'s default supervisor
   tune it.  :class:`WorkerPool` is the pool itself, whose worker slots
   live across calls (the job server holds one per worker task).
-* :mod:`repro.resilience.checkpoint` — checkpoint format v2 (checksum,
-  record seals, structural salvage).
-* :class:`FileLock` — cross-process locking for shared cache and
-  checkpoint directories.
+* :mod:`repro.resilience.integrity` — the sha256 sidecars.
+* :class:`FileLock` — cross-process locking for the shared trace-cache
+  and result-store directories.
 * :mod:`repro.resilience.chaos` — filesystem-driven worker kill/hang
   injection for the chaos suite (inert unless ``REPRO_CHAOS_DIR`` is
   set).
@@ -30,19 +28,7 @@ state lives entirely outside result payloads, and resubmitted cells
 re-run the same deterministic :func:`~repro.sim.parallel.execute_cell`.
 """
 
-from repro.resilience.checkpoint import (
-    CHECKPOINT_FILE_FORMAT,
-    cells_checksum,
-    read_checkpoint,
-    write_checkpoint,
-)
-from repro.resilience.integrity import (
-    seal_record,
-    strip_record,
-    verify_record,
-    verify_sidecar,
-    write_sidecar,
-)
+from repro.resilience.integrity import verify_sidecar, write_sidecar
 from repro.resilience.locks import FileLock, LockTimeout
 
 # The supervisor pulls in repro.sim.parallel, whose import chain ends
@@ -67,19 +53,12 @@ def __getattr__(name):
 
 
 __all__ = [
-    "CHECKPOINT_FILE_FORMAT",
     "FileLock",
     "LockTimeout",
     "SupervisorConfig",
     "WorkerPool",
     "backoff_s",
-    "cells_checksum",
-    "read_checkpoint",
     "run_cells_supervised",
-    "seal_record",
-    "strip_record",
-    "verify_record",
     "verify_sidecar",
-    "write_checkpoint",
     "write_sidecar",
 ]

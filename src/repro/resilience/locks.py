@@ -1,12 +1,12 @@
 """Cross-process file locking for shared on-disk state.
 
-Checkpoints and the trace cache are explicitly safe to share between
-concurrent sweep processes, which means two writers can race a
-read-merge-write cycle.  Atomic renames already prevent *torn* files;
-this module prevents *lost updates* (two processes each rewriting the
-full checkpoint, last rename silently dropping the other's cells) and
-duplicate work (two processes generating the same multi-megabyte trace
-at once).
+The result store and the trace cache are explicitly safe to share
+between concurrent sweep processes, which means two writers can race
+on one entry.  Atomic renames already prevent *torn* files; this
+module serializes each write with its check for an entry already on
+disk, so two processes completing the same cell leave one verified
+entry, and two processes never generate the same multi-megabyte trace
+at once.
 
 :class:`FileLock` is an advisory lock on a dedicated ``<path>.lock``
 sidecar.  On POSIX it is ``fcntl.flock`` — automatically released by
@@ -42,7 +42,7 @@ class FileLock:
     Usage::
 
         with FileLock(path + ".lock"):
-            ...read-merge-write...
+            ...check, then write...
 
     ``timeout_s=None`` waits forever (fcntl blocks natively; the
     fallback spins).  The fallback breaks locks older than ``stale_s``

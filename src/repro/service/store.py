@@ -2,8 +2,8 @@
 
 One entry per :func:`repro.sim.parallel.cell_fingerprint` key: a JSON
 file ``<key>.json`` holding the cell's ``{"outcome", "result"}``
-payload (exactly the checkpoint-record shape, minus the grid-local
-``index``), next to a ``<key>.json.sha256`` integrity sidecar
+payload (exactly the :func:`repro.sim.parallel.execute_cell` payload,
+minus the grid-local ``index``), next to a ``<key>.json.sha256`` integrity sidecar
 (:mod:`repro.resilience.integrity`).  The store is the server's source
 of truth across restarts — a ``kill -9`` mid-grid loses in-flight
 cells only; everything already stored is served back on resubmission —

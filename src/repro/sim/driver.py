@@ -42,7 +42,7 @@ from repro.telemetry import (
 from repro.workloads.interleave import parse_cmp_benchmark
 from repro.workloads.spec2k import get_benchmark
 from repro.workloads.trace import Trace
-from repro.workloads.tracegen import generate_trace, trace_entries
+from repro.workloads.tracegen import generate_trace
 
 DEFAULT_REFERENCES = 600_000
 DEFAULT_WARMUP_FRACTION = 0.25
@@ -545,21 +545,13 @@ def run_suite(
         raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
     # Imported here, not at module top: repro.sim.parallel imports this
     # module for its workers.
-    from repro.sim.parallel import (
-        CellTask,
-        cell_fingerprint,
-        memoizable_payload,
-        run_cells,
-    )
+    from repro.sim.parallel import CellTask, run_memoized
     from repro.sim.results import run_result_from_dict
 
     benchmarks = list(benchmarks)
     inline = traces or {}
-    results: Dict[int, RunResult] = {}
-    keys: Dict[int, str] = {}
-    pending: List[CellTask] = []
-    for index, name in enumerate(benchmarks):
-        task = CellTask(
+    tasks = [
+        CellTask(
             index=index,
             config=config,
             benchmark=name,
@@ -573,31 +565,13 @@ def run_suite(
             isolate_errors=False,
             telemetry=telemetry,
         )
-        key = None if result_store is None else cell_fingerprint(task)
-        stored = None if key is None else result_store.get(key)
-        if stored is not None:
-            results[index] = run_result_from_dict(stored["result"])
-            continue
-        if key is not None:
-            keys[index] = key
-        pending.append(task)
-    shared = [] if config.multi_core else [
-        task.benchmark for task in pending if task.trace is None
+        for index, name in enumerate(benchmarks)
     ]
-    with trace_entries(
-        shared, n_references, seed, warm_set_conflict, directory=trace_cache_dir
-    ) as trace_paths:
-        tasks = [
-            replace(task, trace_path=trace_paths.get(task.benchmark))
-            for task in pending
-        ]
-        for payload in run_cells(tasks, jobs):
-            index = payload["index"]
-            if index in keys:
-                stored = dict(payload)
-                stored.pop("index", None)
-                if memoizable_payload(stored):
-                    result_store.put(keys[index], stored)
-            results[index] = run_result_from_dict(payload["result"])
+    results: Dict[int, RunResult] = {}
+
+    def record(payload: Dict[str, object]) -> None:
+        results[payload["index"]] = run_result_from_dict(payload["result"])  # type: ignore[index,arg-type]
+
+    run_memoized(tasks, jobs, result_store, record, trace_cache_dir=trace_cache_dir)
     runs = {name: results[index] for index, name in enumerate(benchmarks)}
     return SuiteResult(config_name=config.name, runs=runs)

@@ -7,8 +7,11 @@ between cells.  :func:`run_cells` runs a grid in this process (the
 serial reference) or on the supervised worker pool
 (:mod:`repro.resilience.supervisor`), and returns the measurements
 through the :func:`run_result_to_dict` / ``RunOutcome`` dictionary
-round-trip (the same serialization the sweep checkpoint format uses),
-so a pooled run is bit-identical to a serial one.
+round-trip (the same serialization the result store keeps), so a
+pooled run is bit-identical to a serial one.  :func:`run_memoized`
+puts that round-trip in front of a
+:class:`~repro.service.store.ResultStore`: cells already stored are
+restored, and fresh ones are stored as they finish.
 
 Two deliberate design points:
 
@@ -39,6 +42,7 @@ import dataclasses
 import hashlib
 import json
 import time
+from contextlib import ExitStack
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -50,7 +54,7 @@ from repro.sim.results import run_result_to_dict
 from repro.telemetry import TelemetryConfig
 from repro.workloads.spec2k import get_benchmark
 from repro.workloads.trace import Trace
-from repro.workloads.tracegen import generate_trace
+from repro.workloads.tracegen import generate_trace, trace_entries
 from repro.workloads.transport import load_mmap_trace
 
 if TYPE_CHECKING:  # the runtime import is deferred to break a cycle
@@ -168,6 +172,72 @@ def memoizable_payload(payload: Dict[str, object]) -> bool:
     return outcome.get("status") == "ok" and outcome.get("attempts") == 1
 
 
+def run_memoized(
+    tasks: Sequence[CellTask],
+    jobs: int,
+    result_store,
+    callback: Callable[[Dict[str, object]], None],
+    supervisor: Optional["SupervisorConfig"] = None,
+    trace_cache_dir: Optional[str] = None,
+) -> None:
+    """Run a grid through ``result_store``: hits restore, misses run.
+
+    ``callback`` gets every cell's ``{"index", "outcome", "result"}``
+    payload once: first the store hits, in task order, then the cells
+    that ran, in completion order.  A cell that ran is put in the store
+    (a :class:`repro.service.store.ResultStore`, or None for no store)
+    before its callback, when :func:`memoizable_payload` allows it, so
+    an interrupted grid keeps every cell finished before the interrupt.
+    Cells that run map their benchmark's base trace from one
+    :func:`~repro.workloads.tracegen.trace_entries` entry in
+    ``trace_cache_dir``; CMP cells and cells with an inline ``trace``
+    bring their own.
+    """
+    keys: Dict[int, str] = {}
+    pending: List[CellTask] = []
+    for task in tasks:
+        key = None if result_store is None else cell_fingerprint(task)
+        stored = None if key is None else result_store.get(key)
+        if stored is not None:
+            callback({"index": task.index, **stored})
+            continue
+        if key is not None:
+            keys[task.index] = key
+        pending.append(task)
+    if not pending:
+        return
+
+    def on_done(payload: Dict[str, object]) -> None:
+        key = keys.get(payload["index"])  # type: ignore[arg-type]
+        stored = {k: v for k, v in payload.items() if k != "index"}
+        if key is not None and memoizable_payload(stored):
+            result_store.put(key, stored)
+        callback(payload)
+
+    def trace_params(task: CellTask) -> Tuple[int, int, int]:
+        return (task.n_references, task.seed, task.warm_set_conflict)
+
+    shared: Dict[Tuple[int, int, int], set] = {}
+    for task in pending:
+        if task.trace is None and not task.config.multi_core:
+            shared.setdefault(trace_params(task), set()).add(task.benchmark)
+    with ExitStack() as stack:
+        paths = {
+            params: stack.enter_context(
+                trace_entries(benchmarks, *params, directory=trace_cache_dir)
+            )
+            for params, benchmarks in shared.items()
+        }
+        pending = [
+            dataclasses.replace(
+                task,
+                trace_path=paths.get(trace_params(task), {}).get(task.benchmark),
+            )
+            for task in pending
+        ]
+        run_cells(pending, jobs, callback=on_done, supervisor=supervisor)
+
+
 def _attempt_trace(task: CellTask, attempt: int) -> Optional[Trace]:
     """The cell's trace for one attempt: inline, mapped, or generated."""
     if attempt == 0 and task.trace is not None:
@@ -191,10 +261,10 @@ def _attempt_trace(task: CellTask, attempt: int) -> Optional[Trace]:
 def execute_cell(task: CellTask) -> Dict[str, object]:
     """Run one cell (attempt + reseeded retries); a picklable payload.
 
-    The payload mirrors one checkpoint cell: ``{"index", "outcome",
-    "result"}`` with ``outcome`` in ``RunOutcome.to_dict`` form and
-    ``result`` in :func:`run_result_to_dict` form (or None on
-    failure).  Runs in a worker process, so it must stay importable at
+    The payload is one result-store entry plus its grid position:
+    ``{"index", "outcome", "result"}``, with ``outcome`` in
+    ``RunOutcome.to_dict`` form and ``result`` in
+    :func:`run_result_to_dict` form (or None on failure).  Runs in a worker process, so it must stay importable at
     module top level.
     """
     deadline = (
@@ -260,12 +330,13 @@ def run_cells(
     """Execute cells; payloads in submission order.
 
     ``callback`` fires in the parent as each cell completes (in
-    completion order) — the sweep uses it for interval checkpoint
-    flushes.  With ``jobs=1`` (or one cell) and no ``supervisor`` the
-    cells run in-process, in order: the serial reference.  Otherwise
-    they run on the supervised worker pool under ``supervisor``
-    (default: ``SupervisorConfig()``).  A worker exception that is not
-    an isolated :class:`ReproError` re-raises here.
+    completion order); :func:`run_memoized` uses it to store each
+    cell as it finishes.  With ``jobs=1`` (or one cell) and no
+    ``supervisor`` the cells run in-process, in order: the serial
+    reference.  Otherwise they run on the supervised worker pool under
+    ``supervisor`` (default: ``SupervisorConfig()``).  A worker
+    exception that is not an isolated :class:`ReproError` re-raises
+    here.
     """
     if jobs < 1:
         raise ConfigurationError(f"jobs must be >= 1, got {jobs}")

@@ -61,7 +61,7 @@ class RunResult:
 
 
 def run_result_to_dict(result: RunResult) -> Dict[str, object]:
-    """A JSON-safe payload for checkpoint files (see sim.sweep).
+    """A JSON-safe payload for result-store entries (see sim.parallel).
 
     Numeric fields are coerced to the exact types
     :func:`run_result_from_dict` restores (floats for cycles, stats,

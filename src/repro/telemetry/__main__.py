@@ -1,6 +1,6 @@
 """CLI: render merged telemetry reports and summarize JSONL traces.
 
-    python -m repro.telemetry report out/run.json sweep_checkpoint.json
+    python -m repro.telemetry report out/run.json store/<key>.json
     python -m repro.telemetry report out/*.json --profile
     python -m repro.telemetry trace out/traces/nurapid__art__s1.jsonl
 """
@@ -24,9 +24,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     report = sub.add_parser(
-        "report", help="merge payloads from run/sweep JSON files and render"
+        "report", help="merge payloads from run and result-store JSON files and render"
     )
-    report.add_argument("files", nargs="+", help="RunResult JSON, sweep checkpoint, or raw payload")
+    report.add_argument("files", nargs="+", help="RunResult JSON, result-store entry, or raw payload")
     report.add_argument(
         "--profile",
         action="store_true",

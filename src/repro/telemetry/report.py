@@ -1,7 +1,7 @@
 """Merged telemetry reports: per-d-group latency, energy, occupancy.
 
 Takes one or more telemetry payloads — from a ``RunResult`` JSON, a
-sweep checkpoint, or a raw session payload — merges their registries
+result-store entry, or a raw session payload — merges their registries
 **in sorted key order** (so a serial run and a ``jobs=N`` run of the
 same grid render byte-identical reports), and renders:
 
@@ -36,9 +36,10 @@ def extract_payloads(document: Mapping[str, object]) -> List[Tuple[str, Dict[str
     """(key, telemetry-payload) pairs from any supported JSON document.
 
     Supported shapes: a raw session payload (has ``registry``), a
-    ``RunResult`` dict (has ``telemetry``), a sweep checkpoint (has
-    ``cells``), and a ``{"runs": {...}}`` suite dump.  Keys are stable
-    identifiers used only for deterministic merge ordering.
+    ``RunResult`` dict (has ``telemetry``), a result-store entry
+    (``{"format", "key", "payload": {"outcome", "result"}}``), and a
+    ``{"runs": {...}}`` suite dump.  Keys are stable identifiers used
+    only for deterministic merge ordering.
     """
     pairs: List[Tuple[str, Dict[str, object]]] = []
     if "registry" in document:
@@ -46,12 +47,12 @@ def extract_payloads(document: Mapping[str, object]) -> List[Tuple[str, Dict[str
     elif "telemetry" in document and document["telemetry"] is not None:
         key = f"{document.get('config_name', '?')}/{document.get('benchmark', '?')}"
         pairs.append((key, dict(document["telemetry"])))  # type: ignore[arg-type]
-    elif "cells" in document:
-        for point_key, benchmarks in sorted(dict(document["cells"]).items()):  # type: ignore[arg-type]
-            for benchmark, cell in sorted(dict(benchmarks).items()):
-                result = cell.get("result") if isinstance(cell, dict) else None
-                if result and result.get("telemetry"):
-                    pairs.append((f"{point_key}/{benchmark}", dict(result["telemetry"])))
+    elif "payload" in document:
+        payload = document["payload"]
+        result = payload.get("result") if isinstance(payload, dict) else None
+        if isinstance(result, dict) and result.get("telemetry"):
+            key = f"{result.get('config_name', '?')}/{result.get('benchmark', '?')}"
+            pairs.append((key, dict(result["telemetry"])))
     elif "runs" in document:
         for benchmark, run in sorted(dict(document["runs"]).items()):  # type: ignore[arg-type]
             if isinstance(run, dict) and run.get("telemetry"):

@@ -4,10 +4,10 @@ Run telemetry (:class:`~repro.telemetry.TelemetryConfig` payloads) is a
 deterministic function of the simulated machine, merged bit-identically
 across workers — so nothing *environmental* may leak into it.  But the
 supervised executor and the on-disk caches still need to account for
-what happened around the simulation: worker kills, retries, salvaged
-checkpoints, regenerated trace-cache entries.  Those events land here,
-in a process-wide :class:`~repro.telemetry.registry.StatRegistry` that
-is reported separately from run payloads and never checkpointed.
+what happened around the simulation: worker kills, retries, recomputed
+store entries, regenerated trace-cache entries.  Those events land
+here, in a process-wide :class:`~repro.telemetry.registry.StatRegistry`
+that is reported separately from run payloads and never stored.
 
 Counters used by the resilience layer:
 
@@ -16,9 +16,6 @@ Counters used by the resilience layer:
 * ``supervisor.quarantined`` — cells failed after repeated kills
 * ``supervisor.pool_rebuilds`` — worker slots respawned
 * ``supervisor.degraded`` — fall-backs to in-process serial execution
-* ``checkpoint.salvaged`` / ``checkpoint.salvaged_cells`` — corrupted
-  checkpoints partially recovered, and how many cells survived
-* ``checkpoint.record_rejected`` — cells dropped by a per-record checksum
 * ``trace_cache.corrupt_recovered`` — cache entries regenerated after a
   failed load or checksum mismatch
 

@@ -13,7 +13,7 @@ three ways:
   events survive, which is the mode for "what led up to the crash".
 
 ``flush()`` writes JSON Lines atomically (temp file + ``os.replace``,
-the same pattern the sweep checkpoint uses) so a reader never sees a
+the same pattern the result store uses) so a reader never sees a
 torn trace.  Every event carries ``seq`` — its position in the *full*
 event stream — so sampled or truncated traces still order and align
 across caches.

@@ -50,17 +50,17 @@ def test_fault_resilience_checkpoint_and_resume(monkeypatch, capsys, tmp_path):
     source = open(path).read()
     assert "120_000" in source
     shrunk = source.replace("120_000", "20_000")
-    checkpoint = str(tmp_path / "resilience.json")
-    monkeypatch.setattr(sys, "argv", [path, "twolf", checkpoint])
+    store = str(tmp_path / "resilience-store")
+    monkeypatch.setattr(sys, "argv", [path, "twolf", store])
 
     exec(compile(shrunk, path, "exec"), {"__name__": "__main__"})
     first = capsys.readouterr().out
-    assert "wrote checkpoint" in first
+    assert "wrote result store" in first
     assert "nurapid rel IPC" in first
 
     exec(compile(shrunk, path, "exec"), {"__name__": "__main__"})
     second = capsys.readouterr().out
-    assert "resumed from checkpoint" in second
+    assert "resumed from result store" in second
     # Everything below the timing line is restored bit-identically.
     assert first.splitlines()[1:] == second.splitlines()[1:]
 
@@ -83,12 +83,12 @@ def test_parallel_sweep(monkeypatch, capsys, tmp_path):
     )
     assert "bit-identical: True" in out
 
-    # Second invocation finds the checkpoint and restores every cell.
+    # Second invocation finds the store and restores every cell.
     out = run_example(
         monkeypatch, capsys, "examples/parallel_sweep.py",
         ["parallel_sweep.py", "2", "6000"],
     )
-    assert "resumed from checkpoint" in out
+    assert "resumed from result store" in out
     assert "bit-identical: True" in out
 
 

@@ -5,7 +5,7 @@ bit-identity, not statistical agreement: for every shipped
 configuration it must produce the same result summary, the same
 telemetry report and event-trace bytes, and the same fault-injection
 outcomes as the legacy loop.  These tests hold it to that across the
-config matrix and multiple seeds, randomized traces, and checkpointed
+config matrix and multiple seeds, randomized traces, and store-resumed
 parallel sweeps, and pin which systems the kernel takes.
 """
 
@@ -20,6 +20,7 @@ from repro.common.errors import ConfigurationError, UncorrectableDataError
 from repro.cpu.core import CoreModel, CoreParams
 from repro.faults.models import FaultPlan, HardFaultEvent
 from repro.nurapid.config import DistanceReplacementKind, PromotionPolicy
+from repro.service.store import ResultStore
 from repro.sim import vectorized
 from repro.sim.config import (
     EXACT_ENGINES,
@@ -498,24 +499,20 @@ class TestSweepParity:
     def test_checkpoint_resume_jobs2_matches_legacy_serial(
         self, tmp_path, monkeypatch
     ):
-        path = str(tmp_path / "ckpt.json")
+        store = ResultStore(str(tmp_path / "store"))
         legacy = self.sweep_results("legacy", monkeypatch)
         kernel = self.sweep_results(
-            "vectorized",
-            monkeypatch,
-            jobs=2,
-            checkpoint_path=path,
-            checkpoint_every=1,
+            "vectorized", monkeypatch, jobs=2, result_store=store
         )
         assert legacy == kernel
-        # Resume from the completed checkpoint: cells load, nothing
-        # re-runs, results still match.
+        # Resume from the filled store: cells load, nothing re-runs,
+        # results still match.
         def boom(*a, **kw):
-            raise AssertionError("resume re-ran a checkpointed cell")
+            raise AssertionError("resume re-ran a stored cell")
 
         monkeypatch.setattr("repro.sim.parallel.run_benchmark", boom)
         resumed = self.sweep_results(
-            "vectorized", monkeypatch, jobs=2, checkpoint_path=path
+            "vectorized", monkeypatch, jobs=2, result_store=store
         )
         assert resumed == legacy
 

@@ -135,11 +135,11 @@ def sweep_digest():
         seed=SEED,
         warmup_fraction=WARMUP,
     )
-    return _digest(_points(sweep.run(resume=False)))
+    return _digest(_points(sweep.run()))
 
 
 def fault_sweep_digest(jobs=1):
-    return _digest(_points(_fault_sweep(jobs=jobs).run(resume=False)))
+    return _digest(_points(_fault_sweep(jobs=jobs).run()))
 
 
 GOLDEN = {
@@ -165,9 +165,34 @@ class TestGoldenDigests:
     def test_fault_sweep_retries(self, jobs):
         assert fault_sweep_digest(jobs) == GOLDEN["fault_sweep"]
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # jobs=2 on 1 CPU
+    def test_fault_sweep_resumed_from_store(self, tmp_path, monkeypatch):
+        # Interrupted after its first cell, then resumed on two workers:
+        # the stored cell is restored, and the failed and retried cells
+        # are not stored, so they re-run to the same bytes.
+        import repro.sim.parallel as parallel
+
+        original = parallel.run_benchmark
+        calls = []
+
+        def interrupt_at_second(*args, **kwargs):
+            calls.append(args[1])
+            if len(calls) == 2:
+                raise KeyboardInterrupt
+            return original(*args, **kwargs)
+
+        store = ResultStore(str(tmp_path))
+        monkeypatch.setattr(parallel, "run_benchmark", interrupt_at_second)
+        with pytest.raises(KeyboardInterrupt):
+            _fault_sweep(result_store=store).run()
+        monkeypatch.setattr(parallel, "run_benchmark", original)
+        assert store.entries() == 1
+        resumed = _fault_sweep(result_store=store, jobs=2).run()
+        assert _digest(_points(resumed)) == GOLDEN["fault_sweep"]
+
     def test_fault_sweep_really_retries(self):
         outcomes = [
-            o for p in _fault_sweep().run(resume=False) for o in p.outcomes.values()
+            o for p in _fault_sweep().run() for o in p.outcomes.values()
         ]
         assert any(o.ok and o.attempts > 1 for o in outcomes)
         assert any(not o.ok and o.attempts == 2 for o in outcomes)
@@ -192,7 +217,7 @@ class TestSweepBudget:
         monkeypatch.setattr(driver, "make_system", slow_make_system)
         recorded = {}
         for jobs in (1, 2):
-            path = tmp_path / f"ckpt-{jobs}.json"
+            store = ResultStore(str(tmp_path / f"store-{jobs}"))
             points = Sweep(
                 axes=[SweepAxis("n_dgroups", (4,))],
                 build=lambda n_dgroups: nurapid_config(n_dgroups=n_dgroups),
@@ -201,11 +226,14 @@ class TestSweepBudget:
                 seed=SEED,
                 warmup_fraction=WARMUP,
                 point_budget_s=self.BUDGET_S,
-                checkpoint_path=str(path),
                 jobs=jobs,
+                result_store=store,
             ).run()
-            cells = json.loads(path.read_text(encoding="utf-8"))["cells"]
-            recorded[jobs] = (_points(points), cells)
+            entries = {
+                entry.name: json.loads(entry.read_text(encoding="utf-8"))
+                for entry in (tmp_path / f"store-{jobs}").glob("*.json")
+            }
+            recorded[jobs] = (_points(points), entries)
         assert recorded[1] == recorded[2]
         outcomes = recorded[1][0][0]["outcomes"]
         assert [o["attempts"] for o in outcomes.values()] == [1, 1, 1]

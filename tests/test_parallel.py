@@ -1,4 +1,4 @@
-"""The parallel cell executor, trace cache, and checkpoint batching.
+"""The parallel cell executor, trace cache, and store-backed resume.
 
 The engine's one non-negotiable property is that ``jobs=N`` is
 bit-identical to ``jobs=1`` — every test here that compares results
@@ -7,7 +7,6 @@ Grids are kept tiny (a few thousand references) so forking a real
 worker pool stays within unit-test time.
 """
 
-import json
 import os
 import pickle
 
@@ -19,11 +18,13 @@ from repro.common.errors import (
     UncorrectableDataError,
 )
 from repro.nurapid.config import PromotionPolicy
+from repro.service.store import ResultStore
 from repro.sim.config import nurapid_config, snuca_config
 from repro.sim.driver import run_suite
 from repro.sim.parallel import CellTask, execute_cell, run_cells
 from repro.sim.results import run_result_to_dict
 from repro.sim.sweep import Sweep, SweepAxis
+from repro.telemetry.registry import StatRegistry
 from repro.workloads.tracegen import TraceCache, generate_trace
 from repro.workloads.spec2k import get_benchmark
 
@@ -80,10 +81,10 @@ def point_dicts(points):
 
 class TestSweepParallel:
     def test_jobs4_bit_identical_to_serial(self, tmp_path):
-        serial = make_sweep().run(resume=False)
+        serial = make_sweep().run()
         parallel = make_sweep(
             jobs=4, trace_cache_dir=str(tmp_path / "traces")
-        ).run(resume=False)
+        ).run()
         assert point_dicts(serial) == point_dicts(parallel)
 
     def test_run_jobs_argument_overrides_constructor(self, tmp_path):
@@ -91,159 +92,52 @@ class TestSweepParallel:
         assert point_dicts(sweep.run(jobs=2)) == point_dicts(make_sweep().run())
 
     def test_parallel_writes_resumable_checkpoint(self, tmp_path, monkeypatch):
-        path = str(tmp_path / "ckpt.json")
+        store = ResultStore(str(tmp_path / "store"))
         first = make_sweep(
-            checkpoint_path=path,
+            result_store=store,
             jobs=2,
             trace_cache_dir=str(tmp_path / "traces"),
         ).run()
-        assert json.load(open(path))["cells"]
+        assert store.entries() == 8
 
         # A later serial run restores the parallel run's cells verbatim.
         calls = count_executed_cells(monkeypatch)
-        resumed = make_sweep(checkpoint_path=path).run()
+        resumed = make_sweep(result_store=store).run()
         assert not calls
         assert point_dicts(resumed) == point_dicts(first)
 
     def test_resume_after_kill_under_parallel(self, tmp_path):
-        """A partially-written checkpoint (as a kill -9 would leave)
+        """A store missing some cells (as a kill -9 would leave it)
         resumes under jobs=2 to the exact uninterrupted results."""
-        path = str(tmp_path / "ckpt.json")
-        uninterrupted = make_sweep(checkpoint_path=path).run()
-
-        payload = json.load(open(path))
-        dropped = 0
-        for key in list(payload["cells"]):
-            if dropped < 3 and payload["cells"][key]:
-                benchmark = sorted(payload["cells"][key])[0]
-                del payload["cells"][key][benchmark]
-                dropped += 1
-        assert dropped == 3
-        with open(path, "w") as handle:
-            json.dump(payload, handle)
+        registry = StatRegistry()
+        store = ResultStore(str(tmp_path / "store"), registry=registry)
+        uninterrupted = make_sweep(result_store=store).run()
+        entries = sorted((tmp_path / "store").glob("*.json"))
+        for entry in entries[:3]:
+            entry.unlink()
 
         resumed = make_sweep(
-            checkpoint_path=path,
+            result_store=store,
             jobs=2,
             trace_cache_dir=str(tmp_path / "traces"),
         ).run()
         assert point_dicts(resumed) == point_dicts(uninterrupted)
-        # The re-run cells were flushed back into the checkpoint.
-        assert all(
-            len(cells) == 2 for cells in json.load(open(path))["cells"].values()
-        )
+        # Only the three missing cells ran, and they were stored again.
+        assert registry.counters("result_store.")["result_store.writes"] == 8 + 3
+        assert store.entries() == 8
 
-    def test_resume_after_kill_serial(self, tmp_path):
-        """The same kill-resume contract must hold at jobs=1 — the
-        degenerate serial path shares the checkpoint machinery."""
-        path = str(tmp_path / "ckpt.json")
-        uninterrupted = make_sweep(checkpoint_path=path).run()
-
-        payload = json.load(open(path))
-        key = sorted(payload["cells"])[0]
-        benchmark = sorted(payload["cells"][key])[0]
-        del payload["cells"][key][benchmark]
-        with open(path, "w") as handle:
-            json.dump(payload, handle)
-
-        resumed = make_sweep(checkpoint_path=path).run()
-        assert point_dicts(resumed) == point_dicts(uninterrupted)
-        assert all(
-            len(cells) == 2 for cells in json.load(open(path))["cells"].values()
-        )
-
-    def test_unsealed_checkpoint_reruns_and_is_rewritten_as_v2(
-        self, tmp_path, monkeypatch
-    ):
-        """A file in the retired v1 layout ({"signature", "cells"}, no
-        checksum or record seals) resumes nothing: its cells are
-        rejected with a warning and re-run, and the next flush rewrites
-        it as a checksummed, record-sealed v2 file."""
-        path = str(tmp_path / "ckpt.json")
-        uninterrupted = make_sweep(checkpoint_path=path).run()
-
-        # Downgrade the file to v1: strip the envelope and the
-        # per-record seals, and drop one cell.
-        payload = json.load(open(path))
-        cells = {
-            key: {
-                bench: {k: v for k, v in record.items() if k != "crc"}
-                for bench, record in benches.items()
-            }
-            for key, benches in payload["cells"].items()
-        }
-        key = sorted(cells)[0]
-        del cells[key][sorted(cells[key])[0]]
-        with open(path, "w") as handle:
-            json.dump({"signature": payload["signature"], "cells": cells}, handle)
+    def test_resume_after_kill_serial(self, tmp_path, monkeypatch):
+        """The same kill-resume contract must hold at jobs=1, where the
+        cells run in this process."""
+        store = ResultStore(str(tmp_path / "store"))
+        uninterrupted = make_sweep(result_store=store).run()
+        sorted((tmp_path / "store").glob("*.json"))[0].unlink()
 
         calls = count_executed_cells(monkeypatch)
-        with pytest.warns(RuntimeWarning, match="salvaged 0"):
-            resumed = make_sweep(checkpoint_path=path).run()
+        resumed = make_sweep(result_store=store).run()
         assert point_dicts(resumed) == point_dicts(uninterrupted)
-        assert len(calls) == 8  # every cell re-ran
-
-        upgraded = json.load(open(path))
-        assert upgraded["format"] == 2
-        assert "checksum" in upgraded
-        assert all(
-            "crc" in record
-            for benches in upgraded["cells"].values()
-            for record in benches.values()
-        )
-
-
-class TestCheckpointBatching:
-    def _count_saves(self, sweep):
-        saves = []
-        original = sweep._save_checkpoint
-
-        def counting(signature, cells):
-            saves.append(len(json.dumps(cells)))
-            original(signature, cells)
-
-        sweep._save_checkpoint = counting
-        return saves
-
-    def test_serial_flushes_once_per_point(self, tmp_path):
-        # 4 points x 2 benchmarks: 4 flushes, not 8 (the old
-        # once-per-cell behavior whose rewrite I/O grew as cells^2).
-        sweep = make_sweep(checkpoint_path=str(tmp_path / "c.json"))
-        saves = self._count_saves(sweep)
-        sweep.run()
-        assert len(saves) == 4
-
-    def test_checkpoint_every_one_restores_per_cell_flushes(self, tmp_path):
-        sweep = make_sweep(
-            checkpoint_path=str(tmp_path / "c.json"), checkpoint_every=1
-        )
-        saves = self._count_saves(sweep)
-        sweep.run()
-        assert len(saves) == 8
-
-    def test_parallel_batches_flushes_too(self, tmp_path):
-        sweep = make_sweep(
-            checkpoint_path=str(tmp_path / "c.json"),
-            jobs=2,
-            trace_cache_dir=str(tmp_path / "traces"),
-        )
-        saves = self._count_saves(sweep)
-        sweep.run()
-        assert len(saves) == 4
-
-    def test_final_partial_batch_still_flushed(self, tmp_path):
-        # 8 cells with checkpoint_every=3: flushes at 3, 6, and the
-        # 2-cell remainder on the way out.
-        sweep = make_sweep(
-            checkpoint_path=str(tmp_path / "c.json"), checkpoint_every=3
-        )
-        saves = self._count_saves(sweep)
-        sweep.run()
-        assert len(saves) == 3
-        assert all(
-            len(cells) == 2
-            for cells in json.load(open(tmp_path / "c.json"))["cells"].values()
-        )
+        assert len(calls) == 1
+        assert store.entries() == 8
 
 
 class TestTraceCache:

@@ -2,7 +2,7 @@
 
 Every recovery scenario here asserts the same property the plain
 parallel engine is held to: faults in the *harness* (killed workers,
-hangs, torn checkpoints, corrupted cache entries) must never change
+hangs, torn store entries, corrupted cache entries) must never change
 the *results*.  Recovered runs are compared on exact
 ``run_result_to_dict`` payloads — and, where telemetry is enabled, on
 rendered report bytes — against uninterrupted runs.
@@ -14,38 +14,27 @@ files, which are deterministic (a flag fires an exact number of
 times) and cross every multiprocessing start method.
 """
 
-import json
-
 import pytest
 
 from repro.common.errors import (
-    ConfigurationError,
     WorkerCrashError,
     WorkerTimeoutError,
 )
 from repro.resilience import chaos
-from repro.resilience.checkpoint import (
-    CHECKPOINT_FILE_FORMAT,
-    read_checkpoint,
-    write_checkpoint,
-)
-from repro.resilience.integrity import (
-    seal_record,
-    strip_record,
-    verify_record,
-    verify_sidecar,
-    write_sidecar,
-)
+from repro.resilience.integrity import verify_sidecar
 from repro.resilience.locks import FileLock, LockTimeout
 from repro.resilience.supervisor import (
     SupervisorConfig,
     backoff_s,
     run_cells_supervised,
 )
+from repro.service.store import ResultStore
 from repro.sim.config import nurapid_config, snuca_config
 from repro.sim.parallel import CellTask, run_cells
+from repro.sim.results import run_result_to_dict
 from repro.sim.sweep import Sweep, SweepAxis
 from repro.telemetry import TelemetryConfig, reset_runtime_registry, runtime_counters
+from repro.telemetry.registry import StatRegistry
 from repro.telemetry.report import merge_payloads, render_report
 from repro.workloads.tracegen import TraceCache
 
@@ -289,6 +278,18 @@ class TestPoolDegradation:
         assert counters["supervisor.crashes"] == 2
 
 
+def point_dicts(points):
+    """Exact-comparable form of a sweep's results."""
+    return [
+        {
+            "coords": {k: str(v) for k, v in p.coordinates.items()},
+            "outcomes": {b: o.to_dict() for b, o in p.outcomes.items()},
+            "runs": {b: run_result_to_dict(r) for b, r in p.runs.items()},
+        }
+        for p in points
+    ]
+
+
 class TestSupervisedSweep:
     def make_sweep(self, **kw):
         defaults = dict(
@@ -300,50 +301,45 @@ class TestSupervisedSweep:
         defaults.update(kw)
         return Sweep(**defaults)
 
-    def point_dicts(self, points):
-        from repro.sim.results import run_result_to_dict
-
-        return [
-            {
-                "coords": {k: str(v) for k, v in p.coordinates.items()},
-                "outcomes": {b: o.to_dict() for b, o in p.outcomes.items()},
-                "runs": {b: run_result_to_dict(r) for b, r in p.runs.items()},
-            }
-            for p in points
-        ]
-
     def test_supervised_sweep_bit_identical_to_serial(self, tmp_path):
-        serial = self.make_sweep().run(resume=False)
+        serial = self.make_sweep().run()
         supervised = self.make_sweep(
             supervisor=fast_chaos(),
             jobs=2,
             trace_cache_dir=str(tmp_path / "traces"),
-        ).run(resume=False)
-        assert self.point_dicts(supervised) == self.point_dicts(serial)
+        ).run()
+        assert point_dicts(supervised) == point_dicts(serial)
 
     def test_supervised_sweep_recovers_from_worker_kill(
-        self, tmp_path, chaos_dir
+        self, tmp_path, chaos_dir, monkeypatch
     ):
-        serial = self.make_sweep().run(resume=False)
+        serial = self.make_sweep().run()
         chaos.inject_kill(chaos_dir, index=0)
+        store = ResultStore(str(tmp_path / "store"))
         recovered = self.make_sweep(
             supervisor=fast_chaos(),
             jobs=2,
             trace_cache_dir=str(tmp_path / "traces"),
-            checkpoint_path=str(tmp_path / "ckpt.json"),
-        ).run(resume=False)
-        assert self.point_dicts(recovered) == self.point_dicts(serial)
+            result_store=store,
+        ).run()
+        assert point_dicts(recovered) == point_dicts(serial)
         assert runtime_counters()["supervisor.crashes"] == 1
-        # The checkpoint the recovered run left behind is a clean v2
-        # file that a later run resumes from without re-running.
-        payload = json.load(open(tmp_path / "ckpt.json"))
-        assert payload["format"] == CHECKPOINT_FILE_FORMAT
+        # The recovered run stored every cell: a later run resumes
+        # from the store without re-running any.
+        import repro.sim.parallel as parallel_mod
 
-    def test_keyboard_interrupt_flushes_checkpoint_serial(
+        def never_called(*args, **kwargs):  # pragma: no cover
+            raise AssertionError("resume re-ran a stored cell")
+
+        monkeypatch.setattr(parallel_mod, "run_benchmark", never_called)
+        resumed = self.make_sweep(result_store=store).run()
+        assert point_dicts(resumed) == point_dicts(serial)
+
+    def test_keyboard_interrupt_keeps_finished_cells_serial(
         self, tmp_path, monkeypatch
     ):
-        path = str(tmp_path / "ckpt.json")
-        sweep = self.make_sweep(checkpoint_path=path, checkpoint_every=100)
+        store = ResultStore(str(tmp_path / "store"))
+        sweep = self.make_sweep(result_store=store)
         calls = {"n": 0}
         import repro.sim.parallel as parallel_mod
 
@@ -357,150 +353,123 @@ class TestSupervisedSweep:
 
         monkeypatch.setattr(parallel_mod, "run_benchmark", interrupt_after_one)
         with pytest.raises(KeyboardInterrupt):
-            sweep.run(resume=False)
-        # checkpoint_every=100 means no interval flush happened; the
-        # finally-guard is the only reason this file has the cell.
-        cells = json.load(open(path))["cells"]
-        assert sum(len(benches) for benches in cells.values()) == 1
+            sweep.run()
+        assert store.entries() == 1
 
-    def test_keyboard_interrupt_flushes_checkpoint_parallel(self, tmp_path):
-        path = str(tmp_path / "ckpt.json")
+        monkeypatch.setattr(parallel_mod, "run_benchmark", original)
+        calls_before = calls["n"]
+        resumed = self.make_sweep(result_store=store).run()
+        assert calls["n"] == calls_before
+        assert point_dicts(resumed) == point_dicts(self.make_sweep().run())
+
+    def test_keyboard_interrupt_keeps_finished_cells_parallel(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.sim.parallel as parallel_mod
+
+        original = parallel_mod.run_cells
+
+        def interrupt_after_two(tasks, jobs, callback=None, supervisor=None):
+            done = []
+
+            def counting(payload):
+                callback(payload)
+                done.append(payload)
+                if len(done) == 2:
+                    raise KeyboardInterrupt
+
+            return original(tasks, jobs, callback=counting, supervisor=supervisor)
+
+        store = ResultStore(str(tmp_path / "store"))
         sweep = self.make_sweep(
-            checkpoint_path=path,
-            checkpoint_every=100,
+            axes=[SweepAxis("n_dgroups", (2, 4, 8))],
+            result_store=store,
             jobs=2,
             trace_cache_dir=str(tmp_path / "traces"),
         )
-        recorded = {"n": 0}
-        original_record = sweep._record_cell
-
-        def interrupt_after_one(*args, **kwargs):
-            original_record(*args, **kwargs)
-            recorded["n"] += 1
-            # Interrupt while the first cell is dirty but unflushed
-            # (checkpoint_every=100): only the finally-guard saves it.
-            if recorded["n"] == 2:
-                raise KeyboardInterrupt
-
-        sweep._record_cell = interrupt_after_one
+        monkeypatch.setattr(parallel_mod, "run_cells", interrupt_after_two)
         with pytest.raises(KeyboardInterrupt):
-            sweep.run(resume=False)
-        cells = json.load(open(path))["cells"]
-        assert sum(len(benches) for benches in cells.values()) >= 1
+            sweep.run()
+        # Both cells finished before the interrupt are stored.
+        assert store.entries() == 2
+
+        monkeypatch.setattr(parallel_mod, "run_cells", original)
+        registry = StatRegistry()
+        resumed = self.make_sweep(
+            axes=[SweepAxis("n_dgroups", (2, 4, 8))],
+            result_store=ResultStore(str(tmp_path / "store"), registry=registry),
+            jobs=2,
+            trace_cache_dir=str(tmp_path / "traces"),
+        ).run()
+        counters = registry.counters("result_store.")
+        assert counters["result_store.hits"] == 2
+        assert counters["result_store.writes"] == 1  # only the unfinished cell ran
+        uninterrupted = self.make_sweep(axes=[SweepAxis("n_dgroups", (2, 4, 8))]).run()
+        assert point_dicts(resumed) == point_dicts(uninterrupted)
 
 
-class TestCheckpointIntegrity:
-    SIGNATURE = "ab" * 32
-    OTHER_SIGNATURE = "cd" * 32
+def shared_store_sweep(values, store=None):
+    """The sweep both processes of the shared-store test run."""
+    return Sweep(
+        axes=[SweepAxis("n_dgroups", tuple(values))],
+        build=lambda n_dgroups: nurapid_config(n_dgroups=n_dgroups),
+        benchmarks=["twolf", "wupwise"],
+        n_references=REFS,
+        result_store=store,
+    )
 
-    def cells(self, n=3):
-        return {
-            f"point{i}": {
-                "twolf": {
-                    "outcome": {
-                        "status": "ok",
-                        "attempts": 1,
-                        "error": None,
-                        "error_type": None,
-                    },
-                    "result": {"value": i},
-                }
-            }
-            for i in range(n)
-        }
 
-    def test_roundtrip(self, tmp_path):
-        path = str(tmp_path / "ckpt.json")
-        cells = self.cells()
-        write_checkpoint(path, self.SIGNATURE, cells)
-        assert read_checkpoint(path, self.SIGNATURE) == cells
-        payload = json.load(open(path))
-        assert payload["format"] == CHECKPOINT_FILE_FORMAT
-        assert "checksum" in payload
-        assert all(
-            "crc" in record
-            for benches in payload["cells"].values()
-            for record in benches.values()
+class TestSharedStore:
+    def test_two_processes_overlapping_grids_lose_nothing(self, tmp_path):
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        tests = os.path.dirname(os.path.abspath(__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (src, tests, env.get("PYTHONPATH")))
         )
-
-    def test_missing_file_is_empty(self, tmp_path):
-        assert read_checkpoint(str(tmp_path / "nope.json"), self.SIGNATURE) == {}
-
-    def test_v1_layout_cells_rejected_for_rerun(self, tmp_path):
-        # The retired v1 layout ({"signature", "cells"}, no checksum or
-        # record seals) fails the checksum, so none of its cells is
-        # trusted: the read warns and the sweep re-runs them.
-        path = str(tmp_path / "ckpt.json")
-        cells = self.cells()
-        with open(path, "w") as handle:
-            json.dump({"signature": self.SIGNATURE, "cells": cells}, handle)
-        with pytest.warns(RuntimeWarning, match="salvaged 0"):
-            salvaged = read_checkpoint(path, self.SIGNATURE)
-        assert salvaged == {key: {} for key in cells}
-        counters = runtime_counters()
-        assert counters["checkpoint.checksum_mismatch"] == 1
-        assert counters["checkpoint.record_rejected"] == len(cells)
-        assert "checkpoint.v1_migrated" not in counters
-
-    def test_foreign_signature_rejected(self, tmp_path):
-        path = str(tmp_path / "ckpt.json")
-        write_checkpoint(path, self.OTHER_SIGNATURE, self.cells())
-        with pytest.raises(ConfigurationError, match="signature"):
-            read_checkpoint(path, self.SIGNATURE)
-
-    def test_garbage_rejected(self, tmp_path):
-        path = str(tmp_path / "ckpt.json")
-        with open(path, "w") as handle:
-            handle.write("not json{")
-        with pytest.raises(ConfigurationError, match="unreadable"):
-            read_checkpoint(path, self.SIGNATURE)
-
-    def test_truncated_file_salvages_prefix(self, tmp_path):
-        path = str(tmp_path / "ckpt.json")
-        cells = self.cells(n=5)
-        write_checkpoint(path, self.SIGNATURE, cells)
-        text = open(path).read()
-        with open(path, "w") as handle:
-            handle.write(text[: int(len(text) * 0.7)])
-        with pytest.warns(RuntimeWarning, match="salvaged"):
-            salvaged = read_checkpoint(path, self.SIGNATURE)
-        # Whatever survived is verbatim original data, and the tail of
-        # a 70%-truncated file must have lost at least one record.
-        recovered = sum(len(b) for b in salvaged.values())
-        assert 0 < recovered < 5
-        for point_key, benches in salvaged.items():
-            for benchmark, record in benches.items():
-                assert record == cells[point_key][benchmark]
-        counters = runtime_counters()
-        assert counters["checkpoint.salvaged"] == 1
-        assert counters["checkpoint.salvaged_cells"] == recovered
-
-    def test_bitflip_in_record_is_rejected_by_seal(self, tmp_path):
-        path = str(tmp_path / "ckpt.json")
-        cells = self.cells(n=3)
-        write_checkpoint(path, self.SIGNATURE, cells)
-        payload = json.load(open(path))
-        # Tamper with one record's result but keep the file valid JSON
-        # and its seal untouched: the file checksum catches the edit,
-        # the per-record seals decide which cells are still trustworthy.
-        payload["cells"]["point1"]["twolf"]["result"]["value"] = 999
-        with open(path, "w") as handle:
-            json.dump(payload, handle)
-        with pytest.warns(RuntimeWarning, match="salvaged"):
-            salvaged = read_checkpoint(path, self.SIGNATURE)
-        assert "twolf" not in salvaged.get("point1", {})
-        assert salvaged["point0"] == cells["point0"]
-        assert salvaged["point2"] == cells["point2"]
-        assert runtime_counters()["checkpoint.record_rejected"] == 1
-
-    def test_merge_on_write_keeps_other_writers_cells(self, tmp_path):
-        path = str(tmp_path / "ckpt.json")
-        first = {"point0": self.cells()["point0"]}
-        second = {"point1": self.cells()["point1"]}
-        write_checkpoint(path, self.SIGNATURE, first)
-        write_checkpoint(path, self.SIGNATURE, second)
-        merged = read_checkpoint(path, self.SIGNATURE)
-        assert set(merged) == {"point0", "point1"}
+        store_dir = str(tmp_path / "store")
+        code = (
+            "import sys; "
+            "from repro.service.store import ResultStore; "
+            "from test_resilience import shared_store_sweep; "
+            "values = [int(v) for v in sys.argv[2].split(',')]; "
+            "points = shared_store_sweep(values, ResultStore(sys.argv[1])).run(); "
+            "print(sum(len(p.runs) for p in points))"
+        )
+        procs = [
+            subprocess.Popen(
+                [sys.executable, "-c", code, store_dir, grid],
+                env=env,
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+            for grid in ("2,4", "4,8")
+        ]
+        for proc in procs:
+            out, err = proc.communicate(timeout=300)
+            assert proc.returncode == 0, err
+            assert out.strip() == "4"
+        # 3 configs x 2 benchmarks: one entry per cell, each verified.
+        entries = sorted((tmp_path / "store").glob("*.json"))
+        assert len(entries) == 6
+        assert all(verify_sidecar(str(entry)) is True for entry in entries)
+        assert not list((tmp_path / "store").glob("*.tmp"))
+        # Every cell of the union restores from the store unchanged.
+        registry = StatRegistry()
+        union = shared_store_sweep(
+            (2, 4, 8), ResultStore(store_dir, registry=registry)
+        ).run()
+        assert registry.counters("result_store.")["result_store.hits"] == 6
+        assert "result_store.writes" not in registry.counters("result_store.")
+        plain = shared_store_sweep((2, 4, 8)).run()
+        assert point_dicts(union) == point_dicts(plain)
 
 
 class TestFileLock:
@@ -519,22 +488,6 @@ class TestFileLock:
         # Fully released: a fresh instance can take it immediately.
         with FileLock(str(tmp_path / "x.lock"), timeout_s=0.2):
             pass
-
-
-class TestRecordSeals:
-    def test_seal_verify_strip(self):
-        record = {"outcome": {"status": "ok", "attempts": 1}, "result": {"a": 1}}
-        sealed = seal_record(record)
-        assert verify_record(sealed)
-        assert strip_record(sealed) == record
-
-    def test_tamper_detected(self):
-        sealed = seal_record({"outcome": {"status": "ok", "attempts": 1}})
-        sealed["outcome"]["attempts"] = 2
-        assert not verify_record(sealed)
-
-    def test_legacy_record_without_seal_passes(self):
-        assert verify_record({"outcome": {"status": "ok", "attempts": 1}})
 
 
 class TestTraceCacheIntegrity:

@@ -1,16 +1,27 @@
 """Parameter-sweep utility and its crash-tolerant hardening."""
 
-import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 
+import repro
 from repro.common.errors import ConfigurationError, UncorrectableDataError
 from repro.nurapid.config import PromotionPolicy
+from repro.resilience.integrity import verify_sidecar
+from repro.service.store import ResultStore
 from repro.sim.config import nurapid_config
-from repro.sim.results import RunResult
+from repro.sim.parallel import CellTask, cell_fingerprint
+from repro.sim.results import RunResult, run_result_to_dict
 from repro.sim.sweep import RunOutcome, Sweep, SweepAxis, SweepPoint, tabulate
-from repro.telemetry import reset_runtime_registry, runtime_counters
+from repro.telemetry import (
+    TelemetryConfig,
+    reset_runtime_registry,
+    runtime_counters,
+)
+from repro.telemetry.registry import StatRegistry
 
 
 def build(n_dgroups, promotion):
@@ -233,7 +244,21 @@ class TestSweepHardening:
         assert text.count("failed") == 2
 
 
+def point_dicts(points):
+    """Exact-comparable form of a sweep's results."""
+    return [
+        {
+            "coords": {k: str(v) for k, v in p.coordinates.items()},
+            "outcomes": {b: o.to_dict() for b, o in p.outcomes.items()},
+            "runs": {b: run_result_to_dict(r) for b, r in p.runs.items()},
+        }
+        for p in points
+    ]
+
+
 class TestSweepCheckpointing:
+    """A sweep persists and resumes through its result store."""
+
     def test_completed_cells_restored_not_rerun(self, tmp_path, monkeypatch):
         calls = []
 
@@ -242,10 +267,10 @@ class TestSweepCheckpointing:
             return fake_result(config, benchmark)
 
         monkeypatch.setattr("repro.sim.parallel.run_benchmark", counting)
-        path = str(tmp_path / "ckpt.json")
-        first = fast_sweep(checkpoint_path=path).run()
+        store = ResultStore(str(tmp_path))
+        first = fast_sweep(result_store=store).run()
         assert len(calls) == 2
-        second = fast_sweep(checkpoint_path=path).run()
+        second = fast_sweep(result_store=store).run()
         assert len(calls) == 2  # nothing re-ran
         for a, b in zip(first, second):
             assert a.runs["wupwise"].ipc == b.runs["wupwise"].ipc
@@ -256,7 +281,7 @@ class TestSweepCheckpointing:
     def test_kill_mid_grid_then_resume_matches_uninterrupted(
         self, tmp_path, monkeypatch
     ):
-        path = str(tmp_path / "ckpt.json")
+        store = ResultStore(str(tmp_path))
         calls = []
 
         def dies_on_second(config, benchmark, **kw):
@@ -267,56 +292,91 @@ class TestSweepCheckpointing:
 
         monkeypatch.setattr("repro.sim.parallel.run_benchmark", dies_on_second)
         with pytest.raises(KeyboardInterrupt):
-            fast_sweep(checkpoint_path=path).run()
+            fast_sweep(result_store=store).run()
         assert len(calls) == 2
+        # The cell that finished before the interrupt is stored.
+        assert store.entries() == 1
 
         monkeypatch.setattr("repro.sim.parallel.run_benchmark", fake_result)
-        resumed = fast_sweep(checkpoint_path=path).run()
+        resumed = fast_sweep(result_store=store).run()
         uninterrupted = fast_sweep().run()
-        assert len(calls) == 2  # the first cell came from the checkpoint
-        for a, b in zip(resumed, uninterrupted):
-            assert a.runs["wupwise"].ipc == b.runs["wupwise"].ipc
-            assert a.runs["wupwise"].stats == b.runs["wupwise"].stats
+        assert len(calls) == 2  # the first cell came from the store
+        assert point_dicts(resumed) == point_dicts(uninterrupted)
 
-    def test_failed_cells_checkpoint_too(self, tmp_path, monkeypatch):
+    def test_every_finished_cell_is_a_verified_entry(self, tmp_path):
+        store = ResultStore(str(tmp_path))
+        points = fast_sweep(result_store=store).run()
+        assert store.entries() == 2
+        for point in points:
+            key = cell_fingerprint(
+                CellTask(
+                    index=0,
+                    config=point.config,
+                    benchmark="wupwise",
+                    n_references=2_000,
+                    seed=1,
+                    warmup_fraction=0.4,
+                )
+            )
+            assert verify_sidecar(store.path_for(key)) is True
+            stored = store.get(key)
+            assert stored["result"] == run_result_to_dict(point.runs["wupwise"])
+
+    @pytest.mark.parametrize("damage", ["torn", "bitflip"])
+    def test_corrupt_entry_recomputed_on_resume(self, tmp_path, damage):
+        registry = StatRegistry()
+        store = ResultStore(str(tmp_path), registry=registry)
+        uninterrupted = fast_sweep(result_store=store).run()
+        entry = sorted(tmp_path.glob("*.json"))[0]
+        data = entry.read_bytes()
+        if damage == "torn":
+            data = data[: len(data) // 2]
+        else:
+            middle = len(data) // 2
+            data = data[:middle] + bytes([data[middle] ^ 0x01]) + data[middle + 1 :]
+        entry.write_bytes(data)
+
+        resumed = fast_sweep(result_store=store).run()
+        counters = registry.counters("result_store.")
+        assert counters["result_store.corrupt_recovered"] == 1
+        assert counters["result_store.hits"] == 1
+        assert counters["result_store.writes"] == 3  # 2 first, 1 recomputed
+        assert point_dicts(resumed) == point_dicts(uninterrupted)
+        assert verify_sidecar(str(entry)) is True
+
+    def test_failed_cells_rerun_identically(self, tmp_path, monkeypatch):
+        calls = []
+
         def doomed(config, benchmark, **kw):
+            calls.append(config.name)
             raise UncorrectableDataError("L2", 0, 1)
 
         monkeypatch.setattr("repro.sim.parallel.run_benchmark", doomed)
-        path = str(tmp_path / "ckpt.json")
-        fast_sweep(checkpoint_path=path, max_retries=0).run()
-
-        def never_called(config, benchmark, **kw):
-            raise AssertionError("resume must not re-run recorded failures")
-
-        monkeypatch.setattr("repro.sim.parallel.run_benchmark", never_called)
-        points = fast_sweep(checkpoint_path=path, max_retries=0).run()
-        for point in points:
+        store = ResultStore(str(tmp_path))
+        first = fast_sweep(result_store=store, max_retries=0).run()
+        # A failed outcome is not the content address's answer.
+        assert store.entries() == 0
+        second = fast_sweep(result_store=store, max_retries=0).run()
+        assert len(calls) == 4  # both cells re-ran on resume
+        assert point_dicts(second) == point_dicts(first)
+        for point in second:
             assert point.failed_benchmarks() == ["wupwise"]
             assert point.outcomes["wupwise"].error_type == "UncorrectableDataError"
 
-    def test_foreign_checkpoint_rejected(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize(
+        "change",
+        [{"seed": 99}, {"telemetry": TelemetryConfig()}],
+        ids=["seed", "telemetry"],
+    )
+    def test_other_grid_gets_no_hits(self, tmp_path, monkeypatch, change):
         monkeypatch.setattr("repro.sim.parallel.run_benchmark", fake_result)
-        path = str(tmp_path / "ckpt.json")
-        fast_sweep(checkpoint_path=path).run()
-        other = fast_sweep(checkpoint_path=path, seed=99)
-        with pytest.raises(ConfigurationError, match="signature"):
-            other.run()
-
-    def test_corrupt_checkpoint_rejected(self, tmp_path):
-        path = tmp_path / "ckpt.json"
-        path.write_text("not json{", encoding="utf-8")
-        with pytest.raises(ConfigurationError, match="unreadable"):
-            fast_sweep(checkpoint_path=str(path)).run()
-
-    def test_checkpoint_is_valid_json_with_signature(self, tmp_path, monkeypatch):
-        monkeypatch.setattr("repro.sim.parallel.run_benchmark", fake_result)
-        path = tmp_path / "ckpt.json"
-        sweep = fast_sweep(checkpoint_path=str(path))
-        sweep.run()
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        assert payload["signature"] == sweep.signature()
-        assert len(payload["cells"]) == 2
+        registry = StatRegistry()
+        store = ResultStore(str(tmp_path), registry=registry)
+        fast_sweep(result_store=store).run()
+        fast_sweep(result_store=store, **change).run()
+        counters = registry.counters("result_store.")
+        assert counters.get("result_store.hits", 0) == 0
+        assert counters["result_store.writes"] == 4
 
     def test_outcome_roundtrip(self):
         outcome = RunOutcome(
@@ -325,3 +385,25 @@ class TestSweepCheckpointing:
         assert RunOutcome.from_dict(outcome.to_dict()) == outcome
         with pytest.raises(ConfigurationError):
             RunOutcome.from_dict({"status": "ok"})
+
+
+def test_sim_import_leaves_service_unloaded():
+    # Sweep takes its store as an argument: importing repro.service
+    # would start with the asyncio server, a cost every cold grid
+    # would pay.
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (src, env.get("PYTHONPATH")))
+    )
+    code = (
+        "import sys, repro.sim; "
+        "print(sorted(m for m in sys.modules "
+        "if m.startswith('repro.service') "
+        "or m == 'repro.resilience.checkpoint'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "[]"

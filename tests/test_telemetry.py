@@ -8,7 +8,9 @@ import pytest
 from repro.common.errors import ConfigurationError
 from repro.common.stats import Counter, Distribution
 from repro.sim.config import nurapid_config
+from repro.service.store import ResultStore
 from repro.sim.driver import run_benchmark, run_suite
+from repro.sim.parallel import CellTask, cell_fingerprint
 from repro.sim.sweep import Sweep, SweepAxis
 from repro.telemetry import (
     EventTracer,
@@ -418,10 +420,15 @@ class TestReport:
         assert extract_payloads(raw) == [("r0", raw)]
         run_result = {"config_name": "c", "benchmark": "b", "telemetry": raw}
         assert extract_payloads(run_result) == [("c/b", raw)]
-        checkpoint = {
-            "cells": {"p0": {"b": {"result": {"telemetry": raw}}}},
+        entry = {
+            "format": 1,
+            "key": "ab" * 32,
+            "payload": {
+                "outcome": {"status": "ok", "attempts": 1},
+                "result": {"config_name": "c", "benchmark": "b", "telemetry": raw},
+            },
         }
-        assert extract_payloads(checkpoint) == [("p0/b", raw)]
+        assert extract_payloads(entry) == [("c/b", raw)]
         suite = {"runs": {"b": {"telemetry": raw}}}
         assert extract_payloads(suite) == [("b", raw)]
         with pytest.raises(ConfigurationError, match="no telemetry"):
@@ -531,14 +538,24 @@ class TestSweepTelemetry:
         defaults.update(kw)
         return Sweep(**defaults)
 
-    def test_signature_includes_fingerprint(self):
-        plain = self.sweep().signature()
-        traced = self.sweep(telemetry=TelemetryConfig()).signature()
-        assert plain != traced
+    def test_store_key_includes_fingerprint(self):
+        def key(telemetry):
+            task = CellTask(
+                index=0,
+                config=nurapid_config(),
+                benchmark="wupwise",
+                n_references=8_000,
+                seed=1,
+                warmup_fraction=0.4,
+                telemetry=telemetry,
+            )
+            return cell_fingerprint(task)
+
+        assert key(None) != key(TelemetryConfig())
 
     def test_checkpoint_resume_preserves_payloads(self, tmp_path):
-        path = str(tmp_path / "ckpt.json")
-        first = self.sweep(TelemetryConfig(), checkpoint_path=path).run()
+        store = ResultStore(str(tmp_path))
+        first = self.sweep(TelemetryConfig(), result_store=store).run()
         assert all(p.runs["wupwise"].telemetry is not None for p in first)
 
         import repro.sim.parallel as parallel_mod
@@ -549,17 +566,21 @@ class TestSweepTelemetry:
         original = parallel_mod.run_benchmark
         parallel_mod.run_benchmark = never_called
         try:
-            second = self.sweep(TelemetryConfig(), checkpoint_path=path).run()
+            second = self.sweep(TelemetryConfig(), result_store=store).run()
         finally:
             parallel_mod.run_benchmark = original
         for a, b in zip(first, second):
             assert a.runs["wupwise"].telemetry == b.runs["wupwise"].telemetry
 
-    def test_resume_with_different_telemetry_rejected(self, tmp_path):
-        path = str(tmp_path / "ckpt.json")
-        self.sweep(TelemetryConfig(), checkpoint_path=path).run()
-        with pytest.raises(ConfigurationError, match="signature"):
-            self.sweep(None, checkpoint_path=path).run()
+    def test_resume_with_different_telemetry_misses(self, tmp_path):
+        registry = StatRegistry()
+        store = ResultStore(str(tmp_path), registry=registry)
+        self.sweep(TelemetryConfig(), result_store=store).run()
+        points = self.sweep(None, result_store=store).run()
+        counters = registry.counters("result_store.")
+        assert counters.get("result_store.hits", 0) == 0
+        assert counters["result_store.writes"] == 4
+        assert all(p.runs["wupwise"].telemetry is None for p in points)
 
 
 class TestExperimentsDefault:
