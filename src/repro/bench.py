@@ -7,7 +7,6 @@ returns the same results; each flag adds one more check::
 
     python -m repro.bench                       # serial == pool
     python -m repro.bench --engine-parity       # legacy == vectorized, bytes (+ CMP cells)
-    python -m repro.bench --approx-accuracy     # approx within APPROX_TOLERANCES
     python -m repro.bench --service             # 2 clients, served == serial
     python -m repro.bench --cmp                 # CmpConfig(cores=1) == no cmp
     python -m repro.bench --telemetry           # armed results == unarmed
@@ -26,30 +25,25 @@ import os
 import shutil
 import sys
 import tempfile
-import time
 from typing import Dict, List, Optional, Tuple
 
 from dataclasses import replace as config_replace
 
 from repro.cmp.scenarios import cmp_nurapid_config, cmp_snuca_config
-from repro.nurapid.config import DistanceReplacementKind, PromotionPolicy
 from repro.sim.config import (
-    EXACT_ENGINES,
+    ENGINES,
     SystemConfig,
-    base_config,
-    dnuca_config,
     nurapid_config,
     resolve_engine,
-    sa_nuca_config,
     snuca_config,
 )
 from repro.sim.driver import run_benchmark
 from repro.sim.parallel import CellTask, run_cells
-from repro.sim.results import RunResult, run_result_to_dict
+from repro.sim.results import run_result_to_dict
 from repro.telemetry import TelemetryConfig
 from repro.telemetry.report import merge_payloads, render_report
 from repro.workloads.trace import Trace
-from repro.workloads.tracegen import TraceCache, trace_entries
+from repro.workloads.tracegen import trace_entries
 
 DEFAULT_REFS = 120_000
 BENCHMARKS = ["galgel", "twolf"]
@@ -58,22 +52,6 @@ WARMUP = 0.4
 
 #: Workload for the ``--cmp`` check.
 CMP_BENCHMARK = "twolf"
-
-#: Workload for the ``--approx-accuracy`` gate: the full shipped-config
-#: parity matrix from ``tests/test_fastpath.py``, three trace seeds.
-APPROX_BENCHMARK = "twolf"
-APPROX_SEEDS = (0, 1, 2)
-
-#: Documented tolerances for ``engine="approx"`` on the accuracy matrix
-#: (twolf; the analytical tier is calibrated on this workload —
-#: eviction-heavy benchmarks like mcf drift further).  Current worst
-#: observed errors sit near half of each bound.
-APPROX_TOLERANCES = {
-    "ipc_rel": 0.025,
-    "miss_ratio_abs": 0.008,
-    "fastest_dgroup_abs": 0.02,
-    "energy_rel": 0.015,
-}
 
 #: "config/benchmark" -> result payload.
 Results = Dict[str, dict]
@@ -90,23 +68,6 @@ def cmp_cells() -> List[Tuple[SystemConfig, str]]:
     return [
         (cmp_nurapid_config(cores=2), "+".join(BENCHMARKS)),
         (cmp_snuca_config(cores=2), CMP_BENCHMARK),
-    ]
-
-
-def accuracy_matrix_configs() -> List[SystemConfig]:
-    """The shipped-config parity matrix (mirrors tests/test_fastpath.py)."""
-    return [
-        base_config(),
-        nurapid_config(),
-        nurapid_config(
-            n_dgroups=2,
-            promotion=PromotionPolicy.DEMOTION_ONLY,
-            distance_replacement=DistanceReplacementKind.LRU,
-        ),
-        nurapid_config(promotion_hysteresis=2),
-        dnuca_config(),
-        sa_nuca_config(),
-        snuca_config(),
     ]
 
 
@@ -249,24 +210,22 @@ def engine_parity(
     seed: int,
     warmup: float,
 ) -> List[str]:
-    """Replay every cell under all exact engines; returns mismatch descriptions.
+    """Replay every cell under both engines; returns mismatch descriptions.
 
     Each ``(config, benchmark)`` cell runs telemetry-enabled under every
-    engine in ``EXACT_ENGINES`` (legacy, vectorized); the full result
+    engine in ``ENGINES`` (legacy, vectorized); the full result
     payload (summary, counters, energy) must compare equal to legacy's
     and the rendered telemetry reports must match byte for byte.  A
     single-core cell replays ``traces[benchmark]``; a CMP cell
     generates and interleaves its own per-core traces.  Empty return =
-    the engines are bit-identical on these cells.  The ``approx``
-    engine is deliberately excluded: it is held to the tolerance gate
-    (:func:`approx_accuracy`), not bit-identity.
+    the engines are bit-identical on these cells.
     """
     mismatches: List[str] = []
     for config, benchmark in cells:
         cell = f"{config.name}/{benchmark}"
         payloads: Dict[str, dict] = {}
         reports: Dict[str, str] = {}
-        for engine in EXACT_ENGINES:
+        for engine in ENGINES:
             result = run_benchmark(
                 config_replace(config, engine=engine),
                 benchmark,
@@ -280,7 +239,7 @@ def engine_parity(
             telem = payload.pop("telemetry", None)
             payloads[engine] = payload
             reports[engine] = render_report(merge_payloads([(cell, telem)]))
-        for engine in EXACT_ENGINES[1:]:
+        for engine in ENGINES[1:]:
             if payloads[engine] != payloads["legacy"]:
                 mismatches.append(f"{cell}: {engine} results differ from legacy")
             if reports[engine] != reports["legacy"]:
@@ -288,102 +247,6 @@ def engine_parity(
                     f"{cell}: {engine} telemetry report differs from legacy"
                 )
     return mismatches
-
-
-def _accuracy_metrics(result: RunResult) -> Dict[str, float]:
-    """The gated observables of one cell (shared by both engines)."""
-    miss_ratio = (
-        result.l2_misses / result.l2_accesses if result.l2_accesses else 0.0
-    )
-    fractions = result.dgroup_fractions or {}
-    fastest = min(fractions) if fractions else None
-    return {
-        "ipc": result.ipc,
-        "miss_ratio": miss_ratio,
-        "fastest_dgroup": fractions.get(fastest, 0.0) if fastest is not None else 0.0,
-        "energy_nj": result.total_energy_nj,
-    }
-
-
-def approx_accuracy(cache: TraceCache, refs: int, warmup: float) -> Dict[str, object]:
-    """Cross-validate ``engine="approx"`` with the exact tier.
-
-    Runs the shipped-config parity matrix (7 configs x 3 seeds, twolf)
-    under the default exact engine and under ``approx``, compares the
-    gated metrics (IPC, L2 miss ratio, fastest-d-group hit fraction,
-    total energy) with :data:`APPROX_TOLERANCES`, and times both
-    sides.  Returns worst-case errors, per-tolerance
-    failures, and the per-cell speedup distribution.
-    """
-    configs = accuracy_matrix_configs()
-    worst = {key: 0.0 for key in APPROX_TOLERANCES}
-    failures: List[str] = []
-    exact_total = 0.0
-    approx_total = 0.0
-    speedups: List[float] = []
-    for seed in APPROX_SEEDS:
-        trace, _ = cache.fetch(APPROX_BENCHMARK, refs, seed=seed)
-        for config in configs:
-            cell = f"{config.name}/{APPROX_BENCHMARK}/s{seed}"
-            started = time.perf_counter()
-            exact = run_benchmark(
-                config,
-                APPROX_BENCHMARK,
-                n_references=refs,
-                trace=trace,
-                warmup_fraction=warmup,
-                seed=seed,
-            )
-            exact_s = time.perf_counter() - started
-            started = time.perf_counter()
-            approximate = run_benchmark(
-                config_replace(config, engine="approx"),
-                APPROX_BENCHMARK,
-                n_references=refs,
-                trace=trace,
-                warmup_fraction=warmup,
-                seed=seed,
-            )
-            approx_s = time.perf_counter() - started
-            exact_total += exact_s
-            approx_total += approx_s
-            speedups.append(exact_s / approx_s if approx_s else 0.0)
-            em = _accuracy_metrics(exact)
-            am = _accuracy_metrics(approximate)
-            errors = {
-                "ipc_rel": abs(am["ipc"] - em["ipc"]) / em["ipc"]
-                if em["ipc"]
-                else 0.0,
-                "miss_ratio_abs": abs(am["miss_ratio"] - em["miss_ratio"]),
-                "fastest_dgroup_abs": abs(
-                    am["fastest_dgroup"] - em["fastest_dgroup"]
-                ),
-                "energy_rel": abs(am["energy_nj"] - em["energy_nj"])
-                / em["energy_nj"]
-                if em["energy_nj"]
-                else 0.0,
-            }
-            for key, error in errors.items():
-                worst[key] = max(worst[key], error)
-                if error > APPROX_TOLERANCES[key]:
-                    failures.append(
-                        f"{cell}: {key} error {error:.4f} exceeds "
-                        f"tolerance {APPROX_TOLERANCES[key]:.4f}"
-                    )
-    cells = len(configs) * len(APPROX_SEEDS)
-    return {
-        "benchmark": APPROX_BENCHMARK,
-        "seeds": list(APPROX_SEEDS),
-        "cells": cells,
-        "tolerances": dict(APPROX_TOLERANCES),
-        "worst_errors": {key: round(value, 5) for key, value in worst.items()},
-        "exact_s": round(exact_total, 3),
-        "approx_s": round(approx_total, 3),
-        "speedup": round(exact_total / approx_total, 1) if approx_total else 0.0,
-        "per_cell_speedup_min": round(min(speedups), 1) if speedups else 0.0,
-        "within_tolerance": not failures,
-        "failures": failures,
-    }
 
 
 def _report(name: str, mismatches: List[str]) -> List[str]:
@@ -402,10 +265,8 @@ def main(argv=None) -> int:
     parser.add_argument("--refs", type=int, default=DEFAULT_REFS)
     flags = {
         "--engine-parity": "results and telemetry reports identical under "
-        f"{' and '.join(EXACT_ENGINES)}, on the standard workload and "
+        f"{' and '.join(ENGINES)}, on the standard workload and "
         "two 2-core CMP cells",
-        "--approx-accuracy": "engine=approx within APPROX_TOLERANCES of the "
-        f"exact tier (7 configs x 3 seeds, {APPROX_BENCHMARK})",
         "--service": "two concurrent job-server clients each get the serial "
         "payloads, byte for byte",
         "--cmp": f"CmpConfig(cores=1) byte-identical to no cmp block ({CMP_BENCHMARK})",
@@ -420,7 +281,6 @@ def main(argv=None) -> int:
 
     mismatches: List[str] = []
     with trace_entries(BENCHMARKS, refs, seed=SEED) as paths:
-        cache = TraceCache(os.path.dirname(paths[BENCHMARKS[0]]))
         traces = {b: Trace.load(paths[b], b, refs) for b in BENCHMARKS}
         cells = len(standard_configs()) * len(BENCHMARKS)
         print(f"standard workload: {cells} cells x {refs} refs")
@@ -430,10 +290,6 @@ def main(argv=None) -> int:
                 "engine parity",
                 engine_parity(cells + cmp_cells(), traces, refs, SEED, WARMUP),
             )
-        if args.approx_accuracy:
-            accuracy = approx_accuracy(cache, refs, WARMUP)
-            print(f"approx accuracy worst errors: {accuracy['worst_errors']}")
-            mismatches += _report("approx accuracy", accuracy["failures"])
         serial = serial_results(traces, refs)
         mismatches += _report(
             f"serial == pool (jobs={pool_jobs()})", pool_parity(serial, paths, refs)

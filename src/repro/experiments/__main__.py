@@ -24,6 +24,7 @@ from repro.experiments.common import (
     set_default_supervisor,
     set_default_telemetry,
 )
+from repro.sim.config import resolve_engine
 from repro.telemetry import telemetry_from_env
 
 
@@ -99,6 +100,7 @@ def main(argv=None) -> int:
             set_default_jobs(args.jobs)
         else:
             default_jobs()  # a bad $REPRO_JOBS fails here, before any work
+        resolve_engine()  # and so does a bad $REPRO_ENGINE
     except ConfigurationError as exc:
         parser.error(str(exc))
     if args.telemetry is not None:

@@ -82,8 +82,6 @@ def _submit(args: argparse.Namespace) -> int:
         warmup_fraction=args.warmup,
         engine=args.engine,
         telemetry=args.telemetry,
-        estimate=args.estimate,
-        exact=not args.estimate_only,
     )
     submission = client.submit(request)
     print(json.dumps(submission, indent=2, sort_keys=True))
@@ -139,10 +137,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     submit.add_argument("--warmup", type=float, default=0.4)
     submit.add_argument("--engine", choices=ENGINES, default=None)
     submit.add_argument("--telemetry", action="store_true")
-    submit.add_argument("--estimate", action="store_true",
-                        help="return analytical answers inline")
-    submit.add_argument("--estimate-only", action="store_true",
-                        help="with --estimate: skip the exact cells")
     submit.add_argument("--watch", action="store_true",
                         help="stream NDJSON events until done")
     submit.set_defaults(handler=_submit)
@@ -155,8 +149,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "serve" and args.cell_timeout is not None:
         if not args.cell_timeout > 0:
             serve.error(f"--cell-timeout must be positive, got {args.cell_timeout}")
-    if args.command == "submit" and args.estimate_only:
-        args.estimate = True
     return args.handler(args)
 
 

@@ -30,9 +30,9 @@ from repro.common.errors import ConfigurationError
 from repro.nuca.config import SearchPolicy
 from repro.nurapid.config import DistanceReplacementKind, PromotionPolicy
 from repro.sim.config import (
-    ENGINES,
     SystemConfig,
     base_config,
+    check_engine,
     dnuca_config,
     nurapid_config,
     resolve_engine,
@@ -115,11 +115,6 @@ def build_config(spec: Mapping[str, object]) -> SystemConfig:
         ) from exc
     engine = spec.get("engine")
     if engine is not None:
-        if engine not in ENGINES:
-            raise ConfigurationError(
-                f"unknown engine {engine!r}; expected one of "
-                f"{', '.join(ENGINES)}"
-            )
         config = dataclasses.replace(config, engine=engine)
     return config
 
@@ -131,12 +126,7 @@ class GridRequest:
     ``client`` is the fair-share identity the cells are queued (and
     quota-counted) under.  ``engine`` overrides every spec's engine;
     left None, each config resolves its own (spec engine, else the
-    server's default).  ``estimate=True`` runs every cell through the
-    analytical ``approx`` engine synchronously and returns those
-    results inline with the submission response; ``exact`` then
-    controls whether the exact cells are still scheduled behind the
-    estimate (it defaults to True and is meaningless without
-    ``estimate`` — a non-estimate submission always schedules).
+    server's default).
     """
 
     configs: List[Dict[str, object]]
@@ -149,8 +139,6 @@ class GridRequest:
     prewarm: bool = True
     engine: Optional[str] = None
     telemetry: bool = False
-    estimate: bool = False
-    exact: bool = True
     #: Reserved for forward compatibility; echoed back verbatim.
     tag: Optional[str] = None
     _parsed: List[SystemConfig] = field(
@@ -174,11 +162,8 @@ class GridRequest:
             raise ConfigurationError(
                 f"warm_set_conflict must be >= 1, got {self.warm_set_conflict}"
             )
-        if self.engine is not None and self.engine not in ENGINES:
-            raise ConfigurationError(
-                f"unknown engine {self.engine!r}; expected one of "
-                f"{', '.join(ENGINES)}"
-            )
+        if self.engine is not None:
+            check_engine(self.engine)
         if not self.client or not isinstance(self.client, str):
             raise ConfigurationError("client must be a non-empty string")
         # Materialize (and thereby validate) every spec eagerly, so a
@@ -223,8 +208,6 @@ class GridRequest:
             "warm_set_conflict": self.warm_set_conflict,
             "prewarm": self.prewarm,
             "telemetry": self.telemetry,
-            "estimate": self.estimate,
-            "exact": self.exact,
         }
         if self.engine is not None:
             payload["engine"] = self.engine
@@ -245,7 +228,7 @@ class GridRequest:
         known = {
             "client", "configs", "benchmarks", "n_references", "seed",
             "warmup_fraction", "warm_set_conflict", "prewarm", "engine",
-            "telemetry", "estimate", "exact", "tag",
+            "telemetry", "tag",
         }
         unknown = set(payload) - known - {"version"}
         if unknown:
@@ -264,8 +247,6 @@ class GridRequest:
                 prewarm=bool(payload.get("prewarm", True)),
                 engine=payload.get("engine"),  # type: ignore[arg-type]
                 telemetry=bool(payload.get("telemetry", False)),
-                estimate=bool(payload.get("estimate", False)),
-                exact=bool(payload.get("exact", True)),
                 tag=payload.get("tag"),  # type: ignore[arg-type]
             )
         except (KeyError, TypeError, ValueError) as exc:

@@ -50,6 +50,7 @@ from repro.resilience.supervisor import SupervisorConfig, WorkerPool
 from repro.service.protocol import GridRequest, encode_event
 from repro.service.scheduler import FairShareScheduler, QuotaExceeded
 from repro.service.store import ResultStore
+from repro.sim.config import check_engine
 from repro.sim.parallel import (
     CellTask,
     cell_fingerprint,
@@ -91,6 +92,8 @@ class ServerConfig:
     def __post_init__(self) -> None:
         if self.jobs < 1:
             raise ConfigurationError(f"jobs must be >= 1, got {self.jobs}")
+        if self.default_engine is not None:
+            check_engine(self.default_engine, " in default_engine")
         if self.cell_timeout_s is not None and not self.cell_timeout_s > 0:
             raise ConfigurationError(
                 f"cell_timeout_s must be positive, got {self.cell_timeout_s}"
@@ -135,7 +138,6 @@ class _Job:
         self.client = client
         self.request = request
         self.cells: List[_Cell] = []
-        self.estimates: Optional[List[Dict[str, object]]] = None
         self.events: List[bytes] = []
         self.changed = asyncio.Condition()
         self.done = False
@@ -390,45 +392,10 @@ class SimulationServer:
             telemetry=telemetry,
         )
 
-    async def _estimate_pass(
-        self, request: GridRequest
-    ) -> List[Dict[str, object]]:
-        """Analytical answers for every cell, memoized like any other."""
-        assert self._loop is not None
-        import dataclasses as _dc
-
-        estimates: List[Dict[str, object]] = []
-        for index, (config, benchmark) in enumerate(request.cells("approx")):
-            approx_config = _dc.replace(config, engine="approx")
-            task = self._cell_task(
-                request, index, approx_config, benchmark, telemetry=None
-            )
-            key = cell_fingerprint(task)
-            assert key is not None
-            cached = await self._loop.run_in_executor(None, self.store.get, key)
-            if cached is None:
-                payload = await self._run_task(task)
-                cached = dict(payload)
-                cached.pop("index", None)
-                if memoizable_payload(cached):
-                    await self._loop.run_in_executor(
-                        None, self.store.put, key, cached
-                    )
-            self.registry.add("service.estimates")
-            estimates.append({"index": index, "key": key, **cached})
-        return estimates
-
     async def _submit(self, body: Dict[str, object]) -> Tuple[int, Dict[str, object]]:
         assert self._loop is not None
         request = GridRequest.from_payload(body)
         cells = request.cells(self.config.default_engine)
-        if request.telemetry and any(
-            config.engine == "approx" for config, _ in cells
-        ):
-            raise ConfigurationError(
-                "telemetry requires an exact engine; approx has no "
-                "per-reference events to record"
-            )
         await self._ensure_traces(request)
         telemetry = TelemetryConfig() if request.telemetry else None
 
@@ -436,45 +403,34 @@ class SimulationServer:
         self.registry.add("service.jobs_submitted")
         self.registry.add(f"service.client.{request.client}.jobs")
 
-        if request.estimate:
-            job.estimates = await self._estimate_pass(request)
-
-        schedule = request.exact or not request.estimate
         tasks: List[Tuple[_Cell, CellTask, Optional[Dict[str, object]]]] = []
         to_enqueue = 0
-        if schedule:
-            for index, (config, benchmark) in enumerate(cells):
-                task = self._cell_task(
-                    request, index, config, benchmark, telemetry
-                )
-                key = cell_fingerprint(task)
-                assert key is not None  # protocol cells are always addressable
-                cell = _Cell(
-                    index=index,
-                    config_name=config.name,
-                    benchmark=benchmark,
-                    key=key,
-                )
-                cached = await self._loop.run_in_executor(
-                    None, self.store.get, key
-                )
-                tasks.append((cell, task, cached))
-                if cached is None and key not in self._inflight:
-                    # Planning estimate only; the admission loop below
-                    # re-decides against current state.  Over-counting
-                    # a cell that ends up coalescing merely makes the
-                    # quota check conservative.
-                    to_enqueue += 1
-            if to_enqueue > self.scheduler.room(request.client):
-                self.registry.add(
-                    f"service.client.{request.client}.rejected"
-                )
-                raise QuotaExceeded(
-                    f"grid needs {to_enqueue} queue slots but client "
-                    f"{request.client!r} has "
-                    f"{self.scheduler.room(request.client)} available "
-                    f"(quota {self.scheduler.quota})"
-                )
+        for index, (config, benchmark) in enumerate(cells):
+            task = self._cell_task(request, index, config, benchmark, telemetry)
+            key = cell_fingerprint(task)
+            assert key is not None  # protocol cells are always addressable
+            cell = _Cell(
+                index=index,
+                config_name=config.name,
+                benchmark=benchmark,
+                key=key,
+            )
+            cached = await self._loop.run_in_executor(None, self.store.get, key)
+            tasks.append((cell, task, cached))
+            if cached is None and key not in self._inflight:
+                # Planning estimate only; the admission loop below
+                # re-decides against current state.  Over-counting
+                # a cell that ends up coalescing merely makes the
+                # quota check conservative.
+                to_enqueue += 1
+        if to_enqueue > self.scheduler.room(request.client):
+            self.registry.add(f"service.client.{request.client}.rejected")
+            raise QuotaExceeded(
+                f"grid needs {to_enqueue} queue slots but client "
+                f"{request.client!r} has "
+                f"{self.scheduler.room(request.client)} available "
+                f"(quota {self.scheduler.quota})"
+            )
 
         self.jobs[job.id] = job
         async with job.changed:
@@ -483,7 +439,6 @@ class SimulationServer:
                 job=job.id,
                 client=request.client,
                 cells=len(tasks),
-                estimate=request.estimate,
             )
             job.changed.notify_all()
 
@@ -545,19 +500,13 @@ class SimulationServer:
                     coalesced=False,
                 )
         await job.maybe_finish()
-        if not schedule and not job.cells:
-            job.done = True
-
-        response = {
+        return 200, {
             "job": job.id,
             "client": request.client,
             "cells": len(tasks),
             "memo_hits": hits,
             "done": job.done,
         }
-        if job.estimates is not None:
-            response["estimates"] = job.estimates
-        return 200, response
 
     # --- stats ---
 

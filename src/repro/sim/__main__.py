@@ -8,9 +8,8 @@ Examples::
     python -m repro.sim compare galgel          # base vs nurapid vs dnuca
 
     # pick the replay engine explicitly (default: $REPRO_ENGINE, else
-    # the vectorized kernel; approx answers analytically in ~ms):
+    # the vectorized kernel; both give bit-identical results):
     python -m repro.sim nurapid art --engine legacy
-    python -m repro.sim compare galgel --engine approx
 
     # run a comparison's systems on worker processes (bit-identical
     # to --jobs 1; default: $REPRO_JOBS, else 1):
@@ -37,6 +36,7 @@ from repro.sim.config import (
     dnuca_config,
     env_jobs,
     nurapid_config,
+    resolve_engine,
     sa_nuca_config,
 )
 from repro.sim.parallel import CellTask, run_cells
@@ -134,6 +134,7 @@ def main(argv=None) -> int:
 
     try:
         jobs = args.jobs if args.jobs is not None else env_jobs()
+        resolve_engine(args.engine)  # a bad $REPRO_ENGINE fails here
     except ConfigurationError as exc:
         parser.error(str(exc))
     if jobs < 1:

@@ -47,26 +47,31 @@ KB = 1024
 MB = 1024 * 1024
 
 #: Replay engines.  "legacy" is the original per-object loop kept as
-#: the parity reference; "vectorized" the fused kernel with a numpy
-#: chunked hit-run pre-pass (:mod:`repro.sim.vectorized`).  Those two
-#: are bit-identical.  "approx" (:mod:`repro.sim.approx`) is the opt-in
-#: analytical fast-forward tier: same result schema, tolerance-gated
-#: accuracy instead of bit identity.
-ENGINES = ("legacy", "vectorized", "approx")
+#: the parity reference; "vectorized" the numpy kernel
+#: (:mod:`repro.sim.vectorized`).  The two are bit-identical.
+ENGINES = ("legacy", "vectorized")
 
-#: Engines held to byte-identical results by the parity gate.
-EXACT_ENGINES = ("legacy", "vectorized")
+
+def check_engine(engine: str, where: str = "") -> str:
+    """``engine`` if it names a replay engine, else a ConfigurationError.
+
+    ``where`` (say ``" in REPRO_ENGINE"``) names the value's source in
+    the message, so a typo points at what to fix.
+    """
+    if engine not in ENGINES:
+        raise ConfigurationError(
+            f"unknown engine {engine!r}{where}; expected one of "
+            f"{', '.join(ENGINES)}"
+        )
+    return engine
 
 
 def resolve_engine(engine: Optional[str] = None) -> str:
     """Pick the replay engine: explicit setting, else $REPRO_ENGINE, else vectorized."""
-    if engine is None:
-        engine = os.environ.get("REPRO_ENGINE", "").strip() or "vectorized"
-    if engine not in ENGINES:
-        raise ConfigurationError(
-            f"unknown engine {engine!r}; expected one of {', '.join(ENGINES)}"
-        )
-    return engine
+    if engine is not None:
+        return check_engine(engine)
+    env = os.environ.get("REPRO_ENGINE", "").strip()
+    return check_engine(env, " in REPRO_ENGINE") if env else "vectorized"
 
 
 def env_jobs() -> int:
@@ -130,11 +135,9 @@ class SystemConfig:
     #: Optional runtime fault campaign applied to the cache under study
     #: (the first level below the L1s).  None disables all fault hooks.
     faults: Optional[FaultPlan] = None
-    #: Replay engine: "legacy" | "vectorized" | "approx" | None
-    #: (= $REPRO_ENGINE, else "vectorized").  The first two are
-    #: bit-identical (see repro.sim.vectorized);
-    #: "approx" trades bit identity for an analytical fast-forward
-    #: with tolerance-gated accuracy (see repro.sim.approx).
+    #: Replay engine: "legacy" | "vectorized" | None
+    #: (= $REPRO_ENGINE, else "vectorized").  The two are
+    #: bit-identical (see repro.sim.vectorized).
     engine: Optional[str] = None
     #: Optional CMP scenario axis (cores sharing this LLC, bank
     #: contention, compressed NuRAPID).  None — and, by contract,
@@ -143,15 +146,12 @@ class SystemConfig:
     cmp: Optional[CmpConfig] = None
     #: A stream prefetcher between the L1 and the cache under study
     #: (:mod:`repro.caches.prefetch`); its name carries ``-pf``.
-    #: Single-core and exact engines only.
+    #: Single-core only.
     prefetch: bool = False
 
     def __post_init__(self) -> None:
-        if self.engine is not None and self.engine not in ENGINES:
-            raise ConfigurationError(
-                f"unknown engine {self.engine!r}; expected one of "
-                f"{', '.join(ENGINES)}"
-            )
+        if self.engine is not None:
+            check_engine(self.engine)
         if self.l2_kind not in {"base", "nurapid", "dnuca", "sa-nuca", "s-nuca"}:
             raise ConfigurationError(f"unknown l2_kind {self.l2_kind!r}")
         if self.l2_kind == "nurapid" and self.nurapid is None:
@@ -181,26 +181,14 @@ class SystemConfig:
                 raise ConfigurationError(
                     "fault injection is not modeled for compressed NuRAPID"
                 )
-            if self.cmp.cores > 1:
-                if self.faults is not None:
-                    raise ConfigurationError(
-                        "fault injection is single-core only; drop faults or cores"
-                    )
-                if self.engine == "approx":
-                    raise ConfigurationError(
-                        "the approx engine has no multi-core model; "
-                        "pick an exact engine for cores > 1"
-                    )
-        if self.prefetch:
-            if self.engine == "approx":
+            if self.cmp.cores > 1 and self.faults is not None:
                 raise ConfigurationError(
-                    "prefetch is not modeled by the approx engine; "
-                    "pick an exact engine or drop prefetch"
+                    "fault injection is single-core only; drop faults or cores"
                 )
-            if self.multi_core:
-                raise ConfigurationError(
-                    "prefetch is single-core only; drop prefetch or cores"
-                )
+        if self.prefetch and self.multi_core:
+            raise ConfigurationError(
+                "prefetch is single-core only; drop prefetch or cores"
+            )
 
     @property
     def multi_core(self) -> bool:

@@ -137,7 +137,7 @@ def _replay(
 
     ``owners=None`` is a one-core trace.  CMP systems share their lower
     levels and memory and keep private L1s, hierarchy books and cores.
-    Two engines are exact.  ``engine="vectorized"`` runs the numpy
+    ``engine="vectorized"`` runs the numpy
     kernel (:mod:`repro.sim.vectorized`), bit-identical to this loop,
     whenever it can: per-reference observation (``collect``) and an L1
     fault injector or a non-2-way L1 come straight here instead,
@@ -151,11 +151,6 @@ def _replay(
             vectorized.replay(systems, cores, trace, owners)
             return
         runtime_registry().add("vectorized.fallbacks")
-    elif engine == "approx":
-        raise ConfigurationError(
-            "approx is an analytical engine with no per-reference replay "
-            "loop; run_benchmark dispatches it before replay"
-        )
     access = [system.hierarchy.access_data for system in systems]
     advance = [core.advance_instructions for core in cores]
     note = [core.note_memory_result for core in cores]
@@ -343,19 +338,6 @@ def run_benchmark(
             f"warmup_fraction must be in [0, 1), got {warmup_fraction}"
         )
     engine = resolve_engine(config.engine)
-    telemetry_on = telemetry is not None and telemetry.enabled
-    if engine == "approx":
-        # The config checks an explicit engine; $REPRO_ENGINE lands here.
-        for field, used in (
-            ("prefetch", config.prefetch),
-            ("telemetry", telemetry_on),
-            ("cmp.cores", config.multi_core),
-        ):
-            if used:
-                raise ConfigurationError(
-                    f"{field} is not modeled by the approx engine, which "
-                    "synthesizes aggregates; pick an exact engine"
-                )
     n_cores = config.cmp.cores if config.multi_core else 1
     if n_cores > 1:
         if trace is not None:
@@ -369,7 +351,7 @@ def run_benchmark(
     else:
         profiles = [get_benchmark(benchmark)]
     session: Optional[Telemetry] = None
-    if telemetry_on:
+    if telemetry is not None and telemetry.enabled:
         session = Telemetry(telemetry, f"{config.name}/{benchmark}/s{seed}")
     profiler = session.profiler if session is not None else NullProfiler()
     if trace is None:
@@ -386,13 +368,6 @@ def run_benchmark(
                     profiles[0], n_references, seed=seed,
                     warm_set_conflict=warm_set_conflict,
                 )
-    if engine == "approx":
-        from repro.sim import approx
-
-        return approx.estimate(
-            config, benchmark, profiles[0], trace, warmup_fraction,
-            energy_model=energy_model,
-        )
     with profiler.phase("build"):
         systems = _add_cores(make_system(config, prewarm=prewarm), n_cores)
     compression = config.cmp.compression if config.cmp is not None else None

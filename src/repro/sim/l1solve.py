@@ -5,8 +5,7 @@ hit, miss, victim and dirty writeback depends only on the reference
 stream and the L1's state before it.  :func:`solve` computes all of
 them in a handful of numpy passes; the vectorized replay kernel
 (:mod:`repro.sim.vectorized`) then walks only the misses through the
-lower levels, and the analytical tier (:mod:`repro.sim.approx`) feeds
-the miss and writeback streams to its L2 model.
+lower levels.
 
 Collapsed recency
 -----------------

@@ -27,7 +27,6 @@ Counters used by the simulation service (:mod:`repro.service`):
   in-flight cell from another job
 * ``service.cells_enqueued`` / ``service.cells_completed`` /
   ``service.cells_failed`` — cells that actually simulated, by outcome
-* ``service.estimates`` — analytical (``approx``) answers served inline
 * ``service.executor_errors`` — simulator errors surfaced as failed
   cells (worker deaths count under ``supervisor.*``)
 * ``result_store.hits`` / ``result_store.misses`` /

@@ -29,7 +29,7 @@ from repro.common.errors import ConfigurationError
 from repro.nurapid.compression import CompressedNuRAPIDCache
 from repro.nurapid.config import NuRAPIDConfig
 from repro.sim.config import (
-    EXACT_ENGINES,
+    ENGINES,
     SystemConfig,
     base_config,
     dnuca_config,
@@ -77,7 +77,7 @@ class TestSingleCoreParity:
         [nurapid_config(), snuca_config(), base_config()],
         ids=lambda c: c.name,
     )
-    @pytest.mark.parametrize("engine", EXACT_ENGINES)
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_summary_byte_identical(self, config, engine):
         tagged = replace(config, cmp=CmpConfig(cores=1))
         plain = _summary(config, "twolf", 1, engine)
@@ -89,7 +89,7 @@ class TestSingleCoreParity:
     @pytest.mark.parametrize(
         "config", [nurapid_config(), snuca_config()], ids=lambda c: c.name
     )
-    @pytest.mark.parametrize("engine", EXACT_ENGINES)
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_telemetry_report_byte_identical(self, config, engine):
         reports = []
         for cfg in (config, replace(config, cmp=CmpConfig(cores=1))):
@@ -107,7 +107,7 @@ class TestSingleCoreParity:
             engine: json.dumps(
                 _summary(config, "twolf", 1, engine), sort_keys=True
             )
-            for engine in EXACT_ENGINES
+            for engine in ENGINES
         }
         assert outputs["legacy"] == outputs["vectorized"]
         # The vectorized run took the kernel, not the legacy loop.
@@ -339,15 +339,6 @@ class TestConfigValidation:
                 base_config(),
                 cmp=CmpConfig(cores=2, contention=ContentionConfig()),
             )
-
-    def test_multi_core_rejects_approx_engine(self):
-        with pytest.raises(ConfigurationError):
-            replace(cmp_nurapid_config(cores=2), engine="approx")
-
-    def test_multi_core_rejects_approx_from_the_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "approx")
-        with pytest.raises(ConfigurationError, match="cmp.cores"):
-            run_benchmark(cmp_nurapid_config(cores=2), "twolf", n_references=1000)
 
     def test_multi_core_rejects_inline_trace(self):
         config = cmp_nurapid_config(cores=2)

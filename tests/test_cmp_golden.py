@@ -19,7 +19,7 @@ from dataclasses import replace
 import pytest
 
 from repro.cmp.scenarios import cmp_nurapid_config, cmp_snuca_config
-from repro.sim.config import EXACT_ENGINES
+from repro.sim.config import ENGINES
 from repro.sim.driver import run_benchmark
 from repro.sim.results import run_result_to_dict
 from repro.telemetry import TelemetryConfig
@@ -132,12 +132,12 @@ def telemetry_digests(engine, trace_dir):
     }
 
 
-@pytest.mark.parametrize("engine", EXACT_ENGINES)
+@pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("cell", list(CELLS))
 def test_cell_digest(cell, engine):
     assert cell_digest(cell, engine) == CELL_DIGESTS[cell]
 
 
-@pytest.mark.parametrize("engine", EXACT_ENGINES)
+@pytest.mark.parametrize("engine", ENGINES)
 def test_telemetry_armed_digests(engine, tmp_path):
     assert telemetry_digests(engine, str(tmp_path)) == TELEMETRY_DIGESTS

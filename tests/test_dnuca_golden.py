@@ -16,7 +16,7 @@ from dataclasses import replace
 import pytest
 
 from repro.nuca.config import DNUCAConfig, SearchPolicy
-from repro.sim.config import EXACT_ENGINES, dnuca_config
+from repro.sim.config import ENGINES, dnuca_config
 from repro.sim.driver import run_benchmark
 from repro.sim.results import run_result_to_dict
 from repro.telemetry import TelemetryConfig
@@ -94,7 +94,7 @@ TELEMETRY_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("engine", EXACT_ENGINES)
+@pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize(
     "policy,bench",
     list(POLICY_DIGESTS),

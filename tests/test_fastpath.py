@@ -23,7 +23,7 @@ from repro.nurapid.config import DistanceReplacementKind, PromotionPolicy
 from repro.service.store import ResultStore
 from repro.sim import vectorized
 from repro.sim.config import (
-    EXACT_ENGINES,
+    ENGINES,
     SystemConfig,
     base_config,
     dnuca_config,
@@ -101,14 +101,14 @@ class TestEngineSelection:
         assert resolve_engine("vectorized") == "vectorized"
 
     def test_unknown_engine_rejected(self, monkeypatch):
-        # "fast" names the deleted fused scalar engine.
-        for name in ("turbo", "fast"):
+        # "fast" and "approx" name deleted engines.
+        for name in ("turbo", "fast", "approx"):
             with pytest.raises(ConfigurationError, match="legacy, vectorized"):
                 resolve_engine(name)
             with pytest.raises(ConfigurationError, match="legacy, vectorized"):
                 SystemConfig(name="x", l2_kind="base", engine=name)
             monkeypatch.setenv("REPRO_ENGINE", name)
-            with pytest.raises(ConfigurationError, match="legacy, vectorized"):
+            with pytest.raises(ConfigurationError, match="in REPRO_ENGINE"):
                 resolve_engine(None)
 
     def test_config_engine_field(self):
@@ -123,7 +123,7 @@ class TestResultParity:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_summary_identical(self, config, seed):
         legacy = run_dict(config, "twolf", seed, "legacy")
-        for engine in EXACT_ENGINES[1:]:
+        for engine in ENGINES[1:]:
             assert legacy == run_dict(config, "twolf", seed, engine), engine
 
     @pytest.mark.parametrize(
@@ -133,7 +133,7 @@ class TestResultParity:
     )
     def test_telemetry_report_byte_identical(self, config):
         reports = {}
-        for engine in EXACT_ENGINES:
+        for engine in ENGINES:
             payload = run_dict(
                 config, "galgel", 1, engine, telemetry=TelemetryConfig()
             )
@@ -152,7 +152,7 @@ class TestAccessResultSequence:
     def test_per_reference_results_identical(self, config):
         trace = trace_for("galgel", 0)
         sequences = {}
-        for engine in EXACT_ENGINES:
+        for engine in ENGINES:
             system = make_system(config)
             profile = get_benchmark("galgel")
             core = CoreModel(
@@ -186,7 +186,7 @@ class TestFaultParity:
     def test_fault_outcomes_identical(self, seed):
         config = self.transient_config()
         outcomes = {}
-        for engine in EXACT_ENGINES:
+        for engine in ENGINES:
             try:
                 outcomes[engine] = ("ok", run_dict(config, "galgel", seed, engine))
             except UncorrectableDataError as exc:
@@ -207,7 +207,7 @@ class TestFaultParity:
             )
         )
         errors = {}
-        for engine in EXACT_ENGINES:
+        for engine in ENGINES:
             with pytest.raises(UncorrectableDataError) as info:
                 run_dict(config, "twolf", 3, engine)
             errors[engine] = str(info.value)
@@ -285,7 +285,7 @@ class TestFaultParity:
         )
         warm, measured = trace.split(WARMUP)
         states = {}
-        for engine in EXACT_ENGINES:
+        for engine in ENGINES:
             system = make_system(replace(config, engine=engine))
             core = _core_for(config, benchmark)
             _replay([system], [core], warm, engine=engine)
@@ -372,7 +372,7 @@ class TestPortTotalsParity:
         trace = trace_for("mcf", 0)
         warm, measured = trace.split(WARMUP)
         state = {}
-        for engine in EXACT_ENGINES:
+        for engine in ENGINES:
             system = make_system(replace(config, engine=engine))
             _replay([system], [_core_for(config, "mcf")], warm, engine=engine)
             system.reset_stats()
@@ -408,7 +408,7 @@ class TestPortTotalsParity:
         monkeypatch.setattr(AccessResult, "__init__", counting_init)
         monkeypatch.setattr(PortArray, "request", counting_request)
         trace = trace_for("mcf", 0)
-        for engine in EXACT_ENGINES:
+        for engine in ENGINES:
             made.update(results=0, requests=0)
             system = make_system(replace(config, engine=engine))
             _replay([system], [_core_for(config, "mcf")], trace, engine=engine)
@@ -474,7 +474,7 @@ class TestL1Constants:
         assert system.l1d.spec.block_bytes == params.l1_block_bytes
         reset_runtime_registry()
         payloads = {
-            engine: run_dict(config, "gcc", 0, engine) for engine in EXACT_ENGINES
+            engine: run_dict(config, "gcc", 0, engine) for engine in ENGINES
         }
         assert runtime_counters().get("vectorized.fallbacks", 0) == 0
         assert payloads["legacy"] == payloads["vectorized"]
@@ -614,7 +614,7 @@ class TestRandomizedVectorizedParity:
             warm_set_conflict=case["conflict"],
         ).generate(case["refs"])
         payloads = {}
-        for engine in EXACT_ENGINES:
+        for engine in ENGINES:
             result = run_benchmark(
                 replace(case["config"], engine=engine),
                 case["benchmark"],
@@ -639,7 +639,7 @@ class TestTelemetryOnKernel:
         """Arming telemetry with events keeps the run on the kernel."""
         trace = trace_for("gcc", 0)
         outputs = {}
-        for engine in EXACT_ENGINES:
+        for engine in ENGINES:
             reset_runtime_registry()
             telemetry = TelemetryConfig(
                 events=True, trace_dir=str(tmp_path / engine), trace_limit=None

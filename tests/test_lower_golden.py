@@ -23,7 +23,7 @@ from repro.common.errors import UncorrectableDataError
 from repro.cpu.core import CoreModel
 from repro.faults.models import FaultPlan
 from repro.sim.config import (
-    EXACT_ENGINES,
+    ENGINES,
     base_config,
     dnuca_config,
     nurapid_config,
@@ -166,7 +166,7 @@ FAULT_DIGEST = (
 )
 
 
-@pytest.mark.parametrize("engine", EXACT_ENGINES)
+@pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize(
     "cell,bench", list(CELL_DIGESTS), ids=[f"{c}-{b}" for c, b in CELL_DIGESTS]
 )
@@ -206,7 +206,7 @@ def _fault_state(engine):
     )
 
 
-@pytest.mark.parametrize("engine", EXACT_ENGINES)
+@pytest.mark.parametrize("engine", ENGINES)
 def test_fault_cell_digest(engine):
     state = _fault_state(engine)
     assert json.loads(state)["fault_stats"]["clean_refetches"] > 0

@@ -21,7 +21,7 @@ from repro.common.errors import UncorrectableDataError
 from repro.cpu.core import CoreModel
 from repro.faults.models import FaultPlan, HardFaultEvent
 from repro.nurapid.config import DistanceReplacementKind, PromotionPolicy
-from repro.sim.config import EXACT_ENGINES, nurapid_config
+from repro.sim.config import ENGINES, nurapid_config
 from repro.sim.driver import _replay, make_system, run_benchmark
 from repro.sim.results import run_result_to_dict
 from repro.telemetry import TelemetryConfig
@@ -196,7 +196,7 @@ TELEMETRY_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("engine", EXACT_ENGINES)
+@pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize(
     "cell,bench", list(CELL_DIGESTS), ids=[f"{c}-{b}" for c, b in CELL_DIGESTS]
 )
@@ -247,7 +247,7 @@ def _fault_state(engine):
     )
 
 
-@pytest.mark.parametrize("engine", EXACT_ENGINES)
+@pytest.mark.parametrize("engine", ENGINES)
 def test_fault_cell_digest(engine):
     state = _fault_state(engine)
     stats = json.loads(state)["stats"]

@@ -395,3 +395,19 @@ class TestRunMatrix:
             importlib.import_module(cli).main(argv)
         assert exit_info.value.code == 2
         assert "REPRO_JOBS" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "cli, argv",
+        [
+            ("repro.sim.__main__", ["nurapid", "twolf", "--refs", "1000"]),
+            ("repro.experiments.__main__", ["table4", "--scale", "smoke"]),
+        ],
+    )
+    def test_clis_reject_bad_repro_engine(self, monkeypatch, capsys, cli, argv):
+        import importlib
+
+        monkeypatch.setenv("REPRO_ENGINE", "approx")
+        with pytest.raises(SystemExit) as exit_info:
+            importlib.import_module(cli).main(argv)
+        assert exit_info.value.code == 2
+        assert "'approx' in REPRO_ENGINE" in capsys.readouterr().err

@@ -137,7 +137,7 @@ def _replay_both(config, addresses, writes=None):
     import numpy as np
 
     from repro.cpu.core import CoreModel
-    from repro.sim.config import EXACT_ENGINES
+    from repro.sim.config import ENGINES
     from repro.sim.driver import _replay, make_system
     from repro.workloads.trace import Trace
 
@@ -149,7 +149,7 @@ def _replay_both(config, addresses, writes=None):
         writes=np.array(writes or [False] * n, dtype=bool),
     )
     out = {}
-    for engine in EXACT_ENGINES:
+    for engine in ENGINES:
         system = make_system(replace(config, engine=engine), prewarm=False)
         core = CoreModel(config.core, core_ipc=1.0, exposure=0.5)
         _replay([system], [core], trace, engine=engine)
@@ -295,20 +295,6 @@ class TestConfigField:
         assert config_fingerprint(
             replace(base_config(), prefetch=True)
         ) != config_fingerprint(base_config())
-
-    def test_rejects_approx(self):
-        from repro.sim.config import nurapid_config
-
-        with pytest.raises(ConfigurationError, match="prefetch"):
-            replace(nurapid_config(), prefetch=True, engine="approx")
-
-    def test_rejects_approx_from_the_environment(self, monkeypatch):
-        from repro.sim.config import nurapid_config
-        from repro.sim.driver import run_benchmark
-
-        monkeypatch.setenv("REPRO_ENGINE", "approx")
-        with pytest.raises(ConfigurationError, match="prefetch"):
-            run_benchmark(replace(nurapid_config(), prefetch=True), "swim", 2000)
 
     def test_rejects_multi_core(self):
         from repro.cmp.scenarios import cmp_nurapid_config

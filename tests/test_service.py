@@ -204,6 +204,11 @@ class TestProtocol:
         payload["surprise"] = 1
         with pytest.raises(ConfigurationError):
             GridRequest.from_payload(payload)
+        # A client from before estimate mode went still sends the flag.
+        old = dict(payload, estimate=True)
+        del old["surprise"]
+        with pytest.raises(ConfigurationError, match="fields: estimate"):
+            GridRequest.from_payload(old)
 
     def test_engine_pinned_at_resolution(self):
         request = GridRequest(
@@ -421,6 +426,14 @@ class TestServerEndToEnd:
         assert stats["memo_hit_rate"] > 0.0
 
 
+class TestServerConfig:
+    def test_default_engine_checked_at_construction(self, tmp_path):
+        with pytest.raises(ConfigurationError, match="'aprox' in default_engine"):
+            ServerConfig(store_dir=str(tmp_path), default_engine="aprox")
+        config = ServerConfig(store_dir=str(tmp_path), default_engine="legacy")
+        assert config.default_engine == "legacy"
+
+
 class TestServerConcurrency:
     def test_concurrent_identical_grids_one_entry_each(self, tmp_path):
         registry = StatRegistry()
@@ -540,43 +553,6 @@ class TestServerConcurrency:
             for bench in BENCHMARKS
         ]
         assert render_report(merge_payloads(served_pairs)) == expected
-
-    def test_estimate_returns_inline_and_schedules_exact(self, tmp_path):
-        with serve_in_thread(ServerConfig(store_dir=str(tmp_path), jobs=1)) as bg:
-            client = ServiceClient(bg.url)
-            client.wait_healthy()
-            submission = client.submit(
-                grid("alice", benchmarks=["bzip2"],
-                     configs=[config_spec("nurapid")], estimate=True)
-            )
-            estimates = submission["estimates"]
-            assert len(estimates) == 1
-            assert estimates[0]["outcome"]["status"] == "ok"
-            assert estimates[0]["result"]["benchmark"] == "bzip2"
-            # The exact cell is scheduled behind the estimate.
-            status = client.wait(str(submission["job"]))
-            assert status["cells"][0]["status"] in ("ok", "hit")
-
-    def test_estimate_only_skips_exact(self, tmp_path):
-        with serve_in_thread(ServerConfig(store_dir=str(tmp_path), jobs=1)) as bg:
-            client = ServiceClient(bg.url)
-            client.wait_healthy()
-            submission = client.submit(
-                grid("alice", benchmarks=["bzip2"],
-                     configs=[config_spec("nurapid")],
-                     estimate=True, exact=False)
-            )
-            assert submission["done"] is True
-            assert submission["cells"] == 0
-            assert len(submission["estimates"]) == 1
-
-    def test_telemetry_with_approx_rejected(self, tmp_path):
-        with serve_in_thread(ServerConfig(store_dir=str(tmp_path), jobs=1)) as bg:
-            client = ServiceClient(bg.url)
-            client.wait_healthy()
-            with pytest.raises(ServiceError) as excinfo:
-                client.submit(grid("alice", engine="approx", telemetry=True))
-            assert excinfo.value.status == 400
 
     def test_unknown_routes_and_jobs(self, tmp_path):
         with serve_in_thread(ServerConfig(store_dir=str(tmp_path), jobs=1)) as bg:
