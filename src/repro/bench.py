@@ -42,6 +42,7 @@ from repro.sim.parallel import CellTask, run_cells
 from repro.sim.results import run_result_to_dict
 from repro.telemetry import TelemetryConfig
 from repro.telemetry.report import merge_payloads, render_report
+from repro.workloads.interleave import spec_records
 from repro.workloads.trace import Trace
 from repro.workloads.tracegen import trace_entries
 
@@ -215,10 +216,10 @@ def engine_parity(
     Each ``(config, benchmark)`` cell runs telemetry-enabled under every
     engine in ``ENGINES`` (legacy, vectorized); the full result
     payload (summary, counters, energy) must compare equal to legacy's
-    and the rendered telemetry reports must match byte for byte.  A
-    single-core cell replays ``traces[benchmark]``; a CMP cell
-    generates and interleaves its own per-core traces.  Empty return =
-    the engines are bit-identical on these cells.
+    and the rendered telemetry reports must match byte for byte.  Each
+    cell replays the trace of its spec, ``traces[config.trace_spec(
+    benchmark)]``, single-core or CMP.  Empty return = the engines are
+    bit-identical on these cells.
     """
     mismatches: List[str] = []
     for config, benchmark in cells:
@@ -230,7 +231,7 @@ def engine_parity(
                 config_replace(config, engine=engine),
                 benchmark,
                 n_references=refs,
-                trace=None if config.multi_core else traces[benchmark],
+                trace=traces[config.trace_spec(benchmark)],
                 warmup_fraction=warmup,
                 seed=seed,
                 telemetry=TelemetryConfig(),
@@ -280,8 +281,11 @@ def main(argv=None) -> int:
         parser.error("--refs must be >= 1")
 
     mismatches: List[str] = []
-    with trace_entries(BENCHMARKS, refs, seed=SEED) as paths:
-        traces = {b: Trace.load(paths[b], b, refs) for b in BENCHMARKS}
+    specs = BENCHMARKS + [
+        config.trace_spec(b) for config, b in cmp_cells() if args.engine_parity
+    ]
+    with trace_entries(specs, refs, seed=SEED) as paths:
+        traces = {s: Trace.load(paths[s], s, spec_records(s, refs)) for s in specs}
         cells = len(standard_configs()) * len(BENCHMARKS)
         print(f"standard workload: {cells} cells x {refs} refs")
         if args.engine_parity:

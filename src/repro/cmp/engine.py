@@ -1,14 +1,16 @@
-"""Multi-core workload and accounting pieces of the shared-LLC study.
+"""Multi-core accounting pieces of the shared-LLC study.
 
 :func:`repro.sim.driver.run_benchmark` runs every config, one core or
-many; a multi-core run (``config.cmp.cores > 1``) takes two pieces
-from here.  :func:`generate_cmp_trace` builds the interleaved stream:
-per-core traces with derived seeds, merged by the deterministic
-interleaver, so results are seed-stable and identical across worker
-processes.  :func:`shared_occupancy_by_core` is the end-of-run census
-of shared-LLC blocks per owning core, read from the address bits the
-interleaver stamps on each core's stream.  :func:`jain_fairness` is
-the fairness index the CMP figures report.
+many, on a plain :class:`~repro.workloads.trace.Trace`: a multi-core
+run replays the interleaved trace of its per-core spec, which the
+trace cache stores like any other
+(:func:`~repro.workloads.tracegen.generate_spec_trace`), and reads each
+record's issuing core from its address bits.
+:func:`generate_cmp_trace` is that trace for a config, for callers that
+pass it inline.  :func:`shared_occupancy_by_core` is the end-of-run
+census of shared-LLC blocks per owning core, read from the same
+address bits.  :func:`jain_fairness` is the fairness index the CMP
+figures report.
 
 The driver imports this module only for multi-core runs, so
 single-core runs never load it.
@@ -17,26 +19,18 @@ single-core runs never load it.
 from __future__ import annotations
 
 from itertools import chain
-from typing import Iterable, List, Optional
+from typing import Iterable, List
 
 from repro.caches.block import PREWARM_BASE
 from repro.caches.setassoc_nonuniform import SetAssociativePlacementCache
 from repro.caches.simple import SetAssociativeCache
 from repro.cmp.contention import ContendedLLC
-from repro.common.errors import ConfigurationError
-from repro.common.rng import derive_seed
 from repro.nuca.cache import DNUCACache
 from repro.nuca.snuca import SNUCACache
 from repro.sim.config import SystemConfig
-from repro.workloads.interleave import (
-    CORE_ADDR_SHIFT,
-    CmpTrace,
-    MAX_CORES,
-    interleave_traces,
-    parse_cmp_benchmark,
-)
-from repro.workloads.spec2k import BenchmarkProfile, get_benchmark
-from repro.workloads.tracegen import generate_trace
+from repro.workloads.interleave import core_of_address
+from repro.workloads.trace import Trace
+from repro.workloads.tracegen import generate_spec_trace
 
 
 def jain_fairness(values: List[float]) -> float:
@@ -56,36 +50,12 @@ def generate_cmp_trace(
     n_references: int,
     seed: int,
     warm_set_conflict: int = 1,
-    profiles: Optional[List[BenchmarkProfile]] = None,
-) -> CmpTrace:
-    """Seed-derived per-core traces, merged by the interleaver.
-
-    ``n_references`` is the chip total; each core contributes an equal
-    share.  Core ``i``'s stream uses ``derive_seed(seed, "cmp/core{i}")``
-    so streams are independent and any core's stream is reproducible
-    in isolation.
-    """
-    cores = config.cmp.cores if config.cmp is not None else 1
-    if profiles is None:
-        profiles = [
-            get_benchmark(name) for name in parse_cmp_benchmark(benchmark, cores)
-        ]
-    per_core = n_references // cores
-    if per_core < 1:
-        raise ConfigurationError(
-            f"{n_references} references cannot feed {cores} cores"
-        )
-    streams = [
-        generate_trace(
-            profiles[i],
-            per_core,
-            seed=derive_seed(seed, f"cmp/core{i}"),
-            warm_set_conflict=warm_set_conflict,
-        )
-        for i in range(cores)
-    ]
-    return interleave_traces(
-        streams, [p.core_ipc for p in profiles], benchmark=benchmark
+) -> Trace:
+    """The trace a run of ``config`` replays for ``benchmark``, for an
+    inline ``trace=`` (:func:`~repro.workloads.tracegen.generate_spec_trace`
+    of :meth:`~repro.sim.config.SystemConfig.trace_spec`)."""
+    return generate_spec_trace(
+        config.trace_spec(benchmark), n_references, seed, warm_set_conflict
     )
 
 
@@ -110,7 +80,7 @@ def shared_occupancy_by_core(target, n_cores: int) -> List[int]:
     for baddr in _resident_block_addrs(target):
         if not 0 <= baddr < PREWARM_BASE:
             continue  # free frames and prewarm dummies belong to no core
-        core = (baddr >> CORE_ADDR_SHIFT) & (MAX_CORES - 1)
+        core = core_of_address(baddr)
         if core < n_cores:
             counts[core] += 1
     return counts

@@ -7,7 +7,7 @@ renders to the same aligned-text table the paper's figure/table would.
 
 Experiments declare their ``configs x benchmarks`` grids through
 :func:`run_matrix`, which hands uncached cells to
-:func:`repro.sim.parallel.run_cells`: in this process at one job, on
+:func:`repro.sim.parallel.run_memoized`: in this process at one job, on
 the supervised worker pool above one — set process-wide by the CLI's
 ``--jobs`` flag via :func:`set_default_jobs`, or by ``REPRO_JOBS`` in
 the environment.  Pooled cells are seeded identically to in-process
@@ -27,7 +27,7 @@ from repro.sim.results import RunResult, run_result_from_dict
 from repro.telemetry import TelemetryConfig, telemetry_from_env
 # generate_trace is not called here; perfbench's tracer wraps it under
 # this module's name.
-from repro.workloads.tracegen import generate_trace, trace_entries  # noqa: F401
+from repro.workloads.tracegen import generate_trace  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -153,13 +153,14 @@ def run_matrix(
 ) -> Dict[str, Dict[str, RunResult]]:
     """results[config.name][benchmark] for a config x benchmark grid.
 
-    The grid's uncached cells go to :func:`repro.sim.parallel.run_cells`
-    with the effective ``jobs`` count (argument, else
+    The grid's uncached cells go to :func:`repro.sim.parallel.run_memoized`
+    (no result store) with the effective ``jobs`` count (argument, else
     :func:`default_jobs`) and the process-wide supervisor config
     (:func:`set_default_supervisor`, via the CLI's ``--cell-timeout``),
-    and land in the shared run cache.  One job and no supervisor runs
-    them in this process; anything else pools them, bit-identically.
-    Any run error raises.
+    and land in the shared run cache.  Each cell maps its trace-cache
+    entry by path (in ``REPRO_TRACE_CACHE``, else a scratch directory).
+    One job and no supervisor runs them in this process; anything else
+    pools them, bit-identically.  Any run error raises.
     """
     jobs = default_jobs() if jobs is None else jobs
     if jobs < 1:
@@ -173,33 +174,26 @@ def run_matrix(
     if pending:
         # Imported per call, so instrumentation that wraps
         # repro.sim.parallel.run_cells sees every grid.
-        from repro.sim.parallel import CellTask, run_cells
+        from repro.sim.parallel import CellTask, run_memoized
 
         keys = list(pending)
         telemetry = default_telemetry()
-        # Cells map each benchmark's trace-cache entry by path (in
-        # REPRO_TRACE_CACHE, else a scratch directory).  CMP cells
-        # interleave their own per-core traces.
-        shared = [b for config, b in pending.values() if not config.multi_core]
-        with trace_entries(shared, scale.n_references, scale.seed) as trace_paths:
-            tasks = [
-                CellTask(
-                    index=index,
-                    config=config,
-                    benchmark=benchmark,
-                    n_references=scale.n_references,
-                    seed=scale.seed,
-                    warmup_fraction=scale.warmup_fraction,
-                    trace_path=trace_paths.get(benchmark),
-                    isolate_errors=False,
-                    telemetry=telemetry,
-                )
-                for index, (config, benchmark) in enumerate(pending.values())
-            ]
-            for payload in run_cells(tasks, jobs, supervisor=default_supervisor()):
-                _RUN_CACHE[keys[payload["index"]]] = run_result_from_dict(
-                    payload["result"]
-                )
+        tasks = [
+            CellTask(
+                index=index,
+                config=config,
+                benchmark=benchmark,
+                n_references=scale.n_references,
+                seed=scale.seed,
+                warmup_fraction=scale.warmup_fraction,
+                isolate_errors=False,
+                telemetry=telemetry,
+            )
+            for index, (config, benchmark) in enumerate(pending.values())
+        ]
+        payloads = run_memoized(tasks, jobs, None, supervisor=default_supervisor())
+        for key, payload in zip(keys, payloads):
+            _RUN_CACHE[key] = run_result_from_dict(payload["result"])  # type: ignore[arg-type]
     return {
         config.name: {b: _RUN_CACHE[_run_key(config, b, scale)] for b in benchmarks}
         for config in configs

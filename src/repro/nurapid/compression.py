@@ -36,7 +36,7 @@ from repro.nurapid.cache import (
     _PACK_FRAME_MASK,
 )
 from repro.nurapid.config import NuRAPIDConfig
-from repro.workloads.interleave import CORE_ADDR_SHIFT, MAX_CORES
+from repro.workloads.interleave import MAX_CORES, core_of_address
 
 #: Fixed 64-bit multiplicative hash (golden-ratio constant) mapping a
 #: block address to a uniform 16-bit compressibility draw.
@@ -123,9 +123,7 @@ class CompressedNuRAPIDCache(NuRAPIDCache):
         if baddr >= PREWARM_BASE:
             return True  # prewarm dummies always fit the compressed frames
         if self._core_thresholds is not None:
-            threshold = self._core_thresholds[
-                (baddr >> CORE_ADDR_SHIFT) & (MAX_CORES - 1)
-            ]
+            threshold = self._core_thresholds[core_of_address(baddr)]
         else:
             threshold = self._default_threshold
         return ((baddr * _HASH_MULT) & _HASH_MASK) >> 48 < threshold

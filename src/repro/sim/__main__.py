@@ -39,11 +39,10 @@ from repro.sim.config import (
     resolve_engine,
     sa_nuca_config,
 )
-from repro.sim.parallel import CellTask, run_cells
+from repro.sim.parallel import CellTask, run_memoized
 from repro.sim.results import RunResult, run_result_from_dict
 from repro.telemetry import telemetry_from_env
 from repro.workloads.spec2k import suite_names
-from repro.workloads.tracegen import trace_entries
 
 
 def _print_result(result: RunResult) -> None:
@@ -154,25 +153,23 @@ def main(argv=None) -> int:
         ]
     # Every system replays the benchmark's one trace-cache entry, which
     # pooled workers map by path.
-    with trace_entries([args.benchmark], args.refs, args.seed) as trace_paths:
-        tasks = [
-            CellTask(
-                index=index,
-                config=config,
-                benchmark=args.benchmark,
-                n_references=args.refs,
-                seed=args.seed,
-                warmup_fraction=args.warmup,
-                trace_path=trace_paths[args.benchmark],
-                isolate_errors=False,
-                telemetry=telemetry,
-            )
-            for index, config in enumerate(configs)
-        ]
-        results = [
-            run_result_from_dict(payload["result"])
-            for payload in run_cells(tasks, jobs)
-        ]
+    tasks = [
+        CellTask(
+            index=index,
+            config=config,
+            benchmark=args.benchmark,
+            n_references=args.refs,
+            seed=args.seed,
+            warmup_fraction=args.warmup,
+            isolate_errors=False,
+            telemetry=telemetry,
+        )
+        for index, config in enumerate(configs)
+    ]
+    results = [
+        run_result_from_dict(payload["result"])
+        for payload in run_memoized(tasks, jobs, None)
+    ]
     for result in results:
         _print_result(result)
         print()

@@ -42,6 +42,7 @@ from repro.nurapid.config import (
     NuRAPIDConfig,
     PromotionPolicy,
 )
+from repro.workloads.interleave import parse_cmp_benchmark
 
 KB = 1024
 MB = 1024 * 1024
@@ -194,6 +195,13 @@ class SystemConfig:
     def multi_core(self) -> bool:
         """True when runs interleave per-core traces (``cmp.cores > 1``)."""
         return self.cmp is not None and self.cmp.cores > 1
+
+    def trace_spec(self, benchmark: str) -> str:
+        """The spec of the trace a run of ``benchmark`` replays
+        (:func:`~repro.workloads.tracegen.generate_spec_trace`): one app
+        per core, ``"a+b"``, on a multi-core config, else the benchmark."""
+        cores = self.cmp.cores if self.multi_core else 1
+        return "+".join(parse_cmp_benchmark(benchmark, cores))
 
 
 # --- factory helpers for the paper's configurations ---

@@ -39,10 +39,12 @@ from repro.telemetry import (
     occupancy_bounds,
     runtime_registry,
 )
-from repro.workloads.interleave import parse_cmp_benchmark
+from repro.workloads.interleave import core_of_address
 from repro.workloads.spec2k import get_benchmark
 from repro.workloads.trace import Trace
-from repro.workloads.tracegen import generate_trace
+# generate_trace is not called here; perfbench's tracer wraps it under
+# this module's name.
+from repro.workloads.tracegen import generate_spec_trace, generate_trace  # noqa: F401
 
 DEFAULT_REFERENCES = 600_000
 DEFAULT_WARMUP_FRACTION = 0.25
@@ -128,39 +130,35 @@ def _replay(
     systems: Sequence[System],
     cores: Sequence[CoreModel],
     trace: Trace,
-    owners: Optional[np.ndarray] = None,
     engine: str = "legacy",
-    collect: Optional[List] = None,
 ) -> None:
-    """The one replay loop: core ``owners[i]`` issues record ``i`` of
-    ``trace`` on its own clock through ``systems[owners[i]]``.
+    """The one replay loop: the core that a record's address names
+    (:func:`core_of_address`; never decoded on one core) issues it on
+    its own clock through its own system.
 
-    ``owners=None`` is a one-core trace.  CMP systems share their lower
-    levels and memory and keep private L1s, hierarchy books and cores.
-    ``engine="vectorized"`` runs the numpy
-    kernel (:mod:`repro.sim.vectorized`), bit-identical to this loop,
-    whenever it can: per-reference observation (``collect``) and an L1
-    fault injector or a non-2-way L1 come straight here instead,
-    counted under ``vectorized.fallbacks``.  ``engine="legacy"`` always
-    takes this loop, the parity oracle.  ``collect`` receives every
-    per-reference AccessResult (parity tests only — it slows the loop
-    down).
+    CMP systems share their lower levels and memory and keep private
+    L1s, hierarchy books and cores.  ``engine="vectorized"`` runs the
+    numpy kernel (:mod:`repro.sim.vectorized`), bit-identical to this
+    loop, on each core's memoised sub-stream (:meth:`Trace.by_core`)
+    whenever it can: an L1 fault injector or a non-2-way L1 comes
+    straight here instead, counted under ``vectorized.fallbacks``.
+    ``engine="legacy"`` always takes this loop, the parity oracle.
     """
+    one_core = len(systems) == 1
     if engine == "vectorized":
-        if collect is None and all(vectorized.supports(s) for s in systems):
-            vectorized.replay(systems, cores, trace, owners)
+        if all(vectorized.supports(s) for s in systems):
+            streams = None if one_core else trace.by_core(len(systems))
+            vectorized.replay(systems, cores, trace, streams)
             return
         runtime_registry().add("vectorized.fallbacks")
     access = [system.hierarchy.access_data for system in systems]
     advance = [core.advance_instructions for core in cores]
     note = [core.note_memory_result for core in cores]
-    issuers = repeat(0) if owners is None else owners.tolist()
+    issuers = repeat(0) if one_core else core_of_address(trace.addresses).tolist()
     for (gap, address, is_write), owner in zip(trace.records(), issuers):
         advance[owner](gap)
         result = access[owner](address, is_write, cores[owner].cycle)
         note[owner](address, result)
-        if collect is not None:
-            collect.append(result)
 
 
 def _cache_counters(target) -> Dict[str, float]:
@@ -321,13 +319,15 @@ def run_benchmark(
 ) -> RunResult:
     """Run one benchmark on one system and collect measurements.
 
-    A multi-core config generates and interleaves its own per-core
-    traces (``benchmark`` names one workload for every core or one per
-    core, ``"a+b"``; ``n_references`` is the chip total) and rejects
-    ``trace=``.  Its result aggregates the chip — instructions summed,
-    cycles the slowest core's measured window, core energy summed per
-    core, L2 books from the shared cache — and ``stats`` adds per-core
-    ``c{i}.*`` books and ``bankq.*`` contention aggregates.
+    The trace is ``trace``, else :func:`generate_spec_trace` of
+    :meth:`~repro.sim.config.SystemConfig.trace_spec`.  On a multi-core
+    config ``benchmark`` names one workload for every core or one per
+    core (``"a+b"``), ``n_references`` is the chip total, and exactly
+    cores ``0 .. cores-1`` must issue the trace's records.  Its result
+    aggregates the chip — instructions summed, cycles the slowest
+    core's measured window, core energy summed per core, L2 books from
+    the shared cache — and ``stats`` adds per-core ``c{i}.*`` books and
+    ``bankq.*`` contention aggregates.
     """
     if n_references <= 0:
         raise ConfigurationError(
@@ -338,36 +338,26 @@ def run_benchmark(
             f"warmup_fraction must be in [0, 1), got {warmup_fraction}"
         )
     engine = resolve_engine(config.engine)
-    n_cores = config.cmp.cores if config.multi_core else 1
-    if n_cores > 1:
-        if trace is not None:
-            raise ConfigurationError(
-                "CMP runs generate and interleave their own per-core "
-                "traces; pass trace=None"
-            )
-        profiles = [
-            get_benchmark(name) for name in parse_cmp_benchmark(benchmark, n_cores)
-        ]
-    else:
-        profiles = [get_benchmark(benchmark)]
+    spec = config.trace_spec(benchmark)
+    profiles = [get_benchmark(name) for name in spec.split("+")]
+    n_cores = len(profiles)
     session: Optional[Telemetry] = None
     if telemetry is not None and telemetry.enabled:
         session = Telemetry(telemetry, f"{config.name}/{benchmark}/s{seed}")
     profiler = session.profiler if session is not None else NullProfiler()
     if trace is None:
         with profiler.phase("tracegen"):
-            if n_cores > 1:
-                from repro.cmp.engine import generate_cmp_trace
-
-                trace = generate_cmp_trace(
-                    config, benchmark, n_references, seed,
-                    warm_set_conflict=warm_set_conflict, profiles=profiles,
-                )
-            else:
-                trace = generate_trace(
-                    profiles[0], n_references, seed=seed,
-                    warm_set_conflict=warm_set_conflict,
-                )
+            trace = generate_spec_trace(
+                spec, n_references, seed, warm_set_conflict=warm_set_conflict
+            )
+    elif n_cores > 1:
+        issued = np.bincount(core_of_address(trace.addresses), minlength=n_cores)
+        if len(issued) != n_cores or not issued.all():
+            raise ConfigurationError(
+                f"a {n_cores}-core run needs a trace issued by exactly cores "
+                f"0..{n_cores - 1}; trace {trace.benchmark!r} is issued by "
+                f"cores {np.flatnonzero(issued).tolist()}"
+            )
     with profiler.phase("build"):
         systems = _add_cores(make_system(config, prewarm=prewarm), n_cores)
     compression = config.cmp.compression if config.cmp is not None else None
@@ -380,10 +370,6 @@ def run_benchmark(
     warm, measured = trace.split(warmup_fraction)
     if not len(measured):
         raise ConfigurationError("no measured references after warmup split")
-
-    def stream(part):
-        """The records and owner column of one portion of the trace."""
-        return (part.trace, part.cores) if n_cores > 1 else (part, None)
 
     def new_cores() -> List[CoreModel]:
         return [
@@ -400,7 +386,7 @@ def run_benchmark(
     warm_cores = new_cores()
     if len(warm):
         with profiler.phase("warmup"):
-            _replay(systems, warm_cores, *stream(warm), engine=engine)
+            _replay(systems, warm_cores, warm, engine=engine)
     for system in systems:
         system.reset_stats()
 
@@ -412,7 +398,7 @@ def run_benchmark(
     if session is not None:
         _attach_telemetry(systems, cores, session)
     with profiler.phase("measure"):
-        _replay(systems, cores, *stream(measured), engine=engine)
+        _replay(systems, cores, measured, engine=engine)
 
     per_cycles = [core.cycle - cycle for core, (cycle, _) in zip(cores, start)]
     per_instr = [core.instructions - instr for core, (_, instr) in zip(cores, start)]
@@ -542,11 +528,9 @@ def run_suite(
         )
         for index, name in enumerate(benchmarks)
     ]
-    results: Dict[int, RunResult] = {}
-
-    def record(payload: Dict[str, object]) -> None:
-        results[payload["index"]] = run_result_from_dict(payload["result"])  # type: ignore[index,arg-type]
-
-    run_memoized(tasks, jobs, result_store, record, trace_cache_dir=trace_cache_dir)
-    runs = {name: results[index] for index, name in enumerate(benchmarks)}
+    payloads = run_memoized(tasks, jobs, result_store, trace_cache_dir=trace_cache_dir)
+    runs = {
+        name: run_result_from_dict(payload["result"])  # type: ignore[arg-type]
+        for name, payload in zip(benchmarks, payloads)
+    }
     return SuiteResult(config_name=config.name, runs=runs)

@@ -52,9 +52,8 @@ from repro.sim.config import SystemConfig, config_fingerprint, resolve_engine
 from repro.sim.driver import run_benchmark
 from repro.sim.results import run_result_to_dict
 from repro.telemetry import TelemetryConfig
-from repro.workloads.spec2k import get_benchmark
 from repro.workloads.trace import Trace
-from repro.workloads.tracegen import generate_trace, trace_entries
+from repro.workloads.tracegen import generate_spec_trace, trace_entries
 from repro.workloads.transport import load_mmap_trace
 
 if TYPE_CHECKING:  # the runtime import is deferred to break a cycle
@@ -176,82 +175,96 @@ def run_memoized(
     tasks: Sequence[CellTask],
     jobs: int,
     result_store,
-    callback: Callable[[Dict[str, object]], None],
+    callback: Optional[Callable[[Dict[str, object]], None]] = None,
     supervisor: Optional["SupervisorConfig"] = None,
     trace_cache_dir: Optional[str] = None,
-) -> None:
+) -> List[Dict[str, object]]:
     """Run a grid through ``result_store``: hits restore, misses run.
 
-    ``callback`` gets every cell's ``{"index", "outcome", "result"}``
-    payload once: first the store hits, in task order, then the cells
-    that ran, in completion order.  A cell that ran is put in the store
+    Returns every cell's ``{"index", "outcome", "result"}`` payload in
+    task order.  ``callback`` gets each payload once as it is ready:
+    first the store hits, in task order, then the cells that ran, in
+    completion order.  A cell that ran is put in the store
     (a :class:`repro.service.store.ResultStore`, or None for no store)
     before its callback, when :func:`memoizable_payload` allows it, so
     an interrupted grid keeps every cell finished before the interrupt.
-    Cells that run map their benchmark's base trace from one
-    :func:`~repro.workloads.tracegen.trace_entries` entry in
-    ``trace_cache_dir``; CMP cells and cells with an inline ``trace``
-    bring their own.
+    Cells that run map their trace from one
+    :func:`~repro.workloads.tracegen.trace_entries` entry per trace
+    spec (:meth:`~repro.sim.config.SystemConfig.trace_spec`) in
+    ``trace_cache_dir``, single-core and CMP cells alike; cells with an
+    inline ``trace`` bring their own.
     """
+    done: Dict[int, Dict[str, object]] = {}
+
+    def finish(payload: Dict[str, object]) -> None:
+        done[payload["index"]] = payload  # type: ignore[index]
+        if callback is not None:
+            callback(payload)
+
     keys: Dict[int, str] = {}
     pending: List[CellTask] = []
     for task in tasks:
         key = None if result_store is None else cell_fingerprint(task)
         stored = None if key is None else result_store.get(key)
         if stored is not None:
-            callback({"index": task.index, **stored})
+            finish({"index": task.index, **stored})
             continue
         if key is not None:
             keys[task.index] = key
         pending.append(task)
     if not pending:
-        return
+        return [done[task.index] for task in tasks]
 
     def on_done(payload: Dict[str, object]) -> None:
         key = keys.get(payload["index"])  # type: ignore[arg-type]
         stored = {k: v for k, v in payload.items() if k != "index"}
         if key is not None and memoizable_payload(stored):
             result_store.put(key, stored)
-        callback(payload)
+        finish(payload)
 
     def trace_params(task: CellTask) -> Tuple[int, int, int]:
         return (task.n_references, task.seed, task.warm_set_conflict)
 
+    def trace_spec(task: CellTask) -> Optional[str]:
+        try:
+            return task.config.trace_spec(task.benchmark)
+        except ConfigurationError:
+            return None  # the cell's own run reports the bad spec
+
     shared: Dict[Tuple[int, int, int], set] = {}
     for task in pending:
-        if task.trace is None and not task.config.multi_core:
-            shared.setdefault(trace_params(task), set()).add(task.benchmark)
+        spec = trace_spec(task)
+        if task.trace is None and spec is not None:
+            shared.setdefault(trace_params(task), set()).add(spec)
     with ExitStack() as stack:
         paths = {
             params: stack.enter_context(
-                trace_entries(benchmarks, *params, directory=trace_cache_dir)
+                trace_entries(specs, *params, directory=trace_cache_dir)
             )
-            for params, benchmarks in shared.items()
+            for params, specs in shared.items()
         }
         pending = [
             dataclasses.replace(
                 task,
-                trace_path=paths.get(trace_params(task), {}).get(task.benchmark),
+                trace_path=paths.get(trace_params(task), {}).get(trace_spec(task)),
             )
             for task in pending
         ]
         run_cells(pending, jobs, callback=on_done, supervisor=supervisor)
+    return [done[task.index] for task in tasks]
 
 
-def _attempt_trace(task: CellTask, attempt: int) -> Optional[Trace]:
+def _attempt_trace(task: CellTask, attempt: int) -> Trace:
     """The cell's trace for one attempt: inline, mapped, or generated."""
     if attempt == 0 and task.trace is not None:
-        # The caller's own trace, which run_benchmark rejects for CMP.
         return task.trace
-    if task.config.multi_core:
-        # CMP runs interleave per-core streams inside run_benchmark.
-        return None
+    spec = task.config.trace_spec(task.benchmark)
     if attempt == 0 and task.trace_path is not None:
-        trace = load_mmap_trace(task.trace_path, task.benchmark, task.n_references)
+        trace = load_mmap_trace(task.trace_path, spec, task.n_references)
         if trace is not None:
             return trace
-    return generate_trace(
-        get_benchmark(task.benchmark),
+    return generate_spec_trace(
+        spec,
         task.n_references,
         seed=task.seed + attempt * task.reseed_step,
         warm_set_conflict=task.warm_set_conflict,

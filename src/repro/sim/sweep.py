@@ -40,8 +40,8 @@ hardens the grid instead of letting one point abort it:
   shared by other grids, seeds or callers can only miss, never leak a
   foreign result.
 * **parallelism** — every cell runs through
-  :func:`repro.sim.parallel.run_memoized` and maps its benchmark's
-  shared base trace from one on-disk
+  :func:`repro.sim.parallel.run_memoized` and maps its shared trace,
+  single-core or interleaved multi-core, from one on-disk
   :class:`~repro.workloads.tracegen.TraceCache` entry.  ``jobs=1``
   runs the cells in this process, ``jobs=N`` on N worker processes;
   cells are seeded identically either way, so both produce
@@ -203,8 +203,12 @@ class Sweep:
         self.benchmarks = list(benchmarks)
         if not self.benchmarks:
             raise ConfigurationError("sweep needs at least one benchmark")
+        # Unknown names fail here, not per cell; a multi-core spec
+        # "a+b" names one app per core, and each cell checks the part
+        # count against its own core count.
         for benchmark in self.benchmarks:
-            get_benchmark(benchmark)  # unknown names fail here, not per-cell
+            for part in benchmark.split("+"):
+                get_benchmark(part.strip())
         if n_references <= 0:
             raise ConfigurationError(
                 f"n_references must be positive, got {n_references}"

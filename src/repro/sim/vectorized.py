@@ -12,11 +12,13 @@ depend only on the order of its operations, never on their times
 core on a CMP: each core's L1 is private, with no coherence or
 back-invalidation, so its outcomes depend only on its own sub-stream.
 The kernel replays a trace slice (:meth:`Trace.decoded_batch`) issued
-by one core or interleaved from several in three steps:
+by one core or interleaved from several -- a plain trace either way,
+each record's core in its address bits -- in three steps:
 
 1. **Solve.**  :func:`repro.sim.l1solve.solve` computes each core's L1
    exactly for its sub-stream of the slice (a one-core slice is its
-   own sub-stream) from the L1's current state: the miss
+   own sub-stream; a CMP core's is :meth:`Trace.by_core`'s, memoised
+   on the slice like its decode) from the L1's current state: the miss
    positions, each miss's victim block and dirty bit, and the final
    tags, dirty bits and stamps.  The result is memoised on the decoded
    batch, keyed by the exact initial L1 state (tags, dirty bits and
@@ -374,11 +376,12 @@ class _CoreFold:
         return n_refs, n_hits, n_misses, n_mem_reads
 
 
-def replay(systems, cores, trace, owners=None) -> None:
-    """Replay ``trace`` on ``cores`` over ``systems``: core
-    ``owners[i]`` issues record ``i`` (a one-core trace when None).
-    Solve each core's L1 on its own sub-stream, then walk the merged
-    misses.  Callers check :func:`supports` first.
+def replay(systems, cores, trace, streams=None) -> None:
+    """Replay ``trace`` on ``cores`` over ``systems``.  ``streams`` is
+    each core's ``(positions, sub-stream)`` of a multi-core trace
+    (:meth:`Trace.by_core`); None is a one-core trace, its own
+    sub-stream.  Solve each core's L1 on its own sub-stream, then walk
+    the merged misses.  Callers check :func:`supports` first.
     """
     wall_start = perf_counter()
     hierarchy = systems[0].hierarchy
@@ -388,14 +391,14 @@ def replay(systems, cores, trace, owners=None) -> None:
     prefetcher = hierarchy.prefetcher
     n_lower = len(lower)
 
-    if owners is None:
+    if streams is None:
         folds = [_CoreFold(systems[0], cores[0], trace, None, n_lower)]
     else:
-        folds = []
-        for c, (system, core) in enumerate(zip(systems, cores)):
-            at = np.flatnonzero(owners == c)
-            if len(at):
-                folds.append(_CoreFold(system, core, trace.take(at), at, n_lower))
+        folds = [
+            _CoreFold(system, core, sub, at, n_lower)
+            for system, core, (at, sub) in zip(systems, cores, streams)
+            if len(at)
+        ]
 
     # The misses of every core in trace order, and the runs of
     # consecutive misses from one core that the fold walks.

@@ -3,9 +3,10 @@
 A chip-multiprocessor scenario replays N independent per-core
 reference streams against one shared L2.  Each core's stream comes
 from the usual seeded generator; this module merges them into a single
-stream ordered by *virtual time* (the cycle each reference would issue
-at if its core ran alone at its profile IPC) and tags every record
-with the issuing core.
+plain :class:`~repro.workloads.trace.Trace` ordered by *virtual time*
+(the cycle each reference would issue at if its core ran alone at its
+profile IPC), and the issuing core of every record lives in its
+address bits.
 
 Two properties matter downstream:
 
@@ -14,15 +15,15 @@ Two properties matter downstream:
   always produce the same interleaving, on any worker process.
 * **Address isolation** — each core's addresses are offset by
   ``core_id << CORE_ADDR_SHIFT`` so streams never alias in the shared
-  cache (cores only *compete for capacity*, they do not share data).
-  Core 0's addresses are untouched, which is what makes a one-core
-  "CMP" trace byte-identical to the plain single-core trace.
+  cache (cores only *compete for capacity*, they do not share data),
+  and :func:`core_of_address` is the one decoder of that offset.
+  Core 0's addresses are untouched, so a one-core merge is the plain
+  single-core trace.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
@@ -42,9 +43,10 @@ CORE_ADDR_SHIFT = 38
 MAX_CORES = 16
 
 
-def core_of_address(address: int) -> int:
-    """Recover the issuing core id from an offset byte address."""
-    return (int(address) >> CORE_ADDR_SHIFT) & (MAX_CORES - 1)
+def core_of_address(address):
+    """The issuing core of an offset byte address: an ``int`` for an
+    ``int``, an int64 array for an int64 array of addresses."""
+    return (address >> CORE_ADDR_SHIFT) & (MAX_CORES - 1)
 
 
 def parse_cmp_benchmark(benchmark: str, cores: int) -> List[str]:
@@ -68,48 +70,18 @@ def parse_cmp_benchmark(benchmark: str, cores: int) -> List[str]:
     return parts
 
 
-@dataclass(frozen=True)
-class CmpTrace:
-    """A merged shared-L2 reference stream with per-core provenance.
-
-    ``trace`` holds the interleaved columns (addresses already offset
-    per core); ``cores[i]`` is the core that issues record ``i``.
-    """
-
-    trace: Trace
-    cores: np.ndarray
-    n_cores: int
-    benchmarks: Tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.cores) != len(self.trace):
-            raise ConfigurationError(
-                f"provenance column has {len(self.cores)} entries "
-                f"for {len(self.trace)} records"
-            )
-        if not 1 <= self.n_cores <= MAX_CORES:
-            raise ConfigurationError(
-                f"n_cores must be in [1, {MAX_CORES}], got {self.n_cores}"
-            )
-
-    def __len__(self) -> int:
-        return len(self.trace)
-
-    def split(self, fraction: float) -> Tuple["CmpTrace", "CmpTrace"]:
-        """Split into (warmup, measured) at the same cut as Trace.split."""
-        warm, rest = self.trace.split(fraction)
-        cut = len(warm)
-        return (
-            CmpTrace(warm, self.cores[:cut], self.n_cores, self.benchmarks),
-            CmpTrace(rest, self.cores[cut:], self.n_cores, self.benchmarks),
-        )
+def spec_records(spec: str, n_references: int) -> int:
+    """Records in the trace of a per-core spec (``"a+b"``, one app per
+    core): each of its ``k`` cores issues ``n_references // k``."""
+    k = spec.count("+") + 1
+    return n_references // k * k
 
 
 def interleave_traces(
     traces: Sequence[Trace],
     core_ipcs: Sequence[float],
     benchmark: str = "",
-) -> CmpTrace:
+) -> Trace:
     """Merge per-core traces into one shared-L2 stream.
 
     Each core's references are placed at their standalone virtual
@@ -117,6 +89,8 @@ def interleave_traces(
     by a stable sort, so equal-time references keep core order.  Gaps
     stay per-core: during replay each record advances only its own
     core by its own gap, so per-core instruction counts are exact.
+    Core ``i``'s addresses are offset by ``i << CORE_ADDR_SHIFT``, so
+    each stream must stay below that offset.
     """
     if not traces:
         raise ConfigurationError("need at least one per-core trace")
@@ -128,33 +102,28 @@ def interleave_traces(
         raise ConfigurationError(
             f"{len(core_ipcs)} IPCs for {len(traces)} traces"
         )
-    names = tuple(t.benchmark for t in traces)
-    label = benchmark or "+".join(names)
-    if len(traces) == 1:
-        t = traces[0]
-        merged = Trace(
-            benchmark=label, gaps=t.gaps, addresses=t.addresses, writes=t.writes
-        )
-        return CmpTrace(merged, np.zeros(len(t), dtype=np.int16), 1, names)
-
     times: List[np.ndarray] = []
-    owners: List[np.ndarray] = []
     offset_addrs: List[np.ndarray] = []
     for core, (trace, ipc) in enumerate(zip(traces, core_ipcs)):
         if ipc <= 0:
             raise ConfigurationError(f"core {core} IPC must be positive, got {ipc}")
         if not len(trace):
             raise ConfigurationError(f"core {core} trace is empty")
+        top = int(trace.addresses.max())
+        if top >= 1 << CORE_ADDR_SHIFT:
+            raise ConfigurationError(
+                f"core {core} trace holds address {top:#x}, at or above "
+                f"1 << {CORE_ADDR_SHIFT}, where the per-core offsets start: "
+                "it would alias another core's addresses"
+            )
         times.append(np.cumsum(trace.gaps, dtype=np.float64) / float(ipc))
-        owners.append(np.full(len(trace), core, dtype=np.int16))
         offset_addrs.append(
             trace.addresses.astype(np.int64) + (core << CORE_ADDR_SHIFT)
         )
     order = np.argsort(np.concatenate(times), kind="stable")
-    merged = Trace(
-        benchmark=label,
+    return Trace(
+        benchmark=benchmark or "+".join(t.benchmark for t in traces),
         gaps=np.concatenate([t.gaps for t in traces])[order],
         addresses=np.concatenate(offset_addrs)[order],
         writes=np.concatenate([t.writes for t in traces])[order],
     )
-    return CmpTrace(merged, np.concatenate(owners)[order], len(traces), names)

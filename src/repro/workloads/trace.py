@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
@@ -87,6 +87,15 @@ class Trace:
         writes = self.writes.tolist()
         return zip(gaps, addresses, writes)
 
+    def _memo(self, name: str) -> dict:
+        """This trace's memo dict ``name``, made on first use (the
+        dataclass is frozen, so it is set around ``__setattr__``)."""
+        memo = self.__dict__.get(name)
+        if memo is None:
+            memo = {}
+            object.__setattr__(self, name, memo)
+        return memo
+
     def decoded_batch(self, block_bytes: int, n_sets: int) -> BatchDecodedTrace:
         """Decode for the vectorized kernel, cached per geometry.
 
@@ -99,8 +108,8 @@ class Trace:
         of this trace object shares the decode and the L1 solve memo.
         """
         key = (block_bytes, n_sets)
-        cache = getattr(self, "_batch_cache", None)
-        if cache is not None and key in cache:
+        cache = self._memo("_batch_cache")
+        if key in cache:
             return cache[key]
         if block_bytes <= 0 or block_bytes & (block_bytes - 1):
             raise ConfigurationError(
@@ -124,9 +133,6 @@ class Trace:
             sets=(addresses >> shift) & np.int64(n_sets - 1),
             writes=np.asarray(self.writes, dtype=bool),
         )
-        if cache is None:
-            cache = {}
-            object.__setattr__(self, "_batch_cache", cache)
         cache[key] = batch
         return batch
 
@@ -134,22 +140,34 @@ class Trace:
         """First ``n`` records (used for warmup splits and quick runs)."""
         if n < 0:
             raise ConfigurationError("head length must be non-negative")
+        return self._select(slice(n))
+
+    def _select(self, index) -> "Trace":
+        """The records at ``index`` (a slice or an array of positions)."""
         return Trace(
-            benchmark=self.benchmark,
-            gaps=self.gaps[:n],
-            addresses=self.addresses[:n],
-            writes=self.writes[:n],
+            self.benchmark, self.gaps[index], self.addresses[index], self.writes[index]
         )
 
-    def take(self, indices: np.ndarray) -> "Trace":
-        """The records at ``indices``, in that order (a CMP core's own
-        sub-stream of a merged trace)."""
-        return Trace(
-            benchmark=self.benchmark,
-            gaps=self.gaps[indices],
-            addresses=self.addresses[indices],
-            writes=self.writes[indices],
-        )
+    def by_core(self, n_cores: int) -> List[Tuple[np.ndarray, "Trace"]]:
+        """Each core's ``(positions, sub-stream)`` of an interleaved
+        trace, for cores ``0 .. n_cores-1``; the issuing core of a
+        record is read from its address bits
+        (:func:`~repro.workloads.interleave.core_of_address`).
+
+        Memoized per core count, like :meth:`split`: every replay of
+        this slice reuses the sub-streams, and with them their
+        :meth:`decoded_batch` caches and L1 solve memos.
+        """
+        cache = self._memo("_core_cache")
+        if n_cores in cache:
+            return cache[n_cores]
+        # Imported here: the interleaver builds on this module.
+        from repro.workloads.interleave import core_of_address
+
+        owners = core_of_address(self.addresses)
+        positions = [np.flatnonzero(owners == core) for core in range(n_cores)]
+        cache[n_cores] = [(at, self._select(at)) for at in positions]
+        return cache[n_cores]
 
     def split(self, fraction: float) -> Tuple["Trace", "Trace"]:
         """Split into (warmup, measured) at ``fraction`` of the records.
@@ -163,22 +181,12 @@ class Trace:
         """
         if not 0.0 <= fraction < 1.0:
             raise ConfigurationError("split fraction must be in [0, 1)")
-        cache = getattr(self, "_split_cache", None)
-        if cache is not None and fraction in cache:
+        cache = self._memo("_split_cache")
+        if fraction in cache:
             return cache[fraction]
         cut = int(len(self) * fraction)
-        warm = self.head(cut)
-        rest = Trace(
-            benchmark=self.benchmark,
-            gaps=self.gaps[cut:],
-            addresses=self.addresses[cut:],
-            writes=self.writes[cut:],
-        )
-        if cache is None:
-            cache = {}
-            object.__setattr__(self, "_split_cache", cache)
-        cache[fraction] = (warm, rest)
-        return warm, rest
+        cache[fraction] = (self.head(cut), self._select(slice(cut, None)))
+        return cache[fraction]
 
     # --- persistence ---
 

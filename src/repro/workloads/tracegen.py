@@ -42,6 +42,7 @@ from repro.resilience.integrity import (
 from repro.resilience.locks import FileLock
 from repro.telemetry.runtime import runtime_registry
 from repro.workloads import transport
+from repro.workloads.interleave import interleave_traces, spec_records
 from repro.workloads.spec2k import BenchmarkProfile, get_benchmark
 from repro.workloads.trace import Trace
 
@@ -249,6 +250,39 @@ def generate_trace(
     ).generate(n_references)
 
 
+def generate_spec_trace(
+    spec: str,
+    n_references: int,
+    seed: int = 0,
+    warm_set_conflict: int = 1,
+) -> Trace:
+    """The trace of a per-core spec, the one generator of every cell.
+
+    A one-part spec is :func:`generate_trace`.  ``"a+b+..."`` names one
+    app per core: core ``i`` issues ``n_references // k`` references
+    seeded with ``derive_seed(seed, f"cmp/core{i}")``, merged by
+    :func:`~repro.workloads.interleave.interleave_traces`, so the trace
+    holds :func:`~repro.workloads.interleave.spec_records` records and
+    each record's core lives in its address bits.
+    """
+    parts = spec.split("+")
+    profiles = [get_benchmark(part) for part in parts]
+    if len(parts) == 1:
+        return generate_trace(profiles[0], n_references, seed, warm_set_conflict)
+    per_core = n_references // len(parts)
+    if per_core < 1:
+        raise ConfigurationError(
+            f"{n_references} references cannot feed {len(parts)} cores"
+        )
+    streams = [
+        generate_trace(profile, per_core, derive_seed(seed, f"cmp/core{i}"), warm_set_conflict)
+        for i, profile in enumerate(profiles)
+    ]
+    return interleave_traces(
+        streams, [profile.core_ipc for profile in profiles], benchmark=spec
+    )
+
+
 def default_trace_cache_dir() -> Optional[str]:
     """The ambient cache directory: ``REPRO_TRACE_CACHE``, or None."""
     return os.environ.get("REPRO_TRACE_CACHE") or None
@@ -257,9 +291,11 @@ def default_trace_cache_dir() -> Optional[str]:
 class TraceCache:
     """On-disk trace store keyed by generation parameters.
 
-    A trace is fully determined by ``(benchmark, n_references, seed,
-    warm_set_conflict)``, so those four values are the file name and
-    the cache needs no invalidation logic.  An entry is the trace's
+    A trace is fully determined by ``(spec, n_references, seed,
+    warm_set_conflict)`` (:func:`generate_spec_trace`; the spec is one
+    benchmark, or ``"a+b"`` for an interleaved multi-core trace), so
+    those four values are the file name and the cache needs no
+    invalidation logic.  An entry is the trace's
     :meth:`~repro.workloads.trace.Trace.save` ``.npy`` plus a
     ``<name>.npy.sha256`` sidecar; a hit verifies the sidecar, then
     memory-maps the file read-only, which is how pool workers share one
@@ -309,7 +345,7 @@ class TraceCache:
                 self._report_unusable(path, "failed its checksum")
             return None
         try:
-            return Trace.load(path, benchmark, n_references)
+            return Trace.load(path, benchmark, spec_records(benchmark, n_references))
         except ConfigurationError as exc:
             if report:
                 self._report_unusable(path, f"does not match its key ({exc})")
@@ -349,11 +385,8 @@ class TraceCache:
             if trace is not None:
                 self.hits += 1
                 return trace, path
-            generated = generate_trace(
-                get_benchmark(benchmark),
-                n_references,
-                seed=seed,
-                warm_set_conflict=warm_set_conflict,
+            generated = generate_spec_trace(
+                benchmark, n_references, seed, warm_set_conflict
             )
             tmp = f"{path}.{os.getpid()}.tmp"
             try:
@@ -365,7 +398,8 @@ class TraceCache:
                     os.remove(tmp)
         runtime_registry().add("transport.segment_builds")
         self.misses += 1
-        return Trace.load(path, benchmark, n_references), path
+        records = spec_records(benchmark, n_references)
+        return Trace.load(path, benchmark, records), path
 
     def get(
         self,
@@ -440,9 +474,11 @@ def trace_entries(
     warm_set_conflict: int = 1,
     directory: Optional[str] = None,
 ) -> Iterator[Dict[str, str]]:
-    """``{benchmark: entry path}`` for a grid's shared traces.
+    """``{spec: entry path}`` for a grid's shared traces.
 
-    Ensures each benchmark's entry once in ``directory``, else in
+    ``benchmarks`` are trace specs: one benchmark, or ``"a+b"`` for a
+    multi-core trace (:func:`generate_spec_trace`).
+    Ensures each spec's entry once in ``directory``, else in
     ``REPRO_TRACE_CACHE``, else in a scratch directory that is removed
     on exit, together with this process's memoized mappings of its
     entries.  Cells reach their trace through the path

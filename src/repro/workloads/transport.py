@@ -24,6 +24,7 @@ from typing import Dict, Iterable, Optional
 from repro.common.errors import ConfigurationError
 from repro.resilience.integrity import verify_sidecar
 from repro.telemetry.runtime import runtime_registry
+from repro.workloads.interleave import spec_records
 from repro.workloads.trace import Trace
 
 #: Traces this process already mapped, by entry path; the cached
@@ -34,11 +35,16 @@ _LOADED: Dict[str, Trace] = {}
 def load_mmap_trace(
     path: str, benchmark: str, n_references: int
 ) -> Optional[Trace]:
-    """The memoized mapped :class:`Trace` for a cache entry, or None."""
+    """The memoized mapped :class:`Trace` for a cache entry, or None.
+
+    ``benchmark`` is the entry's trace spec; the entry holds
+    :func:`~repro.workloads.interleave.spec_records` records.
+    """
     reg = runtime_registry()
+    records = spec_records(benchmark, n_references)
     cached = _LOADED.get(path)
     if cached is not None:
-        if cached.benchmark != benchmark or len(cached) != n_references:
+        if cached.benchmark != benchmark or len(cached) != records:
             reg.add("transport.mmap_unusable")
             return None
         reg.add("transport.trace_reuses")
@@ -47,7 +53,7 @@ def load_mmap_trace(
         reg.add("transport.mmap_unusable")
         return None
     try:
-        trace = Trace.load(path, benchmark, n_references)
+        trace = Trace.load(path, benchmark, records)
     except ConfigurationError:
         reg.add("transport.mmap_unusable")
         return None

@@ -129,37 +129,50 @@ class TestInterleaver:
     def test_deterministic(self):
         a = interleave_traces(self._traces(), [1.0, 1.0])
         b = interleave_traces(self._traces(), [1.0, 1.0])
-        assert np.array_equal(a.trace.addresses, b.trace.addresses)
-        assert np.array_equal(a.cores, b.cores)
+        assert np.array_equal(a.addresses, b.addresses)
+        assert np.array_equal(a.gaps, b.gaps)
 
     def test_single_core_identity(self):
         trace = generate_trace(get_benchmark("twolf"), 2000, seed=0)
         merged = interleave_traces([trace], [1.0])
-        assert np.array_equal(merged.trace.addresses, trace.addresses)
-        assert np.array_equal(merged.trace.gaps, trace.gaps)
-        assert not merged.cores.any()
+        assert np.array_equal(merged.addresses, trace.addresses)
+        assert np.array_equal(merged.gaps, trace.gaps)
+        assert not core_of_address(merged.addresses).any()
 
     def test_provenance_recovers_streams(self):
         traces = self._traces()
         merged = interleave_traces(traces, [1.0, 1.0])
         assert len(merged) == sum(len(t) for t in traces)
+        owners = core_of_address(merged.addresses)
         for core, trace in enumerate(traces):
-            mask = merged.cores == core
+            mask = owners == core
             assert mask.sum() == len(trace)
-            own = merged.trace.addresses[mask]
+            own = merged.addresses[mask]
             # Core streams keep their order; addresses carry the offset.
             assert np.array_equal(
                 own - (core << CORE_ADDR_SHIFT), trace.addresses
             )
             assert (core_of_address(int(own[0]))) == core
+            at, sub = merged.by_core(2)[core]
+            assert np.array_equal(at, np.flatnonzero(mask))
+            assert np.array_equal(sub.addresses, own)
+        assert merged.by_core(2) is merged.by_core(2)
 
     def test_faster_core_issues_more_early_references(self):
         traces = self._traces()
         merged = interleave_traces(traces, [2.0, 1.0])
-        head = merged.cores[: len(merged) // 4]
+        head = core_of_address(merged.addresses[: len(merged) // 4])
         # The 2-ipc core advances virtual time half as fast per gap, so
         # it crowds the front of the merged stream.
         assert (head == 0).sum() > (head == 1).sum()
+
+    def test_address_at_core_offset_rejected(self):
+        low, high = self._traces()
+        addresses = high.addresses.copy()
+        addresses[7] = 1 << CORE_ADDR_SHIFT
+        high = replace(high, addresses=addresses)
+        with pytest.raises(ConfigurationError, match=r"core 1 .*0x4000000000"):
+            interleave_traces([low, high], [1.0, 1.0])
 
     def test_parse_cmp_benchmark(self):
         assert list(parse_cmp_benchmark("twolf", 2)) == ["twolf", "twolf"]
@@ -170,11 +183,11 @@ class TestInterleaver:
     def test_generate_cmp_trace_seeds_differ_per_core(self):
         config = cmp_nurapid_config(cores=2)
         merged = generate_cmp_trace(config, "twolf", 4000, seed=0)
-        assert merged.n_cores == 2
-        own0 = merged.trace.addresses[merged.cores == 0]
-        own1 = merged.trace.addresses[merged.cores == 1] - (
-            1 << CORE_ADDR_SHIFT
-        )
+        assert merged.benchmark == "twolf+twolf"
+        owners = core_of_address(merged.addresses)
+        assert np.bincount(owners).tolist() == [2000, 2000]
+        own0 = merged.addresses[owners == 0]
+        own1 = merged.addresses[owners == 1] - (1 << CORE_ADDR_SHIFT)
         assert not np.array_equal(own0, own1)
 
 
@@ -400,3 +413,95 @@ def test_occupancy_census_every_organization(kind, contention):
         replace(build(), cmp=cmp), "twolf", n_references=4000, seed=1
     )
     assert (result.stats["c0.l2_blocks"], result.stats["c1.l2_blocks"]) == expected
+
+
+# --- one trace path: CMP traces are trace-cache entries ---
+
+
+def test_cmp_suite_reuses_cached_trace_and_l1_solves(tmp_path, monkeypatch):
+    """A 2-core cell maps its interleaved trace from the trace cache,
+    so a rerun in the same process generates no trace and replays every
+    slice from the memoised L1 solves of its per-core sub-streams."""
+    from repro.sim import l1solve
+    from repro.sim.driver import run_suite
+    from repro.workloads import tracegen, transport
+
+    config = cmp_nurapid_config(cores=2)
+    inline = generate_cmp_trace(config, "gcc+mesa", REFS, seed=1)
+    expected = json.dumps(
+        run_result_to_dict(
+            run_suite(
+                config, ["gcc+mesa"], n_references=REFS, seed=1,
+                warmup_fraction=WARMUP, traces={"gcc+mesa": inline},
+            ).runs["gcc+mesa"]
+        ),
+        sort_keys=True,
+    )
+    calls = {"solve": 0, "generate": 0}
+    real_solve = l1solve.solve
+    real_generate = tracegen.generate_trace
+
+    def counting_solve(*args, **kwargs):
+        calls["solve"] += 1
+        return real_solve(*args, **kwargs)
+
+    def counting_generate(*args, **kwargs):
+        calls["generate"] += 1
+        return real_generate(*args, **kwargs)
+
+    monkeypatch.setattr(l1solve, "solve", counting_solve)
+    monkeypatch.setattr(tracegen, "generate_trace", counting_generate)
+    transport.reset_for_tests()
+    outputs = []
+    for _ in range(2):
+        calls.update(solve=0, generate=0)
+        reset_runtime_registry()
+        suite = run_suite(
+            config, ["gcc+mesa"], n_references=REFS, seed=1,
+            warmup_fraction=WARMUP, trace_cache_dir=str(tmp_path),
+        )
+        outputs.append(
+            json.dumps(run_result_to_dict(suite.runs["gcc+mesa"]), sort_keys=True)
+        )
+        counters = runtime_counters()
+    # The first run built the entry; the second reused its mapping and
+    # every L1 solve (two cores x warmup and measured slices).
+    assert calls == {"solve": 0, "generate": 0}
+    assert counters.get("transport.segment_builds", 0) == 0
+    assert counters.get("transport.trace_reuses", 0) == 1
+    assert sorted(p.name for p in tmp_path.glob("*.npy")) == [
+        f"gcc+mesa-r{REFS}-s1-c1.npy"
+    ]
+    assert outputs == [expected, expected]
+
+
+def test_multi_core_accepts_inline_trace_from_its_cores():
+    config = cmp_nurapid_config(cores=2)
+    trace = generate_cmp_trace(config, "twolf", REFS, seed=0)
+    inline = run_benchmark(
+        config, "twolf", n_references=REFS, seed=0, warmup_fraction=WARMUP,
+        trace=trace,
+    )
+    generated = run_benchmark(
+        config, "twolf", n_references=REFS, seed=0, warmup_fraction=WARMUP
+    )
+    assert run_result_to_dict(inline) == run_result_to_dict(generated)
+    with pytest.raises(ConfigurationError, match=r"cores \[0, 1\]"):
+        run_benchmark(cmp_nurapid_config(cores=4), "twolf", trace=trace)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_one_core_replay_never_decodes_cores(engine, monkeypatch):
+    import repro.sim.driver as driver
+    import repro.workloads.interleave as interleave
+
+    def refuse(address):
+        raise AssertionError("a one-core replay decoded issuing cores")
+
+    monkeypatch.setattr(interleave, "core_of_address", refuse)
+    monkeypatch.setattr(driver, "core_of_address", refuse)
+    trace = generate_trace(get_benchmark("twolf"), REFS, seed=0)
+    run_benchmark(
+        replace(nurapid_config(), engine=engine), "twolf",
+        n_references=REFS, warmup_fraction=WARMUP, trace=trace,
+    )

@@ -143,32 +143,6 @@ class TestResultParity:
         assert reports["vectorized"].startswith("== telemetry report ==")
 
 
-class TestAccessResultSequence:
-    @pytest.mark.parametrize(
-        "config",
-        [base_config(), nurapid_config(), snuca_config()],
-        ids=lambda c: c.name,
-    )
-    def test_per_reference_results_identical(self, config):
-        trace = trace_for("galgel", 0)
-        sequences = {}
-        for engine in ENGINES:
-            system = make_system(config)
-            profile = get_benchmark("galgel")
-            core = CoreModel(
-                params=config.core,
-                core_ipc=profile.core_ipc,
-                exposure=profile.exposure,
-                branch_fraction=profile.branch_fraction,
-                mispredict_rate=profile.mispredict_rate,
-            )
-            collected = []
-            _replay([system], [core], trace, engine=engine, collect=collected)
-            sequences[engine] = collected
-        assert len(sequences["legacy"]) == len(trace)
-        assert sequences["legacy"] == sequences["vectorized"]
-
-
 class TestFaultParity:
     def transient_config(self):
         return nurapid_config(

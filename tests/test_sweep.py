@@ -159,6 +159,34 @@ class TestSweepValidation:
         with pytest.raises(ConfigurationError, match="unknown benchmark"):
             fast_sweep(benchmarks=["wupwise", "nosuchbench"])
 
+    def test_multi_core_spec_checked_per_part(self, tmp_path):
+        """A "+" spec names one app per core: each part is checked at
+        construction, the part count per cell, where the core count is
+        known, and the 2-core cell is the one run_suite runs."""
+        from repro.cmp.scenarios import cmp_nurapid_config
+        from repro.sim.driver import run_suite
+
+        def build(cores):
+            return cmp_nurapid_config(cores=cores)
+
+        with pytest.raises(ConfigurationError, match="unknown benchmark"):
+            Sweep([SweepAxis("cores", (2,))], build, ["twolf+nosuchbench"])
+        sweep = Sweep(
+            [SweepAxis("cores", (1, 2))], build, ["twolf+mcf"],
+            n_references=4_000, max_retries=0, trace_cache_dir=str(tmp_path),
+        )
+        one, two = sweep.run()
+        assert not one.outcomes["twolf+mcf"].ok
+        assert "names 2 apps" in one.outcomes["twolf+mcf"].error
+        assert two.outcomes["twolf+mcf"].ok
+        suite = run_suite(
+            build(2), ["twolf+mcf"], n_references=4_000, seed=sweep.seed,
+            warmup_fraction=sweep.warmup_fraction,
+        )
+        assert run_result_to_dict(two.runs["twolf+mcf"]) == run_result_to_dict(
+            suite.runs["twolf+mcf"]
+        )
+
 
 class TestSweepHardening:
     def test_fault_errors_isolated_and_recorded(self, monkeypatch):
