@@ -3,6 +3,8 @@
 * :mod:`repro.caches.block` — cache-block bookkeeping.
 * :mod:`repro.caches.port` — busy-time port/bank scheduling (the
   one-ported NuRAPID vs multi-banked D-NUCA contrast lives here).
+* :mod:`repro.caches.level` — the ``access``/``fill`` every cache
+  level composes from its outcome and timing steps.
 * :mod:`repro.caches.mshr` — miss-status holding registers.
 * :mod:`repro.caches.simple` — conventional set-associative caches
   (the L1s and the base L2/L3 hierarchy).

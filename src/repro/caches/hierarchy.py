@@ -2,25 +2,11 @@
 
 A :class:`CacheHierarchy` wires an L1 (i- and d-side) above an ordered
 list of lower levels (the base L2+L3, or a single non-uniform L2) above
-main memory.  Every lower level implements the same small protocol:
-
-* ``access(address, is_write, now) -> AccessResult`` — probe; latency
-  covers this level only, including any port/bank queueing.
-* ``fill(address, now, dirty) -> int`` — install after a miss; returns
-  the number of dirty blocks it pushed out (writeback traffic).
-* ``block_bytes`` — its block size.
-
-Both calls are two steps (DESIGN.md, "Lower-level outcome and
-timing"), which the vectorized kernel also calls directly:
-
-* ``access_outcome(address, is_write)`` and ``fill_outcome(address,
-  dirty)`` take no time.  They make every state, RNG, fault and counter
-  change and return a compact outcome tuple: element 0 is the hit flag
-  of an access, or the dirty writebacks of a fill, whose element 1 is
-  None when its timing step has nothing to do.
-* ``access_timing(outcome, now) -> latency`` and ``fill_timing(outcome,
-  now)`` claim the port or bank occupancy and emit the telemetry the
-  outcome carries, stamped with ``now``.
+main memory.  Every level is a :class:`~repro.caches.level.CacheLevel`:
+``access(address, is_write, now)`` returns an ``AccessResult`` whose
+latency covers that level only, ``fill(address, now, dirty)`` returns
+the dirty blocks it pushed out, and both are an outcome step followed
+by a timing step, which the vectorized kernel also calls directly.
 
 The hierarchy accumulates the miss path's latency, issues fills bottom
 up, and routes L1 dirty evictions into the first lower level.  An
@@ -31,7 +17,7 @@ first lower level after the miss's own operations and add no latency.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Protocol, Sequence, runtime_checkable
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from repro.common.errors import ConfigurationError
 
@@ -40,74 +26,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.telemetry import Histogram
 from repro.common.stats import Counter
 from repro.common.types import Access, AccessResult, AccessType
+from repro.caches.level import CacheLevel
 from repro.caches.memory import MainMemory
 from repro.caches.simple import SetAssociativeCache
-
-
-@runtime_checkable
-class LowerLevel(Protocol):
-    """What the hierarchy requires of an L2/L3-like cache."""
-
-    name: str
-    block_bytes: int
-
-    def contains(self, address: int) -> bool:
-        ...
-
-    def access(self, address: int, is_write: bool = False, now: float = 0.0) -> AccessResult:
-        ...
-
-    def fill(self, address: int, now: float = 0.0, dirty: bool = False) -> int:
-        ...
-
-    def access_outcome(self, address: int, is_write: bool = False) -> tuple:
-        ...
-
-    def access_timing(self, outcome: tuple, now: float) -> float:
-        ...
-
-    def fill_outcome(self, address: int, dirty: bool = False) -> tuple:
-        ...
-
-    def fill_timing(self, outcome: tuple, now: float) -> None:
-        ...
-
-
-class UniformLowerLevel:
-    """Adapter giving :class:`SetAssociativeCache` the lower-level protocol."""
-
-    def __init__(self, cache: SetAssociativeCache) -> None:
-        self.cache = cache
-        self.name = cache.name
-        self.block_bytes = cache.spec.block_bytes
-        self.contains = cache.contains
-        self.access_outcome = cache.access_outcome
-        self.access_timing = cache.access_timing
-
-    def access(self, address: int, is_write: bool = False, now: float = 0.0) -> AccessResult:
-        return self.cache.access(address, is_write=is_write, now=now)
-
-    def fill(self, address: int, now: float = 0.0, dirty: bool = False) -> int:
-        outcome = self.fill_outcome(address, dirty)
-        self.fill_timing(outcome, now)
-        return outcome[0]
-
-    def fill_outcome(self, address: int, dirty: bool = False):
-        """``(dirty writebacks, the cache's fill outcome)``; the latter
-        only when telemetry will want its events, else None."""
-        outcome = self.cache.fill_outcome(address, dirty)
-        if outcome is None:
-            return _RESIDENT
-        return (outcome[0], outcome if self.cache.telemetry is not None else None)
-
-    def fill_timing(self, outcome, now: float) -> None:
-        """A uniform fill takes no port time; only its events remain."""
-        if outcome[1] is not None:
-            self.cache.fill_events(outcome[1])
-
-
-#: Fill outcome of a block the level already holds: nothing happens.
-_RESIDENT = (0, None)
 
 
 class CacheHierarchy:
@@ -116,7 +37,7 @@ class CacheHierarchy:
     def __init__(
         self,
         l1d: SetAssociativeCache,
-        lower: Sequence[LowerLevel],
+        lower: Sequence[CacheLevel],
         memory: MainMemory,
         l1i: Optional[SetAssociativeCache] = None,
     ) -> None:
@@ -124,7 +45,7 @@ class CacheHierarchy:
             raise ConfigurationError("hierarchy needs at least one lower level")
         self.l1d = l1d
         self.l1i = l1i if l1i is not None else l1d
-        self.lower: List[LowerLevel] = list(lower)
+        self.lower: List[CacheLevel] = list(lower)
         self.memory = memory
         self.stats = Counter()
         #: Optional telemetry histogram of end-to-end L1-miss latency.
@@ -158,26 +79,21 @@ class CacheHierarchy:
         prefetcher = self.prefetcher
         if prefetcher is not None:
             prefetcher.note_demand(address)
-        r1 = l1.access(address, is_write=is_write, now=now)
-        total = AccessResult(
-            hit=r1.hit, latency=r1.latency, level=l1.name, energy_nj=r1.energy_nj
-        )
+        total = l1.access(address, is_write=is_write, now=now)
         self.stats.add("l1_accesses")
-        if r1.hit:
+        if total.hit:
             self.stats.add("l1_hits")
             return total
 
-        missed: List[LowerLevel] = []
+        missed: List[CacheLevel] = []
         supplied = False
         for level in self.lower:
             at = now + total.latency
             r = level.access(address, is_write=False, now=at)
             total.latency += r.latency
-            total.energy_nj += r.energy_nj
             self.stats.add(f"{level.name}_accesses")
             if r.hit:
-                total.level = r.level or level.name
-                total.dgroup = r.dgroup
+                total.level = level.name
                 self.stats.add(f"{level.name}_hits")
                 supplied = True
                 break
@@ -193,16 +109,17 @@ class CacheHierarchy:
         fill_time = now + total.latency
         for level in reversed(missed):
             self._fill(level, address, fill_time)
-        victim = l1.fill(address, dirty=is_write)
-        if victim is not None and victim.dirty:
-            self._writeback_from_l1(victim.block_addr, fill_time)
+        filled = l1.fill_outcome(address, is_write)
+        l1.fill_timing(filled, fill_time)
+        if filled[0]:
+            self._writeback_from_l1(filled[2], fill_time)
         if prefetcher is not None:
             self._prefetch(prefetcher, address, now)
         if self.miss_latency_hist is not None:
             self.miss_latency_hist.record(total.latency)
         return total
 
-    def _fill(self, level: LowerLevel, address: int, now: float) -> None:
+    def _fill(self, level: CacheLevel, address: int, now: float) -> None:
         """Install ``address`` in ``level``; its dirty victims go to memory."""
         for _ in range(level.fill(address, now=now, dirty=False)):
             self.memory.write(level.block_bytes)

@@ -25,14 +25,14 @@ from repro.common.errors import ConfigurationError, SimulationError
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.telemetry import CacheTelemetry
 from repro.common.stats import Counter, Distribution
-from repro.common.types import AccessResult
 from repro.caches.block import block_address, prewarm_blocks, set_index
-from repro.caches.port import PortArray, check_timestamp, checked_occupancy
+from repro.caches.level import CacheLevel
+from repro.caches.port import PortArray, checked_occupancy
 from repro.floorplan.dgroups import NuRAPIDGeometry, build_nurapid_geometry
 from repro.tech.energy import EnergyBook
 
 
-class SetAssociativePlacementCache:
+class SetAssociativePlacementCache(CacheLevel):
     """Non-uniform cache with tag-coupled data placement."""
 
     def __init__(
@@ -136,22 +136,6 @@ class SetAssociativePlacementCache:
         return None if way is None else self.dgroup_of_way(way)
 
     # --- access path ---
-
-    def access(self, address: int, is_write: bool = False, now: float = 0.0) -> AccessResult:
-        check_timestamp(self.name, now)
-        outcome = self.access_outcome(address, is_write)
-        hit, group = outcome[0], outcome[1]
-        energy = self.energy.cost(f"{self.name}.tag_probe")
-        if hit:
-            op = "write" if is_write else "read"
-            energy += self.energy.cost(f"{self.name}.dg{group}.{op}")
-        return AccessResult(
-            hit=hit,
-            latency=self.access_timing(outcome, now),
-            level=self.name,
-            dgroup=group if hit else None,
-            energy_nj=energy,
-        )
 
     def access_outcome(self, address: int, is_write: bool = False):
         """The access's outcome step: ``(hit, d-group or -1, block
@@ -280,21 +264,10 @@ class SetAssociativePlacementCache:
 
     # --- fills: place fastest, bubble-demote within the set ---
 
-    def fill(self, address: int, now: float = 0.0, dirty: bool = False) -> int:
-        check_timestamp(self.name, now)
-        outcome = self.fill_outcome(address, dirty)
-        self.fill_timing(outcome, now)
-        return outcome[0]
-
-    def fill_timing(self, outcome, now: float) -> None:
-        """A fill takes no port time (demotions ride the fill buffers);
-        only its deferred events remain, stamped with the fill time."""
-        if outcome[1]:
-            self.telemetry.emit_deferred(outcome[1], now)
-
     def fill_outcome(self, address: int, dirty: bool = False):
         """The fill's outcome step: ``(dirty writebacks, deferred
-        events)``; events are None unless telemetry is armed."""
+        events)``; events are None unless telemetry is armed.  The fill
+        takes no port time: its demotions ride the fill buffers."""
         baddr = block_address(address, self.block_bytes)
         index = self._set_of(address)
         if baddr in self._where[index]:
@@ -395,6 +368,10 @@ class SetAssociativePlacementCache:
         if not total:
             return 0.0
         return self.stats.get("misses") / total
+
+    def resident_block_addrs(self) -> List[int]:
+        """The block address in each frame (-1 for a free way)."""
+        return self._addrs
 
     def reset_stats(self) -> None:
         """Zero counters after warmup; contents and port timeline kept."""

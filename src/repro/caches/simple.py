@@ -14,7 +14,9 @@ least recently inserted-or-touched block, bit-identical to the
 dict-ordered LRU this class used to keep).  The flat layout is what
 the vectorized replay kernel (:mod:`repro.sim.vectorized`) indexes directly;
 the methods below are the thin view the rest of the simulator, the
-fault injector, and telemetry keep using.
+fault injector, and telemetry keep using.  As a lower level it needs no
+adapter: ``access``/``fill`` are :class:`~repro.caches.level.CacheLevel`'s
+composition of its outcome and timing steps, and a fill takes no time.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, List, Optional
 
 from repro.common.errors import ConfigurationError, SimulationError
-from repro.common.types import AccessResult
 from repro.caches.block import CacheBlock, block_address, prewarm_blocks, set_index
+from repro.caches.level import CacheLevel
 from repro.faults.models import TransientOutcome
 from repro.floorplan.dgroups import UniformCacheSpec
 from repro.tech.energy import EnergyBook
@@ -34,7 +36,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.telemetry import CacheTelemetry
 
 
-class SetAssociativeCache:
+#: Fill outcome of a block the cache already holds: nothing happens.
+_RESIDENT = (0, None, -1)
+
+
+class SetAssociativeCache(CacheLevel):
     """A uniform-latency, LRU, write-back, allocate-on-miss cache."""
 
     def __init__(self, spec: UniformCacheSpec, energy: Optional[EnergyBook] = None) -> None:
@@ -45,6 +51,7 @@ class SetAssociativeCache:
             raise ConfigurationError("capacity must hold a whole number of sets")
         self.spec = spec
         self.name = spec.name
+        self.block_bytes = spec.block_bytes
         self.n_sets = blocks // spec.associativity
         if self.n_sets & (self.n_sets - 1):
             raise ConfigurationError("set count must be a power of two")
@@ -62,14 +69,12 @@ class SetAssociativeCache:
         self.energy.register(f"{self.name}.read", spec.read_energy_nj)
         self.energy.register(f"{self.name}.write", spec.write_energy_nj)
         self.energy.register(f"{self.name}.tag_probe", spec.tag_energy_nj)
-        # Hot-path caches: precomputed op keys/costs, address masks, and a
+        # Hot-path caches: precomputed op keys, address masks, and a
         # direct view into the energy counts (reset in place, so the
         # reference stays valid across reset_stats()).  Pure
         # re-expressions of the state above; bit-identical behavior.
         self._k_read = f"{self.name}.read"
         self._k_write = f"{self.name}.write"
-        self._read_cost = self.energy.cost(self._k_read)
-        self._write_cost = self.energy.cost(self._k_write)
         self._ecounts = self.energy._count
         self._block_mask = ~(spec.block_bytes - 1)
         self._set_shift = spec.block_bytes.bit_length() - 1
@@ -113,34 +118,13 @@ class SetAssociativeCache:
 
     def _find(self, index: int, baddr: int) -> int:
         """Frame holding ``baddr`` within set ``index``, or -1."""
-        tags = self._tags
         base = index * self._assoc
-        for frame in range(base, base + self._assoc):
-            if tags[frame] == baddr:
-                return frame
-        return -1
+        ways = self._tags[base : base + self._assoc]
+        return base + ways.index(baddr) if baddr in ways else -1
 
     def contains(self, address: int) -> bool:
         baddr = block_address(address, self.spec.block_bytes)
         return self._find(self._locate(address), baddr) >= 0
-
-    def access(self, address: int, is_write: bool = False, now: float = 0.0) -> AccessResult:
-        """Present one reference; on a miss the caller fetches and fills.
-
-        The uniform latency covers both the hit case and miss
-        determination (tag + data are probed either way in this simple
-        organization).  ``now`` is accepted for interface uniformity
-        with the banked/ported organizations but unused: the paper's
-        L1s are pipelined and the base L2/L3 are not the bandwidth
-        bottleneck under study.
-        """
-        outcome = self.access_outcome(address, is_write)
-        return AccessResult(
-            hit=outcome[0],
-            latency=self.access_timing(outcome, now),
-            level=self.name,
-            energy_nj=self._write_cost if is_write else self._read_cost,
-        )
 
     def access_outcome(self, address: int, is_write: bool = False):
         """The access's outcome step: ``(hit, block address)``.
@@ -181,7 +165,12 @@ class SetAssociativeCache:
         return (False, baddr)
 
     def access_timing(self, outcome, now: float):
-        """The access's timing step: the uniform latency."""
+        """The access's timing step: the uniform latency, for a hit and
+        a miss alike (tag and data are probed either way).
+
+        ``now`` is unused: the paper's L1s are pipelined and the base
+        L2/L3 are not the bandwidth bottleneck under study.
+        """
         if self.telemetry is not None:
             self.telemetry.on_access(
                 outcome[1], outcome[0], None, float(self.spec.latency_cycles)
@@ -190,33 +179,20 @@ class SetAssociativeCache:
 
     # --- fills and evictions ---
 
-    def fill(self, address: int, dirty: bool = False) -> Optional[CacheBlock]:
-        """Install a block after a miss; returns any evicted block.
-
-        Fill energy is charged as a write access.  The evicted block is
-        returned so the hierarchy can route a dirty writeback to the
-        next level.
-        """
-        outcome = self.fill_outcome(address, dirty)
-        if outcome is None:
-            return None
-        self.fill_events(outcome)
-        victim = outcome[1]
-        if victim < 0:
-            return None
-        return CacheBlock(block_addr=victim, dirty=bool(outcome[0]))
-
     def fill_outcome(self, address: int, dirty: bool = False):
-        """The fill's outcome step: ``(dirty writebacks, victim block
-        address or -1, block address)``, or None when the block is
-        already resident.
+        """The fill's outcome step: ``(dirty writebacks, deferred
+        events, victim block address or -1)``.
+
+        Fill energy is charged as a write access.  The events are None
+        unless telemetry is armed; the victim is what the L1 path
+        writes back when it is dirty.
         """
         baddr = address & self._block_mask
         index = (address >> self._set_shift) & self._set_mask
         if self._find(index, baddr) >= 0:
             # Two misses to the same block can race through the MSHR
             # merge path; the second fill is a no-op.
-            return None
+            return _RESIDENT
         self._ecounts[self._k_write] += 1
         tags = self._tags
         stamps = self._stamps
@@ -243,19 +219,15 @@ class SetAssociativeCache:
         self._dirty[free] = 1 if dirty else 0
         stamps[free] = self._clock
         self._clock += 1
-        return (writebacks, victim_addr, baddr)
-
-    def fill_events(self, outcome) -> None:
-        """A fill outcome's telemetry events, in their fixed order."""
-        telemetry = self.telemetry
-        if telemetry is None:
-            return
-        writebacks, victim, baddr = outcome
-        if victim >= 0:
-            telemetry.event("eviction", addr=victim)
-            if writebacks:
-                telemetry.event("writeback", addr=victim)
-        telemetry.event("placement", addr=baddr)
+        events = None
+        if self.telemetry is not None:
+            events = []
+            if victim_addr >= 0:
+                events.append(("eviction", {"addr": victim_addr}, False))
+                if writebacks:
+                    events.append(("writeback", {"addr": victim_addr}, False))
+            events.append(("placement", {"addr": baddr}, False))
+        return (writebacks, events, victim_addr)
 
     def invalidate(self, address: int) -> Optional[CacheBlock]:
         """Remove a block (if present) without writing it back."""
@@ -304,6 +276,10 @@ class SetAssociativeCache:
         self.writebacks = 0
         self.fault_refetches = 0
         self.energy.reset_counts()
+
+    def resident_block_addrs(self) -> List[int]:
+        """The block address in each frame (-1 for a free frame)."""
+        return self._tags
 
     def occupancy(self) -> int:
         """Number of resident blocks (for tests and examples)."""

@@ -12,25 +12,22 @@ Queueing adds *wait* only — an unloaded bank returns exactly the
 wrapped cache's latency, so a one-core contended run differs from the
 uncontended model only when its own fills collide with its own hits.
 
-Like the wrapped cache, each access and fill is an outcome step (the
-wrapped cache's, plus the home bank) and a timing step that claims
-the bank after the wrapped cache's own timing (DESIGN.md, "Lower-level
-outcome and timing").
+Like the wrapped cache, it is a :class:`~repro.caches.level.CacheLevel`:
+each access and fill is an outcome step (the wrapped cache's, plus the
+home bank) and a timing step that claims the bank after the wrapped
+cache's own timing (DESIGN.md, "Lower-level outcome and timing").
 
-Everything else forwards to the wrapped cache.  The wrapper
-deliberately does **not** answer ``.cache``: the driver unwraps levels
-exposing that attribute as uniform-cache adapters, and this wrapper
-must stay in the stats path as the cache under study.
+Everything else forwards to the wrapped cache.
 """
 
 from __future__ import annotations
 
-from repro.caches.port import PortArray, check_timestamp, checked_occupancy
+from repro.caches.level import CacheLevel
+from repro.caches.port import PortArray, checked_occupancy
 from repro.cmp.config import ContentionConfig
-from repro.common.types import AccessResult
 
 
-class ContendedLLC:
+class ContendedLLC(CacheLevel):
     """Per-bank queueing layered over a lower-level cache."""
 
     def __init__(self, inner, contention: ContentionConfig) -> None:
@@ -67,13 +64,13 @@ class ContendedLLC:
         self._inner.telemetry = client
 
     def __getattr__(self, attr: str):
-        # The driver treats levels exposing ``.cache`` as uniform
-        # wrappers to unwrap; this wrapper must stay visible.
-        if attr in ("cache", "_inner"):
+        # Before __init__ sets ``_inner`` (copy, pickle), looking it
+        # up must fail rather than recurse.
+        if attr == "_inner":
             raise AttributeError(attr)
         return getattr(self._inner, attr)
 
-    # --- the LowerLevel protocol, with bank queueing ---
+    # --- the two steps, with bank queueing ---
 
     def _bank_of(self, address: int) -> int:
         return (int(address) >> self._block_shift) % self._n_banks
@@ -85,15 +82,6 @@ class ContendedLLC:
                 self.bank_ports.pending_depth(bank, now, self._service)
             )
         return self.bank_ports.claim(bank, now, self._service) - now
-
-    def access(
-        self, address: int, is_write: bool = False, now: float = 0.0
-    ) -> AccessResult:
-        check_timestamp(self.name, now)
-        result = self._inner.access(address, is_write, now)
-        if result.hit:
-            result.latency += self._queue_for_hit(self._bank_of(address), now)
-        return result
 
     def access_outcome(self, address: int, is_write: bool = False):
         """``(hit, wrapped outcome, home bank)``."""
@@ -107,20 +95,15 @@ class ContendedLLC:
             latency += self._queue_for_hit(bank, now)
         return latency
 
-    def fill(self, address: int, now: float = 0.0, dirty: bool = False) -> int:
-        # The refill's line write occupies its bank (stealing demand
-        # bandwidth) but rides the fill buffers: the wrapped cache
-        # installs at the caller's fill time either way.
-        check_timestamp(self.name, now)
-        self.bank_ports.claim(self._bank_of(address), now, self._service)
-        return self._inner.fill(address, now, dirty)
-
     def fill_outcome(self, address: int, dirty: bool = False):
         """``(dirty writebacks, wrapped outcome, home bank)``."""
         inner = self._inner.fill_outcome(address, dirty)
         return (inner[0], inner, self._bank_of(address))
 
     def fill_timing(self, outcome, now: float) -> None:
+        """The refill's line write occupies its bank (stealing demand
+        bandwidth) but rides the fill buffers: the wrapped cache
+        installs at the caller's fill time either way."""
         self.bank_ports.claim(outcome[2], now, self._service)
         self._inner.fill_timing(outcome[1], now)
 

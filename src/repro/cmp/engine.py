@@ -18,15 +18,9 @@ single-core runs never load it.
 
 from __future__ import annotations
 
-from itertools import chain
-from typing import Iterable, List
+from typing import List
 
 from repro.caches.block import PREWARM_BASE
-from repro.caches.setassoc_nonuniform import SetAssociativePlacementCache
-from repro.caches.simple import SetAssociativeCache
-from repro.cmp.contention import ContendedLLC
-from repro.nuca.cache import DNUCACache
-from repro.nuca.snuca import SNUCACache
 from repro.sim.config import SystemConfig
 from repro.workloads.interleave import core_of_address
 from repro.workloads.trace import Trace
@@ -59,25 +53,10 @@ def generate_cmp_trace(
     )
 
 
-def _resident_block_addrs(target) -> Iterable[int]:
-    """Every block address a shared LLC holds (free frames read -1)."""
-    if isinstance(target, ContendedLLC):
-        target = target._inner
-    if isinstance(target, SetAssociativeCache):
-        return target._tags
-    if isinstance(target, SetAssociativePlacementCache):
-        return target._addrs
-    if isinstance(target, DNUCACache):
-        return target._baddr
-    if isinstance(target, SNUCACache):
-        return chain.from_iterable(target._sets)
-    return target._slot_baddr  # NuRAPID: one block address per tag slot
-
-
 def shared_occupancy_by_core(target, n_cores: int) -> List[int]:
     """Census of shared-LLC blocks per owning core (address bits)."""
     counts = [0] * n_cores
-    for baddr in _resident_block_addrs(target):
+    for baddr in target.resident_block_addrs():
         if not 0 <= baddr < PREWARM_BASE:
             continue  # free frames and prewarm dummies belong to no core
         core = core_of_address(baddr)

@@ -10,8 +10,7 @@ while the L2 organizations use 128 B blocks).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 
 class AccessType(enum.Enum):
@@ -54,6 +53,9 @@ class Access:
 class AccessResult:
     """Outcome of presenting an access to a cache (or hierarchy).
 
+    A level's dynamic energy is not carried here: its outcome steps
+    charge it to the level's :class:`~repro.tech.energy.EnergyBook`.
+
     Attributes:
         hit: whether the access hit at this level.
         latency: cycles from presentation of the access until data is
@@ -61,33 +63,8 @@ class AccessResult:
             the cache's port or banks).
         level: name of the level that finally supplied the data, e.g.
             ``"L1"``, ``"L2"``, ``"memory"``.
-        dgroup: for non-uniform caches, the index of the distance group
-            (or bank generation for D-NUCA) that supplied the data;
-            ``None`` for misses and for uniform caches.
-        energy_nj: dynamic energy in nanojoules consumed by this access,
-            including tag probes, data-array reads, routing, any swaps
-            it triggered, and (for D-NUCA) smart-search accesses.
-        evicted_dirty: number of dirty blocks this access pushed out of
-            the level (used for writeback traffic accounting).
     """
 
     hit: bool
     latency: float
     level: str = ""
-    dgroup: Optional[int] = None
-    energy_nj: float = 0.0
-    evicted_dirty: int = 0
-    extra: dict = field(default_factory=dict)
-
-    def merge_child(self, child: "AccessResult") -> None:
-        """Fold a lower level's result into this one (miss path).
-
-        Latency is additive along the miss path; energy is additive
-        everywhere; the supplying ``level``/``dgroup`` come from the
-        child because the child is where the data actually lived.
-        """
-        self.latency += child.latency
-        self.energy_nj += child.energy_nj
-        self.level = child.level
-        self.dgroup = child.dgroup
-        self.evicted_dirty += child.evicted_dirty

@@ -34,9 +34,9 @@ from repro.common.errors import ConfigurationError, SimulationError
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.telemetry import CacheTelemetry
 from repro.common.stats import Counter, Distribution
-from repro.common.types import AccessResult
 from repro.caches.block import block_address, prewarm_blocks, set_index
-from repro.caches.port import PortArray, check_timestamp, checked_occupancy
+from repro.caches.level import CacheLevel
+from repro.caches.port import PortArray, checked_occupancy
 from repro.floorplan.dgroups import DNUCAGeometry, build_dnuca_geometry
 from repro.nuca.config import DNUCAConfig, SearchPolicy
 from repro.nuca.smart_search import EMPTY, SmartSearchArray
@@ -50,9 +50,7 @@ class _Bank(NamedTuple):
     occupancy: int
     latency: int
     probe_key: str
-    probe_nj: float
     read_key: str
-    read_nj: float
     write_key: str
     move_key: str
 
@@ -61,7 +59,7 @@ class _Bank(NamedTuple):
 _RESIDENT = (0, None)
 
 
-class DNUCACache:
+class DNUCACache(CacheLevel):
     """Dynamic NUCA L2 implementing the lower-level protocol."""
 
     def __init__(
@@ -150,7 +148,6 @@ class DNUCACache:
         and key insertion order match the uncached path bit for bit.
         """
         geo = self.geometry
-        cost = self.energy.cost
         occupancy = checked_occupancy(
             self.bank_ports.name, (bank.occupancy_cycles for bank in geo.banks)
         )
@@ -164,9 +161,7 @@ class DNUCACache:
                     occupancy=occupancy[bank.index],
                     latency=bank.latency_cycles,
                     probe_key=f"{base}.probe",
-                    probe_nj=cost(f"{base}.probe"),
                     read_key=f"{base}.read",
-                    read_nj=cost(f"{base}.read"),
                     write_key=f"{base}.write",
                     move_key=f"{base}.move",
                 )
@@ -207,7 +202,6 @@ class DNUCACache:
             self.config.chain_length - 1 if self.config.tail_insertion else 0
         )
         self._ss_key = f"{self.name}.ss_probe"
-        self._ss_nj = cost(self._ss_key)
         self._ss_latency = float(geo.ss_latency_cycles)
         #: Direct views into the stats/energy dicts.  Counter.reset()
         #: and EnergyBook.reset_counts() mutate in place, so these stay
@@ -243,18 +237,6 @@ class DNUCACache:
         return slot % self.associativity // self.ways_per_bank
 
     # --- the access path ---
-
-    def access(self, address: int, is_write: bool = False, now: float = 0.0) -> AccessResult:
-        check_timestamp(self.name, now)
-        outcome = self.access_outcome(address, is_write)
-        hit, level = outcome[0], outcome[2]
-        return AccessResult(
-            hit=hit,
-            latency=self.access_timing(outcome, now),
-            level=self.name,
-            dgroup=level if hit else None,
-            energy_nj=self._access_energy(outcome),
-        )
 
     def access_outcome(self, address: int, is_write: bool = False):
         """The access's outcome step: ``(hit, chain, level, block
@@ -419,21 +401,6 @@ class DNUCACache:
             telemetry.emit_deferred(events, now + latency)
         return latency
 
-    def _access_energy(self, outcome) -> float:
-        """The dynamic energy of an access outcome, summed in search order."""
-        level, probes = outcome[2], outcome[6]
-        chain = self._chains[outcome[1]]
-        energy = 0.0
-        if self.config.policy is not SearchPolicy.INCREMENTAL:
-            energy += self._ss_nj
-        if level == -2:
-            return energy
-        for at in range(len(chain)) if probes is None else probes:
-            energy += chain[at].read_nj if at == level else chain[at].probe_nj
-            if probes is not None and at == level:
-                break
-        return energy
-
     # --- bubble promotion ---
 
     def _victim_slot(self, first: int) -> int:
@@ -495,22 +462,11 @@ class DNUCACache:
 
     # --- fills (tail insertion + slowest-way eviction) ---
 
-    def fill(self, address: int, now: float = 0.0, dirty: bool = False) -> int:
-        check_timestamp(self.name, now)
-        outcome = self.fill_outcome(address, dirty)
-        self.fill_timing(outcome, now)
-        return outcome[0]
-
-    def fill_timing(self, outcome, now: float) -> None:
-        """A fill takes no bank time (the idealized network and fill
-        buffers absorb it); only its deferred events remain, stamped
-        with the fill time."""
-        if outcome[1]:
-            self.telemetry.emit_deferred(outcome[1], now)
-
     def fill_outcome(self, address: int, dirty: bool = False):
         """The fill's outcome step: ``(dirty writebacks, deferred
-        events)``; events are None unless telemetry is armed."""
+        events)``; events are None unless telemetry is armed.  The fill
+        takes no bank time: the idealized network and fill buffers
+        absorb it."""
         baddr = address & self._block_mask
         index = (address >> self._set_shift) & self._set_mask
         base = index * self.associativity
@@ -587,6 +543,10 @@ class DNUCACache:
 
     def resident_blocks(self) -> int:
         return len(self._baddr) - self._baddr.count(EMPTY)
+
+    def resident_block_addrs(self) -> List[int]:
+        """The block address in each slot (-1 for a free way)."""
+        return self._baddr
 
     def reset_stats(self) -> None:
         """Zero counters after warmup; contents and bank timelines kept."""

@@ -16,13 +16,14 @@ hits at the bank's latency or misses after its tag check.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from itertools import chain
+from typing import Dict, Iterable, List, Optional
 
 from repro.common.errors import ConfigurationError, SimulationError
 from repro.common.stats import Counter, Distribution
-from repro.common.types import AccessResult
 from repro.caches.block import block_address, prewarm_blocks, set_index
-from repro.caches.port import PortArray, check_timestamp, checked_occupancy
+from repro.caches.level import CacheLevel
+from repro.caches.port import PortArray, checked_occupancy
 from repro.common.lru import LRUPolicy
 from repro.floorplan.dgroups import DNUCAGeometry, build_dnuca_geometry
 from repro.tech.energy import EnergyBook
@@ -33,7 +34,7 @@ _NO_WRITEBACK = (0, None)
 _ONE_WRITEBACK = (1, None)
 
 
-class SNUCACache:
+class SNUCACache(CacheLevel):
     """Statically-mapped non-uniform L2 (lower-level protocol)."""
 
     def __init__(
@@ -77,7 +78,7 @@ class SNUCACache:
         self.stats = Counter()
         self.dgroup_hits = Distribution()
 
-        # Hot-path caches: precomputed per-bank key strings, costs, and
+        # Hot-path caches: precomputed per-bank key strings and
         # latency/occupancy/row tables, plus direct views into the
         # stats/energy dicts (both reset in place, so these references
         # stay valid across reset_stats()).  Pure re-expressions of the
@@ -91,9 +92,6 @@ class SNUCACache:
         self._k_probe = [f"{name}.bank{b.index}.probe" for b in banks]
         self._k_read = [f"{name}.bank{b.index}.read" for b in banks]
         self._k_write = [f"{name}.bank{b.index}.write" for b in banks]
-        self._probe_cost = [self.energy.cost(k) for k in self._k_probe]
-        self._read_cost = [self.energy.cost(k) for k in self._k_read]
-        self._write_cost = [self.energy.cost(k) for k in self._k_write]
         self._bank_lat = [b.latency_cycles for b in banks]
         self._bank_occ = checked_occupancy(
             self.bank_ports.name, (b.occupancy_cycles for b in banks)
@@ -116,25 +114,6 @@ class SNUCACache:
         return baddr in self._sets[self._set_of(address)]
 
     # --- access path: one bank, no search ---
-
-    def access(self, address: int, is_write: bool = False, now: float = 0.0) -> AccessResult:
-        check_timestamp(self.name, now)
-        outcome = self.access_outcome(address, is_write)
-        hit, bi = outcome
-        if not hit:
-            energy = self._probe_cost[bi]
-        elif is_write:
-            energy = self._write_cost[bi]
-        else:
-            energy = self._read_cost[bi]
-        return AccessResult(
-            hit=hit,
-            latency=self.access_timing(outcome, now),
-            level=self.name,
-            # Report the bank's latency tier (row) where d-groups would be.
-            dgroup=self._bank_row[bi] if hit else None,
-            energy_nj=energy,
-        )
 
     def access_outcome(self, address: int, is_write: bool = False):
         """The access's outcome step: ``(hit, bank)``."""
@@ -169,15 +148,9 @@ class SNUCACache:
         start = self.bank_ports.claim(bi, now, self._bank_occ[bi])
         return (start - now) + self._bank_lat[bi]
 
-    def fill(self, address: int, now: float = 0.0, dirty: bool = False) -> int:
-        check_timestamp(self.name, now)
-        return self.fill_outcome(address, dirty)[0]
-
-    def fill_timing(self, outcome, now: float) -> None:
-        """A fill takes no bank time and emits nothing."""
-
     def fill_outcome(self, address: int, dirty: bool = False):
-        """The fill's outcome step: ``(dirty writebacks, None)``."""
+        """The fill's outcome step: ``(dirty writebacks, None)``; a
+        fill takes no bank time and emits nothing."""
         baddr = address & self._block_mask
         index = (address >> self._set_shift) & self._set_mask
         resident = self._sets[index]
@@ -213,6 +186,10 @@ class SNUCACache:
         self._sets = [dict.fromkeys(row, False) for row in rows]
         for policy, row in zip(self._lru, rows):
             policy.insert_many(row)
+
+    def resident_block_addrs(self) -> Iterable[int]:
+        """Every resident block address, set by set."""
+        return chain.from_iterable(self._sets)
 
     def reset_stats(self) -> None:
         self.stats.reset()

@@ -50,9 +50,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cost
     from repro.telemetry import CacheTelemetry
 from repro.common.rng import DeterministicRNG
 from repro.common.stats import Counter, Distribution
-from repro.common.types import AccessResult
 from repro.caches.block import block_address, prewarm_blocks
-from repro.caches.port import PortArray, check_timestamp, checked_occupancy
+from repro.caches.level import CacheLevel
+from repro.caches.port import PortArray, checked_occupancy
 from repro.faults.models import TransientOutcome
 from repro.floorplan.dgroups import NuRAPIDGeometry, build_nurapid_geometry
 from repro.nurapid.config import (
@@ -112,7 +112,7 @@ def _int_array(values: np.ndarray) -> array:
     return flat
 
 
-class NuRAPIDCache:
+class NuRAPIDCache(CacheLevel):
     """Distance-associative non-uniform L2 (lower-level protocol)."""
 
     def __init__(
@@ -249,9 +249,6 @@ class NuRAPIDCache:
             [f"{name}.move.{i}->{j}" if i != j else "" for j in groups]
             for i in groups
         ]
-        self._tag_cost = self.energy.cost(self._k_tag)
-        self._dg_read_cost = [self.energy.cost(k) for k in self._k_dg_read]
-        self._dg_write_cost = [self.energy.cost(k) for k in self._k_dg_write]
         #: Direct views into the stats/energy dicts.  Counter.reset()
         #: and EnergyBook.reset_counts() mutate in place, so these stay
         #: valid across reset_stats().
@@ -444,29 +441,6 @@ class NuRAPIDCache:
         return (self._slot_entry[slot] >> _PACK_DGROUP_SHIFT) & _PACK_DGROUP_MASK
 
     # --- the access path ---
-
-    def access(self, address: int, is_write: bool = False, now: float = 0.0) -> AccessResult:
-        """Sequential tag-data access with optional promotion."""
-        check_timestamp(self.name, now)
-        try:
-            outcome = self.access_outcome(address, is_write)
-        except UncorrectableDataError as exc:
-            exc.emit_deferred()
-            raise
-        hit, group = outcome[0], outcome[1]
-        energy = self._tag_cost
-        if group >= 0:
-            if hit and is_write:
-                energy += self._dg_write_cost[group]
-            else:
-                energy += self._dg_read_cost[group]
-        return AccessResult(
-            hit=hit,
-            latency=self.access_timing(outcome, now),
-            level=self.name,
-            dgroup=group if hit else None,
-            energy_nj=energy,
-        )
 
     def access_outcome(self, address: int, is_write: bool = False):
         """The access's outcome step: ``(hit, d-group, block address,
@@ -682,28 +656,16 @@ class NuRAPIDCache:
 
     # --- fills (placement + distance replacement, §2.2) ---
 
-    def fill(self, address: int, now: float = 0.0, dirty: bool = False) -> int:
-        """Install a block after a miss; returns dirty writebacks (0/1).
+    def fill_outcome(self, address: int, dirty: bool = False):
+        """The fill's outcome step: ``(dirty writebacks, deferred
+        events)``; events are None unless telemetry is armed.
 
         Conventional data replacement (LRU within the set) may first
         evict a block, freeing a frame somewhere; the new block then
         enters d-group 0, pushing a demotion chain outward until a free
-        frame absorbs it.
+        frame absorbs it.  The fill takes no port time: it rides the
+        fill buffers.
         """
-        check_timestamp(self.name, now)
-        outcome = self.fill_outcome(address, dirty)
-        self.fill_timing(outcome, now)
-        return outcome[0]
-
-    def fill_timing(self, outcome, now: float) -> None:
-        """A fill takes no port time (it rides the fill buffers); only
-        its deferred events remain, stamped with the fill time."""
-        if outcome[1]:
-            self.telemetry.emit_deferred(outcome[1], now)
-
-    def fill_outcome(self, address: int, dirty: bool = False):
-        """The fill's outcome step: ``(dirty writebacks, deferred
-        events)``; events are None unless telemetry is armed."""
         baddr = address & self._block_mask
         index = (address >> self._set_shift) & self._set_mask
         base = index * self._assoc_limit
@@ -1051,6 +1013,10 @@ class NuRAPIDCache:
 
     def resident_blocks(self) -> int:
         return len(self._slot_baddr) - self._slot_baddr.count(EMPTY)
+
+    def resident_block_addrs(self) -> List[int]:
+        """The block address in each tag slot (-1 for a free slot)."""
+        return self._slot_baddr
 
     def check_invariants(self) -> None:
         """Cross-check slots, frames, free lists, and replacement state.

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.common.errors import ConfigurationError
-from repro.caches.hierarchy import CacheHierarchy, UniformLowerLevel
+from repro.caches.hierarchy import CacheHierarchy
 from repro.caches.memory import MainMemory
 from repro.caches.prefetch import StreamPrefetcher
 from repro.caches.setassoc_nonuniform import SetAssociativePlacementCache
@@ -330,7 +330,7 @@ def _build_cache_under_study(config: SystemConfig):
         )
         if config.faults is not None:
             l2.attach_faults(config.faults)
-        return [UniformLowerLevel(l2), UniformLowerLevel(l3)]
+        return [l2, l3]
     if config.l2_kind == "nurapid":
         assert config.nurapid is not None
         if config.cmp is not None and config.cmp.compression is not None:

@@ -66,20 +66,10 @@ class System:
         """The first level below the L1s (the cache under study)."""
         return self.lower[0]
 
-    def lower_caches(self) -> List[object]:
-        """Each distinct cache below the L1s once, in level order, with
-        the ``UniformLowerLevel`` wrapper unwrapped."""
-        caches: List[object] = []
-        for level in self.lower:
-            cache = getattr(level, "cache", level)
-            if all(cache is not seen for seen in caches):
-                caches.append(cache)
-        return caches
-
     def reset_stats(self) -> None:
         for cache in (self.l1d, self.l1i):
             cache.reset_stats()
-        for cache in self.lower_caches():
+        for cache in self.lower:
             cache.reset_stats()
         self.hierarchy.reset_stats()
         self.memory.reads = 0
@@ -107,7 +97,7 @@ def make_system(config: SystemConfig, prewarm: bool = True) -> System:
         memory=memory,
     )
     if prewarm:
-        for cache in system.lower_caches():
+        for cache in system.lower:
             cache.prewarm()
     return system
 
@@ -205,7 +195,7 @@ def _attach_telemetry(
         core.mshrs.occupancy_hist = session.histogram(
             f"{tag}core.mshr_occupancy", occupancy_bounds(core.params.mshrs)
         )
-    for cache in systems[0].lower_caches():
+    for cache in systems[0].lower:
         cache.telemetry = session.cache_client(cache.name)
         # Contended LLCs record the queue depth each access observes.
         if "queue_depth_hist" in getattr(cache, "__dict__", {}):
@@ -258,7 +248,7 @@ def _capture_telemetry(
         }
         for key, value in gauges.items():
             session.capture_gauge(f"{tag}core.{key}", value)
-    for cache in systems[0].lower_caches():
+    for cache in systems[0].lower:
         _capture_lower(session, cache)
     memory = systems[0].memory
     session.capture_gauge("memory.reads", memory.reads)
@@ -273,8 +263,8 @@ def _per_core_stats(
 ) -> Dict[str, float]:
     """A CMP's ``c{i}.*`` books: IPC, shared-L2 traffic, resident
     blocks, plus the shared LLC's ``bankq.*`` contention aggregates."""
-    # Imported here: the occupancy census reads every LLC model's
-    # layout and stays out of single-core imports.
+    # Imported here: the occupancy census stays out of single-core
+    # imports.
     from repro.cmp.engine import shared_occupancy_by_core
 
     l2 = systems[0].l2
@@ -293,7 +283,7 @@ def _per_core_stats(
             (accesses - hits) / accesses if accesses else 0.0
         )
         extra[f"c{i}.stall_cycles"] = float(core.stall_cycles)
-    census = shared_occupancy_by_core(systems[0].lower_caches()[0], len(systems))
+    census = shared_occupancy_by_core(l2, len(systems))
     for i, blocks in enumerate(census):
         extra[f"c{i}.l2_blocks"] = float(blocks)
     banks = getattr(l2, "bank_ports", None)
@@ -364,7 +354,7 @@ def run_benchmark(
     if n_cores > 1 and compression is not None and compression.core_shares is None:
         # Per-workload compressibility: each core's lines draw against
         # its own benchmark's share.
-        shares = getattr(systems[0].lower_caches()[0], "set_core_shares", None)
+        shares = getattr(systems[0].l2, "set_core_shares", None)
         if shares is not None:
             shares(tuple(p.compressibility for p in profiles))
     warm, measured = trace.split(warmup_fraction)
@@ -405,8 +395,7 @@ def run_benchmark(
     instructions = sum(per_instr)
     cycles = max(per_cycles)
     chip = systems[0]
-    lower_caches = chip.lower_caches()
-    l2_stats = _cache_counters(lower_caches[0])
+    l2_stats = _cache_counters(chip.l2)
     model = energy_model if energy_model is not None else ProcessorEnergyModel()
 
     extra: Dict[str, float] = dict(l2_stats)
@@ -423,7 +412,7 @@ def run_benchmark(
     if prefetcher is not None:
         extra["prefetch_issued"] = float(prefetcher.stats.issued)
         extra["prefetch_useful"] = float(prefetcher.stats.useful)
-    for cache in lower_caches:
+    for cache in chip.lower:
         injector = getattr(cache, "fault_injector", None)
         if injector is not None:
             extra.update({k: float(v) for k, v in injector.summary().items()})
@@ -455,7 +444,7 @@ def run_benchmark(
             system.l1d.energy.total_nj() + system.l1i.energy.total_nj()
             for system in systems
         ),
-        lower_energy_nj=sum(cache.energy.total_nj() for cache in lower_caches),
+        lower_energy_nj=sum(cache.energy.total_nj() for cache in chip.lower),
         core_energy_nj=sum(
             model.core_energy_nj(instr, cyc)
             for instr, cyc in zip(per_instr, per_cycles)

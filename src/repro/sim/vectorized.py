@@ -85,7 +85,7 @@ Telemetry-armed runs stay on the kernel: the lower levels' outcome
 steps defer their events to their timing steps, which stamp them with
 the cycle; each L1 fill emits ``eviction``, ``writeback`` (when dirty)
 and ``placement`` from the victim stream in the order
-``SetAssociativeCache.fill`` uses, so they keep their place among the
+``SetAssociativeCache.fill_outcome`` records, so they keep their place among the
 lower levels' events; the L1 client's ``on_access`` is replayed in
 reference order from the hit mask when the kernel returns, which is
 exact because that client only feeds its own counters and histograms;
@@ -558,7 +558,7 @@ def replay(systems, cores, trace, streams=None) -> None:
                     # The L1 fill, as solved: its state lands on commit.
                     l1_done = gi
                     if l1_telem is not None:
-                        # SetAssociativeCache.fill's events, in its order.
+                        # SetAssociativeCache.fill_outcome's events, in its order.
                         if vaddr >= 0:
                             l1_telem.event("eviction", addr=vaddr)
                             if vdirty:

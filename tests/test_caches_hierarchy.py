@@ -3,7 +3,7 @@
 import pytest
 
 from repro.common.types import Access, AccessType
-from repro.caches.hierarchy import CacheHierarchy, UniformLowerLevel
+from repro.caches.hierarchy import CacheHierarchy
 from repro.caches.memory import MainMemory
 from repro.caches.simple import SetAssociativeCache
 from repro.floorplan.dgroups import UniformCacheSpec
@@ -33,7 +33,7 @@ def system():
     memory = MainMemory()
     hierarchy = CacheHierarchy(
         l1d=l1,
-        lower=[UniformLowerLevel(l2), UniformLowerLevel(l3)],
+        lower=[l2, l3],
         memory=memory,
     )
     return hierarchy, l1, l2, l3, memory
@@ -121,7 +121,7 @@ class TestWritebacks:
         l1i = make_level("L1i", 2 * KB, 32, 2, 3)
         l2 = make_level("L2", 8 * KB, 128, 2, 11)
         hierarchy = CacheHierarchy(
-            l1d=l1d, lower=[UniformLowerLevel(l2)], memory=MainMemory(), l1i=l1i
+            l1d=l1d, lower=[l2], memory=MainMemory(), l1i=l1i
         )
         hierarchy.access(Access(0x5000, AccessType.IFETCH))
         assert l1i.contains(0x5000)

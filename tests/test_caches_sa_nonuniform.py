@@ -89,8 +89,9 @@ class TestAccessPath:
         c = tiny()
         assert not c.access(0x1000).hit
         c.fill(0x1000)
+        assert c.dgroup_of(0x1000) == 0
         r = c.access(0x1000)
-        assert r.hit and r.dgroup == 0
+        assert r.hit
         assert r.latency == c.geometry.hit_latency(0)
 
     def test_miss_latency_is_tag_only(self):

@@ -64,8 +64,8 @@ class TestReplacement:
         c.fill(a)
         c.fill(b)
         c.access(a)  # a is MRU
-        victim = c.fill(d)
-        assert victim is not None and victim.block_addr == b
+        writebacks, _, victim = c.fill_outcome(d)
+        assert victim == b and writebacks == 0
         assert c.contains(a) and c.contains(d) and not c.contains(b)
 
     def test_dirty_eviction_counts_writeback(self):
@@ -80,7 +80,9 @@ class TestReplacement:
     def test_duplicate_fill_is_noop(self):
         c = make_cache()
         c.fill(0x1000)
-        assert c.fill(0x1000) is None
+        writes = c.energy.count("test.write")
+        assert c.fill_outcome(0x1000) == (0, None, -1)
+        assert c.energy.count("test.write") == writes
         assert c.occupancy() == 1
 
     def test_occupancy_bounded_by_capacity(self):

@@ -195,22 +195,17 @@ class TestInterleaver:
 
 
 class _StubCache:
+    """A lower level whose every access hits after 10 cycles."""
+
     name = "stub"
     block_bytes = 128
     telemetry = None
 
-    def __init__(self):
-        from repro.common.types import AccessResult
+    def access_outcome(self, address, is_write=False):
+        return (True,)
 
-        self._result = AccessResult(hit=True, latency=10, level="stub")
-
-    def access(self, address, is_write=False, now=0.0):
-        from repro.common.types import AccessResult
-
-        return AccessResult(hit=True, latency=10, level="stub")
-
-    def fill(self, address, now=0.0, dirty=False):
-        return 0
+    def access_timing(self, outcome, now):
+        return 10
 
 
 class TestContention:

@@ -1,8 +1,8 @@
-"""Vocabulary types: Access, AccessResult, and error paths."""
+"""Vocabulary types: Access and error paths."""
 
 import pytest
 
-from repro.common.types import Access, AccessResult, AccessType
+from repro.common.types import Access, AccessType
 
 
 class TestAccessType:
@@ -35,25 +35,3 @@ class TestAccess:
         with pytest.raises(AttributeError):
             a.address = 9
 
-
-class TestAccessResult:
-    def test_merge_child_accumulates_latency_and_energy(self):
-        parent = AccessResult(hit=False, latency=3, level="L1", energy_nj=0.1)
-        child = AccessResult(hit=True, latency=14, level="L2", dgroup=0, energy_nj=0.5)
-        parent.merge_child(child)
-        assert parent.latency == 17
-        assert parent.energy_nj == pytest.approx(0.6)
-        assert parent.level == "L2"
-        assert parent.dgroup == 0
-
-    def test_merge_child_carries_writebacks(self):
-        parent = AccessResult(hit=False, latency=0, evicted_dirty=1)
-        child = AccessResult(hit=True, latency=5, evicted_dirty=2)
-        parent.merge_child(child)
-        assert parent.evicted_dirty == 3
-
-    def test_extra_dict_is_per_instance(self):
-        a = AccessResult(hit=True, latency=1)
-        b = AccessResult(hit=True, latency=1)
-        a.extra["x"] = 1
-        assert b.extra == {}

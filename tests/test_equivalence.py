@@ -60,8 +60,7 @@ class TestNuRAPIDDegeneratesToLRU:
             assert a.hit == b.hit, f"divergence at {address:#x}"
             if not a.hit:
                 wb_a = nurapid.fill(address, dirty=write)
-                victim = reference.fill(address, dirty=write)
-                wb_b = 1 if victim is not None and victim.dirty else 0
+                wb_b = reference.fill_outcome(address, dirty=write)[0]
                 assert wb_a == wb_b
         nurapid.check_invariants()
         assert nurapid.stats.get("hits") == reference.hits

@@ -341,7 +341,7 @@ class TestNuRAPIDDegradation:
                 if not r.hit:
                     cache.fill(addr, now=now, dirty=i % 7 == 0)
                 now += 3.0
-                results.append((r.hit, r.latency, r.dgroup, r.energy_nj))
+                results.append((r.hit, r.latency, cache.energy.total_nj()))
             stats = {
                 k: v
                 for k, v in cache.stats.as_dict().items()
@@ -411,7 +411,7 @@ class TestSimpleCacheFaults:
                 r = cache.access(addr, is_write=i % 5 == 0)
                 if not r.hit:
                     cache.fill(addr, dirty=i % 5 == 0)
-                results.append((r.hit, r.latency, r.energy_nj))
+                results.append((r.hit, r.latency, cache.energy.total_nj()))
             return results, cache.hits, cache.misses, cache.writebacks
 
         assert trajectory(False) == trajectory(True)

@@ -307,8 +307,8 @@ class TestMemoisedCharacterisation:
             assert first[0].l1i.spec is second[0].l1i.spec
             for a, b in zip(first[2], second[2]):
                 assert a is not b
-                if hasattr(a, "cache"):
-                    assert a.cache.spec is b.cache.spec
+                if hasattr(a, "spec"):
+                    assert a.spec is b.spec
                 else:
                     assert a.geometry is b.geometry
 

@@ -85,8 +85,8 @@ def oracle(cache, addresses, writes):
         r = cache.access(address, is_write=is_write)
         hits.append(r.hit)
         if not r.hit:
-            v = cache.fill(address, dirty=is_write)
-            victims.append((-1, False) if v is None else (v.block_addr, v.dirty))
+            writebacks, _, victim = cache.fill_outcome(address, dirty=is_write)
+            victims.append((victim, bool(writebacks)))
     return hits, victims
 
 

@@ -2,7 +2,7 @@
 
 Both exact engines drive the same lower-level models, so engine parity
 cannot see a change to any of them.  These digests pin the base L2+L3
-(``SetAssociativeCache`` behind ``UniformLowerLevel``), the
+(two ``SetAssociativeCache`` levels), the
 set-associative-placement cache, S-NUCA, and single-core NuRAPID and
 D-NUCA behind ``ContendedLLC`` bank queues.  Each cell digest is the
 sha256 of the canonical JSON of ``run_result_to_dict``; each
@@ -190,7 +190,7 @@ def _fault_state(engine):
     system = make_system(config)
     with pytest.raises(UncorrectableDataError) as info:
         _replay([system], [core], _trace("mcf"), engine=engine)
-    l2, l3 = (level.cache for level in system.lower)
+    l2, l3 = system.lower
     return _canonical(
         {
             "error": str(info.value),

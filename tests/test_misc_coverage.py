@@ -134,7 +134,7 @@ class TestResultsFormatting:
 
 class TestHierarchyEdgeCases:
     def _system(self):
-        from repro.caches.hierarchy import CacheHierarchy, UniformLowerLevel
+        from repro.caches.hierarchy import CacheHierarchy
         from repro.caches.memory import MainMemory
         from repro.caches.simple import SetAssociativeCache
         from repro.floorplan.dgroups import build_uniform_cache_spec
@@ -147,7 +147,7 @@ class TestHierarchyEdgeCases:
         )
         memory = MainMemory()
         return (
-            CacheHierarchy(l1d=l1, lower=[UniformLowerLevel(l2)], memory=memory),
+            CacheHierarchy(l1d=l1, lower=[l2], memory=memory),
             l1,
             l2,
             memory,

@@ -120,9 +120,9 @@ class TestAccess:
     def test_hit_latency_matches_dgroup(self):
         c = tiny()
         c.fill(0x1000)
+        assert c.dgroup_of(0x1000) == 0
         r = c.access(0x1000, now=1000.0)
         assert r.hit
-        assert r.dgroup == 0
         assert r.latency == c.geometry.hit_latency(0)
 
     def test_write_hit_sets_dirty(self):
@@ -197,8 +197,9 @@ class TestPromotion:
 
     def test_latency_reflects_old_dgroup_on_promoting_hit(self):
         c, target = self._with_block_in_dgroup1(PromotionPolicy.NEXT_FASTEST)
+        assert c.dgroup_of(target) == 1
         r = c.access(target, now=50_000.0)
-        assert r.dgroup == 1
+        assert c.dgroup_hits.counts == {1: 1}
         assert r.latency >= c.geometry.hit_latency(1)
 
 

@@ -410,7 +410,7 @@ class TestSNUCAPrewarm:
 
 
 def _base_level(index):
-    return build_lower_level(base_config())[index].cache
+    return build_lower_level(base_config())[index]
 
 
 def _full_nurapid(n_dgroups, kind, restricted_frames=None):

@@ -51,8 +51,8 @@ class TestConfigs:
     def test_build_base_has_two_lower_levels(self):
         hierarchy, l1d, lower, memory = build_system(base_config())
         assert [lvl.name for lvl in lower] == ["L2", "L3"]
-        assert lower[0].cache.spec.latency_cycles == 11
-        assert lower[1].cache.spec.latency_cycles == 43
+        assert lower[0].spec.latency_cycles == 11
+        assert lower[1].spec.latency_cycles == 43
 
     def test_build_nurapid(self):
         _, _, lower, _ = build_system(nurapid_config())

@@ -29,10 +29,10 @@ class TestStaticMapping:
         c = tiny()
         a = addr(3, 1)
         c.fill(a)
-        first = c.access(a).dgroup
-        for _ in range(10):
-            again = c.access(a).dgroup
-        assert again == first
+        for _ in range(11):
+            assert c.access(a).hit
+        # Every hit is served by the same bank row.
+        assert list(c.dgroup_hits.counts.values()) == [11]
 
     def test_hit_latency_is_the_banks(self):
         c = tiny()
