@@ -6,7 +6,7 @@ that :func:`repro.sim.parallel.run_cells` on the supervised worker pool
 returns the same results; each flag adds one more check::
 
     python -m repro.bench                       # serial == pool
-    python -m repro.bench --engine-parity       # legacy == vectorized, bytes (+ CMP cells)
+    python -m repro.bench --engine-parity       # legacy == vectorized, bytes (+ D-NUCA, CMP cells)
     python -m repro.bench --service             # 2 clients, served == serial
     python -m repro.bench --cmp                 # CmpConfig(cores=1) == no cmp
     python -m repro.bench --telemetry           # armed results == unarmed
@@ -30,9 +30,11 @@ from typing import Dict, List, Optional, Tuple
 from dataclasses import replace as config_replace
 
 from repro.cmp.scenarios import cmp_nurapid_config, cmp_snuca_config
+from repro.nuca.config import SearchPolicy
 from repro.sim.config import (
     ENGINES,
     SystemConfig,
+    dnuca_config,
     nurapid_config,
     resolve_engine,
     snuca_config,
@@ -61,6 +63,15 @@ Results = Dict[str, dict]
 def standard_configs() -> List[SystemConfig]:
     """The fixed config pair of the standard workload (NuRAPID + S-NUCA)."""
     return [nurapid_config(), snuca_config()]
+
+
+def dnuca_cells() -> List[Tuple[SystemConfig, str]]:
+    """The D-NUCA cells ``--engine-parity`` adds: its multicast search
+    on mcf and its sequential ss-energy search on twolf."""
+    return [
+        (dnuca_config(), "mcf"),
+        (dnuca_config(policy=SearchPolicy.SS_ENERGY), "twolf"),
+    ]
 
 
 def cmp_cells() -> List[Tuple[SystemConfig, str]]:
@@ -213,11 +224,13 @@ def engine_parity(
 ) -> List[str]:
     """Replay every cell under both engines; returns mismatch descriptions.
 
-    Each ``(config, benchmark)`` cell runs telemetry-enabled under every
-    engine in ``ENGINES`` (legacy, vectorized); the full result
-    payload (summary, counters, energy) must compare equal to legacy's
-    and the rendered telemetry reports must match byte for byte.  Each
-    cell replays the trace of its spec, ``traces[config.trace_spec(
+    Each ``(config, benchmark)`` cell runs under every engine in
+    ``ENGINES`` (legacy, vectorized), unarmed and telemetry-enabled;
+    each full result payload (summary, counters, energy) must compare
+    equal to legacy's, and the rendered telemetry reports must match
+    byte for byte.  Both runs are needed: an unarmed D-NUCA slice takes
+    the kernel's whole-slice solve, an armed one its walk.  Each cell
+    replays the trace of its spec, ``traces[config.trace_spec(
     benchmark)]``, single-core or CMP.  Empty return = the engines are
     bit-identical on these cells.
     """
@@ -225,24 +238,33 @@ def engine_parity(
     for config, benchmark in cells:
         cell = f"{config.name}/{benchmark}"
         payloads: Dict[str, dict] = {}
+        armed: Dict[str, dict] = {}
         reports: Dict[str, str] = {}
         for engine in ENGINES:
-            result = run_benchmark(
-                config_replace(config, engine=engine),
-                benchmark,
-                n_references=refs,
-                trace=traces[config.trace_spec(benchmark)],
-                warmup_fraction=warmup,
-                seed=seed,
-                telemetry=TelemetryConfig(),
-            )
-            payload = run_result_to_dict(result)
-            telem = payload.pop("telemetry", None)
-            payloads[engine] = payload
-            reports[engine] = render_report(merge_payloads([(cell, telem)]))
+            for telemetry in (None, TelemetryConfig()):
+                result = run_benchmark(
+                    config_replace(config, engine=engine),
+                    benchmark,
+                    n_references=refs,
+                    trace=traces[config.trace_spec(benchmark)],
+                    warmup_fraction=warmup,
+                    seed=seed,
+                    telemetry=telemetry,
+                )
+                payload = run_result_to_dict(result)
+                if telemetry is None:
+                    payloads[engine] = payload
+                    continue
+                telem = payload.pop("telemetry", None)
+                armed[engine] = payload
+                reports[engine] = render_report(merge_payloads([(cell, telem)]))
         for engine in ENGINES[1:]:
             if payloads[engine] != payloads["legacy"]:
                 mismatches.append(f"{cell}: {engine} results differ from legacy")
+            if armed[engine] != armed["legacy"]:
+                mismatches.append(
+                    f"{cell}: {engine} telemetry-armed results differ from legacy"
+                )
             if reports[engine] != reports["legacy"]:
                 mismatches.append(
                     f"{cell}: {engine} telemetry report differs from legacy"
@@ -266,8 +288,8 @@ def main(argv=None) -> int:
     parser.add_argument("--refs", type=int, default=DEFAULT_REFS)
     flags = {
         "--engine-parity": "results and telemetry reports identical under "
-        f"{' and '.join(ENGINES)}, on the standard workload and "
-        "two 2-core CMP cells",
+        f"{' and '.join(ENGINES)}, on the standard workload, two D-NUCA "
+        "cells and two 2-core CMP cells",
         "--service": "two concurrent job-server clients each get the serial "
         "payloads, byte for byte",
         "--cmp": f"CmpConfig(cores=1) byte-identical to no cmp block ({CMP_BENCHMARK})",
@@ -281,9 +303,8 @@ def main(argv=None) -> int:
         parser.error("--refs must be >= 1")
 
     mismatches: List[str] = []
-    specs = BENCHMARKS + [
-        config.trace_spec(b) for config, b in cmp_cells() if args.engine_parity
-    ]
+    extra = dnuca_cells() + cmp_cells() if args.engine_parity else []
+    specs = list(dict.fromkeys(BENCHMARKS + [c.trace_spec(b) for c, b in extra]))
     with trace_entries(specs, refs, seed=SEED) as paths:
         traces = {s: Trace.load(paths[s], s, spec_records(s, refs)) for s in specs}
         cells = len(standard_configs()) * len(BENCHMARKS)
@@ -292,7 +313,7 @@ def main(argv=None) -> int:
             cells = [(c, b) for c in standard_configs() for b in BENCHMARKS]
             mismatches += _report(
                 "engine parity",
-                engine_parity(cells + cmp_cells(), traces, refs, SEED, WARMUP),
+                engine_parity(cells + extra, traces, refs, SEED, WARMUP),
             )
         serial = serial_results(traces, refs)
         mismatches += _report(

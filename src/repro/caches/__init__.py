@@ -1,6 +1,6 @@
 """Cache substrates: everything below the paper's contribution.
 
-* :mod:`repro.caches.block` — cache-block bookkeeping.
+* :mod:`repro.caches.block` — block-address math and prewarm dummies.
 * :mod:`repro.caches.port` — busy-time port/bank scheduling (the
   one-ported NuRAPID vs multi-banked D-NUCA contrast lives here).
 * :mod:`repro.caches.level` — the ``access``/``fill`` every cache
@@ -14,7 +14,6 @@
   placement non-uniform cache the paper contrasts against in Figure 4.
 """
 
-from repro.caches.block import CacheBlock
 from repro.caches.prefetch import StreamPrefetcher
 from repro.caches.port import PortArray
 from repro.caches.mshr import MSHRFile
@@ -24,7 +23,6 @@ from repro.caches.hierarchy import CacheHierarchy
 from repro.caches.setassoc_nonuniform import SetAssociativePlacementCache
 
 __all__ = [
-    "CacheBlock",
     "StreamPrefetcher",
     "CacheHierarchy",
     "MSHRFile",

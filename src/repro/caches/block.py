@@ -1,8 +1,7 @@
-"""Cache-block bookkeeping shared by all cache organizations."""
+"""Block-address math and prewarm dummy blocks shared by all cache
+organizations."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -12,24 +11,6 @@ from repro.common.errors import ConfigurationError
 #: above any workload region (and every CMP core offset) so dummies
 #: never alias real traffic.
 PREWARM_BASE = 1 << 45
-
-
-@dataclass
-class CacheBlock:
-    """State for one resident cache block.
-
-    ``block_addr`` is the block-aligned byte address (the full address
-    with offset bits cleared) — keeping the whole address rather than
-    a (tag, set) pair makes blocks portable across organizations with
-    different indexing.
-    """
-
-    block_addr: int
-    dirty: bool = False
-
-    def __post_init__(self) -> None:
-        if self.block_addr < 0:
-            raise ConfigurationError("block address must be non-negative")
 
 
 def block_address(address: int, block_bytes: int) -> int:

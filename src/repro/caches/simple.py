@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, List, Optional
 
 from repro.common.errors import ConfigurationError, SimulationError
-from repro.caches.block import CacheBlock, block_address, prewarm_blocks, set_index
+from repro.caches.block import block_address, prewarm_blocks, set_index
 from repro.caches.level import CacheLevel
 from repro.faults.models import TransientOutcome
 from repro.floorplan.dgroups import UniformCacheSpec
@@ -229,16 +229,16 @@ class SetAssociativeCache(CacheLevel):
             events.append(("placement", {"addr": baddr}, False))
         return (writebacks, events, victim_addr)
 
-    def invalidate(self, address: int) -> Optional[CacheBlock]:
-        """Remove a block (if present) without writing it back."""
+    def invalidate(self, address: int) -> bool:
+        """Remove a block (if present) without writing it back; returns
+        whether one was removed."""
         baddr = block_address(address, self.spec.block_bytes)
         frame = self._find(self._locate(address), baddr)
         if frame < 0:
-            return None
-        block = CacheBlock(block_addr=baddr, dirty=bool(self._dirty[frame]))
+            return False
         self._tags[frame] = -1
         self._dirty[frame] = 0
-        return block
+        return True
 
     # --- prewarm ---
 

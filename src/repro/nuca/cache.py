@@ -22,12 +22,16 @@ address-to-slot map.
 
 Each ``access``/``fill`` is an outcome step that never sees ``now``
 followed by a timing step that claims the banks' busy time (DESIGN.md,
-"Lower-level outcome and timing").
+"Lower-level outcome and timing").  :meth:`DNUCACache.solve_outcomes`
+computes a whole slice's outcome steps at once, in per-set rounds.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import TYPE_CHECKING, List, NamedTuple, Optional, Tuple
+
+import numpy as np
 
 from repro.common.errors import ConfigurationError, SimulationError
 
@@ -57,6 +61,25 @@ class _Bank(NamedTuple):
 
 #: Fill outcome of a block already resident: nothing happens.
 _RESIDENT = (0, None)
+
+#: Fill outcomes without telemetry, by dirty writebacks.
+_FILLED = ((0, None), (1, None))
+
+
+#: The planes of :attr:`DNUCACache._rows`: per (set, way), the block
+#: address, partial tag, dirty bit and stamp.
+_BLOCK, _PARTIAL, _DIRTY, _STAMP = range(4)
+
+
+def _victim_ways(state, rows, cols):
+    """Per row of ``rows``, the offset into its ``cols`` that
+    :meth:`DNUCACache._victim_slot` picks: the first free way, else the
+    first of the least recently touched."""
+    r = rows[:, None]
+    free = state[_BLOCK, r, cols] == EMPTY
+    return np.where(
+        free.any(axis=1), free.argmax(axis=1), state[_STAMP, r, cols].argmin(axis=1)
+    )
 
 
 class DNUCACache(CacheLevel):
@@ -111,6 +134,12 @@ class DNUCACache(CacheLevel):
         self._dirty = bytearray(n_slots)
         self._touch: List[int] = [0] * n_slots
         self._clock = 0
+        #: The per-slot lists as one ``(4, n_sets, associativity)``
+        #: array (block addresses, partial tags, dirty bits, stamps) for
+        #: :meth:`solve_outcomes`, or None.  Prewarm and the solve keep
+        #: it equal to the lists; every other step that writes them
+        #: drops it.
+        self._rows: Optional[np.ndarray] = None
         #: Per-bank busy-time state.
         self.bank_ports = PortArray(f"{self.name}.bank", self.geometry.n_banks)
 
@@ -330,6 +359,7 @@ class DNUCACache(CacheLevel):
         sc["hits"] = sc.get("hits", 0) + 1
         dh = self.dgroup_hits.counts
         dh[level] = dh.get(level, 0) + 1
+        self._rows = None
         self._touch[slot] = self._clock
         if is_write:
             self._dirty[slot] = 1
@@ -473,6 +503,7 @@ class DNUCACache(CacheLevel):
         if baddr in self._baddr[base : base + self.associativity]:
             return _RESIDENT
         events = [] if self.telemetry is not None else None
+        self._rows = None
         sc = self._scounts
         sc["fills"] = sc.get("fills", 0) + 1
         self._clock += 1
@@ -508,6 +539,373 @@ class DNUCACache(CacheLevel):
             events.append(("placement", {"addr": baddr, "dgroup": insert_level}, True))
         return (writebacks, events)
 
+    # --- a whole slice's outcome steps, solved per set ---
+
+    def solve_outcomes(self, addresses, victims, victim_dirty) -> list:
+        """The outcome tuples of one replay slice, without walking it.
+
+        The slice's stream is, per L1 miss in trace order, the demand
+        ``access_outcome(address)``, ``fill_outcome(address)`` when it
+        missed, then ``access_outcome(victim, True)`` when the L1's
+        victim was dirty.  ``addresses`` are the misses' addresses,
+        ``victims`` and ``victim_dirty`` the L1 victims' block
+        addresses and dirty flags (numpy arrays).  Returns what those
+        steps return one by one, in order, and leaves the ways, partial
+        tags, clock, counters, ``dgroup_hits``, energy counts and
+        ss-array counters as they leave them, dict key order included.
+        Telemetry must be off: the tuples carry no events.
+
+        Exact because an operation reads and writes only its own set's
+        ways and partial tags, and the clock reaches a decision only
+        through the order of stamps inside one set.  The operations
+        are stable-sorted by set, and round ``k`` applies every touched
+        set's ``k``-th operation at once to the touched sets' rows of
+        :attr:`_rows`.  A demand and the fill after its miss are one
+        operation; operation ``j`` stamps ``2j`` and ``2j + 1`` past
+        the clock, which orders ways exactly as the walk's stamps do,
+        and a cumulative count of clock bumps turns them into the
+        walk's stamps once every fill is known.
+        """
+        # The operations in trace order: each miss's demand, then its
+        # dirty victim's write access.
+        n_miss = len(addresses)
+        keep = np.ones((n_miss, 2), dtype=bool)
+        keep[:, 1] = victim_dirty
+        addr = np.stack(
+            [np.asarray(addresses, dtype=np.int64), np.asarray(victims, dtype=np.int64)],
+            axis=1,
+        )[keep]
+        n_ops = len(addr)
+        if not n_ops:
+            return []
+        baddr = addr & self._block_mask
+        sets = (addr >> self._set_shift) & self._set_mask
+        is_write = np.broadcast_to(np.array([False, True]), (n_miss, 2))[keep]
+
+        # Round-major order: round k holds each touched set's k-th
+        # operation.  uint16 keys take numpy's radix sort.
+        key = np.uint16 if max(self.n_sets, n_ops) <= 1 << 16 else np.int64
+        order = np.argsort(sets.astype(key), kind="stable")
+        by_set = sets[order]
+        head = np.empty(n_ops, dtype=bool)
+        head[0] = True
+        np.not_equal(by_set[1:], by_set[:-1], out=head[1:])
+        first = np.flatnonzero(head)
+        depth = np.diff(np.append(first, n_ops))
+        rank = np.arange(n_ops) - np.repeat(first, depth)
+        by_round = np.argsort(rank.astype(key), kind="stable")
+        ops = order[by_round]
+        rows = np.repeat(np.arange(len(first)), depth)[by_round]
+        bounds = [0, *np.cumsum(np.bincount(rank)).tolist()]
+
+        if self._rows is None:
+            self._rows = self._rows_of_lists()
+        touched = by_set[first]
+        state = self._rows[:, touched]
+        initial = state.copy()
+        clock0 = self._clock
+        solved = self._apply_rounds(
+            state, rows, bounds, baddr[ops], is_write[ops], clock0 + 1 + 2 * ops
+        )
+        # Back to trace order.
+        back = np.empty_like(ops)
+        back[ops] = np.arange(n_ops)
+        level, displaced, evicted, wb, cand = (
+            None if x is None else x[back] for x in solved
+        )
+        hit = level >= 0
+        promoted = hit & (level > 0) & self.config.promote_on_hit
+        filled = ~(hit | is_write)
+
+        # The walk's stamps and clock: operation j bumped the clock once
+        # for its access and once more for its fill.
+        bumps = 1 + filled
+        before = np.cumsum(bumps) - bumps
+        stamps = state[_STAMP]
+        new = stamps > clock0
+        q = stamps[new] - (clock0 + 1)
+        stamps[new] = clock0 + 1 + before[q >> 1] + (q & 1)
+        self._clock = clock0 + n_ops + int(filled.sum())
+        self._commit_rows(touched, state, initial)
+
+        chain_of = sets % self._n_chains
+        if self._multicast:
+            probed = None
+        else:
+            # The levels each sequential search probed before its hit
+            # (every level on a miss).
+            reach = np.where(hit, level, self.config.chain_length)
+            probed = np.arange(self.config.chain_length) < reach[:, None]
+            if self._ss_energy:
+                probed &= cand
+        self._tally(chain_of, hit, level, probed, promoted, displaced, filled, evicted, wb)
+        return self._emit(chain_of, baddr, hit, level, promoted, displaced, filled, wb, cand)
+
+    def _apply_rounds(self, state, rows, bounds, baddr, is_write, stamp):
+        """Apply each round of operations (round-major ``baddr``,
+        ``is_write`` and hit ``stamp``; ``rows`` index ``state``, the
+        touched sets' rows of :attr:`_rows`, updated in place).  Returns
+        per operation, round-major: its level (-2 early miss, -1 miss),
+        whether its promotion displaced a block, whether its fill
+        evicted one and wrote it back, and the partial-tag-matching
+        levels (ss-energy, else None)."""
+        n_ops = len(baddr)
+        wpb = self.ways_per_bank
+        n_levels = self.config.chain_length
+        multicast = self._multicast
+        ss_energy = self._ss_energy
+        promote = self.config.promote_on_hit
+        partial = (baddr >> (self._set_shift + self.n_sets.bit_length() - 1)) & (
+            (1 << self.config.ss_partial_bits) - 1
+        )
+        blocks, partials, stamps = state[_BLOCK], state[_PARTIAL], state[_STAMP]
+        level = np.empty(n_ops, dtype=np.int64)
+        displaced = np.zeros(n_ops, dtype=bool)
+        evicted = np.zeros(n_ops, dtype=bool)
+        wb = np.zeros(n_ops, dtype=bool)
+        cand = np.zeros((n_ops, n_levels), dtype=bool) if ss_energy else None
+        way_cols = np.arange(wpb)
+        insert_first = self._insert_level * wpb
+
+        for lo, hi in zip(bounds, bounds[1:]):
+            rk = rows[lo:hi]
+            a = baddr[lo:hi]
+            match = blocks[rk] == a[:, None]
+            h = match.any(axis=1)
+            pos = match.argmax(axis=1)
+            lvl = pos // wpb
+            if multicast or ss_energy:
+                matches = partials[rk] == partial[lo:hi, None]
+            if multicast:
+                level[lo:hi] = np.where(h, lvl, np.where(matches.any(axis=1), -1, -2))
+            else:
+                if ss_energy:
+                    cand[lo:hi] = matches.reshape(-1, n_levels, wpb).any(axis=2)
+                level[lo:hi] = np.where(h, lvl, -1)
+
+            at = np.flatnonzero(h)
+            if len(at):
+                hr = rk[at]
+                hp = pos[at]
+                stamps[hr, hp] = stamp[lo:hi][at]
+                w = is_write[lo:hi][at]
+                state[_DIRTY, hr[w], hp[w]] = 1
+                up = np.flatnonzero(lvl[at] > 0) if promote else ()
+                if len(up):
+                    # _promote: swap with the level above's victim.
+                    pr = hr[up]
+                    src = hp[up]
+                    above = (lvl[at][up] - 1) * wpb
+                    peer = above + _victim_ways(state, pr, above[:, None] + way_cols)
+                    displaced[lo + at[up]] = blocks[pr, peer] != EMPTY
+                    moving = state[:, pr, src]
+                    state[:, pr, src] = state[:, pr, peer]
+                    state[:, pr, peer] = moving
+
+            at = np.flatnonzero(~(h | is_write[lo:hi]))
+            if len(at):
+                # fill_outcome after the demand's miss.
+                fr = rk[at]
+                slot = insert_first + _victim_ways(state, fr, insert_first + way_cols)
+                gone = blocks[fr, slot] != EMPTY
+                evicted[lo + at] = gone
+                wb[lo + at] = gone & (state[_DIRTY, fr, slot] != 0)
+                blocks[fr, slot] = a[at]
+                partials[fr, slot] = partial[lo:hi][at]
+                state[_DIRTY, fr, slot] = 0
+                stamps[fr, slot] = stamp[lo:hi][at] + 1
+        return level, displaced, evicted, wb, cand
+
+    def _commit_rows(self, touched, state, initial) -> None:
+        """Install the touched sets' solved rows in :attr:`_rows`, and
+        in the per-slot lists the slots that changed (a partial tag
+        changes only with its block)."""
+        self._rows[:, touched] = state
+        slots = (touched * self.associativity)[:, None] + np.arange(self.associativity)
+        changed = state != initial
+        changed[_PARTIAL] = changed[_BLOCK]
+        for values, where, into in zip(
+            state,
+            changed,
+            (self._baddr, self.smart_search._partial, self._dirty, self._touch),
+        ):
+            for slot, value in zip(slots[where].tolist(), values[where].tolist()):
+                into[slot] = value
+
+    def _emit(self, chain_of, baddr, hit, level, promoted, displaced, filled, wb, cand):
+        """The walk's outcome tuples, in its order: each access, then
+        its fill when the demand missed."""
+        chains = self._chains
+        legs = [()] * len(hit)
+        for i in np.flatnonzero(promoted).tolist():
+            c = int(chain_of[i])
+            lv = int(level[i])
+            s, d = chains[c][lv].index, chains[c][lv - 1].index
+            legs[i] = (s, d, d, s) if displaced[i] else (s, d)
+        if self._multicast:
+            probes = itertools.repeat(None)
+        elif self._ss_energy:
+            masks = cand @ (1 << np.arange(self.config.chain_length))
+            lists = {
+                m: [lv for lv in range(self.config.chain_length) if m >> lv & 1]
+                for m in set(masks.tolist())
+            }
+            probes = [lists[m] for m in masks.tolist()]
+        else:
+            probes = itertools.repeat(self._all_levels)
+        accesses = zip(
+            hit.tolist(), chain_of.tolist(), level.tolist(), baddr.tolist(), legs,
+            itertools.repeat(None), probes,
+        )
+        # Each access, then its fill or a None that the filter drops.
+        emitted = (None,) + _FILLED
+        fills = [emitted[k] for k in (filled.astype(np.int64) + wb).tolist()]
+        return list(filter(None, itertools.chain.from_iterable(zip(accesses, fills))))
+
+    def _tally(self, chain_of, hit, level, probed, promoted, displaced, filled, evicted, wb):
+        """Add a solved slice's counters, ``dgroup_hits``, energy counts
+        and ss-array counters; each key new to a dict enters where the
+        walk would first have inserted it.  ``probed`` marks the levels
+        each sequential search probed before its hit (None: multicast).
+        """
+        n_levels = self.config.chain_length
+        n_banks = self._n_chains * n_levels
+        n_ops = len(hit)
+        n_hits = int(hit.sum())
+        n_promoted = int(promoted.sum())
+        n_displaced = int(displaced.sum())
+        n_fills = int(filled.sum())
+        n_wb = int(wb.sum())
+        if probed is None:
+            n_early = int((level == -2).sum())
+            n_false = int((level == -1).sum())
+            bank_probes = n_levels * (n_early + n_false) + (n_levels - 1) * n_hits
+        else:
+            n_early = 0
+            bank_probes = int(probed.sum())
+            n_false = bank_probes if self._ss_energy else 0
+        totals = {
+            "accesses": n_ops,
+            "early_misses": n_early,
+            "bank_probes": bank_probes,
+            "dgroup_accesses": n_hits + 2 * (n_promoted + n_displaced) + n_wb + n_fills,
+            "false_hits": n_false,
+            "misses": n_ops - n_hits,
+            "hits": n_hits,
+            "promotions": n_promoted,
+            "demotions": n_displaced,
+            "moves": n_promoted + n_displaced,
+            "fills": n_fills,
+            "evictions": int(evicted.sum()),
+            "writebacks": n_wb,
+        }
+
+        # Counter keys in first-insertion order: an operation's keys
+        # follow from its kind, so the first operation of each kind
+        # decides.  A kind's bits: the multicast level class (early
+        # miss, false hit, level 0, deeper) or, for a sequential
+        # search, 4 when it probed a bank before its hit; then hit,
+        # promoted, displaced, filled, evicted and written back.
+        kind = (
+            np.where(level >= 0, np.minimum(level, 1) + 2, level + 2)
+            if probed is None
+            else 4 * probed.any(axis=1)
+        )
+        kind = (
+            kind + 8 * hit + 16 * promoted + 32 * displaced + 64 * filled
+            + 128 * evicted + 256 * wb
+        )
+        kinds, first = np.unique(kind, return_index=True)
+        keys = {}
+        for k in kinds[np.argsort(first)].tolist():
+            keys.update(dict.fromkeys(self._counter_keys(k)))
+        sc = self._scounts
+        for name in keys:
+            sc[name] = sc.get(name, 0) + totals[name]
+
+        levels, first, counts = np.unique(
+            level[hit], return_index=True, return_counts=True
+        )
+        dh = self.dgroup_hits.counts
+        for i in np.argsort(first).tolist():
+            lv = int(levels[i])
+            dh[lv] = dh.get(lv, 0) + int(counts[i])
+
+        # Energy: per (chain, level) bank, its probes, reads, writes
+        # and block moves.
+        bank = chain_of * n_levels
+        reads = np.bincount(bank[hit] + level[hit], minlength=n_banks)
+        if probed is None:
+            probes = np.repeat(np.bincount(chain_of, minlength=self._n_chains), n_levels) - reads
+        else:
+            probes = np.bincount(
+                (bank[:, None] + np.arange(n_levels))[probed], minlength=n_banks
+            )
+        moves = np.bincount(
+            np.concatenate(
+                [bank[promoted] + level[promoted], bank[displaced] + level[displaced] - 1]
+            ),
+            minlength=n_banks,
+        )
+        insert = bank + self._insert_level
+        reads += np.bincount(insert[wb], minlength=n_banks)
+        writes = np.bincount(insert[filled], minlength=n_banks)
+        ec = self._ecounts
+        chains = self._chains
+        for key, counts in (
+            ("probe_key", probes), ("read_key", reads), ("write_key", writes),
+            ("move_key", moves),
+        ):
+            for i in np.flatnonzero(counts).tolist():
+                c, lv = divmod(i, n_levels)
+                ec[getattr(chains[c][lv], key)] += int(counts[i])
+
+        if self._multicast or self._ss_energy:
+            ec[self._ss_key] += n_ops
+            self.smart_search.lookups += n_ops
+            self.smart_search.false_hits += n_false
+
+    def _counter_keys(self, kind: int) -> List[str]:
+        """The counter keys one operation of ``kind`` (see
+        :meth:`_tally`) adds, in the order the walk adds them."""
+        hit = kind & 8
+        keys = ["accesses"]
+        if self._multicast:
+            level = (kind & 3) - 2  # -2, -1, 0, or 1 for any level > 0
+            if level == -2:
+                keys += ["early_misses", "bank_probes"]
+            if level > 0:
+                keys.append("bank_probes")
+            if level >= 0:
+                keys.append("dgroup_accesses")
+            if level == 0 and self.config.chain_length > 1:
+                keys.append("bank_probes")
+            if level == -1:
+                keys += ["bank_probes", "false_hits"]
+        else:
+            if kind & 4:
+                keys.append("bank_probes")
+                if self._ss_energy:
+                    keys.append("false_hits")
+            if hit:
+                keys.append("dgroup_accesses")
+        if not hit:
+            keys.append("misses")
+        else:
+            keys.append("hits")
+            if kind & 16:
+                keys += ["promotions", "dgroup_accesses", "moves"]
+            if kind & 32:
+                keys += ["demotions", "dgroup_accesses", "moves"]
+        if kind & 64:
+            keys.append("fills")
+            if kind & 128:
+                keys.append("evictions")
+            if kind & 256:
+                keys += ["writebacks", "dgroup_accesses"]
+            keys.append("dgroup_accesses")
+        return keys
+
     # --- prewarm (models the paper's 5B-instruction fast-forward) ---
 
     def prewarm(self) -> None:
@@ -524,13 +922,32 @@ class DNUCACache(CacheLevel):
         if self.resident_blocks():
             raise SimulationError("prewarm on a non-empty cache")
         # Set-major, position-minor: exactly slot order.
-        blocks = prewarm_blocks(
-            self.n_sets, self.associativity, self.block_bytes
-        ).ravel()
-        self._baddr[:] = blocks.tolist()
+        blocks = prewarm_blocks(self.n_sets, self.associativity, self.block_bytes)
+        flat = blocks.ravel()
+        self._baddr[:] = flat.tolist()
         self._dirty[:] = bytes(len(self._dirty))
         self._touch[:] = [0] * len(self._touch)
-        self.smart_search.fill_all(blocks)
+        self.smart_search.fill_all(flat)
+        self._rows = np.stack(
+            [
+                blocks,
+                self.smart_search.partial_tag(blocks),
+                np.zeros_like(blocks),
+                np.zeros_like(blocks),
+            ]
+        )
+
+    def _rows_of_lists(self) -> np.ndarray:
+        """The per-slot lists as :attr:`_rows` holds them."""
+        return np.array(
+            [
+                self._baddr,
+                self.smart_search._partial,
+                list(self._dirty),
+                self._touch,
+            ],
+            dtype=np.int64,
+        ).reshape(4, self.n_sets, self.associativity)
 
     # --- introspection ---
 

@@ -37,7 +37,19 @@ each record's core in its address bits -- in three steps:
    records one outcome tuple per operation.  Every state, RNG, fault
    and counter change happens here.  The prefetcher's demand credits
    are batched per stretch between two misses (no prefetch issues
-   inside one), so a credit that lands on an L1 hit is kept.
+   inside one), so a credit that lands on an L1 hit is kept.  When the
+   lower levels are one level whose class defines ``solve_outcomes``
+   (D-NUCA), with no prefetcher and no telemetry client, that method
+   returns the same tuples without the walk: an operation there reads
+   and writes only its own set, so round ``k`` applies every set's
+   ``k``-th operation at once, and its stamps and clock are rebuilt
+   from a cumulative count of clock bumps once the rounds fix which
+   demands filled.  The class is asked, not the instance, because
+   :class:`~repro.cmp.contention.ContendedLLC` forwards unknown
+   attributes to the cache it wraps.  Everything else walks: ``legacy``
+   (whose ``access``/``fill`` run the same outcome steps, one at a
+   time), telemetry-armed slices, contended levels, the base L2+L3,
+   NuRAPID and S-NUCA.
 3. **Timing fold.**  One loop walks the merged misses in runs of
    consecutive misses from one core; each run loads that core's
    cycle, term stream, MSHR entries, counters and histograms and saves
@@ -405,17 +417,15 @@ def replay(systems, cores, trace, streams=None) -> None:
     if len(folds) == 1:
         (fold,) = folds
         miss_at = fold.solved.miss_pos
-        victims = fold.victims
-        victim_dirty = fold.victim_dirty
+        victims = fold.solved.victim
+        victim_dirty = fold.solved.victim_dirty
         runs = [(fold, len(miss_at))]
     else:
         at = np.concatenate([f.at[f.solved.miss_pos] for f in folds])
         order = np.argsort(at, kind="stable")
         miss_at = at[order]
-        victims = np.concatenate([f.solved.victim for f in folds])[order].tolist()
-        victim_dirty = np.concatenate(
-            [f.solved.victim_dirty for f in folds]
-        )[order].tolist()
+        victims = np.concatenate([f.solved.victim for f in folds])[order]
+        victim_dirty = np.concatenate([f.solved.victim_dirty for f in folds])[order]
         owner = np.repeat(
             np.arange(len(folds)), [len(f.miss_pos) for f in folds]
         )[order]
@@ -424,8 +434,7 @@ def replay(systems, cores, trace, streams=None) -> None:
             (folds[owner[a]], b - a) for a, b in zip(edges, edges[1:]) if b > a
         ]
     addresses = np.asarray(trace.addresses, dtype=np.int64)
-    miss_addrs = addresses[miss_at].tolist()
-    miss_at = miss_at.tolist()
+    miss_addrs = addresses[miss_at]
 
     # Miss-path plumbing, shared by every core.
     l1_lat = folds[0].l1.spec.latency_cycles
@@ -448,55 +457,68 @@ def replay(systems, cores, trace, streams=None) -> None:
     # Pass 1, outcomes: every lower-level operation of the slice in
     # legacy order -- per miss its accesses down to the supplier, the
     # fills bottom-most first, the L1's dirty-victim writeback, then
-    # the prefetch fills the miss triggers -- at no time.  The
-    # prefetcher is credited for each stretch of demands between two
-    # misses at once (no prefetch issues inside one).  A DUE stops the
-    # pass; the fold below then times the completed operations and
-    # re-raises it.
-    outcomes = []
-    record = outcomes.append
+    # the prefetch fills the miss triggers -- at no time.  A lone
+    # level whose class solves a whole slice at once (D-NUCA) does so
+    # when no prefetcher and no telemetry client take part; otherwise
+    # the operations are walked one by one.  The prefetcher is
+    # credited for each stretch of demands between two misses at once
+    # (no prefetch issues inside one).  A DUE stops the walk; the fold
+    # below then times the completed operations and re-raises it.
+    # The class, not the instance: ContendedLLC forwards unknown
+    # attributes to the cache it wraps, whose tuples it extends.
+    solve = getattr(type(lower[0]), "solve_outcomes", None)
+    if solve is not None and (
+        n_lower > 1 or prefetcher is not None or lower[0].telemetry is not None
+    ):
+        solve = None
     pf_counts = None
-    if prefetcher is not None:
-        pf_counts = []
-        pf_blocks = (addresses & ~np.int64(prefetcher.block_bytes - 1)).tolist()
-        note_demands = prefetcher.note_demands
-        observe_miss = prefetcher.observe_miss
-        note_issued = prefetcher.note_issued
-        first_contains = lower[0].contains
-        first_fill = fill_outcome[0]
-        demanded = 0
     error = None
-    try:
-        for pos, address, vaddr, vdirty in zip(
-            miss_at, miss_addrs, victims, victim_dirty
-        ):
+    if solve is not None:
+        outcomes = solve(lower[0], miss_addrs, victims, victim_dirty)
+    else:
+        outcomes = []
+        record = outcomes.append
+        if prefetcher is not None:
+            pf_counts = []
+            pf_blocks = (addresses & ~np.int64(prefetcher.block_bytes - 1)).tolist()
+            note_demands = prefetcher.note_demands
+            observe_miss = prefetcher.observe_miss
+            note_issued = prefetcher.note_issued
+            first_contains = lower[0].contains
+            first_fill = fill_outcome[0]
+            demanded = 0
+        try:
+            for pos, address, vaddr, vdirty in zip(
+                miss_at.tolist(), miss_addrs.tolist(), victims.tolist(),
+                victim_dirty.tolist(),
+            ):
+                if pf_counts is not None:
+                    note_demands(pf_blocks[demanded : pos + 1])
+                    demanded = pos + 1
+                missed = 0
+                for outcome_of in access_outcome:
+                    o = outcome_of(address, False)
+                    record(o)
+                    if o[0]:
+                        break
+                    missed += 1
+                while missed:
+                    missed -= 1
+                    record(fill_outcome[missed](address, False))
+                if vdirty:
+                    record(first_outcome(vaddr, True))
+                if pf_counts is not None:
+                    issued = 0
+                    for target in observe_miss(address):
+                        if not first_contains(target):
+                            record(first_fill(target, False))
+                            note_issued(target)
+                            issued += 1
+                    pf_counts.append(issued)
             if pf_counts is not None:
-                note_demands(pf_blocks[demanded : pos + 1])
-                demanded = pos + 1
-            missed = 0
-            for outcome_of in access_outcome:
-                o = outcome_of(address, False)
-                record(o)
-                if o[0]:
-                    break
-                missed += 1
-            while missed:
-                missed -= 1
-                record(fill_outcome[missed](address, False))
-            if vdirty:
-                record(first_outcome(vaddr, True))
-            if pf_counts is not None:
-                issued = 0
-                for target in observe_miss(address):
-                    if not first_contains(target):
-                        record(first_fill(target, False))
-                        note_issued(target)
-                        issued += 1
-                pf_counts.append(issued)
-        if pf_counts is not None:
-            note_demands(pf_blocks[demanded:])
-    except UncorrectableDataError as exc:
-        error = exc
+                note_demands(pf_blocks[demanded:])
+        except UncorrectableDataError as exc:
+            error = exc
     outcome_wall = perf_counter() - t_outcomes
 
     # Pass 2, the timing fold: per miss, each level's timing step at

@@ -9,7 +9,10 @@ process verifies the sidecar and maps the file read-only
 every worker on the host through the page cache.  Later calls return
 the same :class:`Trace` object (``transport.trace_reuses``), and its
 ``decoded_batch``/``split`` caches survive across cells: a worker
-decodes each trace at most once, however many cells it executes.
+decodes each trace at most once, however many cells it executes.  The
+memo keeps the :data:`LOADED_ENTRIES` most recently used traces, so a
+long-lived process does not grow with every trace it ever mapped; an
+evicted entry is verified and mapped afresh when it comes back.
 
 A missing, corrupt or mismatched entry counts ``transport.mmap_unusable``
 and returns ``None``; the worker then regenerates the trace from the
@@ -19,7 +22,8 @@ function of its cache key.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional
+from collections import OrderedDict
+from typing import Iterable, Optional
 
 from repro.common.errors import ConfigurationError
 from repro.resilience.integrity import verify_sidecar
@@ -27,9 +31,13 @@ from repro.telemetry.runtime import runtime_registry
 from repro.workloads.interleave import spec_records
 from repro.workloads.trace import Trace
 
-#: Traces this process already mapped, by entry path; the cached
-#: object carries its decode caches with it.
-_LOADED: Dict[str, Trace] = {}
+#: Mapped traces the memo keeps: one full 15-benchmark suite and one
+#: more, so a ``run_matrix`` grid never evicts its own traces.
+LOADED_ENTRIES = 16
+
+#: Traces this process already mapped, by entry path, least recently
+#: used first; the cached object carries its decode caches with it.
+_LOADED: "OrderedDict[str, Trace]" = OrderedDict()
 
 
 def load_mmap_trace(
@@ -47,6 +55,7 @@ def load_mmap_trace(
         if cached.benchmark != benchmark or len(cached) != records:
             reg.add("transport.mmap_unusable")
             return None
+        _LOADED.move_to_end(path)
         reg.add("transport.trace_reuses")
         return cached
     if verify_sidecar(path) is not True:
@@ -58,6 +67,8 @@ def load_mmap_trace(
         reg.add("transport.mmap_unusable")
         return None
     _LOADED[path] = trace
+    if len(_LOADED) > LOADED_ENTRIES:
+        _LOADED.popitem(last=False)
     reg.add("transport.trace_loads")
     return trace
 

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import ConfigurationError, SimulationError
-from repro.caches.block import CacheBlock, block_address, set_index
+from repro.caches.block import block_address, set_index
 from repro.caches.memory import MainMemory
 from repro.caches.mshr import MSHRFile
 from repro.caches.port import PortArray, checked_occupancy
@@ -27,8 +27,6 @@ class TestBlockMath:
             block_address(0, 100)
         with pytest.raises(ConfigurationError):
             set_index(0, 128, 3)
-        with pytest.raises(ConfigurationError):
-            CacheBlock(block_addr=-1)
 
     @settings(max_examples=60, deadline=None)
     @given(

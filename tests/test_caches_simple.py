@@ -44,8 +44,9 @@ class TestAccessPath:
         c = make_cache()
         c.fill(0x1000)
         c.access(0x1000, is_write=True)
-        victim = c.invalidate(0x1000)
-        assert victim is not None and victim.dirty
+        c.fill(0x2000)  # same set of the 64 64-byte sets
+        writebacks, _, victim = c.fill_outcome(0x3000)
+        assert victim == 0x1000 and writebacks == 1
 
     def test_energy_charged_per_access(self):
         c = make_cache()
@@ -96,11 +97,11 @@ class TestInvalidate:
     def test_invalidate_removes(self):
         c = make_cache()
         c.fill(0x1000)
-        assert c.invalidate(0x1000) is not None
+        assert c.invalidate(0x1000) is True
         assert not c.contains(0x1000)
 
-    def test_invalidate_absent_returns_none(self):
-        assert make_cache().invalidate(0x1000) is None
+    def test_invalidate_absent_returns_false(self):
+        assert make_cache().invalidate(0x1000) is False
 
 
 class TestStats:

@@ -233,10 +233,43 @@ class TestContention:
         assert wrapped.bank_grants() == 4
         assert wrapped.bank_wait_cycles() == pytest.approx(8 * (1 + 2 + 3))
 
-    def test_driver_unwrap_protected(self):
-        wrapped = ContendedLLC(_StubCache(), ContentionConfig())
-        with pytest.raises(AttributeError):
-            wrapped.cache  # noqa: B018
+    def test_contended_dnuca_walks_like_legacy(self, monkeypatch):
+        """ContendedLLC forwards unknown attributes to the cache it
+        wraps, D-NUCA's whole-slice solve included, whose tuples are
+        not its (hit, inner, bank) triples.  A contended D-NUCA must
+        replay on the walk under vectorized, and its result, telemetry
+        report and bank totals must equal legacy's."""
+        from repro.nuca.cache import DNUCACache
+
+        solved = []
+        real = DNUCACache.solve_outcomes
+
+        def counting(self, *args):
+            solved.append(1)
+            return real(self, *args)
+
+        monkeypatch.setattr(DNUCACache, "solve_outcomes", counting)
+        config = replace(
+            dnuca_config(),
+            name="dnuca-cmp2-b8",
+            cmp=CmpConfig(cores=2, contention=ContentionConfig()),
+        )
+        payloads, reports = {}, {}
+        for engine in ENGINES:
+            reset_runtime_registry()
+            payloads[engine] = _summary(config, "twolf", 1, engine)
+            armed = _summary(config, "twolf", 1, engine, telemetry=TelemetryConfig())
+            reports[engine] = render_report(
+                merge_payloads([("cell", armed.pop("telemetry"))])
+            )
+        counters = runtime_counters()
+        assert counters.get("vectorized.refs", 0) == 2 * REFS
+        assert counters.get("vectorized.fallbacks", 0) == 0
+        assert solved == []
+        stats = payloads["legacy"]["stats"]
+        assert stats["bankq.grants"] > 0 and stats["bankq.busy_cycles"] > 0
+        assert payloads["vectorized"] == payloads["legacy"]
+        assert reports["vectorized"] == reports["legacy"]
 
     def test_pending_depth(self):
         ports = PortArray("p")

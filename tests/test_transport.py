@@ -22,6 +22,7 @@ from repro.sim.config import nurapid_config, snuca_config
 from repro.sim.parallel import CellTask, execute_cell, run_cells
 from repro.telemetry import reset_runtime_registry, runtime_counters
 from repro.workloads import transport
+from repro.workloads.spec2k import suite_names
 from repro.workloads.tracegen import TraceCache
 
 REFS = 3_000
@@ -106,6 +107,53 @@ class TestSegmentLifecycle:
         path = trace_paths["twolf"]
         assert transport.load_mmap_trace(path, "twolf", REFS + 1) is None
         assert runtime_counters()["transport.mmap_unusable"] == 1
+
+
+class TestMemoBound:
+    """The process memo keeps the LOADED_ENTRIES most recently used
+    traces; an evicted entry is verified and mapped again."""
+
+    def test_holds_a_full_suite(self):
+        assert transport.LOADED_ENTRIES >= len(suite_names())
+
+    @pytest.fixture
+    def paths(self, cache, monkeypatch):
+        monkeypatch.setattr(transport, "LOADED_ENTRIES", 2)
+        return [cache.ensure("twolf", REFS, seed=seed) for seed in (1, 2, 3)]
+
+    def load(self, path):
+        return transport.load_mmap_trace(path, "twolf", REFS)
+
+    def test_one_past_the_bound_evicts_the_oldest(self, paths):
+        first, second, third = paths
+        for path in paths:
+            self.load(path)
+        assert list(transport._LOADED) == [second, third]
+        assert runtime_counters()["transport.trace_loads"] == 3
+
+    def test_reuse_refreshes_recency(self, paths):
+        first, second, third = paths
+        kept = self.load(first)
+        self.load(second)
+        assert self.load(first) is kept  # first is now the most recent
+        self.load(third)
+        assert list(transport._LOADED) == [first, third]
+        assert self.load(first) is kept
+
+    def test_evicted_entry_reverifies(self, paths, monkeypatch):
+        first, second, third = paths
+        for path in paths:
+            self.load(path)
+        verified = []
+        real = transport.verify_sidecar
+        monkeypatch.setattr(
+            transport, "verify_sidecar", lambda p: verified.append(p) or real(p)
+        )
+        assert self.load(first) is not None
+        assert verified == [first]
+        counters = runtime_counters()
+        assert counters["transport.trace_loads"] == 4
+        assert counters.get("transport.trace_reuses", 0) == 0
 
 
 class TestWorkerReuse:
