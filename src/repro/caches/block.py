@@ -12,6 +12,26 @@ from repro.common.errors import ConfigurationError
 #: never alias real traffic.
 PREWARM_BASE = 1 << 45
 
+#: Block address of a way holding no block (and, in the ss-array, the
+#: partial tag of one); real block addresses are non-negative.
+EMPTY = -1
+
+
+def victim_way(blocks: list, stamps: list, first: int, n: int) -> int:
+    """The way of ``[first, first + n)`` a fill or promotion takes.
+
+    Every set-associative array here uses the one replacement rule:
+    the first free (``EMPTY``) way, else the least recently touched
+    way, the first one winning ties.  ``blocks`` and ``stamps`` are a
+    cache's flat per-way lists; the result is an index into them.
+    """
+    end = first + n
+    ways = blocks[first:end]
+    if EMPTY in ways:
+        return first + ways.index(EMPTY)
+    touched = stamps[first:end]
+    return first + touched.index(min(touched))
+
 
 def block_address(address: int, block_bytes: int) -> int:
     """Align ``address`` down to its ``block_bytes`` boundary."""

@@ -14,18 +14,21 @@ bubble-style chain within the set), LRU data replacement (the evicted
 block is the LRU of the slowest group's ways — which, as the paper
 notes for D-NUCA, "may not be the set's LRU block"), and next-fastest
 promotion by swapping with the LRU way of the adjacent faster group.
+Like the other caches, it keeps flat per-frame lists (frame = ``set *
+associativity + way``), scans a set's slice per lookup, and picks a
+group's way with :func:`~repro.caches.block.victim_way`.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.common.errors import ConfigurationError, SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.telemetry import CacheTelemetry
 from repro.common.stats import Counter, Distribution
-from repro.caches.block import block_address, prewarm_blocks, set_index
+from repro.caches.block import EMPTY, block_address, prewarm_blocks, set_index, victim_way
 from repro.caches.level import CacheLevel
 from repro.caches.port import PortArray, checked_occupancy
 from repro.floorplan.dgroups import NuRAPIDGeometry, build_nurapid_geometry
@@ -68,13 +71,12 @@ class SetAssociativePlacementCache(CacheLevel):
         )
 
         #: Flat per-frame state; frame = set_index * associativity + way.
-        #: -1 in ``_addrs`` marks a free way.
+        #: ``EMPTY`` in ``_addrs`` marks a free way.
         n_frames = self.n_sets * associativity
-        self._addrs: List[int] = [-1] * n_frames
+        self._addrs: List[int] = [EMPTY] * n_frames
         self._dirty = bytearray(n_frames)
         #: Logical timestamp of the last touch, for LRU-within-group.
         self._touch: List[int] = [0] * n_frames
-        self._where: List[Dict[int, int]] = [dict() for _ in range(self.n_sets)]
         self._clock = 0
         #: The single data port's busy-time state.
         self.ports = PortArray(f"{name}.port", 1)
@@ -115,25 +117,24 @@ class SetAssociativePlacementCache(CacheLevel):
             raise ConfigurationError(f"way {way} out of range")
         return way // self.ways_per_dgroup
 
-    def _ways_of_dgroup(self, group: int) -> range:
-        if not 0 <= group < self.n_dgroups:
-            raise ConfigurationError(f"d-group {group} out of range")
-        start = group * self.ways_per_dgroup
-        return range(start, start + self.ways_per_dgroup)
-
     def _set_of(self, address: int) -> int:
         return set_index(address, self.block_bytes, self.n_sets)
 
     # --- lookups ---
 
+    def _way_of(self, index: int, baddr: int) -> int:
+        """Way of set ``index`` holding ``baddr``, or -1."""
+        base = index * self.associativity
+        ways = self._addrs[base : base + self.associativity]
+        return ways.index(baddr) if baddr in ways else -1
+
     def contains(self, address: int) -> bool:
-        baddr = block_address(address, self.block_bytes)
-        return baddr in self._where[self._set_of(address)]
+        return self.dgroup_of(address) is not None
 
     def dgroup_of(self, address: int) -> Optional[int]:
         baddr = block_address(address, self.block_bytes)
-        way = self._where[self._set_of(address)].get(baddr)
-        return None if way is None else self.dgroup_of_way(way)
+        way = self._way_of(self._set_of(address), baddr)
+        return None if way < 0 else self.dgroup_of_way(way)
 
     # --- access path ---
 
@@ -147,8 +148,8 @@ class SetAssociativePlacementCache(CacheLevel):
         self.energy.charge(f"{self.name}.tag_probe")
         events = [] if self.telemetry is not None else None
 
-        way = self._where[index].get(baddr)
-        if way is None:
+        way = self._way_of(index, baddr)
+        if way < 0:
             # Sequential tag-data access: the pipelined tag probe alone
             # determines the miss.
             self.stats.add("misses")
@@ -191,20 +192,12 @@ class SetAssociativePlacementCache(CacheLevel):
             telemetry.emit_deferred(events, done)
         return latency
 
-    def _lru_way(self, index: int, group: int, occupied_only: bool = False) -> Optional[int]:
-        """LRU way of ``group`` in ``set``; optionally only occupied ways."""
-        best: Optional[int] = None
-        best_touch = None
+    def _lru_way(self, index: int, group: int) -> int:
+        """Way of ``group`` in set ``index`` that a block moving in
+        takes: its first free way, else its LRU way."""
         base = index * self.associativity
-        for way in self._ways_of_dgroup(group):
-            occupied = self._addrs[base + way] >= 0
-            if occupied_only and not occupied:
-                continue
-            touch = (occupied, self._touch[base + way])
-            # Free ways sort before occupied ones, then by recency.
-            if best_touch is None or touch < best_touch:
-                best, best_touch = way, touch
-        return best
+        wpd = self.ways_per_dgroup
+        return victim_way(self._addrs, self._touch, base + group * wpd, wpd) - base
 
     def _promote(self, index: int, way: int, group: int, events) -> Tuple[float, ...]:
         """Next-fastest promotion: swap with the adjacent group's LRU way.
@@ -213,8 +206,6 @@ class SetAssociativePlacementCache(CacheLevel):
         """
         target = group - 1
         peer = self._lru_way(index, target)
-        if peer is None:
-            raise SimulationError("d-group has no ways in this set")
         self.stats.add("promotions")
         if events is not None:
             events.append(
@@ -231,7 +222,7 @@ class SetAssociativePlacementCache(CacheLevel):
         self._swap_ways(index, way, peer)
         self._charge_move(group, target)
         demoted = self._addrs[index * self.associativity + way]
-        if demoted < 0:
+        if demoted == EMPTY:
             return (self._swap_occ[group][target],)
         # A real two-way swap (the peer way was occupied).
         self.stats.add("demotions")
@@ -249,11 +240,6 @@ class SetAssociativePlacementCache(CacheLevel):
         addrs[fa], addrs[fb] = addrs[fb], addrs[fa]
         dirty[fa], dirty[fb] = dirty[fb], dirty[fa]
         touch[fa], touch[fb] = touch[fb], touch[fa]
-        where = self._where[index]
-        if addrs[fa] >= 0:
-            where[addrs[fa]] = a
-        if addrs[fb] >= 0:
-            where[addrs[fb]] = b
 
     def _charge_move(self, src: int, dst: int) -> None:
         """Energy and counters for one block move (the caller decides
@@ -270,7 +256,9 @@ class SetAssociativePlacementCache(CacheLevel):
         takes no port time: its demotions ride the fill buffers."""
         baddr = block_address(address, self.block_bytes)
         index = self._set_of(address)
-        if baddr in self._where[index]:
+        base = index * self.associativity
+        ways = self._addrs[base : base + self.associativity]
+        if baddr in ways:
             return (0, None)
         events = [] if self.telemetry is not None else None
         self.stats.add("fills")
@@ -279,34 +267,30 @@ class SetAssociativePlacementCache(CacheLevel):
 
         # If the set is full, evict the LRU way of the slowest group
         # (bubble data replacement: not necessarily the set's LRU).
-        if len(self._where[index]) >= self.associativity:
-            victim_way = self._lru_way(index, self.n_dgroups - 1, occupied_only=True)
-            if victim_way is None:
-                raise SimulationError("full set has an empty slowest group")
-            frame = index * self.associativity + victim_way
+        if EMPTY not in ways:
+            victim = self._lru_way(index, self.n_dgroups - 1)
+            frame = base + victim
             victim_addr = self._addrs[frame]
-            assert victim_addr >= 0
-            del self._where[index][victim_addr]
             self.stats.add("evictions")
             if events is not None:
                 events.append(
                     (
                         "eviction",
-                        {"addr": victim_addr, "dgroup": self.dgroup_of_way(victim_way)},
+                        {"addr": victim_addr, "dgroup": self.dgroup_of_way(victim)},
                         True,
                     )
                 )
             if self._dirty[frame]:
                 writebacks = 1
                 self.stats.add("writebacks")
-                group = self.dgroup_of_way(victim_way)
+                group = self.dgroup_of_way(victim)
                 self.energy.charge(f"{self.name}.dg{group}.read")
                 self.stats.add("dgroup_accesses")
                 if events is not None:
                     events.append(
                         ("writeback", {"addr": victim_addr, "dgroup": group}, True)
                     )
-            self._addrs[frame] = -1
+            self._addrs[frame] = EMPTY
             self._dirty[frame] = 0
             self._touch[frame] = 0
 
@@ -316,15 +300,11 @@ class SetAssociativePlacementCache(CacheLevel):
         carry_dirty = dirty
         carry_touch = self._clock
         while True:
-            way = self._lru_way(index, group)
-            if way is None:
-                raise SimulationError("d-group has no ways in this set")
-            frame = index * self.associativity + way
+            frame = base + self._lru_way(index, group)
             displaced = (self._addrs[frame], self._dirty[frame], self._touch[frame])
             self._addrs[frame] = carry_addr
             self._dirty[frame] = 1 if carry_dirty else 0
             self._touch[frame] = carry_touch
-            self._where[index][carry_addr] = way
             if group > 0:
                 self.stats.add("demotions")
                 if events is not None:
@@ -336,7 +316,7 @@ class SetAssociativePlacementCache(CacheLevel):
                         )
                     )
                 self._charge_move(group - 1, group)
-            if displaced[0] < 0:
+            if displaced[0] == EMPTY:
                 break
             carry_addr, carry_dirty, carry_touch = displaced
             group += 1
@@ -353,12 +333,10 @@ class SetAssociativePlacementCache(CacheLevel):
 
     def prewarm(self) -> None:
         """Fill every way with a clean dummy block (steady-state start)."""
-        if any(self._where):
+        if self._addrs.count(EMPTY) != len(self._addrs):
             raise SimulationError("prewarm on a non-empty cache")
         blocks = prewarm_blocks(self.n_sets, self.associativity, self.block_bytes)
         self._addrs = blocks.ravel().tolist()
-        ways = range(self.associativity)
-        self._where = [dict(zip(row, ways)) for row in blocks.tolist()]
 
     # --- introspection ---
 
@@ -370,7 +348,7 @@ class SetAssociativePlacementCache(CacheLevel):
         return self.stats.get("misses") / total
 
     def resident_block_addrs(self) -> List[int]:
-        """The block address in each frame (-1 for a free way)."""
+        """The block address in each frame (EMPTY for a free way)."""
         return self._addrs
 
     def reset_stats(self) -> None:
@@ -386,16 +364,12 @@ class SetAssociativePlacementCache(CacheLevel):
         return self.ports[0]
 
     def check_invariants(self) -> None:
+        assoc = self.associativity
         for index in range(self.n_sets):
-            base = index * self.associativity
-            where = self._where[index]
-            occupied = sum(
-                1 for way in range(self.associativity) if self._addrs[base + way] >= 0
-            )
-            if len(where) != occupied:
-                raise SimulationError(f"set {index} map/slot count mismatch")
-            for baddr, way in where.items():
-                if self._addrs[base + way] != baddr:
-                    raise SimulationError(f"set {index} way {way} map mismatch")
+            ways = self._addrs[index * assoc : (index + 1) * assoc]
+            resident = [b for b in ways if b != EMPTY]
+            if len(set(resident)) != len(resident):
+                raise SimulationError(f"set {index} holds a block twice")
+            for baddr in resident:
                 if self._set_of(baddr) != index:
                     raise SimulationError(f"block {baddr:#x} in wrong set")

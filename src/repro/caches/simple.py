@@ -7,11 +7,11 @@ a block's way in the tag array *is* its location in the data array.
 
 State is kept in flat parallel arrays indexed by frame (``set * assoc
 + way``) rather than per-block objects: ``_tags`` holds the resident
-block address (-1 = invalid), ``_dirty`` the dirty bits, and
+block address (``EMPTY`` = invalid), ``_dirty`` the dirty bits, and
 ``_stamps`` a monotonically increasing touch stamp that realizes true
-LRU (the victim is the valid way with the smallest stamp — exactly the
-least recently inserted-or-touched block, bit-identical to the
-dict-ordered LRU this class used to keep).  The flat layout is what
+LRU (a fill takes :func:`~repro.caches.block.victim_way`'s pick: the
+first free way, else the one with the smallest stamp — exactly the
+least recently inserted-or-touched block).  The flat layout is what
 the vectorized replay kernel (:mod:`repro.sim.vectorized`) indexes directly;
 the methods below are the thin view the rest of the simulator, the
 fault injector, and telemetry keep using.  As a lower level it needs no
@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, List, Optional
 
 from repro.common.errors import ConfigurationError, SimulationError
-from repro.caches.block import block_address, prewarm_blocks, set_index
+from repro.caches.block import EMPTY, block_address, prewarm_blocks, set_index, victim_way
 from repro.caches.level import CacheLevel
 from repro.faults.models import TransientOutcome
 from repro.floorplan.dgroups import UniformCacheSpec
@@ -59,7 +59,7 @@ class SetAssociativeCache(CacheLevel):
         self._assoc = assoc
         n_frames = self.n_sets * assoc
         #: Flat per-frame state; frame = set_index * associativity + way.
-        self._tags: List[int] = [-1] * n_frames
+        self._tags: List[int] = [EMPTY] * n_frames
         self._dirty = bytearray(n_frames)
         self._stamps: List[int] = [0] * n_frames
         #: Global touch clock; strictly increasing so stamps are unique
@@ -148,7 +148,7 @@ class SetAssociativeCache(CacheLevel):
                 if outcome is TransientOutcome.REFETCH:
                     # Detected-uncorrectable on a clean line: drop it
                     # and refetch from below, surfaced as a miss.
-                    self._tags[frame] = -1
+                    self._tags[frame] = EMPTY
                     self._dirty[frame] = 0
                     self.fault_refetches += 1
                     self.misses += 1
@@ -195,29 +195,15 @@ class SetAssociativeCache(CacheLevel):
             return _RESIDENT
         self._ecounts[self._k_write] += 1
         tags = self._tags
-        stamps = self._stamps
-        base = index * self._assoc
-        free = -1
-        victim = -1
-        victim_stamp = 0
-        for frame in range(base, base + self._assoc):
-            if tags[frame] < 0:
-                if free < 0:
-                    free = frame
-            elif victim < 0 or stamps[frame] < victim_stamp:
-                victim = frame
-                victim_stamp = stamps[frame]
-        victim_addr = -1
+        frame = victim_way(tags, self._stamps, index * self._assoc, self._assoc)
+        victim_addr = tags[frame]
         writebacks = 0
-        if free < 0:
-            victim_addr = tags[victim]
-            if self._dirty[victim]:
-                writebacks = 1
-                self.writebacks += 1
-            free = victim
-        tags[free] = baddr
-        self._dirty[free] = 1 if dirty else 0
-        stamps[free] = self._clock
+        if victim_addr != EMPTY and self._dirty[frame]:
+            writebacks = 1
+            self.writebacks += 1
+        tags[frame] = baddr
+        self._dirty[frame] = 1 if dirty else 0
+        self._stamps[frame] = self._clock
         self._clock += 1
         events = None
         if self.telemetry is not None:
@@ -236,7 +222,7 @@ class SetAssociativeCache(CacheLevel):
         frame = self._find(self._locate(address), baddr)
         if frame < 0:
             return False
-        self._tags[frame] = -1
+        self._tags[frame] = EMPTY
         self._dirty[frame] = 0
         return True
 
@@ -249,7 +235,7 @@ class SetAssociativeCache(CacheLevel):
         if inserted in that order (way 0 of a set is its LRU block).
         """
         n_frames = len(self._tags)
-        if self._tags.count(-1) != n_frames:
+        if self._tags.count(EMPTY) != n_frames:
             raise SimulationError("prewarm on a non-empty cache")
         blocks = prewarm_blocks(self.n_sets, self._assoc, self.spec.block_bytes)
         self._tags = blocks.ravel().tolist()

@@ -122,8 +122,5 @@ class ContendedLLC(CacheLevel):
     def bank_wait_cycles(self) -> float:
         return sum(self.bank_ports.total_wait)
 
-    def bank_busy_cycles(self) -> float:
-        return sum(self.bank_ports.total_busy)
-
     def bank_grants(self) -> int:
         return sum(self.bank_ports.grants)

@@ -2,13 +2,12 @@
 
 This package deliberately has no dependencies on the cache, CPU, or
 technology models: it provides the vocabulary types (memory accesses,
-access results), deterministic randomness, a true-LRU set policy, and
-statistics containers that the rest of :mod:`repro` builds on.
+access results), deterministic randomness, and statistics containers
+that the rest of :mod:`repro` builds on.
 """
 
 from repro.common.errors import ConfigurationError, SimulationError
 from repro.common.types import Access, AccessResult, AccessType
-from repro.common.lru import LRUPolicy
 from repro.common.rng import DeterministicRNG
 from repro.common.stats import Counter, Distribution, RatioStat
 
@@ -20,7 +19,6 @@ __all__ = [
     "Counter",
     "DeterministicRNG",
     "Distribution",
-    "LRUPolicy",
     "RatioStat",
     "SimulationError",
 ]

@@ -124,10 +124,6 @@ class FaultPlan:
         if self.spare_subarrays_per_dgroup < 0:
             raise ConfigurationError("spare_subarrays_per_dgroup must be non-negative")
 
-    @property
-    def any_transients(self) -> bool:
-        return self.transient_per_access > 0.0 or bool(self.transient_at_accesses)
-
     def label(self) -> str:
         """Compact suffix for config names (cache keys must see faults)."""
         parts = []

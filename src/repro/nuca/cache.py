@@ -38,12 +38,12 @@ from repro.common.errors import ConfigurationError, SimulationError
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.telemetry import CacheTelemetry
 from repro.common.stats import Counter, Distribution
-from repro.caches.block import block_address, prewarm_blocks, set_index
+from repro.caches.block import EMPTY, block_address, prewarm_blocks, set_index, victim_way
 from repro.caches.level import CacheLevel
 from repro.caches.port import PortArray, checked_occupancy
 from repro.floorplan.dgroups import DNUCAGeometry, build_dnuca_geometry
 from repro.nuca.config import DNUCAConfig, SearchPolicy
-from repro.nuca.smart_search import EMPTY, SmartSearchArray
+from repro.nuca.smart_search import SmartSearchArray
 from repro.tech.energy import EnergyBook
 
 
@@ -73,8 +73,8 @@ _BLOCK, _PARTIAL, _DIRTY, _STAMP = range(4)
 
 def _victim_ways(state, rows, cols):
     """Per row of ``rows``, the offset into its ``cols`` that
-    :meth:`DNUCACache._victim_slot` picks: the first free way, else the
-    first of the least recently touched."""
+    :func:`~repro.caches.block.victim_way` picks: the first free way,
+    else the first of the least recently touched."""
     r = rows[:, None]
     free = state[_BLOCK, r, cols] == EMPTY
     return np.where(
@@ -433,16 +433,6 @@ class DNUCACache(CacheLevel):
 
     # --- bubble promotion ---
 
-    def _victim_slot(self, first: int) -> int:
-        """Free way of the level whose first slot is ``first`` if any,
-        else its LRU way (the first way wins ties)."""
-        end = first + self.ways_per_bank
-        ways = self._baddr[first:end]
-        if EMPTY in ways:
-            return first + ways.index(EMPTY)
-        touches = self._touch[first:end]
-        return first + touches.index(min(touches))
-
     def _promote(self, index: int, slot: int, events) -> Tuple[int, ...]:
         """Swap one level closer to the core (generational promotion).
 
@@ -452,7 +442,9 @@ class DNUCACache(CacheLevel):
         wpb = self.ways_per_bank
         level = slot % self.associativity // wpb
         target = level - 1
-        peer = self._victim_slot(index * self.associativity + target * wpb)
+        peer = victim_way(
+            self._baddr, self._touch, index * self.associativity + target * wpb, wpb
+        )
         baddrs = self._baddr
         moving = baddrs[slot]
         displaced = baddrs[peer]
@@ -511,7 +503,8 @@ class DNUCACache(CacheLevel):
         bank = self._chains[index % self._n_chains][insert_level]
 
         writebacks = 0
-        slot = self._victim_slot(base + insert_level * self.ways_per_bank)
+        wpb = self.ways_per_bank
+        slot = victim_way(self._baddr, self._touch, base + insert_level * wpb, wpb)
         old = self._baddr[slot]
         if old != EMPTY:
             # Evict the slowest (or fastest, under head insertion) way.

@@ -20,10 +20,8 @@ from __future__ import annotations
 
 from typing import List
 
+from repro.caches.block import EMPTY
 from repro.common.errors import ConfigurationError, SimulationError
-
-#: Partial tag of an empty slot; real partial tags are non-negative.
-EMPTY = -1
 
 
 class SmartSearchArray:

@@ -11,20 +11,21 @@ from *managed placement*.
 Implementation: the same 128 x 64 KB bank geometry as D-NUCA, but the
 whole 16-way set lives in the single bank selected by low set-index
 bits.  An access goes straight to that bank (one probe, no ss-array),
-hits at the bank's latency or misses after its tag check.
+hits at the bank's latency or misses after its tag check.  State is
+the flat per-way layout of the other caches: block address, dirty bit
+and touch stamp per frame (``set * associativity + way``), and a fill
+takes :func:`~repro.caches.block.victim_way`'s pick (true LRU).
 """
 
 from __future__ import annotations
 
-from itertools import chain
-from typing import Dict, Iterable, List, Optional
+from typing import List, Optional
 
 from repro.common.errors import ConfigurationError, SimulationError
 from repro.common.stats import Counter, Distribution
-from repro.caches.block import block_address, prewarm_blocks, set_index
+from repro.caches.block import EMPTY, block_address, prewarm_blocks, set_index, victim_way
 from repro.caches.level import CacheLevel
 from repro.caches.port import PortArray, checked_occupancy
-from repro.common.lru import LRUPolicy
 from repro.floorplan.dgroups import DNUCAGeometry, build_dnuca_geometry
 from repro.tech.energy import EnergyBook
 
@@ -63,10 +64,12 @@ class SNUCACache(CacheLevel):
         if self.n_sets % self.geometry.n_banks:
             raise ConfigurationError("sets must divide evenly over the banks")
 
-        # Each set maps block address -> dirty flag; the tag is the key
-        # itself, so no per-line object is needed.
-        self._sets: List[Dict[int, bool]] = [dict() for _ in range(self.n_sets)]
-        self._lru: List[LRUPolicy] = [LRUPolicy() for _ in range(self.n_sets)]
+        #: Flat per-frame state; frame = set_index * associativity + way.
+        n_frames = self.n_sets * associativity
+        self._blocks: List[int] = [EMPTY] * n_frames
+        self._dirty = bytearray(n_frames)
+        self._stamps: List[int] = [0] * n_frames
+        self._clock = 0
         #: Per-bank busy-time state.
         self.bank_ports = PortArray(f"{name}.bank", self.geometry.n_banks)
         self.energy = energy if energy is not None else EnergyBook()
@@ -111,7 +114,8 @@ class SNUCACache(CacheLevel):
 
     def contains(self, address: int) -> bool:
         baddr = block_address(address, self.block_bytes)
-        return baddr in self._sets[self._set_of(address)]
+        base = self._set_of(address) * self.associativity
+        return baddr in self._blocks[base : base + self.associativity]
 
     # --- access path: one bank, no search ---
 
@@ -122,8 +126,9 @@ class SNUCACache(CacheLevel):
         bi = index % self._n_banks
         sc = self._scounts
         sc["accesses"] = sc.get("accesses", 0) + 1
-        resident = self._sets[index]
-        if baddr not in resident:
+        base = index * self.associativity
+        ways = self._blocks[base : base + self.associativity]
+        if baddr not in ways:
             sc["misses"] = sc.get("misses", 0) + 1
             self._ecounts[self._k_probe[bi]] += 1
             return (False, bi)
@@ -133,9 +138,11 @@ class SNUCACache(CacheLevel):
         dh = self.dgroup_hits.counts
         dh[row] = dh.get(row, 0) + 1
         sc["dgroup_accesses"] = sc.get("dgroup_accesses", 0) + 1
-        self._lru[index].touch(baddr)
+        frame = base + ways.index(baddr)
+        self._clock += 1
+        self._stamps[frame] = self._clock
         if is_write:
-            resident[baddr] = True
+            self._dirty[frame] = 1
             self._ecounts[self._k_write[bi]] += 1
         else:
             self._ecounts[self._k_read[bi]] += 1
@@ -153,23 +160,26 @@ class SNUCACache(CacheLevel):
         fill takes no bank time and emits nothing."""
         baddr = address & self._block_mask
         index = (address >> self._set_shift) & self._set_mask
-        resident = self._sets[index]
-        if baddr in resident:
+        assoc = self.associativity
+        base = index * assoc
+        blocks = self._blocks
+        if baddr in blocks[base : base + assoc]:
             return _NO_WRITEBACK
         sc = self._scounts
         sc["fills"] = sc.get("fills", 0) + 1
         bi = index % self._n_banks
         writebacks = _NO_WRITEBACK
-        if len(resident) >= self.associativity:
-            victim_addr = self._lru[index].pop_victim()
-            victim_dirty = resident.pop(victim_addr)
+        frame = victim_way(blocks, self._stamps, base, assoc)
+        if blocks[frame] != EMPTY:
             sc["evictions"] = sc.get("evictions", 0) + 1
-            if victim_dirty:
+            if self._dirty[frame]:
                 writebacks = _ONE_WRITEBACK
                 sc["writebacks"] = sc.get("writebacks", 0) + 1
                 self._ecounts[self._k_read[bi]] += 1
-        resident[baddr] = dirty
-        self._lru[index].insert(baddr)
+        blocks[frame] = baddr
+        self._dirty[frame] = 1 if dirty else 0
+        self._clock += 1
+        self._stamps[frame] = self._clock
         self._ecounts[self._k_write[bi]] += 1
         sc["dgroup_accesses"] = sc.get("dgroup_accesses", 0) + 1
         return writebacks
@@ -177,19 +187,19 @@ class SNUCACache(CacheLevel):
     # --- protocol extras ---
 
     def prewarm(self) -> None:
-        """Fill every way with clean dummies (steady-state start)."""
-        if any(self._sets):
-            raise SimulationError("prewarm on a non-empty cache")
-        rows = prewarm_blocks(
-            self.n_sets, self.associativity, self.block_bytes
-        ).tolist()
-        self._sets = [dict.fromkeys(row, False) for row in rows]
-        for policy, row in zip(self._lru, rows):
-            policy.insert_many(row)
+        """Fill every way with clean dummies (steady-state start).
 
-    def resident_block_addrs(self) -> Iterable[int]:
-        """Every resident block address, set by set."""
-        return chain.from_iterable(self._sets)
+        The dummies all keep stamp 0, so way 0 of a set is its first
+        victim, then way 1, and so on.
+        """
+        if self._blocks.count(EMPTY) != len(self._blocks):
+            raise SimulationError("prewarm on a non-empty cache")
+        blocks = prewarm_blocks(self.n_sets, self.associativity, self.block_bytes)
+        self._blocks = blocks.ravel().tolist()
+
+    def resident_block_addrs(self) -> List[int]:
+        """The block address in each frame (EMPTY for a free way)."""
+        return self._blocks
 
     def reset_stats(self) -> None:
         self.stats.reset()
@@ -205,8 +215,11 @@ class SNUCACache(CacheLevel):
         return self.stats.get("misses") / total
 
     def check_invariants(self) -> None:
-        for index, resident in enumerate(self._sets):
-            if len(resident) > self.associativity:
-                raise ConfigurationError(f"set {index} over associativity")
-            if len(self._lru[index]) != len(resident):
-                raise ConfigurationError(f"set {index} LRU/tag mismatch")
+        assoc = self.associativity
+        for index in range(self.n_sets):
+            ways = self._blocks[index * assoc : (index + 1) * assoc]
+            resident = [b for b in ways if b != EMPTY]
+            if len(set(resident)) != len(resident):
+                raise SimulationError(f"set {index} holds a block twice")
+            if any(self._set_of(b) != index for b in resident):
+                raise SimulationError(f"set {index} holds a block of another set")

@@ -50,7 +50,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cost
     from repro.telemetry import CacheTelemetry
 from repro.common.rng import DeterministicRNG
 from repro.common.stats import Counter, Distribution
-from repro.caches.block import block_address, prewarm_blocks
+from repro.caches.block import EMPTY, block_address, prewarm_blocks, victim_way
 from repro.caches.level import CacheLevel
 from repro.caches.port import PortArray, checked_occupancy
 from repro.faults.models import TransientOutcome
@@ -94,8 +94,6 @@ _PACK_PENDING_SHIFT = 29
 #: Everything except the pending-hits counter.
 _PACK_BELOW_PENDING = (1 << _PACK_PENDING_SHIFT) - 1
 
-#: Block address of a slot holding no block.
-EMPTY = -1
 #: Reverse pointer of a free frame.
 FREE = -1
 #: Reverse pointer of a frame retired by a hard fault.
@@ -670,8 +668,7 @@ class NuRAPIDCache(CacheLevel):
         index = (address >> self._set_shift) & self._set_mask
         base = index * self._assoc_limit
         baddrs = self._slot_baddr
-        ways = baddrs[base : base + self._assoc_limit]
-        if baddr in ways:
+        if baddr in baddrs[base : base + self._assoc_limit]:
             return _RESIDENT
         events = [] if self.telemetry is not None else None
         region = index % self._n_regions
@@ -680,8 +677,10 @@ class NuRAPIDCache(CacheLevel):
         entries = self._slot_entry
 
         writebacks = 0
-        if EMPTY in ways:
-            slot = base + ways.index(EMPTY)
+        # A free way if the set has one, else its least recently used
+        # block (the first way wins ties).
+        slot = victim_way(baddrs, self._slot_stamp, base, self._assoc_limit)
+        if baddrs[slot] == EMPTY:
             if self.fault_injector is not None and not self._region_has_free(region):
                 # Hard-fault retirement left fewer usable frames than
                 # the tag side admits: the region is full even though
@@ -689,10 +688,7 @@ class NuRAPIDCache(CacheLevel):
                 # victim.
                 writebacks += self._evict_for_space(region)
         else:
-            # The set is full: evict its least recently used block
-            # (the first way wins ties).
-            stamps = self._slot_stamp[base : base + self._assoc_limit]
-            slot = base + stamps.index(min(stamps))
+            # The set is full: evict that block.
             victim_addr = baddrs[slot]
             victim = entries[slot]
             victim_group = (victim >> _PACK_DGROUP_SHIFT) & _PACK_DGROUP_MASK

@@ -25,11 +25,10 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from repro.caches.block import PREWARM_BASE
+from repro.caches.block import EMPTY, PREWARM_BASE
 from repro.cmp.config import CompressionConfig
 from repro.common.errors import ConfigurationError, SimulationError
 from repro.nurapid.cache import (
-    EMPTY,
     NuRAPIDCache,
     _PACK_DGROUP_MASK,
     _PACK_DGROUP_SHIFT,

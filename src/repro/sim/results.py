@@ -145,12 +145,6 @@ def mean_distribution(results: List[RunResult], keys: List[int]) -> Dict[int, fl
     }
 
 
-def mean_miss_fraction(results: List[RunResult]) -> float:
-    if not results:
-        raise ConfigurationError("no results to average")
-    return sum(r.l2_miss_fraction for r in results) / len(results)
-
-
 @dataclass
 class SuiteResult:
     """All benchmarks' runs for one system configuration."""
@@ -175,18 +169,6 @@ class SuiteResult:
         if not values:
             raise ConfigurationError("no shared benchmarks to average")
         return sum(values) / len(values)
-
-    def mean_dgroup_fractions(self, keys: List[int]) -> Dict[int, float]:
-        return mean_distribution(list(self.runs.values()), keys)
-
-    def mean_miss_fraction(self) -> float:
-        return mean_miss_fraction(list(self.runs.values()))
-
-    def total_lower_energy_nj(self) -> float:
-        return sum(r.lower_energy_nj for r in self.runs.values())
-
-    def stat_total(self, name: str) -> float:
-        return sum(r.stats.get(name, 0.0) for r in self.runs.values())
 
 
 def format_fraction_table(

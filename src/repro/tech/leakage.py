@@ -159,11 +159,6 @@ def leakage_vs_dynamic_share(
     return leakage_nj / total
 
 
-def arrhenius_table(params: LeakageParams, temps_k: Sequence[float]) -> Dict[float, float]:
-    """Leakage multipliers at several temperatures (for reports)."""
-    return {t: params.scale_for_temperature(t) for t in temps_k}
-
-
 def validate_monotone_temperature(params: LeakageParams) -> bool:
     """Sanity helper used by tests: hotter must leak more."""
     scales = [params.scale_for_temperature(t) for t in (300.0, 330.0, 360.0, 390.0)]

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import ConfigurationError, SimulationError
-from repro.caches.block import block_address, set_index
+from repro.caches.block import EMPTY, block_address, set_index, victim_way
 from repro.caches.memory import MainMemory
 from repro.caches.mshr import MSHRFile
 from repro.caches.port import PortArray, checked_occupancy
@@ -44,6 +44,47 @@ class TestBlockMath:
     @given(st.integers(0, 2**48), st.sampled_from([32, 128]))
     def test_set_index_in_range(self, addr, block):
         assert 0 <= set_index(addr, block, 512) < 512
+
+
+class TestVictimWay:
+    """The one free-else-LRU rule every set-associative array uses."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.data(),
+        st.integers(1, 8),
+        st.sampled_from(["mixed", "all free", "all full"]),
+    )
+    def test_matches_sorted_key_reference(self, data, n, fill):
+        first = data.draw(st.integers(0, 3), label="first")
+        size = first + n + data.draw(st.integers(0, 3), label="tail")
+        block = {
+            "mixed": st.one_of(st.just(EMPTY), st.integers(0, 2**40)),
+            "all free": st.just(EMPTY),
+            "all full": st.integers(0, 2**40),
+        }[fill]
+        # Outside the range anything goes; inside it, the mode decides.
+        blocks = [
+            data.draw(block if first <= w < first + n else st.integers(-1, 9))
+            for w in range(size)
+        ]
+        # Few stamp values, so ties are common.
+        stamps = data.draw(st.lists(st.integers(0, 3), min_size=size, max_size=size))
+
+        def key(w):
+            # Free ways first (whatever their stamps), then the least
+            # recently touched, then the lowest way.
+            occupied = blocks[w] != EMPTY
+            return (occupied, stamps[w] if occupied else 0, w)
+
+        expected = min(range(first, first + n), key=key)
+        assert victim_way(blocks, stamps, first, n) == expected
+
+    def test_first_free_way_wins(self):
+        assert victim_way([7, EMPTY, 8, EMPTY], [0, 5, 0, 1], 0, 4) == 1
+
+    def test_first_least_recent_way_wins_ties(self):
+        assert victim_way([7, 8, 9, 10], [3, 1, 1, 0], 0, 3) == 1
 
 
 class TestPortScheduler:

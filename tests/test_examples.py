@@ -44,6 +44,15 @@ def test_branch_predictor(monkeypatch, capsys):
     assert "mispredict rate" in out
 
 
+def test_layout_reliability(monkeypatch, capsys):
+    out = run_example(
+        monkeypatch, capsys, "examples/layout_reliability.py", ["layout_reliability.py"]
+    )
+    assert "SEC-DED in action" in out
+    assert "Manufacturing yield" in out
+    assert "cache healthy" in out
+
+
 def test_fault_resilience_checkpoint_and_resume(monkeypatch, capsys, tmp_path):
     # Shrink the grid's trace length so the example finishes in CI time.
     path = "examples/fault_resilience.py"

@@ -306,8 +306,7 @@ def _port_arrays(system):
     (a contended LLC's bank queues and its wrapped cache's own)."""
     state = {}
     for level in system.lower:
-        target = getattr(level, "cache", level)
-        for owner in (target, getattr(target, "_inner", None)):
+        for owner in (level, getattr(level, "_inner", None)):
             for kind in ("ports", "bank_ports"):
                 ports = getattr(owner, kind, None) if owner is not None else None
                 if ports is not None and f"{ports.name}.{kind}" not in state:

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from repro.caches.block import PREWARM_BASE
+from repro.caches.block import EMPTY, PREWARM_BASE
 from repro.common.errors import SimulationError
 from repro.caches.setassoc_nonuniform import SetAssociativePlacementCache
 from repro.caches.simple import SetAssociativeCache
@@ -13,10 +13,9 @@ from repro.floorplan.dgroups import build_nurapid_geometry, build_uniform_cache_
 from repro.nuca.cache import DNUCACache
 from repro.cmp.config import CompressionConfig
 from repro.nuca.config import DNUCAConfig
-from repro.nuca.smart_search import EMPTY as DNUCA_EMPTY
 from repro.nuca.snuca import SNUCACache
 from repro.faults.models import FaultPlan, HardFaultEvent
-from repro.nurapid.cache import EMPTY, RETIRED, NuRAPIDCache
+from repro.nurapid.cache import RETIRED, NuRAPIDCache
 from repro.nurapid.compression import CompressedNuRAPIDCache
 from repro.nurapid.config import DistanceReplacementKind, NuRAPIDConfig
 from repro.sim.config import base_config, build_lower_level, nurapid_config
@@ -150,18 +149,40 @@ def _state(cache):
     if isinstance(cache, SetAssociativeCache):
         return [cache._tags, cache._dirty, cache._stamps, cache._clock]
     if isinstance(cache, SetAssociativePlacementCache):
-        return [cache._addrs, cache._dirty, cache._touch, cache._where, cache._clock]
+        # The slot scan replaced per-set address -> way maps filled in
+        # way order; the digests were first taken with those maps.
+        return [
+            cache._addrs, cache._dirty, cache._touch,
+            _way_maps(cache._addrs, cache.associativity), cache._clock,
+        ]
     if isinstance(cache, SNUCACache):
-        return [cache._sets, [dict.fromkeys(p.lru_to_mru()) for p in cache._lru]]
+        # The digests were first taken over per-set address -> dirty
+        # dicts in way order and each set's LRU-to-MRU order.
+        assoc, blocks, stamps = cache.associativity, cache._blocks, cache._stamps
+        sets, lru = [], []
+        for base in range(0, len(blocks), assoc):
+            ways = [s for s in range(base, base + assoc) if blocks[s] != EMPTY]
+            sets.append({blocks[s]: bool(cache._dirty[s]) for s in ways})
+            recency = sorted(ways, key=lambda s: (stamps[s], s))
+            lru.append(dict.fromkeys(blocks[s] for s in recency))
+        return [sets, lru]
     if isinstance(cache, DNUCACache):
         # The slot scan replaced an address -> slot map filled in slot
         # order; the digests were first taken with that map.
-        where = {b: s for s, b in enumerate(cache._baddr) if b != DNUCA_EMPTY}
+        where = {b: s for s, b in enumerate(cache._baddr) if b != EMPTY}
         return [
             cache._baddr, cache._dirty, cache._touch, where,
             cache.smart_search._partial, cache._clock,
         ]
     return _nurapid_state(cache)
+
+
+def _way_maps(blocks, assoc):
+    """Per set, each resident block's way, in way order."""
+    return [
+        {b: w for w, b in enumerate(blocks[base : base + assoc]) if b != EMPTY}
+        for base in range(0, len(blocks), assoc)
+    ]
 
 
 def _nurapid_state(cache):
@@ -360,8 +381,8 @@ class TestSAPlacementPrewarm:
         c = self._cache()
         c.prewarm()
         c.check_invariants()
-        # Every way of set 0 is occupied.
-        assert len(c._where[0]) == 4
+        # Every way is occupied.
+        assert EMPTY not in c._addrs
 
     def test_prewarmed_layout(self):
         c = self._cache()
@@ -370,9 +391,6 @@ class TestSAPlacementPrewarm:
             row = [
                 PREWARM_BASE + (way * c.n_sets + index) * 64
                 for way in range(c.associativity)
-            ]
-            assert list(c._where[index].items()) == [
-                (baddr, way) for way, baddr in enumerate(row)
             ]
             for way, baddr in enumerate(row):
                 frame = index * c.associativity + way
@@ -398,8 +416,13 @@ class TestSNUCAPrewarm:
                 PREWARM_BASE + (way * c.n_sets + index) * c.block_bytes
                 for way in range(c.associativity)
             ]
-            assert list(c._sets[index].items()) == [(baddr, False) for baddr in row]
-            assert list(c._lru[index].lru_to_mru()) == row
+            for way, baddr in enumerate(row):
+                frame = index * c.associativity + way
+                assert c._blocks[frame] == baddr
+                assert c._dirty[frame] == 0
+                # Every dummy ties on stamp 0: way 0 is the first victim.
+                assert c._stamps[frame] == 0
+        assert c._clock == 0
         c.check_invariants()
 
     def test_prewarm_twice_rejected(self):

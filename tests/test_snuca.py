@@ -77,7 +77,7 @@ class TestReplacement:
     def test_prewarm_and_reset(self):
         c = tiny()
         c.prewarm()
-        assert sum(len(s) for s in c._sets) == 512 * KB // 128
+        assert sum(b >= 0 for b in c.resident_block_addrs()) == 512 * KB // 128
         c.access(addr(0, 0))
         c.reset_stats()
         assert c.stats.get("accesses") == 0
