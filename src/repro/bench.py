@@ -6,7 +6,7 @@ that :func:`repro.sim.parallel.run_cells` on the supervised worker pool
 returns the same results; each flag adds one more check::
 
     python -m repro.bench                       # serial == pool
-    python -m repro.bench --engine-parity       # legacy == vectorized, bytes (+ D-NUCA, CMP cells)
+    python -m repro.bench --engine-parity       # legacy == vectorized, bytes (+ NuRAPID, D-NUCA, CMP cells)
     python -m repro.bench --service             # 2 clients, served == serial
     python -m repro.bench --cmp                 # CmpConfig(cores=1) == no cmp
     python -m repro.bench --telemetry           # armed results == unarmed
@@ -31,6 +31,7 @@ from dataclasses import replace as config_replace
 
 from repro.cmp.scenarios import cmp_nurapid_config, cmp_snuca_config
 from repro.nuca.config import SearchPolicy
+from repro.nurapid.config import DistanceReplacementKind, PromotionPolicy
 from repro.sim.config import (
     ENGINES,
     SystemConfig,
@@ -63,6 +64,29 @@ Results = Dict[str, dict]
 def standard_configs() -> List[SystemConfig]:
     """The fixed config pair of the standard workload (NuRAPID + S-NUCA)."""
     return [nurapid_config(), snuca_config()]
+
+
+def nurapid_cells() -> List[Tuple[SystemConfig, str]]:
+    """The NuRAPID cells ``--engine-parity`` adds beside the standard
+    workload's default one: LRU distance replacement with promotion
+    hysteresis 2 on mcf, and approx-LRU with promotion straight to the
+    fastest d-group, over restricted placement regions, on twolf."""
+    return [
+        (
+            nurapid_config(
+                distance_replacement=DistanceReplacementKind.LRU, promotion_hysteresis=2
+            ),
+            "mcf",
+        ),
+        (
+            nurapid_config(
+                distance_replacement=DistanceReplacementKind.APPROX_LRU,
+                promotion=PromotionPolicy.FASTEST,
+                restricted_frames=8,
+            ),
+            "twolf",
+        ),
+    ]
 
 
 def dnuca_cells() -> List[Tuple[SystemConfig, str]]:
@@ -228,8 +252,9 @@ def engine_parity(
     ``ENGINES`` (legacy, vectorized), unarmed and telemetry-enabled;
     each full result payload (summary, counters, energy) must compare
     equal to legacy's, and the rendered telemetry reports must match
-    byte for byte.  Both runs are needed: an unarmed D-NUCA slice takes
-    the kernel's whole-slice solve, an armed one its walk.  Each cell
+    byte for byte.  Both runs are needed: an unarmed lone NuRAPID or
+    D-NUCA slice takes its level's ``solve_outcomes``, an armed one the
+    per-operation steps.  Each cell
     replays the trace of its spec, ``traces[config.trace_spec(
     benchmark)]``, single-core or CMP.  Empty return = the engines are
     bit-identical on these cells.
@@ -288,8 +313,8 @@ def main(argv=None) -> int:
     parser.add_argument("--refs", type=int, default=DEFAULT_REFS)
     flags = {
         "--engine-parity": "results and telemetry reports identical under "
-        f"{' and '.join(ENGINES)}, on the standard workload, two D-NUCA "
-        "cells and two 2-core CMP cells",
+        f"{' and '.join(ENGINES)}, on the standard workload, two more NuRAPID "
+        "cells, two D-NUCA cells and two 2-core CMP cells",
         "--service": "two concurrent job-server clients each get the serial "
         "payloads, byte for byte",
         "--cmp": f"CmpConfig(cores=1) byte-identical to no cmp block ({CMP_BENCHMARK})",
@@ -303,7 +328,7 @@ def main(argv=None) -> int:
         parser.error("--refs must be >= 1")
 
     mismatches: List[str] = []
-    extra = dnuca_cells() + cmp_cells() if args.engine_parity else []
+    extra = nurapid_cells() + dnuca_cells() + cmp_cells() if args.engine_parity else []
     specs = list(dict.fromkeys(BENCHMARKS + [c.trace_spec(b) for c, b in extra]))
     with trace_entries(specs, refs, seed=SEED) as paths:
         traces = {s: Trace.load(paths[s], s, spec_records(s, refs)) for s in specs}

@@ -19,9 +19,30 @@ every model; the vectorized kernel calls the steps directly.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.caches.port import check_timestamp
 from repro.common.errors import UncorrectableDataError
 from repro.common.types import AccessResult
+
+
+def slice_operations(addresses, victims, victim_dirty):
+    """A lone lower level's operations in one replay slice, in order.
+
+    Per L1 miss (``addresses``, with the L1 victims' addresses and
+    dirty flags): the demand read access, filled when it misses, then
+    the dirty victim's write access.  Returns each access's address
+    and write flag (numpy arrays); a level's ``solve_outcomes`` takes
+    the three columns and replays this stream.
+    """
+    keep = np.ones((len(addresses), 2), dtype=bool)
+    keep[:, 1] = victim_dirty
+    address = np.stack(
+        [np.asarray(addresses, dtype=np.int64), np.asarray(victims, dtype=np.int64)],
+        axis=1,
+    )[keep]
+    is_write = np.broadcast_to(np.array([False, True]), keep.shape)[keep]
+    return address, is_write
 
 
 class CacheLevel:

@@ -109,6 +109,29 @@ class SetAssociativePlacementCache(CacheLevel):
         self.dgroup_hits = Distribution()
         #: Optional telemetry client (None is the null sink).
         self.telemetry: Optional["CacheTelemetry"] = None
+        self._init_hot_caches()
+
+    def _init_hot_caches(self) -> None:
+        """Hot-path constants, as NuRAPID keeps them: address
+        decomposition in shift/mask form, the energy keys, and direct
+        views of the stats and energy dicts (``Counter.reset`` and
+        ``EnergyBook.reset_counts`` mutate them in place).  Each
+        increment is the one ``Counter.add``/``EnergyBook.charge``
+        would make, so totals and key order are unchanged."""
+        # Both raise unless the block size and set count are powers of two.
+        block_address(0, self.block_bytes)
+        set_index(0, self.block_bytes, self.n_sets)
+        self._block_mask = ~(self.block_bytes - 1)
+        self._set_shift = self.block_bytes.bit_length() - 1
+        self._set_mask = self.n_sets - 1
+        name = self.name
+        groups = range(self.n_dgroups)
+        self._k_tag = f"{name}.tag_probe"
+        self._k_dg_read = [f"{name}.dg{g}.read" for g in groups]
+        self._k_dg_write = [f"{name}.dg{g}.write" for g in groups]
+        self._k_move = [[f"{name}.move.{i}->{j}" for j in groups] for i in groups]
+        self._scounts = self.stats._counts
+        self._ecounts = self.energy._count
 
     # --- way/d-group mapping (the coupling under study) ---
 
@@ -141,30 +164,36 @@ class SetAssociativePlacementCache(CacheLevel):
     def access_outcome(self, address: int, is_write: bool = False):
         """The access's outcome step: ``(hit, d-group or -1, block
         address, promotion swap-leg occupancies, deferred events)``."""
-        baddr = block_address(address, self.block_bytes)
-        index = self._set_of(address)
-        self.stats.add("accesses")
+        baddr = address & self._block_mask
+        index = (address >> self._set_shift) & self._set_mask
+        sc = self._scounts
+        sc["accesses"] = sc.get("accesses", 0) + 1
         self._clock += 1
-        self.energy.charge(f"{self.name}.tag_probe")
+        ec = self._ecounts
+        ec[self._k_tag] += 1
         events = [] if self.telemetry is not None else None
 
-        way = self._way_of(index, baddr)
-        if way < 0:
+        base = index * self.associativity
+        ways = self._addrs[base : base + self.associativity]
+        if baddr not in ways:
             # Sequential tag-data access: the pipelined tag probe alone
             # determines the miss.
-            self.stats.add("misses")
+            sc["misses"] = sc.get("misses", 0) + 1
             return (False, -1, baddr, (), events)
 
-        group = self.dgroup_of_way(way)
-        self.stats.add("hits")
-        self.dgroup_hits.add(group)
-        frame = index * self.associativity + way
+        way = ways.index(baddr)
+        group = way // self.ways_per_dgroup
+        sc["hits"] = sc.get("hits", 0) + 1
+        dh = self.dgroup_hits.counts
+        dh[group] = dh.get(group, 0) + 1
+        frame = base + way
         self._touch[frame] = self._clock
         if is_write:
             self._dirty[frame] = 1
-        op = "write" if is_write else "read"
-        self.energy.charge(f"{self.name}.dg{group}.{op}")
-        self.stats.add("dgroup_accesses")
+            ec[self._k_dg_write[group]] += 1
+        else:
+            ec[self._k_dg_read[group]] += 1
+        sc["dgroup_accesses"] = sc.get("dgroup_accesses", 0) + 1
         legs = ()
         if group > 0 and self.promote:
             legs = self._promote(index, way, group, events)
@@ -206,7 +235,8 @@ class SetAssociativePlacementCache(CacheLevel):
         """
         target = group - 1
         peer = self._lru_way(index, target)
-        self.stats.add("promotions")
+        sc = self._scounts
+        sc["promotions"] = sc.get("promotions", 0) + 1
         if events is not None:
             events.append(
                 (
@@ -225,7 +255,7 @@ class SetAssociativePlacementCache(CacheLevel):
         if demoted == EMPTY:
             return (self._swap_occ[group][target],)
         # A real two-way swap (the peer way was occupied).
-        self.stats.add("demotions")
+        sc["demotions"] = sc.get("demotions", 0) + 1
         if events is not None:
             events.append(
                 ("demotion", {"addr": demoted, "src": target, "dst": group}, True)
@@ -244,9 +274,10 @@ class SetAssociativePlacementCache(CacheLevel):
     def _charge_move(self, src: int, dst: int) -> None:
         """Energy and counters for one block move (the caller decides
         whether it occupies the port)."""
-        self.energy.charge(f"{self.name}.move.{src}->{dst}")
-        self.stats.add("dgroup_accesses", 2)
-        self.stats.add("moves")
+        self._ecounts[self._k_move[src][dst]] += 1
+        sc = self._scounts
+        sc["dgroup_accesses"] = sc.get("dgroup_accesses", 0) + 2
+        sc["moves"] = sc.get("moves", 0) + 1
 
     # --- fills: place fastest, bubble-demote within the set ---
 
@@ -254,14 +285,16 @@ class SetAssociativePlacementCache(CacheLevel):
         """The fill's outcome step: ``(dirty writebacks, deferred
         events)``; events are None unless telemetry is armed.  The fill
         takes no port time: its demotions ride the fill buffers."""
-        baddr = block_address(address, self.block_bytes)
-        index = self._set_of(address)
+        baddr = address & self._block_mask
+        index = (address >> self._set_shift) & self._set_mask
         base = index * self.associativity
         ways = self._addrs[base : base + self.associativity]
         if baddr in ways:
             return (0, None)
         events = [] if self.telemetry is not None else None
-        self.stats.add("fills")
+        sc = self._scounts
+        ec = self._ecounts
+        sc["fills"] = sc.get("fills", 0) + 1
         self._clock += 1
         writebacks = 0
 
@@ -271,7 +304,7 @@ class SetAssociativePlacementCache(CacheLevel):
             victim = self._lru_way(index, self.n_dgroups - 1)
             frame = base + victim
             victim_addr = self._addrs[frame]
-            self.stats.add("evictions")
+            sc["evictions"] = sc.get("evictions", 0) + 1
             if events is not None:
                 events.append(
                     (
@@ -282,10 +315,10 @@ class SetAssociativePlacementCache(CacheLevel):
                 )
             if self._dirty[frame]:
                 writebacks = 1
-                self.stats.add("writebacks")
+                sc["writebacks"] = sc.get("writebacks", 0) + 1
                 group = self.dgroup_of_way(victim)
-                self.energy.charge(f"{self.name}.dg{group}.read")
-                self.stats.add("dgroup_accesses")
+                ec[self._k_dg_read[group]] += 1
+                sc["dgroup_accesses"] = sc.get("dgroup_accesses", 0) + 1
                 if events is not None:
                     events.append(
                         ("writeback", {"addr": victim_addr, "dgroup": group}, True)
@@ -306,7 +339,7 @@ class SetAssociativePlacementCache(CacheLevel):
             self._dirty[frame] = 1 if carry_dirty else 0
             self._touch[frame] = carry_touch
             if group > 0:
-                self.stats.add("demotions")
+                sc["demotions"] = sc.get("demotions", 0) + 1
                 if events is not None:
                     events.append(
                         (
@@ -323,8 +356,8 @@ class SetAssociativePlacementCache(CacheLevel):
             if group >= self.n_dgroups:
                 raise SimulationError("demotion chain overran the slowest group")
 
-        self.energy.charge(f"{self.name}.dg0.write")
-        self.stats.add("dgroup_accesses")
+        ec[self._k_dg_write[0]] += 1
+        sc["dgroup_accesses"] = sc.get("dgroup_accesses", 0) + 1
         if events is not None:
             events.append(("placement", {"addr": baddr, "dgroup": 0}, True))
         return (writebacks, events)

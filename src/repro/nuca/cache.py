@@ -39,7 +39,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.telemetry import CacheTelemetry
 from repro.common.stats import Counter, Distribution
 from repro.caches.block import EMPTY, block_address, prewarm_blocks, set_index, victim_way
-from repro.caches.level import CacheLevel
+from repro.caches.level import CacheLevel, slice_operations
 from repro.caches.port import PortArray, checked_occupancy
 from repro.floorplan.dgroups import DNUCAGeometry, build_dnuca_geometry
 from repro.nuca.config import DNUCAConfig, SearchPolicy
@@ -559,21 +559,12 @@ class DNUCACache(CacheLevel):
         and a cumulative count of clock bumps turns them into the
         walk's stamps once every fill is known.
         """
-        # The operations in trace order: each miss's demand, then its
-        # dirty victim's write access.
-        n_miss = len(addresses)
-        keep = np.ones((n_miss, 2), dtype=bool)
-        keep[:, 1] = victim_dirty
-        addr = np.stack(
-            [np.asarray(addresses, dtype=np.int64), np.asarray(victims, dtype=np.int64)],
-            axis=1,
-        )[keep]
+        addr, is_write = slice_operations(addresses, victims, victim_dirty)
         n_ops = len(addr)
         if not n_ops:
             return []
         baddr = addr & self._block_mask
         sets = (addr >> self._set_shift) & self._set_mask
-        is_write = np.broadcast_to(np.array([False, True]), (n_miss, 2))[keep]
 
         # Round-major order: round k holds each touched set's k-th
         # operation.  uint16 keys take numpy's radix sort.

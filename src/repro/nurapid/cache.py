@@ -51,7 +51,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cost
 from repro.common.rng import DeterministicRNG
 from repro.common.stats import Counter, Distribution
 from repro.caches.block import EMPTY, block_address, prewarm_blocks, victim_way
-from repro.caches.level import CacheLevel
+from repro.caches.level import CacheLevel, slice_operations
 from repro.caches.port import PortArray, checked_occupancy
 from repro.faults.models import TransientOutcome
 from repro.floorplan.dgroups import NuRAPIDGeometry, build_nurapid_geometry
@@ -573,10 +573,9 @@ class NuRAPIDCache(CacheLevel):
         if target >= source:
             raise SimulationError(f"promotion must move inward ({source}->{target})")
         region = slot // self._assoc_limit % self._n_regions
-        target_free = self._free[target][region]
         if (
             self.fault_injector is not None
-            and not target_free
+            and not self._free[target][region]
             and not self._tracked(target, region)
         ):
             # The target group's region has been fully retired by hard
@@ -588,22 +587,46 @@ class NuRAPIDCache(CacheLevel):
             events.append(
                 ("promotion", {"addr": self._slot_baddr[slot], "src": source, "dst": target}, True)
             )
+        victim_slot = self._move_inward(slot, packed, source, target, region)
+        if victim_slot < 0:
+            # Room in the faster group: a one-way move, no demotion.
+            self._charge_move(source, target)
+            if self._ideal_uniform:
+                return ()
+            return (self._swap_occ[source][target],)
+        self.stats.add("demotions")
+        if events is not None:
+            events.append(
+                (
+                    "demotion",
+                    {"addr": self._slot_baddr[victim_slot], "src": target, "dst": source},
+                    True,
+                )
+            )
+        self._charge_move(source, target)
+        self._charge_move(target, source)
+        if self._ideal_uniform:
+            return ()
+        return (self._swap_occ[source][target], self._swap_occ[target][source])
 
+    def _move_inward(self, slot: int, packed: int, source: int, target: int, region: int) -> int:
+        """A promotion's block moves, without its counters: the block
+        in ``slot`` (tag entry ``packed``) leaves ``source`` for a free
+        frame of ``target``, else swaps with ``target``'s distance
+        victim.  Returns the demoted victim's slot, or -1 when a free
+        frame took the block."""
         frame_slot = self._frame_slot
         entries = self._slot_entry
         old_frame = packed & _PACK_FRAME_MASK
         dirty_bit = packed & _PACK_DIRTY
+        target_free = self._free[target][region]
         if target_free:
-            # Room in the faster group: a one-way move, no demotion.
             self._release_frame(source, region, old_frame)
             new_frame = target_free.pop()
             frame_slot[target][new_frame] = slot
             self._track(target, region, new_frame)
             entries[slot] = new_frame | (target << _PACK_DGROUP_SHIFT) | dirty_bit
-            self._charge_move(source, target)
-            if self._ideal_uniform:
-                return ()
-            return (self._swap_occ[source][target],)
+            return -1
 
         victim_frame = self._victim(target, region)
         victim_slot = frame_slot[target][victim_frame]
@@ -623,21 +646,7 @@ class NuRAPIDCache(CacheLevel):
         # demoted victim enters the slower group as a fresh arrival.
         self._touch_frame(target, region, victim_frame)
         self._retrack(source, region, old_frame)
-
-        self.stats.add("demotions")
-        if events is not None:
-            events.append(
-                (
-                    "demotion",
-                    {"addr": self._slot_baddr[victim_slot], "src": target, "dst": source},
-                    True,
-                )
-            )
-        self._charge_move(source, target)
-        self._charge_move(target, source)
-        if self._ideal_uniform:
-            return ()
-        return (self._swap_occ[source][target], self._swap_occ[target][source])
+        return victim_slot
 
     def _charge_move(self, src: int, dst: int) -> None:
         """Energy and counters for one block move.
@@ -793,6 +802,342 @@ class NuRAPIDCache(CacheLevel):
                 )
             )
         return (writebacks, events)
+
+    # --- one replay slice's operations, walked in one loop ---
+
+    def solve_outcomes(self, addresses, victims, victim_dirty) -> list:
+        """The outcome tuples of one replay slice, in one walk.
+
+        The slice's stream is, per L1 miss in trace order, the demand
+        ``access_outcome(address)``, ``fill_outcome(address)`` when it
+        missed, then ``access_outcome(victim, True)`` when the L1's
+        victim was dirty (:func:`~repro.caches.level.slice_operations`).
+        Returns what those steps return one by one, in order, and leaves
+        every piece of state as they leave it: slots, stamps and clock,
+        frame maps, free lists, distance-replacement order, reference
+        bits, hand and RNG draws, counters, ``dgroup_hits`` and energy
+        counts, dict key order included.  Telemetry and fault injection
+        must be off: the tuples carry no events, and nothing raises a
+        DUE.
+
+        Unlike D-NUCA's solve, this cannot apply each set's operations
+        as one round: a set's tags are its own, but its data frames
+        belong to d-groups that every set of its placement region
+        shares, so a fill's demotion chain and each (d-group, region)
+        random victim draw couple all those sets, and the order of
+        operations across sets decides the outcome.  The walk is the
+        per-operation steps fused: a demand miss and its fill share one
+        slice of the set's ways, the distance-replacement updates are
+        inlined, and counters add up in locals, each key new to a dict
+        entering it where the steps would first have inserted it.  A
+        fill that evicts a d-group-0 block -- nearly every fill of a
+        prewarmed cache -- takes that block's frame straight back off
+        the free-list tail, so no demotion chain runs and the release
+        and re-track are one re-track.
+        """
+        stream, is_write = slice_operations(addresses, victims, victim_dirty)
+        n_ops = len(stream)
+        if not n_ops:
+            return []
+        n_dgroups = self.config.n_dgroups
+        block_mask = self._block_mask
+        set_shift = self._set_shift
+        set_mask = self._set_mask
+        assoc = self._assoc_limit
+        n_regions = self._n_regions
+        baddrs = self._slot_baddr
+        entries = self._slot_entry
+        stamps = self._slot_stamp
+        frame_slot = self._frame_slot
+        free = self._free
+        lru_dr = self._lru_dr
+        approx_dr = self._approx_dr
+        if lru_dr:
+            dlru = self._dlru
+        else:
+            dkeys = self._dkeys
+            dpos = self._dpos
+            if approx_dr:
+                dref = self._dref
+                dhand = self._dhand
+            else:
+                draw = self._draw
+        promo_on = self._promo_on
+        promo_next = self._promo_next
+        hysteresis = self._hysteresis
+        ideal_uniform = self._ideal_uniform
+        swap_occ = self._swap_occ
+        move_inward = self._move_inward
+        ec = self._ecounts
+        k_move = self._k_move
+        clock = self._clock
+
+        # Counters, flushed once: stats keys in first-increment order,
+        # and d-groups in first-hit order.
+        order = ["accesses"]
+        misses = hits = dg_accesses = fills = evictions = writebacks = 0
+        promotions = demotions = moves = 0
+        hits_by_group = [0] * n_dgroups
+        hit_order = []
+        reads = [0] * n_dgroups
+        writes = [0] * n_dgroups
+
+        out = []
+        record = out.append
+        for address, write in zip(stream.tolist(), is_write.tolist()):
+            baddr = address & block_mask
+            index = (address >> set_shift) & set_mask
+            base = index * assoc
+            ways = baddrs[base : base + assoc]
+
+            if baddr in ways:
+                slot = base + ways.index(baddr)
+                packed = entries[slot]
+                group = (packed >> _PACK_DGROUP_SHIFT) & _PACK_DGROUP_MASK
+                if not hits:
+                    order.append("hits")
+                hits += 1
+                if not hits_by_group[group]:
+                    hit_order.append(group)
+                hits_by_group[group] += 1
+                if not dg_accesses:
+                    order.append("dgroup_accesses")
+                dg_accesses += 1
+                if write:
+                    writes[group] += 1
+                    packed |= _PACK_DIRTY
+                    entries[slot] = packed
+                else:
+                    reads[group] += 1
+                clock += 1
+                stamps[slot] = clock
+                if approx_dr:
+                    dref[group][packed & _PACK_FRAME_MASK] = 1
+                elif lru_dr:
+                    recency = dlru[group][index % n_regions]
+                    frame = packed & _PACK_FRAME_MASK
+                    del recency[frame]
+                    recency[frame] = None
+                legs = ()
+                if group and promo_on:
+                    pending = (packed >> _PACK_PENDING_SHIFT) + 1
+                    if pending < hysteresis:
+                        entries[slot] = (
+                            (packed & _PACK_BELOW_PENDING) | (pending << _PACK_PENDING_SHIFT)
+                        )
+                    else:
+                        packed &= _PACK_BELOW_PENDING
+                        entries[slot] = packed
+                        target = group - 1 if promo_next else 0
+                        if not promotions:
+                            order.append("promotions")
+                        promotions += 1
+                        victim_slot = move_inward(
+                            slot, packed, group, target, index % n_regions
+                        )
+                        ec[k_move[group][target]] += 1
+                        if victim_slot >= 0:
+                            if not demotions:
+                                order.append("demotions")
+                            demotions += 1
+                            ec[k_move[target][group]] += 1
+                        if not moves:
+                            order.append("moves")
+                        if victim_slot < 0:
+                            dg_accesses += 2
+                            moves += 1
+                            if not ideal_uniform:
+                                legs = (swap_occ[group][target],)
+                        else:
+                            dg_accesses += 4
+                            moves += 2
+                            if not ideal_uniform:
+                                legs = (swap_occ[group][target], swap_occ[target][group])
+                record((True, group, baddr, legs, None))
+                continue
+
+            if not misses:
+                order.append("misses")
+            misses += 1
+            record((False, -1, baddr, (), None))
+            if write:
+                continue
+
+            # The demand's fill: the set's free way, else its LRU way.
+            if not fills:
+                order.append("fills")
+            fills += 1
+            region = index % n_regions
+            writeback = 0
+            if EMPTY in ways:
+                slot = base + ways.index(EMPTY)
+                evicted = -1
+            else:
+                touched = stamps[base : base + assoc]
+                slot = base + touched.index(min(touched))
+                victim = entries[slot]
+                evicted = (victim >> _PACK_DGROUP_SHIFT) & _PACK_DGROUP_MASK
+                freed = victim & _PACK_FRAME_MASK
+                if not evictions:
+                    order.append("evictions")
+                evictions += 1
+                if victim & _PACK_DIRTY:
+                    writeback = 1
+                    if not writebacks:
+                        order.append("writebacks")
+                    writebacks += 1
+                    reads[evicted] += 1
+                    if not dg_accesses:
+                        order.append("dgroup_accesses")
+                    dg_accesses += 1
+            baddrs[slot] = baddr
+            clock += 1
+            stamps[slot] = clock
+
+            if evicted == 0:
+                # The new block takes the evicted block's frame back off
+                # the free-list tail, so no demotion chain runs.
+                entries[slot] = freed
+                if lru_dr:
+                    recency = dlru[0][region]
+                    del recency[freed]
+                    recency[freed] = None
+                else:
+                    keys = dkeys[0][region]
+                    pos = dpos[0]
+                    last = len(keys) - 1
+                    at = pos[freed]
+                    if at != last:
+                        moved = keys[last]
+                        keys[at] = moved
+                        pos[moved] = at
+                        keys[last] = freed
+                        pos[freed] = last
+                    if approx_dr:
+                        if dhand[0][region] >= last:
+                            dhand[0][region] = 0
+                        dref[0][freed] = 1
+            else:
+                if evicted > 0:
+                    # Release the evicted block's frame.
+                    frame_slot[evicted][freed] = FREE
+                    free[evicted][region].append(freed)
+                    if lru_dr:
+                        del dlru[evicted][region][freed]
+                    else:
+                        keys = dkeys[evicted][region]
+                        pos = dpos[evicted]
+                        at = pos[freed]
+                        moved = keys.pop()
+                        if moved != freed:
+                            keys[at] = moved
+                            pos[moved] = at
+                        if approx_dr and dhand[evicted][region] >= len(keys):
+                            dhand[evicted][region] = 0
+
+                # Demotion chain: push occupants outward until a free
+                # frame, as fill_outcome does.
+                group = 0
+                incoming = slot
+                keep = 0
+                chain = 0
+                while not free[group][region]:
+                    if lru_dr:
+                        recency = dlru[group][region]
+                        frame = next(iter(recency))
+                        del recency[frame]
+                        recency[frame] = None
+                    else:
+                        keys = dkeys[group][region]
+                        pos = dpos[group]
+                        n = len(keys)
+                        last = n - 1
+                        if approx_dr:
+                            # Clock sweep: at most two revolutions.
+                            ref = dref[group]
+                            at = dhand[group][region]
+                            for _ in range(2 * n):
+                                if not ref[keys[at]]:
+                                    break
+                                ref[keys[at]] = 0
+                                at = (at + 1) % n
+                            dhand[group][region] = 0 if at >= last else at
+                        else:
+                            at = draw[group][region](n)
+                        frame = keys[at]
+                        if at != last:
+                            moved = keys[last]
+                            keys[at] = moved
+                            pos[moved] = at
+                            keys[last] = frame
+                            pos[frame] = last
+                        if approx_dr:
+                            dref[group][frame] = 1
+                    demoted = frame_slot[group][frame]
+                    frame_slot[group][frame] = incoming
+                    entries[incoming] = frame | (group << _PACK_DGROUP_SHIFT) | keep
+                    incoming, keep = demoted, entries[demoted] & _PACK_DIRTY
+                    group += 1
+                    if group >= n_dgroups:
+                        raise SimulationError(
+                            "demotion chain ran off the slowest d-group; "
+                            "free-frame accounting is corrupt"
+                        )
+                    chain += 1
+                    ec[k_move[group - 1][group]] += 1
+                if chain:
+                    if not demotions:
+                        order.append("demotions")
+                    if not dg_accesses:
+                        order.append("dgroup_accesses")
+                    if not moves:
+                        order.append("moves")
+                    demotions += chain
+                    dg_accesses += 2 * chain
+                    moves += chain
+                frame = free[group][region].pop()
+                frame_slot[group][frame] = incoming
+                if lru_dr:
+                    dlru[group][region][frame] = None
+                else:
+                    keys = dkeys[group][region]
+                    dpos[group][frame] = len(keys)
+                    keys.append(frame)
+                    if approx_dr:
+                        dref[group][frame] = 1
+                entries[incoming] = frame | (group << _PACK_DGROUP_SHIFT) | keep
+
+            # The new block's own fill write into d-group 0.
+            writes[0] += 1
+            if not dg_accesses:
+                order.append("dgroup_accesses")
+            dg_accesses += 1
+            record((writeback, None))
+
+        self._clock = clock
+        counts = {
+            "accesses": n_ops,
+            "misses": misses,
+            "hits": hits,
+            "dgroup_accesses": dg_accesses,
+            "fills": fills,
+            "evictions": evictions,
+            "writebacks": writebacks,
+            "promotions": promotions,
+            "demotions": demotions,
+            "moves": moves,
+        }
+        sc = self._scounts
+        for key in order:
+            sc[key] = sc.get(key, 0) + counts[key]
+        dh = self.dgroup_hits.counts
+        for group in hit_order:
+            dh[group] = dh.get(group, 0) + hits_by_group[group]
+        ec[self._k_tag] += n_ops
+        for group in range(n_dgroups):
+            ec[self._k_dg_read[group]] += reads[group]
+            ec[self._k_dg_write[group]] += writes[group]
+        return out
 
     def _fill_start_group(self, baddr: int) -> int:
         """D-group a freshly filled block enters (hook for variants).

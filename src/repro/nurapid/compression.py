@@ -84,6 +84,10 @@ class CompressedNuRAPIDCache(NuRAPIDCache):
         if compression.core_shares is not None:
             self.set_core_shares(compression.core_shares)
 
+    #: The base cache's slice walk inlines d-group-0 placement and
+    #: unconditional promotion; this variant's hooks need the steps.
+    solve_outcomes = None
+
     def _frame_layout(self) -> Tuple[int, List[int]]:
         config = self.config
         ratio = self.compression.ratio

@@ -38,18 +38,25 @@ each record's core in its address bits -- in three steps:
    and counter change happens here.  The prefetcher's demand credits
    are batched per stretch between two misses (no prefetch issues
    inside one), so a credit that lands on an L1 hit is kept.  When the
-   lower levels are one level whose class defines ``solve_outcomes``
-   (D-NUCA), with no prefetcher and no telemetry client, that method
-   returns the same tuples without the walk: an operation there reads
-   and writes only its own set, so round ``k`` applies every set's
-   ``k``-th operation at once, and its stamps and clock are rebuilt
-   from a cumulative count of clock bumps once the rounds fix which
-   demands filled.  The class is asked, not the instance, because
-   :class:`~repro.cmp.contention.ContendedLLC` forwards unknown
-   attributes to the cache it wraps.  Everything else walks: ``legacy``
-   (whose ``access``/``fill`` run the same outcome steps, one at a
-   time), telemetry-armed slices, contended levels, the base L2+L3,
-   NuRAPID and S-NUCA.
+   lower levels are one level whose class defines ``solve_outcomes``,
+   with no prefetcher, no telemetry client and no fault injector, that
+   method returns the same tuples from the whole slice at once.
+   D-NUCA's solves it in rounds: an operation there reads and writes
+   only its own set, so round ``k`` applies every set's ``k``-th
+   operation at once, and its stamps and clock are rebuilt from a
+   cumulative count of clock bumps once the rounds fix which demands
+   filled.  NuRAPID's walks it in one fused loop: its d-groups' frames
+   are shared by every set of a placement region, so operations on
+   different sets do not commute, but a demand miss and its fill
+   share one set lookup, the distance-replacement updates are inlined
+   and the counters are flushed once.  The class is asked, not the
+   instance, because :class:`~repro.cmp.contention.ContendedLLC`
+   forwards unknown attributes to the cache it wraps.  Everything else
+   takes the per-operation steps: ``legacy`` (whose ``access``/``fill``
+   run the same outcome steps, one at a time), telemetry-armed slices,
+   fault campaigns (whose DUE stops the pass mid-slice), contended
+   levels, compressed NuRAPID, the base L2+L3, SA-placement and
+   S-NUCA.
 3. **Timing fold.**  One loop walks the merged misses in runs of
    consecutive misses from one core; each run loads that core's
    cycle, term stream, MSHR entries, counters and histograms and saves
@@ -458,9 +465,9 @@ def replay(systems, cores, trace, streams=None) -> None:
     # legacy order -- per miss its accesses down to the supplier, the
     # fills bottom-most first, the L1's dirty-victim writeback, then
     # the prefetch fills the miss triggers -- at no time.  A lone
-    # level whose class solves a whole slice at once (D-NUCA) does so
-    # when no prefetcher and no telemetry client take part; otherwise
-    # the operations are walked one by one.  The prefetcher is
+    # level whose class solves a whole slice at once (D-NUCA, NuRAPID)
+    # does so when no prefetcher, telemetry client or fault injector
+    # takes part; otherwise the operations are walked one by one.  The prefetcher is
     # credited for each stretch of demands between two misses at once
     # (no prefetch issues inside one).  A DUE stops the walk; the fold
     # below then times the completed operations and re-raises it.
@@ -468,7 +475,10 @@ def replay(systems, cores, trace, streams=None) -> None:
     # attributes to the cache it wraps, whose tuples it extends.
     solve = getattr(type(lower[0]), "solve_outcomes", None)
     if solve is not None and (
-        n_lower > 1 or prefetcher is not None or lower[0].telemetry is not None
+        n_lower > 1
+        or prefetcher is not None
+        or lower[0].telemetry is not None
+        or getattr(lower[0], "fault_injector", None) is not None
     ):
         solve = None
     pf_counts = None

@@ -41,3 +41,28 @@ def test_dnuca_cells_check_the_solve(monkeypatch):
         f"{config.name}/{b}: vectorized results differ from legacy"
         for config, b in cells
     ]
+
+
+def test_nurapid_cells_check_the_walk(monkeypatch):
+    """The NuRAPID cells' unarmed runs go through the kernel's slice
+    walk, so a fault in it shows as a mismatch with legacy."""
+    from repro.nurapid.cache import NuRAPIDCache
+    from repro.workloads.spec2k import get_benchmark
+    from repro.workloads.tracegen import generate_trace
+
+    real = NuRAPIDCache.solve_outcomes
+
+    def miscounting(self, *args):
+        outcomes = real(self, *args)
+        self.stats.add("hits")
+        return outcomes
+
+    monkeypatch.setattr(NuRAPIDCache, "solve_outcomes", miscounting)
+    cells = bench.nurapid_cells()
+    traces = {
+        b: generate_trace(get_benchmark(b), 4000, seed=bench.SEED) for _, b in cells
+    }
+    assert bench.engine_parity(cells, traces, 4000, bench.SEED, bench.WARMUP) == [
+        f"{config.name}/{b}: vectorized results differ from legacy"
+        for config, b in cells
+    ]
