@@ -719,7 +719,7 @@ class NuRAPIDCache(CacheLevel):
                         ("writeback", {"addr": victim_addr, "dgroup": victim_group}, True)
                     )
 
-        group = start = self._fill_start_group(baddr)
+        start = self._fill_start_group(baddr)
         if start:
             # A chain entering mid-way cannot reach free frames in the
             # faster groups it skips, so a variant may need to clear
@@ -729,59 +729,13 @@ class NuRAPIDCache(CacheLevel):
         self._clock += 1
         self._slot_stamp[slot] = self._clock
 
-        # Demotion chain: push occupants outward until a free frame.
-        # Each block keeps its dirty bit but restarts promotion
-        # hysteresis; the new block enters clean.
-        frame_slot = self._frame_slot
-        n_dgroups = self.config.n_dgroups
-        free = self._free
-        ec = self._ecounts
-        k_move = self._k_move
-        incoming = slot
-        keep = 0
-        demotions = 0
-        while not free[group][region]:
-            if self.fault_injector is not None and not self._tracked(group, region):
-                # Region fully retired in this d-group: nothing to
-                # demote, the incoming block skips to the next group.
-                group += 1
-                if group >= n_dgroups:
-                    raise SimulationError(
-                        f"region {region} has no usable frames in any d-group"
-                    )
-                continue
-            frame = self._victim(group, region)
-            demoted = frame_slot[group][frame]
-            frame_slot[group][frame] = incoming
-            self._retrack(group, region, frame)
-            entries[incoming] = frame | (group << _PACK_DGROUP_SHIFT) | keep
-            incoming, keep = demoted, entries[demoted] & _PACK_DIRTY
-            group += 1
-            if group >= n_dgroups:
-                raise SimulationError(
-                    "demotion chain ran off the slowest d-group; "
-                    "free-frame accounting is corrupt"
-                )
-            demotions += 1
-            if events is not None:
-                events.append(
-                    (
-                        "demotion",
-                        {"addr": baddrs[incoming], "src": group - 1, "dst": group},
-                        True,
-                    )
-                )
-            ec[k_move[group - 1][group]] += 1
+        demotions = self._place(slot, region, start, events)
         if demotions:
             # Each demotion is one block move (_charge_move's counts),
             # batched per chain in their first-insertion order.
             sc["demotions"] = sc.get("demotions", 0) + demotions
             sc["dgroup_accesses"] = sc.get("dgroup_accesses", 0) + 2 * demotions
             sc["moves"] = sc.get("moves", 0) + demotions
-        frame = free[group][region].pop()
-        frame_slot[group][frame] = incoming
-        self._track(group, region, frame)
-        entries[incoming] = frame | (group << _PACK_DGROUP_SHIFT) | keep
 
         # The new block's own fill write into its entry d-group (fill
         # buffer; no demand-port occupancy).
@@ -827,13 +781,14 @@ class NuRAPIDCache(CacheLevel):
         random victim draw couple all those sets, and the order of
         operations across sets decides the outcome.  The walk is the
         per-operation steps fused: a demand miss and its fill share one
-        slice of the set's ways, the distance-replacement updates are
-        inlined, and counters add up in locals, each key new to a dict
-        entering it where the steps would first have inserted it.  A
-        fill that evicts a d-group-0 block -- nearly every fill of a
-        prewarmed cache -- takes that block's frame straight back off
-        the free-list tail, so no demotion chain runs and the release
-        and re-track are one re-track.
+        slice of the set's ways, and counters add up in locals, each key
+        new to a dict entering it where the steps would first have
+        inserted it.  A fill that evicts a d-group-0 block -- nearly
+        every fill of a prewarmed cache -- takes that block's frame
+        straight back off the free-list tail, so no demotion chain runs
+        and the release and re-track are one inlined re-track.  The
+        rare rest (a promotion, a fill into a free way or over a slower
+        block) calls the helpers the steps call.
         """
         stream, is_write = slice_operations(addresses, victims, victim_dirty)
         n_ops = len(stream)
@@ -848,8 +803,6 @@ class NuRAPIDCache(CacheLevel):
         baddrs = self._slot_baddr
         entries = self._slot_entry
         stamps = self._slot_stamp
-        frame_slot = self._frame_slot
-        free = self._free
         lru_dr = self._lru_dr
         approx_dr = self._approx_dr
         if lru_dr:
@@ -860,14 +813,13 @@ class NuRAPIDCache(CacheLevel):
             if approx_dr:
                 dref = self._dref
                 dhand = self._dhand
-            else:
-                draw = self._draw
         promo_on = self._promo_on
         promo_next = self._promo_next
         hysteresis = self._hysteresis
         ideal_uniform = self._ideal_uniform
         swap_occ = self._swap_occ
         move_inward = self._move_inward
+        place = self._place
         ec = self._ecounts
         k_move = self._k_move
         clock = self._clock
@@ -1019,72 +971,8 @@ class NuRAPIDCache(CacheLevel):
                         dref[0][freed] = 1
             else:
                 if evicted > 0:
-                    # Release the evicted block's frame.
-                    frame_slot[evicted][freed] = FREE
-                    free[evicted][region].append(freed)
-                    if lru_dr:
-                        del dlru[evicted][region][freed]
-                    else:
-                        keys = dkeys[evicted][region]
-                        pos = dpos[evicted]
-                        at = pos[freed]
-                        moved = keys.pop()
-                        if moved != freed:
-                            keys[at] = moved
-                            pos[moved] = at
-                        if approx_dr and dhand[evicted][region] >= len(keys):
-                            dhand[evicted][region] = 0
-
-                # Demotion chain: push occupants outward until a free
-                # frame, as fill_outcome does.
-                group = 0
-                incoming = slot
-                keep = 0
-                chain = 0
-                while not free[group][region]:
-                    if lru_dr:
-                        recency = dlru[group][region]
-                        frame = next(iter(recency))
-                        del recency[frame]
-                        recency[frame] = None
-                    else:
-                        keys = dkeys[group][region]
-                        pos = dpos[group]
-                        n = len(keys)
-                        last = n - 1
-                        if approx_dr:
-                            # Clock sweep: at most two revolutions.
-                            ref = dref[group]
-                            at = dhand[group][region]
-                            for _ in range(2 * n):
-                                if not ref[keys[at]]:
-                                    break
-                                ref[keys[at]] = 0
-                                at = (at + 1) % n
-                            dhand[group][region] = 0 if at >= last else at
-                        else:
-                            at = draw[group][region](n)
-                        frame = keys[at]
-                        if at != last:
-                            moved = keys[last]
-                            keys[at] = moved
-                            pos[moved] = at
-                            keys[last] = frame
-                            pos[frame] = last
-                        if approx_dr:
-                            dref[group][frame] = 1
-                    demoted = frame_slot[group][frame]
-                    frame_slot[group][frame] = incoming
-                    entries[incoming] = frame | (group << _PACK_DGROUP_SHIFT) | keep
-                    incoming, keep = demoted, entries[demoted] & _PACK_DIRTY
-                    group += 1
-                    if group >= n_dgroups:
-                        raise SimulationError(
-                            "demotion chain ran off the slowest d-group; "
-                            "free-frame accounting is corrupt"
-                        )
-                    chain += 1
-                    ec[k_move[group - 1][group]] += 1
+                    self._release_frame(evicted, region, freed)
+                chain = place(slot, region, 0, None)
                 if chain:
                     if not demotions:
                         order.append("demotions")
@@ -1095,17 +983,6 @@ class NuRAPIDCache(CacheLevel):
                     demotions += chain
                     dg_accesses += 2 * chain
                     moves += chain
-                frame = free[group][region].pop()
-                frame_slot[group][frame] = incoming
-                if lru_dr:
-                    dlru[group][region][frame] = None
-                else:
-                    keys = dkeys[group][region]
-                    dpos[group][frame] = len(keys)
-                    keys.append(frame)
-                    if approx_dr:
-                        dref[group][frame] = 1
-                entries[incoming] = frame | (group << _PACK_DGROUP_SHIFT) | keep
 
             # The new block's own fill write into d-group 0.
             writes[0] += 1
@@ -1138,6 +1015,61 @@ class NuRAPIDCache(CacheLevel):
             ec[self._k_dg_read[group]] += reads[group]
             ec[self._k_dg_write[group]] += writes[group]
         return out
+
+    def _place(self, slot: int, region: int, group: int, events) -> int:
+        """Give the block in ``slot`` a frame of ``group``: the demotion
+        chain pushes occupants outward until a free frame absorbs one.
+        Each block keeps its dirty bit but restarts promotion
+        hysteresis; the new block enters clean.  Charges each move's
+        energy; returns the demotions, whose counters the caller adds.
+        """
+        baddrs = self._slot_baddr
+        entries = self._slot_entry
+        frame_slot = self._frame_slot
+        n_dgroups = self.config.n_dgroups
+        free = self._free
+        ec = self._ecounts
+        k_move = self._k_move
+        incoming = slot
+        keep = 0
+        demotions = 0
+        while not free[group][region]:
+            if self.fault_injector is not None and not self._tracked(group, region):
+                # Region fully retired in this d-group: nothing to
+                # demote, the incoming block skips to the next group.
+                group += 1
+                if group >= n_dgroups:
+                    raise SimulationError(
+                        f"region {region} has no usable frames in any d-group"
+                    )
+                continue
+            frame = self._victim(group, region)
+            demoted = frame_slot[group][frame]
+            frame_slot[group][frame] = incoming
+            self._retrack(group, region, frame)
+            entries[incoming] = frame | (group << _PACK_DGROUP_SHIFT) | keep
+            incoming, keep = demoted, entries[demoted] & _PACK_DIRTY
+            group += 1
+            if group >= n_dgroups:
+                raise SimulationError(
+                    "demotion chain ran off the slowest d-group; "
+                    "free-frame accounting is corrupt"
+                )
+            demotions += 1
+            if events is not None:
+                events.append(
+                    (
+                        "demotion",
+                        {"addr": baddrs[incoming], "src": group - 1, "dst": group},
+                        True,
+                    )
+                )
+            ec[k_move[group - 1][group]] += 1
+        frame = free[group][region].pop()
+        frame_slot[group][frame] = incoming
+        self._track(group, region, frame)
+        entries[incoming] = frame | (group << _PACK_DGROUP_SHIFT) | keep
+        return demotions
 
     def _fill_start_group(self, baddr: int) -> int:
         """D-group a freshly filled block enters (hook for variants).

@@ -84,8 +84,9 @@ class CompressedNuRAPIDCache(NuRAPIDCache):
         if compression.core_shares is not None:
             self.set_core_shares(compression.core_shares)
 
-    #: The base cache's slice walk inlines d-group-0 placement and
-    #: unconditional promotion; this variant's hooks need the steps.
+    #: The base cache's slice walk places every fill from d-group 0
+    #: and promotes without ``_promote``; this variant's placement
+    #: hooks need the per-operation steps.
     solve_outcomes = None
 
     def _frame_layout(self) -> Tuple[int, List[int]]:

@@ -41,15 +41,15 @@ each record's core in its address bits -- in three steps:
    lower levels are one level whose class defines ``solve_outcomes``,
    with no prefetcher, no telemetry client and no fault injector, that
    method returns the same tuples from the whole slice at once.
-   D-NUCA's solves it in rounds: an operation there reads and writes
+   D-NUCA solves it in rounds: an operation there reads and writes
    only its own set, so round ``k`` applies every set's ``k``-th
    operation at once, and its stamps and clock are rebuilt from a
    cumulative count of clock bumps once the rounds fix which demands
-   filled.  NuRAPID's walks it in one fused loop: its d-groups' frames
+   filled.  NuRAPID walks it in one fused loop: its d-groups' frames
    are shared by every set of a placement region, so operations on
    different sets do not commute, but a demand miss and its fill
-   share one set lookup, the distance-replacement updates are inlined
-   and the counters are flushed once.  The class is asked, not the
+   share one set lookup, the common fill is inlined and the counters
+   are flushed once.  The class is asked, not the
    instance, because :class:`~repro.cmp.contention.ContendedLLC`
    forwards unknown attributes to the cache it wraps.  Everything else
    takes the per-operation steps: ``legacy`` (whose ``access``/``fill``
@@ -467,10 +467,11 @@ def replay(systems, cores, trace, streams=None) -> None:
     # the prefetch fills the miss triggers -- at no time.  A lone
     # level whose class solves a whole slice at once (D-NUCA, NuRAPID)
     # does so when no prefetcher, telemetry client or fault injector
-    # takes part; otherwise the operations are walked one by one.  The prefetcher is
-    # credited for each stretch of demands between two misses at once
-    # (no prefetch issues inside one).  A DUE stops the walk; the fold
-    # below then times the completed operations and re-raises it.
+    # takes part; otherwise the operations are walked one by one.  The
+    # prefetcher is credited for each stretch of demands between two
+    # misses at once (no prefetch issues inside one).  A DUE stops the
+    # walk; the fold below then times the completed operations and
+    # re-raises it.
     # The class, not the instance: ContendedLLC forwards unknown
     # attributes to the cache it wraps, whose tuples it extends.
     solve = getattr(type(lower[0]), "solve_outcomes", None)
