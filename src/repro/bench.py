@@ -249,24 +249,29 @@ def engine_parity(
     """Replay every cell under both engines; returns mismatch descriptions.
 
     Each ``(config, benchmark)`` cell runs under every engine in
-    ``ENGINES`` (legacy, vectorized), unarmed and telemetry-enabled;
-    each full result payload (summary, counters, energy) must compare
-    equal to legacy's, and the rendered telemetry reports must match
-    byte for byte.  Both runs are needed: an unarmed lone NuRAPID or
-    D-NUCA slice takes its level's ``solve_outcomes``, an armed one the
-    per-operation steps.  Each cell
-    replays the trace of its spec, ``traces[config.trace_spec(
-    benchmark)]``, single-core or CMP.  Empty return = the engines are
-    bit-identical on these cells.
+    ``ENGINES`` (legacy, vectorized) three times: unarmed, with
+    telemetry counters only, and with counters and events.  Each full
+    result payload (summary, counters, energy) must compare equal to
+    legacy's, and the rendered telemetry reports must match byte for
+    byte.  All three runs are needed: an unarmed or counters-only lone
+    NuRAPID or D-NUCA slice takes its level's ``solve_outcomes``, an
+    events-armed one the per-operation steps.  Each cell replays the
+    trace of its spec, ``traces[config.trace_spec(benchmark)]``,
+    single-core or CMP.  Empty return = the engines are bit-identical
+    on these cells.
     """
+    arms = {
+        "unarmed": None,
+        "counters-armed": TelemetryConfig(),
+        "events-armed": TelemetryConfig(events=True),
+    }
     mismatches: List[str] = []
     for config, benchmark in cells:
         cell = f"{config.name}/{benchmark}"
-        payloads: Dict[str, dict] = {}
-        armed: Dict[str, dict] = {}
-        reports: Dict[str, str] = {}
+        #: (arm, engine) -> (result payload, rendered telemetry report).
+        runs: Dict[Tuple[str, str], Tuple[dict, Optional[str]]] = {}
         for engine in ENGINES:
-            for telemetry in (None, TelemetryConfig()):
+            for arm, telemetry in arms.items():
                 result = run_benchmark(
                     config_replace(config, engine=engine),
                     benchmark,
@@ -277,23 +282,21 @@ def engine_parity(
                     telemetry=telemetry,
                 )
                 payload = run_result_to_dict(result)
-                if telemetry is None:
-                    payloads[engine] = payload
-                    continue
                 telem = payload.pop("telemetry", None)
-                armed[engine] = payload
-                reports[engine] = render_report(merge_payloads([(cell, telem)]))
+                report = None if telem is None else render_report(
+                    merge_payloads([(cell, telem)])
+                )
+                runs[arm, engine] = (payload, report)
         for engine in ENGINES[1:]:
-            if payloads[engine] != payloads["legacy"]:
-                mismatches.append(f"{cell}: {engine} results differ from legacy")
-            if armed[engine] != armed["legacy"]:
-                mismatches.append(
-                    f"{cell}: {engine} telemetry-armed results differ from legacy"
-                )
-            if reports[engine] != reports["legacy"]:
-                mismatches.append(
-                    f"{cell}: {engine} telemetry report differs from legacy"
-                )
+            for arm in arms:
+                payload, report = runs[arm, engine]
+                expected, expected_report = runs[arm, "legacy"]
+                if payload != expected:
+                    mismatches.append(f"{cell}: {engine} {arm} results differ from legacy")
+                if report != expected_report:
+                    mismatches.append(
+                        f"{cell}: {engine} {arm} telemetry report differs from legacy"
+                    )
     return mismatches
 
 
@@ -313,8 +316,9 @@ def main(argv=None) -> int:
     parser.add_argument("--refs", type=int, default=DEFAULT_REFS)
     flags = {
         "--engine-parity": "results and telemetry reports identical under "
-        f"{' and '.join(ENGINES)}, on the standard workload, two more NuRAPID "
-        "cells, two D-NUCA cells and two 2-core CMP cells",
+        f"{' and '.join(ENGINES)}, unarmed, counters-armed and events-armed, on "
+        "the standard workload, two more NuRAPID cells, two D-NUCA cells and "
+        "two 2-core CMP cells",
         "--service": "two concurrent job-server clients each get the serial "
         "payloads, byte for byte",
         "--cmp": f"CmpConfig(cores=1) byte-identical to no cmp block ({CMP_BENCHMARK})",

@@ -117,7 +117,7 @@ class SetAssociativePlacementCache(CacheLevel):
         views of the stats and energy dicts (``Counter.reset`` and
         ``EnergyBook.reset_counts`` mutate them in place).  Each
         increment is the one ``Counter.add``/``EnergyBook.charge``
-        would make, so totals and key order are unchanged."""
+        would make, so totals are unchanged."""
         # Both raise unless the block size and set count are powers of two.
         block_address(0, self.block_bytes)
         set_index(0, self.block_bytes, self.n_sets)

@@ -9,7 +9,7 @@ that the rest of :mod:`repro` builds on.
 from repro.common.errors import ConfigurationError, SimulationError
 from repro.common.types import Access, AccessResult, AccessType
 from repro.common.rng import DeterministicRNG
-from repro.common.stats import Counter, Distribution, RatioStat
+from repro.common.stats import Counter, Distribution
 
 __all__ = [
     "Access",
@@ -19,6 +19,5 @@ __all__ = [
     "Counter",
     "DeterministicRNG",
     "Distribution",
-    "RatioStat",
     "SimulationError",
 ]

@@ -1,25 +1,26 @@
 """Statistics containers used throughout the simulator.
 
-These are intentionally simple: named counters, ratio statistics
-(hits/accesses), and small integer-keyed distributions (accesses per
-d-group).  Every cache and experiment exposes its measurements through
-these types so the experiment harness can aggregate uniformly.
+These are intentionally simple: named counters and small integer-keyed
+distributions (accesses per d-group).  Every cache and experiment
+exposes its measurements through these types so the experiment harness
+can aggregate uniformly.  Both are read by key: :meth:`Counter.as_dict`
+and :meth:`Distribution.items` return their keys sorted, so no reader
+ever depends on the order in which keys were first added.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping, Tuple
+from typing import Dict, Iterable, Tuple
 
 
 class Counter:
     """A named group of monotonically increasing counters.
 
     Totals stay int-exact as long as every increment is an int: the
-    sum of integer event counts never drifts through float rounding,
-    and ``merge()`` over any partition of the increments reproduces the
-    serial total bit for bit.  A single float increment (weights,
-    energies) switches that counter to float arithmetic.
+    sum of integer event counts never drifts through float rounding.
+    A single float increment (weights, energies) switches that counter
+    to float arithmetic.
     """
 
     def __init__(self) -> None:
@@ -33,27 +34,9 @@ class Counter:
     def get(self, name: str) -> float:
         return self._counts.get(name, 0)
 
-    def names(self) -> Iterable[str]:
-        return self._counts.keys()
-
     def as_dict(self) -> Dict[str, float]:
-        return dict(self._counts)
-
-    def merge(self, other: "Counter") -> None:
-        for name, value in other._counts.items():
-            self._counts[name] = self._counts.get(name, 0) + value
-
-    def snapshot(self) -> Dict[str, float]:
-        """A point-in-time copy, for later :meth:`diff`."""
-        return dict(self._counts)
-
-    def diff(self, since: Mapping[str, float]) -> Dict[str, float]:
-        """Per-name growth since a :meth:`snapshot` (zero deltas omitted)."""
-        return {
-            name: value - since.get(name, 0)
-            for name, value in self._counts.items()
-            if value != since.get(name, 0)
-        }
+        """A copy, keys sorted."""
+        return dict(sorted(self._counts.items()))
 
     def reset(self) -> None:
         self._counts.clear()
@@ -64,38 +47,10 @@ class Counter:
 
 
 @dataclass
-class RatioStat:
-    """Numerator/denominator pair with a safe ratio.
-
-    Used for hit rates, first-d-group fractions, and similar shares
-    where the denominator may legitimately be zero early in a run.
-    """
-
-    numerator: float = 0.0
-    denominator: float = 0.0
-
-    def record(self, success: bool, weight: float = 1.0) -> None:
-        self.denominator += weight
-        if success:
-            self.numerator += weight
-
-    @property
-    def ratio(self) -> float:
-        if self.denominator == 0:
-            return 0.0
-        return self.numerator / self.denominator
-
-    def merge(self, other: "RatioStat") -> None:
-        self.numerator += other.numerator
-        self.denominator += other.denominator
-
-
-@dataclass
 class Distribution:
     """Counts keyed by small integers (e.g. accesses per d-group).
 
-    Like :class:`Counter`, integer increments keep int-exact totals so
-    merged per-worker distributions equal the serial run exactly.
+    Like :class:`Counter`, integer increments keep int-exact totals.
     """
 
     counts: Dict[int, float] = field(default_factory=dict)
@@ -107,12 +62,6 @@ class Distribution:
     def total(self) -> float:
         return sum(self.counts.values())
 
-    def fraction(self, key: int) -> float:
-        total = self.total
-        if total == 0:
-            return 0.0
-        return self.counts.get(key, 0.0) / total
-
     def fractions(self) -> Dict[int, float]:
         total = self.total
         if total == 0:
@@ -121,43 +70,3 @@ class Distribution:
 
     def items(self) -> Iterable[Tuple[int, float]]:
         return sorted(self.counts.items())
-
-    def merge(self, other: "Distribution") -> None:
-        for key, value in other.counts.items():
-            self.counts[key] = self.counts.get(key, 0) + value
-
-    def snapshot(self) -> Dict[int, float]:
-        """A point-in-time copy, for later :meth:`diff`."""
-        return dict(self.counts)
-
-    def diff(self, since: Mapping[int, float]) -> Dict[int, float]:
-        """Per-key growth since a :meth:`snapshot` (zero deltas omitted)."""
-        return {
-            key: value - since.get(key, 0)
-            for key, value in self.counts.items()
-            if value != since.get(key, 0)
-        }
-
-
-def weighted_mean(values: Mapping[str, float], weights: Mapping[str, float]) -> float:
-    """Mean of ``values`` weighted by ``weights`` over their shared keys."""
-    keys = [k for k in values if k in weights]
-    if not keys:
-        raise ValueError("no shared keys between values and weights")
-    total_weight = sum(weights[k] for k in keys)
-    if total_weight == 0:
-        raise ValueError("total weight is zero")
-    return sum(values[k] * weights[k] for k in keys) / total_weight
-
-
-def geometric_mean(values: Iterable[float]) -> float:
-    """Geometric mean, the conventional aggregate for relative performance."""
-    values = list(values)
-    if not values:
-        raise ValueError("geometric_mean of empty sequence")
-    if any(v <= 0 for v in values):
-        raise ValueError("geometric_mean requires positive values")
-    product = 1.0
-    for value in values:
-        product *= value
-    return product ** (1.0 / len(values))

@@ -173,8 +173,8 @@ class DNUCACache(CacheLevel):
 
         Everything cached is a value the per-probe lookups (chain
         bank, f-string energy key, ``EnergyBook.charge``) would
-        compute identically, so energies, latencies, counter totals
-        and key insertion order match the uncached path bit for bit.
+        compute identically, so energies, latencies and counter totals
+        match the uncached path bit for bit.
         """
         geo = self.geometry
         occupancy = checked_occupancy(
@@ -315,20 +315,17 @@ class DNUCACache(CacheLevel):
                     ss.lookups += 1  # the lookup matches its own tag
                 for key in self._multicast_ops[c][level + 1]:
                     ec[key] += 1
-                # Counters in the order the probes first touch them.
-                probed = len(chain) - 1
-                if level > 0:
-                    sc["bank_probes"] = sc.get("bank_probes", 0) + probed
                 if level >= 0:
                     sc["dgroup_accesses"] = sc.get("dgroup_accesses", 0) + 1
-                if level == 0 and probed:
-                    sc["bank_probes"] = sc.get("bank_probes", 0) + probed
-                if level == -1:
+                    probed = len(chain) - 1  # every bank but the hit's
+                else:
                     # Partial match that wasn't the block: the miss is
                     # known only when the slowest probe returns.
-                    sc["bank_probes"] = sc.get("bank_probes", 0) + len(chain)
+                    probed = len(chain)
                     ss.note_false_hit()
                     sc["false_hits"] = sc.get("false_hits", 0) + 1
+                if probed:
+                    sc["bank_probes"] = sc.get("bank_probes", 0) + probed
         else:
             # ss-energy / incremental: probe candidate banks nearest
             # first, up to the block's level.
@@ -545,8 +542,8 @@ class DNUCACache(CacheLevel):
         addresses and dirty flags (numpy arrays).  Returns what those
         steps return one by one, in order, and leaves the ways, partial
         tags, clock, counters, ``dgroup_hits``, energy counts and
-        ss-array counters as they leave them, dict key order included.
-        Telemetry must be off: the tuples carry no events.
+        ss-array counters as they leave them.  Telemetry events must be
+        off: the tuples carry none.
 
         Exact because an operation reads and writes only its own set's
         ways and partial tags, and the clock reaches a decision only
@@ -748,9 +745,10 @@ class DNUCACache(CacheLevel):
 
     def _tally(self, chain_of, hit, level, probed, promoted, displaced, filled, evicted, wb):
         """Add a solved slice's counters, ``dgroup_hits``, energy counts
-        and ss-array counters; each key new to a dict enters where the
-        walk would first have inserted it.  ``probed`` marks the levels
-        each sequential search probed before its hit (None: multicast).
+        and ss-array counters; a key enters a dict only with a nonzero
+        total, as the walk adds it only on an increment.
+        ``probed`` marks the levels each sequential search probed
+        before its hit (None: multicast).
         """
         n_levels = self.config.chain_length
         n_banks = self._n_chains * n_levels
@@ -784,36 +782,15 @@ class DNUCACache(CacheLevel):
             "writebacks": n_wb,
         }
 
-        # Counter keys in first-insertion order: an operation's keys
-        # follow from its kind, so the first operation of each kind
-        # decides.  A kind's bits: the multicast level class (early
-        # miss, false hit, level 0, deeper) or, for a sequential
-        # search, 4 when it probed a bank before its hit; then hit,
-        # promoted, displaced, filled, evicted and written back.
-        kind = (
-            np.where(level >= 0, np.minimum(level, 1) + 2, level + 2)
-            if probed is None
-            else 4 * probed.any(axis=1)
-        )
-        kind = (
-            kind + 8 * hit + 16 * promoted + 32 * displaced + 64 * filled
-            + 128 * evicted + 256 * wb
-        )
-        kinds, first = np.unique(kind, return_index=True)
-        keys = {}
-        for k in kinds[np.argsort(first)].tolist():
-            keys.update(dict.fromkeys(self._counter_keys(k)))
         sc = self._scounts
-        for name in keys:
-            sc[name] = sc.get(name, 0) + totals[name]
+        for name, total in totals.items():
+            if total:
+                sc[name] = sc.get(name, 0) + total
 
-        levels, first, counts = np.unique(
-            level[hit], return_index=True, return_counts=True
-        )
+        levels, counts = np.unique(level[hit], return_counts=True)
         dh = self.dgroup_hits.counts
-        for i in np.argsort(first).tolist():
-            lv = int(levels[i])
-            dh[lv] = dh.get(lv, 0) + int(counts[i])
+        for lv, n in zip(levels.tolist(), counts.tolist()):
+            dh[lv] = dh.get(lv, 0) + n
 
         # Energy: per (chain, level) bank, its probes, reads, writes
         # and block moves.
@@ -848,47 +825,6 @@ class DNUCACache(CacheLevel):
             ec[self._ss_key] += n_ops
             self.smart_search.lookups += n_ops
             self.smart_search.false_hits += n_false
-
-    def _counter_keys(self, kind: int) -> List[str]:
-        """The counter keys one operation of ``kind`` (see
-        :meth:`_tally`) adds, in the order the walk adds them."""
-        hit = kind & 8
-        keys = ["accesses"]
-        if self._multicast:
-            level = (kind & 3) - 2  # -2, -1, 0, or 1 for any level > 0
-            if level == -2:
-                keys += ["early_misses", "bank_probes"]
-            if level > 0:
-                keys.append("bank_probes")
-            if level >= 0:
-                keys.append("dgroup_accesses")
-            if level == 0 and self.config.chain_length > 1:
-                keys.append("bank_probes")
-            if level == -1:
-                keys += ["bank_probes", "false_hits"]
-        else:
-            if kind & 4:
-                keys.append("bank_probes")
-                if self._ss_energy:
-                    keys.append("false_hits")
-            if hit:
-                keys.append("dgroup_accesses")
-        if not hit:
-            keys.append("misses")
-        else:
-            keys.append("hits")
-            if kind & 16:
-                keys += ["promotions", "dgroup_accesses", "moves"]
-            if kind & 32:
-                keys += ["demotions", "dgroup_accesses", "moves"]
-        if kind & 64:
-            keys.append("fills")
-            if kind & 128:
-                keys.append("evictions")
-            if kind & 256:
-                keys += ["writebacks", "dgroup_accesses"]
-            keys.append("dgroup_accesses")
-        return keys
 
     # --- prewarm (models the paper's 5B-instruction fast-forward) ---
 

@@ -234,8 +234,8 @@ class NuRAPIDCache(CacheLevel):
         latencies from the geometry, and go through ``Counter.add`` /
         ``EnergyBook.charge`` on every call.  Everything cached here is
         a value those calls would compute identically, so the counter
-        totals, key insertion order, and float arithmetic stay
-        bit-identical to the uncached path.
+        totals and float arithmetic stay bit-identical to the uncached
+        path.
         """
         geo = self.geometry
         name = self.name
@@ -542,7 +542,8 @@ class NuRAPIDCache(CacheLevel):
             latency = self._miss_lat_f if group < 0 else self._hit_lat_f[group]
             if telemetry is not None:
                 telemetry.on_access(baddr, False, None, latency)
-                telemetry.emit_deferred(events, now)
+                if events:
+                    telemetry.emit_deferred(events, now)
             return latency
         claim = self.ports.claim
         if self._ideal_uniform:
@@ -555,7 +556,8 @@ class NuRAPIDCache(CacheLevel):
             claim(0, done, occ)
         if telemetry is not None:
             telemetry.on_access(baddr, True, group, latency)
-            telemetry.emit_deferred(events, done)
+            if events:
+                telemetry.emit_deferred(events, done)
         return latency
 
     # --- promotion (swap with a distance-replacement victim) ---
@@ -732,7 +734,7 @@ class NuRAPIDCache(CacheLevel):
         demotions = self._place(slot, region, start, events)
         if demotions:
             # Each demotion is one block move (_charge_move's counts),
-            # batched per chain in their first-insertion order.
+            # batched per chain.
             sc["demotions"] = sc.get("demotions", 0) + demotions
             sc["dgroup_accesses"] = sc.get("dgroup_accesses", 0) + 2 * demotions
             sc["moves"] = sc.get("moves", 0) + demotions
@@ -770,9 +772,8 @@ class NuRAPIDCache(CacheLevel):
         every piece of state as they leave it: slots, stamps and clock,
         frame maps, free lists, distance-replacement order, reference
         bits, hand and RNG draws, counters, ``dgroup_hits`` and energy
-        counts, dict key order included.  Telemetry and fault injection
-        must be off: the tuples carry no events, and nothing raises a
-        DUE.
+        counts.  Telemetry events and fault injection must be off: the
+        tuples carry no events, and nothing raises a DUE.
 
         Unlike D-NUCA's solve, this cannot apply each set's operations
         as one round: a set's tags are its own, but its data frames
@@ -781,14 +782,15 @@ class NuRAPIDCache(CacheLevel):
         random victim draw couple all those sets, and the order of
         operations across sets decides the outcome.  The walk is the
         per-operation steps fused: a demand miss and its fill share one
-        slice of the set's ways, and counters add up in locals, each key
-        new to a dict entering it where the steps would first have
-        inserted it.  A fill that evicts a d-group-0 block -- nearly
-        every fill of a prewarmed cache -- takes that block's frame
-        straight back off the free-list tail, so no demotion chain runs
-        and the release and re-track are one inlined re-track.  The
-        rare rest (a promotion, a fill into a free way or over a slower
-        block) calls the helpers the steps call.
+        slice of the set's ways, and counters add up in locals and are
+        flushed once; a key enters a dict only with a nonzero total, as
+        the steps add it only on an increment.  A fill that evicts a
+        d-group-0 block -- nearly every fill of a prewarmed cache --
+        takes that block's frame straight back off the free-list tail,
+        so no demotion chain runs and the release and re-track are one
+        inlined re-track.  The rare rest (a promotion, a fill into a
+        free way or over a slower block) calls the helpers the steps
+        call.
         """
         stream, is_write = slice_operations(addresses, victims, victim_dirty)
         n_ops = len(stream)
@@ -824,13 +826,10 @@ class NuRAPIDCache(CacheLevel):
         k_move = self._k_move
         clock = self._clock
 
-        # Counters, flushed once: stats keys in first-increment order,
-        # and d-groups in first-hit order.
-        order = ["accesses"]
+        # Counters, flushed once.
         misses = hits = dg_accesses = fills = evictions = writebacks = 0
         promotions = demotions = moves = 0
         hits_by_group = [0] * n_dgroups
-        hit_order = []
         reads = [0] * n_dgroups
         writes = [0] * n_dgroups
 
@@ -846,14 +845,8 @@ class NuRAPIDCache(CacheLevel):
                 slot = base + ways.index(baddr)
                 packed = entries[slot]
                 group = (packed >> _PACK_DGROUP_SHIFT) & _PACK_DGROUP_MASK
-                if not hits:
-                    order.append("hits")
                 hits += 1
-                if not hits_by_group[group]:
-                    hit_order.append(group)
                 hits_by_group[group] += 1
-                if not dg_accesses:
-                    order.append("dgroup_accesses")
                 dg_accesses += 1
                 if write:
                     writes[group] += 1
@@ -881,20 +874,14 @@ class NuRAPIDCache(CacheLevel):
                         packed &= _PACK_BELOW_PENDING
                         entries[slot] = packed
                         target = group - 1 if promo_next else 0
-                        if not promotions:
-                            order.append("promotions")
                         promotions += 1
                         victim_slot = move_inward(
                             slot, packed, group, target, index % n_regions
                         )
                         ec[k_move[group][target]] += 1
                         if victim_slot >= 0:
-                            if not demotions:
-                                order.append("demotions")
                             demotions += 1
                             ec[k_move[target][group]] += 1
-                        if not moves:
-                            order.append("moves")
                         if victim_slot < 0:
                             dg_accesses += 2
                             moves += 1
@@ -908,16 +895,12 @@ class NuRAPIDCache(CacheLevel):
                 record((True, group, baddr, legs, None))
                 continue
 
-            if not misses:
-                order.append("misses")
             misses += 1
             record((False, -1, baddr, (), None))
             if write:
                 continue
 
             # The demand's fill: the set's free way, else its LRU way.
-            if not fills:
-                order.append("fills")
             fills += 1
             region = index % n_regions
             writeback = 0
@@ -930,17 +913,11 @@ class NuRAPIDCache(CacheLevel):
                 victim = entries[slot]
                 evicted = (victim >> _PACK_DGROUP_SHIFT) & _PACK_DGROUP_MASK
                 freed = victim & _PACK_FRAME_MASK
-                if not evictions:
-                    order.append("evictions")
                 evictions += 1
                 if victim & _PACK_DIRTY:
                     writeback = 1
-                    if not writebacks:
-                        order.append("writebacks")
                     writebacks += 1
                     reads[evicted] += 1
-                    if not dg_accesses:
-                        order.append("dgroup_accesses")
                     dg_accesses += 1
             baddrs[slot] = baddr
             clock += 1
@@ -974,20 +951,12 @@ class NuRAPIDCache(CacheLevel):
                     self._release_frame(evicted, region, freed)
                 chain = place(slot, region, 0, None)
                 if chain:
-                    if not demotions:
-                        order.append("demotions")
-                    if not dg_accesses:
-                        order.append("dgroup_accesses")
-                    if not moves:
-                        order.append("moves")
                     demotions += chain
                     dg_accesses += 2 * chain
                     moves += chain
 
             # The new block's own fill write into d-group 0.
             writes[0] += 1
-            if not dg_accesses:
-                order.append("dgroup_accesses")
             dg_accesses += 1
             record((writeback, None))
 
@@ -1005,11 +974,13 @@ class NuRAPIDCache(CacheLevel):
             "moves": moves,
         }
         sc = self._scounts
-        for key in order:
-            sc[key] = sc.get(key, 0) + counts[key]
+        for key, total in counts.items():
+            if total:
+                sc[key] = sc.get(key, 0) + total
         dh = self.dgroup_hits.counts
-        for group in hit_order:
-            dh[group] = dh.get(group, 0) + hits_by_group[group]
+        for group, total in enumerate(hits_by_group):
+            if total:
+                dh[group] = dh.get(group, 0) + total
         ec[self._k_tag] += n_ops
         for group in range(n_dgroups):
             ec[self._k_dg_read[group]] += reads[group]

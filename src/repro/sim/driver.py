@@ -155,7 +155,7 @@ def _cache_counters(target) -> Dict[str, float]:
     """A cache's flat counters, whichever stats style it keeps."""
     stats = getattr(target, "stats", None)
     if stats is not None and hasattr(stats, "as_dict"):
-        return dict(stats.as_dict())
+        return stats.as_dict()
     return {
         "accesses": float(target.accesses),
         "hits": float(target.hits),
@@ -449,7 +449,8 @@ def run_benchmark(
             model.core_energy_nj(instr, cyc)
             for instr, cyc in zip(per_instr, per_cycles)
         ),
-        stats=extra,
+        # Sorted, as a payload restored from sorted JSON reads back.
+        stats=dict(sorted(extra.items())),
         telemetry=telemetry_payload,
     )
 

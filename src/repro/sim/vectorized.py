@@ -39,8 +39,10 @@ each record's core in its address bits -- in three steps:
    are batched per stretch between two misses (no prefetch issues
    inside one), so a credit that lands on an L1 hit is kept.  When the
    lower levels are one level whose class defines ``solve_outcomes``,
-   with no prefetcher, no telemetry client and no fault injector, that
-   method returns the same tuples from the whole slice at once.
+   with no prefetcher, no event tracer and no fault injector, that
+   method returns the same tuples from the whole slice at once (a
+   counters-only telemetry client has no tracer: its events would go
+   nowhere, and the timing steps still feed its counters).
    D-NUCA solves it in rounds: an operation there reads and writes
    only its own set, so round ``k`` applies every set's ``k``-th
    operation at once, and its stamps and clock are rebuilt from a
@@ -53,7 +55,7 @@ each record's core in its address bits -- in three steps:
    instance, because :class:`~repro.cmp.contention.ContendedLLC`
    forwards unknown attributes to the cache it wraps.  Everything else
    takes the per-operation steps: ``legacy`` (whose ``access``/``fill``
-   run the same outcome steps, one at a time), telemetry-armed slices,
+   run the same outcome steps, one at a time), events-armed slices,
    fault campaigns (whose DUE stops the pass mid-slice), contended
    levels, compressed NuRAPID, the base L2+L3, SA-placement and
    S-NUCA.
@@ -466,8 +468,8 @@ def replay(systems, cores, trace, streams=None) -> None:
     # fills bottom-most first, the L1's dirty-victim writeback, then
     # the prefetch fills the miss triggers -- at no time.  A lone
     # level whose class solves a whole slice at once (D-NUCA, NuRAPID)
-    # does so when no prefetcher, telemetry client or fault injector
-    # takes part; otherwise the operations are walked one by one.  The
+    # does so when no prefetcher, event tracer or fault injector takes
+    # part; otherwise the operations are walked one by one.  The
     # prefetcher is credited for each stretch of demands between two
     # misses at once (no prefetch issues inside one).  A DUE stops the
     # walk; the fold below then times the completed operations and
@@ -478,7 +480,7 @@ def replay(systems, cores, trace, streams=None) -> None:
     if solve is not None and (
         n_lower > 1
         or prefetcher is not None
-        or lower[0].telemetry is not None
+        or getattr(lower[0].telemetry, "tracer", None) is not None
         or getattr(lower[0], "fault_injector", None) is not None
     ):
         solve = None

@@ -1,14 +1,8 @@
-"""Counters, ratios, distributions, and aggregate means."""
+"""Counters and distributions."""
 
 import pytest
 
-from repro.common.stats import (
-    Counter,
-    Distribution,
-    RatioStat,
-    geometric_mean,
-    weighted_mean,
-)
+from repro.common.stats import Counter, Distribution
 
 
 class TestCounter:
@@ -22,15 +16,6 @@ class TestCounter:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             Counter().add("x", -1)
-
-    def test_merge(self):
-        a, b = Counter(), Counter()
-        a.add("x", 1)
-        b.add("x", 2)
-        b.add("y", 5)
-        a.merge(b)
-        assert a.get("x") == 3
-        assert a.get("y") == 5
 
     def test_reset(self):
         c = Counter()
@@ -46,29 +31,13 @@ class TestCounter:
         d["x"] = 99
         assert c.get("x") == 1
 
-
-class TestRatioStat:
-    def test_ratio(self):
-        r = RatioStat()
-        for hit in (True, True, False, True):
-            r.record(hit)
-        assert r.ratio == pytest.approx(0.75)
-
-    def test_empty_ratio_is_zero(self):
-        assert RatioStat().ratio == 0.0
-
-    def test_weighted_records(self):
-        r = RatioStat()
-        r.record(True, weight=3)
-        r.record(False, weight=1)
-        assert r.ratio == pytest.approx(0.75)
-
-    def test_merge(self):
-        a = RatioStat(1, 2)
-        b = RatioStat(3, 4)
-        a.merge(b)
-        assert a.numerator == 4
-        assert a.denominator == 6
+    def test_as_dict_is_sorted(self):
+        """Counters are read by key: whatever order the keys were first
+        added in, the copy lists them sorted."""
+        c = Counter()
+        for name in ("misses", "accesses", "hits", "dgroup_accesses"):
+            c.add(name)
+        assert list(c.as_dict()) == ["accesses", "dgroup_accesses", "hits", "misses"]
 
 
 class TestDistribution:
@@ -80,16 +49,10 @@ class TestDistribution:
         assert fr[0] == pytest.approx(0.75)
         assert sum(fr.values()) == pytest.approx(1.0)
 
-    def test_fraction_of_absent_key(self):
-        d = Distribution()
-        d.add(0)
-        assert d.fraction(5) == 0.0
-
     def test_empty_distribution(self):
         d = Distribution()
         assert d.total == 0
         assert d.fractions() == {}
-        assert d.fraction(0) == 0.0
 
     def test_items_sorted(self):
         d = Distribution()
@@ -97,39 +60,3 @@ class TestDistribution:
         d.add(1)
         d.add(2)
         assert [k for k, _ in d.items()] == [1, 2, 3]
-
-    def test_merge(self):
-        a, b = Distribution(), Distribution()
-        a.add(0, 1)
-        b.add(0, 2)
-        b.add(1, 3)
-        a.merge(b)
-        assert a.counts == {0: 3, 1: 3}
-
-
-class TestMeans:
-    def test_weighted_mean(self):
-        v = {"a": 1.0, "b": 3.0}
-        w = {"a": 1.0, "b": 1.0}
-        assert weighted_mean(v, w) == pytest.approx(2.0)
-
-    def test_weighted_mean_uses_shared_keys_only(self):
-        v = {"a": 1.0, "b": 3.0, "c": 100.0}
-        w = {"a": 1.0, "b": 3.0}
-        assert weighted_mean(v, w) == pytest.approx(2.5)
-
-    def test_weighted_mean_errors(self):
-        with pytest.raises(ValueError):
-            weighted_mean({"a": 1.0}, {"b": 1.0})
-        with pytest.raises(ValueError):
-            weighted_mean({"a": 1.0}, {"a": 0.0})
-
-    def test_geometric_mean(self):
-        assert geometric_mean([1.0, 4.0]) == pytest.approx(2.0)
-        assert geometric_mean([2.0]) == pytest.approx(2.0)
-
-    def test_geometric_mean_errors(self):
-        with pytest.raises(ValueError):
-            geometric_mean([])
-        with pytest.raises(ValueError):
-            geometric_mean([1.0, 0.0])

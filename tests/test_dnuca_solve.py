@@ -6,11 +6,11 @@ does operation by operation: per L1 miss a demand ``access_outcome``,
 ``fill_outcome`` when it missed, then the dirty victim's write access.
 The outcome tuples, the ways, dirty bits, stamps and clock, the
 smart-search partial tags and counters, the stats and ``dgroup_hits``
-dicts (key order included) and the energy counts must all match, under
-every search policy, tail or head insertion, with promotion on or off.
+counts and the energy counts must all match, under every search
+policy, tail or head insertion, with promotion on or off.
 
 The kernel takes the solve only for a lone D-NUCA level with no
-prefetcher and no telemetry client; every other system keeps the walk.
+prefetcher and no event tracer; every other system keeps the walk.
 """
 
 import copy
@@ -118,8 +118,8 @@ def state_of(cache):
         cache._clock,
         list(ss._partial),
         (ss.lookups, ss.false_hits),
-        list(cache.stats._counts.items()),
-        list(cache.dgroup_hits.counts.items()),
+        cache.stats.as_dict(),
+        cache.dgroup_hits.items(),
         list(cache.energy._count.items()),
     )
 
@@ -284,14 +284,24 @@ class TestKernelDispatch:
         assert walks
         assert vectorized == legacy
 
+    def test_counters_only_run_takes_the_solve(self, mcf, walks, solves):
+        """A counters-only client has no tracer: both slices are solved,
+        and the result and telemetry report are legacy's."""
+        config = dnuca_config()
+        telemetry = TelemetryConfig()
+        armed = _payload(replace(config, engine="vectorized"), mcf, telemetry)
+        assert len(solves) == 2 and walks == []
+        assert armed == _payload(replace(config, engine="legacy"), mcf, telemetry)
+
     def test_telemetry_armed_run_walks(self, mcf, walks, solves):
         """Telemetry attaches after warmup: the warmup slice is solved,
-        the measured slice, with a client armed, is walked."""
+        the measured slice, with events armed, is walked; the result and
+        telemetry report are legacy's."""
         config = dnuca_config()
-        armed = _payload(config, mcf, TelemetryConfig())
+        telemetry = TelemetryConfig(events=True)
+        armed = _payload(replace(config, engine="vectorized"), mcf, telemetry)
         assert len(solves) == 1 and walks
-        armed.pop("telemetry")
-        assert armed == _payload(config, mcf)
+        assert armed == _payload(replace(config, engine="legacy"), mcf, telemetry)
 
     def test_shared_uncontended_level_is_solved(self, walks, solves):
         """Two cores over one plain D-NUCA: the merged miss stream of

@@ -8,14 +8,13 @@ victim's write access.  The outcome tuples, the slots, packed entries,
 stamps and clock, the frame maps and free lists, the
 distance-replacement state (position lists, reference bits and hand,
 recency dicts, RNG streams) and the stats, ``dgroup_hits`` and energy
-dicts (key order included) must all match, under every
-distance-replacement kind and promotion policy, hysteresis 1-3,
-restricted placement regions, ideal-uniform timing, and 4 or 8
-d-groups.
+counts must all match, under every distance-replacement kind and
+promotion policy, hysteresis 1-3, restricted placement regions,
+ideal-uniform timing, and 4 or 8 d-groups.
 
 The kernel takes the walk only for a lone NuRAPID level with no
-prefetcher, no telemetry client and no fault injector; every other
-system keeps the per-operation steps.
+prefetcher, no event tracer and no fault injector; every other system
+keeps the per-operation steps.
 """
 
 import copy
@@ -162,8 +161,8 @@ def state_of(cache):
         [list(frames) for frames in cache._frame_slot],
         cache._free,
         replacement,
-        list(cache.stats._counts.items()),
-        list(cache.dgroup_hits.counts.items()),
+        cache.stats.as_dict(),
+        cache.dgroup_hits.items(),
         list(cache.energy._count.items()),
     )
 
@@ -213,7 +212,7 @@ class TestOracle:
         if rng.random() < 0.5:
             scramble(cache, rng)
         if rng.random() < 0.3:
-            # As after warmup: counter keys enter in the slice's order.
+            # As after warmup: the slice adds every counter key afresh.
             cache.reset_stats()
         check(cache, rng, n, n_tags, sets)
         # Steps between two slices, then a slice from the solved state.
@@ -247,8 +246,7 @@ class TestOracle:
         cache.prewarm()
         # Touch every way of set 0 but the last, which prewarm put in
         # the slowest d-group: it becomes the set's LRU block.  Then
-        # zero the counters, as after warmup, so the slice's first
-        # operation, the miss, decides their key order.
+        # zero the counters, as after warmup.
         blocks = cache._slot_baddr[:8]
         for block in blocks[:7]:
             cache.access_outcome(block)
@@ -259,10 +257,6 @@ class TestOracle:
         assert solve(cache, *stream) == walk(walked, *stream)
         assert state_of(cache) == state_of(walked)
         assert not cache.contains(blocks[7])
-        assert list(cache.stats._counts) == [
-            "accesses", "misses", "fills", "evictions", "demotions",
-            "dgroup_accesses", "moves", "hits",
-        ]
         assert cache.stats._counts["demotions"] == 3
         cache.check_invariants()
 
@@ -371,14 +365,29 @@ class TestKernelDispatch:
         assert vectorized == _payload(replace(config, engine="legacy"), trace=mcf)
         assert steps
 
-    def test_telemetry_armed_slice_steps(self, mcf, solves):
-        """Telemetry attaches after warmup: the warmup slice is walked
-        in one call, the measured slice, with a client armed, steps."""
+    def test_counters_only_run_takes_the_walk(self, mcf, steps, solves):
+        """A counters-only client has no tracer: both slices are walked
+        in one call each, and the result and telemetry report are
+        legacy's."""
         config = nurapid_config()
-        armed = _payload(config, trace=mcf, telemetry=TelemetryConfig())
-        assert len(solves) == 1
-        armed.pop("telemetry")
-        assert armed == _payload(config, trace=mcf)
+        telemetry = TelemetryConfig()
+        armed = _payload(replace(config, engine="vectorized"), trace=mcf, telemetry=telemetry)
+        assert len(solves) == 2 and steps == []
+        assert armed == _payload(
+            replace(config, engine="legacy"), trace=mcf, telemetry=telemetry
+        )
+
+    def test_telemetry_armed_slice_steps(self, mcf, steps, solves):
+        """Telemetry attaches after warmup: the warmup slice is walked
+        in one call, the measured slice, with events armed, steps; the
+        result and telemetry report are legacy's."""
+        config = nurapid_config()
+        telemetry = TelemetryConfig(events=True)
+        armed = _payload(replace(config, engine="vectorized"), trace=mcf, telemetry=telemetry)
+        assert len(solves) == 1 and steps
+        assert armed == _payload(
+            replace(config, engine="legacy"), trace=mcf, telemetry=telemetry
+        )
 
     @pytest.mark.parametrize(
         "config, spec",

@@ -170,6 +170,18 @@ class TestResults:
         assert restored == r
         assert all(isinstance(k, int) for k in restored.dgroup_fractions)
 
+    @pytest.mark.parametrize("config", [nurapid_config(), dnuca_config()], ids=["nurapid", "dnuca"])
+    def test_computed_stats_read_as_restored(self, config):
+        """A computed result lists its stats in the order a result
+        restored from sorted JSON (the result store's form) does."""
+        import json
+
+        from repro.sim.results import run_result_from_dict, run_result_to_dict
+
+        r = run_benchmark(config, "mcf", n_references=6_000, seed=2)
+        payload = json.loads(json.dumps(run_result_to_dict(r), sort_keys=True))
+        assert list(r.stats) == list(run_result_from_dict(payload).stats)
+
     def test_malformed_payload_rejected(self):
         from repro.sim.results import run_result_from_dict
 
