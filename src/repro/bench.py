@@ -292,7 +292,9 @@ def engine_parity(
                 payload, report = runs[arm, engine]
                 expected, expected_report = runs[arm, "legacy"]
                 if payload != expected:
-                    mismatches.append(f"{cell}: {engine} {arm} results differ from legacy")
+                    mismatches.append(
+                        f"{cell}: {engine} {arm} results differ from legacy"
+                    )
                 if report != expected_report:
                     mismatches.append(
                         f"{cell}: {engine} {arm} telemetry report differs from legacy"

@@ -746,9 +746,9 @@ class DNUCACache(CacheLevel):
     def _tally(self, chain_of, hit, level, probed, promoted, displaced, filled, evicted, wb):
         """Add a solved slice's counters, ``dgroup_hits``, energy counts
         and ss-array counters; a key enters a dict only with a nonzero
-        total, as the walk adds it only on an increment.
-        ``probed`` marks the levels each sequential search probed
-        before its hit (None: multicast).
+        total, as the walk adds it only on an increment.  ``probed``
+        marks the levels each sequential search probed before its hit
+        (None: multicast).
         """
         n_levels = self.config.chain_length
         n_banks = self._n_chains * n_levels

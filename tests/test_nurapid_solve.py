@@ -371,7 +371,9 @@ class TestKernelDispatch:
         legacy's."""
         config = nurapid_config()
         telemetry = TelemetryConfig()
-        armed = _payload(replace(config, engine="vectorized"), trace=mcf, telemetry=telemetry)
+        armed = _payload(
+            replace(config, engine="vectorized"), trace=mcf, telemetry=telemetry
+        )
         assert len(solves) == 2 and steps == []
         assert armed == _payload(
             replace(config, engine="legacy"), trace=mcf, telemetry=telemetry
@@ -383,7 +385,9 @@ class TestKernelDispatch:
         result and telemetry report are legacy's."""
         config = nurapid_config()
         telemetry = TelemetryConfig(events=True)
-        armed = _payload(replace(config, engine="vectorized"), trace=mcf, telemetry=telemetry)
+        armed = _payload(
+            replace(config, engine="vectorized"), trace=mcf, telemetry=telemetry
+        )
         assert len(solves) == 1 and steps
         assert armed == _payload(
             replace(config, engine="legacy"), trace=mcf, telemetry=telemetry

@@ -170,7 +170,9 @@ class TestResults:
         assert restored == r
         assert all(isinstance(k, int) for k in restored.dgroup_fractions)
 
-    @pytest.mark.parametrize("config", [nurapid_config(), dnuca_config()], ids=["nurapid", "dnuca"])
+    @pytest.mark.parametrize(
+        "config", [nurapid_config(), dnuca_config()], ids=["nurapid", "dnuca"]
+    )
     def test_computed_stats_read_as_restored(self, config):
         """A computed result lists its stats in the order a result
         restored from sorted JSON (the result store's form) does."""
