@@ -3,6 +3,9 @@ organizations."""
 
 from __future__ import annotations
 
+from functools import lru_cache
+from typing import Tuple
+
 import numpy as np
 
 from repro.common.errors import ConfigurationError
@@ -56,10 +59,43 @@ def prewarm_blocks(n_sets: int, ways: int, block_bytes: int) -> np.ndarray:
 
     Way ``w`` of set ``i`` holds ``PREWARM_BASE + (w * n_sets + i) *
     block_bytes``: each dummy maps to its own set, and no two dummies
-    of a cache collide.  Every lower level fills its steady state
-    (the paper's 5-billion-instruction fast-forward) from this int64
-    matrix; raveled, it is set-major and way-minor.
+    of a cache collide.  This is every lower level's steady state (the
+    paper's 5-billion-instruction fast-forward); raveled, it is
+    set-major and way-minor, and :func:`prewarm_slots` holds it as
+    the ints the caches fill from.
     """
     sets = np.arange(n_sets, dtype=np.int64)[:, None]
     way_cols = np.arange(ways, dtype=np.int64)[None, :]
     return PREWARM_BASE + (way_cols * n_sets + sets) * block_bytes
+
+
+@lru_cache(maxsize=4)
+def _dummies(n_blocks: int, block_bytes: int) -> Tuple[int, ...]:
+    """Dummy ``k`` of every cache of ``n_blocks`` blocks of
+    ``block_bytes``: ``PREWARM_BASE + k * block_bytes``.
+
+    One tuple per block count and size, so geometries that hold the
+    same dummies in other slot orders (an 8192 x 8 and a 4096 x 16
+    cache of 128-byte blocks) share the int objects.
+    """
+    end = PREWARM_BASE + n_blocks * block_bytes
+    return tuple(range(PREWARM_BASE, end, block_bytes))
+
+
+@lru_cache(maxsize=8)
+def prewarm_slots(n_sets: int, ways: int, block_bytes: int) -> Tuple[int, ...]:
+    """:func:`prewarm_blocks` raveled (set-major, way-minor) as a tuple
+    of ints: what every lower level's ``prewarm`` copies into its
+    per-slot list.
+
+    Computed once per geometry and never mutated, so a cache built
+    again costs a list copy, not a rebuild.  The bound covers the
+    experiments' geometries (base L2 and L3, NuRAPID and its
+    compressed variant, D-NUCA/S-NUCA); each entry pins one pointer
+    per slot, its ints being :func:`_dummies`'.
+    """
+    dummies = _dummies(n_sets * ways, block_bytes)
+    slots = [EMPTY] * (n_sets * ways)
+    for w in range(ways):
+        slots[w::ways] = dummies[w * n_sets : (w + 1) * n_sets]
+    return tuple(slots)

@@ -28,7 +28,7 @@ from repro.common.errors import ConfigurationError, SimulationError
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.telemetry import CacheTelemetry
 from repro.common.stats import Counter, Distribution
-from repro.caches.block import EMPTY, block_address, prewarm_blocks, set_index, victim_way
+from repro.caches.block import EMPTY, block_address, prewarm_slots, set_index, victim_way
 from repro.caches.level import CacheLevel
 from repro.caches.port import PortArray, checked_occupancy
 from repro.floorplan.dgroups import NuRAPIDGeometry, build_nurapid_geometry
@@ -368,8 +368,7 @@ class SetAssociativePlacementCache(CacheLevel):
         """Fill every way with a clean dummy block (steady-state start)."""
         if self._addrs.count(EMPTY) != len(self._addrs):
             raise SimulationError("prewarm on a non-empty cache")
-        blocks = prewarm_blocks(self.n_sets, self.associativity, self.block_bytes)
-        self._addrs = blocks.ravel().tolist()
+        self._addrs = list(prewarm_slots(self.n_sets, self.associativity, self.block_bytes))
 
     # --- introspection ---
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, List, Optional
 
 from repro.common.errors import ConfigurationError, SimulationError
-from repro.caches.block import EMPTY, block_address, prewarm_blocks, set_index, victim_way
+from repro.caches.block import EMPTY, prewarm_slots, victim_way
 from repro.caches.level import CacheLevel
 from repro.faults.models import TransientOutcome
 from repro.floorplan.dgroups import UniformCacheSpec
@@ -113,9 +113,6 @@ class SetAssociativeCache(CacheLevel):
 
     # --- lookups ---
 
-    def _locate(self, address: int) -> int:
-        return set_index(address, self.spec.block_bytes, self.n_sets)
-
     def _find(self, index: int, baddr: int) -> int:
         """Frame holding ``baddr`` within set ``index``, or -1."""
         base = index * self._assoc
@@ -123,8 +120,8 @@ class SetAssociativeCache(CacheLevel):
         return base + ways.index(baddr) if baddr in ways else -1
 
     def contains(self, address: int) -> bool:
-        baddr = block_address(address, self.spec.block_bytes)
-        return self._find(self._locate(address), baddr) >= 0
+        index = (address >> self._set_shift) & self._set_mask
+        return self._find(index, address & self._block_mask) >= 0
 
     def access_outcome(self, address: int, is_write: bool = False):
         """The access's outcome step: ``(hit, block address)``.
@@ -218,8 +215,8 @@ class SetAssociativeCache(CacheLevel):
     def invalidate(self, address: int) -> bool:
         """Remove a block (if present) without writing it back; returns
         whether one was removed."""
-        baddr = block_address(address, self.spec.block_bytes)
-        frame = self._find(self._locate(address), baddr)
+        index = (address >> self._set_shift) & self._set_mask
+        frame = self._find(index, address & self._block_mask)
         if frame < 0:
             return False
         self._tags[frame] = EMPTY
@@ -237,8 +234,7 @@ class SetAssociativeCache(CacheLevel):
         n_frames = len(self._tags)
         if self._tags.count(EMPTY) != n_frames:
             raise SimulationError("prewarm on a non-empty cache")
-        blocks = prewarm_blocks(self.n_sets, self._assoc, self.spec.block_bytes)
-        self._tags = blocks.ravel().tolist()
+        self._tags = list(prewarm_slots(self.n_sets, self._assoc, self.spec.block_bytes))
         clock = self._clock
         self._stamps = list(range(clock, clock + n_frames))
         self._clock = clock + n_frames

@@ -25,6 +25,7 @@ from __future__ import annotations
 from repro.caches.level import CacheLevel
 from repro.caches.port import PortArray, checked_occupancy
 from repro.cmp.config import ContentionConfig
+from repro.common.stats import fold_sum
 
 
 class ContendedLLC(CacheLevel):
@@ -120,7 +121,7 @@ class ContendedLLC(CacheLevel):
     # --- contention accounting ---
 
     def bank_wait_cycles(self) -> float:
-        return sum(self.bank_ports.total_wait)
+        return fold_sum(self.bank_ports.total_wait)
 
     def bank_grants(self) -> int:
         return sum(self.bank_ports.grants)

@@ -21,6 +21,7 @@ from __future__ import annotations
 from typing import List
 
 from repro.caches.block import PREWARM_BASE
+from repro.common.stats import fold_sum
 from repro.sim.config import SystemConfig
 from repro.workloads.interleave import core_of_address
 from repro.workloads.trace import Trace
@@ -31,10 +32,10 @@ def jain_fairness(values: List[float]) -> float:
     """Jain's fairness index: 1.0 = perfectly even, 1/n = one hog."""
     if not values:
         return 0.0
-    square_sum = sum(v * v for v in values)
+    square_sum = fold_sum(v * v for v in values)
     if square_sum == 0.0:
         return 0.0
-    total = sum(values)
+    total = fold_sum(values)
     return (total * total) / (len(values) * square_sum)
 
 

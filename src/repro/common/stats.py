@@ -11,7 +11,20 @@ ever depends on the order in which keys were first added.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 from typing import Dict, Iterable, Tuple
+
+
+def fold_sum(values: Iterable[float], start: float = 0) -> float:
+    """``start + v0 + v1 + ...``, added left to right.
+
+    From Python 3.12 on, the builtin ``sum`` adds floats with
+    compensated summation, so a float total could differ in its last
+    bits between Python versions.  A plain left fold gives the same
+    bits on every version, and the bits ``sum`` gave before 3.12.
+    """
+    return reduce(add, values, start)
 
 
 class Counter:

@@ -38,7 +38,14 @@ from repro.common.errors import ConfigurationError, SimulationError
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.telemetry import CacheTelemetry
 from repro.common.stats import Counter, Distribution
-from repro.caches.block import EMPTY, block_address, prewarm_blocks, set_index, victim_way
+from repro.caches.block import (
+    EMPTY,
+    block_address,
+    prewarm_blocks,
+    prewarm_slots,
+    set_index,
+    victim_way,
+)
 from repro.caches.level import CacheLevel, slice_operations
 from repro.caches.port import PortArray, checked_occupancy
 from repro.floorplan.dgroups import DNUCAGeometry, build_dnuca_geometry
@@ -841,21 +848,17 @@ class DNUCACache(CacheLevel):
         """
         if self.resident_blocks():
             raise SimulationError("prewarm on a non-empty cache")
+        n_sets, assoc = self.n_sets, self.associativity
         # Set-major, position-minor: exactly slot order.
-        blocks = prewarm_blocks(self.n_sets, self.associativity, self.block_bytes)
-        flat = blocks.ravel()
-        self._baddr[:] = flat.tolist()
+        self._baddr[:] = prewarm_slots(n_sets, assoc, self.block_bytes)
         self._dirty[:] = bytes(len(self._dirty))
         self._touch[:] = [0] * len(self._touch)
-        self.smart_search.fill_all(flat)
-        self._rows = np.stack(
-            [
-                blocks,
-                self.smart_search.partial_tag(blocks),
-                np.zeros_like(blocks),
-                np.zeros_like(blocks),
-            ]
-        )
+        partials = self.smart_search.fill_all()
+        # The solve writes the rows in place, so each cache has its own.
+        rows = np.zeros((4, n_sets, assoc), dtype=np.int64)
+        rows[_BLOCK] = prewarm_blocks(n_sets, assoc, self.block_bytes)
+        rows[_PARTIAL] = partials
+        self._rows = rows
 
     def _rows_of_lists(self) -> np.ndarray:
         """The per-slot lists as :attr:`_rows` holds them."""

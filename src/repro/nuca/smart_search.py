@@ -18,10 +18,31 @@ contents, so the cache informs it of every insert, removal, and move.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import List
 
-from repro.caches.block import EMPTY
+import numpy as np
+
+from repro.caches.block import EMPTY, prewarm_blocks
 from repro.common.errors import ConfigurationError, SimulationError
+
+
+@lru_cache(maxsize=4)
+def prewarm_partials(
+    n_sets: int, associativity: int, block_bytes: int, partial_bits: int
+) -> np.ndarray:
+    """The partial tag of every prewarm dummy
+    (:func:`~repro.caches.block.prewarm_blocks`), ``[set, way]``, in
+    the narrowest unsigned dtype that holds ``partial_bits``.
+
+    A pure function of the geometry, computed once per geometry and
+    read-only; the bound covers the experiments' D-NUCA shapes.
+    """
+    mask = (1 << partial_bits) - 1
+    tags = prewarm_blocks(n_sets, associativity, block_bytes) // block_bytes // n_sets
+    partials = (tags & mask).astype(np.min_scalar_type(mask))
+    partials.flags.writeable = False
+    return partials
 
 
 class SmartSearchArray:
@@ -91,18 +112,17 @@ class SmartSearchArray:
             raise SimulationError(f"ss-array move from empty slot {src}")
         partial[src], partial[dst] = partial[dst], partial[src]
 
-    def fill_all(self, block_addrs) -> None:
-        """Load every slot at once (prewarm): ``block_addrs`` is an
-        int64 array with one non-negative block address per slot, in
-        slot order.  The array must be empty."""
-        if len(block_addrs) != self._n_slots:
-            raise SimulationError(
-                f"ss-array bulk fill of {len(block_addrs)} slots, expected {self._n_slots}"
-            )
+    def fill_all(self) -> np.ndarray:
+        """Load every slot with its prewarm dummy's partial tag at once
+        (prewarm); the array must be empty.  Returns the tags,
+        :func:`prewarm_partials`' read-only ``[set, way]`` array."""
         if self._partial.count(EMPTY) != self._n_slots:
             raise SimulationError("ss-array bulk fill of a non-empty array")
-        tags = block_addrs // self.block_bytes // self.n_sets
-        self._partial = (tags & self._mask).tolist()
+        partials = prewarm_partials(
+            self.n_sets, self.associativity, self.block_bytes, self.partial_bits
+        )
+        self._partial = partials.ravel().tolist()
+        return partials
 
     # --- lookup ---
 

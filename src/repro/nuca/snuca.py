@@ -23,7 +23,7 @@ from typing import List, Optional
 
 from repro.common.errors import ConfigurationError, SimulationError
 from repro.common.stats import Counter, Distribution
-from repro.caches.block import EMPTY, block_address, prewarm_blocks, set_index, victim_way
+from repro.caches.block import EMPTY, block_address, prewarm_slots, set_index, victim_way
 from repro.caches.level import CacheLevel
 from repro.caches.port import PortArray, checked_occupancy
 from repro.floorplan.dgroups import DNUCAGeometry, build_dnuca_geometry
@@ -194,8 +194,7 @@ class SNUCACache(CacheLevel):
         """
         if self._blocks.count(EMPTY) != len(self._blocks):
             raise SimulationError("prewarm on a non-empty cache")
-        blocks = prewarm_blocks(self.n_sets, self.associativity, self.block_bytes)
-        self._blocks = blocks.ravel().tolist()
+        self._blocks = list(prewarm_slots(self.n_sets, self.associativity, self.block_bytes))
 
     def resident_block_addrs(self) -> List[int]:
         """The block address in each frame (EMPTY for a free way)."""

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
 import numpy as np
@@ -50,7 +51,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cost
     from repro.telemetry import CacheTelemetry
 from repro.common.rng import DeterministicRNG
 from repro.common.stats import Counter, Distribution
-from repro.caches.block import EMPTY, block_address, prewarm_blocks, victim_way
+from repro.caches.block import EMPTY, block_address, prewarm_slots, set_index, victim_way
 from repro.caches.level import CacheLevel, slice_operations
 from repro.caches.port import PortArray, checked_occupancy
 from repro.faults.models import TransientOutcome
@@ -102,12 +103,56 @@ RETIRED = -2
 _RESIDENT = (0, None)
 
 
-def _int_array(values: np.ndarray) -> array:
-    """``values`` as a flat int64 ``array``: one buffer copy, where
-    ``tolist`` would build an int object per element."""
-    flat = array("q")
-    flat.frombytes(np.ascontiguousarray(values, dtype=np.int64).tobytes())
-    return flat
+@lru_cache(maxsize=8)
+def _prewarm_layout(n_sets: int, ways_by_group: Tuple[int, ...], n_regions: int):
+    """Where a prewarm puts every dummy: ``(entries, frame slots,
+    runs)``, a pure function of the geometry, computed once per
+    geometry and never mutated.
+
+    ``entries`` is the packed tag entry of every slot and
+    ``frame slots`` each d-group's reverse pointers, both as int64
+    bytes; ``runs[g][r]`` is region ``r``'s frames of d-group ``g``,
+    top frame first -- the order its dummies entered distance
+    replacement.  D-group ``g`` holds the next ``ways_by_group[g]``
+    ways of every set; within each (d-group, region) the dummies take
+    frames off the free-list tail set-ascending, way-ascending, as
+    filling them one at a time would.  The bound covers the
+    experiments' NuRAPID geometries (2, 4 and 8 d-groups, the
+    restricted-frame ablation, the compressed variant).
+    """
+    assoc = sum(ways_by_group)
+    rows = n_sets // n_regions
+    # Set q * n_regions + r lies in region r.  The arrays below keep q
+    # on their last axis, so numpy works along long rows.
+    q = np.arange(rows, dtype=np.int64)
+    r = np.arange(n_regions, dtype=np.int64)[:, None]
+    # One run of frame numbers, sliced (sharing its ints) by every run;
+    # d-groups of one size share their runs.
+    numbers = tuple(range(n_sets * max(ways_by_group)))
+    runs_of = {}
+    entries, frame_slots, runs = [], [], []
+    lo = 0
+    for group, ways in enumerate(ways_by_group):
+        per = rows * ways
+        k = np.arange(ways, dtype=np.int64)[:, None]
+        # Axes (k, r, q): way lo + k of set q * n_regions + r is its
+        # region's dummy of rank q * ways + k, which takes the
+        # free-list tail's frame (r + 1) * per - 1 - rank.
+        rank = q * ways + k[:, None]
+        entries.append(((r + 1) * per - 1 - rank) | (group << _PACK_DGROUP_SHIFT))
+        # Axes (r, k, q): each dummy's slot.  Region r's frames,
+        # ascending, hold its ranks descending.
+        slots = (q * n_regions + r[:, None]) * assoc + lo + k
+        frame_slots.append(slots.transpose(0, 2, 1)[:, ::-1, ::-1].tobytes())
+        if per not in runs_of:
+            runs_of[per] = tuple(
+                numbers[i * per : (i + 1) * per][::-1] for i in range(n_regions)
+            )
+        runs.append(runs_of[per])
+        lo += ways
+    # Axes (q, r, way) raveled are slot order.
+    entries = np.concatenate(entries).transpose(2, 1, 0).tobytes()
+    return entries, tuple(frame_slots), tuple(runs)
 
 
 class NuRAPIDCache(CacheLevel):
@@ -140,8 +185,12 @@ class NuRAPIDCache(CacheLevel):
             raise ConfigurationError("too many d-groups for packed tag entries")
         # Address decomposition, pre-reduced to shift/mask form (the
         # config's n_sets is a computed property and the shared helpers
-        # re-validate per call — too hot for the access path).
+        # re-validate per call — too hot for the access path).  Both
+        # helpers raise unless the block size and set count are powers
+        # of two.
         self._n_sets = config.n_sets
+        block_address(0, config.block_bytes)
+        set_index(0, config.block_bytes, self._n_sets)
         self._block_mask = ~(config.block_bytes - 1)
         self._set_shift = config.block_bytes.bit_length() - 1
         self._set_mask = self._n_sets - 1
@@ -310,7 +359,7 @@ class NuRAPIDCache(CacheLevel):
 
     def _slot_of(self, address: int) -> Optional[int]:
         """Slot holding ``address``'s block, or None."""
-        baddr = block_address(address, self.block_bytes)
+        baddr = address & self._block_mask
         base = self._set_of(address) * self._assoc_limit
         ways = self._slot_baddr[base : base + self._assoc_limit]
         return base + ways.index(baddr) if baddr in ways else None
@@ -1169,11 +1218,8 @@ class NuRAPIDCache(CacheLevel):
         their eviction costs no writebacks.  Call before any traffic.
 
         The result equals filling the dummies one at a time, set by
-        set: d-group ``g`` holds the next ``ways[g]`` ways of every
-        set, and within each (d-group, region) the dummies take frames
-        off the free-list tail set-ascending, way-ascending, and enter
-        distance replacement in that order.  It is built in a few
-        whole-array passes instead.
+        set (see :func:`_prewarm_layout`); it is copied from that
+        geometry's immutable layout instead.
         """
         # A never-filled cache has every frame on its free list, in
         # order, unless a hard fault retired some.
@@ -1183,49 +1229,33 @@ class NuRAPIDCache(CacheLevel):
                 raise SimulationError("prewarm on a non-empty cache")
             raise SimulationError("prewarm needs every frame in service, none retired")
         n_sets = self._n_sets
-        assoc = self._assoc_limit
         n_regions = self._n_regions
-        ways_by_group = self._prewarm_ways()
-        if sum(ways_by_group) != assoc or any(
+        ways_by_group = tuple(self._prewarm_ways())
+        if sum(ways_by_group) != self._assoc_limit or any(
             n_frames != n_sets * ways
             for n_frames, ways in zip(self._group_frames, ways_by_group)
         ):
             raise SimulationError("prewarm ways do not fill the frames exactly")
 
-        # Per-way columns of the layout: d-group, first way of that
-        # d-group, its ways per set and its frames per region.
-        groups = np.repeat(np.arange(len(ways_by_group)), ways_by_group)
-        way_lo = np.repeat(np.cumsum([0] + ways_by_group[:-1]), ways_by_group)
-        group_ways = np.repeat(ways_by_group, ways_by_group)
-        per_region = np.repeat(self._region_frames, ways_by_group)
-        sets = np.arange(n_sets)[:, None]
-        # A dummy's rank in its (d-group, region) run, and the frame
-        # that rank takes off the region's free-list tail.
-        rank = sets // n_regions * group_ways + (np.arange(assoc) - way_lo)
-        frames = (sets % n_regions + 1) * per_region - 1 - rank
-        self._slot_baddr = prewarm_blocks(n_sets, assoc, self.block_bytes).ravel().tolist()
-        self._slot_entry = _int_array(frames | (groups << _PACK_DGROUP_SHIFT))
-        slots = np.arange(n_sets * assoc).reshape(n_sets, assoc)
-        lo = 0
-        for group, ways in enumerate(ways_by_group):
-            columns = slice(lo, lo + ways)
-            lo += ways
-            reverse = np.empty(n_sets * ways, dtype=np.int64)
-            reverse[frames[:, columns]] = slots[:, columns]
-            self._frame_slot[group] = _int_array(reverse)
+        entries, frame_slots, runs_by_group = _prewarm_layout(
+            n_sets, ways_by_group, n_regions
+        )
+        self._slot_baddr = list(
+            prewarm_slots(n_sets, self._assoc_limit, self.block_bytes)
+        )
+        self._slot_entry = array("q", entries)
+        for group, runs in enumerate(runs_by_group):
             # Every frame is taken, and each region's dummies entered
-            # distance replacement from the top frame down.  The
-            # untouched free lists hold exactly those frame numbers.
-            free = self._free[group]
-            runs = [run[::-1] for run in free]
-            self._free[group] = [[] for _ in free]
+            # distance replacement from the top frame down.
+            self._frame_slot[group] = array("q", frame_slots[group])
+            self._free[group] = [[] for _ in runs]
             if self._lru_dr:
                 self._dlru[group] = [dict.fromkeys(run) for run in runs]
                 continue
-            self._dkeys[group] = runs
-            self._dpos[group] = runs[0] * n_regions
+            self._dkeys[group] = [list(run) for run in runs]
+            self._dpos[group] = list(runs[0]) * n_regions
             if self._approx_dr:
-                self._dref[group] = bytearray(b"\x01") * len(reverse)
+                self._dref[group] = bytearray(b"\x01") * self._group_frames[group]
 
     def _prewarm_ways(self) -> List[int]:
         """Dummy ways to fill per d-group (hook for variant caches).

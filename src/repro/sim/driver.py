@@ -21,6 +21,7 @@ from typing import Dict, Iterable, List, Optional, Sequence
 import numpy as np
 
 from repro.common.errors import ConfigurationError
+from repro.common.stats import fold_sum
 from repro.cpu.core import CoreModel
 from repro.cpu.wattch import ProcessorEnergyModel
 from repro.sim import vectorized
@@ -222,8 +223,12 @@ def _capture_lower(session: Telemetry, target) -> None:
     banks = getattr(target, "bank_ports", None)
     if banks:
         session.capture_gauge(f"{target.name}.bankq.banks", len(banks))
-        session.capture_gauge(f"{target.name}.bankq.busy_cycles", sum(banks.total_busy))
-        session.capture_gauge(f"{target.name}.bankq.wait_cycles", sum(banks.total_wait))
+        session.capture_gauge(
+            f"{target.name}.bankq.busy_cycles", fold_sum(banks.total_busy)
+        )
+        session.capture_gauge(
+            f"{target.name}.bankq.wait_cycles", fold_sum(banks.total_wait)
+        )
         session.capture_gauge(f"{target.name}.bankq.grants", sum(banks.grants))
 
 
@@ -289,8 +294,8 @@ def _per_core_stats(
     banks = getattr(l2, "bank_ports", None)
     if banks:
         extra["bankq.banks"] = float(len(banks))
-        extra["bankq.busy_cycles"] = float(sum(banks.total_busy))
-        extra["bankq.wait_cycles"] = float(sum(banks.total_wait))
+        extra["bankq.busy_cycles"] = float(fold_sum(banks.total_busy))
+        extra["bankq.wait_cycles"] = float(fold_sum(banks.total_wait))
         extra["bankq.grants"] = float(sum(banks.grants))
     return extra
 
@@ -402,9 +407,9 @@ def run_benchmark(
     if n_cores > 1:
         extra["cmp.cores"] = float(n_cores)
     extra["mshr_full_stalls"] = float(sum(c.mshr_full_stalls for c in cores))
-    extra["stall_cycles"] = float(sum(c.stall_cycles for c in cores))
+    extra["stall_cycles"] = float(fold_sum(c.stall_cycles for c in cores))
     extra["branch_penalty_cycles"] = float(
-        sum(c.branch_penalty_cycles for c in cores)
+        fold_sum(c.branch_penalty_cycles for c in cores)
     )
     extra["memory_accesses"] = float(sum(c.memory_accesses for c in cores))
     # Prefetch and fault injection are single-core by config validation.
@@ -440,12 +445,12 @@ def run_benchmark(
         l2_hits=int(l2_stats.get("hits", 0)),
         l2_misses=int(l2_stats.get("misses", 0)),
         dgroup_fractions=_dgroup_fractions(chip, l2_stats.get("accesses", 0.0)),
-        l1_energy_nj=sum(
+        l1_energy_nj=fold_sum(
             system.l1d.energy.total_nj() + system.l1i.energy.total_nj()
             for system in systems
         ),
-        lower_energy_nj=sum(cache.energy.total_nj() for cache in chip.lower),
-        core_energy_nj=sum(
+        lower_energy_nj=fold_sum(cache.energy.total_nj() for cache in chip.lower),
+        core_energy_nj=fold_sum(
             model.core_energy_nj(instr, cyc)
             for instr, cyc in zip(per_instr, per_cycles)
         ),

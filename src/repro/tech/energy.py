@@ -13,6 +13,7 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from repro.common.errors import ConfigurationError, SimulationError
+from repro.common.stats import fold_sum
 
 
 class EnergyBook:
@@ -49,7 +50,7 @@ class EnergyBook:
         return self._count.get(operation, 0)
 
     def total_nj(self) -> float:
-        return sum(self._cost_nj[op] * n for op, n in self._count.items())
+        return fold_sum(self._cost_nj[op] * n for op, n in self._count.items())
 
     def breakdown_nj(self) -> Dict[str, float]:
         """Total energy per operation, for reporting."""

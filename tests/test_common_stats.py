@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.common.stats import Counter, Distribution
+from repro.common.stats import Counter, Distribution, fold_sum
 
 
 class TestCounter:
@@ -60,3 +60,14 @@ class TestDistribution:
         d.add(1)
         d.add(2)
         assert [k for k, _ in d.items()] == [1, 2, 3]
+
+
+class TestFoldSum:
+    def test_adds_left_to_right(self):
+        # 1e16 + 1.0 rounds back to 1e16; compensated summation (the
+        # builtin sum from Python 3.12 on) would return 1.0.
+        assert fold_sum([1e16, 1.0, -1e16]) == 0.0
+
+    def test_start(self):
+        assert fold_sum([], 2.5) == 2.5
+        assert fold_sum([1, 2], 3) == 6

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from repro.caches import block
 from repro.caches.block import EMPTY, PREWARM_BASE
 from repro.common.errors import SimulationError
 from repro.caches.setassoc_nonuniform import SetAssociativePlacementCache
@@ -13,8 +14,10 @@ from repro.floorplan.dgroups import build_nurapid_geometry, build_uniform_cache_
 from repro.nuca.cache import DNUCACache
 from repro.cmp.config import CompressionConfig
 from repro.nuca.config import DNUCAConfig
+from repro.nuca.smart_search import prewarm_partials
 from repro.nuca.snuca import SNUCACache
 from repro.faults.models import FaultPlan, HardFaultEvent
+from repro.nurapid import cache as nurapid_cache
 from repro.nurapid.cache import RETIRED, NuRAPIDCache
 from repro.nurapid.compression import CompressedNuRAPIDCache
 from repro.nurapid.config import DistanceReplacementKind, NuRAPIDConfig
@@ -267,25 +270,17 @@ def _mutable_ids(root):
     return found
 
 
-class TestFreshState:
-    """Every build is a cold build: two caches never share state."""
-
-    def test_builds_share_no_mutable_container(self):
-        config = nurapid_config()
-        used, spare = make_system(config).l2, make_system(config).l2
-        assert not _mutable_ids(used) & _mutable_ids(spare)
-
-        rng = random.Random(7)
-        # Four blocks per set: fills reach past d-group 0's dummies.
-        span = 4 * used.block_bytes * used.config.n_sets
-        for step in range(20_000):
-            address = rng.randrange(span) & ~(used.block_bytes - 1)
-            is_write = rng.random() < 0.3
-            if not used.access(address, is_write, now=float(step)).hit:
-                used.fill(address, now=float(step), dirty=is_write)
-        used.check_invariants()
-        assert used.stats.get("promotions") and used.stats.get("demotions")
-        assert _digest(spare) == GOLDEN_DIGESTS["nurapid-4dg-random"]
+def _drive(cache, steps):
+    """Random accesses and fills over four blocks per set, so fills
+    reach past the fastest ways' dummies."""
+    n_sets = getattr(cache, "n_sets", None) or cache.config.n_sets
+    span = 4 * cache.block_bytes * n_sets
+    rng = random.Random(7)
+    for step in range(steps):
+        address = rng.randrange(span) & ~(cache.block_bytes - 1)
+        is_write = rng.random() < 0.3
+        if not cache.access(address, is_write, now=float(step)).hit:
+            cache.fill(address, now=float(step), dirty=is_write)
 
 
 class TestDNUCAPrewarm:
@@ -514,8 +509,69 @@ GOLDEN_DIGESTS = {
 }
 
 
+class TestFreshState:
+    """Builds share only immutable prewarm layouts: two caches never
+    share mutable state."""
+
+    def test_builds_share_no_mutable_container(self):
+        config = nurapid_config()
+        used, spare = make_system(config).l2, make_system(config).l2
+        assert not _mutable_ids(used) & _mutable_ids(spare)
+
+        _drive(used, 20_000)
+        used.check_invariants()
+        assert used.stats.get("promotions") and used.stats.get("demotions")
+        assert _digest(spare) == GOLDEN_DIGESTS["nurapid-4dg-random"]
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_prewarmed_caches_share_no_mutable_container(self, shape):
+        build = SHAPES[shape]
+        used, spare = build(), build()
+        used.prewarm()
+        spare.prewarm()
+        assert not _mutable_ids(used) & _mutable_ids(spare)
+
+
+#: Every prewarm layout memo.
+MEMOS = (
+    block._dummies,
+    block.prewarm_slots,
+    nurapid_cache._prewarm_layout,
+    prewarm_partials,
+)
+
+
 @pytest.mark.parametrize("shape", sorted(SHAPES))
 def test_golden_prewarm_state(shape):
+    """A cold prewarm: every layout is computed afresh."""
+    for memo in MEMOS:
+        memo.cache_clear()
     cache = SHAPES[shape]()
     cache.prewarm()
     assert _digest(cache) == GOLDEN_DIGESTS[shape]
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_golden_prewarm_state_from_the_memo(shape):
+    """A repeat prewarm copies the memoized layouts, which a first
+    cache of that shape, driven since, has not changed."""
+    first = SHAPES[shape]()
+    first.prewarm()
+    misses = [memo.cache_info().misses for memo in MEMOS]
+    _drive(first, 2_000)
+    cache = SHAPES[shape]()
+    cache.prewarm()
+    assert [memo.cache_info().misses for memo in MEMOS] == misses
+    assert _digest(cache) == GOLDEN_DIGESTS[shape]
+
+
+def test_memos_stay_within_their_bounds():
+    for shape in sorted(SHAPES):
+        SHAPES[shape]().prewarm()
+    # Ten more block counts than the block memos hold.
+    for ways in range(1, 11):
+        spec = build_uniform_cache_spec("u", 4 * KB * ways, 64, ways, latency_cycles=1)
+        SetAssociativeCache(spec).prewarm()
+    for memo in MEMOS:
+        info = memo.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize

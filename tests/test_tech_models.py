@@ -150,6 +150,15 @@ class TestEnergyBook:
         assert book.count("op") == 3
         assert book.total_nj() == pytest.approx(1.5)
 
+    def test_total_adds_left_to_right(self):
+        # (1e16 + 1) + 1 rounds to 1e16 twice; compensated summation
+        # would return 1e16 + 2.
+        book = EnergyBook()
+        for op, cost in (("big", 1e16), ("one", 1.0), ("two", 1.0)):
+            book.register(op, cost)
+            book.charge(op)
+        assert book.total_nj() == 1e16
+
     def test_breakdown_only_lists_used(self):
         book = EnergyBook()
         book.register("used", 1.0)
