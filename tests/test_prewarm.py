@@ -568,7 +568,7 @@ def test_golden_prewarm_state_from_the_memo(shape):
 def test_memos_stay_within_their_bounds():
     for shape in sorted(SHAPES):
         SHAPES[shape]().prewarm()
-    # Ten more block counts than the block memos hold.
+    # Ten block counts: more than either block memo holds.
     for ways in range(1, 11):
         spec = build_uniform_cache_spec("u", 4 * KB * ways, 64, ways, latency_cycles=1)
         SetAssociativeCache(spec).prewarm()
