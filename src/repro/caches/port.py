@@ -102,10 +102,6 @@ class PortArray:
         self.grants[index] += 1
         return start
 
-    def wait_time(self, index: int, now: float) -> float:
-        """How long a request for ``index`` arriving at ``now`` would wait."""
-        return max(0.0, self.busy_until[index] - now)
-
     def pending_depth(self, index: int, now: float, service: float) -> int:
         """Whole ``service``-cycle quanta queued on ``index`` ahead of ``now``.
 
@@ -117,12 +113,6 @@ class PortArray:
         if wait <= 0 or service <= 0:
             return 0
         return int(-(-wait // service))
-
-    def utilization(self, index: int, elapsed: float) -> float:
-        """Fraction of ``elapsed`` cycles resource ``index`` was busy."""
-        if elapsed <= 0:
-            return 0.0
-        return min(1.0, self.total_busy[index] / elapsed)
 
     def reset_totals(self) -> None:
         """Zero the busy, wait and grant totals in place; the

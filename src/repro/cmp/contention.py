@@ -25,7 +25,6 @@ from __future__ import annotations
 from repro.caches.level import CacheLevel
 from repro.caches.port import PortArray, checked_occupancy
 from repro.cmp.config import ContentionConfig
-from repro.common.stats import fold_sum
 
 
 class ContendedLLC(CacheLevel):
@@ -117,11 +116,3 @@ class ContendedLLC(CacheLevel):
         wrapped cache's port)."""
         self._inner.reset_stats()
         self.bank_ports.reset_totals()
-
-    # --- contention accounting ---
-
-    def bank_wait_cycles(self) -> float:
-        return fold_sum(self.bank_ports.total_wait)
-
-    def bank_grants(self) -> int:
-        return sum(self.bank_ports.grants)

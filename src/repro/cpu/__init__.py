@@ -19,13 +19,12 @@ energy-delay results.
 
 from repro.cpu.branch import BimodalPredictor, GSharePredictor, HybridPredictor
 from repro.cpu.core import CoreModel, CoreParams
-from repro.cpu.wattch import EnergyDelayReport, ProcessorEnergyModel
+from repro.cpu.wattch import ProcessorEnergyModel
 
 __all__ = [
     "BimodalPredictor",
     "CoreModel",
     "CoreParams",
-    "EnergyDelayReport",
     "GSharePredictor",
     "HybridPredictor",
     "ProcessorEnergyModel",

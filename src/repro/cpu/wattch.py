@@ -19,8 +19,7 @@ reduction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict
+from dataclasses import dataclass
 
 from repro.common.errors import ConfigurationError
 
@@ -43,66 +42,3 @@ class ProcessorEnergyModel:
             instructions * self.core_nj_per_instruction
             + cycles * self.core_nj_per_cycle
         )
-
-
-@dataclass
-class EnergyDelayReport:
-    """Processor-level energy, delay, and their product for one run."""
-
-    instructions: int
-    cycles: float
-    core_nj: float
-    l1_nj: float
-    lower_nj: float
-    breakdown: Dict[str, float] = field(default_factory=dict)
-
-    @property
-    def total_nj(self) -> float:
-        return self.core_nj + self.l1_nj + self.lower_nj
-
-    @property
-    def energy_delay(self) -> float:
-        """Energy x delay, the paper's §5.4.2 metric."""
-        return self.total_nj * self.cycles
-
-    @property
-    def lower_cache_share(self) -> float:
-        """Fraction of processor energy spent in the L2 (and L3)."""
-        total = self.total_nj
-        if total == 0:
-            return 0.0
-        return self.lower_nj / total
-
-    def relative_to(self, base: "EnergyDelayReport") -> Dict[str, float]:
-        """Ratios against a baseline run (same instruction count)."""
-        if base.instructions != self.instructions:
-            raise ConfigurationError(
-                "energy-delay comparisons require equal instruction counts"
-            )
-        return {
-            "delay": self.cycles / base.cycles,
-            "energy": self.total_nj / base.total_nj,
-            "energy_delay": self.energy_delay / base.energy_delay,
-            "lower_cache_energy": (
-                self.lower_nj / base.lower_nj if base.lower_nj else float("inf")
-            ),
-        }
-
-
-def build_report(
-    model: ProcessorEnergyModel,
-    instructions: int,
-    cycles: float,
-    l1_nj: float,
-    lower_nj: float,
-    breakdown: Dict[str, float],
-) -> EnergyDelayReport:
-    """Assemble a report from run counts and cache energy totals."""
-    return EnergyDelayReport(
-        instructions=instructions,
-        cycles=cycles,
-        core_nj=model.core_energy_nj(instructions, cycles),
-        l1_nj=l1_nj,
-        lower_nj=lower_nj,
-        breakdown=dict(breakdown),
-    )

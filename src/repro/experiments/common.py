@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.common.errors import ConfigurationError
-from repro.sim.config import SystemConfig, env_jobs
+from repro.sim.config import SystemConfig, config_fingerprint, env_jobs
 from repro.sim.results import RunResult, run_result_from_dict
 from repro.telemetry import TelemetryConfig, telemetry_from_env
 # generate_trace is not called here; perfbench's tracer wraps it under
@@ -122,17 +122,18 @@ def default_jobs() -> int:
 def cached_run(config: SystemConfig, benchmark: str, scale: Scale) -> RunResult:
     """Run (benchmark, config) at a scale: a one-cell :func:`run_matrix`.
 
-    Config names encode every policy knob (see
-    :mod:`repro.sim.config`), so the name is a safe cache key within
-    one process.
+    The shared run cache is keyed by the config's fingerprint
+    (:func:`repro.sim.config.config_fingerprint`), not its name: two
+    configs that share a name but differ in a knob (a seed, a frame
+    restriction, the engine) are cached apart.
     """
     return run_matrix([config], [benchmark], scale)[config.name][benchmark]
 
 
-def _run_key(config: SystemConfig, benchmark: str, scale: Scale) -> _RunKey:
+def _run_key(fingerprint: str, benchmark: str, scale: Scale) -> _RunKey:
     telemetry = default_telemetry()
     return (
-        config.name,
+        fingerprint,
         benchmark,
         scale.n_references,
         scale.warmup_fraction,
@@ -160,15 +161,24 @@ def run_matrix(
     and land in the shared run cache.  Each cell maps its trace-cache
     entry by path (in ``REPRO_TRACE_CACHE``, else a scratch directory).
     One job and no supervisor runs them in this process; anything else
-    pools them, bit-identically.  Any run error raises.
+    pools them, bit-identically.  Any run error raises, and so do two
+    configs that share a name but not a fingerprint, since the result
+    is keyed by name.
     """
     jobs = default_jobs() if jobs is None else jobs
     if jobs < 1:
         raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
+    fingerprints: Dict[str, str] = {}
+    for config in configs:
+        fingerprint = config_fingerprint(config)
+        if fingerprints.setdefault(config.name, fingerprint) != fingerprint:
+            raise ConfigurationError(
+                f"two configs named {config.name!r} differ; give them distinct names"
+            )
     pending: Dict[_RunKey, Tuple[SystemConfig, str]] = {}
     for config in configs:
         for benchmark in benchmarks:
-            key = _run_key(config, benchmark, scale)
+            key = _run_key(fingerprints[config.name], benchmark, scale)
             if key not in _RUN_CACHE:
                 pending.setdefault(key, (config, benchmark))
     if pending:
@@ -195,8 +205,8 @@ def run_matrix(
         for key, payload in zip(keys, payloads):
             _RUN_CACHE[key] = run_result_from_dict(payload["result"])  # type: ignore[arg-type]
     return {
-        config.name: {b: _RUN_CACHE[_run_key(config, b, scale)] for b in benchmarks}
-        for config in configs
+        name: {b: _RUN_CACHE[_run_key(fingerprint, b, scale)] for b in benchmarks}
+        for name, fingerprint in fingerprints.items()
     }
 
 

@@ -3,8 +3,7 @@
 The experiment reports are tables; for the distribution figures
 (4, 5, 7) a visual form communicates the shape better.  These helpers
 render horizontal stacked bars with one character class per d-group —
-the terminal equivalent of the paper's Figure 4/5/7 charts — and
-simple horizontal bar charts for the relative-performance figures.
+the terminal equivalent of the paper's Figure 4/5/7 charts.
 """
 
 from __future__ import annotations
@@ -61,33 +60,6 @@ def distribution_chart(
         for g in range(legend_groups)
     )
     lines.append(f"{'':<{label_width}} legend: {legend}  miss='{MISS_CHAR}'")
-    return "\n".join(lines)
-
-
-def bar_chart(
-    values: Mapping[str, float],
-    baseline: float = 1.0,
-    width: int = 40,
-    fmt: str = "{:+.1%}",
-) -> str:
-    """Horizontal bars of deviation from a baseline (relative perf).
-
-    Positive deviations grow right of the axis, negative to the left.
-    """
-    if not values:
-        raise ConfigurationError("nothing to chart")
-    deviations = {k: v - baseline for k, v in values.items()}
-    span = max(0.001, max(abs(d) for d in deviations.values()))
-    label_width = max(len(k) for k in values)
-    half = width // 2
-    lines = []
-    for label, deviation in deviations.items():
-        cells = int(round(abs(deviation) / span * half))
-        if deviation >= 0:
-            bar = " " * half + "|" + "#" * cells + " " * (half - cells)
-        else:
-            bar = " " * (half - cells) + "#" * cells + "|" + " " * half
-        lines.append(f"{label:<{label_width}} {bar} {fmt.format(deviation)}")
     return "\n".join(lines)
 
 

@@ -78,10 +78,6 @@ class FaultInjector:
                 plan.spare_subarrays_per_dgroup,
             )
 
-    @property
-    def accesses_seen(self) -> int:
-        return self._accesses
-
     # --- transient upsets ---
 
     def on_access(

@@ -1,7 +1,7 @@
 """Plane geometry for floorplans.
 
 On-chip routing follows Manhattan (rectilinear) paths, so all
-distances here are L1 distances between points or rectangle centroids.
+distances here are L1 distances between points.
 """
 
 from __future__ import annotations
@@ -47,10 +47,6 @@ class Rect:
         return self.width * self.height
 
     @property
-    def centroid(self) -> Point:
-        return Point(self.x + self.width / 2.0, self.y + self.height / 2.0)
-
-    @property
     def right(self) -> float:
         return self.x + self.width
 
@@ -60,18 +56,3 @@ class Rect:
 
     def contains(self, p: Point) -> bool:
         return self.x <= p.x <= self.right and self.y <= p.y <= self.top
-
-    def overlaps(self, other: "Rect") -> bool:
-        """True if the interiors intersect (shared edges don't count)."""
-        return not (
-            self.right <= other.x
-            or other.right <= self.x
-            or self.top <= other.y
-            or other.top <= self.y
-        )
-
-    def nearest_edge_distance(self, p: Point) -> float:
-        """Manhattan distance from ``p`` to the closest point of the rect."""
-        dx = max(self.x - p.x, 0.0, p.x - self.right)
-        dy = max(self.y - p.y, 0.0, p.y - self.top)
-        return dx + dy

@@ -91,20 +91,6 @@ class NuRAPIDFloorplan:
             return Rect(x=start, y=0.0, width=span, height=w)
         return Rect(x=first_leg, y=w + (start - first_leg), width=w, height=span)
 
-    @property
-    def route_distances_mm(self) -> List[float]:
-        return [p.route_mm for p in self.placed]
-
-    def swap_distance_mm(self, i: int, j: int) -> float:
-        """Routed distance for moving a block between d-groups i and j."""
-        if not (0 <= i < len(self.placed) and 0 <= j < len(self.placed)):
-            raise ConfigurationError(f"d-group index out of range: {i}, {j}")
-        return abs(self.placed[i].route_mm - self.placed[j].route_mm)
-
-    @property
-    def total_area_mm2(self) -> float:
-        return sum(p.rect.area for p in self.placed)
-
 
 class DNUCAFloorplan:
     """Rectangular grid of identical banks in front of the core.
@@ -172,10 +158,6 @@ class DNUCAFloorplan:
         """
         pitch = (self.bank_width_mm + self.bank_height_mm) / 2.0
         return self.wires.energy_pj(pitch, payload_bits) / 1000.0
-
-    def banks_by_latency(self) -> List[int]:
-        """Bank indices sorted from fastest to slowest."""
-        return sorted(range(self.n_banks), key=lambda b: (self.network_cycles(b), b))
 
     def _check_bank(self, bank: int) -> None:
         if not 0 <= bank < self.n_banks:

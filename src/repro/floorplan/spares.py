@@ -161,34 +161,3 @@ def yield_model(
         subarrays_per_domain, spares_per_domain, defect_probability
     )
     return per_domain**n_domains
-
-
-def compare_layouts(
-    total_subarrays: int,
-    total_spares: int,
-    defect_probability: float,
-    few_domains: int = 4,
-    many_domains: int = 128,
-) -> Dict[str, float]:
-    """Yield of the same silicon organized as few vs many repair domains.
-
-    The same total spare budget is divided evenly among domains (a
-    spare cannot serve a domain it doesn't share row addresses with —
-    the paper's point about NUCA's d-groups).
-    """
-    results = {}
-    for label, domains in (("few-large", few_domains), ("many-small", many_domains)):
-        if total_subarrays % domains:
-            raise ConfigurationError(
-                f"{total_subarrays} subarrays do not divide into {domains} domains"
-            )
-        # Spares that do not divide evenly are stranded: a spare cannot
-        # serve a domain it does not share row addresses with, so a
-        # budget of 8 spares over 128 domains leaves most domains bare.
-        results[label] = yield_model(
-            domains,
-            total_subarrays // domains,
-            total_spares // domains,
-            defect_probability,
-        )
-    return results

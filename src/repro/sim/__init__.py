@@ -19,12 +19,7 @@ from repro.sim.config import (
 from repro.sim.driver import System, run_benchmark, run_suite
 from repro.sim.parallel import CellTask, execute_cell, run_cells
 from repro.sim.sweep import Sweep, SweepAxis, SweepPoint
-from repro.sim.results import (
-    RunResult,
-    SuiteResult,
-    mean_distribution,
-    relative_performance,
-)
+from repro.sim.results import RunResult, SuiteResult, relative_performance
 
 __all__ = [
     "CellTask",
@@ -39,7 +34,6 @@ __all__ = [
     "build_system",
     "dnuca_config",
     "execute_cell",
-    "mean_distribution",
     "run_cells",
     "nurapid_config",
     "relative_performance",

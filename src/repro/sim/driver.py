@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import repeat
+from time import perf_counter
 from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
@@ -34,7 +35,6 @@ from repro.sim.config import (
 from repro.sim.results import RunResult, SuiteResult
 from repro.telemetry import (
     LATENCY_BOUNDS,
-    NullProfiler,
     Telemetry,
     TelemetryConfig,
     occupancy_bounds,
@@ -307,7 +307,6 @@ def run_benchmark(
     seed: int = 0,
     warmup_fraction: float = DEFAULT_WARMUP_FRACTION,
     trace: Optional[Trace] = None,
-    energy_model: Optional[ProcessorEnergyModel] = None,
     warm_set_conflict: int = 1,
     prewarm: bool = True,
     telemetry: Optional[TelemetryConfig] = None,
@@ -323,6 +322,11 @@ def run_benchmark(
     core's measured window, core energy summed per core, L2 books from
     the shared cache — and ``stats`` adds per-core ``c{i}.*`` books and
     ``bankq.*`` contention aggregates.
+
+    Each run adds its phase walls to the runtime registry
+    (:mod:`repro.telemetry.runtime`): ``run.tracegen_wall_s`` when it
+    generates its trace, ``run.build_wall_s``, ``run.warmup_wall_s``
+    and ``run.measure_wall_s``.  They never enter the result.
     """
     if n_references <= 0:
         raise ConfigurationError(
@@ -337,14 +341,15 @@ def run_benchmark(
     profiles = [get_benchmark(name) for name in spec.split("+")]
     n_cores = len(profiles)
     session: Optional[Telemetry] = None
-    if telemetry is not None and telemetry.enabled:
+    if telemetry is not None:
         session = Telemetry(telemetry, f"{config.name}/{benchmark}/s{seed}")
-    profiler = session.profiler if session is not None else NullProfiler()
+    reg = runtime_registry()
     if trace is None:
-        with profiler.phase("tracegen"):
-            trace = generate_spec_trace(
-                spec, n_references, seed, warm_set_conflict=warm_set_conflict
-            )
+        started = perf_counter()
+        trace = generate_spec_trace(
+            spec, n_references, seed, warm_set_conflict=warm_set_conflict
+        )
+        reg.add("run.tracegen_wall_s", perf_counter() - started)
     elif n_cores > 1:
         issued = np.bincount(core_of_address(trace.addresses), minlength=n_cores)
         if len(issued) != n_cores or not issued.all():
@@ -353,8 +358,9 @@ def run_benchmark(
                 f"0..{n_cores - 1}; trace {trace.benchmark!r} is issued by "
                 f"cores {np.flatnonzero(issued).tolist()}"
             )
-    with profiler.phase("build"):
-        systems = _add_cores(make_system(config, prewarm=prewarm), n_cores)
+    started = perf_counter()
+    systems = _add_cores(make_system(config, prewarm=prewarm), n_cores)
+    reg.add("run.build_wall_s", perf_counter() - started)
     compression = config.cmp.compression if config.cmp is not None else None
     if n_cores > 1 and compression is not None and compression.core_shares is None:
         # Per-workload compressibility: each core's lines draw against
@@ -379,9 +385,10 @@ def run_benchmark(
         ]
 
     warm_cores = new_cores()
+    started = perf_counter()
     if len(warm):
-        with profiler.phase("warmup"):
-            _replay(systems, warm_cores, warm, engine=engine)
+        _replay(systems, warm_cores, warm, engine=engine)
+    reg.add("run.warmup_wall_s", perf_counter() - started)
     for system in systems:
         system.reset_stats()
 
@@ -392,8 +399,9 @@ def run_benchmark(
     start = [(core.cycle, core.instructions) for core in cores]
     if session is not None:
         _attach_telemetry(systems, cores, session)
-    with profiler.phase("measure"):
-        _replay(systems, cores, measured, engine=engine)
+    started = perf_counter()
+    _replay(systems, cores, measured, engine=engine)
+    reg.add("run.measure_wall_s", perf_counter() - started)
 
     per_cycles = [core.cycle - cycle for core, (cycle, _) in zip(cores, start)]
     per_instr = [core.instructions - instr for core, (_, instr) in zip(cores, start)]
@@ -401,7 +409,7 @@ def run_benchmark(
     cycles = max(per_cycles)
     chip = systems[0]
     l2_stats = _cache_counters(chip.l2)
-    model = energy_model if energy_model is not None else ProcessorEnergyModel()
+    model = ProcessorEnergyModel()
 
     extra: Dict[str, float] = dict(l2_stats)
     if n_cores > 1:
@@ -467,7 +475,6 @@ def run_suite(
     seed: int = 0,
     warmup_fraction: float = DEFAULT_WARMUP_FRACTION,
     traces: Optional[Dict[str, Trace]] = None,
-    energy_model: Optional[ProcessorEnergyModel] = None,
     warm_set_conflict: int = 1,
     prewarm: bool = True,
     jobs: int = 1,
@@ -477,8 +484,8 @@ def run_suite(
 ) -> SuiteResult:
     """Run a set of benchmarks on one configuration.
 
-    All per-run knobs (``energy_model``, ``warm_set_conflict``,
-    ``prewarm``) are forwarded to every :func:`run_benchmark` call.
+    The per-run knobs ``warm_set_conflict`` and ``prewarm`` are
+    forwarded to every :func:`run_benchmark` call.
     Every benchmark is one cell of :func:`repro.sim.parallel.run_cells`:
     ``jobs=1`` runs them in this process, ``jobs=N`` on N worker
     processes with identical seeding, so the results are bit-identical
@@ -494,8 +501,7 @@ def run_suite(
     another ``run_suite``).  The memo key covers the full config
     fingerprint, resolved engine, and trace parameters, so hits are
     bit-identical to recomputation.  Cells carrying an inline ``trace``
-    or a custom ``energy_model`` are not content-addressable and always
-    run.
+    are not content-addressable and always run.
     """
     if jobs < 1:
         raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
@@ -517,7 +523,6 @@ def run_suite(
             trace=inline.get(name),
             warm_set_conflict=warm_set_conflict,
             prewarm=prewarm,
-            energy_model=energy_model,
             isolate_errors=False,
             telemetry=telemetry,
         )

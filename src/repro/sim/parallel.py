@@ -47,7 +47,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.errors import ConfigurationError, ReproError
-from repro.cpu.wattch import ProcessorEnergyModel
 from repro.sim.config import SystemConfig, config_fingerprint, resolve_engine
 from repro.sim.driver import run_benchmark
 from repro.sim.results import run_result_to_dict
@@ -73,6 +72,11 @@ def reseed_config(config: SystemConfig, bump: int) -> SystemConfig:
     return dataclasses.replace(config, faults=plan)
 
 
+#: Seed shift per retry attempt: attempt ``k`` shifts the trace seed
+#: and the fault-plan seed by ``k * RESEED_STEP``.
+RESEED_STEP = 1000
+
+
 @dataclass(frozen=True)
 class CellTask:
     """One ``(config, benchmark)`` cell, fully specified and picklable.
@@ -95,7 +99,6 @@ class CellTask:
     trace_path: Optional[str] = None
     trace: Optional[Trace] = None
     max_retries: int = 0
-    reseed_step: int = 1000
     #: Wall-clock budget for the cell.  Whenever cells run pooled it is
     #: the per-attempt deadline (unless ``cell_timeout_s`` overrides
     #: it): the worker is SIGKILLed and the cell retried/quarantined.
@@ -104,7 +107,6 @@ class CellTask:
     budget_s: Optional[float] = None
     warm_set_conflict: int = 1
     prewarm: bool = True
-    energy_model: Optional[ProcessorEnergyModel] = None
     #: True: ReproErrors become failed-outcome payloads (sweep
     #: semantics).  False: they propagate to the parent (suite
     #: semantics, where one bad run should abort the suite).
@@ -129,17 +131,16 @@ def cell_fingerprint(task: CellTask) -> Optional[str]:
     itself is a deterministic function of those, which is why
     ``trace_path`` does not participate — plus warmup split, prewarm,
     and the telemetry fingerprint.  Retry/budget knobs
-    (``max_retries``, ``reseed_step``, ``budget_s``) are deliberately
+    (``max_retries``, ``budget_s``) are deliberately
     excluded: memoization stores only first-attempt successes (see
     :class:`repro.service.store.ResultStore`), whose payloads those
     knobs cannot influence, so a sweep cell and a suite cell with
     different retry policies share one entry.
 
     Returns None when the cell is not content-addressable: an inline
-    ``trace`` (arbitrary bytes, not derivable from the parameters) or a
-    custom ``energy_model`` (not canonically serialized).
+    ``trace`` is arbitrary bytes, not derivable from the parameters.
     """
-    if task.trace is not None or task.energy_model is not None:
+    if task.trace is not None:
         return None
     payload = {
         "format": CELL_FINGERPRINT_FORMAT,
@@ -266,7 +267,7 @@ def _attempt_trace(task: CellTask, attempt: int) -> Trace:
     return generate_spec_trace(
         spec,
         task.n_references,
-        seed=task.seed + attempt * task.reseed_step,
+        seed=task.seed + attempt * RESEED_STEP,
         warm_set_conflict=task.warm_set_conflict,
     )
 
@@ -295,13 +296,12 @@ def execute_cell(task: CellTask) -> Dict[str, object]:
         attempts += 1
         try:
             result = run_benchmark(
-                reseed_config(task.config, attempt * task.reseed_step),
+                reseed_config(task.config, attempt * RESEED_STEP),
                 task.benchmark,
                 n_references=task.n_references,
                 trace=_attempt_trace(task, attempt),
                 warmup_fraction=task.warmup_fraction,
-                seed=task.seed + attempt * task.reseed_step,
-                energy_model=task.energy_model,
+                seed=task.seed + attempt * RESEED_STEP,
                 warm_set_conflict=task.warm_set_conflict,
                 prewarm=task.prewarm,
                 telemetry=task.telemetry,

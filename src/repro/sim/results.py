@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, Mapping, Optional
 
 from repro.common.errors import ConfigurationError
 
@@ -131,20 +131,6 @@ def relative_performance(result: RunResult, base: RunResult) -> float:
     return result.ipc / base.ipc
 
 
-def mean_distribution(results: List[RunResult], keys: List[int]) -> Dict[int, float]:
-    """Arithmetic mean of per-benchmark d-group fractions.
-
-    Matches the paper's figures, which average the per-application
-    stacked bars rather than pooling raw access counts.
-    """
-    if not results:
-        raise ConfigurationError("no results to average")
-    return {
-        key: sum(r.dgroup_fractions.get(key, 0.0) for r in results) / len(results)
-        for key in keys
-    }
-
-
 @dataclass
 class SuiteResult:
     """All benchmarks' runs for one system configuration."""
@@ -169,15 +155,3 @@ class SuiteResult:
         if not values:
             raise ConfigurationError("no shared benchmarks to average")
         return sum(values) / len(values)
-
-
-def format_fraction_table(
-    rows: Mapping[str, Mapping[int, float]], keys: List[int], miss: Mapping[str, float]
-) -> str:
-    """Render stacked-bar data (per-benchmark fractions) as text."""
-    header = "benchmark".ljust(12) + "".join(f"dg{k:>2}   " for k in keys) + "miss"
-    lines = [header]
-    for name in rows:
-        cells = "".join(f"{rows[name].get(k, 0.0):6.1%} " for k in keys)
-        lines.append(f"{name:<12}{cells}{miss.get(name, 0.0):6.1%}")
-    return "\n".join(lines)

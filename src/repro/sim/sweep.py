@@ -15,8 +15,9 @@ hardens the grid instead of letting one point abort it:
   exception types indicate simulator bugs and still propagate.
 * **retry with reseed** — a failed cell is retried up to
   ``max_retries`` times, each attempt bumping the trace seed and the
-  fault-plan seed by ``reseed_step`` so the retry explores a different
-  deterministic universe rather than replaying the same crash.
+  fault-plan seed by :data:`~repro.sim.parallel.RESEED_STEP` so the
+  retry explores a different deterministic universe rather than
+  replaying the same crash.
 * **budget** — an optional wall-clock allowance per cell
   (``CellTask.budget_s``).  In this process the budget is *advisory*:
   Python code cannot preempt a running attempt, so it is only checked
@@ -160,9 +161,9 @@ class Sweep:
 
     ``max_retries`` is the number of *additional* attempts after a
     failed one (total attempts per cell = 1 + max_retries); each
-    attempt ``k`` bumps the trace and fault seeds by
-    ``k * reseed_step``.  ``point_budget_s`` is each cell's wall-clock
-    budget (see module docstring).  ``jobs`` runs cells on that many
+    attempt ``k`` bumps the trace and fault seeds by ``k *``
+    :data:`~repro.sim.parallel.RESEED_STEP`.  ``point_budget_s`` is
+    each cell's wall-clock budget (see module docstring).  ``jobs`` runs cells on that many
     worker processes; ``trace_cache_dir`` names the on-disk trace store
     cells map their base traces from (default: ``$REPRO_TRACE_CACHE``,
     else a private temp directory deleted after the run).
@@ -188,7 +189,6 @@ class Sweep:
         seed: int = 1,
         warmup_fraction: float = 0.4,
         max_retries: int = 1,
-        reseed_step: int = 1000,
         point_budget_s: Optional[float] = None,
         jobs: int = 1,
         trace_cache_dir: Optional[str] = None,
@@ -219,8 +219,6 @@ class Sweep:
             )
         if max_retries < 0:
             raise ConfigurationError(f"max_retries must be >= 0, got {max_retries}")
-        if reseed_step <= 0:
-            raise ConfigurationError(f"reseed_step must be positive, got {reseed_step}")
         if point_budget_s is not None and point_budget_s <= 0:
             raise ConfigurationError("point_budget_s must be positive")
         if jobs < 1:
@@ -237,7 +235,6 @@ class Sweep:
         self.seed = seed
         self.warmup_fraction = warmup_fraction
         self.max_retries = max_retries
-        self.reseed_step = reseed_step
         self.point_budget_s = point_budget_s
         self.jobs = jobs
         self.trace_cache_dir = trace_cache_dir
@@ -282,7 +279,6 @@ class Sweep:
                 seed=self.seed,
                 warmup_fraction=self.warmup_fraction,
                 max_retries=self.max_retries,
-                reseed_step=self.reseed_step,
                 budget_s=self.point_budget_s,
                 telemetry=self.telemetry,
             )

@@ -202,12 +202,6 @@ class InterleavingPlan:
             return self.cells_per_subarray
         return self.words
 
-    def survives_adjacent_upset(self, upset_bits: int) -> bool:
-        """True if an ``upset_bits``-wide strike stays correctable."""
-        if upset_bits < 0:
-            raise ConfigurationError("upset width must be non-negative")
-        return upset_bits <= self.widest_correctable_adjacent_upset()
-
 
 def protection_overhead(block_bytes: int, word_bits: int = 64) -> Tuple[int, float]:
     """(total ECC bits, fractional overhead) to protect a block.

@@ -15,7 +15,6 @@ overheads) are the meaningful outputs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, Sequence
 
@@ -145,21 +144,3 @@ def gating_savings(
     if baseline == 0:
         return 0.0
     return 1.0 - gated / baseline
-
-
-def leakage_vs_dynamic_share(
-    leakage_nj: float, dynamic_nj: float
-) -> float:
-    """Leakage share of total cache energy (reporting helper)."""
-    if leakage_nj < 0 or dynamic_nj < 0:
-        raise ConfigurationError("energies must be non-negative")
-    total = leakage_nj + dynamic_nj
-    if total <= 0:
-        return 0.0
-    return leakage_nj / total
-
-
-def validate_monotone_temperature(params: LeakageParams) -> bool:
-    """Sanity helper used by tests: hotter must leak more."""
-    scales = [params.scale_for_temperature(t) for t in (300.0, 330.0, 360.0, 390.0)]
-    return all(a < b for a, b in zip(scales, scales[1:])) and not math.isinf(scales[-1])

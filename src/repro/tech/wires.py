@@ -42,7 +42,3 @@ class WireModel:
         if distance_mm < 0:
             raise ConfigurationError(f"distance must be non-negative, got {distance_mm}")
         return distance_mm * bits * self.tech.wire_energy_pj_per_bit_mm
-
-    def transfer_energy_pj(self, distance_mm: float, address_bits: int, data_bits: int) -> float:
-        """Energy for a full transaction: address out, data back."""
-        return self.energy_pj(distance_mm, address_bits) + self.energy_pj(distance_mm, data_bits)

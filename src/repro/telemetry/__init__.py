@@ -1,4 +1,4 @@
-"""repro.telemetry — tracing, metrics, and profiling for the simulator.
+"""repro.telemetry — tracing and metrics for the simulator.
 
 The paper's headline claims are distributional (per-d-group access
 breakdowns, energy split across d-groups, promotion/demotion churn),
@@ -13,8 +13,9 @@ This package is the unified instrumentation layer:
 * :mod:`~repro.telemetry.trace` — sampled, bounded JSONL event streams
   (placement / demotion / promotion / writeback / fault-retire) with a
   ring-buffer mode and atomic flush;
-* :mod:`~repro.telemetry.profile` — wall-clock phase timers that
-  attribute *simulator* time to its phases;
+* :mod:`~repro.telemetry.runtime` — the always-on, process-wide
+  harness counters, including the driver's ``run.*`` phase timers
+  and the kernel's ``vectorized.*`` timers;
 * :mod:`~repro.telemetry.report` — the merged per-d-group
   latency/energy/occupancy report (``python -m repro.telemetry``).
 
@@ -32,7 +33,6 @@ from dataclasses import asdict, dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.common.errors import ConfigurationError
-from repro.telemetry.profile import NullProfiler, PhaseProfiler, profiler_or_null
 from repro.telemetry.registry import (
     LATENCY_BOUNDS,
     REUSE_BOUNDS,
@@ -53,15 +53,12 @@ __all__ = [
     "EventTracer",
     "Histogram",
     "LATENCY_BOUNDS",
-    "NullProfiler",
-    "PhaseProfiler",
     "REUSE_BOUNDS",
     "Scope",
     "StatRegistry",
     "Telemetry",
     "TelemetryConfig",
     "occupancy_bounds",
-    "profiler_or_null",
     "read_trace",
     "reset_runtime_registry",
     "runtime_counters",
@@ -75,12 +72,11 @@ __all__ = [
 class TelemetryConfig:
     """What to collect; frozen and picklable so it ships to workers.
 
-    ``enabled=False`` (or passing ``None`` where a config is accepted)
-    is the null sink: no registry, no tracer, no profiler are created
-    and instrumented code sees ``telemetry is None``.
+    Passing ``None`` where a config is accepted is the null sink: no
+    registry and no tracer are created, and instrumented code sees
+    ``telemetry is None``.
     """
 
-    enabled: bool = True
     #: Collect structural events (placement/demotion/promotion/...).
     events: bool = False
     #: Flush collected events as JSONL under this directory (implies
@@ -92,9 +88,6 @@ class TelemetryConfig:
     trace_limit: Optional[int] = 100_000
     #: True: the *last* ``trace_limit`` events survive instead of the first.
     trace_ring: bool = False
-    #: Wall-clock phase timers (non-deterministic; reports exclude it
-    #: by default so merged reports stay byte-identical).
-    profile: bool = False
 
     def __post_init__(self) -> None:
         if self.trace_sample < 1:
@@ -194,13 +187,9 @@ class CacheTelemetry:
 
 
 class Telemetry:
-    """One run's collection session: registry + tracer + profiler."""
+    """One run's collection session: registry + tracer."""
 
     def __init__(self, config: TelemetryConfig, run_id: str) -> None:
-        if not config.enabled:
-            raise ConfigurationError(
-                "Telemetry session for a disabled config; pass None instead"
-            )
         self.config = config
         self.run_id = run_id
         self.registry = StatRegistry()
@@ -213,7 +202,6 @@ class Telemetry:
             if config.events_enabled
             else None
         )
-        self.profiler = profiler_or_null(config.profile)
 
     def cache_client(self, name: str) -> CacheTelemetry:
         return CacheTelemetry(name, self.registry.scope(name), self.tracer)
@@ -254,8 +242,7 @@ class Telemetry:
         """The run's JSON-safe telemetry record.
 
         The ``registry`` and ``trace`` sections are deterministic
-        functions of the simulation; ``profile`` (wall-clock) is only
-        present when profiling was requested.
+        functions of the simulation.
         """
         record: Dict[str, object] = {
             "run": self.run_id,
@@ -266,6 +253,4 @@ class Telemetry:
             if trace_path is not None:
                 trace["path"] = trace_path
             record["trace"] = trace
-        if self.config.profile:
-            record["profile"] = self.profiler.summary()
         return record

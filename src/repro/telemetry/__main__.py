@@ -1,7 +1,6 @@
 """CLI: render merged telemetry reports and summarize JSONL traces.
 
     python -m repro.telemetry report out/run.json store/<key>.json
-    python -m repro.telemetry report out/*.json --profile
     python -m repro.telemetry trace out/traces/nurapid__art__s1.jsonl
 """
 
@@ -27,11 +26,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "report", help="merge payloads from run and result-store JSON files and render"
     )
     report.add_argument("files", nargs="+", help="RunResult JSON, result-store entry, or raw payload")
-    report.add_argument(
-        "--profile",
-        action="store_true",
-        help="include wall-clock profile sections (non-deterministic)",
-    )
 
     trace = sub.add_parser("trace", help="summarize a JSONL event trace")
     trace.add_argument("file")
@@ -39,7 +33,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "report":
-            print(report_from_files(args.files, include_profile=args.profile))
+            print(report_from_files(args.files))
         else:
             events = read_trace(args.file)
             meta = next((e for e in events if e.get("kind") == "meta"), None)

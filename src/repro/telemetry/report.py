@@ -10,19 +10,15 @@ same grid render byte-identical reports), and renders:
   experiment figures use (:mod:`repro.experiments.render`);
 * histogram summaries (hit latency, reuse distance, MSHR occupancy);
 * the full counter dump.
-
-Profile (wall-clock) sections are excluded unless asked for, since
-they are non-deterministic by nature.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from repro.common.errors import ConfigurationError
-from repro.telemetry.profile import format_profile
 from repro.telemetry.registry import Histogram, StatRegistry
 
 _DG_COUNTER = re.compile(r"^(?P<cache>.+)\.dg(?P<group>\d+)\.(?P<what>hits|frames)$")
@@ -196,10 +192,7 @@ def _table(rows: List[Dict[str, object]], columns: List[str]) -> List[str]:
     return lines
 
 
-def render_report(
-    registry: StatRegistry,
-    profiles: Optional[Sequence[Mapping[str, Mapping[str, float]]]] = None,
-) -> str:
+def render_report(registry: StatRegistry) -> str:
     """The merged telemetry report as aligned text."""
     lines: List[str] = ["== telemetry report =="]
 
@@ -273,25 +266,10 @@ def render_report(
         for name, value in counters.items():
             lines.append(f"{name:<{width}}  {_fmt(value)}")
 
-    if profiles:
-        for index, summary in enumerate(profiles):
-            lines.append("")
-            lines.append(f"-- profile[{index}] (wall-clock, non-deterministic) --")
-            lines.append(format_profile(summary))
-
     lines.append("")
     return "\n".join(lines)
 
 
-def report_from_files(paths: Sequence[str], include_profile: bool = False) -> str:
+def report_from_files(paths: Sequence[str]) -> str:
     """Load, merge, and render — the ``python -m repro.telemetry`` core."""
-    pairs = load_payloads(paths)
-    registry = merge_payloads(pairs)
-    profiles = None
-    if include_profile:
-        profiles = [
-            payload["profile"]  # type: ignore[misc]
-            for _, payload in sorted(pairs, key=lambda pair: pair[0])
-            if payload.get("profile")
-        ]
-    return render_report(registry, profiles=profiles)
+    return render_report(merge_payloads(load_payloads(paths)))

@@ -9,6 +9,16 @@ store entries, regenerated trace-cache entries.  Those events land
 here, in a process-wide :class:`~repro.telemetry.registry.StatRegistry`
 that is reported separately from run payloads and never stored.
 
+Counters recorded on every run (:func:`repro.sim.driver.run_benchmark`
+and the numpy kernel), whether or not the run's telemetry is armed:
+
+* ``run.tracegen_wall_s`` / ``run.build_wall_s`` /
+  ``run.warmup_wall_s`` / ``run.measure_wall_s`` — the driver's phase
+  walls: trace generation (only when the run generates its own trace),
+  system build and prewarm, warmup replay, measured replay
+* ``vectorized.*`` — the kernel's tier counts and phase walls (see
+  :mod:`repro.sim.vectorized`)
+
 Counters used by the resilience layer:
 
 * ``supervisor.timeouts`` / ``supervisor.crashes`` — worker kills, by cause

@@ -4,7 +4,6 @@ import pytest
 
 from repro.common.errors import ConfigurationError
 from repro.experiments.render import (
-    bar_chart,
     distribution_chart,
     render_figure_distribution,
     stacked_bar,
@@ -87,14 +86,6 @@ class TestRendering:
         assert "art" in chart and "mcf" in chart
         assert "legend" in chart
 
-    def test_bar_chart_directions(self):
-        chart = bar_chart({"up": 1.06, "down": 0.97}, baseline=1.0, width=20)
-        lines = chart.splitlines()
-        up = next(line for line in lines if line.startswith("up"))
-        down = next(line for line in lines if line.startswith("down"))
-        assert up.index("|") < up.rindex("#")
-        assert down.index("#") < down.index("|")
-
     def test_render_from_report_rows(self):
         rows = [
             {"benchmark": "art", "dg0": 0.7, "dg1": 0.2, "miss": 0.1},
@@ -106,5 +97,3 @@ class TestRendering:
     def test_empty_chart_rejected(self):
         with pytest.raises(ConfigurationError):
             distribution_chart({})
-        with pytest.raises(ConfigurationError):
-            bar_chart({})

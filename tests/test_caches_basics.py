@@ -108,14 +108,20 @@ class TestPortScheduler:
     def test_wait_time(self):
         ports = PortArray()
         ports.request(0, 0.0, 10.0)
-        assert ports.wait_time(0, 4.0) == 6.0
-        assert ports.wait_time(0, 11.0) == 0.0
+        start, _ = ports.request(0, 4.0, 1.0)
+        assert start - 4.0 == 6.0
+        start, _ = ports.request(0, 20.0, 1.0)  # idle again by then
+        assert start == 20.0
+        assert ports.total_wait == [6.0]
 
     def test_utilization(self):
+        # Busy cycles, the numerator of a port's utilization.
         ports = PortArray()
         ports.request(0, 0.0, 5.0)
-        assert ports.utilization(0, 10.0) == 0.5
-        assert ports.utilization(0, 0.0) == 0.0
+        ports.request(0, 20.0, 5.0)
+        assert ports.total_busy == [10.0]
+        assert ports[0].total_busy == 10.0
+        assert ports.grants == [2]
 
     def test_reset(self):
         ports = PortArray("p", 2)

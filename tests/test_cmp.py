@@ -230,8 +230,8 @@ class TestContention:
         wrapped = ContendedLLC(_StubCache(), ContentionConfig(n_banks=1))
         for _ in range(4):
             wrapped.access(0, now=0.0)
-        assert wrapped.bank_grants() == 4
-        assert wrapped.bank_wait_cycles() == pytest.approx(8 * (1 + 2 + 3))
+        assert sum(wrapped.bank_ports.grants) == 4
+        assert sum(wrapped.bank_ports.total_wait) == pytest.approx(8 * (1 + 2 + 3))
 
     def test_contended_dnuca_walks_like_legacy(self, monkeypatch):
         """ContendedLLC forwards unknown attributes to the cache it

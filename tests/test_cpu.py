@@ -6,7 +6,7 @@ from repro.common.errors import ConfigurationError
 from repro.common.types import AccessResult
 from repro.cpu.branch import BimodalPredictor, GSharePredictor, HybridPredictor
 from repro.cpu.core import CoreModel, CoreParams
-from repro.cpu.wattch import EnergyDelayReport, ProcessorEnergyModel, build_report
+from repro.cpu.wattch import ProcessorEnergyModel
 
 
 class TestBimodal:
@@ -148,27 +148,19 @@ class TestWattch:
         assert m.core_energy_nj(100, 50) == pytest.approx(25.0)
 
     def test_report_totals_and_ed(self):
-        m = ProcessorEnergyModel()
-        r = build_report(m, 1000, 500.0, l1_nj=10.0, lower_nj=20.0, breakdown={})
-        assert r.total_nj == pytest.approx(r.core_nj + 30.0)
-        assert r.energy_delay == pytest.approx(r.total_nj * 500.0)
-        assert 0.0 < r.lower_cache_share < 1.0
+        # A run charges its core energy through the default model, and
+        # its energy-delay product is the §5.4.2 metric.
+        from repro.sim.config import base_config
+        from repro.sim.driver import run_benchmark
 
-    def test_relative_requires_matching_instructions(self):
-        m = ProcessorEnergyModel()
-        a = build_report(m, 1000, 500.0, 1.0, 1.0, {})
-        b = build_report(m, 2000, 500.0, 1.0, 1.0, {})
-        with pytest.raises(ConfigurationError):
-            a.relative_to(b)
-
-    def test_relative_ratios(self):
-        m = ProcessorEnergyModel()
-        base = build_report(m, 1000, 1000.0, 10.0, 10.0, {})
-        better = build_report(m, 1000, 900.0, 10.0, 5.0, {})
-        rel = better.relative_to(base)
-        assert rel["delay"] == pytest.approx(0.9)
-        assert rel["energy"] < 1.0
-        assert rel["energy_delay"] < 0.9
+        r = run_benchmark(base_config(), "twolf", n_references=2_000, seed=1)
+        assert r.core_energy_nj == pytest.approx(
+            ProcessorEnergyModel().core_energy_nj(r.instructions, r.cycles)
+        )
+        assert r.total_energy_nj == pytest.approx(
+            r.core_energy_nj + r.l1_energy_nj + r.lower_energy_nj
+        )
+        assert r.energy_delay == pytest.approx(r.total_energy_nj * r.cycles)
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):

@@ -10,6 +10,7 @@ import json
 import pytest
 
 import repro.experiments as exp
+from repro.common.errors import ConfigurationError
 from repro.experiments.common import (
     SMOKE,
     ExperimentReport,
@@ -17,9 +18,11 @@ from repro.experiments.common import (
     cached_run,
     clear_caches,
     pct,
+    run_matrix,
     scale_by_name,
 )
-from repro.sim.config import base_config
+from repro.sim.config import base_config, nurapid_config
+from repro.sim.driver import run_benchmark
 from repro.sim.results import run_result_to_dict
 
 TWO_BENCHMARKS = ["art", "wupwise"]
@@ -129,6 +132,20 @@ class TestCaching:
         r1 = cached_run(base_config(), "wupwise", SMOKE)
         r2 = cached_run(base_config(), "wupwise", other)
         assert r1 is not r2
+
+    def test_same_name_configs_cached_apart(self):
+        scale = Scale(name="tiny", n_references=8_000, warmup_fraction=0.3)
+        plain = nurapid_config()
+        knobbed = nurapid_config(seed=5, restricted_frames=256)
+        assert plain.name == knobbed.name
+        first = run_matrix([plain], ["mcf"], scale)[plain.name]["mcf"]
+        second = run_matrix([knobbed], ["mcf"], scale)[knobbed.name]["mcf"]
+        assert second != first
+        assert second == run_benchmark(
+            knobbed, "mcf", n_references=8_000, seed=1, warmup_fraction=0.3
+        )
+        with pytest.raises(ConfigurationError, match=plain.name):
+            run_matrix([plain, knobbed], ["mcf"], scale)
 
 
 class TestTechnologyExperiments:

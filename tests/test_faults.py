@@ -68,7 +68,7 @@ class TestInjectorTransients:
         injector = FaultInjector(tiny_plan(), "c")
         for i in range(50):
             assert injector.on_access(True, True) is None
-        assert injector.accesses_seen == 50
+        assert injector.summary()["fault_accesses_observed"] == 50.0
         assert injector.stats.as_dict() == {}
 
     def test_misses_never_struck(self):
@@ -129,14 +129,16 @@ class TestInjectorTransients:
             interleave_subarrays=8,
         )
         injector = FaultInjector(plan, "L2tiny")
+        calls = 0
         with pytest.raises(UncorrectableDataError) as info:
             for _ in range(200):
+                calls += 1
                 injector.on_access(True, True, address=0xCAFE40)
         err = info.value
         assert isinstance(err, FaultError)
         assert err.level == "L2tiny"
         assert err.address == 0xCAFE40
-        assert err.access_index == injector.accesses_seen
+        assert err.access_index == calls
         assert injector.stats.as_dict()["dirty_data_loss"] == 1
 
     def test_campaigns_replay_bit_for_bit(self):

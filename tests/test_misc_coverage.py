@@ -1,5 +1,5 @@
-"""Coverage for smaller corners: distance replacer, results table,
-hierarchy writeback edge cases, cacti organization geometry."""
+"""Coverage for smaller corners: distance replacer, hierarchy
+writeback edge cases, cacti organization geometry."""
 
 import pytest
 
@@ -7,7 +7,6 @@ from repro.common.errors import ConfigurationError
 from repro.common.rng import DeterministicRNG
 from repro.nurapid.cache import NuRAPIDCache
 from repro.nurapid.config import DistanceReplacementKind, NuRAPIDConfig
-from repro.sim.results import format_fraction_table
 from repro.tech.cacti import MiniCacti
 
 KB = 1024
@@ -119,17 +118,6 @@ class TestDistanceReplacer:
         assert c.dgroup_of(blocks[0]) == 0
         assert c.dgroup_of(blocks[1]) == 1
         c.check_invariants()
-
-
-class TestResultsFormatting:
-    def test_format_fraction_table(self):
-        rows = {"art": {0: 0.8, 1: 0.1}, "mcf": {0: 0.4}}
-        miss = {"art": 0.1, "mcf": 0.5}
-        text = format_fraction_table(rows, [0, 1], miss)
-        assert "benchmark" in text
-        assert "art" in text and "mcf" in text
-        assert "80.0%" in text
-        assert "50.0%" in text
 
 
 class TestHierarchyEdgeCases:

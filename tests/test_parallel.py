@@ -306,10 +306,9 @@ class TestRunSuite:
         }
 
     def test_suite_forwards_run_knobs(self, monkeypatch):
-        # Regression: run_suite used to silently drop energy_model,
-        # prewarm, and warm_set_conflict on the floor.
+        # Regression: run_suite used to silently drop prewarm and
+        # warm_set_conflict on the floor.
         import repro.sim.driver as driver
-        from repro.cpu.wattch import ProcessorEnergyModel
 
         import repro.sim.parallel as parallel
 
@@ -321,18 +320,15 @@ class TestRunSuite:
             return real(config, benchmark, n_references=1_000, warmup_fraction=0.4)
 
         monkeypatch.setattr(parallel, "run_benchmark", fake_run_benchmark)
-        model = ProcessorEnergyModel(core_nj_per_instruction=99.0)
         driver.run_suite(
             snuca_config(),
             ["twolf"],
             n_references=2_000,
-            energy_model=model,
             warm_set_conflict=4,
             prewarm=False,
         )
         assert len(captured) == 1
         _, kw = captured[0]
-        assert kw["energy_model"] is model
         assert kw["warm_set_conflict"] == 4
         assert kw["prewarm"] is False
 

@@ -259,7 +259,7 @@ class TestCellFingerprint:
         # so they must not fragment the content address.
         a = cell_fingerprint(self.probe())
         b = cell_fingerprint(self.probe(max_retries=3, budget_s=10.0,
-                                        reseed_step=7, isolate_errors=False,
+                                        isolate_errors=False,
                                         trace_path="/some/where.npy"))
         assert a == b
 

@@ -14,12 +14,7 @@ from repro.sim.config import (
     sa_nuca_config,
 )
 from repro.sim.driver import make_system, run_benchmark, run_suite
-from repro.sim.results import (
-    RunResult,
-    SuiteResult,
-    mean_distribution,
-    relative_performance,
-)
+from repro.sim.results import RunResult, SuiteResult, relative_performance
 from repro.workloads.tracegen import generate_trace
 from repro.workloads.spec2k import get_benchmark
 
@@ -206,15 +201,6 @@ class TestResults:
     def test_relative_performance_benchmark_mismatch(self):
         with pytest.raises(ConfigurationError):
             relative_performance(make_result("a"), make_result("b"))
-
-    def test_mean_distribution(self):
-        results = [
-            make_result(dgroup_fractions={0: 0.8}),
-            make_result(dgroup_fractions={0: 0.6, 1: 0.2}),
-        ]
-        means = mean_distribution(results, [0, 1])
-        assert means[0] == pytest.approx(0.7)
-        assert means[1] == pytest.approx(0.1)
 
     def test_suite_relative_and_means(self):
         base = SuiteResult(

@@ -1,5 +1,7 @@
 """Spare-subarray management, yield model, and leakage model."""
 
+import math
+
 import pytest
 
 from repro.common.errors import ConfigurationError, SimulationError
@@ -7,7 +9,6 @@ from repro.common.rng import DeterministicRNG
 from repro.floorplan.spares import (
     RepairDomain,
     SpareManager,
-    compare_layouts,
     domain_survival_probability,
     yield_model,
 )
@@ -15,9 +16,7 @@ from repro.tech.leakage import (
     LeakageModel,
     LeakageParams,
     gating_savings,
-    leakage_vs_dynamic_share,
     nurapid_leakage_model,
-    validate_monotone_temperature,
 )
 
 
@@ -112,15 +111,11 @@ class TestYieldModel:
 
     def test_few_large_beats_many_small(self):
         """The §3.2 argument: shared spares win at equal budget."""
-        results = compare_layouts(
-            total_subarrays=512, total_spares=8, defect_probability=0.005,
-            few_domains=4, many_domains=128,
-        )
-        assert results["few-large"] > results["many-small"]
-
-    def test_compare_layouts_requires_divisibility(self):
-        with pytest.raises(ConfigurationError):
-            compare_layouts(500, 8, 0.01)
+        # 512 subarrays and 8 spares as 4 domains of 128 + 2 spares,
+        # or as 128 domains of 4 with every spare stranded.
+        few_large = yield_model(4, 128, 2, 0.005)
+        many_small = yield_model(128, 4, 8 // 128, 0.005)
+        assert few_large > many_small
 
 
 class TestLeakage:
@@ -132,7 +127,10 @@ class TestLeakage:
         assert m.power_nw() == pytest.approx(2 * p1)
 
     def test_temperature_monotone(self):
-        assert validate_monotone_temperature(LeakageParams())
+        params = LeakageParams()
+        scales = [params.scale_for_temperature(t) for t in (300.0, 330.0, 360.0, 390.0)]
+        assert all(a < b for a, b in zip(scales, scales[1:]))
+        assert math.isfinite(scales[-1])
 
     def test_gating_reduces_power(self):
         m = LeakageModel()
@@ -155,12 +153,6 @@ class TestLeakage:
         s2 = gating_savings(m, 2, 4)
         s1 = gating_savings(m, 1, 4)
         assert 0 < s2 < s1 < 1
-
-    def test_share_helper(self):
-        assert leakage_vs_dynamic_share(1.0, 3.0) == pytest.approx(0.25)
-        assert leakage_vs_dynamic_share(0.0, 0.0) == 0.0
-        with pytest.raises(ConfigurationError):
-            leakage_vs_dynamic_share(-1.0, 1.0)
 
     def test_validation(self):
         m = LeakageModel()

@@ -151,8 +151,6 @@ class TestSweepValidation:
         with pytest.raises(ConfigurationError):
             fast_sweep(max_retries=-1)
         with pytest.raises(ConfigurationError):
-            fast_sweep(reseed_step=0)
-        with pytest.raises(ConfigurationError):
             fast_sweep(point_budget_s=0.0)
 
     def test_unknown_benchmark_rejected_eagerly(self):
@@ -225,7 +223,6 @@ class TestSweepHardening:
                 faults=FaultPlan(transient_per_access=rate, seed=5)
             ),
             max_retries=1,
-            reseed_step=1000,
         )
         points = sweep.run()
         assert points[0].outcomes["wupwise"].ok

@@ -103,8 +103,6 @@ class TestInterleavingPlan:
     def test_adjacent_upset_bounded_by_words_when_unspread(self):
         plan = InterleavingPlan(16, 72, 4)
         assert plan.widest_correctable_adjacent_upset() == 16
-        assert plan.survives_adjacent_upset(16)
-        assert not plan.survives_adjacent_upset(17)
 
     def test_full_spread_tolerates_whole_subarray(self):
         plan = InterleavingPlan(16, 72, 128)
@@ -113,8 +111,6 @@ class TestInterleavingPlan:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             InterleavingPlan(0, 72, 4)
-        with pytest.raises(ConfigurationError):
-            InterleavingPlan(16, 72, 4).survives_adjacent_upset(-1)
 
 
 class TestSECDEDEdgeCases:

@@ -47,11 +47,6 @@ class TestWireModel:
         assert w.energy_pj(2.0, 100) == pytest.approx(2 * w.energy_pj(1.0, 100))
         assert w.energy_pj(1.0, 200) == pytest.approx(2 * w.energy_pj(1.0, 100))
 
-    def test_transfer_combines_address_and_data(self):
-        w = WireModel(TECH_70NM)
-        total = w.transfer_energy_pj(1.0, 40, 1024)
-        assert total == pytest.approx(w.energy_pj(1.0, 40) + w.energy_pj(1.0, 1024))
-
     def test_negative_inputs_rejected(self):
         w = WireModel(TECH_70NM)
         with pytest.raises(ConfigurationError):

@@ -2,6 +2,8 @@
 
 import json
 import os
+from dataclasses import replace
+from time import perf_counter
 
 import pytest
 
@@ -11,21 +13,22 @@ from repro.sim.config import nurapid_config
 from repro.service.store import ResultStore
 from repro.sim.driver import run_benchmark, run_suite
 from repro.sim.parallel import CellTask, cell_fingerprint
+from repro.sim.results import run_result_to_dict
 from repro.sim.sweep import Sweep, SweepAxis
 from repro.telemetry import (
     EventTracer,
     Histogram,
     LATENCY_BOUNDS,
-    NullProfiler,
-    PhaseProfiler,
     StatRegistry,
     Telemetry,
     TelemetryConfig,
     occupancy_bounds,
     read_trace,
+    runtime_counters,
     telemetry_from_env,
     trace_summary,
 )
+from repro.telemetry.__main__ import main as telemetry_cli
 from repro.telemetry.report import (
     dgroup_caches,
     dgroup_rows,
@@ -239,10 +242,6 @@ class TestTelemetryConfig:
         assert traced.trace_dir == str(tmp_path)
         assert traced.events_enabled
 
-    def test_session_rejects_disabled_config(self):
-        with pytest.raises(ConfigurationError):
-            Telemetry(TelemetryConfig(enabled=False), "run")
-
 
 class TestEventTracer:
     def test_validation(self):
@@ -301,31 +300,6 @@ class TestEventTracer:
             read_trace(str(path))
         with pytest.raises(ConfigurationError, match="unreadable"):
             read_trace(str(tmp_path / "missing.jsonl"))
-
-
-class TestProfiler:
-    def test_nesting_and_own_time(self):
-        profiler = PhaseProfiler()
-        with profiler.phase("outer"):
-            with profiler.phase("inner"):
-                pass
-        summary = profiler.summary()
-        assert set(summary) == {"outer", "outer/inner"}
-        outer = summary["outer"]
-        assert outer["count"] == 1
-        assert outer["own_seconds"] <= outer["seconds"]
-
-    def test_slash_in_name_rejected(self):
-        with pytest.raises(ConfigurationError):
-            with PhaseProfiler().phase("a/b"):
-                pass
-
-    def test_null_profiler(self):
-        null = NullProfiler()
-        with null.phase("x"):
-            pass
-        assert null.summary() == {}
-        assert null.seconds("x") == 0.0
 
 
 class TestCacheTelemetry:
@@ -434,7 +408,7 @@ class TestInstrumentedRuns:
             "art",
             n_references=REFS,
             seed=1,
-            telemetry=TelemetryConfig(events=True, profile=True),
+            telemetry=TelemetryConfig(events=True),
         )
         assert plain.telemetry is None
         assert traced.telemetry is not None
@@ -494,18 +468,85 @@ class TestInstrumentedRuns:
         assert "placement" in kinds
         assert len(events) - 1 == trace["kept"] <= 500
 
-    def test_profile_section_only_when_requested(self):
-        config = nurapid_config()
-        quiet = run_benchmark(
-            config, "art", n_references=REFS, seed=1, telemetry=TelemetryConfig()
+    def test_run_phase_counters_always_on(self):
+        config = replace(nurapid_config(), engine="vectorized")
+        before = runtime_counters()
+        started = perf_counter()
+        result = run_benchmark(config, "art", n_references=REFS, seed=1)
+        wall = perf_counter() - started
+        after = runtime_counters()
+
+        def delta(name):
+            return after.get(name, 0.0) - before.get(name, 0.0)
+
+        phases = [
+            delta(f"run.{phase}_wall_s")
+            for phase in ("tracegen", "build", "warmup", "measure")
+        ]
+        assert all(seconds > 0 for seconds in phases)
+        assert sum(phases) <= wall
+        assert delta("run.warmup_wall_s") + delta("run.measure_wall_s") >= delta(
+            "vectorized.wall_s"
         )
-        assert "profile" not in quiet.telemetry
-        profiled = run_benchmark(
-            config, "art", n_references=REFS, seed=1,
-            telemetry=TelemetryConfig(profile=True),
+        assert result.telemetry is None
+        assert result == run_benchmark(config, "art", n_references=REFS, seed=1)
+
+
+class TestCli:
+    """``python -m repro.telemetry``, driven in-process."""
+
+    def run(self, benchmark, **telemetry):
+        return run_benchmark(
+            nurapid_config(), benchmark, n_references=8_000, seed=1,
+            telemetry=TelemetryConfig(**telemetry),
         )
-        phases = set(profiled.telemetry["profile"])
-        assert {"build", "warmup", "measure"} <= phases
+
+    def test_report_matches_merged_render(self, tmp_path, capsys):
+        art, twolf = self.run("art"), self.run("twolf")
+        run_file = tmp_path / "art.json"
+        run_file.write_text(json.dumps(run_result_to_dict(art)), encoding="utf-8")
+        store = ResultStore(str(tmp_path / "store"))
+        entry = store.put(
+            "ab" * 32,
+            {
+                "outcome": {
+                    "status": "ok", "attempts": 1, "error": None, "error_type": None,
+                },
+                "result": run_result_to_dict(twolf),
+            },
+        )
+        assert telemetry_cli(["report", str(run_file), entry]) == 0
+        expected = render_report(
+            merge_payloads([("art", art.telemetry), ("twolf", twolf.telemetry)])
+        )
+        assert capsys.readouterr().out == expected + "\n"
+
+    def test_file_without_payload_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "plain.json"
+        path.write_text(json.dumps({"benchmark": "art"}), encoding="utf-8")
+        assert telemetry_cli(["report", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "holds no telemetry payloads" in err
+
+    def test_profile_flag_is_gone(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as info:
+            telemetry_cli(["report", str(tmp_path / "x.json"), "--profile"])
+        assert info.value.code == 2
+        assert "--profile" in capsys.readouterr().err
+
+    def test_trace_prints_meta_and_kind_counts(self, tmp_path, capsys):
+        result = self.run("art", trace_dir=str(tmp_path))
+        path = result.telemetry["trace"]["path"]
+        assert telemetry_cli(["trace", path]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("events seen=")
+        assert "ring=False" in lines[0]
+        counts = dict(line.split() for line in lines[1:])
+        assert counts == {
+            kind: str(n) for kind, n in trace_summary(read_trace(path)).items()
+        }
+        assert "placement" in counts
 
 
 class TestSweepTelemetry:
