@@ -101,6 +101,11 @@ FREE = -1
 RETIRED = -2
 #: Fill outcome of a block already resident: nothing happens.
 _RESIDENT = (0, None)
+#: The state a cold cache builds on first use (see
+#: ``NuRAPIDCache._init_cold_state``) and ``prewarm`` never builds.
+_COLD_STATE = frozenset(
+    ("_slot_baddr", "_slot_entry", "_frame_slot", "_free", "_dkeys", "_dpos")
+)
 
 
 @lru_cache(maxsize=8)
@@ -201,24 +206,12 @@ class NuRAPIDCache(CacheLevel):
         #: associativity (compressed d-groups) widen both.
         self._assoc_limit, self._group_frames = self._frame_layout()
         self._region_frames = [n // n_regions for n in self._group_frames]
-        n_slots = self._n_sets * self._assoc_limit
-        #: slot -> resident block address (EMPTY for a free way).
-        self._slot_baddr: List[int] = [EMPTY] * n_slots
-        #: slot -> packed tag entry (forward pointer and state).
-        self._slot_entry = array("q", bytes(8 * n_slots))
         #: slot -> data-LRU stamp; the set's victim is its smallest.
-        self._slot_stamp: List[int] = [0] * n_slots
+        self._slot_stamp: List[int] = [0] * (self._n_sets * self._assoc_limit)
         self._clock = 0
-        #: Per d-group: frame -> resident slot (the reverse pointer),
-        #: FREE or RETIRED.
-        self._frame_slot = [array("q", [FREE]) * n for n in self._group_frames]
-        #: Per (d-group, region): free frames, allocated from the tail.
-        #: Every list slices one shared run of frame numbers.
-        frame_numbers = list(range(max(self._group_frames)))
-        self._free: List[List[List[int]]] = [
-            [frame_numbers[r * per : (r + 1) * per] for r in range(n_regions)]
-            for per in self._region_frames
-        ]
+        # The slot, frame and free-list state (_COLD_STATE) is made on
+        # first use: prewarm() installs its own, and only a cache that
+        # is driven or inspected cold builds the empty one.
         self._init_distance_replacement()
         #: The single data port's busy-time state.
         self.ports = PortArray(f"{config.name}.port", 1)
@@ -237,6 +230,42 @@ class NuRAPIDCache(CacheLevel):
         #: Optional telemetry client (see :mod:`repro.telemetry`).
         #: None is the null sink: every hook below is a dead branch.
         self.telemetry: Optional["CacheTelemetry"] = None
+
+    def __getattr__(self, attr: str):
+        # Reached only for a name the instance lacks: a piece of the
+        # unbuilt cold state (once __init__ has what building it needs)
+        # builds all of it.
+        vars_ = self.__dict__
+        if attr in _COLD_STATE and "_free" not in vars_ and "_lru_dr" in vars_:
+            self._init_cold_state()
+            return getattr(self, attr)
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {attr!r}")
+
+    def _init_cold_state(self) -> None:
+        """The never-filled cache: every way and frame free."""
+        n_slots = self._n_sets * self._assoc_limit
+        #: slot -> resident block address (EMPTY for a free way).
+        self._slot_baddr: List[int] = [EMPTY] * n_slots
+        #: slot -> packed tag entry (forward pointer and state).
+        self._slot_entry = array("q", bytes(8 * n_slots))
+        #: Per d-group: frame -> resident slot (the reverse pointer),
+        #: FREE or RETIRED.
+        self._frame_slot = [array("q", [FREE]) * n for n in self._group_frames]
+        #: Per (d-group, region): free frames, allocated from the tail.
+        #: Every list slices one shared run of frame numbers.
+        frame_numbers = list(range(max(self._group_frames)))
+        regions = range(self._n_regions)
+        self._free: List[List[List[int]]] = [
+            [frame_numbers[r * per : (r + 1) * per] for r in regions]
+            for per in self._region_frames
+        ]
+        if not self._lru_dr:
+            #: Per (d-group, region): the tracked frames; per d-group:
+            #: each frame's position in its region's list.
+            self._dkeys: List[List[List[int]]] = [
+                [[] for _ in regions] for _ in self._group_frames
+            ]
+            self._dpos = [[0] * n for n in self._group_frames]
 
     def _frame_layout(self) -> Tuple[int, List[int]]:
         """(tag ways per set, frames per d-group) — hook for variants."""
@@ -264,8 +293,6 @@ class NuRAPIDCache(CacheLevel):
         if self._lru_dr:
             self._dlru = [[{} for _ in regions] for _ in groups]
             return
-        self._dkeys: List[List[List[int]]] = [[[] for _ in regions] for _ in groups]
-        self._dpos = [[0] * n for n in self._group_frames]
         if self._approx_dr:
             self._dref = [bytearray(n) for n in self._group_frames]
             self._dhand = [[0] * self._n_regions for _ in groups]
@@ -1221,13 +1248,19 @@ class NuRAPIDCache(CacheLevel):
         set (see :func:`_prewarm_layout`); it is copied from that
         geometry's immutable layout instead.
         """
-        # A never-filled cache has every frame on its free list, in
-        # order, unless a hard fault retired some.
-        free = sum(len(run) for runs in self._free for run in runs)
-        if self._clock or free != sum(self._group_frames):
-            if self._clock or self.resident_blocks():
-                raise SimulationError("prewarm on a non-empty cache")
-            raise SimulationError("prewarm needs every frame in service, none retired")
+        # A cache whose cold state was never built is never-filled; a
+        # built one has every frame on its free list, in order, unless
+        # a hard fault retired some.
+        if self._clock:
+            raise SimulationError("prewarm on a non-empty cache")
+        if "_free" in self.__dict__:
+            free = sum(len(run) for runs in self._free for run in runs)
+            if free != sum(self._group_frames):
+                if self.resident_blocks():
+                    raise SimulationError("prewarm on a non-empty cache")
+                raise SimulationError(
+                    "prewarm needs every frame in service, none retired"
+                )
         n_sets = self._n_sets
         n_regions = self._n_regions
         ways_by_group = tuple(self._prewarm_ways())
@@ -1244,18 +1277,19 @@ class NuRAPIDCache(CacheLevel):
             prewarm_slots(n_sets, self._assoc_limit, self.block_bytes)
         )
         self._slot_entry = array("q", entries)
-        for group, runs in enumerate(runs_by_group):
-            # Every frame is taken, and each region's dummies entered
-            # distance replacement from the top frame down.
-            self._frame_slot[group] = array("q", frame_slots[group])
-            self._free[group] = [[] for _ in runs]
-            if self._lru_dr:
-                self._dlru[group] = [dict.fromkeys(run) for run in runs]
-                continue
-            self._dkeys[group] = [list(run) for run in runs]
-            self._dpos[group] = list(runs[0]) * n_regions
-            if self._approx_dr:
-                self._dref[group] = bytearray(b"\x01") * self._group_frames[group]
+        # Every frame is taken, and each region's dummies entered
+        # distance replacement from the top frame down.
+        self._frame_slot = [array("q", slots) for slots in frame_slots]
+        self._free = [[[] for _ in runs] for runs in runs_by_group]
+        if self._lru_dr:
+            self._dlru = [
+                [dict.fromkeys(run) for run in runs] for runs in runs_by_group
+            ]
+            return
+        self._dkeys = [[list(run) for run in runs] for runs in runs_by_group]
+        self._dpos = [list(runs[0]) * n_regions for runs in runs_by_group]
+        if self._approx_dr:
+            self._dref = [bytearray(b"\x01") * n for n in self._group_frames]
 
     def _prewarm_ways(self) -> List[int]:
         """Dummy ways to fill per d-group (hook for variant caches).

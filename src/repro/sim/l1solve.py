@@ -36,6 +36,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from repro.workloads.trace import set_index_dtype
+
 
 @dataclass(frozen=True)
 class L1Solve:
@@ -86,12 +88,15 @@ def solve(
 
     ``sets``/``blocks``/``writes`` are the slice's per-reference set
     indices, block addresses and write flags; ``state`` is a
-    :func:`cache_state` triple, empty cache when None.
+    :func:`cache_state` triple, empty cache when None.  Set indices of
+    any integer dtype solve alike; those of a decoded batch are already
+    :func:`~repro.workloads.trace.set_index_dtype`, which the sort
+    takes without a copy.
     """
     n_frames = 2 * n_sets
     # uint16 set indices take numpy's radix path for the stable sort,
     # which dominates the solve.
-    sdt = np.uint16 if n_sets <= 1 << 16 else np.int64
+    sdt = set_index_dtype(n_sets)
     if state is None:
         tags0 = np.full(n_frames, -1, dtype=np.int64)
         dirty0 = np.zeros(n_frames, dtype=np.uint8)

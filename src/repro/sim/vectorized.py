@@ -23,10 +23,18 @@ each record's core in its address bits -- in three steps:
    tags, dirty bits and stamps.  The result is memoised on the decoded
    batch, keyed by the exact initial L1 state (tags, dirty bits and
    per-set recency order; the batch fixes the geometry) and bounded
-   to :data:`SOLVE_MEMO_ENTRIES` entries.  A warmup slice starts from
-   an empty L1 and a measured slice from the post-warmup state, so
-   each slice is solved once per trace and every later config, op or
-   sweep cell reuses it.
+   to :data:`SOLVE_MEMO_ENTRIES` entries, together with the fold
+   inputs the misses fix: their positions, block addresses, victims
+   and victim dirty bits as lists, and per core profile the slice's
+   short-stretch terms (:func:`short_terms`).  The slice's cycle
+   terms (step 3) and its instruction, write and branch-penalty
+   totals depend only on the slice and the core profile, so they are
+   memoised beside it, keyed by the exact term parameters (core IPC,
+   branch fraction, mispredict rate and penalty) and bounded to
+   :data:`TERM_MEMO_ENTRIES`.  A warmup slice starts from an empty L1
+   and a measured slice from the post-warmup state, so each slice is
+   solved and its terms made once per trace, and every later config,
+   op or sweep cell reuses them.
 2. **Outcome pass.**  One loop over every core's misses, merged in
    trace order, runs the shared lower levels' timing-free outcome
    steps (``access_outcome``/``fill_outcome``) over the whole
@@ -70,16 +78,21 @@ each record's core in its address bits -- in three steps:
    (:func:`fold_terms`; never ``sum()``, which compensates on Python
    3.12).  A stretch of more than :data:`FOLD_NUMPY_TERMS` terms --
    the long runs of L1 hits of a low-load trace -- is one
-   ``np.add.accumulate`` over ``[cycle, terms...]``; a shorter one is
-   ``functools.reduce`` over Python floats, which :func:`short_terms`
-   makes once per slice for the short stretches only.  At a miss it
+   ``np.add.accumulate`` over ``[cycle, terms...]`` (:func:`left_fold`);
+   a shorter one is ``functools.reduce`` over Python floats, which
+   :func:`short_terms` makes once per slice and profile for the short
+   stretches only.  At a miss it
    hands each outcome to its level's ``access_timing``/``fill_timing``
    at the legacy loop's ``now`` on the issuing core's clock (prefetch
    fills at the miss's own ``now``), adds memory, and inlines
    ``note_memory_result`` and the MSHR allocate op by op.  It builds
    no ``AccessResult``, bumps no dict counter and makes no checked
    port request.  ``branch_penalty_cycles`` is folded once, after the
-   loop, and the L1 state is committed once, in ``finally``.
+   loop, and the L1 state is committed once, in ``finally``.  A slice
+   replayed to its end commits the memoised totals (the branch penalty
+   fold from 0.0 when the core's penalty starts there, as every
+   :func:`~repro.sim.driver.run_benchmark` core's does); one that a
+   DUE cut short folds its prefix.
 
 Bit-identity contract
 ---------------------
@@ -119,9 +132,12 @@ Kernel statistics land in the process-global runtime registry
 (:mod:`repro.telemetry.runtime`) under ``vectorized.*``: ``refs``
 (references replayed), ``refs_vector`` (L1 hits the solve resolved),
 ``refs_scalar`` (misses the loop walked), ``wall_s`` (kernel wall),
-``probe_wall_s`` (the L1 solves and their memo lookups),
-``outcome_wall_s`` (the outcome pass), ``fold_wall_s`` (the timing
-fold) and ``l1_apply_wall_s`` (the final L1 state commit).  They
+``probe_wall_s`` (the L1 solves, their fold inputs and their memo
+lookups), ``outcome_wall_s`` (the outcome pass), ``fold_wall_s``
+(the timing fold), ``l1_apply_wall_s`` (the final L1 state commit),
+``setup_wall_s`` (each core's fold set-up, cycle terms included, and
+its commit outside the L1 apply; disjoint from the other phases) and
+``term_reuses`` (slices whose cycle terms came from the memo).  They
 describe execution strategy, not the simulated machine, so they stay
 out of run payloads.
 """
@@ -144,12 +160,27 @@ from repro.telemetry.runtime import runtime_registry
 #: L1 solves memoised per decoded slice (one per initial L1 state).
 SOLVE_MEMO_ENTRIES = 4
 
+#: Cycle-term sets memoised per decoded slice (one per core profile;
+#: every core of a run_benchmark cell replays its own slice with one).
+TERM_MEMO_ENTRIES = 2
+
 #: A stretch of more cycle terms than this folds through numpy; a
 #: shorter one folds over Python floats, where one numpy call costs
 #: more.  Measured on perfbench's replay cells (2-vCPU x86, Python
 #: 3.11): the timing fold is flat from 32 to 64 on gcc/mesa and mcf,
 #: slower on mcf at 16 and on gcc/mesa from 96.
 FOLD_NUMPY_TERMS = 48
+
+
+def left_fold(start, values) -> float:
+    """``start + values[0] + values[1] + ...``, added left to right:
+    ``np.add.accumulate`` is a strict left fold, so every partial sum
+    rounds as a scalar ``+=`` does."""
+    n = len(values)
+    acc = np.empty(n + 1)
+    acc[0] = start
+    acc[1:] = values
+    return np.add.accumulate(acc, out=acc).item(n)
 
 
 def short_terms(z, miss_pos):
@@ -167,15 +198,11 @@ def short_terms(z, miss_pos):
 
 def fold_terms(cycle, z, short, a, b):
     """``cycle + z[a] + ... + z[b-1]``, added left to right: bit for bit
-    ``reduce(add, z[a:b].tolist(), cycle)``.  ``np.add.accumulate`` is
-    a strict left fold too, so a long stretch takes one numpy call; a
-    short one takes its terms, as floats, from the ``short`` iterator
-    over :func:`short_terms`."""
+    ``reduce(add, z[a:b].tolist(), cycle)``.  A long stretch takes one
+    :func:`left_fold`; a short one takes its terms, as floats, from the
+    ``short`` iterator over :func:`short_terms`."""
     if b - a > FOLD_NUMPY_TERMS:
-        acc = np.empty(b - a + 1)
-        acc[0] = cycle
-        acc[1:] = z[a:b]
-        return np.add.accumulate(acc, out=acc).item(b - a)
+        return left_fold(cycle, z[a:b])
     return reduce(add, islice(short, b - a), cycle)
 
 
@@ -186,21 +213,72 @@ def supports(system) -> bool:
     return l1.fault_injector is None and getattr(l1, "_assoc", None) == 2
 
 
+def _remember(memo, key, value, bound):
+    """Insert ``key`` into ``memo``, dropping its oldest entry if full."""
+    if len(memo) >= bound:
+        del memo[next(iter(memo))]
+    memo[key] = value
+
+
+class _SliceSolve:
+    """One memoised L1 solve of a slice, with the fold inputs it fixes:
+    per miss its position, block address, victim and victim dirty bit
+    as lists, and per cycle-term key the slice's :func:`short_terms`."""
+
+    __slots__ = ("solved", "miss_pos", "miss_blocks", "victims", "victim_dirty", "short")
+
+    def __init__(self, solved, block_addrs) -> None:
+        self.solved = solved
+        self.miss_pos = solved.miss_pos.tolist()
+        self.miss_blocks = block_addrs[solved.miss_pos].tolist()
+        self.victims = solved.victim.tolist()
+        self.victim_dirty = solved.victim_dirty.tolist()
+        self.short = {}
+
+
+class _SliceTerms:
+    """A slice's per-reference cycle terms under one core profile, and
+    the totals a replay that runs to the slice's end commits.
+
+    ``z`` interleaves ``[t0, p0, t1, p1, ...]``: ``t = gap/ipc`` and
+    ``p = ((gap*bf)*mr)*mp``, computed elementwise in that association
+    order, which equals the scalar expressions bit for bit (gaps are
+    small ints, exactly representable).  ``penalty`` is the left fold
+    of every ``p`` from 0.0; ``instructions`` and ``writes`` are the
+    slice's gap and write totals.
+    """
+
+    __slots__ = ("z", "penalty", "instructions", "writes")
+
+    def __init__(self, decoded, core) -> None:
+        gaps = decoded.gaps
+        z = self.z = np.empty(2 * len(gaps), dtype=np.float64)
+        np.divide(gaps, core.core_ipc, out=z[0::2])
+        np.multiply(
+            (gaps * core.branch_fraction) * core.mispredict_rate,
+            core.params.mispredict_penalty,
+            out=z[1::2],
+        )
+        self.penalty = left_fold(0.0, z[1::2])
+        self.instructions = int(gaps.sum())
+        self.writes = int(decoded.writes.sum())
+
+
 def _solve(l1, decoded):
-    """The slice's L1 solve from the live L1 state, memoised on the
-    decoded batch (whose geometry is the L1's) per initial state."""
+    """The slice's L1 solve from the live L1 state, with its fold
+    inputs, memoised on the decoded batch (whose geometry is the L1's)
+    per initial state."""
     state = l1solve.cache_state(l1)
     key = l1solve.state_key(*state)
     memo = decoded.l1_solves
-    result = memo.get(key)
-    if result is None:
-        result = l1solve.solve(
+    entry = memo.get(key)
+    if entry is None:
+        solved = l1solve.solve(
             decoded.sets, decoded.block_addrs, decoded.writes, l1.n_sets, state
         )
-        if len(memo) >= SOLVE_MEMO_ENTRIES:
-            del memo[next(iter(memo))]
-        memo[key] = result
-    return state, result
+        entry = _SliceSolve(solved, decoded.block_addrs)
+        _remember(memo, key, entry, SOLVE_MEMO_ENTRIES)
+    return state, entry
 
 
 class _CoreFold:
@@ -212,6 +290,7 @@ class _CoreFold:
     """
 
     def __init__(self, system, core, trace, at, n_lower: int) -> None:
+        t_setup = perf_counter()
         self.system = system
         self.core = core
         #: Positions of the core's records in the merged trace (None:
@@ -221,27 +300,27 @@ class _CoreFold:
         decoded = self.decoded = trace.decoded_batch(l1.spec.block_bytes, l1.n_sets)
         self.n_total = len(decoded)
         t_solve = perf_counter()
-        self.state, solved = _solve(l1, decoded)
+        self.state, entry = _solve(l1, decoded)
         self.solve_wall = perf_counter() - t_solve
-        self.solved = solved
+        self.solved = entry.solved
         self.clock0 = l1._clock
-        self.miss_pos = solved.miss_pos.tolist()
-        self.victims = solved.victim.tolist()
-        self.victim_dirty = solved.victim_dirty.tolist()
 
-        # Per-reference float terms, precomputed vectorized.  Elementwise
-        # float64 ops equal the scalar expressions bit for bit (gaps are
-        # small ints, exactly representable): t = gap/ipc and
-        # p = ((gap*bf)*mr)*mp in the same association order.  The cycle
-        # folds them interleaved, [t0, p0, t1, p1, ...], one strict left
-        # fold (fold_terms) per stretch between misses.
-        g_np = decoded.gaps
-        self.p_np = ((g_np * core.branch_fraction) * core.mispredict_rate) * (
-            core.params.mispredict_penalty
+        # The slice's cycle terms, memoised per exact term parameters,
+        # and the short-stretch stream this solve's misses cut from them.
+        key = (
+            core.core_ipc, core.branch_fraction, core.mispredict_rate,
+            core.params.mispredict_penalty,
         )
-        z = np.empty(2 * self.n_total, dtype=np.float64)
-        np.divide(g_np, core.core_ipc, out=z[0::2])
-        z[1::2] = self.p_np
+        terms = self.terms = decoded.cycle_terms.get(key)
+        self.terms_reused = terms is not None
+        if terms is None:
+            terms = self.terms = _SliceTerms(decoded, core)
+            _remember(decoded.cycle_terms, key, terms, TERM_MEMO_ENTRIES)
+        z = terms.z
+        short = entry.short.get(key)
+        if short is None:
+            short = short_terms(z, self.solved.miss_pos)
+            _remember(entry.short, key, short, TERM_MEMO_ENTRIES)
 
         # MSHR state, fully inlined: the entries are fold-local
         # [issued_at, fill_at, merged] lists in the MSHR file's order,
@@ -255,13 +334,8 @@ class _CoreFold:
         }
         self.refs = (
             z,
-            iter(short_terms(z, solved.miss_pos)),
-            zip(
-                self.miss_pos,
-                decoded.block_addrs[solved.miss_pos].tolist(),
-                self.victims,
-                self.victim_dirty,
-            ),
+            iter(short),
+            zip(entry.miss_pos, entry.miss_blocks, entry.victims, entry.victim_dirty),
             l1.telemetry,
             [0] * n_lower,  # accesses per lower level
             [0] * n_lower,  # hits per lower level
@@ -279,6 +353,7 @@ class _CoreFold:
             core.cycle, 0, 0, 0, 0, 0, 0, mshr._min_fill, 0, 0, 0,
             core.stall_cycles, core.mshr_stall_cycles,
         )
+        self.setup_wall = perf_counter() - t_setup - self.solve_wall
 
     def finish(self) -> None:
         """Fold the hits after the core's last miss into its cycle."""
@@ -305,10 +380,12 @@ class _CoreFold:
         (_, _, _, l1_telem, lvl_acc, lvl_hits, lvl_wb, _, mshr_entries, _, _) = (
             self.refs
         )
+        t_commit = perf_counter()
         l1 = self.l1
         core = self.core
         decoded = self.decoded
         solved = self.solved
+        terms = self.terms
         t_apply = perf_counter()
         if l1_done < self.n_total:
             solved = l1solve.solve(
@@ -327,21 +404,25 @@ class _CoreFold:
         # note_memory_result ran, which leaves out any interrupted miss.
         n_refs = gi
         n_misses = int(np.searchsorted(self.solved.miss_pos, gi))
-        n_writes = int(decoded.writes[:gi].sum())
+        instructions = core.instructions
+        # branch_penalty_cycles += p per reference, as one left fold.  A
+        # slice replayed to its end from 0.0 (every run_benchmark core's
+        # case) folds exactly the memoised whole-slice fold; a slice a
+        # DUE cut short folds its prefix.
+        bp = core.branch_penalty_cycles
+        if gi == self.n_total:
+            n_writes = terms.writes
+            instructions += terms.instructions
+            bp = terms.penalty if bp == 0.0 else left_fold(bp, terms.z[1::2])
+        else:
+            n_writes = int(decoded.writes[:gi].sum())
+            if gi:
+                instructions += int(decoded.gaps[:gi].sum())
+                bp = left_fold(bp, terms.z[1::2][:gi])
         n_reads = gi - n_writes
         n_hits = gi - n_misses
         # Every walked miss filled, less one interrupted before its fill.
         n_fills = n_misses - (gi - l1_done)
-        instructions = core.instructions
-        bp = core.branch_penalty_cycles
-        if gi:
-            instructions += int(decoded.gaps[:gi].sum())
-            # branch_penalty_cycles += p per reference: accumulate is a
-            # strict left fold, the same float-op sequence.
-            bp_fold = np.empty(gi + 1, dtype=np.float64)
-            bp_fold[0] = bp
-            bp_fold[1:] = self.p_np[:gi]
-            bp = float(np.add.accumulate(bp_fold, out=bp_fold)[gi])
         l1.hits += n_hits
         l1.misses += n_misses
         l1.writebacks += n_l1_wb
@@ -394,6 +475,7 @@ class _CoreFold:
         mshr.primary_misses += n_primary
         mshr.merged_misses += n_merged
         mshr.full_stalls += n_full
+        self.setup_wall += perf_counter() - t_commit - self.apply_wall
         return n_refs, n_hits, n_misses, n_mem_reads
 
 
@@ -436,7 +518,7 @@ def replay(systems, cores, trace, streams=None) -> None:
         victims = np.concatenate([f.solved.victim for f in folds])[order]
         victim_dirty = np.concatenate([f.solved.victim_dirty for f in folds])[order]
         owner = np.repeat(
-            np.arange(len(folds)), [len(f.miss_pos) for f in folds]
+            np.arange(len(folds)), [len(f.solved.miss_pos) for f in folds]
         )[order]
         edges = [0, *(np.flatnonzero(np.diff(owner)) + 1).tolist(), len(owner)]
         runs = [
@@ -682,7 +764,7 @@ def replay(systems, cores, trace, streams=None) -> None:
         fold_wall = perf_counter() - t_fold
         # Commit the batched state, on an UncorrectableDataError too.
         n_refs = n_hits = n_misses = n_mem_reads = 0
-        apply_wall = solve_wall = 0.0
+        apply_wall = solve_wall = setup_wall = 0.0
         for fold in folds:
             refs, hits, misses, reads = fold.commit(lvl_names)
             n_refs += refs
@@ -691,6 +773,7 @@ def replay(systems, cores, trace, streams=None) -> None:
             n_mem_reads += reads
             apply_wall += fold.apply_wall
             solve_wall += fold.solve_wall
+            setup_wall += fold.setup_wall
         memory.reads += n_mem_reads
         memory.writes += n_mem_writes
         reg = runtime_registry()
@@ -702,3 +785,5 @@ def replay(systems, cores, trace, streams=None) -> None:
         reg.add("vectorized.outcome_wall_s", outcome_wall)
         reg.add("vectorized.fold_wall_s", fold_wall)
         reg.add("vectorized.l1_apply_wall_s", apply_wall)
+        reg.add("vectorized.setup_wall_s", setup_wall)
+        reg.add("vectorized.term_reuses", sum(fold.terms_reused for fold in folds))

@@ -26,25 +26,40 @@ RECORD_DTYPE = np.dtype(
 )
 
 
+def set_index_dtype(n_sets: int):
+    """The dtype of a decoded set-index column: ``uint16`` when every
+    index of ``n_sets`` sets fits (numpy radix-sorts it), else int64."""
+    return np.uint16 if n_sets <= 1 << 16 else np.int64
+
+
 @dataclass(frozen=True)
 class BatchDecodedTrace:
     """A trace decoded for the vectorized replay kernel.
 
     Numpy columns for one (block_bytes, n_sets) geometry, produced once
     by :meth:`Trace.decoded_batch` and cached on the trace, so every
-    replay of the same slice shares the decode.  ``l1_solves`` memoises
-    the exact L1 solve of the slice (:mod:`repro.sim.l1solve`) per
-    initial L1 state; the geometry is the batch's own.
+    replay of the same slice shares the decode.  Two bounded memos
+    make the rest of a replay's per-slice work once per slice too:
+    ``l1_solves`` holds the exact L1 solve of the slice
+    (:mod:`repro.sim.l1solve`) per initial L1 state, with the fold
+    inputs its misses fix; ``cycle_terms`` holds the slice's
+    per-reference cycle terms and totals per core profile's term
+    parameters (:mod:`repro.sim.vectorized`).  The geometry is the
+    batch's own.
     """
 
-    #: int64 gaps, addresses, block addresses and set indices.
+    #: int64 gaps, addresses and block addresses.
     gaps: np.ndarray
     addresses: np.ndarray
     block_addrs: np.ndarray
+    #: Set indices, as :func:`set_index_dtype` of the set count.
     sets: np.ndarray
     #: Write flags as a bool array.
     writes: np.ndarray
     l1_solves: Dict[bytes, object] = field(
+        default_factory=dict, compare=False, repr=False
+    )
+    cycle_terms: Dict[tuple, object] = field(
         default_factory=dict, compare=False, repr=False
     )
 
@@ -105,7 +120,7 @@ class Trace:
         :func:`~repro.caches.block.block_address` and
         :func:`~repro.caches.block.set_index` per record).  The result
         is memoized on the trace (keyed by geometry), so every replay
-        of this trace object shares the decode and the L1 solve memo.
+        of this trace object shares the decode and its memos.
         """
         key = (block_bytes, n_sets)
         cache = self._memo("_batch_cache")
@@ -130,7 +145,9 @@ class Trace:
             gaps=np.asarray(self.gaps, dtype=np.int64),
             addresses=addresses,
             block_addrs=addresses & ~np.int64(block_bytes - 1),
-            sets=(addresses >> shift) & np.int64(n_sets - 1),
+            sets=((addresses >> shift) & np.int64(n_sets - 1)).astype(
+                set_index_dtype(n_sets)
+            ),
             writes=np.asarray(self.writes, dtype=bool),
         )
         cache[key] = batch

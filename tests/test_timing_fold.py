@@ -97,7 +97,7 @@ def test_phase_counters_fit_in_the_kernel_wall():
     assert counters.get("vectorized.fallbacks", 0) == 0
     phases = [
         counters[f"vectorized.{name}_wall_s"]
-        for name in ("probe", "outcome", "fold", "l1_apply")
+        for name in ("probe", "outcome", "fold", "l1_apply", "setup")
     ]
     assert all(wall > 0 for wall in phases), phases
     assert sum(phases) <= counters["vectorized.wall_s"]
