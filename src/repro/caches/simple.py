@@ -21,8 +21,7 @@ composition of its outcome and timing steps, and a fill takes no time.
 
 from __future__ import annotations
 
-from functools import lru_cache
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.common.errors import ConfigurationError, SimulationError
 from repro.caches.block import EMPTY, prewarm_slots, victim_way
@@ -39,14 +38,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: Fill outcome of a block the cache already holds: nothing happens.
 _RESIDENT = (0, None, -1)
-
-
-@lru_cache(maxsize=4)
-def _prewarm_stamps(n_frames: int) -> Tuple[int, ...]:
-    """``0 .. n_frames - 1``: the stamps a prewarm from clock 0 gives
-    its frames, computed once per size (the base L3's 65,536) and
-    never mutated, like :func:`~repro.caches.block.prewarm_slots`."""
-    return tuple(range(n_frames))
 
 
 class SetAssociativeCache(CacheLevel):
@@ -245,10 +236,7 @@ class SetAssociativeCache(CacheLevel):
             raise SimulationError("prewarm on a non-empty cache")
         self._tags = list(prewarm_slots(self.n_sets, self._assoc, self.spec.block_bytes))
         clock = self._clock
-        if clock:
-            self._stamps = list(range(clock, clock + n_frames))
-        else:
-            self._stamps = list(_prewarm_stamps(n_frames))
+        self._stamps = list(range(clock, clock + n_frames))
         self._clock = clock + n_frames
 
     # --- introspection ---

@@ -44,14 +44,11 @@ def generate_cmp_trace(
     benchmark: str,
     n_references: int,
     seed: int,
-    warm_set_conflict: int = 1,
 ) -> Trace:
     """The trace a run of ``config`` replays for ``benchmark``, for an
     inline ``trace=`` (:func:`~repro.workloads.tracegen.generate_spec_trace`
     of :meth:`~repro.sim.config.SystemConfig.trace_spec`)."""
-    return generate_spec_trace(
-        config.trace_spec(benchmark), n_references, seed, warm_set_conflict
-    )
+    return generate_spec_trace(config.trace_spec(benchmark), n_references, seed)
 
 
 def shared_occupancy_by_core(target, n_cores: int) -> List[int]:

@@ -44,8 +44,8 @@ FULL = Scale(name="full", n_references=2_000_000, warmup_fraction=0.5)
 QUICK = Scale(name="quick", n_references=500_000, warmup_fraction=0.45)
 SMOKE = Scale(name="smoke", n_references=60_000, warmup_fraction=0.3)
 
-_RunKey = Tuple[str, str, int, float, int, Optional[str]]
-_RUN_CACHE: Dict[_RunKey, RunResult] = {}
+#: Run results by :func:`repro.sim.parallel.cell_fingerprint`.
+_RUN_CACHE: Dict[str, RunResult] = {}
 _DEFAULT_JOBS: Optional[int] = None
 _DEFAULT_TELEMETRY: Optional[TelemetryConfig] = None
 _TELEMETRY_SET = False
@@ -122,28 +122,13 @@ def default_jobs() -> int:
 def cached_run(config: SystemConfig, benchmark: str, scale: Scale) -> RunResult:
     """Run (benchmark, config) at a scale: a one-cell :func:`run_matrix`.
 
-    The shared run cache is keyed by the config's fingerprint
-    (:func:`repro.sim.config.config_fingerprint`), not its name: two
-    configs that share a name but differ in a knob (a seed, a frame
-    restriction, the engine) are cached apart.
+    The shared run cache is keyed by each cell's
+    :func:`repro.sim.parallel.cell_fingerprint`, not the config's name:
+    two configs that share a name but differ in a knob (a seed, a frame
+    restriction, the engine) are cached apart, and so are runs under
+    different telemetry settings or resolved engines.
     """
     return run_matrix([config], [benchmark], scale)[config.name][benchmark]
-
-
-def _run_key(fingerprint: str, benchmark: str, scale: Scale) -> _RunKey:
-    telemetry = default_telemetry()
-    return (
-        fingerprint,
-        benchmark,
-        scale.n_references,
-        scale.warmup_fraction,
-        scale.seed,
-        # Telemetry settings change the payload attached to a result
-        # (never the simulated numbers), so they key the cache too.
-        None if telemetry is None else json.dumps(
-            telemetry.fingerprint(), sort_keys=True
-        ),
-    )
 
 
 def run_matrix(
@@ -175,22 +160,17 @@ def run_matrix(
             raise ConfigurationError(
                 f"two configs named {config.name!r} differ; give them distinct names"
             )
-    pending: Dict[_RunKey, Tuple[SystemConfig, str]] = {}
+    # Imported per call, so instrumentation that wraps
+    # repro.sim.parallel.run_cells sees every grid.
+    from repro.sim.parallel import CellTask, cell_fingerprint, run_memoized
+
+    telemetry = default_telemetry()
+    keys: Dict[Tuple[str, str], str] = {}
+    pending: Dict[str, CellTask] = {}
     for config in configs:
         for benchmark in benchmarks:
-            key = _run_key(fingerprints[config.name], benchmark, scale)
-            if key not in _RUN_CACHE:
-                pending.setdefault(key, (config, benchmark))
-    if pending:
-        # Imported per call, so instrumentation that wraps
-        # repro.sim.parallel.run_cells sees every grid.
-        from repro.sim.parallel import CellTask, run_memoized
-
-        keys = list(pending)
-        telemetry = default_telemetry()
-        tasks = [
-            CellTask(
-                index=index,
+            task = CellTask(
+                index=len(pending),
                 config=config,
                 benchmark=benchmark,
                 n_references=scale.n_references,
@@ -199,14 +179,17 @@ def run_matrix(
                 isolate_errors=False,
                 telemetry=telemetry,
             )
-            for index, (config, benchmark) in enumerate(pending.values())
-        ]
+            key = keys[config.name, benchmark] = cell_fingerprint(task)
+            if key not in _RUN_CACHE:
+                pending.setdefault(key, task)
+    if pending:
+        tasks = list(pending.values())
         payloads = run_memoized(tasks, jobs, None, supervisor=default_supervisor())
-        for key, payload in zip(keys, payloads):
+        for key, payload in zip(pending, payloads):
             _RUN_CACHE[key] = run_result_from_dict(payload["result"])  # type: ignore[arg-type]
     return {
-        name: {b: _RUN_CACHE[_run_key(fingerprint, b, scale)] for b in benchmarks}
-        for name, fingerprint in fingerprints.items()
+        name: {b: _RUN_CACHE[keys[name, b]] for b in benchmarks}
+        for name in fingerprints
     }
 
 

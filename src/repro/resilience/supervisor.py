@@ -10,11 +10,10 @@ per worker task.  Workers run the ``execute_cell`` named when the pool
 opens: forked ones inherit the function, spawned ones receive it by
 reference as their target argument.  The supervisor makes every cell:
 
-* **bounded** — each attempt gets a wall-clock deadline (the cell's
-  ``budget_s``, overridden by :attr:`SupervisorConfig.cell_timeout_s`);
-  a worker past its deadline is SIGKILLed and the slot respawned.
-  In-process code cannot be preempted, so this is the only place a
-  budget is a true per-attempt deadline (see ``CellTask.budget_s``).
+* **bounded** — each attempt gets the wall-clock deadline
+  :attr:`SupervisorConfig.cell_timeout_s`; a worker past its deadline
+  is SIGKILLed and the slot respawned.  In-process code cannot be
+  preempted, so this is the only place a cell has a deadline.
 * **recoverable** — a killed or crashed worker's cell is resubmitted
   unchanged (``execute_cell`` is deterministic, so the recovered run is
   bit-identical to an uninterrupted one), after an exponential backoff
@@ -67,8 +66,7 @@ class SupervisorConfig:
     """Policy knobs for :func:`run_cells_supervised`.
 
     ``cell_timeout_s`` is the wall-clock deadline per dispatched
-    attempt; ``None`` defers to each task's own ``budget_s`` (and a
-    task with neither runs unbounded).
+    attempt; ``None`` runs attempts unbounded.
     A cell whose worker is killed (deadline or crash) more than
     ``max_worker_kills`` times is quarantined.  ``max_pool_breaks``
     worker *crashes* (not deadline kills — those are the supervisor's
@@ -117,13 +115,6 @@ def backoff_s(config: SupervisorConfig, task: CellTask, kills: int) -> float:
     raw = derive_seed(task.seed, f"supervisor-backoff/{task.index}/{kills}")
     fraction = (raw % (1 << 32)) / float(1 << 32)
     return base * (1.0 + config.backoff_jitter * fraction)
-
-
-def _attempt_timeout(task: CellTask, config: SupervisorConfig) -> Optional[float]:
-    """The wall-clock deadline for one dispatched attempt, in seconds."""
-    if config.cell_timeout_s is not None:
-        return config.cell_timeout_s
-    return task.budget_s
 
 
 def _worker_main(conn, execute: Callable[[CellTask], Dict[str, object]]) -> None:
@@ -291,10 +282,9 @@ class WorkerPool:
                 kills[position] = count
                 if count > config.max_worker_kills:
                     registry.add("supervisor.quarantined")
-                    timeout = _attempt_timeout(task, config)
                     if cause == "timeout":
                         error: Exception = WorkerTimeoutError(
-                            task.index, timeout or 0.0, count
+                            task.index, config.cell_timeout_s or 0.0, count
                         )
                     else:
                         error = WorkerCrashError(task.index, count)
@@ -371,7 +361,7 @@ class WorkerPool:
                             respawn(slot)
                             continue
                         slot.position = position
-                        timeout = _attempt_timeout(tasks[position], config)
+                        timeout = config.cell_timeout_s
                         slot.deadline = (
                             None if timeout is None else time.monotonic() + timeout
                         )

@@ -9,9 +9,11 @@ untrusted bytes::
     {"kind": "nurapid", "options": {"n_dgroups": 8}, "engine": "vectorized"}
 
 A grid request is the cross product of config specs and benchmarks,
-with the same per-run knobs :func:`repro.sim.driver.run_suite` takes;
-cells enumerate configs-outer, benchmarks-inner, exactly like
-``run_suite``, so a grid's cell order matches a direct run's.
+with the run parameters :func:`repro.sim.driver.run_suite` takes
+(``n_references``, ``seed``, ``warmup_fraction``; a workload's set
+conflict is its profile's, not a request field); cells enumerate
+configs-outer, benchmarks-inner, exactly like ``run_suite``, so a
+grid's cell order matches a direct run's.
 
 Progress flows back as NDJSON: one JSON object per line, each with an
 ``"event"`` discriminator (``submitted``, ``hit``, ``queued``,
@@ -135,8 +137,6 @@ class GridRequest:
     n_references: int = 120_000
     seed: int = 0
     warmup_fraction: float = 0.4
-    warm_set_conflict: int = 1
-    prewarm: bool = True
     engine: Optional[str] = None
     telemetry: bool = False
     #: Reserved for forward compatibility; echoed back verbatim.
@@ -157,10 +157,6 @@ class GridRequest:
         if not 0.0 <= self.warmup_fraction < 1.0:
             raise ConfigurationError(
                 f"warmup_fraction must be in [0, 1), got {self.warmup_fraction}"
-            )
-        if self.warm_set_conflict < 1:
-            raise ConfigurationError(
-                f"warm_set_conflict must be >= 1, got {self.warm_set_conflict}"
             )
         if self.engine is not None:
             check_engine(self.engine)
@@ -205,8 +201,6 @@ class GridRequest:
             "n_references": self.n_references,
             "seed": self.seed,
             "warmup_fraction": self.warmup_fraction,
-            "warm_set_conflict": self.warm_set_conflict,
-            "prewarm": self.prewarm,
             "telemetry": self.telemetry,
         }
         if self.engine is not None:
@@ -227,8 +221,7 @@ class GridRequest:
             )
         known = {
             "client", "configs", "benchmarks", "n_references", "seed",
-            "warmup_fraction", "warm_set_conflict", "prewarm", "engine",
-            "telemetry", "tag",
+            "warmup_fraction", "engine", "telemetry", "tag",
         }
         unknown = set(payload) - known - {"version"}
         if unknown:
@@ -243,8 +236,6 @@ class GridRequest:
                 n_references=int(payload.get("n_references", 120_000)),  # type: ignore[arg-type]
                 seed=int(payload.get("seed", 0)),  # type: ignore[arg-type]
                 warmup_fraction=float(payload.get("warmup_fraction", 0.4)),  # type: ignore[arg-type]
-                warm_set_conflict=int(payload.get("warm_set_conflict", 1)),  # type: ignore[arg-type]
-                prewarm=bool(payload.get("prewarm", True)),
                 engine=payload.get("engine"),  # type: ignore[arg-type]
                 telemetry=bool(payload.get("telemetry", False)),
                 tag=payload.get("tag"),  # type: ignore[arg-type]

@@ -177,9 +177,7 @@ def ensure_decoded(
     map the entry by path.  ``perfbench/tracing.py`` times trace I/O
     through this name.
     """
-    return traces.ensure(
-        benchmark, request.n_references, request.seed, request.warm_set_conflict
-    )
+    return traces.ensure(benchmark, request.n_references, request.seed)
 
 
 class SimulationServer:
@@ -374,10 +372,7 @@ class SimulationServer:
         telemetry: Optional[TelemetryConfig],
     ) -> CellTask:
         trace_path = self.traces.path_for(
-            benchmark,
-            request.n_references,
-            request.seed,
-            request.warm_set_conflict,
+            benchmark, request.n_references, request.seed
         )
         return CellTask(
             index=index,
@@ -387,8 +382,6 @@ class SimulationServer:
             seed=request.seed,
             warmup_fraction=request.warmup_fraction,
             trace_path=trace_path,
-            warm_set_conflict=request.warm_set_conflict,
-            prewarm=request.prewarm,
             telemetry=telemetry,
         )
 

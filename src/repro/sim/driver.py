@@ -307,7 +307,6 @@ def run_benchmark(
     seed: int = 0,
     warmup_fraction: float = DEFAULT_WARMUP_FRACTION,
     trace: Optional[Trace] = None,
-    warm_set_conflict: int = 1,
     prewarm: bool = True,
     telemetry: Optional[TelemetryConfig] = None,
 ) -> RunResult:
@@ -346,9 +345,7 @@ def run_benchmark(
     reg = runtime_registry()
     if trace is None:
         started = perf_counter()
-        trace = generate_spec_trace(
-            spec, n_references, seed, warm_set_conflict=warm_set_conflict
-        )
+        trace = generate_spec_trace(spec, n_references, seed)
         reg.add("run.tracegen_wall_s", perf_counter() - started)
     elif n_cores > 1:
         issued = np.bincount(core_of_address(trace.addresses), minlength=n_cores)
@@ -475,8 +472,6 @@ def run_suite(
     seed: int = 0,
     warmup_fraction: float = DEFAULT_WARMUP_FRACTION,
     traces: Optional[Dict[str, Trace]] = None,
-    warm_set_conflict: int = 1,
-    prewarm: bool = True,
     jobs: int = 1,
     trace_cache_dir: Optional[str] = None,
     telemetry: Optional[TelemetryConfig] = None,
@@ -484,8 +479,6 @@ def run_suite(
 ) -> SuiteResult:
     """Run a set of benchmarks on one configuration.
 
-    The per-run knobs ``warm_set_conflict`` and ``prewarm`` are
-    forwarded to every :func:`run_benchmark` call.
     Every benchmark is one cell of :func:`repro.sim.parallel.run_cells`:
     ``jobs=1`` runs them in this process, ``jobs=N`` on N worker
     processes with identical seeding, so the results are bit-identical
@@ -521,8 +514,6 @@ def run_suite(
             seed=seed,
             warmup_fraction=warmup_fraction,
             trace=inline.get(name),
-            warm_set_conflict=warm_set_conflict,
-            prewarm=prewarm,
             isolate_errors=False,
             telemetry=telemetry,
         )

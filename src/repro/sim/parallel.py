@@ -41,7 +41,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import time
 from contextlib import ExitStack
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
@@ -86,8 +85,10 @@ class CellTask:
     grid position.  The first attempt replays the inline ``trace`` if
     one is given, else the trace-cache entry at ``trace_path``; when
     neither is available the worker generates the trace itself from
-    ``(benchmark, seed, n_references, warm_set_conflict)``.  The entry
-    is the same trace, so ``trace_path`` never changes results.
+    ``(benchmark, seed, n_references)``.  The entry is the same trace,
+    so ``trace_path`` never changes results.  A cell's wall-clock
+    deadline is not a task field: pooled attempts get
+    :attr:`~repro.resilience.supervisor.SupervisorConfig.cell_timeout_s`.
     """
 
     index: int
@@ -99,14 +100,6 @@ class CellTask:
     trace_path: Optional[str] = None
     trace: Optional[Trace] = None
     max_retries: int = 0
-    #: Wall-clock budget for the cell.  Whenever cells run pooled it is
-    #: the per-attempt deadline (unless ``cell_timeout_s`` overrides
-    #: it): the worker is SIGKILLed and the cell retried/quarantined.
-    #: In-process it is ADVISORY: checked only *between* reseeded retry
-    #: attempts — Python cannot safely preempt a compute loop.
-    budget_s: Optional[float] = None
-    warm_set_conflict: int = 1
-    prewarm: bool = True
     #: True: ReproErrors become failed-outcome payloads (sweep
     #: semantics).  False: they propagate to the parent (suite
     #: semantics, where one bad run should abort the suite).
@@ -127,15 +120,14 @@ def cell_fingerprint(task: CellTask) -> Optional[str]:
 
     The key covers everything a first (attempt-0) run depends on: the
     config fingerprint, the resolved engine, the trace parameters
-    ``(benchmark, n_references, seed, warm_set_conflict)`` — the trace
-    itself is a deterministic function of those, which is why
-    ``trace_path`` does not participate — plus warmup split, prewarm,
-    and the telemetry fingerprint.  Retry/budget knobs
-    (``max_retries``, ``budget_s``) are deliberately
-    excluded: memoization stores only first-attempt successes (see
-    :class:`repro.service.store.ResultStore`), whose payloads those
-    knobs cannot influence, so a sweep cell and a suite cell with
-    different retry policies share one entry.
+    ``(benchmark, n_references, seed)`` — the trace itself is a
+    deterministic function of those, which is why ``trace_path`` does
+    not participate — plus warmup split and the telemetry fingerprint.
+    The retry knob ``max_retries`` is deliberately excluded:
+    memoization stores only first-attempt successes (see
+    :class:`repro.service.store.ResultStore`), whose payloads it cannot
+    influence, so a sweep cell and a suite cell with different retry
+    policies share one entry.
 
     Returns None when the cell is not content-addressable: an inline
     ``trace`` is arbitrary bytes, not derivable from the parameters.
@@ -150,8 +142,10 @@ def cell_fingerprint(task: CellTask) -> Optional[str]:
         "n_references": task.n_references,
         "seed": task.seed,
         "warmup_fraction": task.warmup_fraction,
-        "warm_set_conflict": task.warm_set_conflict,
-        "prewarm": task.prewarm,
+        # Fixed values of two retired cell fields: every stored key
+        # stays valid.
+        "warm_set_conflict": 1,
+        "prewarm": True,
         "telemetry": None
         if task.telemetry is None
         else task.telemetry.fingerprint(),
@@ -164,7 +158,7 @@ def memoizable_payload(payload: Dict[str, object]) -> bool:
     """True when a cell payload is safe to store under its fingerprint.
 
     Only first-attempt successes qualify: retried or failed outcomes
-    depend on the retry/budget knobs excluded from the fingerprint.
+    depend on the retry knob and deadline excluded from the fingerprint.
     """
     outcome = payload.get("outcome")
     if not isinstance(outcome, dict):
@@ -223,8 +217,8 @@ def run_memoized(
             result_store.put(key, stored)
         finish(payload)
 
-    def trace_params(task: CellTask) -> Tuple[int, int, int]:
-        return (task.n_references, task.seed, task.warm_set_conflict)
+    def trace_params(task: CellTask) -> Tuple[int, int]:
+        return (task.n_references, task.seed)
 
     def trace_spec(task: CellTask) -> Optional[str]:
         try:
@@ -232,7 +226,7 @@ def run_memoized(
         except ConfigurationError:
             return None  # the cell's own run reports the bad spec
 
-    shared: Dict[Tuple[int, int, int], set] = {}
+    shared: Dict[Tuple[int, int], set] = {}
     for task in pending:
         spec = trace_spec(task)
         if task.trace is None and spec is not None:
@@ -265,10 +259,7 @@ def _attempt_trace(task: CellTask, attempt: int) -> Trace:
         if trace is not None:
             return trace
     return generate_spec_trace(
-        spec,
-        task.n_references,
-        seed=task.seed + attempt * RESEED_STEP,
-        warm_set_conflict=task.warm_set_conflict,
+        spec, task.n_references, seed=task.seed + attempt * RESEED_STEP
     )
 
 
@@ -278,22 +269,15 @@ def execute_cell(task: CellTask) -> Dict[str, object]:
     The payload is one result-store entry plus its grid position:
     ``{"index", "outcome", "result"}``, with ``outcome`` in
     ``RunOutcome.to_dict`` form and ``result`` in
-    :func:`run_result_to_dict` form (or None on failure).  Runs in a worker process, so it must stay importable at
-    module top level.
+    :func:`run_result_to_dict` form (or None on failure).  Runs in a
+    worker process, so it must stay importable at module top level.
     """
-    deadline = (
-        None if task.budget_s is None else time.monotonic() + task.budget_s
-    )
     #: (message, type name) of the last failed attempt.  Keeping the
     #: exception itself would tie its traceback to this frame in a
     #: cycle that pins every replay frame (and its mapped trace) until
     #: the next garbage collection.
     last_error: Optional[Tuple[str, str]] = None
-    attempts = 0
     for attempt in range(task.max_retries + 1):
-        if attempt and deadline is not None and time.monotonic() >= deadline:
-            break
-        attempts += 1
         try:
             result = run_benchmark(
                 reseed_config(task.config, attempt * RESEED_STEP),
@@ -302,15 +286,13 @@ def execute_cell(task: CellTask) -> Dict[str, object]:
                 trace=_attempt_trace(task, attempt),
                 warmup_fraction=task.warmup_fraction,
                 seed=task.seed + attempt * RESEED_STEP,
-                warm_set_conflict=task.warm_set_conflict,
-                prewarm=task.prewarm,
                 telemetry=task.telemetry,
             )
             return {
                 "index": task.index,
                 "outcome": {
                     "status": "ok",
-                    "attempts": attempts,
+                    "attempts": attempt + 1,
                     "error": None,
                     "error_type": None,
                 },
@@ -326,7 +308,7 @@ def execute_cell(task: CellTask) -> Dict[str, object]:
         "index": task.index,
         "outcome": {
             "status": "failed",
-            "attempts": attempts,
+            "attempts": task.max_retries + 1,
             "error": last_error[0],
             "error_type": last_error[1],
         },

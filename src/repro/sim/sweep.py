@@ -18,13 +18,12 @@ hardens the grid instead of letting one point abort it:
   fault-plan seed by :data:`~repro.sim.parallel.RESEED_STEP` so the
   retry explores a different deterministic universe rather than
   replaying the same crash.
-* **budget** — an optional wall-clock allowance per cell
-  (``CellTask.budget_s``).  In this process the budget is *advisory*:
-  Python code cannot preempt a running attempt, so it is only checked
-  **between** retry attempts — one slow attempt can blow far past its
-  allowance before the check fires, but it is never retried.  When
-  cells run pooled it is also a true wall-clock deadline: the
-  supervisor SIGKILLs a worker whose cell exceeds it.
+* **deadline** — an optional wall-clock limit per attempt,
+  :attr:`~repro.resilience.supervisor.SupervisorConfig.cell_timeout_s`
+  (``supervisor=SupervisorConfig(cell_timeout_s=...)``).  Python code
+  cannot preempt a running attempt in this process, so a deadline
+  always runs cells on the supervised pool, which SIGKILLs a worker
+  whose attempt exceeds it.
 * **resume** — with ``result_store`` set (a
   :class:`repro.service.store.ResultStore`), each cell whose
   :func:`~repro.sim.parallel.cell_fingerprint` is in the store is
@@ -36,7 +35,7 @@ hardens the grid instead of letting one point abort it:
   and only cells in flight are lost.  Failed and retried cells are
   never stored (:func:`~repro.sim.parallel.memoizable_payload`): they
   re-run on resume, and their reseeded retries reproduce them bit for
-  bit (only a budget or deadline failure depends on the wall clock).
+  bit (only a deadline failure depends on the wall clock).
   The fingerprint covers every input of a cell, so a store
   shared by other grids, seeds or callers can only miss, never leak a
   foreign result.
@@ -162,15 +161,14 @@ class Sweep:
     ``max_retries`` is the number of *additional* attempts after a
     failed one (total attempts per cell = 1 + max_retries); each
     attempt ``k`` bumps the trace and fault seeds by ``k *``
-    :data:`~repro.sim.parallel.RESEED_STEP`.  ``point_budget_s`` is
-    each cell's wall-clock budget (see module docstring).  ``jobs`` runs cells on that many
-    worker processes; ``trace_cache_dir`` names the on-disk trace store
-    cells map their base traces from (default: ``$REPRO_TRACE_CACHE``,
-    else a private temp directory deleted after the run).
-    ``supervisor`` configures the supervised pool (worker deadlines,
-    crash recovery, quarantine) and runs cells on it even with
-    ``jobs=1``, in a single worker process, so a deadline stays
-    enforceable.  ``result_store`` (a
+    :data:`~repro.sim.parallel.RESEED_STEP`.  ``jobs`` runs cells on
+    that many worker processes; ``trace_cache_dir`` names the on-disk
+    trace store cells map their base traces from (default:
+    ``$REPRO_TRACE_CACHE``, else a private temp directory deleted after
+    the run).  ``supervisor`` configures the supervised pool (its
+    ``cell_timeout_s`` is each attempt's deadline; crash recovery,
+    quarantine) and runs cells on it even with ``jobs=1``, in a single
+    worker process, so a deadline stays enforceable.  ``result_store`` (a
     :class:`repro.service.store.ResultStore`) is what makes a sweep
     resumable: cells found in it are restored without running, and
     fresh first-attempt successes are stored as they complete, for a
@@ -189,7 +187,6 @@ class Sweep:
         seed: int = 1,
         warmup_fraction: float = 0.4,
         max_retries: int = 1,
-        point_budget_s: Optional[float] = None,
         jobs: int = 1,
         trace_cache_dir: Optional[str] = None,
         telemetry: Optional[TelemetryConfig] = None,
@@ -219,8 +216,6 @@ class Sweep:
             )
         if max_retries < 0:
             raise ConfigurationError(f"max_retries must be >= 0, got {max_retries}")
-        if point_budget_s is not None and point_budget_s <= 0:
-            raise ConfigurationError("point_budget_s must be positive")
         if jobs < 1:
             raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
         cpus = os.cpu_count() or 1
@@ -235,7 +230,6 @@ class Sweep:
         self.seed = seed
         self.warmup_fraction = warmup_fraction
         self.max_retries = max_retries
-        self.point_budget_s = point_budget_s
         self.jobs = jobs
         self.trace_cache_dir = trace_cache_dir
         self.telemetry = telemetry
@@ -279,7 +273,6 @@ class Sweep:
                 seed=self.seed,
                 warmup_fraction=self.warmup_fraction,
                 max_retries=self.max_retries,
-                budget_s=self.point_budget_s,
                 telemetry=self.telemetry,
             )
             for position, (point, benchmark) in enumerate(cells)

@@ -104,6 +104,11 @@ class BenchmarkProfile:
             raise ConfigurationError(f"{self.name}: stream stride must be positive")
         if not 0.0 <= self.compressibility <= 1.0:
             raise ConfigurationError(f"{self.name}: compressibility out of range")
+        if self.warm_set_conflict < 1:
+            raise ConfigurationError(
+                f"{self.name}: warm_set_conflict must be >= 1, "
+                f"got {self.warm_set_conflict}"
+            )
 
     @property
     def beyond_l1_fraction(self) -> float:

@@ -14,9 +14,10 @@ reference (vectorized with numpy for speed):
   spatial reuse a 128 B block gives a smaller stride.
 
 Popularity ranks are permuted before being mapped to addresses so that
-"popular" is uncorrelated with set index; an optional set-conflict
-layout concentrates the warm region into a fraction of the L2's sets
-to create the hot sets §2.1 argues coupled placement handles badly.
+"popular" is uncorrelated with set index; a profile's set-conflict
+layout (``BenchmarkProfile.warm_set_conflict``) concentrates the warm
+region into a fraction of the L2's sets to create the hot sets §2.1
+argues coupled placement handles badly.
 """
 
 from __future__ import annotations
@@ -96,18 +97,16 @@ def _zipf_sampler(rng: np.random.Generator, n_items: int, alpha: float):
 
 @dataclass
 class TraceGenerator:
-    """Deterministic generator for one benchmark profile."""
+    """Deterministic generator for one benchmark profile.
+
+    The set-conflict layout is the profile's ``warm_set_conflict``: a
+    trace's per-set locality belongs to its workload.
+    """
 
     profile: BenchmarkProfile
     seed: int = 0
-    warm_set_conflict: int = 1
 
     def __post_init__(self) -> None:
-        if self.warm_set_conflict < 1:
-            raise ConfigurationError("warm_set_conflict must be >= 1")
-        if self.warm_set_conflict == 1:
-            # Default to the profile's own conflict layout.
-            self.warm_set_conflict = self.profile.warm_set_conflict
         self._rng = np.random.default_rng(
             derive_seed(self.seed, f"trace/{self.profile.name}")
         )
@@ -121,7 +120,7 @@ class TraceGenerator:
         layer i // (sets/c): the region concentrates into a fraction of
         the sets, creating the hot sets coupled placement handles badly.
         """
-        c = self.warm_set_conflict
+        c = self.profile.warm_set_conflict
         if c == 1:
             return base + blocks.astype(np.int64) * REFERENCE_BLOCK
         sets_used = max(1, REFERENCE_L2_SETS // c)
@@ -239,23 +238,13 @@ class TraceGenerator:
 
 
 def generate_trace(
-    profile: BenchmarkProfile,
-    n_references: int,
-    seed: int = 0,
-    warm_set_conflict: int = 1,
+    profile: BenchmarkProfile, n_references: int, seed: int = 0
 ) -> Trace:
     """Convenience wrapper: one-shot trace for a profile."""
-    return TraceGenerator(
-        profile=profile, seed=seed, warm_set_conflict=warm_set_conflict
-    ).generate(n_references)
+    return TraceGenerator(profile=profile, seed=seed).generate(n_references)
 
 
-def generate_spec_trace(
-    spec: str,
-    n_references: int,
-    seed: int = 0,
-    warm_set_conflict: int = 1,
-) -> Trace:
+def generate_spec_trace(spec: str, n_references: int, seed: int = 0) -> Trace:
     """The trace of a per-core spec, the one generator of every cell.
 
     A one-part spec is :func:`generate_trace`.  ``"a+b+..."`` names one
@@ -268,14 +257,14 @@ def generate_spec_trace(
     parts = spec.split("+")
     profiles = [get_benchmark(part) for part in parts]
     if len(parts) == 1:
-        return generate_trace(profiles[0], n_references, seed, warm_set_conflict)
+        return generate_trace(profiles[0], n_references, seed)
     per_core = n_references // len(parts)
     if per_core < 1:
         raise ConfigurationError(
             f"{n_references} references cannot feed {len(parts)} cores"
         )
     streams = [
-        generate_trace(profile, per_core, derive_seed(seed, f"cmp/core{i}"), warm_set_conflict)
+        generate_trace(profile, per_core, derive_seed(seed, f"cmp/core{i}"))
         for i, profile in enumerate(profiles)
     ]
     return interleave_traces(
@@ -291,11 +280,12 @@ def default_trace_cache_dir() -> Optional[str]:
 class TraceCache:
     """On-disk trace store keyed by generation parameters.
 
-    A trace is fully determined by ``(spec, n_references, seed,
-    warm_set_conflict)`` (:func:`generate_spec_trace`; the spec is one
-    benchmark, or ``"a+b"`` for an interleaved multi-core trace), so
-    those four values are the file name and the cache needs no
-    invalidation logic.  An entry is the trace's
+    A trace is fully determined by ``(spec, n_references, seed)``
+    (:func:`generate_spec_trace`; the spec is one benchmark, or
+    ``"a+b"`` for an interleaved multi-core trace), so those three
+    values are the file name and the cache needs no invalidation
+    logic.  The name's fixed ``-c1`` suffix keeps entries written by
+    older versions valid.  An entry is the trace's
     :meth:`~repro.workloads.trace.Trace.save` ``.npy`` plus a
     ``<name>.npy.sha256`` sidecar; a hit verifies the sidecar, then
     memory-maps the file read-only, which is how pool workers share one
@@ -321,16 +311,9 @@ class TraceCache:
         self.hits = 0
         self.misses = 0
 
-    def path_for(
-        self,
-        benchmark: str,
-        n_references: int,
-        seed: int = 0,
-        warm_set_conflict: int = 1,
-    ) -> str:
+    def path_for(self, benchmark: str, n_references: int, seed: int = 0) -> str:
         return os.path.join(
-            self.directory,
-            f"{benchmark}-r{n_references}-s{seed}-c{warm_set_conflict}.npy",
+            self.directory, f"{benchmark}-r{n_references}-s{seed}-c1.npy"
         )
 
     def _load_valid(
@@ -362,16 +345,12 @@ class TraceCache:
         )
 
     def fetch(
-        self,
-        benchmark: str,
-        n_references: int,
-        seed: int = 0,
-        warm_set_conflict: int = 1,
+        self, benchmark: str, n_references: int, seed: int = 0
     ) -> Tuple[Trace, str]:
         """The mapped trace and its entry path, generating at most once."""
         if n_references <= 0:
             raise ConfigurationError("n_references must be positive")
-        path = self.path_for(benchmark, n_references, seed, warm_set_conflict)
+        path = self.path_for(benchmark, n_references, seed)
         trace = self._load_valid(path, benchmark, n_references)
         if trace is not None:
             self.hits += 1
@@ -385,9 +364,7 @@ class TraceCache:
             if trace is not None:
                 self.hits += 1
                 return trace, path
-            generated = generate_spec_trace(
-                benchmark, n_references, seed, warm_set_conflict
-            )
+            generated = generate_spec_trace(benchmark, n_references, seed)
             tmp = f"{path}.{os.getpid()}.tmp"
             try:
                 generated.save(tmp)
@@ -401,25 +378,13 @@ class TraceCache:
         records = spec_records(benchmark, n_references)
         return Trace.load(path, benchmark, records), path
 
-    def get(
-        self,
-        benchmark: str,
-        n_references: int,
-        seed: int = 0,
-        warm_set_conflict: int = 1,
-    ) -> Trace:
+    def get(self, benchmark: str, n_references: int, seed: int = 0) -> Trace:
         """The trace, memory-mapped read-only from its entry."""
-        return self.fetch(benchmark, n_references, seed, warm_set_conflict)[0]
+        return self.fetch(benchmark, n_references, seed)[0]
 
-    def ensure(
-        self,
-        benchmark: str,
-        n_references: int,
-        seed: int = 0,
-        warm_set_conflict: int = 1,
-    ) -> str:
+    def ensure(self, benchmark: str, n_references: int, seed: int = 0) -> str:
         """Guarantee a verified entry exists on disk; return its path."""
-        return self.fetch(benchmark, n_references, seed, warm_set_conflict)[1]
+        return self.fetch(benchmark, n_references, seed)[1]
 
     def prune(self, max_bytes: int) -> int:
         """Evict least-recently-written entries past a size budget.
@@ -471,7 +436,6 @@ def trace_entries(
     benchmarks: Iterable[str],
     n_references: int,
     seed: int = 0,
-    warm_set_conflict: int = 1,
     directory: Optional[str] = None,
 ) -> Iterator[Dict[str, str]]:
     """``{spec: entry path}`` for a grid's shared traces.
@@ -492,9 +456,7 @@ def trace_entries(
     try:
         cache = TraceCache(directory)
         for benchmark in sorted(set(benchmarks)):
-            paths[benchmark] = cache.ensure(
-                benchmark, n_references, seed, warm_set_conflict
-            )
+            paths[benchmark] = cache.ensure(benchmark, n_references, seed)
         yield paths
     finally:
         if scratch is not None:

@@ -133,6 +133,15 @@ class TestCaching:
         r2 = cached_run(base_config(), "wupwise", other)
         assert r1 is not r2
 
+    def test_resolved_engine_keys_the_cache(self, monkeypatch):
+        scale = Scale(name="tiny", n_references=4_000, warmup_fraction=0.3)
+        monkeypatch.setenv("REPRO_ENGINE", "legacy")
+        first = cached_run(base_config(), "gcc", scale)
+        monkeypatch.setenv("REPRO_ENGINE", "vectorized")
+        second = cached_run(base_config(), "gcc", scale)
+        assert second is not first
+        assert run_result_to_dict(second) == run_result_to_dict(first)
+
     def test_same_name_configs_cached_apart(self):
         scale = Scale(name="tiny", n_references=8_000, warmup_fraction=0.3)
         plain = nurapid_config()

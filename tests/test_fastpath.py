@@ -42,7 +42,7 @@ from repro.telemetry import (
 )
 from repro.telemetry.report import merge_payloads, render_report
 from repro.workloads.spec2k import get_benchmark
-from repro.workloads.tracegen import TraceGenerator, generate_trace
+from repro.workloads.tracegen import generate_trace
 
 REFS = 6_000
 WARMUP = 0.25
@@ -499,6 +499,15 @@ def compressed_config(**kw):
     )
 
 
+def conflict_profile(benchmark, conflict):
+    """The benchmark's profile with its warm region concentrated into
+    every ``conflict``-th L2 set; 1 keeps the profile as it is."""
+    profile = get_benchmark(benchmark)
+    if conflict == 1:
+        return profile
+    return replace(profile, warm_set_conflict=conflict)
+
+
 def _l1_cases():
     """L1 hit/miss/dirty/LRU state under varying set-conflict pressure."""
     rng = random.Random(0xC0FFEE)
@@ -581,11 +590,11 @@ class TestRandomizedVectorizedParity:
     @pytest.mark.parametrize("case_index", range(len(RANDOM_CASES)))
     def test_random_trace_parity(self, case_index):
         case = RANDOM_CASES[case_index]
-        trace = TraceGenerator(
-            get_benchmark(case["benchmark"]),
+        trace = generate_trace(
+            conflict_profile(case["benchmark"], case["conflict"]),
+            case["refs"],
             seed=case["seed"],
-            warm_set_conflict=case["conflict"],
-        ).generate(case["refs"])
+        )
         payloads = {}
         for engine in ENGINES:
             result = run_benchmark(

@@ -6,16 +6,14 @@ digests pin what those runners return at one job: each is the sha256
 of the canonical JSON of the runner's ``run_result_to_dict`` payloads
 (plus outcomes, for sweeps), so any change to the cells a runner
 builds, the traces it shares, or its retry and reseed schedule changes
-a digest.  The remaining tests pin the contracts that follow from one
-path: a sweep's per-cell budget means the same at any worker count,
-and a serial grid releases the scratch traces it mapped.
+a digest.  The remaining tests pin a contract that follows from one
+path: a serial grid releases the scratch traces it mapped.
 """
 
 import gc
 import hashlib
 import json
 import os
-import time
 
 import pytest
 
@@ -196,48 +194,6 @@ class TestGoldenDigests:
         ]
         assert any(o.ok and o.attempts > 1 for o in outcomes)
         assert any(not o.ok and o.attempts == 2 for o in outcomes)
-
-
-class TestSweepBudget:
-    #: Each cell's build sleeps this long, so a point of three cells
-    #: outlasts BUDGET_S while every single attempt stays well inside it.
-    SLOW_S = 0.6
-    BUDGET_S = 1.1
-
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # jobs=2 on 1 CPU
-    def test_per_cell_budget_same_at_any_worker_count(self, tmp_path, monkeypatch):
-        import repro.sim.driver as driver
-
-        real = driver.make_system
-
-        def slow_make_system(*args, **kwargs):
-            time.sleep(self.SLOW_S)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(driver, "make_system", slow_make_system)
-        recorded = {}
-        for jobs in (1, 2):
-            store = ResultStore(str(tmp_path / f"store-{jobs}"))
-            points = Sweep(
-                axes=[SweepAxis("n_dgroups", (4,))],
-                build=lambda n_dgroups: nurapid_config(n_dgroups=n_dgroups),
-                benchmarks=["gcc", "mcf", "twolf"],
-                n_references=2_000,
-                seed=SEED,
-                warmup_fraction=WARMUP,
-                point_budget_s=self.BUDGET_S,
-                jobs=jobs,
-                result_store=store,
-            ).run()
-            entries = {
-                entry.name: json.loads(entry.read_text(encoding="utf-8"))
-                for entry in (tmp_path / f"store-{jobs}").glob("*.json")
-            }
-            recorded[jobs] = (_points(points), entries)
-        assert recorded[1] == recorded[2]
-        outcomes = recorded[1][0][0]["outcomes"]
-        assert [o["attempts"] for o in outcomes.values()] == [1, 1, 1]
-        assert all(o["status"] == "ok" for o in outcomes.values())
 
 
 def _deleted_npy_mappings():

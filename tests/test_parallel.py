@@ -159,10 +159,8 @@ class TestTraceCache:
         cache = TraceCache(str(tmp_path))
         a = cache.get("twolf", 2_000, seed=3)
         b = cache.get("twolf", 2_000, seed=4)
-        c = cache.get("twolf", 2_000, seed=3, warm_set_conflict=4)
-        assert cache.misses == 3
+        assert cache.misses == 2
         assert run_trace_dict(a) != run_trace_dict(b)
-        assert run_trace_dict(a) != run_trace_dict(c)
 
     def test_corrupted_file_regenerated(self, tmp_path):
         cache = TraceCache(str(tmp_path))
@@ -304,33 +302,6 @@ class TestRunSuite:
         assert {b: run_result_to_dict(r) for b, r in serial.runs.items()} == {
             b: run_result_to_dict(r) for b, r in parallel.runs.items()
         }
-
-    def test_suite_forwards_run_knobs(self, monkeypatch):
-        # Regression: run_suite used to silently drop prewarm and
-        # warm_set_conflict on the floor.
-        import repro.sim.driver as driver
-
-        import repro.sim.parallel as parallel
-
-        captured = []
-        real = driver.run_benchmark
-
-        def fake_run_benchmark(config, benchmark, **kw):
-            captured.append((benchmark, kw))
-            return real(config, benchmark, n_references=1_000, warmup_fraction=0.4)
-
-        monkeypatch.setattr(parallel, "run_benchmark", fake_run_benchmark)
-        driver.run_suite(
-            snuca_config(),
-            ["twolf"],
-            n_references=2_000,
-            warm_set_conflict=4,
-            prewarm=False,
-        )
-        assert len(captured) == 1
-        _, kw = captured[0]
-        assert kw["warm_set_conflict"] == 4
-        assert kw["prewarm"] is False
 
 
 class TestRunMatrix:

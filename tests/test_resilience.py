@@ -48,7 +48,7 @@ def _fresh_runtime_registry():
     reset_runtime_registry()
 
 
-def make_tasks(isolate_errors=True, telemetry=None, budget_s=None):
+def make_tasks(isolate_errors=True, telemetry=None):
     """Four small deterministic cells (2 configs x 2 benchmarks)."""
     cells = [
         (config, benchmark)
@@ -65,7 +65,6 @@ def make_tasks(isolate_errors=True, telemetry=None, budget_s=None):
             warmup_fraction=0.3,
             isolate_errors=isolate_errors,
             telemetry=telemetry,
-            budget_s=budget_s,
         )
         for i, (config, benchmark) in enumerate(cells)
     ]
@@ -195,17 +194,6 @@ class TestHangRecovery:
         assert counters["supervisor.timeouts"] == 1
         assert counters["supervisor.retries"] == 1
 
-    def test_budget_s_is_the_default_deadline(self, chaos_dir):
-        # Without cell_timeout_s, the task's own budget_s becomes a
-        # true wall-clock deadline under supervision (the serial path
-        # can only honor it between attempts).
-        tasks = make_tasks(budget_s=3.0)
-        expected = run_cells(tasks, jobs=1)
-        chaos.inject_hang(chaos_dir, index=0)
-        recovered = run_cells_supervised(tasks, jobs=2, config=fast_chaos())
-        assert recovered == expected
-        assert runtime_counters()["supervisor.timeouts"] == 1
-
 
 class TestQuarantine:
     def test_repeat_offender_isolated_becomes_failed_outcome(self, chaos_dir):
@@ -309,6 +297,20 @@ class TestSupervisedSweep:
             trace_cache_dir=str(tmp_path / "traces"),
         ).run()
         assert point_dicts(supervised) == point_dicts(serial)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_sweep_deadline_kills_a_hung_cell(self, tmp_path, chaos_dir, jobs):
+        # cell_timeout_s is a sweep's one per-attempt deadline, at any
+        # worker count.
+        serial = self.make_sweep().run()
+        chaos.inject_hang(chaos_dir, index=1)
+        recovered = self.make_sweep(
+            supervisor=fast_chaos(cell_timeout_s=3.0),
+            jobs=jobs,
+            trace_cache_dir=str(tmp_path / "traces"),
+        ).run()
+        assert point_dicts(recovered) == point_dicts(serial)
+        assert runtime_counters()["supervisor.timeouts"] == 1
 
     def test_supervised_sweep_recovers_from_worker_kill(
         self, tmp_path, chaos_dir, monkeypatch

@@ -204,11 +204,12 @@ class TestProtocol:
         payload["surprise"] = 1
         with pytest.raises(ConfigurationError):
             GridRequest.from_payload(payload)
-        # A client from before estimate mode went still sends the flag.
-        old = dict(payload, estimate=True)
-        del old["surprise"]
-        with pytest.raises(ConfigurationError, match="fields: estimate"):
-            GridRequest.from_payload(old)
+        del payload["surprise"]
+        # Clients from before these fields went may still send them.
+        for name, value in (("estimate", True), ("prewarm", True),
+                            ("warm_set_conflict", 1)):
+            with pytest.raises(ConfigurationError, match=f"fields: {name}$"):
+                GridRequest.from_payload(dict(payload, **{name: value}))
 
     def test_engine_pinned_at_resolution(self):
         request = GridRequest(
@@ -258,7 +259,7 @@ class TestCellFingerprint:
         # Retry/budget knobs cannot influence a first-attempt success,
         # so they must not fragment the content address.
         a = cell_fingerprint(self.probe())
-        b = cell_fingerprint(self.probe(max_retries=3, budget_s=10.0,
+        b = cell_fingerprint(self.probe(max_retries=3,
                                         isolate_errors=False,
                                         trace_path="/some/where.npy"))
         assert a == b

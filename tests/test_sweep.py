@@ -3,7 +3,6 @@
 import os
 import subprocess
 import sys
-import time
 
 import pytest
 
@@ -150,8 +149,6 @@ class TestSweepValidation:
             fast_sweep(warmup_fraction=-0.1)
         with pytest.raises(ConfigurationError):
             fast_sweep(max_retries=-1)
-        with pytest.raises(ConfigurationError):
-            fast_sweep(point_budget_s=0.0)
 
     def test_unknown_benchmark_rejected_eagerly(self):
         with pytest.raises(ConfigurationError, match="unknown benchmark"):
@@ -235,29 +232,6 @@ class TestSweepHardening:
         monkeypatch.setattr("repro.sim.parallel.run_benchmark", broken)
         with pytest.raises(ValueError):
             fast_sweep().run()
-
-    def test_point_budget_stops_retries_per_cell(self, monkeypatch):
-        def slow_doomed(config, benchmark, **kw):
-            time.sleep(0.05)
-            raise UncorrectableDataError("L2", 0, 1)
-
-        monkeypatch.setattr("repro.sim.parallel.run_benchmark", slow_doomed)
-
-        def outcomes(budget):
-            return fast_sweep(
-                axes=[SweepAxis("n_dgroups", (2,))],
-                benchmarks=["wupwise", "art"],
-                max_retries=2,
-                point_budget_s=budget,
-            ).run()[0].outcomes
-
-        # Every cell gets its own budget and its first attempt; an
-        # attempt that outlasts the budget is not retried.
-        for outcome in outcomes(0.01).values():
-            assert outcome.attempts == 1
-            assert outcome.error_type == "UncorrectableDataError"
-        for outcome in outcomes(None).values():
-            assert outcome.attempts == 3
 
     def test_tabulate_renders_failed_points(self, monkeypatch):
         def doomed(config, benchmark, **kw):

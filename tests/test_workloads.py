@@ -1,5 +1,6 @@
 """Workloads: suite integrity, trace containers, the generator."""
 
+import dataclasses
 import os
 
 import numpy as np
@@ -21,7 +22,6 @@ from repro.workloads.tracegen import (
     REFERENCE_L2_SETS,
     STREAM_BASE,
     WARM_BASE,
-    TraceGenerator,
     generate_trace,
 )
 
@@ -230,8 +230,8 @@ class TestTraceGenerator:
             generate_trace(get_benchmark("art"), 0)
 
     def test_invalid_conflict(self):
-        with pytest.raises(ConfigurationError):
-            TraceGenerator(get_benchmark("art"), warm_set_conflict=0)
+        with pytest.raises(ConfigurationError, match="art: warm_set_conflict"):
+            dataclasses.replace(get_benchmark("art"), warm_set_conflict=0)
 
 
 class TestDecodedValidation:
