@@ -3,10 +3,11 @@
 Every pooled cell runs on this package's supervised worker pool, which
 is the posture a long-lived sweep service needs: every cell execution
 is *bounded* (wall-clock deadlines with SIGKILL enforcement),
-*recoverable* (crash/hang retry with deterministic backoff, worker
-respawns, graceful degradation to serial), and *verifiable* (sha256
-sidecars on trace-cache and result-store entries, recompute instead of
-refusal, and runtime counters for everything the supervisor did).
+*recoverable* (worker respawn and immediate retry of a crashed or
+hung cell, quarantine of a cell that keeps killing its worker), and
+*verifiable* (sha256 sidecars on trace-cache and result-store entries,
+recompute instead of refusal, and runtime counters for everything the
+supervisor did).
 
 Entry points:
 
@@ -39,7 +40,6 @@ from repro.resilience.locks import FileLock, LockTimeout
 _SUPERVISOR_EXPORTS = (
     "SupervisorConfig",
     "WorkerPool",
-    "backoff_s",
     "run_cells_supervised",
 )
 
@@ -57,7 +57,6 @@ __all__ = [
     "LockTimeout",
     "SupervisorConfig",
     "WorkerPool",
-    "backoff_s",
     "run_cells_supervised",
     "verify_sidecar",
     "write_sidecar",

@@ -14,23 +14,20 @@ reference as their target argument.  The supervisor makes every cell:
   :attr:`SupervisorConfig.cell_timeout_s`; a worker past its deadline
   is SIGKILLed and the slot respawned.  In-process code cannot be
   preempted, so this is the only place a cell has a deadline.
-* **recoverable** — a killed or crashed worker's cell is resubmitted
-  unchanged (``execute_cell`` is deterministic, so the recovered run is
-  bit-identical to an uninterrupted one), after an exponential backoff
-  with deterministic seed-derived jitter so a thundering herd of
-  retries can't re-trigger a load-correlated failure in lockstep.
-  Repeated worker crashes degrade the pool to in-process serial
-  execution (with a warning and a counter) rather than failing the
-  grid.
+* **recoverable** — a killed or crashed worker's slot is respawned
+  and its cell resubmitted unchanged, at once (``execute_cell`` is
+  deterministic, so the recovered run is bit-identical to an
+  uninterrupted one).
 * **verifiable** — every supervisor action increments a counter in
   :mod:`repro.telemetry.runtime`, kept *outside* run payloads so
   recovered results stay byte-identical to uninterrupted ones.
 
-Cells that keep killing their worker are **quarantined**: recorded as
-failed outcomes (``error_type`` ``WorkerTimeoutError`` /
-``WorkerCrashError``) for isolated (sweep-style) cells, raised in the
-parent for non-isolated (suite-style) ones.  Exceptions *returned* by a
-worker follow the in-process semantics of
+A cell whose worker is killed (deadline or crash) more than
+:data:`MAX_WORKER_KILLS` times is **quarantined**, so a crash loop is
+bounded per cell.  A quarantined cell is recorded as a failed outcome
+(``error_type`` ``WorkerTimeoutError`` / ``WorkerCrashError``) if it is
+isolated (sweep-style) and raised in the parent if not (suite-style).
+Exceptions *returned* by a worker follow the in-process semantics of
 :func:`~repro.sim.parallel.execute_cell`: an isolated
 :class:`~repro.common.errors.ReproError` becomes a failed payload
 inside the worker; anything else re-raises in the parent.
@@ -38,10 +35,8 @@ inside the worker; anything else re-raises in the parent.
 
 from __future__ import annotations
 
-import heapq
 import multiprocessing
 import time
-import warnings
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
@@ -54,67 +49,32 @@ from repro.common.errors import (
     WorkerCrashError,
     WorkerTimeoutError,
 )
-from repro.common.rng import derive_seed
 from repro.resilience import chaos
 from repro.sim.parallel import CellTask
 from repro.telemetry.registry import StatRegistry
 from repro.telemetry.runtime import runtime_registry
 
 
+#: Kills (deadline or crash) a cell's worker may take before the cell
+#: is quarantined.
+MAX_WORKER_KILLS = 2
+
+
 @dataclass(frozen=True)
 class SupervisorConfig:
-    """Policy knobs for :func:`run_cells_supervised`.
+    """Policy for :func:`run_cells_supervised`.
 
     ``cell_timeout_s`` is the wall-clock deadline per dispatched
-    attempt; ``None`` runs attempts unbounded.
-    A cell whose worker is killed (deadline or crash) more than
-    ``max_worker_kills`` times is quarantined.  ``max_pool_breaks``
-    worker *crashes* (not deadline kills — those are the supervisor's
-    own doing) degrade the run to in-process serial execution.
-    Backoff before the k-th resubmission is
-    ``min(backoff_base_s * 2**(k-1), backoff_cap_s)`` plus a
-    deterministic jitter of up to ``backoff_jitter`` times that value,
-    derived from the task's seed and index so reruns back off
-    identically.  ``mp_context`` names the start method of the worker
-    processes (default: the platform's).
+    attempt; ``None`` runs attempts unbounded.  ``mp_context`` names the
+    start method of the worker processes (default: the platform's).
     """
 
     cell_timeout_s: Optional[float] = None
-    max_worker_kills: int = 2
-    max_pool_breaks: int = 3
-    backoff_base_s: float = 0.05
-    backoff_cap_s: float = 2.0
-    backoff_jitter: float = 0.5
     mp_context: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.cell_timeout_s is not None and self.cell_timeout_s <= 0:
             raise ConfigurationError("cell_timeout_s must be positive")
-        if self.max_worker_kills < 0:
-            raise ConfigurationError("max_worker_kills must be >= 0")
-        if self.max_pool_breaks < 1:
-            raise ConfigurationError("max_pool_breaks must be >= 1")
-        if self.backoff_base_s < 0 or self.backoff_cap_s < 0:
-            raise ConfigurationError("backoff times must be non-negative")
-        if not 0.0 <= self.backoff_jitter <= 1.0:
-            raise ConfigurationError("backoff_jitter must be in [0, 1]")
-
-
-def backoff_s(config: SupervisorConfig, task: CellTask, kills: int) -> float:
-    """Delay before resubmitting ``task`` after its ``kills``-th kill.
-
-    Deterministic: the jitter fraction comes from the task's own seed
-    and index, so a re-run of the same chaos scenario schedules retries
-    at identical offsets.
-    """
-    base = min(
-        config.backoff_base_s * (2 ** max(0, kills - 1)), config.backoff_cap_s
-    )
-    if config.backoff_jitter == 0.0 or base == 0.0:
-        return base
-    raw = derive_seed(task.seed, f"supervisor-backoff/{task.index}/{kills}")
-    fraction = (raw % (1 << 32)) / float(1 << 32)
-    return base * (1.0 + config.backoff_jitter * fraction)
 
 
 def _worker_main(conn, execute: Callable[[CellTask], Dict[str, object]]) -> None:
@@ -247,11 +207,8 @@ class WorkerPool:
 
         payloads: List[Optional[Dict[str, object]]] = [None] * len(tasks)
         ready: deque = deque(range(len(tasks)))
-        delayed: List = []  # heap of (ready_at, position)
         kills: Dict[int, int] = {}
         outstanding = len(tasks)
-        pool_breaks = 0
-        degraded = False
         slots = self._slots
 
         def record(position: int, payload: Dict[str, object]) -> None:
@@ -262,25 +219,21 @@ class WorkerPool:
                 callback(payload)
 
         def respawn(slot: _Slot) -> None:
-            if not degraded:
-                slots[slots.index(slot)] = self._spawn()
-                registry.add("supervisor.pool_rebuilds")
+            slots[slots.index(slot)] = self._spawn()
+            registry.add("supervisor.pool_rebuilds")
 
         def strike(slot: _Slot, cause: str) -> None:
             """Handle one dead-or-killed worker: retry or quarantine."""
-            nonlocal pool_breaks, degraded
             position = slot.position
             slot.position = None
             slot.deadline = None
             slot.kill()
             registry.add(f"supervisor.{'timeouts' if cause == 'timeout' else 'crashes'}")
-            if cause == "crash":
-                pool_breaks += 1
             if position is not None:
                 task = tasks[position]
                 count = kills.get(position, 0) + 1
                 kills[position] = count
-                if count > config.max_worker_kills:
+                if count > MAX_WORKER_KILLS:
                     registry.add("supervisor.quarantined")
                     if cause == "timeout":
                         error: Exception = WorkerTimeoutError(
@@ -305,19 +258,7 @@ class WorkerPool:
                     )
                 else:
                     registry.add("supervisor.retries")
-                    heapq.heappush(
-                        delayed,
-                        (time.monotonic() + backoff_s(config, task, count), position),
-                    )
-            if pool_breaks >= config.max_pool_breaks and not degraded:
-                degraded = True
-                registry.add("supervisor.degraded")
-                warnings.warn(
-                    f"worker pool broke {pool_breaks} times; degrading to "
-                    "in-process serial execution (deadlines no longer enforced)",
-                    RuntimeWarning,
-                    stacklevel=4,
-                )
+                    ready.append(position)
 
         try:
             while len(slots) < min(self.jobs, len(tasks)):
@@ -325,27 +266,6 @@ class WorkerPool:
             while outstanding:
                 if self._closed:
                     raise SimulationError("worker pool closed mid-run")
-                now = time.monotonic()
-                while delayed and delayed[0][0] <= now:
-                    ready.append(heapq.heappop(delayed)[1])
-
-                if degraded:
-                    # Reclaim in-flight cells, then drain everything
-                    # in-process, in submission order, with the serial
-                    # semantics (no deadline enforcement possible).
-                    for slot in slots:
-                        if slot.position is not None:
-                            ready.append(slot.position)
-                        slot.kill()
-                    slots.clear()
-                    remaining = sorted(
-                        set(ready) | {position for _, position in delayed}
-                    )
-                    ready.clear()
-                    delayed.clear()
-                    for position in remaining:
-                        record(position, self.execute(tasks[position]))
-                    break
 
                 # Dispatch ready cells onto idle workers.
                 for slot in list(slots):
@@ -365,18 +285,12 @@ class WorkerPool:
                         slot.deadline = (
                             None if timeout is None else time.monotonic() + timeout
                         )
-                if degraded:
-                    continue
 
                 busy = [slot for slot in slots if slot.position is not None]
                 if not busy:
-                    if delayed:
-                        time.sleep(max(0.0, delayed[0][0] - time.monotonic()))
                     continue
 
                 horizons = [s.deadline for s in busy if s.deadline is not None]
-                if delayed:
-                    horizons.append(delayed[0][0])
                 wait_timeout = (
                     None
                     if not horizons
@@ -433,8 +347,7 @@ def run_cells_supervised(
     in submission order, ``callback`` fired in completion order, plus
     the supervision semantics described in the module docstring.
     ``jobs=1`` still runs the cells in a (single) worker process so
-    deadlines stay enforceable; only repeated pool breaks degrade to
-    true in-process execution.
+    deadlines stay enforceable.
     """
     with WorkerPool(jobs, config, registry) as pool:
         return pool.run(tasks, callback)

@@ -146,9 +146,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     stats.set_defaults(handler=_stats)
 
     args = parser.parse_args(argv)
-    if args.command == "serve" and args.cell_timeout is not None:
-        if not args.cell_timeout > 0:
-            serve.error(f"--cell-timeout must be positive, got {args.cell_timeout}")
+    if args.command == "serve":
+        for flag, value in (
+            ("--jobs", args.jobs),
+            ("--quota", args.quota),
+            ("--quantum", args.quantum),
+            ("--max-entries", args.max_entries),
+            ("--cell-timeout", args.cell_timeout),
+        ):
+            if value is not None and not value > 0:
+                serve.error(f"{flag} must be positive, got {value}")
     return args.handler(args)
 
 

@@ -14,9 +14,10 @@ processes):
   the submitting client's quota.  Quota exhaustion rejects the whole
   grid with HTTP 429 before admitting anything.
 * **execution** — each worker task awaits the scheduler (deficit
-  round robin across clients) and runs the cell on a supervised worker
-  slot — a single-slot :class:`~repro.resilience.supervisor.WorkerPool`
-  of one spawned process that lives across cells and runs
+  round robin across clients) and runs the cell on its own supervised
+  worker slot — a single-slot
+  :class:`~repro.resilience.supervisor.WorkerPool` of one spawned
+  process that lives across cells and runs
   :func:`repro.sim.parallel.execute_cell` under ``cell_timeout_s``.  A
   worker that crashes or overruns is respawned and its cell retried,
   as in every pooled run.  The task then publishes first-attempt
@@ -42,7 +43,7 @@ import json
 import threading
 import uuid
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.common.errors import ConfigurationError, ReproError
@@ -206,10 +207,9 @@ class SimulationServer:
         self.jobs: Dict[str, _Job] = {}
         #: key -> subscribed (job, cell_index) pairs for in-flight cells.
         self._inflight: Dict[str, List[Tuple[_Job, int]]] = {}
-        #: One single-slot worker pool per worker task; ``_idle`` holds
-        #: the ones not running a cell, ``_threads`` hosts their waits.
+        #: Worker task *i* owns single-slot pool *i*; ``_threads`` hosts
+        #: the pools' waits.
         self._pools: List[WorkerPool] = []
-        self._idle: Optional[asyncio.Queue] = None
         self._threads: Optional[ThreadPoolExecutor] = None
         self._workers: List[asyncio.Task] = []
         self._server: Optional[asyncio.base_events.Server] = None
@@ -237,15 +237,12 @@ class SimulationServer:
             WorkerPool(1, supervisor, self.registry, execute=execute_cell)
             for _ in range(self.config.jobs)
         ]
-        self._idle = asyncio.Queue()
-        for pool in self._pools:
-            self._idle.put_nowait(pool)
         self._threads = ThreadPoolExecutor(
             max_workers=self.config.jobs, thread_name_prefix="repro-service-cell"
         )
         self._workers = [
-            asyncio.create_task(self._worker_loop(), name=f"service-worker-{i}")
-            for i in range(self.config.jobs)
+            asyncio.create_task(self._worker_loop(pool), name=f"service-worker-{i}")
+            for i, pool in enumerate(self._pools)
         ]
         self._server = await asyncio.start_server(
             self._handle_connection, self.config.host, self.config.port
@@ -275,7 +272,7 @@ class SimulationServer:
 
     # --- execution ---
 
-    async def _worker_loop(self) -> None:
+    async def _worker_loop(self, pool: WorkerPool) -> None:
         assert self._loop is not None
         while True:
             got = await self.scheduler.get()
@@ -285,7 +282,7 @@ class SimulationServer:
             self.registry.set("service.queue_depth", self.scheduler.depth())
             key, task = item
             await self._notify_subscribers(key, "running")
-            payload = await self._run_task(task)
+            payload = await self._run_task(pool, task)
             stored = dict(payload)
             stored.pop("index", None)
             if memoizable_payload(stored):
@@ -300,10 +297,9 @@ class SimulationServer:
                 self.registry.add("service.cells_failed")
             await self._resolve(key, stored, "computed")
 
-    async def _run_task(self, task: CellTask) -> Dict[str, object]:
-        """Execute one cell on an idle worker slot; never raises into the loop."""
-        assert self._loop is not None and self._idle is not None
-        pool = await self._idle.get()
+    async def _run_task(self, pool: WorkerPool, task: CellTask) -> Dict[str, object]:
+        """Execute one cell on ``pool``; never raises into the loop."""
+        assert self._loop is not None
         try:
             payloads = await self._loop.run_in_executor(
                 self._threads, pool.run, [task]
@@ -321,8 +317,6 @@ class SimulationServer:
                 },
                 "result": None,
             }
-        finally:
-            self._idle.put_nowait(pool)
 
     async def _notify_subscribers(self, key: str, status: str) -> None:
         for job, index in self._inflight.get(key, ()):

@@ -50,11 +50,10 @@ hardens the grid instead of letting one point abort it:
 * **supervision** — pooled cells always run under the supervisor
   (:mod:`repro.resilience.supervisor`): hung workers are killed at
   their deadline, crashed workers respawned and their cells resubmitted
-  (bit-identically), repeat offenders quarantined as failed outcomes,
-  and a repeatedly breaking pool degrades to in-process serial
-  execution instead of aborting the grid.  Pass
-  ``supervisor=SupervisorConfig(...)`` to tune it (deadlines, retry
-  limits), which also sends a ``jobs=1`` sweep to a worker process.
+  (bit-identically), and repeat offenders quarantined as failed
+  outcomes.  Pass ``supervisor=SupervisorConfig(...)`` to set its
+  per-attempt deadline, which also sends a ``jobs=1`` sweep to a worker
+  process.
   Supervision state never touches result payloads, so a pooled grid
   is byte-identical to a serial one.
 """

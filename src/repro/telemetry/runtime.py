@@ -25,7 +25,6 @@ Counters used by the resilience layer:
 * ``supervisor.retries`` — cells resubmitted after a kill
 * ``supervisor.quarantined`` — cells failed after repeated kills
 * ``supervisor.pool_rebuilds`` — worker slots respawned
-* ``supervisor.degraded`` — fall-backs to in-process serial execution
 * ``trace_cache.corrupt_recovered`` — cache entries regenerated after a
   failed load or checksum mismatch
 

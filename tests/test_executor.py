@@ -164,6 +164,15 @@ class TestServiceWorkers:
         assert registry.counters("supervisor.")["supervisor.timeouts"] >= 1
 
 
+SERVE = ("repro.service.__main__", ["serve", "--store", "unused"])
+EXPERIMENTS = ("repro.experiments.__main__", ["table4", "--scale", "smoke"])
+#: (cli, argv, flag, value): each numeric flag a CLI checks before any work.
+NONPOSITIVE = [
+    (*SERVE, flag, "0")
+    for flag in ("--cell-timeout", "--jobs", "--quota", "--quantum", "--max-entries")
+] + [(*EXPERIMENTS, "--cell-timeout", "0")]
+
+
 class TestTimeoutValidation:
     def test_server_config_rejects_nonpositive_timeout(self, tmp_path):
         for bad in (0.0, -1.0):
@@ -171,13 +180,13 @@ class TestTimeoutValidation:
                 ServerConfig(store_dir=str(tmp_path), cell_timeout_s=bad)
 
     @pytest.mark.parametrize(
-        "cli, argv",
-        [
-            ("repro.service.__main__", ["serve", "--store", "unused"]),
-            ("repro.experiments.__main__", ["table4", "--scale", "smoke"]),
-        ],
+        "cli, argv, flag, value",
+        NONPOSITIVE,
+        ids=[f"{cli}{flag}" for cli, _, flag, _ in NONPOSITIVE],
     )
-    def test_clis_reject_nonpositive_timeout(self, monkeypatch, capsys, cli, argv):
+    def test_clis_reject_nonpositive_timeout(
+        self, monkeypatch, capsys, cli, argv, flag, value
+    ):
         import importlib
 
         from repro.experiments.common import default_supervisor
@@ -191,9 +200,9 @@ class TestTimeoutValidation:
         if hasattr(module, "SimulationServer"):
             monkeypatch.setattr(module, "SimulationServer", started)
         with pytest.raises(SystemExit) as exit_info:
-            module.main(argv + ["--cell-timeout", "0"])
+            module.main(argv + [flag, value])
         assert exit_info.value.code == 2
-        assert "--cell-timeout" in capsys.readouterr().err
+        assert flag in capsys.readouterr().err
         assert default_supervisor() is None
 
 

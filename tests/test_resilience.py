@@ -14,20 +14,18 @@ files, which are deterministic (a flag fires an exact number of
 times) and cross every multiprocessing start method.
 """
 
+import warnings
+
 import pytest
 
 from repro.common.errors import (
     WorkerCrashError,
     WorkerTimeoutError,
 )
-from repro.resilience import chaos
+from repro.resilience import chaos, locks
 from repro.resilience.integrity import verify_sidecar
 from repro.resilience.locks import FileLock, LockTimeout
-from repro.resilience.supervisor import (
-    SupervisorConfig,
-    backoff_s,
-    run_cells_supervised,
-)
+from repro.resilience.supervisor import SupervisorConfig, run_cells_supervised
 from repro.service.store import ResultStore
 from repro.sim.config import nurapid_config, snuca_config
 from repro.sim.parallel import CellTask, run_cells
@@ -70,13 +68,6 @@ def make_tasks(isolate_errors=True, telemetry=None):
     ]
 
 
-def fast_chaos(**kw):
-    """A SupervisorConfig tuned for test turnaround, not production."""
-    defaults = dict(backoff_base_s=0.01, backoff_cap_s=0.05)
-    defaults.update(kw)
-    return SupervisorConfig(**defaults)
-
-
 @pytest.fixture
 def chaos_dir(tmp_path, monkeypatch):
     directory = str(tmp_path / "chaos")
@@ -87,41 +78,17 @@ def chaos_dir(tmp_path, monkeypatch):
     return directory
 
 
-class TestBackoffDeterminism:
-    def test_same_inputs_same_delay(self):
-        config = SupervisorConfig()
-        task = make_tasks()[0]
-        assert backoff_s(config, task, 1) == backoff_s(config, task, 1)
-
-    def test_exponential_growth_and_cap(self):
-        config = SupervisorConfig(
-            backoff_base_s=0.1, backoff_cap_s=0.4, backoff_jitter=0.0
-        )
-        task = make_tasks()[0]
-        assert backoff_s(config, task, 1) == pytest.approx(0.1)
-        assert backoff_s(config, task, 2) == pytest.approx(0.2)
-        assert backoff_s(config, task, 3) == pytest.approx(0.4)
-        assert backoff_s(config, task, 9) == pytest.approx(0.4)  # capped
-
-    def test_jitter_varies_by_cell_but_stays_bounded(self):
-        config = SupervisorConfig(backoff_base_s=0.1, backoff_jitter=0.5)
-        tasks = make_tasks()
-        delays = {backoff_s(config, task, 1) for task in tasks}
-        assert len(delays) > 1  # different cells desynchronize
-        assert all(0.1 <= d <= 0.15 + 1e-9 for d in delays)
-
-
 class TestSupervisedNoFaults:
     def test_bit_identical_to_plain_pool_and_serial(self):
         tasks = make_tasks()
         serial = run_cells(tasks, jobs=1)
-        supervised = run_cells_supervised(tasks, jobs=2, config=fast_chaos())
+        supervised = run_cells_supervised(tasks, jobs=2, config=SupervisorConfig())
         assert supervised == serial
 
     def test_callback_fires_per_cell(self):
         seen = []
         run_cells_supervised(
-            make_tasks(), jobs=2, config=fast_chaos(), callback=seen.append
+            make_tasks(), jobs=2, config=SupervisorConfig(), callback=seen.append
         )
         assert sorted(p["index"] for p in seen) == [0, 1, 2, 3]
 
@@ -129,7 +96,7 @@ class TestSupervisedNoFaults:
         # jobs=1 keeps the worker subprocess (deadlines must stay
         # enforceable), and stays bit-identical to in-process serial.
         tasks = make_tasks()
-        assert run_cells_supervised(tasks, 1, config=fast_chaos()) == run_cells(
+        assert run_cells_supervised(tasks, 1, config=SupervisorConfig()) == run_cells(
             tasks, 1
         )
 
@@ -139,7 +106,7 @@ class TestSupervisedNoFaults:
     def test_telemetry_report_bytes_identical(self):
         tasks = make_tasks(telemetry=TelemetryConfig())
         serial = run_cells(tasks, jobs=1)
-        supervised = run_cells_supervised(tasks, jobs=2, config=fast_chaos())
+        supervised = run_cells_supervised(tasks, jobs=2, config=SupervisorConfig())
 
         def report(payloads):
             return render_report(
@@ -159,7 +126,7 @@ class TestWorkerKillRecovery:
         expected = run_cells(tasks, jobs=1)
 
         chaos.inject_kill(chaos_dir, index=1)
-        recovered = run_cells_supervised(tasks, jobs=2, config=fast_chaos())
+        recovered = run_cells_supervised(tasks, jobs=2, config=SupervisorConfig())
 
         assert recovered == expected
         counters = runtime_counters()
@@ -168,15 +135,19 @@ class TestWorkerKillRecovery:
         assert counters.get("supervisor.quarantined", 0) == 0
 
     def test_multiple_cells_killed_once_each(self, chaos_dir):
+        # Crashes spread over several cells each respawn a worker and
+        # retry the cell; none of them ends the pool.
         tasks = make_tasks()
         expected = run_cells(tasks, jobs=1)
-        chaos.inject_kill(chaos_dir, index=0)
-        chaos.inject_kill(chaos_dir, index=2)
-        recovered = run_cells_supervised(
-            tasks, jobs=2, config=fast_chaos(max_pool_breaks=10)
-        )
+        for index in (0, 1, 2):
+            chaos.inject_kill(chaos_dir, index=index)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            recovered = run_cells_supervised(tasks, jobs=2, config=SupervisorConfig())
         assert recovered == expected
-        assert runtime_counters()["supervisor.crashes"] == 2
+        counters = runtime_counters()
+        assert counters["supervisor.crashes"] == 3
+        assert counters["supervisor.pool_rebuilds"] == 3
 
 
 class TestHangRecovery:
@@ -186,7 +157,7 @@ class TestHangRecovery:
 
         chaos.inject_hang(chaos_dir, index=2)
         recovered = run_cells_supervised(
-            tasks, jobs=2, config=fast_chaos(cell_timeout_s=3.0)
+            tasks, jobs=2, config=SupervisorConfig(cell_timeout_s=3.0)
         )
 
         assert recovered == expected
@@ -198,12 +169,8 @@ class TestHangRecovery:
 class TestQuarantine:
     def test_repeat_offender_isolated_becomes_failed_outcome(self, chaos_dir):
         tasks = make_tasks()
-        chaos.inject_kill(chaos_dir, index=3, times=2)
-        payloads = run_cells_supervised(
-            tasks,
-            jobs=2,
-            config=fast_chaos(max_worker_kills=1, max_pool_breaks=10),
-        )
+        chaos.inject_kill(chaos_dir, index=3, times=3)
+        payloads = run_cells_supervised(tasks, jobs=2, config=SupervisorConfig())
         quarantined = payloads[3]
         assert quarantined["outcome"]["status"] == "failed"
         assert quarantined["outcome"]["error_type"] == "WorkerCrashError"
@@ -214,23 +181,15 @@ class TestQuarantine:
 
     def test_repeat_offender_raises_when_not_isolated(self, chaos_dir):
         tasks = make_tasks(isolate_errors=False)
-        chaos.inject_kill(chaos_dir, index=0, times=2)
+        chaos.inject_kill(chaos_dir, index=0, times=3)
         with pytest.raises(WorkerCrashError):
-            run_cells_supervised(
-                tasks,
-                jobs=2,
-                config=fast_chaos(max_worker_kills=1, max_pool_breaks=10),
-            )
+            run_cells_supervised(tasks, jobs=2, config=SupervisorConfig())
 
     def test_hang_quarantine_reports_timeout_error(self, chaos_dir):
         tasks = make_tasks()
-        chaos.inject_hang(chaos_dir, index=1, times=2)
+        chaos.inject_hang(chaos_dir, index=1, times=3)
         payloads = run_cells_supervised(
-            tasks,
-            jobs=2,
-            config=fast_chaos(
-                cell_timeout_s=2.0, max_worker_kills=1, max_pool_breaks=10
-            ),
+            tasks, jobs=2, config=SupervisorConfig(cell_timeout_s=2.0)
         )
         assert payloads[1]["outcome"]["error_type"] == "WorkerTimeoutError"
 
@@ -242,28 +201,6 @@ class TestQuarantine:
             clone = pickle.loads(pickle.dumps(error))
             assert type(clone) is type(error)
             assert str(clone) == str(error)
-
-
-class TestPoolDegradation:
-    def test_repeated_breaks_degrade_to_serial_with_identical_results(
-        self, chaos_dir
-    ):
-        tasks = make_tasks()
-        expected = run_cells(tasks, jobs=1)
-        # Two crashes hit max_pool_breaks before any quarantine
-        # threshold; the drain runs in-process, where chaos probes
-        # never fire.
-        chaos.inject_kill(chaos_dir, index=0, times=2)
-        with pytest.warns(RuntimeWarning, match="degrading"):
-            recovered = run_cells_supervised(
-                tasks,
-                jobs=2,
-                config=fast_chaos(max_pool_breaks=2, max_worker_kills=10),
-            )
-        assert recovered == expected
-        counters = runtime_counters()
-        assert counters["supervisor.degraded"] == 1
-        assert counters["supervisor.crashes"] == 2
 
 
 def point_dicts(points):
@@ -292,7 +229,7 @@ class TestSupervisedSweep:
     def test_supervised_sweep_bit_identical_to_serial(self, tmp_path):
         serial = self.make_sweep().run()
         supervised = self.make_sweep(
-            supervisor=fast_chaos(),
+            supervisor=SupervisorConfig(),
             jobs=2,
             trace_cache_dir=str(tmp_path / "traces"),
         ).run()
@@ -305,7 +242,7 @@ class TestSupervisedSweep:
         serial = self.make_sweep().run()
         chaos.inject_hang(chaos_dir, index=1)
         recovered = self.make_sweep(
-            supervisor=fast_chaos(cell_timeout_s=3.0),
+            supervisor=SupervisorConfig(cell_timeout_s=3.0),
             jobs=jobs,
             trace_cache_dir=str(tmp_path / "traces"),
         ).run()
@@ -319,7 +256,7 @@ class TestSupervisedSweep:
         chaos.inject_kill(chaos_dir, index=0)
         store = ResultStore(str(tmp_path / "store"))
         recovered = self.make_sweep(
-            supervisor=fast_chaos(),
+            supervisor=SupervisorConfig(),
             jobs=2,
             trace_cache_dir=str(tmp_path / "traces"),
             result_store=store,
@@ -475,21 +412,13 @@ class TestSharedStore:
 
 
 class TestFileLock:
-    def test_mutual_exclusion(self, tmp_path):
+    def test_mutual_exclusion(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(locks, "TIMEOUT_S", 0.2)
         path = str(tmp_path / "x.lock")
         with FileLock(path):
             with pytest.raises(LockTimeout):
-                with FileLock(path, timeout_s=0.2):
+                with FileLock(path):
                     pass
-
-    def test_reentrant_per_instance(self, tmp_path):
-        lock = FileLock(str(tmp_path / "x.lock"))
-        with lock:
-            with lock:
-                pass
-        # Fully released: a fresh instance can take it immediately.
-        with FileLock(str(tmp_path / "x.lock"), timeout_s=0.2):
-            pass
 
 
 class TestTraceCacheIntegrity:

@@ -10,7 +10,6 @@ unit-test time.
 """
 
 import dataclasses
-import json
 import threading
 
 import pytest

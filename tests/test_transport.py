@@ -238,11 +238,7 @@ class TestKillRecovery:
         assert builds_after_setup == 2
 
         chaos.inject_kill(chaos_dir, index=1)
-        recovered = run_cells_supervised(
-            tasks,
-            jobs=2,
-            config=SupervisorConfig(backoff_base_s=0.01, backoff_cap_s=0.05),
-        )
+        recovered = run_cells_supervised(tasks, jobs=2, config=SupervisorConfig())
         assert recovered == expected
         counters = runtime_counters()
         assert counters["supervisor.crashes"] == 1
